@@ -126,7 +126,9 @@ def run_instance_battery(
     Covers the fundamental-equation identities, the commutator transfer, the
     pencil intertwining of the characteristic function, the functional model
     when P is pure, unitary-invariance round trips against a conjugated
-    copy, and (for pencil instances) isometry propagation.
+    copy, and (for pencil instances) isometry propagation.  Each fundamental
+    pair and the model of P are built once and shared with the invariant
+    suite.
     """
     t = inst.triple
     rep = CheckReport(title=inst.label)
@@ -142,6 +144,7 @@ def run_instance_battery(
     rep.extend(
         verify_pencil_intertwining(t, pair_f, pair_g, DISC_SAMPLES, pol), prefix="pencil_"
     )
+    model = None
     if is_pure(t.P, pol):
         model = build_model(t.P, None, pol)
         rep.extend(verify_model_decomposition(model, pol), prefix="model_")
@@ -152,7 +155,10 @@ def run_instance_battery(
     conj = validate(
         u @ t.A @ u.conj().T, u @ t.B @ u.conj().T, u @ t.P @ u.conj().T, pol
     )
-    rep.extend(unitary_invariant_suite(t, conj, u, pol), prefix="inv_")
+    rep.extend(
+        unitary_invariant_suite(t, conj, u, pol, pair_f=pair_f, pair_g=pair_g, model=model),
+        prefix="inv_",
+    )
     if inst.family == "symbols":
         rep.extend(
             verify_isometry_propagation(
@@ -214,8 +220,9 @@ def _cmd_random_suite(args, pol: TolerancePolicy) -> list[tuple[str, CheckReport
     for inst in instances:
         try:
             out.append((inst.label, run_instance_battery(inst, pol)))
-        except TetralabError as exc:
-            # a verification step that cannot even be set up is a failure,
+        except (TetralabError, np.linalg.LinAlgError) as exc:
+            # a verification step that cannot even be set up, or a numpy
+            # routine that does not converge on this instance, is a failure,
             # not a usage error: record it and keep going
             out.append((inst.label, _failed_report(inst.label, str(exc))))
     return out

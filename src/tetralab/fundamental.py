@@ -69,23 +69,9 @@ class FundamentalPair:
         return self.basis.embed(f)
 
 
-def _solve_compressed(dtil: np.ndarray, rhs: np.ndarray, pol: TolerancePolicy, method: str) -> np.ndarray:
-    if method == "pinv":
-        dinv = hermitian_pinv(dtil, pol)
-        return dinv @ rhs @ dinv
-    if method == "lstsq":
-        r = dtil.shape[0]
-        m = np.kron(dtil.T, dtil)
-        sol, *_ = np.linalg.lstsq(m, rhs.reshape(-1, order="F"), rcond=pol.rank_tol)
-        return sol.reshape((r, r), order="F")
-    raise ValueError(f"unknown solve method {method!r}")
-
-
 def solve_fundamental(
     triple: TetrablockTriple,
     pol: TolerancePolicy = DEFAULT_POLICY,
-    method: str = "pinv",
-    radius_grid: int = 256,
 ) -> FundamentalPair:
     """Solve both fundamental equations on the defect space of P.
 
@@ -102,8 +88,9 @@ def solve_fundamental(
     dtil = q.restrict(triple.dp)
     r1 = triple.A - triple.B.conj().T @ triple.P
     r2 = triple.B - triple.A.conj().T @ triple.P
-    f1 = _solve_compressed(dtil, q.restrict(r1), pol, method)
-    f2 = _solve_compressed(dtil, q.restrict(r2), pol, method)
+    dinv = hermitian_pinv(dtil, pol)
+    f1 = dinv @ q.restrict(r1) @ dinv
+    f2 = dinv @ q.restrict(r2) @ dinv
     res = 0.0
     for f, rhs in ((f1, r1), (f2, r2)):
         emb = q.embed(f)
@@ -114,8 +101,8 @@ def solve_fundamental(
             f"fundamental equations unsolvable at tolerance: residual {res:.3e} > {limit:.3e}"
         )
     if q.rank:
-        w1, e1 = numerical_radius(f1, grid_size=radius_grid)
-        w2, e2 = numerical_radius(f2, grid_size=radius_grid)
+        w1, e1 = numerical_radius(f1)
+        w2, e2 = numerical_radius(f2)
     else:
         w1 = e1 = w2 = e2 = 0.0
     return FundamentalPair(

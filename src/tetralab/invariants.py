@@ -220,6 +220,10 @@ def unitary_invariant_suite(
     pol: TolerancePolicy = DEFAULT_POLICY,
     samples=(0.3 + 0.2j, -0.55, 0.1 - 0.6j, 0.72j),
     model_degree: int | None = None,
+    *,
+    pair_f: FundamentalPair | None = None,
+    pair_g: FundamentalPair | None = None,
+    model: ModelData | None = None,
 ) -> CheckReport:
     """Round trip of the complete-unitary-invariant property for pure triples.
 
@@ -227,19 +231,31 @@ def unitary_invariant_suite(
     characteristic functions and equivalence of both fundamental pairs.
     Converse: from those witnesses alone, I (x) u_star must carry H_P onto
     H_P' and intertwine the model operator triples.
+
+    A caller that already holds the objects of ``triple`` passes them in
+    rather than have them rebuilt: ``pair_f`` from
+    ``solve_fundamental(triple, pol)``, ``pair_g`` from
+    ``solve_fundamental(triple.adjoint(pol), pol)`` and ``model`` from
+    ``build_model(triple.P, model_degree, pol)``, each under the same
+    ``pol``.  Any of them left out is computed here exactly that way.  The
+    objects of ``triple_prime`` are always computed here; its model takes
+    the degree of ``model``.
     """
     rep = CheckReport(title="unitary invariant suite")
     wit = induced_defect_unitary(u, triple, triple_prime, pol)
     rep.extend(verify_coincidence(triple.P, triple_prime.P, wit, samples, pol), prefix="fwd_")
-    pair_f = solve_fundamental(triple, pol)
+    if pair_f is None:
+        pair_f = solve_fundamental(triple, pol)
     pair_f_prime = solve_fundamental(triple_prime, pol)
-    pair_g = solve_fundamental(triple.adjoint(pol), pol)
+    if pair_g is None:
+        pair_g = solve_fundamental(triple.adjoint(pol), pol)
     pair_g_prime = solve_fundamental(triple_prime.adjoint(pol), pol)
     rep.extend(verify_fundamental_equivalence(wit.u, pair_f, pair_f_prime, pol), prefix="fwd_F_")
     rep.extend(
         verify_fundamental_equivalence(wit.u_star, pair_g, pair_g_prime, pol), prefix="fwd_G_"
     )
-    model = build_model(triple.P, model_degree, pol)
+    if model is None:
+        model = build_model(triple.P, model_degree, pol)
     model_prime = build_model(triple_prime.P, model.N, pol)
     rep.extend(
         _model_transport(model, model_prime, wit, pair_g, pair_g_prime, pol), prefix="cnv_"

@@ -10,6 +10,11 @@ __all__ = ["CheckEntry", "CheckReport", "NECESSARY_HEADER"]
 NECESSARY_HEADER = "necessary conditions only; spectral-set membership not decided"
 
 
+def _json_number(x: float | None) -> float | str | None:
+    """``x`` unchanged unless it is non-finite; then its string form."""
+    return x if x is None or math.isfinite(x) else str(x)
+
+
 @dataclass(frozen=True)
 class CheckEntry:
     """One named residual check.
@@ -26,10 +31,12 @@ class CheckEntry:
     note: str = ""
 
     def to_dict(self) -> dict:
+        """Plain-data form; non-finite residuals and tolerances become the
+        strings "inf", "-inf" and "nan" so that the form is valid JSON."""
         return {
             "name": self.name,
-            "residual": self.residual,
-            "tolerance": self.tolerance,
+            "residual": _json_number(self.residual),
+            "tolerance": _json_number(self.tolerance),
             "passed": self.passed,
             "skipped": self.skipped,
             "note": self.note,

@@ -5,16 +5,19 @@ console entry point wraps the same function."""
 from __future__ import annotations
 
 import json
+import sys
 
 import numpy as np
 import pytest
 
+import tetralab.cli
 from tetralab import io
 from tetralab.bidisc import build as build_grid
-from tetralab.charfn import theta_coeffs
-from tetralab.cli import main
+from tetralab.charfn import build_model, theta_coeffs
+from tetralab.cli import main, run_instance_battery
 from tetralab.fundamental import solve_fundamental
 from tetralab.generate import make_instance
+from tetralab.matcore import TetralabError
 
 
 def run(capsys, *argv) -> tuple[int, str, str]:
@@ -26,6 +29,15 @@ def run(capsys, *argv) -> tuple[int, str, str]:
 def load_bundle(path) -> dict:
     with open(path) as fh:
         return json.load(fh)
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+def strict_json(text: str):
+    """Parse text that must be standard JSON: no NaN or Infinity tokens."""
+    return json.loads(text, parse_constant=_reject_constant)
 
 
 # ------------------------------------------------------------- exit codes
@@ -206,3 +218,111 @@ def test_text_render_sections(capsys):
     assert out.rstrip().splitlines()[-1].startswith("wall_time_s:")
     assert "==" in out  # section headers
     assert "summary:" in out
+
+
+# ------------------------------------------------- failure paths as JSON
+
+
+def failing_entries(bundle: dict) -> list[dict]:
+    return [
+        e for rep in bundle["reports"] for e in rep["entries"]
+        if not e["passed"] and not e["skipped"]
+    ]
+
+
+def test_model_check_json_on_non_pure_p(capsys, tmp_path):
+    # P = I is not pure: the "pure" check records an infinite residual,
+    # which the bundle must carry as the string "inf"
+    half = io.matrix_to_obj(0.5 * np.eye(2))
+    path = tmp_path / "unitary_p.json"
+    path.write_text(io.dumps({"A": half, "B": half, "P": io.matrix_to_obj(np.eye(2))}))
+    code, out, err = run(capsys, "model-check", str(path), "--format", "json")
+    assert code == 1
+    assert err == ""
+    bundle = strict_json(out)
+    assert bundle["aggregate"]["all_passed"] is False
+    [entry] = failing_entries(bundle)
+    assert entry["name"] == "pure"
+    assert entry["residual"] == "inf"
+    assert entry["tolerance"] == 0.0
+
+
+def test_blh_json_on_extraction_failure(capsys, tmp_path):
+    # a constant symbol of norm 1.7 is not inner: extraction fails
+    theta_path = tmp_path / "theta.json"
+    theta_path.write_text(io.dumps({"coeffs": [io.matrix_to_obj(1.7 * np.eye(2))]}))
+    sym_path = tmp_path / "syms.json"
+    sym_path.write_text(io.dumps({
+        "F1": io.matrix_to_obj(0.2 * np.eye(2)),
+        "F2": io.matrix_to_obj(0.1 * np.eye(2)),
+    }))
+    code, out, err = run(capsys, "blh", str(theta_path), str(sym_path), "--format", "json")
+    assert code == 1
+    assert err == ""
+    bundle = strict_json(out)
+    assert "extracted" not in bundle
+    [entry] = failing_entries(bundle)
+    assert entry["name"] == "extraction"
+    assert entry["residual"] == "inf"
+
+
+@pytest.mark.parametrize(
+    "exc",
+    [TetralabError("set-up failed"), np.linalg.LinAlgError("SVD did not converge")],
+    ids=["tetralab", "linalg"],
+)
+def test_random_suite_records_failed_instance(capsys, monkeypatch, exc):
+    # one instance whose battery raises must become a failed report in the
+    # bundle while the other instances still run: exit 1, never 2
+    seen = []
+
+    def battery(inst, pol):
+        seen.append(inst.label)
+        if len(seen) == 2:
+            raise exc
+        return run_instance_battery(inst, pol)
+
+    monkeypatch.setattr(tetralab.cli, "run_instance_battery", battery)
+    code, out, err = run(
+        capsys, "random-suite", "--seed", "5", "--count", "3", "--format", "json"
+    )
+    assert code == 1
+    assert err == ""
+    bundle = strict_json(out)
+    agg = bundle["aggregate"]
+    assert (agg["reports"], agg["reports_passed"]) == (3, 2)
+    [entry] = failing_entries(bundle)
+    assert entry["name"] == "battery"
+    assert entry["residual"] == "inf"
+    assert entry["note"] == str(exc)
+    assert bundle["reports"][1]["label"] == seen[1]
+    assert len(seen) == 3
+
+
+# ----------------------------------------------------- shared objects
+
+
+def test_battery_builds_each_object_once(monkeypatch, small_suite):
+    # the battery hands its pairs and model to the invariant suite: per
+    # instance F, G, F' and G' are solved once each, and only the models of
+    # P and P' are built
+    calls = {"solve_fundamental": 0, "build_model": 0}
+
+    def counting(fn):
+        def wrapper(*args, **kwargs):
+            calls[fn.__name__] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    originals = {"solve_fundamental": solve_fundamental, "build_model": build_model}
+    for mod in list(sys.modules.values()):
+        if getattr(mod, "__name__", "").startswith("tetralab"):
+            for name, fn in originals.items():
+                if getattr(mod, name, None) is fn:
+                    monkeypatch.setattr(mod, name, counting(fn))
+    for inst in small_suite:
+        calls.update(solve_fundamental=0, build_model=0)
+        rep = run_instance_battery(inst)
+        assert rep.overall, inst.label
+        assert calls["solve_fundamental"] == 4, inst.label
+        assert calls["build_model"] <= 2, inst.label

@@ -47,19 +47,29 @@ def test_scalar_closed_form(a, b, p):
     assert pair.solve_residual < 1e-12
 
 
-def test_methods_agree(small_suite):
-    # the pseudoinverse route and the least-squares route must produce the
-    # same compressed operators: the restricted solution is unique
+def lstsq_oracle(dtil, rhs, rank_tol):
+    """Solve Dt F Dt = rhs as one Kronecker least-squares system, O(r^6)."""
+    r = dtil.shape[0]
+    m = np.kron(dtil.T, dtil)
+    sol, *_ = np.linalg.lstsq(m, rhs.reshape(-1, order="F"), rcond=rank_tol)
+    return sol.reshape((r, r), order="F")
+
+
+def test_methods_agree(small_suite, pol):
+    # the pseudoinverse route and a least-squares solve of the vectorized
+    # compressed equation must produce the same operators: the restricted
+    # solution is unique
     for inst in small_suite:
-        via_pinv = solve_fundamental(inst.triple, method="pinv")
-        via_lstsq = solve_fundamental(inst.triple, method="lstsq")
-        assert op_norm(via_pinv.F1 - via_lstsq.F1) < 1e-9, inst.label
-        assert op_norm(via_pinv.F2 - via_lstsq.F2) < 1e-9, inst.label
-
-
-def test_unknown_method_rejected(small_suite):
-    with pytest.raises(ValueError):
-        solve_fundamental(small_suite[0].triple, method="banana")
+        t = inst.triple
+        q = t.dp_basis
+        dtil = q.restrict(t.dp)
+        pair = solve_fundamental(t, pol)
+        for f, rhs in (
+            (pair.F1, t.A - t.B.conj().T @ t.P),
+            (pair.F2, t.B - t.A.conj().T @ t.P),
+        ):
+            oracle = lstsq_oracle(dtil, q.restrict(rhs), pol.rank_tol)
+            assert op_norm(f - oracle) < 1e-9, inst.label
 
 
 def test_unsolvable_when_defect_vanishes():

@@ -105,6 +105,25 @@ def test_report_serialization_shape():
     assert obj["entries"][1]["skipped"] is True
 
 
+def test_report_non_finite_numbers_become_strings():
+    # failure paths record infinite residuals; the bundle must stay valid
+    # JSON, and finite numbers must keep their float form
+    rep = CheckReport(title="demo")
+    rep.check("inf", float("inf"), 0.0)
+    rep.check("neg", float("-inf"), 0.0)
+    rep.check("nan", float("nan"), float("inf"))
+    rep.check("finite", 1.5e-3, 2e-3)
+    rep.skip("skipped", "because")
+    obj = json.loads(io.dumps(io.report_to_obj(rep)))
+    assert [(e["residual"], e["tolerance"]) for e in obj["entries"]] == [
+        ("inf", 0.0),
+        ("-inf", 0.0),
+        ("nan", "inf"),
+        (1.5e-3, 2e-3),
+        (None, None),
+    ]
+
+
 def test_dumps_is_stable_and_sorted():
     text = io.dumps({"b": 1, "a": [1.5, 2.5]})
     assert text.index('"a"') < text.index('"b"')
