@@ -19,7 +19,6 @@ from .matcore import (
     TolerancePolicy,
     commutator,
     defect,
-    hermitian_sqrt,
     numerical_radius,
     op_norm,
 )
@@ -62,15 +61,11 @@ from .charfn import (
     verify_pencil_intertwining,
 )
 from .blh import (
-    InvariantSubspace,
     NotDegreeOneError,
     NotInnerError,
-    check_invariance,
     extract_symbols,
     extraction_roundtrip,
-    from_inner,
     verify_isometry_propagation,
-    wandering_theta,
 )
 from .invariants import (
     CoincidenceWitness,
@@ -97,7 +92,6 @@ __all__ = [
     "NotContractiveError",
     "commutator",
     "defect",
-    "hermitian_sqrt",
     "numerical_radius",
     "op_norm",
     # report
@@ -144,12 +138,8 @@ __all__ = [
     "verify_pencil_intertwining",
     "pure_isometry_model",
     # blh
-    "InvariantSubspace",
     "NotInnerError",
     "NotDegreeOneError",
-    "from_inner",
-    "wandering_theta",
-    "check_invariance",
     "extract_symbols",
     "extraction_roundtrip",
     "verify_isometry_propagation",

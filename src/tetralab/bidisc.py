@@ -249,7 +249,7 @@ def verify_example(n: int, pol: TolerancePolicy = DEFAULT_POLICY) -> CheckReport
         EXACT_TOL,
     )
 
-    pair_g = solve_fundamental(triple.adjoint(pol), pol)
+    pair_g = solve_fundamental(triple.adjoint(), pol)
     conv = pair_g.basis.basis.conj().T @ bb
     rep.check(
         "border_basis_change_unitary",

@@ -1,4 +1,4 @@
-"""Invariant subspaces of the pencil triple and symbol extraction.
+"""Symbol extraction from invariant subspaces of the pencil triple.
 
 On the D-valued Hardy space, a closed subspace M that is jointly invariant
 under (M_{F1*+F2 z}, M_{F2*+F1 z}, M_z) and of Beurling form M = Theta H^2
@@ -10,27 +10,25 @@ to be multiplication operators with degree-one symbols Phi = G1 + G2* z and
 Psi = G2 + G1* z; conversely those intertwinings restate the invariance.
 At truncation degree N only the coefficient blocks with row/column degree
 <= N - deg(Theta) are faithful to the infinite operators, so extraction and
-uniqueness are asserted on that interior region.
+uniqueness are asserted on that interior region.  A subspace is always given
+by its inner symbol Theta; ``extract_symbols`` is the one place that checks
+Theta is inner there.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from .charfn import suggest_degree, theta_coeffs, truncation_tail
 from .fundamental import solve_fundamental
-from .hardy import AnalyticSymbol, TruncatedHardy, pencil, shift, toeplitz
+from .hardy import AnalyticSymbol, TruncatedHardy, pencil, toeplitz
 from .matcore import (
     DEFAULT_POLICY,
     ShapeError,
-    SubspaceBasis,
     TetralabError,
     TolerancePolicy,
     ensure_matrix,
     op_norm,
-    range_basis,
 )
 from .report import CheckReport
 from .triples import TetrablockTriple, from_symbols, necessary_report
@@ -38,14 +36,14 @@ from .triples import TetrablockTriple, from_symbols, necessary_report
 __all__ = [
     "NotInnerError",
     "NotDegreeOneError",
-    "InvariantSubspace",
-    "from_inner",
-    "wandering_theta",
-    "check_invariance",
     "extract_symbols",
     "extraction_roundtrip",
     "verify_isometry_propagation",
 ]
+
+
+# grid degrees kept beyond deg(Theta) in ``extraction_roundtrip``
+EXTRACTION_MARGIN = 3
 
 
 class NotInnerError(TetralabError):
@@ -58,95 +56,6 @@ class NotDegreeOneError(TetralabError):
     This is the numerical signature of a subspace that is NOT jointly
     invariant under the pencil operators.
     """
-
-
-@dataclass(frozen=True)
-class InvariantSubspace:
-    """Candidate invariant subspace of a truncated Hardy grid."""
-
-    space: TruncatedHardy
-    basis: SubspaceBasis
-    theta: AnalyticSymbol | None = None
-
-    def __post_init__(self) -> None:
-        if self.basis.ambient_dim != self.space.dim:
-            raise ShapeError(
-                f"basis ambient dim {self.basis.ambient_dim} != grid dim {self.space.dim}"
-            )
-
-
-def from_inner(theta: AnalyticSymbol, n: int, pol: TolerancePolicy = DEFAULT_POLICY) -> InvariantSubspace:
-    """Subspace range(toeplitz(theta)) on the degree <= n grid.
-
-    The symbol must actually be inner at this truncation: columns of degree
-    <= n - deg(theta) have to be isometric (NotInnerError otherwise).  Top
-    degrees are excused because the grid cuts their tails off.
-    """
-    space = TruncatedHardy(max_degree=n, fiber_dim=theta.d_out)
-    t = toeplitz(theta, n)
-    cut = max(n - theta.degree, 0)
-    k = (cut + 1) * theta.d_in
-    gram = t.conj().T @ t
-    resid = op_norm(gram[:k, :k] - np.eye(k))
-    if resid > pol.scaled_eq(1.0):
-        raise NotInnerError(
-            f"toeplitz(theta) not isometric on degrees <= {cut} (residual {resid:.3e})"
-        )
-    return InvariantSubspace(space=space, basis=range_basis(t, pol, scale=1.0), theta=theta)
-
-
-def wandering_theta(sub: InvariantSubspace, pol: TolerancePolicy = DEFAULT_POLICY) -> AnalyticSymbol:
-    """Generating symbol from the wandering subspace M - (z M).
-
-    An orthonormal basis of M ortho-minus (shift M) is read off degree by
-    degree; its column coefficients are the Taylor blocks of a symbol whose
-    Toeplitz range reproduces M on interior degrees when M is genuinely
-    shift-invariant of Beurling form.
-    """
-    s = shift(sub.space)
-    m = sub.basis.basis
-    if m.shape[1] == 0:
-        raise ShapeError("cannot extract a wandering symbol from the zero subspace")
-    zm = range_basis(s @ m, pol, scale=1.0)
-    # project M onto the complement of zM and orthonormalize what survives
-    resid = (np.eye(sub.space.dim) - zm.projector) @ m
-    wander = range_basis(resid, pol, scale=1.0)
-    d = sub.space.fiber_dim
-    cols = wander.basis
-    coeffs = [
-        cols[sub.space.block(k), :] for k in range(sub.space.max_degree + 1)
-    ]
-    return AnalyticSymbol(tuple(coeffs)).trimmed(tol=1e-13)
-
-
-def check_invariance(
-    sub: InvariantSubspace,
-    f1,
-    f2,
-    pol: TolerancePolicy = DEFAULT_POLICY,
-) -> CheckReport:
-    """Joint-invariance residuals ||(I - Q) X Q|| for the three pencil operators.
-
-    Inputs are restricted to interior degrees (<= N - 1) so that the checks
-    measure genuine leakage rather than top-degree truncation loss.
-    """
-    f1 = ensure_matrix(f1, square=True, name="F1")
-    f2 = ensure_matrix(f2, square=True, name="F2")
-    space = sub.space
-    if f1.shape[0] != space.fiber_dim:
-        raise ShapeError("symbol fiber does not match the grid")
-    n = space.max_degree
-    xa = toeplitz(pencil(f1.conj().T, f2), n)
-    xb = toeplitz(pencil(f2.conj().T, f1), n)
-    xp = shift(space)
-    q = sub.basis.projector
-    eye = np.eye(space.dim)
-    interior = space.degree_projector(n - 1)
-    rep = CheckReport(title="pencil invariance of subspace")
-    scale = pol.scaled_eq(op_norm(f1), op_norm(f2))
-    for name, x in (("A_pencil", xa), ("B_pencil", xb), ("shift", xp)):
-        rep.check(f"invariant_{name}", op_norm((eye - q) @ x @ q @ interior), scale)
-    return rep
 
 
 def _interior_cut(n: int, theta: AnalyticSymbol) -> int:
@@ -244,23 +153,21 @@ def extract_symbols(
 def extraction_roundtrip(
     triple: TetrablockTriple,
     pol: TolerancePolicy = DEFAULT_POLICY,
-    theta_degree: int | None = None,
-    margin: int = 3,
 ) -> tuple[np.ndarray, np.ndarray, CheckReport]:
     """Extract (G1, G2) from Theta_{P*} and compare with the direct solver.
 
     The characteristic function of P* maps D_P* to D_P, its Toeplitz range
     is invariant under the F-pencils, and the compressed symbols must be the
-    G-pencils.  ``theta_degree`` defaults to one past the degree at which
-    the power tail of P drops below 1e-12, so the omitted Taylor mass is
-    accounted for in the match tolerance.
+    G-pencils.  Theta_{P*} is taken to one past the degree at which the
+    power tail of P drops below TAIL_TARGET, so the omitted Taylor mass is
+    accounted for in the match tolerance, and the grid reaches
+    EXTRACTION_MARGIN degrees beyond it.
     """
     pair_f = solve_fundamental(triple, pol)
-    pair_g = solve_fundamental(triple.adjoint(pol), pol)
-    if theta_degree is None:
-        theta_degree = suggest_degree(triple.P, 1e-12, pol) + 1
+    pair_g = solve_fundamental(triple.adjoint(), pol)
+    theta_degree = suggest_degree(triple.P, pol) + 1
     theta = theta_coeffs(triple.P.conj().T, theta_degree, pol)
-    n = theta.degree + margin
+    n = theta.degree + EXTRACTION_MARGIN
     tail = truncation_tail(triple.P, max(theta_degree - 1, 0), pol)
     g1, g2, rep = extract_symbols(theta, pair_f.F1, pair_f.F2, n, pol)
     out = CheckReport(title="symbol extraction round trip")

@@ -24,10 +24,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fundamental import FundamentalPair, solve_fundamental
+from .fundamental import FundamentalPair
 from .hardy import AnalyticSymbol, TruncatedHardy, shift, toeplitz
 from .matcore import (
     DEFAULT_POLICY,
+    MAX_GRID_DIM,
     ShapeError,
     SubspaceBasis,
     TetralabError,
@@ -86,10 +87,30 @@ class ModelMismatchError(TetralabError):
     """Dual constructions of the model space disagree beyond tolerance."""
 
 
+# powers of P below POWER_CUTOFF count as zero in the tail sums; a P whose
+# first MAX_POWERS powers do not get there is refused; TAIL_TARGET is the
+# tail that fixes the default truncation degree
+POWER_CUTOFF = 1e-14
+MAX_POWERS = 100000
+TAIL_TARGET = 1e-12
+
+
 def _defect_pair(p: np.ndarray, pol: TolerancePolicy):
     dp, qb = defect(p, pol)
     ds, sb = defect(p.conj().T, pol)
     return dp, qb, ds, sb
+
+
+def _theta_zero(p: np.ndarray, qb: SubspaceBasis, sb: SubspaceBasis, pol: TolerancePolicy):
+    """Theta_0 = -P restricted to D_P, after checking P maps D_P into D_{P*}."""
+    image = p @ qb.basis
+    leak = op_norm(image - sb.projector @ image)
+    allowance = pol.rank_tol * (1.0 + op_norm(p)) + pol.eq_tol
+    if leak > allowance:
+        raise RestrictionLeakError(
+            f"P(D_P) leaks out of D_P* by {leak:.3e} (> {allowance:.3e})"
+        )
+    return -(sb.basis.conj().T @ image)
 
 
 def theta_taylor(p, n: int, pol: TolerancePolicy = DEFAULT_POLICY) -> np.ndarray:
@@ -104,14 +125,7 @@ def theta_taylor(p, n: int, pol: TolerancePolicy = DEFAULT_POLICY) -> np.ndarray
         raise ValueError("Taylor index must be >= 0")
     dp, qb, ds, sb = _defect_pair(p, pol)
     if n == 0:
-        image = p @ qb.basis
-        leak = op_norm(image - sb.projector @ image)
-        allowance = pol.rank_tol * (1.0 + op_norm(p)) + pol.eq_tol
-        if leak > allowance:
-            raise RestrictionLeakError(
-                f"P(D_P) leaks out of D_P* by {leak:.3e} (> {allowance:.3e})"
-            )
-        return -(sb.basis.conj().T @ image)
+        return _theta_zero(p, qb, sb, pol)
     power = np.linalg.matrix_power(p.conj().T, n - 1)
     return sb.basis.conj().T @ ds @ power @ dp @ qb.basis
 
@@ -122,7 +136,7 @@ def theta_coeffs(p, n_max: int, pol: TolerancePolicy = DEFAULT_POLICY) -> Analyt
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
     dp, qb, ds, sb = _defect_pair(p, pol)
-    coeffs = [theta_taylor(p, 0, pol)]
+    coeffs = [_theta_zero(p, qb, sb, pol)]
     cur = ds  # D_{P*} P*^{n-1}, advanced as n grows
     pd = p.conj().T
     right = dp @ qb.basis
@@ -170,42 +184,49 @@ def kernel_identity_check(p, z: complex, w: complex, pol: TolerancePolicy = DEFA
     return op_norm(lhs - rhs)
 
 
-def truncation_tail(p, n: int, pol: TolerancePolicy = DEFAULT_POLICY, cutoff: float = 1e-14) -> float:
-    """Upper estimate of (sum_{m > n} ||P^m||^2)^(1/2).
-
-    Powers are summed until their norm drops below ``cutoff``; the neglected
-    remainder is below cutoff^2 / (1 - rho^2), irrelevant at the tolerances
-    used here.  Exact (zero) for nilpotent P once n exceeds the index.
-    """
-    p = ensure_matrix(p, square=True, name="P")
+def _require_pure(p: np.ndarray, pol: TolerancePolicy) -> None:
     cert = is_pure(p, pol)
     if not cert:
         raise NotPureError(f"P is not pure (rho = {cert.spectral_radius:.6f})")
-    m = np.linalg.matrix_power(p, n + 1)
-    total = 0.0
-    for _ in range(100000):
+
+
+def _power_norms(m: np.ndarray, p: np.ndarray) -> list[float]:
+    """||M||, ||M P||, ||M P^2||, ... up to the first norm <= POWER_CUTOFF.
+
+    Raises TetralabError when MAX_POWERS norms do not get there, rather than
+    let a caller sum a partial list.
+    """
+    norms = []
+    for _ in range(MAX_POWERS):
         nm = op_norm(m)
-        if nm <= cutoff:
-            break
-        total += nm * nm
+        if nm <= POWER_CUTOFF:
+            return norms
+        norms.append(nm)
         m = m @ p
+    raise TetralabError(f"||P^k|| still {nm:.3e} after {MAX_POWERS} powers; P decays too slowly")
+
+
+def truncation_tail(p, n: int, pol: TolerancePolicy = DEFAULT_POLICY) -> float:
+    """Upper estimate of (sum_{m > n} ||P^m||^2)^(1/2).
+
+    Powers are summed until their norm drops below POWER_CUTOFF; the
+    neglected remainder is below POWER_CUTOFF^2 / (1 - rho^2), irrelevant at
+    the tolerances used here.  Exact (zero) for nilpotent P once n exceeds
+    the index.
+    """
+    p = ensure_matrix(p, square=True, name="P")
+    _require_pure(p, pol)
+    total = 0.0
+    for nm in _power_norms(np.linalg.matrix_power(p, n + 1), p):
+        total += nm * nm
     return float(np.sqrt(total))
 
 
-def suggest_degree(p, target: float = 1e-12, pol: TolerancePolicy = DEFAULT_POLICY) -> int:
-    """Smallest truncation degree whose tail estimate is <= target."""
+def suggest_degree(p, pol: TolerancePolicy = DEFAULT_POLICY) -> int:
+    """Smallest truncation degree whose tail estimate is <= TAIL_TARGET."""
     p = ensure_matrix(p, square=True, name="P")
-    cert = is_pure(p, pol)
-    if not cert:
-        raise NotPureError(f"P is not pure (rho = {cert.spectral_radius:.6f})")
-    norms = []
-    m = p.copy()
-    for _ in range(100000):
-        nm = op_norm(m)
-        if nm <= 1e-14:
-            break
-        norms.append(nm)
-        m = m @ p
+    _require_pure(p, pol)
+    norms = _power_norms(p, p)
     # norms[k] = ||P^(k+1)||; tail(N)^2 sums indices k >= N+1 i.e. k-list >= N
     tail_sq = 0.0
     tails = [0.0] * (len(norms) + 1)
@@ -213,7 +234,7 @@ def suggest_degree(p, target: float = 1e-12, pol: TolerancePolicy = DEFAULT_POLI
         tail_sq += norms[k] * norms[k]
         tails[k] = tail_sq
     for n in range(len(tails)):
-        if np.sqrt(tails[n]) <= target:
+        if np.sqrt(tails[n]) <= TAIL_TARGET:
             return n
     return len(norms)
 
@@ -228,16 +249,12 @@ class ModelData:
     H_P and range(W).
     """
 
-    P: np.ndarray
     N: int
     theta: AnalyticSymbol
     W: np.ndarray
     h_basis: SubspaceBasis
     tail: float
     gap: float
-    dp: np.ndarray
-    dpstar: np.ndarray
-    dp_basis: SubspaceBasis
     dpstar_basis: SubspaceBasis
 
     @property
@@ -245,33 +262,39 @@ class ModelData:
         return TruncatedHardy(max_degree=self.N, fiber_dim=self.dpstar_basis.rank)
 
 
-def build_model(
-    p,
-    n: int | None = None,
-    pol: TolerancePolicy = DEFAULT_POLICY,
-    tail_target: float = 1e-12,
-) -> ModelData:
+def build_model(p, n: int | None = None, pol: TolerancePolicy = DEFAULT_POLICY) -> ModelData:
     """Assemble the truncated model of a pure contraction.
 
-    When ``n`` is omitted the smallest degree with tail <= tail_target is
-    used.  The model space is cross-validated: the orthocomplement of
-    range(toeplitz(theta)) must agree with range(W) within 1e-6 + tail,
-    otherwise ModelMismatchError (the two constructions are independent).
+    When ``n`` is omitted the smallest degree with tail <= TAIL_TARGET is
+    used; a grid of more than MAX_GRID_DIM coordinates is refused before it
+    is allocated.  The Taylor coefficients Theta_k = (row block k-1 of W) D_P Q
+    for k >= 1, Q the basis of D_P, are read off the rows of W as they are
+    formed.  The model
+    space is cross-validated: the orthocomplement of range(toeplitz(theta))
+    must agree with range(W) within 1e-6 + tail, otherwise
+    ModelMismatchError (the two constructions are independent).
     """
     p = ensure_matrix(p, square=True, name="P")
-    cert = is_pure(p, pol)
-    if not cert:
-        raise NotPureError(f"P is not pure (rho = {cert.spectral_radius:.6f})")
+    _require_pure(p, pol)
     if n is None:
-        n = suggest_degree(p, tail_target, pol)
+        n = suggest_degree(p, pol)
     dp, qb, ds, sb = _defect_pair(p, pol)
-    theta = theta_coeffs(p, n, pol)
+    if (n + 1) * sb.rank > MAX_GRID_DIM:
+        raise TetralabError(
+            f"model grid of degree {n} over a rank-{sb.rank} defect space "
+            f"exceeds {MAX_GRID_DIM} coordinates"
+        )
+    coeffs = [_theta_zero(p, qb, sb, pol)]
     pd = p.conj().T
+    right = dp @ qb.basis
     blocks = []
     cur = ds
-    for _ in range(n + 1):
+    for k in range(n + 1):
         blocks.append(sb.basis.conj().T @ cur)
+        if k < n:
+            coeffs.append(blocks[-1] @ right)
         cur = cur @ pd
+    theta = AnalyticSymbol(tuple(coeffs))
     w = np.vstack(blocks)
     tail = truncation_tail(p, n, pol)
     t_theta = toeplitz(theta, n)
@@ -283,16 +306,12 @@ def build_model(
             f"model space mismatch: complement-of-theta-range vs range(W) gap {gap:.3e}"
         )
     return ModelData(
-        P=p,
         N=n,
         theta=theta,
         W=w,
         h_basis=h_basis,
         tail=tail,
         gap=gap,
-        dp=dp,
-        dpstar=ds,
-        dp_basis=qb,
         dpstar_basis=sb,
     )
 
@@ -418,7 +437,8 @@ def verify_pencil_intertwining(
 
 def pure_isometry_model(
     triple: TetrablockTriple,
-    n: int | None = None,
+    model: ModelData,
+    pair_g: FundamentalPair,
     pol: TolerancePolicy = DEFAULT_POLICY,
 ) -> CheckReport:
     """Model battery for truncations of pure tetrablock isometries.
@@ -431,14 +451,13 @@ def pure_isometry_model(
     satisfies [G1, G2] = 0 and [G1, G1*] = [G2, G2*]; the last two balance
     checks are restricted to defect directions supported on the isometric
     parts of A and B when such directions exist (for wide-border truncations
-    the balance defect provably lives on the truncation edge).
+    the balance defect provably lives on the truncation edge).  ``model`` is
+    the model of triple.P and ``pair_g`` the pair solved from
+    ``triple.adjoint()``, both under ``pol``.
     """
     iso = orth_complement(triple.dp_basis)
     if iso.rank == 0:
         raise NotIsometryLikeError("P has no isometric directions (D_P has full rank)")
-    cert = is_pure(triple.P, pol)
-    if not cert:
-        raise NotPureError(f"P is not pure (rho = {cert.spectral_radius:.6f})")
     rep = CheckReport(title="truncated isometry model")
     dim = triple.dim
     eye = np.eye(dim)
@@ -448,8 +467,6 @@ def pure_isometry_model(
         pol.scaled_eq(1.0),
         note=f"dim {iso.rank} of {dim}",
     )
-    model = build_model(triple.P, n, pol)
-    pair_g = solve_fundamental(triple.adjoint(pol), pol)
     rep.extend(verify_model_decomposition(model, pol))
     rep.extend(verify_functional_model(triple, model, pair_g, pol))
     # compression acts as the raw pencil on the image of the isometric part

@@ -51,7 +51,7 @@ from .fundamental import (
     verify_tetra_characterization,
 )
 from .invariants import unitary_invariant_suite
-from .matcore import DEFAULT_POLICY, TetralabError, TolerancePolicy
+from .matcore import DEFAULT_POLICY, MAX_GRID_DIM, TetralabError, TolerancePolicy
 from .report import CheckReport
 from .triples import is_pure, necessary_report, validate
 
@@ -134,7 +134,7 @@ def run_instance_battery(
     rep = CheckReport(title=inst.label)
     rep.extend(necessary_report(t, pol), prefix="nec_")
     pair_f = solve_fundamental(t, pol)
-    pair_g = solve_fundamental(t.adjoint(pol), pol)
+    pair_g = solve_fundamental(t.adjoint(), pol)
     rep.check("solve_residual_F", pair_f.solve_residual, pol.scaled_eq(t.max_norm()))
     rep.check("solve_residual_G", pair_g.solve_residual, pol.scaled_eq(t.max_norm()))
     rep.extend(verify_tetra_characterization(t, pair_f, pol), prefix="char_")
@@ -178,10 +178,15 @@ def _cmd_verify_bidisc(args, pol: TolerancePolicy) -> list[tuple[str, CheckRepor
     n = args.degree
     if n < 1:
         raise TetralabError(f"--degree must be >= 1, got {n}")
+    # the model grid, (n+1) blocks of the (2n+1)-point border, is the largest
+    # matrix side the command allocates; (n+1)^2 is the grid of the example
+    side = (n + 1) * (2 * n + 1)
+    if side > MAX_GRID_DIM:
+        raise TetralabError(f"--degree {n} needs a model grid of {side} > {MAX_GRID_DIM}")
     reports = [("example", bidisc.verify_example(n, pol))]
     triple = bidisc.build(n, pol)
     pair_f = solve_fundamental(triple, pol)
-    pair_g = solve_fundamental(triple.adjoint(pol), pol)
+    pair_g = solve_fundamental(triple.adjoint(), pol)
     fund = CheckReport(title="fundamental battery")
     fund.extend(verify_tetra_characterization(triple, pair_f, pol), prefix="char_")
     fund.extend(verify_difference_identity(triple, pair_f, pol), prefix="diff_")
@@ -197,7 +202,7 @@ def _cmd_verify_bidisc(args, pol: TolerancePolicy) -> list[tuple[str, CheckRepor
         prefix="pencil_",
     )
     reports.append(("model", mrep))
-    reports.append(("isometry_model", pure_isometry_model(triple, n, pol)))
+    reports.append(("isometry_model", pure_isometry_model(triple, model, pair_g, pol)))
     _, _, brep = extraction_roundtrip(triple, pol)
     reports.append(("blh", brep))
     return reports
@@ -247,7 +252,7 @@ def _cmd_model_check(args, pol: TolerancePolicy) -> list[tuple[str, CheckReport]
     if cert.pure:
         try:
             pair_f = solve_fundamental(triple, pol)
-            pair_g = solve_fundamental(triple.adjoint(pol), pol)
+            pair_g = solve_fundamental(triple.adjoint(), pol)
             model = build_model(triple.P, args.degree, pol)
             rep.check("model_degree", 0.0, 0.0, note=f"N = {model.N}, tail = {model.tail:.2e}")
             rep.extend(verify_model_decomposition(model, pol), prefix="dec_")

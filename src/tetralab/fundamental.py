@@ -63,11 +63,6 @@ class FundamentalPair:
     w2: float
     w2_err: float
 
-    def embedded(self, which: int) -> np.ndarray:
-        """Ambient extension Q F_i Q* (zero off the defect space)."""
-        f = self.F1 if which == 1 else self.F2
-        return self.basis.embed(f)
-
 
 def solve_fundamental(
     triple: TetrablockTriple,

@@ -24,9 +24,7 @@ __all__ = [
     "AnalyticSymbol",
     "shift",
     "toeplitz",
-    "toeplitz_compose_residual",
     "pencil",
-    "constant_symbol",
     "symbol_product",
 ]
 
@@ -111,14 +109,6 @@ class AnalyticSymbol:
                 last = k
         return AnalyticSymbol(self.coeffs[: last + 1])
 
-    def sup_norm_bound(self) -> float:
-        """Coefficient-sum upper bound for sup_{|z|=1} ||symbol(z)||."""
-        return float(sum(op_norm(c) for c in self.coeffs))
-
-
-def constant_symbol(c) -> AnalyticSymbol:
-    return AnalyticSymbol((ensure_matrix(c, name="constant"),))
-
 
 def pencil(c0, c1) -> AnalyticSymbol:
     """Degree-one symbol c0 + c1 z."""
@@ -168,15 +158,3 @@ def toeplitz(sym: AnalyticSymbol, n: int) -> np.ndarray:
         for m in range(j, n + 1):
             t[m * d_out : (m + 1) * d_out, (m - j) * d_in : (m - j + 1) * d_in] = c
     return t
-
-
-def toeplitz_compose_residual(s1: AnalyticSymbol, s2: AnalyticSymbol, n: int) -> float:
-    """|| toeplitz(s1) toeplitz(s2) - toeplitz(s1 s2 truncated) || on degrees 0..n.
-
-    For analytic symbols the compression is multiplicative, so the residual
-    is zero up to rounding; any nonzero mass could live only on blocks of
-    total degree beyond the grid, which the grid does not contain.
-    """
-    lhs = toeplitz(s1, n) @ toeplitz(s2, n)
-    rhs = toeplitz(symbol_product(s1, s2, max_degree=n), n)
-    return op_norm(lhs - rhs)

@@ -43,6 +43,12 @@ __all__ = [
 ]
 
 
+# Taylor coefficients compared by ``verify_coincidence``, and the disc points
+# at which ``unitary_invariant_suite`` compares characteristic functions
+COINCIDENCE_DEGREE = 12
+INVARIANT_SAMPLES = (0.3 + 0.2j, -0.55, 0.1 - 0.6j, 0.72j)
+
+
 class NotIntertwiningError(TetralabError):
     """Candidate equivalence fails to intertwine the triples within eq_tol."""
 
@@ -75,10 +81,9 @@ def verify_coincidence(
     wit: CoincidenceWitness,
     samples,
     pol: TolerancePolicy = DEFAULT_POLICY,
-    taylor_degree: int = 12,
 ) -> CheckReport:
     """Check u_star Theta_P(z) = Theta_P'(z) u at sample points and on
-    Taylor coefficients up to ``taylor_degree``.
+    Taylor coefficients up to COINCIDENCE_DEGREE.
 
     Zero-dimensional defect spaces make the statement vacuous; that is
     reported explicitly rather than silently passed.
@@ -108,7 +113,7 @@ def verify_coincidence(
         note=f"{count} sample points",
     )
     worst_taylor = 0.0
-    for k in range(taylor_degree + 1):
+    for k in range(COINCIDENCE_DEGREE + 1):
         lhs = wit.u_star @ theta_taylor(p, k, pol)
         rhs = theta_taylor(p_prime, k, pol) @ wit.u
         worst_taylor = max(worst_taylor, op_norm(lhs - rhs))
@@ -116,7 +121,7 @@ def verify_coincidence(
         "coincidence_taylor",
         worst_taylor,
         pol.scaled_eq(1.0),
-        note=f"coefficients 0..{taylor_degree}",
+        note=f"coefficients 0..{COINCIDENCE_DEGREE}",
     )
     return rep
 
@@ -218,8 +223,6 @@ def unitary_invariant_suite(
     triple_prime: TetrablockTriple,
     u,
     pol: TolerancePolicy = DEFAULT_POLICY,
-    samples=(0.3 + 0.2j, -0.55, 0.1 - 0.6j, 0.72j),
-    model_degree: int | None = None,
     *,
     pair_f: FundamentalPair | None = None,
     pair_g: FundamentalPair | None = None,
@@ -228,34 +231,36 @@ def unitary_invariant_suite(
     """Round trip of the complete-unitary-invariant property for pure triples.
 
     Forward: U induces defect witnesses, which must exhibit coincidence of
-    characteristic functions and equivalence of both fundamental pairs.
-    Converse: from those witnesses alone, I (x) u_star must carry H_P onto
-    H_P' and intertwine the model operator triples.
+    characteristic functions (at INVARIANT_SAMPLES) and equivalence of both
+    fundamental pairs.  Converse: from those witnesses alone, I (x) u_star
+    must carry H_P onto H_P' and intertwine the model operator triples.
 
     A caller that already holds the objects of ``triple`` passes them in
     rather than have them rebuilt: ``pair_f`` from
     ``solve_fundamental(triple, pol)``, ``pair_g`` from
-    ``solve_fundamental(triple.adjoint(pol), pol)`` and ``model`` from
-    ``build_model(triple.P, model_degree, pol)``, each under the same
+    ``solve_fundamental(triple.adjoint(), pol)`` and ``model`` from
+    ``build_model(triple.P, None, pol)``, each under the same
     ``pol``.  Any of them left out is computed here exactly that way.  The
     objects of ``triple_prime`` are always computed here; its model takes
     the degree of ``model``.
     """
     rep = CheckReport(title="unitary invariant suite")
     wit = induced_defect_unitary(u, triple, triple_prime, pol)
-    rep.extend(verify_coincidence(triple.P, triple_prime.P, wit, samples, pol), prefix="fwd_")
+    rep.extend(
+        verify_coincidence(triple.P, triple_prime.P, wit, INVARIANT_SAMPLES, pol), prefix="fwd_"
+    )
     if pair_f is None:
         pair_f = solve_fundamental(triple, pol)
     pair_f_prime = solve_fundamental(triple_prime, pol)
     if pair_g is None:
-        pair_g = solve_fundamental(triple.adjoint(pol), pol)
-    pair_g_prime = solve_fundamental(triple_prime.adjoint(pol), pol)
+        pair_g = solve_fundamental(triple.adjoint(), pol)
+    pair_g_prime = solve_fundamental(triple_prime.adjoint(), pol)
     rep.extend(verify_fundamental_equivalence(wit.u, pair_f, pair_f_prime, pol), prefix="fwd_F_")
     rep.extend(
         verify_fundamental_equivalence(wit.u_star, pair_g, pair_g_prime, pol), prefix="fwd_G_"
     )
     if model is None:
-        model = build_model(triple.P, model_degree, pol)
+        model = build_model(triple.P, None, pol)
     model_prime = build_model(triple_prime.P, model.N, pol)
     rep.extend(
         _model_transport(model, model_prime, wit, pair_g, pair_g_prime, pol), prefix="cnv_"

@@ -1,9 +1,11 @@
-"""JSON interchange for matrices, triples, symbols, witnesses, and reports.
+"""JSON interchange for matrices, triples and symbols, and canonical JSON text.
 
 A complex matrix is carried as ``{"rows": r, "cols": c, "data": [[re, im],
 ...]}`` with ``data`` flat in row-major order.  Values are plain JSON floats,
 which round-trip binary64 exactly, so write-then-read reproduces arrays
-bit for bit.  Non-finite entries are rejected on both paths.
+bit for bit.  Non-finite entries are rejected on both paths.  ``dumps``
+writes the canonical text of report bundles: sorted keys and no NaN or
+infinity tokens (reports encode non-finite residuals as strings first).
 """
 
 from __future__ import annotations
@@ -14,9 +16,7 @@ from typing import Any, IO
 import numpy as np
 
 from .hardy import AnalyticSymbol
-from .invariants import CoincidenceWitness
 from .matcore import DEFAULT_POLICY, TetralabError, TolerancePolicy, ensure_matrix
-from .report import CheckReport
 from .triples import TetrablockTriple, validate
 
 __all__ = [
@@ -27,11 +27,7 @@ __all__ = [
     "triple_from_obj",
     "symbol_to_obj",
     "symbol_from_obj",
-    "witness_to_obj",
-    "witness_from_obj",
-    "report_to_obj",
     "dumps",
-    "dump",
     "loads",
     "load",
 ]
@@ -114,29 +110,9 @@ def symbol_from_obj(obj) -> AnalyticSymbol:
     return AnalyticSymbol(tuple(matrix_from_obj(c) for c in obj["coeffs"]))
 
 
-def witness_to_obj(wit: CoincidenceWitness) -> dict[str, Any]:
-    return {"u": matrix_to_obj(wit.u), "u_star": matrix_to_obj(wit.u_star)}
-
-
-def witness_from_obj(obj) -> CoincidenceWitness:
-    if not isinstance(obj, dict) or not {"u", "u_star"} <= set(obj):
-        raise FormatError('witness object must contain keys "u", "u_star"')
-    return CoincidenceWitness(
-        u=matrix_from_obj(obj["u"]), u_star=matrix_from_obj(obj["u_star"])
-    )
-
-
-def report_to_obj(report: CheckReport) -> dict[str, Any]:
-    return report.to_dict()
-
-
 def dumps(obj: Any) -> str:
     """Canonical JSON text: sorted keys, two-space indent, trailing newline."""
     return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n"
-
-
-def dump(obj: Any, fp: IO[str]) -> None:
-    fp.write(dumps(obj))
 
 
 def loads(text: str) -> Any:

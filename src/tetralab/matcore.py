@@ -2,9 +2,10 @@
 
 Everything downstream (defect operators, characteristic functions, model
 spaces) is built from the handful of primitives in this module: validated
-complex matrices, Hermitian square roots with eigenvalue clamping, defect
-operators of contractions, rank-revealing range bases, the operator norm,
-and a certified numerical-radius estimate.
+complex matrices, defect operators of contractions (the one place where
+eigenvalues are clamped before a square root), Hermitian pseudoinverses,
+rank-revealing range bases, the operator norm, and a certified
+numerical-radius estimate.
 
 Conventions
 -----------
@@ -31,12 +32,12 @@ __all__ = [
     "NotContractiveError",
     "TolerancePolicy",
     "DEFAULT_POLICY",
+    "MAX_GRID_DIM",
     "SubspaceBasis",
     "ensure_matrix",
     "op_norm",
     "commutator",
     "herm_part",
-    "hermitian_sqrt",
     "hermitian_pinv",
     "defect",
     "range_basis",
@@ -77,7 +78,7 @@ class TolerancePolicy:
 
     eq_tol    relative equality / residual tolerance
     rank_tol  relative rank-decision threshold
-    clamp_tol relative eigenvalue clamping threshold for Hermitian roots
+    clamp_tol eigenvalue clamping threshold
     """
 
     eq_tol: float = 1e-10
@@ -100,6 +101,11 @@ class TolerancePolicy:
 
 
 DEFAULT_POLICY = TolerancePolicy()
+
+# largest side of a dense grid matrix (a truncated model space, the bidisc
+# grid) that is allocated; a larger request raises TetralabError up front.
+# One complex matrix of this side takes 64 MiB.
+MAX_GRID_DIM = 2048
 
 
 def ensure_matrix(a, *, square: bool = False, name: str = "matrix") -> np.ndarray:
@@ -174,29 +180,6 @@ class SubspaceBasis:
     def embed(self, m: np.ndarray) -> np.ndarray:
         """Ambient extension basis M basis* of an operator on the subspace."""
         return self.basis @ m @ self.basis.conj().T
-
-
-def hermitian_sqrt(h, pol: TolerancePolicy = DEFAULT_POLICY) -> np.ndarray:
-    """Principal square root of a Hermitian PSD matrix.
-
-    Eigenvalues within clamp_tol * ||H|| of zero (on either side) are snapped
-    to exactly zero before the root is taken -- sqrt is not Lipschitz at 0,
-    so noise eigenvalues of 1e-16 would otherwise surface as 1e-8 in the
-    result.  Anything more negative than the clamp floor raises
-    ``NotPSDError``.  The result is re-Hermitized so that rounding cannot
-    leak a skew part.
-    """
-    h = ensure_matrix(h, square=True, name="H")
-    hnorm = op_norm(h)
-    if op_norm(h - h.conj().T) > pol.scaled_eq(hnorm):
-        raise NotHermitianError("matrix is not Hermitian within eq_tol")
-    w, v = np.linalg.eigh(herm_part(h))
-    floor = pol.clamp_tol * max(hnorm, np.finfo(float).tiny)
-    if w.size and w.min() < -floor:
-        raise NotPSDError(f"eigenvalue {w.min():.3e} below -clamp_tol*||H||")
-    w = np.where(w <= floor, 0.0, w)
-    s = (v * np.sqrt(w)) @ v.conj().T
-    return herm_part(s)
 
 
 def hermitian_pinv(h, pol: TolerancePolicy = DEFAULT_POLICY) -> np.ndarray:
@@ -306,6 +289,11 @@ def subspace_gap(a: SubspaceBasis, b: SubspaceBasis) -> float:
     return op_norm(a.projector - b.projector)
 
 
+# theta-grid size and golden-section steps of ``numerical_radius``
+RADIUS_GRID = 256
+RADIUS_REFINE_ITERS = 48
+
+
 def _real_field_max(x: np.ndarray, theta: float) -> float:
     half = 0.5 * (np.exp(1j * theta) * x + np.exp(-1j * theta) * x.conj().T)
     return float(np.linalg.eigvalsh(half).max())
@@ -325,36 +313,31 @@ def _real_field_max_grid(x: np.ndarray, thetas: np.ndarray) -> np.ndarray:
     return np.linalg.eigvalsh(half).max(axis=-1)
 
 
-def numerical_radius(
-    x,
-    grid_size: int = 256,
-    refine_iters: int = 48,
-) -> tuple[float, float]:
+def numerical_radius(x) -> tuple[float, float]:
     """Certified estimate of the numerical radius w(X).
 
     w(X) = max over theta of lambda_max(Re(e^{i theta} X)).  The maximum is
-    located on a uniform theta-grid and sharpened by golden-section search
-    around the best grid point.  The grid is evaluated in one call: the
-    ``grid_size`` Hermitian parts are stacked into a (grid_size, n, n) array
-    and go through a single ``eigvalsh``; the refinement steps depend on each
-    other and run one at a time.  Every evaluation is a true lower bound, so
+    located on a uniform grid of RADIUS_GRID angles and sharpened by
+    RADIUS_REFINE_ITERS golden-section steps around the best grid point.
+    The grid is evaluated in one call: its Hermitian parts are stacked into
+    a (RADIUS_GRID, n, n) array and go through a single ``eigvalsh``; the
+    refinement steps depend on each other and run one at a time.  Every
+    evaluation is a true lower bound, so
 
         value <= w(X) <= value + error_bound,
 
-    with error_bound = pi * ||X|| / grid_size coming from the Lipschitz bound
-    |d/dtheta lambda_max| <= ||X||.
+    with error_bound = pi * ||X|| / RADIUS_GRID coming from the Lipschitz
+    bound |d/dtheta lambda_max| <= ||X||.
     """
     x = ensure_matrix(x, square=True, name="X")
-    if grid_size < 8:
-        raise ValueError("grid_size must be at least 8")
     xnorm = op_norm(x)
     if xnorm == 0.0 or x.size == 0:
         return 0.0, 0.0
-    thetas = 2.0 * np.pi * np.arange(grid_size) / grid_size
+    thetas = 2.0 * np.pi * np.arange(RADIUS_GRID) / RADIUS_GRID
     vals = _real_field_max_grid(x, thetas)
     j = int(np.argmax(vals))
     best = float(vals[j])
-    spacing = 2.0 * np.pi / grid_size
+    spacing = 2.0 * np.pi / RADIUS_GRID
     lo = thetas[j] - spacing
     hi = thetas[j] + spacing
     inv_phi = (np.sqrt(5.0) - 1.0) / 2.0
@@ -364,7 +347,7 @@ def numerical_radius(
     fc = _real_field_max(x, c)
     fd = _real_field_max(x, d)
     best = max(best, fc, fd)
-    for _ in range(refine_iters):
+    for _ in range(RADIUS_REFINE_ITERS):
         if fc >= fd:
             b, d, fd = d, c, fc
             c = b - inv_phi * (b - a)
@@ -375,5 +358,5 @@ def numerical_radius(
             d = a + inv_phi * (b - a)
             fd = _real_field_max(x, d)
             best = max(best, fd)
-    error_bound = np.pi * xnorm / grid_size
+    error_bound = np.pi * xnorm / RADIUS_GRID
     return best, float(error_bound)

@@ -71,9 +71,18 @@ class TetrablockTriple:
     def dim(self) -> int:
         return self.A.shape[0]
 
-    def adjoint(self, pol: TolerancePolicy = DEFAULT_POLICY) -> "TetrablockTriple":
-        """The triple (A*, B*, P*), revalidated so its caches are consistent."""
-        return validate(self.A.conj().T, self.B.conj().T, self.P.conj().T, pol)
+    def adjoint(self) -> "TetrablockTriple":
+        """The triple (A*, B*, P*) with the cached defect data of P swapped.
+
+        Nothing is recomputed: ``validate`` derived D_{P*} from the same
+        bytes as P*, and the adjoints have the norms and commutators already
+        checked.  The result equals ``validate(A*, B*, P*)`` field by field.
+        """
+        a, b, p = (np.ascontiguousarray(m.conj().T) for m in (self.A, self.B, self.P))
+        return TetrablockTriple(
+            a, b, p, dp=self.dpstar, dpstar=self.dp,
+            dp_basis=self.dpstar_basis, dpstar_basis=self.dp_basis,
+        )
 
     def max_norm(self) -> float:
         return max(op_norm(self.A), op_norm(self.B), op_norm(self.P))

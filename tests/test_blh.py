@@ -14,56 +14,49 @@ import pytest
 from tetralab.blh import (
     NotDegreeOneError,
     NotInnerError,
-    check_invariance,
     extract_symbols,
     extraction_roundtrip,
-    from_inner,
     verify_isometry_propagation,
-    wandering_theta,
 )
 from tetralab.charfn import theta_coeffs
 from tetralab.fundamental import solve_fundamental
 from tetralab.generate import make_instance
-from tetralab.hardy import AnalyticSymbol, toeplitz
-from tetralab.matcore import ShapeError, op_norm, range_basis, subspace_gap
-
-from conftest import random_contraction
+from tetralab.hardy import AnalyticSymbol, TruncatedHardy, pencil, shift, toeplitz
+from tetralab.matcore import ShapeError, op_norm, range_basis
 
 
 # --------------------------------------------------- invariant subspaces
 
 
-def test_from_inner_rejects_non_inner(rng):
-    fat = AnalyticSymbol((1.7 * np.eye(2),))
-    with pytest.raises(NotInnerError):
-        from_inner(fat, 4)
-
-
-def test_from_inner_and_wandering_roundtrip(rng):
-    # start from a genuinely inner matrix function: Theta of a pure
-    # contraction, padded to full degree
-    p = random_contraction(rng, 3, norm=0.6)
-    theta = theta_coeffs(p, 30).trimmed(tol=1e-14)
-    n = theta.degree + 4
-    sub = from_inner(theta, n)
-    recovered = wandering_theta(sub)
-    # the recovered symbol generates the same subspace
-    t_a = range_basis(toeplitz(theta, n), scale=1.0)
-    t_b = range_basis(toeplitz(recovered, n), scale=1.0)
-    assert subspace_gap(t_a, t_b) < 1e-8
-
-
 def test_check_invariance_for_fundamental_pencils():
+    # range(T_theta) for theta = Theta_{P*} is invariant under the F-pencils
+    # and the shift: ||(I - Q) X Q|| vanishes on the interior degrees
     inst = make_instance("symbols", seed=19, index=0, dim=3)
     triple = inst.triple
     pair_f = solve_fundamental(triple)
+    f1, f2 = pair_f.F1, pair_f.F2
     theta = theta_coeffs(triple.P.conj().T, 8).trimmed(tol=1e-13)
-    sub = from_inner(theta, theta.degree + 3)
-    rep = check_invariance(sub, pair_f.F1, pair_f.F2)
-    assert rep.overall, [e.name for e in rep.failures]
+    n = theta.degree + 3
+    space = TruncatedHardy(max_degree=n, fiber_dim=theta.d_out)
+    q = range_basis(toeplitz(theta, n), scale=1.0).projector
+    eye = np.eye(space.dim)
+    interior = space.degree_projector(n - 1)
+    tol = 1e-10 * (1.0 + max(op_norm(f1), op_norm(f2)))
+    for x in (
+        toeplitz(pencil(f1.conj().T, f2), n),
+        toeplitz(pencil(f2.conj().T, f1), n),
+        shift(space),
+    ):
+        assert op_norm((eye - q) @ x @ q @ interior) <= tol
 
 
 # ------------------------------------------------------------- extraction
+
+
+def test_extract_rejects_non_inner():
+    fat = AnalyticSymbol((1.7 * np.eye(2),))
+    with pytest.raises(NotInnerError):
+        extract_symbols(fat, 0.2 * np.eye(2), 0.1 * np.eye(2), 4)
 
 
 def test_extract_requires_matching_fibers():

@@ -14,7 +14,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from tetralab import charfn
 from tetralab.charfn import (
+    MAX_POWERS,
+    TAIL_TARGET,
     ModelMismatchError,
     NotPureError,
     build_model,
@@ -31,8 +34,9 @@ from tetralab.charfn import (
     verify_pencil_intertwining,
 )
 from tetralab.fundamental import solve_fundamental
+from tetralab.bidisc import build as build_grid
 from tetralab.generate import make_instance
-from tetralab.matcore import op_norm
+from tetralab.matcore import MAX_GRID_DIM, TetralabError, op_norm
 from tetralab.triples import is_pure
 
 from conftest import random_contraction
@@ -98,8 +102,8 @@ def test_tail_monotone_and_suggest_degree(rng):
     p = random_contraction(rng, 4, norm=0.9)
     tails = [truncation_tail(p, n) for n in (2, 6, 12, 20)]
     assert all(t1 >= t2 for t1, t2 in zip(tails, tails[1:]))
-    n = suggest_degree(p, target=1e-12)
-    assert truncation_tail(p, n) <= 1e-12
+    n = suggest_degree(p)
+    assert truncation_tail(p, n) <= TAIL_TARGET == 1e-12
 
 
 def test_tail_zero_for_nilpotent():
@@ -108,12 +112,51 @@ def test_tail_zero_for_nilpotent():
     assert suggest_degree(p) <= 3
 
 
+def test_slow_decay_is_refused_not_truncated(monkeypatch):
+    # ||P^k|| = 0.9999^k is still 4.5e-5 after MAX_POWERS powers: a partial
+    # sum would understate the tail, so the loop refuses instead
+    assert 0.9999**MAX_POWERS > 1e-14
+    with pytest.raises(TetralabError, match="decays too slowly"):
+        truncation_tail(np.array([[0.9999]]), 0)
+    # the degree search runs the same loop; a smaller cap keeps this quick
+    monkeypatch.setattr(charfn, "MAX_POWERS", 1000)
+    with pytest.raises(TetralabError, match="decays too slowly"):
+        suggest_degree(np.array([[0.99]]))
+    assert suggest_degree(np.array([[0.9]])) < 1000
+
+
 # ------------------------------------------------------- functional model
 
 
 def test_build_model_rejects_non_pure():
     with pytest.raises(NotPureError):
         build_model(np.diag([1.0, 0.5]))
+
+
+def test_build_model_refuses_oversized_grid():
+    # the default degree of P = 0.999 is about 30,700: refused before any
+    # grid matrix is allocated, as is an explicit degree one past the bound
+    with pytest.raises(TetralabError, match="exceeds"):
+        build_model(np.array([[0.999]]))
+    with pytest.raises(TetralabError, match="exceeds"):
+        build_model(0.5 * np.eye(2), MAX_GRID_DIM // 2)
+
+
+@pytest.mark.parametrize(
+    "family,dim", [("symbols", 3), ("compressions", 12), ("scalars", 6), ("bidisc", 4)]
+)
+def test_model_theta_equals_theta_coeffs(family, dim):
+    # build_model reads Theta off its W rows; the coefficients must be the
+    # very numbers theta_coeffs computes
+    if family == "bidisc":
+        p = build_grid(dim).P
+    else:
+        p = make_instance(family, seed=83, index=0, dim=dim).triple.P
+    model = build_model(p)
+    direct = theta_coeffs(p, model.N)
+    assert model.theta.degree == direct.degree == model.N
+    for a, b in zip(model.theta.coeffs, direct.coeffs):
+        assert np.array_equal(a, b)
 
 
 def test_model_dimensions_and_tail(rng):
@@ -161,5 +204,8 @@ def test_pencil_intertwining_battery(small_suite):
 
 def test_pure_isometry_model_on_symbol_instance():
     inst = make_instance("symbols", seed=3, index=0, dim=3)
-    rep = pure_isometry_model(inst.triple)
+    triple = inst.triple
+    model = build_model(triple.P)
+    pair_g = solve_fundamental(triple.adjoint())
+    rep = pure_isometry_model(triple, model, pair_g)
     assert rep.overall, [e.name for e in rep.failures]

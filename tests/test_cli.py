@@ -18,6 +18,7 @@ from tetralab.cli import main, run_instance_battery
 from tetralab.fundamental import solve_fundamental
 from tetralab.generate import make_instance
 from tetralab.matcore import TetralabError
+from tetralab.triples import validate
 
 
 def run(capsys, *argv) -> tuple[int, str, str]:
@@ -302,11 +303,9 @@ def test_random_suite_records_failed_instance(capsys, monkeypatch, exc):
 # ----------------------------------------------------- shared objects
 
 
-def test_battery_builds_each_object_once(monkeypatch, small_suite):
-    # the battery hands its pairs and model to the invariant suite: per
-    # instance F, G, F' and G' are solved once each, and only the models of
-    # P and P' are built
-    calls = {"solve_fundamental": 0, "build_model": 0}
+def count_calls(monkeypatch, *fns) -> dict[str, int]:
+    """Count calls of ``fns`` under every name a tetralab module binds them to."""
+    calls = {fn.__name__: 0 for fn in fns}
 
     def counting(fn):
         def wrapper(*args, **kwargs):
@@ -314,15 +313,42 @@ def test_battery_builds_each_object_once(monkeypatch, small_suite):
             return fn(*args, **kwargs)
         return wrapper
 
-    originals = {"solve_fundamental": solve_fundamental, "build_model": build_model}
     for mod in list(sys.modules.values()):
         if getattr(mod, "__name__", "").startswith("tetralab"):
-            for name, fn in originals.items():
-                if getattr(mod, name, None) is fn:
-                    monkeypatch.setattr(mod, name, counting(fn))
+            for fn in fns:
+                if getattr(mod, fn.__name__, None) is fn:
+                    monkeypatch.setattr(mod, fn.__name__, counting(fn))
+    return calls
+
+
+def test_battery_builds_each_object_once(monkeypatch, small_suite):
+    # the battery hands its pairs and model to the invariant suite: per
+    # instance F, G, F' and G' are solved once each, and only the models of
+    # P and P' are built
+    calls = count_calls(monkeypatch, solve_fundamental, build_model)
     for inst in small_suite:
         calls.update(solve_fundamental=0, build_model=0)
         rep = run_instance_battery(inst)
         assert rep.overall, inst.label
         assert calls["solve_fundamental"] == 4, inst.label
         assert calls["build_model"] <= 2, inst.label
+
+
+def test_verify_bidisc_builds_each_object_once(monkeypatch, capsys):
+    # the example and the command each validate the grid triple and build
+    # its model once; adjoints reuse the cached defects, and the isometry
+    # model takes the command's model and adjoint pair.  The six solves are
+    # F and G for the example, the command, and the extraction round trip.
+    calls = count_calls(monkeypatch, solve_fundamental, build_model, validate)
+    code, _, _ = run(capsys, "verify-bidisc", "--degree", "3")
+    assert code == 0
+    assert calls == {"solve_fundamental": 6, "build_model": 2, "validate": 2}
+
+
+def test_verify_bidisc_refuses_oversized_grid(capsys):
+    # degree 32 needs a 33 x 65 = 2145-coordinate model grid: refused up
+    # front as an input error, before any grid matrix exists
+    code, out, err = run(capsys, "verify-bidisc", "--degree", "32")
+    assert code == 2
+    assert out == ""
+    assert "2145" in err

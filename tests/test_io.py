@@ -10,7 +10,6 @@ import pytest
 from tetralab import io
 from tetralab.generate import make_instance
 from tetralab.hardy import AnalyticSymbol
-from tetralab.invariants import CoincidenceWitness
 from tetralab.report import CheckReport
 
 
@@ -86,19 +85,11 @@ def test_symbol_roundtrip(rng):
         assert np.array_equal(back.coeff(k), sym.coeff(k))
 
 
-def test_witness_roundtrip(rng):
-    q, _ = np.linalg.qr(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
-    wit = CoincidenceWitness(u=q, u_star=q.conj().T)
-    back = io.witness_from_obj(io.witness_to_obj(wit))
-    assert np.array_equal(back.u, wit.u)
-    assert np.array_equal(back.u_star, wit.u_star)
-
-
 def test_report_serialization_shape():
     rep = CheckReport(title="demo")
     rep.check("alpha", 1e-12, 1e-10)
     rep.skip("beta", "because")
-    obj = io.report_to_obj(rep)
+    obj = rep.to_dict()
     assert obj["title"] == "demo"
     assert obj["overall"] is True
     assert [e["name"] for e in obj["entries"]] == ["alpha", "beta"]
@@ -114,7 +105,7 @@ def test_report_non_finite_numbers_become_strings():
     rep.check("nan", float("nan"), float("inf"))
     rep.check("finite", 1.5e-3, 2e-3)
     rep.skip("skipped", "because")
-    obj = json.loads(io.dumps(io.report_to_obj(rep)))
+    obj = json.loads(io.dumps(rep.to_dict()))
     assert [(e["residual"], e["tolerance"]) for e in obj["entries"]] == [
         ("inf", 0.0),
         ("-inf", 0.0),
@@ -145,7 +136,7 @@ def test_file_roundtrip(tmp_path, rng):
     m = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
     path = tmp_path / "m.json"
     with open(path, "w") as fh:
-        io.dump(io.matrix_to_obj(m), fh)
+        fh.write(io.dumps(io.matrix_to_obj(m)))
     with open(path) as fh:
         back = io.matrix_from_obj(io.load(fh))
     assert np.array_equal(back, m)

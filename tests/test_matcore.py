@@ -22,7 +22,6 @@ from tetralab.matcore import (
     ensure_matrix,
     herm_part,
     hermitian_pinv,
-    hermitian_sqrt,
     null_basis,
     numerical_radius,
     op_norm,
@@ -74,7 +73,7 @@ JORDAN = np.array([[0.0, 1.0], [0.0, 0.0]])
 def test_radius_jordan_cell_is_half():
     w, err = numerical_radius(JORDAN)
     # the estimate is a true lower bound and lands on the exact value here;
-    # err is the certified grid bound pi*||X||/grid_size, not the actual error
+    # err is the certified grid bound pi*||X||/256, not the actual error
     assert w == pytest.approx(0.5, abs=1e-12)
     assert err == pytest.approx(np.pi * 1.0 / 256, abs=1e-12)
     assert 0.5 <= w + err
@@ -154,39 +153,12 @@ def test_radius_norm_bounds(rng):
         assert w <= nrm + err + 1e-12
 
 
-# ------------------------------------------------------------ square root
+# --------------------------------------------------------- pseudoinverse
 
 
-def test_hermitian_sqrt_squares_back(rng):
-    m = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
-    h = m @ m.conj().T
-    s = hermitian_sqrt(h)
-    assert op_norm(s @ s - h) < 1e-10 * op_norm(h)
-    assert op_norm(s - s.conj().T) == 0.0
-
-
-def test_hermitian_sqrt_diagonal_oracle():
-    s = hermitian_sqrt(np.diag([4.0, 9.0, 0.0]))
-    assert np.allclose(s, np.diag([2.0, 3.0, 0.0]), atol=1e-14)
-
-
-def test_hermitian_sqrt_snaps_noise_eigenvalues(rng):
-    # sqrt is not Lipschitz at 0: an eigenvalue of 1e-16 would surface as
-    # 1e-8 unless it is clamped to zero first.
-    q, _ = np.linalg.qr(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
-    h = (q * np.array([1.0, 1e-16, 0.0])) @ q.conj().T
-    s = hermitian_sqrt(herm_part(h))
-    evals = np.sort(np.linalg.eigvalsh(s))
-    assert evals[0] >= -1e-15
-    assert evals[1] < 1e-12  # not 1e-8
-    assert evals[2] == pytest.approx(1.0, abs=1e-10)
-
-
-def test_hermitian_sqrt_rejects_indefinite_and_skew(rng):
-    with pytest.raises(NotPSDError):
-        hermitian_sqrt(np.diag([1.0, -1e-3]))
+def test_hermitian_pinv_rejects_skew():
     with pytest.raises(NotHermitianError):
-        hermitian_sqrt(np.array([[0.0, 1.0], [0.0, 0.0]]))
+        hermitian_pinv(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
 def test_hermitian_pinv_oracle():
@@ -242,6 +214,33 @@ def test_defect_intertwining_identity(rng):
 def test_defect_rejects_expansion():
     with pytest.raises(NotContractiveError):
         defect(1.5 * np.eye(2))
+
+
+def test_defect_rejects_indefinite_gramian_complement():
+    # ||T|| = 1 + 1e-11 passes the contraction bound, but the eigenvalue
+    # -2e-11 of I - T*T lies below the clamp threshold
+    with pytest.raises(NotPSDError):
+        defect([[1.0 + 1e-11]])
+
+
+def test_defect_squares_to_gramian_complement(rng):
+    t = random_contraction(rng, 5, norm=0.9)
+    d, _ = defect(t)
+    assert op_norm(d @ d - (np.eye(5) - t.conj().T @ t)) < 1e-12
+    assert op_norm(d - d.conj().T) == 0.0
+
+
+def test_defect_snaps_noise_eigenvalues(rng):
+    # sqrt is not Lipschitz at 0: an eigenvalue of 1e-16 in I - T*T would
+    # surface as 1e-8 in D_T unless it is clamped to zero first
+    q, _ = np.linalg.qr(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
+    t = (q * np.sqrt(np.array([0.0, 1.0 - 1e-16, 1.0]))) @ q.conj().T
+    d, basis = defect(t)
+    evals = np.sort(np.linalg.eigvalsh(d))
+    assert evals[0] >= -1e-15
+    assert evals[1] < 1e-12  # not 1e-8
+    assert evals[2] == pytest.approx(1.0, abs=1e-10)
+    assert basis.rank == 1
 
 
 # ------------------------------------------------------- rank decisions

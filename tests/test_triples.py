@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,8 @@ from tetralab.triples import (
     necessary_report,
     validate,
 )
+from tetralab.bidisc import build as build_grid
+from tetralab.generate import make_instance
 from tetralab.matcore import SubspaceBasis
 
 from conftest import random_contraction
@@ -62,6 +66,48 @@ def test_adjoint_swaps_defects():
     # adjoint is an involution up to exact equality
     back = adj.adjoint()
     assert np.array_equal(back.A, t.A)
+
+
+def fields_equal(x, y) -> bool:
+    if isinstance(x, np.ndarray):
+        same_layout = (x.flags.c_contiguous, x.flags.f_contiguous) == (
+            y.flags.c_contiguous,
+            y.flags.f_contiguous,
+        )
+        return same_layout and np.array_equal(x, y)
+    if dataclasses.is_dataclass(x):
+        return all(
+            fields_equal(getattr(x, f.name), getattr(y, f.name)) for f in dataclasses.fields(x)
+        )
+    return x == y
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: make_instance("symbols", seed=83, index=0, dim=3).triple,
+        lambda: make_instance("compressions", seed=83, index=0, dim=12).triple,
+        lambda: make_instance("scalars", seed=83, index=0, dim=6).triple,
+        lambda: build_grid(4),
+    ],
+    ids=["symbols", "compressions", "scalars", "bidisc"],
+)
+def test_adjoint_equals_revalidation_without_linalg(make, monkeypatch):
+    # the swapped caches are the very numbers validate derives from (A*, B*,
+    # P*), bases included, and adjoint() gets them without a decomposition
+    t = make()
+    expected = validate(t.A.conj().T, t.B.conj().T, t.P.conj().T)
+
+    def no_linalg(*args, **kwargs):
+        raise AssertionError("adjoint() called numpy.linalg")
+
+    for name in dir(np.linalg):
+        if not name.startswith("_") and callable(getattr(np.linalg, name)):
+            if not isinstance(getattr(np.linalg, name), type):
+                monkeypatch.setattr(np.linalg, name, no_linalg)
+    adj = t.adjoint()
+    monkeypatch.undo()
+    assert fields_equal(adj, expected)
 
 
 # --------------------------------------------------- necessary conditions
