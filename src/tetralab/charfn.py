@@ -113,21 +113,26 @@ def _theta_zero(p: np.ndarray, qb: SubspaceBasis, sb: SubspaceBasis, pol: Tolera
     return -(sb.basis.conj().T @ image)
 
 
-def theta_taylor(p, n: int, pol: TolerancePolicy = DEFAULT_POLICY) -> np.ndarray:
-    """n-th Taylor coefficient of Theta_P in the defect bases.
+def theta_taylor(p, degrees, pol: TolerancePolicy = DEFAULT_POLICY) -> list[np.ndarray]:
+    """Taylor coefficients Theta_n of Theta_P in the defect bases, one per n in ``degrees``.
 
     Theta_0 = -P restricted to D_P, Theta_n = D_{P*} P*^{n-1} D_P for n >= 1.
     The n = 0 case checks that P actually maps D_P into D_{P*} (it must,
     because P D_P = D_{P*} P) and raises RestrictionLeakError otherwise.
     """
     p = ensure_matrix(p, square=True, name="P")
-    if n < 0:
+    degrees = tuple(degrees)
+    if any(n < 0 for n in degrees):
         raise ValueError("Taylor index must be >= 0")
     dp, qb, ds, sb = _defect_pair(p, pol)
-    if n == 0:
-        return _theta_zero(p, qb, sb, pol)
-    power = np.linalg.matrix_power(p.conj().T, n - 1)
-    return sb.basis.conj().T @ ds @ power @ dp @ qb.basis
+    out = []
+    for n in degrees:
+        if n == 0:
+            out.append(_theta_zero(p, qb, sb, pol))
+        else:
+            power = np.linalg.matrix_power(p.conj().T, n - 1)
+            out.append(sb.basis.conj().T @ ds @ power @ dp @ qb.basis)
+    return out
 
 
 def theta_coeffs(p, n_max: int, pol: TolerancePolicy = DEFAULT_POLICY) -> AnalyticSymbol:
@@ -146,18 +151,21 @@ def theta_coeffs(p, n_max: int, pol: TolerancePolicy = DEFAULT_POLICY) -> Analyt
     return AnalyticSymbol(tuple(coeffs))
 
 
-def theta_eval(p, z: complex, pol: TolerancePolicy = DEFAULT_POLICY) -> np.ndarray:
-    """Theta_P(z) in the defect bases, via the resolvent of P*."""
+def theta_eval(p, points, pol: TolerancePolicy = DEFAULT_POLICY) -> list[np.ndarray]:
+    """Theta_P(z) in the defect bases, one per z in ``points``, via the resolvent of P*."""
     p = ensure_matrix(p, square=True, name="P")
-    z = complex(z)
     dp, qb, ds, sb = _defect_pair(p, pol)
-    n = p.shape[0]
-    res = np.eye(n) - z * p.conj().T
-    sv = np.linalg.svd(res, compute_uv=False)
-    if sv.size == 0 or sv[-1] <= pol.clamp_tol * max(1.0, sv[0] if sv.size else 1.0):
-        raise ResolventSingularError(f"I - z P* singular at z = {z!r}")
-    middle = -p + z * (ds @ np.linalg.solve(res, dp))
-    return sb.basis.conj().T @ middle @ qb.basis
+    eye = np.eye(p.shape[0])
+    out = []
+    for z in points:
+        z = complex(z)
+        res = eye - z * p.conj().T
+        sv = np.linalg.svd(res, compute_uv=False)
+        if sv.size == 0 or sv[-1] <= pol.clamp_tol * max(1.0, sv[0]):
+            raise ResolventSingularError(f"I - z P* singular at z = {z!r}")
+        middle = -p + z * (ds @ np.linalg.solve(res, dp))
+        out.append(sb.basis.conj().T @ middle @ qb.basis)
+    return out
 
 
 def kernel_identity_check(p, z: complex, w: complex, pol: TolerancePolicy = DEFAULT_POLICY) -> float:
@@ -165,20 +173,18 @@ def kernel_identity_check(p, z: complex, w: complex, pol: TolerancePolicy = DEFA
 
         I - Theta_P(w) Theta_P(z)* =
             (1 - w conj(z)) D_{P*} (I - w P*)^{-1} (I - conj(z) P)^{-1} D_{P*}.
+
+    ``theta_eval`` refuses a singular I - w P* or I - z P*; the latter is the
+    adjoint of I - conj(z) P, so both resolvents below exist.
     """
     p = ensure_matrix(p, square=True, name="P")
     z, w = complex(z), complex(w)
-    dp, qb, ds, sb = _defect_pair(p, pol)
+    tw, tz = theta_eval(p, (w, z), pol)
+    ds, sb = defect(p.conj().T, pol)
     n = p.shape[0]
-    tw = theta_eval(p, w, pol)
-    tz = theta_eval(p, z, pol)
     lhs = np.eye(sb.rank) - tw @ tz.conj().T
     res_w = np.eye(n) - w * p.conj().T
     res_z = np.eye(n) - np.conj(z) * p
-    for label, r in (("w", res_w), ("conj(z)", res_z)):
-        sv = np.linalg.svd(r, compute_uv=False)
-        if sv.size == 0 or sv[-1] <= pol.clamp_tol * max(1.0, sv[0]):
-            raise ResolventSingularError(f"resolvent at {label} singular")
     core = ds @ np.linalg.solve(res_w, np.linalg.solve(res_z, ds))
     rhs = (1.0 - w * np.conj(z)) * (sb.basis.conj().T @ core @ sb.basis)
     return op_norm(lhs - rhs)
@@ -266,18 +272,21 @@ def build_model(p, n: int | None = None, pol: TolerancePolicy = DEFAULT_POLICY) 
     """Assemble the truncated model of a pure contraction.
 
     When ``n`` is omitted the smallest degree with tail <= TAIL_TARGET is
-    used; a grid of more than MAX_GRID_DIM coordinates is refused before it
-    is allocated.  The Taylor coefficients Theta_k = (row block k-1 of W) D_P Q
-    for k >= 1, Q the basis of D_P, are read off the rows of W as they are
-    formed.  The model
-    space is cross-validated: the orthocomplement of range(toeplitz(theta))
-    must agree with range(W) within 1e-6 + tail, otherwise
-    ModelMismatchError (the two constructions are independent).
+    used.  Purity is checked by the tail computation (NotPureError), which
+    runs before anything of grid size exists; a grid of more than
+    MAX_GRID_DIM coordinates is refused before it is allocated.  The Taylor
+    coefficients Theta_k = (row block k-1 of W) D_P Q for k >= 1, Q the basis
+    of D_P, are read off the rows of W as they are formed.  The model space
+    is cross-validated: the orthocomplement of range(toeplitz(theta)) must
+    agree with range(W) within 1e-6 + tail, otherwise ModelMismatchError
+    (the two constructions are independent).
     """
     p = ensure_matrix(p, square=True, name="P")
-    _require_pure(p, pol)
     if n is None:
         n = suggest_degree(p, pol)
+    elif n < 0:
+        raise ValueError("model degree must be >= 0")
+    tail = truncation_tail(p, n, pol)
     dp, qb, ds, sb = _defect_pair(p, pol)
     if (n + 1) * sb.rank > MAX_GRID_DIM:
         raise TetralabError(
@@ -296,7 +305,6 @@ def build_model(p, n: int | None = None, pol: TolerancePolicy = DEFAULT_POLICY) 
         cur = cur @ pd
     theta = AnalyticSymbol(tuple(coeffs))
     w = np.vstack(blocks)
-    tail = truncation_tail(p, n, pol)
     t_theta = toeplitz(theta, n)
     h_basis = orth_complement(range_basis(t_theta, pol, scale=1.0))
     w_range = range_basis(w, pol, scale=1.0)
@@ -415,23 +423,19 @@ def verify_pencil_intertwining(
     f1, f2 = pair_f.F1, pair_f.F2
     g1, g2 = pair_g.F1, pair_g.F2
     worst = {"pencil_intertwine_1": 0.0, "pencil_intertwine_2": 0.0}
-    max_abs = 0.0
-    count = 0
+    samples = [complex(z) for z in samples]
     for z in samples:
-        z = complex(z)
         if abs(z) >= 1.0:
             raise ResolventSingularError(f"sample |z| = {abs(z):.3f} not inside the open disc")
-        max_abs = max(max_abs, abs(z))
-        count += 1
-        th = theta_eval(pstar, z, pol)
+    for z, th in zip(samples, theta_eval(pstar, samples, pol)):
         r1 = (f1.conj().T + z * f2) @ th - th @ (g1 + z * g2.conj().T)
         r2 = (f2.conj().T + z * f1) @ th - th @ (g2 + z * g1.conj().T)
         worst["pencil_intertwine_1"] = max(worst["pencil_intertwine_1"], op_norm(r1))
         worst["pencil_intertwine_2"] = max(worst["pencil_intertwine_2"], op_norm(r2))
-    denom = max(1.0 - max_abs, 1e-3)
+    denom = max(1.0 - max(map(abs, samples), default=0.0), 1e-3)
     tol = pol.scaled_eq(op_norm(f1), op_norm(f2), op_norm(g1), op_norm(g2)) / denom
     for name, value in worst.items():
-        rep.check(name, value, tol, note=f"{count} sample points")
+        rep.check(name, value, tol, note=f"{len(samples)} sample points")
     return rep
 
 

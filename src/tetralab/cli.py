@@ -37,6 +37,7 @@ from .blh import (
     verify_isometry_propagation,
 )
 from .charfn import (
+    NotPureError,
     build_model,
     pure_isometry_model,
     verify_functional_model,
@@ -144,13 +145,14 @@ def run_instance_battery(
     rep.extend(
         verify_pencil_intertwining(t, pair_f, pair_g, DISC_SAMPLES, pol), prefix="pencil_"
     )
-    model = None
-    if is_pure(t.P, pol):
+    try:
         model = build_model(t.P, None, pol)
+    except NotPureError:
+        model = None
+        rep.skip("model", "P is not pure at this tolerance")
+    else:
         rep.extend(verify_model_decomposition(model, pol), prefix="model_")
         rep.extend(verify_functional_model(t, model, pair_g, pol), prefix="model_")
-    else:
-        rep.skip("model", "P is not pure at this tolerance")
     u = generate.companion_unitary(inst, t.dim)
     conj = validate(
         u @ t.A @ u.conj().T, u @ t.B @ u.conj().T, u @ t.P @ u.conj().T, pol
@@ -178,11 +180,13 @@ def _cmd_verify_bidisc(args, pol: TolerancePolicy) -> list[tuple[str, CheckRepor
     n = args.degree
     if n < 1:
         raise TetralabError(f"--degree must be >= 1, got {n}")
-    # the model grid, (n+1) blocks of the (2n+1)-point border, is the largest
-    # matrix side the command allocates; (n+1)^2 is the grid of the example
-    side = (n + 1) * (2 * n + 1)
+    # the symbol-extraction grid, (n+5) blocks of the (2n+1)-point border, is
+    # the largest matrix side the command allocates: Theta_{P*} has degree
+    # n+1 and extraction_roundtrip adds EXTRACTION_MARGIN = 3 degrees.  The
+    # model grid has only n+1 such blocks, the example grid (n+1)^2 points
+    side = (n + 5) * (2 * n + 1)
     if side > MAX_GRID_DIM:
-        raise TetralabError(f"--degree {n} needs a model grid of {side} > {MAX_GRID_DIM}")
+        raise TetralabError(f"--degree {n} needs an extraction grid of {side} > {MAX_GRID_DIM}")
     reports = [("example", bidisc.verify_example(n, pol))]
     triple = bidisc.build(n, pol)
     pair_f = solve_fundamental(triple, pol)
@@ -239,6 +243,8 @@ def _load_json(path: str):
 
 
 def _cmd_model_check(args, pol: TolerancePolicy) -> list[tuple[str, CheckReport]]:
+    if args.degree is not None and args.degree < 0:
+        raise TetralabError("--degree must be >= 0")
     triple = tio.triple_from_obj(_load_json(args.triple_file), pol)
     reports = [("necessary", necessary_report(triple, pol))]
     rep = CheckReport(title="model check")

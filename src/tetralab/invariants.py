@@ -95,28 +95,21 @@ def verify_coincidence(
     if wit.u.shape[1] == 0 and wit.u_star.shape[1] == 0:
         rep.vacuous("coincidence", "both defect spaces are zero-dimensional")
         return rep
+    samples = [complex(z) for z in samples]
     worst_eval = 0.0
-    max_abs = 0.0
-    count = 0
-    for z in samples:
-        z = complex(z)
-        max_abs = max(max_abs, abs(z))
-        count += 1
-        lhs = wit.u_star @ theta_eval(p, z, pol)
-        rhs = theta_eval(p_prime, z, pol) @ wit.u
-        worst_eval = max(worst_eval, op_norm(lhs - rhs))
-    denom = max(1.0 - max_abs, 1e-3)
+    for th, th_prime in zip(theta_eval(p, samples, pol), theta_eval(p_prime, samples, pol)):
+        worst_eval = max(worst_eval, op_norm(wit.u_star @ th - th_prime @ wit.u))
+    denom = max(1.0 - max(map(abs, samples), default=0.0), 1e-3)
     rep.check(
         "coincidence_at_samples",
         worst_eval,
         pol.scaled_eq(1.0) / denom,
-        note=f"{count} sample points",
+        note=f"{len(samples)} sample points",
     )
+    degrees = range(COINCIDENCE_DEGREE + 1)
     worst_taylor = 0.0
-    for k in range(COINCIDENCE_DEGREE + 1):
-        lhs = wit.u_star @ theta_taylor(p, k, pol)
-        rhs = theta_taylor(p_prime, k, pol) @ wit.u
-        worst_taylor = max(worst_taylor, op_norm(lhs - rhs))
+    for th, th_prime in zip(theta_taylor(p, degrees, pol), theta_taylor(p_prime, degrees, pol)):
+        worst_taylor = max(worst_taylor, op_norm(wit.u_star @ th - th_prime @ wit.u))
     rep.check(
         "coincidence_taylor",
         worst_taylor,

@@ -145,13 +145,11 @@ def necessary_report(triple: TetrablockTriple, pol: TolerancePolicy = DEFAULT_PO
 class PurityCertificate:
     """Purity verdict for a contraction P (P^n -> 0).
 
-    decay_power, when set, is an n with ||P^n|| <= 1e-12 (a power of two).
     nilpotency_index, when set, is the least n with P^n numerically zero.
     """
 
     pure: bool
     spectral_radius: float
-    decay_power: int | None = None
     nilpotency_index: int | None = None
 
     def __bool__(self) -> bool:
@@ -163,7 +161,7 @@ def is_pure(p, pol: TolerancePolicy = DEFAULT_POLICY) -> PurityCertificate:
     p = ensure_matrix(p, square=True, name="P")
     n = p.shape[0]
     if n == 0:
-        return PurityCertificate(pure=True, spectral_radius=0.0, decay_power=1, nilpotency_index=1)
+        return PurityCertificate(pure=True, spectral_radius=0.0, nilpotency_index=1)
     rho = float(np.abs(np.linalg.eigvals(p)).max())
     if rho >= 1.0 - pol.rank_tol:
         return PurityCertificate(pure=False, spectral_radius=rho)
@@ -175,21 +173,7 @@ def is_pure(p, pol: TolerancePolicy = DEFAULT_POLICY) -> PurityCertificate:
             if op_norm(power) <= 1e-12:
                 nil_index = k
                 break
-    decay = None
-    m = p.copy()
-    k = 1
-    for _ in range(20):
-        if op_norm(m) <= 1e-12:
-            decay = k
-            break
-        m = m @ m
-        k *= 2
-    return PurityCertificate(
-        pure=True,
-        spectral_radius=rho,
-        decay_power=decay,
-        nilpotency_index=nil_index,
-    )
+    return PurityCertificate(pure=True, spectral_radius=rho, nilpotency_index=nil_index)
 
 
 def from_symbols(f1, f2, n: int, pol: TolerancePolicy = DEFAULT_POLICY) -> TetrablockTriple:

@@ -13,12 +13,19 @@ import pytest
 import tetralab.cli
 from tetralab import io
 from tetralab.bidisc import build as build_grid
-from tetralab.charfn import build_model, theta_coeffs
-from tetralab.cli import main, run_instance_battery
+from tetralab.charfn import (
+    ResolventSingularError,
+    build_model,
+    theta_coeffs,
+    verify_pencil_intertwining,
+)
+from tetralab.cli import DISC_SAMPLES, main, run_instance_battery
 from tetralab.fundamental import solve_fundamental
-from tetralab.generate import make_instance
-from tetralab.matcore import TetralabError
-from tetralab.triples import validate
+from tetralab.generate import companion_unitary, make_instance
+from tetralab.hardy import toeplitz
+from tetralab.invariants import INVARIANT_SAMPLES, induced_defect_unitary, verify_coincidence
+from tetralab.matcore import MAX_GRID_DIM, TetralabError, defect
+from tetralab.triples import is_pure, validate
 
 
 def run(capsys, *argv) -> tuple[int, str, str]:
@@ -324,14 +331,20 @@ def count_calls(monkeypatch, *fns) -> dict[str, int]:
 def test_battery_builds_each_object_once(monkeypatch, small_suite):
     # the battery hands its pairs and model to the invariant suite: per
     # instance F, G, F' and G' are solved once each, and only the models of
-    # P and P' are built
-    calls = count_calls(monkeypatch, solve_fundamental, build_model)
+    # P and P' are built.  2 defects each for validating the conjugated
+    # copy, the two models, the pencil check and the four Theta calls of the
+    # coincidence check; symbols instances validate two more pencil triples
+    # for isometry propagation.  Purity is checked in the tails of the two
+    # models and once more by the degree search of the model of P
+    calls = count_calls(monkeypatch, solve_fundamental, build_model, defect, is_pure)
     for inst in small_suite:
-        calls.update(solve_fundamental=0, build_model=0)
+        calls.update(solve_fundamental=0, build_model=0, defect=0, is_pure=0)
         rep = run_instance_battery(inst)
         assert rep.overall, inst.label
         assert calls["solve_fundamental"] == 4, inst.label
         assert calls["build_model"] <= 2, inst.label
+        assert calls["defect"] == (20 if inst.family == "symbols" else 16), inst.label
+        assert calls["is_pure"] == 3, inst.label
 
 
 def test_verify_bidisc_builds_each_object_once(monkeypatch, capsys):
@@ -346,9 +359,82 @@ def test_verify_bidisc_builds_each_object_once(monkeypatch, capsys):
 
 
 def test_verify_bidisc_refuses_oversized_grid(capsys):
-    # degree 32 needs a 33 x 65 = 2145-coordinate model grid: refused up
-    # front as an input error, before any grid matrix exists
-    code, out, err = run(capsys, "verify-bidisc", "--degree", "32")
+    # degree 30 needs a 35 x 61 = 2135-coordinate extraction grid (its model
+    # grid, 31 x 61 = 1891, would fit): refused up front as an input error,
+    # before any grid matrix exists
+    code, out, err = run(capsys, "verify-bidisc", "--degree", "30")
     assert code == 2
     assert out == ""
-    assert "2145" in err
+    assert "2135" in err
+
+
+def test_theta_checks_derive_each_defect_pair_once(monkeypatch, small_suite):
+    # each theta_eval / theta_taylor call derives the defect pair of its P
+    # (two defects) once: verify_coincidence makes four such calls and the
+    # pencil check one, over all its samples
+    calls = count_calls(monkeypatch, defect)
+    for inst in small_suite:
+        t = inst.triple
+        u = companion_unitary(inst, t.dim)
+        prime = validate(u @ t.A @ u.conj().T, u @ t.B @ u.conj().T, u @ t.P @ u.conj().T)
+        wit = induced_defect_unitary(u, t, prime)
+        pair_f = solve_fundamental(t)
+        pair_g = solve_fundamental(t.adjoint())
+        calls["defect"] = 0
+        assert verify_coincidence(t.P, prime.P, wit, INVARIANT_SAMPLES).overall, inst.label
+        assert calls["defect"] == 8, inst.label
+        calls["defect"] = 0
+        rep = verify_pencil_intertwining(t, pair_f, pair_g, DISC_SAMPLES)
+        assert rep.overall, inst.label
+        assert calls["defect"] == 2, inst.label
+
+
+def test_pencil_intertwining_refuses_samples_outside_disc(monkeypatch, small_suite):
+    # every sample is checked before Theta is evaluated anywhere
+    t = small_suite[0].triple
+    pair_f = solve_fundamental(t)
+    pair_g = solve_fundamental(t.adjoint())
+    calls = count_calls(monkeypatch, defect)
+    with pytest.raises(ResolventSingularError, match="not inside the open disc"):
+        verify_pencil_intertwining(t, pair_f, pair_g, [0.3, 0.5j, -1.0])
+    assert calls["defect"] == 0
+
+
+def test_build_model_checks_purity_in_its_tails(monkeypatch):
+    # the degree search and the tail each check purity; no third check
+    p = make_instance("scalars", seed=61, index=0, dim=3).triple.P
+    calls = count_calls(monkeypatch, is_pure)
+    model = build_model(p)
+    assert calls["is_pure"] == 2
+    calls["is_pure"] = 0
+    build_model(p, model.N)
+    assert calls["is_pure"] == 1
+
+
+def test_negative_model_degree_is_input_error(capsys, tmp_path):
+    path = tmp_path / "triple.json"
+    path.write_text(io.dumps(io.triple_to_obj(make_instance("scalars", seed=61, index=0, dim=3).triple)))
+    code, out, err = run(capsys, "model-check", str(path), "--degree", "-1")
+    assert code == 2
+    assert out == ""
+    assert "--degree must be >= 0" in err
+    with pytest.raises(ValueError, match="model degree must be >= 0"):
+        build_model(0.5 * np.eye(2), -1)
+
+
+def test_blh_refuses_oversized_grid(monkeypatch, capsys, tmp_path):
+    # degree 100000 over a 2-dimensional fiber: refused as an input error
+    # before any Toeplitz matrix is built
+    theta_path = tmp_path / "theta.json"
+    theta_path.write_text(io.dumps(io.symbol_to_obj(theta_coeffs(np.zeros((2, 2)), 2))))
+    sym_path = tmp_path / "syms.json"
+    sym_path.write_text(io.dumps({
+        "F1": io.matrix_to_obj(0.2 * np.eye(2)),
+        "F2": io.matrix_to_obj(0.1 * np.eye(2)),
+    }))
+    calls = count_calls(monkeypatch, toeplitz)
+    code, out, err = run(capsys, "blh", str(theta_path), str(sym_path), "--degree", "100000")
+    assert code == 2
+    assert out == ""
+    assert f"side 200002 > {MAX_GRID_DIM}" in err
+    assert calls["toeplitz"] == 0
