@@ -50,12 +50,11 @@ from .charfn import (
     build_model,
     kernel_identity_check,
     model_operators,
+    power_tail,
     pure_isometry_model,
-    suggest_degree,
     theta_coeffs,
     theta_eval,
     theta_taylor,
-    truncation_tail,
     verify_functional_model,
     verify_model_decomposition,
     verify_pencil_intertwining,
@@ -129,8 +128,7 @@ __all__ = [
     "theta_coeffs",
     "theta_eval",
     "kernel_identity_check",
-    "truncation_tail",
-    "suggest_degree",
+    "power_tail",
     "build_model",
     "model_operators",
     "verify_model_decomposition",

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .charfn import suggest_degree, theta_coeffs, truncation_tail
+from .charfn import power_tail, theta_coeffs
 from .fundamental import solve_fundamental
 from .hardy import AnalyticSymbol, TruncatedHardy, pencil, toeplitz
 from .matcore import (
@@ -170,10 +170,9 @@ def extraction_roundtrip(
     """
     pair_f = solve_fundamental(triple, pol)
     pair_g = solve_fundamental(triple.adjoint(), pol)
-    theta_degree = suggest_degree(triple.P, pol) + 1
-    theta = theta_coeffs(triple.P.conj().T, theta_degree, pol)
+    degree, tail = power_tail(triple.P, None, pol)
+    theta = theta_coeffs(triple.P.conj().T, degree + 1, pol)
     n = theta.degree + EXTRACTION_MARGIN
-    tail = truncation_tail(triple.P, max(theta_degree - 1, 0), pol)
     g1, g2, rep = extract_symbols(theta, pair_f.F1, pair_f.F2, n, pol)
     out = CheckReport(title="symbol extraction round trip")
     out.extend(rep, prefix="ext_")

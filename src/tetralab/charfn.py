@@ -21,6 +21,7 @@ directly comparable.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -56,8 +57,7 @@ __all__ = [
     "theta_coeffs",
     "theta_eval",
     "kernel_identity_check",
-    "truncation_tail",
-    "suggest_degree",
+    "power_tail",
     "build_model",
     "model_operators",
     "verify_model_decomposition",
@@ -113,42 +113,42 @@ def _theta_zero(p: np.ndarray, qb: SubspaceBasis, sb: SubspaceBasis, pol: Tolera
     return -(sb.basis.conj().T @ image)
 
 
-def theta_taylor(p, degrees, pol: TolerancePolicy = DEFAULT_POLICY) -> list[np.ndarray]:
-    """Taylor coefficients Theta_n of Theta_P in the defect bases, one per n in ``degrees``.
+def _w_rows(p: np.ndarray, ds: np.ndarray, sb: SubspaceBasis):
+    """Row blocks Q*^* D_{P*} P*^k of W, k = 0, 1, 2, ..., Q* the basis of D_{P*}.
 
-    Theta_0 = -P restricted to D_P, Theta_n = D_{P*} P*^{n-1} D_P for n >= 1.
-    The n = 0 case checks that P actually maps D_P into D_{P*} (it must,
-    because P D_P = D_{P*} P) and raises RestrictionLeakError otherwise.
+    The one loop over the powers of P*: Theta_k = (row block k-1) D_P Q for
+    k >= 1, Q the basis of D_P.
     """
-    p = ensure_matrix(p, square=True, name="P")
-    degrees = tuple(degrees)
-    if any(n < 0 for n in degrees):
-        raise ValueError("Taylor index must be >= 0")
-    dp, qb, ds, sb = _defect_pair(p, pol)
-    out = []
-    for n in degrees:
-        if n == 0:
-            out.append(_theta_zero(p, qb, sb, pol))
-        else:
-            power = np.linalg.matrix_power(p.conj().T, n - 1)
-            out.append(sb.basis.conj().T @ ds @ power @ dp @ qb.basis)
-    return out
+    pd = p.conj().T
+    cur = ds
+    while True:
+        yield sb.basis.conj().T @ cur
+        cur = cur @ pd
 
 
 def theta_coeffs(p, n_max: int, pol: TolerancePolicy = DEFAULT_POLICY) -> AnalyticSymbol:
-    """Taylor coefficients 0..n_max of Theta_P as an AnalyticSymbol."""
+    """Taylor coefficients 0..n_max of Theta_P as an AnalyticSymbol, in the defect bases.
+
+    Theta_0 = -P restricted to D_P, Theta_n = D_{P*} P*^{n-1} D_P for n >= 1.
+    Theta_0 checks that P actually maps D_P into D_{P*} (it must, because
+    P D_P = D_{P*} P) and raises RestrictionLeakError otherwise.
+    """
     p = ensure_matrix(p, square=True, name="P")
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
     dp, qb, ds, sb = _defect_pair(p, pol)
-    coeffs = [_theta_zero(p, qb, sb, pol)]
-    cur = ds  # D_{P*} P*^{n-1}, advanced as n grows
-    pd = p.conj().T
     right = dp @ qb.basis
-    for _ in range(1, n_max + 1):
-        coeffs.append(sb.basis.conj().T @ cur @ right)
-        cur = cur @ pd
-    return AnalyticSymbol(tuple(coeffs))
+    rows = islice(_w_rows(p, ds, sb), n_max)
+    return AnalyticSymbol((_theta_zero(p, qb, sb, pol), *(row @ right for row in rows)))
+
+
+def theta_taylor(p, degrees, pol: TolerancePolicy = DEFAULT_POLICY) -> list[np.ndarray]:
+    """The Taylor coefficients Theta_n of ``theta_coeffs``, one per n in ``degrees``."""
+    degrees = tuple(degrees)
+    if any(n < 0 for n in degrees):
+        raise ValueError("Taylor index must be >= 0")
+    coeffs = theta_coeffs(p, max(degrees, default=0), pol).coeffs
+    return [coeffs[n] for n in degrees]
 
 
 def theta_eval(p, points, pol: TolerancePolicy = DEFAULT_POLICY) -> list[np.ndarray]:
@@ -190,59 +190,49 @@ def kernel_identity_check(p, z: complex, w: complex, pol: TolerancePolicy = DEFA
     return op_norm(lhs - rhs)
 
 
-def _require_pure(p: np.ndarray, pol: TolerancePolicy) -> None:
-    cert = is_pure(p, pol)
-    if not cert:
-        raise NotPureError(f"P is not pure (rho = {cert.spectral_radius:.6f})")
-
-
-def _power_norms(m: np.ndarray, p: np.ndarray) -> list[float]:
-    """||M||, ||M P||, ||M P^2||, ... up to the first norm <= POWER_CUTOFF.
+def _power_norms(p: np.ndarray) -> list[float]:
+    """||P||, ||P^2||, ... up to (and including) the first norm <= POWER_CUTOFF.
 
     Raises TetralabError when MAX_POWERS norms do not get there, rather than
     let a caller sum a partial list.
     """
     norms = []
+    m = p
     for _ in range(MAX_POWERS):
-        nm = op_norm(m)
-        if nm <= POWER_CUTOFF:
+        norms.append(op_norm(m))
+        if norms[-1] <= POWER_CUTOFF:
             return norms
-        norms.append(nm)
         m = m @ p
-    raise TetralabError(f"||P^k|| still {nm:.3e} after {MAX_POWERS} powers; P decays too slowly")
+    raise TetralabError(f"||P^k|| still {norms[-1]:.3e} after {MAX_POWERS} powers; P decays too slowly")
 
 
-def truncation_tail(p, n: int, pol: TolerancePolicy = DEFAULT_POLICY) -> float:
-    """Upper estimate of (sum_{m > n} ||P^m||^2)^(1/2).
+def power_tail(p, n: int | None = None, pol: TolerancePolicy = DEFAULT_POLICY) -> tuple[int, float]:
+    """Truncation degree n and an upper bound on (sum_{m > n} ||P^m||^2)^(1/2).
 
-    Powers are summed until their norm drops below POWER_CUTOFF; the
-    neglected remainder is below POWER_CUTOFF^2 / (1 - rho^2), irrelevant at
-    the tolerances used here.  Exact (zero) for nilpotent P once n exceeds
-    the index.
+    Checks purity (NotPureError) and forms ||P^k||, k = 1, 2, ..., until the
+    first c = ||P^K|| <= POWER_CUTOFF.  Since ||P^(K+j)|| <= c ||P^j||, the
+    remainder sum_{m >= K} ||P^m||^2 is at most c^2 (1 + T) / (1 - c^2), T
+    the sum of ||P^m||^2 for m < K.  That bound is added to every suffix
+    sum, so the tail is an upper bound; it is zero for an exact nilpotent P
+    (c = 0) past its index.  When ``n`` is omitted it is the smallest degree
+    whose tail is <= TAIL_TARGET.
     """
     p = ensure_matrix(p, square=True, name="P")
-    _require_pure(p, pol)
-    total = 0.0
-    for nm in _power_norms(np.linalg.matrix_power(p, n + 1), p):
-        total += nm * nm
-    return float(np.sqrt(total))
-
-
-def suggest_degree(p, pol: TolerancePolicy = DEFAULT_POLICY) -> int:
-    """Smallest truncation degree whose tail estimate is <= TAIL_TARGET."""
-    p = ensure_matrix(p, square=True, name="P")
-    _require_pure(p, pol)
-    norms = _power_norms(p, p)
-    # norms[k] = ||P^(k+1)||; tail(N)^2 sums indices k >= N+1 i.e. k-list >= N
-    tail_sq = 0.0
-    tails = [0.0] * (len(norms) + 1)
-    for k in range(len(norms) - 1, -1, -1):
-        tail_sq += norms[k] * norms[k]
-        tails[k] = tail_sq
-    for n in range(len(tails)):
-        if np.sqrt(tails[n]) <= TAIL_TARGET:
-            return n
-    return len(norms)
+    if n is not None and n < 0:
+        raise ValueError("model degree must be >= 0")
+    cert = is_pure(p, pol)
+    if not cert:
+        raise NotPureError(f"P is not pure (rho = {cert.spectral_radius:.6f})")
+    *norms, c = _power_norms(p)
+    total = sum(nm * nm for nm in norms)
+    # tails[k]^2 bounds sum_{m > k} ||P^m||^2; norms[k] = ||P^(k+1)||
+    tails = [c * c * (1.0 + total) / (1.0 - c * c)]
+    for nm in reversed(norms):
+        tails.append(tails[-1] + nm * nm)
+    tails = np.sqrt(tails[::-1])
+    if n is None:
+        n = next((k for k, t in enumerate(tails) if t <= TAIL_TARGET), len(norms))
+    return n, float(tails[min(n, len(norms))])
 
 
 @dataclass(frozen=True)
@@ -282,28 +272,16 @@ def build_model(p, n: int | None = None, pol: TolerancePolicy = DEFAULT_POLICY) 
     (the two constructions are independent).
     """
     p = ensure_matrix(p, square=True, name="P")
-    if n is None:
-        n = suggest_degree(p, pol)
-    elif n < 0:
-        raise ValueError("model degree must be >= 0")
-    tail = truncation_tail(p, n, pol)
+    n, tail = power_tail(p, n, pol)
     dp, qb, ds, sb = _defect_pair(p, pol)
     if (n + 1) * sb.rank > MAX_GRID_DIM:
         raise TetralabError(
             f"model grid of degree {n} over a rank-{sb.rank} defect space "
             f"exceeds {MAX_GRID_DIM} coordinates"
         )
-    coeffs = [_theta_zero(p, qb, sb, pol)]
-    pd = p.conj().T
+    blocks = list(islice(_w_rows(p, ds, sb), n + 1))
     right = dp @ qb.basis
-    blocks = []
-    cur = ds
-    for k in range(n + 1):
-        blocks.append(sb.basis.conj().T @ cur)
-        if k < n:
-            coeffs.append(blocks[-1] @ right)
-        cur = cur @ pd
-    theta = AnalyticSymbol(tuple(coeffs))
+    theta = AnalyticSymbol((_theta_zero(p, qb, sb, pol), *(row @ right for row in blocks[:n])))
     w = np.vstack(blocks)
     t_theta = toeplitz(theta, n)
     h_basis = orth_complement(range_basis(t_theta, pol, scale=1.0))

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matcore import ShapeError, ensure_matrix, op_norm
+from .matcore import ShapeError, ensure_matrix
 
 __all__ = [
     "TruncatedHardy",
@@ -94,20 +94,6 @@ class AnalyticSymbol:
         for c in reversed(self.coeffs):
             acc = acc * z + c
         return acc
-
-    def coeff(self, k: int) -> np.ndarray:
-        """k-th Taylor coefficient, zero matrix beyond the stored degree."""
-        if 0 <= k < len(self.coeffs):
-            return self.coeffs[k]
-        return np.zeros((self.d_out, self.d_in), dtype=complex)
-
-    def trimmed(self, tol: float = 0.0) -> "AnalyticSymbol":
-        """Drop trailing coefficient blocks of norm <= tol."""
-        last = 0
-        for k, c in enumerate(self.coeffs):
-            if op_norm(c) > tol:
-                last = k
-        return AnalyticSymbol(self.coeffs[: last + 1])
 
 
 def pencil(c0, c1) -> AnalyticSymbol:

@@ -170,7 +170,8 @@ def is_pure(p, pol: TolerancePolicy = DEFAULT_POLICY) -> PurityCertificate:
         power = np.eye(n, dtype=complex)
         for k in range(1, n + 1):
             power = power @ p
-            if op_norm(power) <= 1e-12:
+            # the Frobenius norm bounds the spectral norm from above
+            if np.linalg.norm(power) <= 1e-12:
                 nil_index = k
                 break
     return PurityCertificate(pure=True, spectral_radius=rho, nilpotency_index=nil_index)

@@ -23,12 +23,11 @@ from tetralab.charfn import (
     build_model,
     kernel_identity_check,
     model_operators,
+    power_tail,
     pure_isometry_model,
-    suggest_degree,
     theta_coeffs,
     theta_eval,
     theta_taylor,
-    truncation_tail,
     verify_functional_model,
     verify_model_decomposition,
     verify_pencil_intertwining,
@@ -60,9 +59,9 @@ def test_scalar_theta_is_moebius(p, z):
 
 def test_theta_of_zero_is_multiplication_by_z():
     sym = theta_coeffs(np.zeros((3, 3)), 4)
-    assert sym.trimmed(0.0).degree == 1  # coefficients beyond z^1 vanish
-    assert op_norm(sym.coeff(0)) == 0.0
-    assert np.allclose(sym.coeff(1), np.eye(3), atol=1e-14)
+    assert op_norm(sym.coeffs[0]) == 0.0
+    assert np.allclose(sym.coeffs[1], np.eye(3), atol=1e-14)
+    assert all(op_norm(c) == 0.0 for c in sym.coeffs[2:])  # beyond z^1
 
 
 def test_taylor_series_matches_direct_evaluation(rng):
@@ -99,18 +98,27 @@ def test_resolvent_guard():
 # -------------------------------------------------------- truncation tail
 
 
-def test_tail_monotone_and_suggest_degree(rng):
+def test_power_tail_monotone_and_default_degree(rng):
     p = random_contraction(rng, 4, norm=0.9)
-    tails = [truncation_tail(p, n) for n in (2, 6, 12, 20)]
+    tails = [power_tail(p, n)[1] for n in (2, 6, 12, 20)]
     assert all(t1 >= t2 for t1, t2 in zip(tails, tails[1:]))
-    n = suggest_degree(p)
-    assert truncation_tail(p, n) <= TAIL_TARGET == 1e-12
+    n, tail = power_tail(p)
+    assert power_tail(p, n) == (n, tail)
+    assert tail <= TAIL_TARGET == 1e-12 < power_tail(p, n - 1)[1]
 
 
 def test_tail_zero_for_nilpotent():
     p = np.diag([1.0 + 0j] * 2, -1)
-    assert truncation_tail(p, 2) == 0.0
-    assert suggest_degree(p) <= 3
+    assert power_tail(p, 2) == (2, 0.0)
+    assert power_tail(p)[0] <= 3
+
+
+def test_tail_bounds_the_powers_past_the_cutoff():
+    # ||P^m|| = 0.5^m drops below POWER_CUTOFF at m = 47; the tail still
+    # bounds (sum_{m > n} 0.25^m)^(1/2) = (0.25^(n+1) / 0.75)^(1/2) beyond it
+    p = np.array([[0.5]])
+    for n in range(61):
+        assert power_tail(p, n)[1] >= np.sqrt(0.25 ** (n + 1) / 0.75) * (1.0 - 1e-15), n
 
 
 def test_slow_decay_is_refused_not_truncated(monkeypatch):
@@ -118,12 +126,12 @@ def test_slow_decay_is_refused_not_truncated(monkeypatch):
     # sum would understate the tail, so the loop refuses instead
     assert 0.9999**MAX_POWERS > 1e-14
     with pytest.raises(TetralabError, match="decays too slowly"):
-        truncation_tail(np.array([[0.9999]]), 0)
+        power_tail(np.array([[0.9999]]), 0)
     # the degree search runs the same loop; a smaller cap keeps this quick
     monkeypatch.setattr(charfn, "MAX_POWERS", 1000)
     with pytest.raises(TetralabError, match="decays too slowly"):
-        suggest_degree(np.array([[0.99]]))
-    assert suggest_degree(np.array([[0.9]])) < 1000
+        power_tail(np.array([[0.99]]))
+    assert power_tail(np.array([[0.9]]))[0] < 1000
 
 
 # ------------------------------------------------------- functional model
@@ -148,16 +156,18 @@ def test_build_model_refuses_oversized_grid():
 )
 def test_model_theta_equals_theta_coeffs(family, dim):
     # build_model reads Theta off its W rows; the coefficients must be the
-    # very numbers theta_coeffs computes
+    # very numbers theta_coeffs computes, and theta_taylor selects from them
     if family == "bidisc":
         p = build_grid(dim).P
     else:
         p = make_instance(family, seed=83, index=0, dim=dim).triple.P
     model = build_model(p)
     direct = theta_coeffs(p, model.N)
-    assert model.theta.degree == direct.degree == model.N
-    for a, b in zip(model.theta.coeffs, direct.coeffs):
+    selected = theta_taylor(p, range(model.N + 1))
+    assert model.theta.degree == direct.degree == len(selected) - 1 == model.N
+    for a, b, c in zip(model.theta.coeffs, direct.coeffs, selected):
         assert np.array_equal(a, b)
+        assert np.array_equal(b, c)
 
 
 def test_model_dimensions_and_tail(rng):

@@ -5,7 +5,6 @@ console entry point wraps the same function."""
 from __future__ import annotations
 
 import json
-import sys
 
 import numpy as np
 import pytest
@@ -13,6 +12,7 @@ import pytest
 import tetralab.cli
 from tetralab import io
 from tetralab.bidisc import build as build_grid
+from tetralab.blh import extraction_roundtrip
 from tetralab.charfn import (
     ResolventSingularError,
     build_model,
@@ -26,6 +26,8 @@ from tetralab.hardy import toeplitz
 from tetralab.invariants import INVARIANT_SAMPLES, induced_defect_unitary, verify_coincidence
 from tetralab.matcore import MAX_GRID_DIM, TetralabError, defect
 from tetralab.triples import is_pure, validate
+
+from conftest import count_calls
 
 
 def run(capsys, *argv) -> tuple[int, str, str]:
@@ -310,32 +312,13 @@ def test_random_suite_records_failed_instance(capsys, monkeypatch, exc):
 # ----------------------------------------------------- shared objects
 
 
-def count_calls(monkeypatch, *fns) -> dict[str, int]:
-    """Count calls of ``fns`` under every name a tetralab module binds them to."""
-    calls = {fn.__name__: 0 for fn in fns}
-
-    def counting(fn):
-        def wrapper(*args, **kwargs):
-            calls[fn.__name__] += 1
-            return fn(*args, **kwargs)
-        return wrapper
-
-    for mod in list(sys.modules.values()):
-        if getattr(mod, "__name__", "").startswith("tetralab"):
-            for fn in fns:
-                if getattr(mod, fn.__name__, None) is fn:
-                    monkeypatch.setattr(mod, fn.__name__, counting(fn))
-    return calls
-
-
 def test_battery_builds_each_object_once(monkeypatch, small_suite):
     # the battery hands its pairs and model to the invariant suite: per
     # instance F, G, F' and G' are solved once each, and only the models of
     # P and P' are built.  2 defects each for validating the conjugated
     # copy, the two models, the pencil check and the four Theta calls of the
     # coincidence check; symbols instances validate two more pencil triples
-    # for isometry propagation.  Purity is checked in the tails of the two
-    # models and once more by the degree search of the model of P
+    # for isometry propagation.  Purity is checked once by each model
     calls = count_calls(monkeypatch, solve_fundamental, build_model, defect, is_pure)
     for inst in small_suite:
         calls.update(solve_fundamental=0, build_model=0, defect=0, is_pure=0)
@@ -344,7 +327,7 @@ def test_battery_builds_each_object_once(monkeypatch, small_suite):
         assert calls["solve_fundamental"] == 4, inst.label
         assert calls["build_model"] <= 2, inst.label
         assert calls["defect"] == (20 if inst.family == "symbols" else 16), inst.label
-        assert calls["is_pure"] == 3, inst.label
+        assert calls["is_pure"] == 2, inst.label
 
 
 def test_verify_bidisc_builds_each_object_once(monkeypatch, capsys):
@@ -400,15 +383,24 @@ def test_pencil_intertwining_refuses_samples_outside_disc(monkeypatch, small_sui
     assert calls["defect"] == 0
 
 
-def test_build_model_checks_purity_in_its_tails(monkeypatch):
-    # the degree search and the tail each check purity; no third check
-    p = make_instance("scalars", seed=61, index=0, dim=3).triple.P
+def test_build_model_checks_purity_once(monkeypatch, capsys, tmp_path):
+    # one power_tail call per model, with or without a degree, and per
+    # extraction round trip; model-check adds its own "pure" check
+    triple = make_instance("scalars", seed=61, index=0, dim=3).triple
     calls = count_calls(monkeypatch, is_pure)
-    model = build_model(p)
-    assert calls["is_pure"] == 2
-    calls["is_pure"] = 0
-    build_model(p, model.N)
+    model = build_model(triple.P)
     assert calls["is_pure"] == 1
+    calls["is_pure"] = 0
+    build_model(triple.P, model.N)
+    assert calls["is_pure"] == 1
+    calls["is_pure"] = 0
+    assert extraction_roundtrip(build_grid(2))[2].overall
+    assert calls["is_pure"] == 1
+    calls["is_pure"] = 0
+    path = tmp_path / "triple.json"
+    path.write_text(io.dumps(io.triple_to_obj(triple)))
+    assert run(capsys, "model-check", str(path))[0] == 0
+    assert calls["is_pure"] == 2
 
 
 def test_negative_model_degree_is_input_error(capsys, tmp_path):

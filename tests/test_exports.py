@@ -1,8 +1,9 @@
 """Every callable the package exports has a caller besides its unit tests.
 
-A name in ``tetralab.__all__`` or in the ``__all__`` of any package module
-counts as used when the package source refers to it outside its own
-definition, or when the acceptance gate calls it.
+A name in ``tetralab.__all__`` or in the ``__all__`` of any package module,
+or a public method or property of a class listed there, counts as used when
+the package source refers to it outside its own definition, or when the
+acceptance gate calls it.
 """
 
 from __future__ import annotations
@@ -47,6 +48,16 @@ def referenced_names(path: Path) -> set[str]:
     return used
 
 
+def public_members(cls: type) -> set[str]:
+    """Methods and properties ``cls`` itself defines, without a leading underscore."""
+    return {
+        name
+        for name, value in vars(cls).items()
+        if not name.startswith("_")
+        and (callable(value) or isinstance(value, (property, staticmethod, classmethod)))
+    }
+
+
 def test_every_export_has_a_caller():
     used = referenced_names(ACCEPTANCE)
     exported = set()
@@ -54,6 +65,11 @@ def test_every_export_has_a_caller():
         used |= referenced_names(path)
         name = "tetralab" if path.stem == "__init__" else f"tetralab.{path.stem}"
         module = importlib.import_module(name)
-        exported |= {n for n in getattr(module, "__all__", ()) if callable(getattr(module, n))}
-    unused = sorted(exported - used - TEST_ORACLES)
+        for n in getattr(module, "__all__", ()):
+            obj = getattr(module, n)
+            if callable(obj):
+                exported.add(n)
+            if isinstance(obj, type):
+                exported |= {f"{n}.{m}" for m in public_members(obj)}
+    unused = sorted(n for n in exported if n.rpartition(".")[2] not in used | TEST_ORACLES)
     assert unused == [], f"exported but only called by unit tests: {unused}"

@@ -81,8 +81,8 @@ def test_symbol_roundtrip(rng):
     sym = AnalyticSymbol(tuple(rng.standard_normal((2, 2)) + 0j for _ in range(3)))
     back = io.symbol_from_obj(io.symbol_to_obj(sym))
     assert back.degree == sym.degree
-    for k in range(3):
-        assert np.array_equal(back.coeff(k), sym.coeff(k))
+    for a, b in zip(back.coeffs, sym.coeffs):
+        assert np.array_equal(a, b)
 
 
 def test_report_serialization_shape():

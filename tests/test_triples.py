@@ -7,6 +7,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from tetralab import triples
 from tetralab.matcore import NotContractiveError, ShapeError, op_norm
 from tetralab.triples import (
     NonCommutingError,
@@ -144,6 +145,18 @@ def test_is_pure_nilpotent():
     assert cert.pure
     assert cert.nilpotency_index == 3
     assert cert.spectral_radius < 1e-9
+
+
+def test_nilpotency_index_without_spectral_norms(monkeypatch):
+    # the Frobenius norm decides "numerically zero" for the powers; no SVD
+    grids = {n: build_grid(n).P for n in range(1, 9)}
+
+    def no_op_norm(*_):
+        raise AssertionError("is_pure must not take spectral norms")
+
+    monkeypatch.setattr(triples, "op_norm", no_op_norm)
+    for n, p in grids.items():
+        assert is_pure(p).nilpotency_index == n + 1, n
 
 
 def test_is_pure_strict_contraction(rng):
