@@ -285,7 +285,7 @@ def verify_example(n: int, pol: TolerancePolicy = DEFAULT_POLICY) -> CheckReport
             EXACT_TOL,
         )
 
-    model = build_model(p, n, pol)
+    model = build_model(triple, n, pol)
     rep.check("model_tail_zero", model.tail, 0.0)
     w_from_u = np.kron(np.eye(n + 1), model.dpstar_basis.basis.conj().T @ bb) @ u
     rep.check("model_isometry_match", op_norm(model.W - w_from_u), pol.scaled_eq(1.0))

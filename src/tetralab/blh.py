@@ -168,10 +168,11 @@ def extraction_roundtrip(
     accounted for in the match tolerance, and the grid reaches
     EXTRACTION_MARGIN degrees beyond it.
     """
+    adj = triple.adjoint()
     pair_f = solve_fundamental(triple, pol)
-    pair_g = solve_fundamental(triple.adjoint(), pol)
+    pair_g = solve_fundamental(adj, pol)
     degree, tail = power_tail(triple.P, None, pol)
-    theta = theta_coeffs(triple.P.conj().T, degree + 1, pol)
+    theta = theta_coeffs(adj, degree + 1, pol)
     n = theta.degree + EXTRACTION_MARGIN
     g1, g2, rep = extract_symbols(theta, pair_f.F1, pair_f.F2, n, pol)
     out = CheckReport(title="symbol extraction round trip")

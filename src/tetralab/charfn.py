@@ -12,9 +12,11 @@ operators (G1, G2) to H_P = (Theta_P H^2)^perp reproduces the original
 triple.  Everything here is computed on the truncated grid of degrees <= N
 with a certified tail bound.
 
-All defect-space operators are expressed in the deterministic eigenbases
-produced by ``matcore.defect``; since those bases depend only on the matrix
-bytes, coefficients produced by different functions of the same P are
+Every function here takes the validated ``TetrablockTriple`` of P and reads
+D_P, D_{P*} and their range bases from it; Theta_{P*} is computed from
+``triple.adjoint()``, which swaps the cached data.  All defect-space
+operators are therefore expressed in the bases the triple owns, so
+coefficients produced by different functions of the same triple are
 directly comparable.
 """
 
@@ -35,7 +37,6 @@ from .matcore import (
     TetralabError,
     TolerancePolicy,
     commutator,
-    defect,
     ensure_matrix,
     null_basis,
     op_norm,
@@ -95,15 +96,20 @@ MAX_POWERS = 100000
 TAIL_TARGET = 1e-12
 
 
-def _defect_pair(p: np.ndarray, pol: TolerancePolicy):
-    dp, qb = defect(p, pol)
-    ds, sb = defect(p.conj().T, pol)
-    return dp, qb, ds, sb
+def _disc_samples(samples) -> tuple[list[complex], float]:
+    """The samples as complex numbers and the divisor max(1 - max |z|, 1e-3) of
+    sampled tolerances; ResolventSingularError unless all lie in the open disc."""
+    samples = [complex(z) for z in samples]
+    for z in samples:
+        if abs(z) >= 1.0:
+            raise ResolventSingularError(f"sample |z| = {abs(z):.3f} not inside the open disc")
+    return samples, max(1.0 - max(map(abs, samples), default=0.0), 1e-3)
 
 
-def _theta_zero(p: np.ndarray, qb: SubspaceBasis, sb: SubspaceBasis, pol: TolerancePolicy):
+def _theta_zero(triple: TetrablockTriple, pol: TolerancePolicy):
     """Theta_0 = -P restricted to D_P, after checking P maps D_P into D_{P*}."""
-    image = p @ qb.basis
+    p, sb = triple.P, triple.dpstar_basis
+    image = p @ triple.dp_basis.basis
     leak = op_norm(image - sb.projector @ image)
     allowance = pol.rank_tol * (1.0 + op_norm(p)) + pol.eq_tol
     if leak > allowance:
@@ -113,48 +119,45 @@ def _theta_zero(p: np.ndarray, qb: SubspaceBasis, sb: SubspaceBasis, pol: Tolera
     return -(sb.basis.conj().T @ image)
 
 
-def _w_rows(p: np.ndarray, ds: np.ndarray, sb: SubspaceBasis):
+def _w_rows(triple: TetrablockTriple):
     """Row blocks Q*^* D_{P*} P*^k of W, k = 0, 1, 2, ..., Q* the basis of D_{P*}.
 
     The one loop over the powers of P*: Theta_k = (row block k-1) D_P Q for
     k >= 1, Q the basis of D_P.
     """
-    pd = p.conj().T
-    cur = ds
+    pd = triple.P.conj().T
+    cur = triple.dpstar
     while True:
-        yield sb.basis.conj().T @ cur
+        yield triple.dpstar_basis.basis.conj().T @ cur
         cur = cur @ pd
 
 
-def theta_coeffs(p, n_max: int, pol: TolerancePolicy = DEFAULT_POLICY) -> AnalyticSymbol:
+def theta_coeffs(triple: TetrablockTriple, n_max: int, pol: TolerancePolicy = DEFAULT_POLICY) -> AnalyticSymbol:
     """Taylor coefficients 0..n_max of Theta_P as an AnalyticSymbol, in the defect bases.
 
     Theta_0 = -P restricted to D_P, Theta_n = D_{P*} P*^{n-1} D_P for n >= 1.
     Theta_0 checks that P actually maps D_P into D_{P*} (it must, because
     P D_P = D_{P*} P) and raises RestrictionLeakError otherwise.
     """
-    p = ensure_matrix(p, square=True, name="P")
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
-    dp, qb, ds, sb = _defect_pair(p, pol)
-    right = dp @ qb.basis
-    rows = islice(_w_rows(p, ds, sb), n_max)
-    return AnalyticSymbol((_theta_zero(p, qb, sb, pol), *(row @ right for row in rows)))
+    right = triple.dp @ triple.dp_basis.basis
+    rows = islice(_w_rows(triple), n_max)
+    return AnalyticSymbol((_theta_zero(triple, pol), *(row @ right for row in rows)))
 
 
-def theta_taylor(p, degrees, pol: TolerancePolicy = DEFAULT_POLICY) -> list[np.ndarray]:
+def theta_taylor(triple: TetrablockTriple, degrees, pol: TolerancePolicy = DEFAULT_POLICY) -> list[np.ndarray]:
     """The Taylor coefficients Theta_n of ``theta_coeffs``, one per n in ``degrees``."""
     degrees = tuple(degrees)
     if any(n < 0 for n in degrees):
         raise ValueError("Taylor index must be >= 0")
-    coeffs = theta_coeffs(p, max(degrees, default=0), pol).coeffs
+    coeffs = theta_coeffs(triple, max(degrees, default=0), pol).coeffs
     return [coeffs[n] for n in degrees]
 
 
-def theta_eval(p, points, pol: TolerancePolicy = DEFAULT_POLICY) -> list[np.ndarray]:
+def theta_eval(triple: TetrablockTriple, points, pol: TolerancePolicy = DEFAULT_POLICY) -> list[np.ndarray]:
     """Theta_P(z) in the defect bases, one per z in ``points``, via the resolvent of P*."""
-    p = ensure_matrix(p, square=True, name="P")
-    dp, qb, ds, sb = _defect_pair(p, pol)
+    p = triple.P
     eye = np.eye(p.shape[0])
     out = []
     for z in points:
@@ -163,12 +166,14 @@ def theta_eval(p, points, pol: TolerancePolicy = DEFAULT_POLICY) -> list[np.ndar
         sv = np.linalg.svd(res, compute_uv=False)
         if sv.size == 0 or sv[-1] <= pol.clamp_tol * max(1.0, sv[0]):
             raise ResolventSingularError(f"I - z P* singular at z = {z!r}")
-        middle = -p + z * (ds @ np.linalg.solve(res, dp))
-        out.append(sb.basis.conj().T @ middle @ qb.basis)
+        middle = -p + z * (triple.dpstar @ np.linalg.solve(res, triple.dp))
+        out.append(triple.dpstar_basis.basis.conj().T @ middle @ triple.dp_basis.basis)
     return out
 
 
-def kernel_identity_check(p, z: complex, w: complex, pol: TolerancePolicy = DEFAULT_POLICY) -> float:
+def kernel_identity_check(
+    triple: TetrablockTriple, z: complex, w: complex, pol: TolerancePolicy = DEFAULT_POLICY
+) -> float:
     """Residual of the reproducing-kernel identity on the defect space of P*:
 
         I - Theta_P(w) Theta_P(z)* =
@@ -177,10 +182,9 @@ def kernel_identity_check(p, z: complex, w: complex, pol: TolerancePolicy = DEFA
     ``theta_eval`` refuses a singular I - w P* or I - z P*; the latter is the
     adjoint of I - conj(z) P, so both resolvents below exist.
     """
-    p = ensure_matrix(p, square=True, name="P")
     z, w = complex(z), complex(w)
-    tw, tz = theta_eval(p, (w, z), pol)
-    ds, sb = defect(p.conj().T, pol)
+    tw, tz = theta_eval(triple, (w, z), pol)
+    p, ds, sb = triple.P, triple.dpstar, triple.dpstar_basis
     n = p.shape[0]
     lhs = np.eye(sb.rank) - tw @ tz.conj().T
     res_w = np.eye(n) - w * p.conj().T
@@ -258,8 +262,8 @@ class ModelData:
         return TruncatedHardy(max_degree=self.N, fiber_dim=self.dpstar_basis.rank)
 
 
-def build_model(p, n: int | None = None, pol: TolerancePolicy = DEFAULT_POLICY) -> ModelData:
-    """Assemble the truncated model of a pure contraction.
+def build_model(triple: TetrablockTriple, n: int | None = None, pol: TolerancePolicy = DEFAULT_POLICY) -> ModelData:
+    """Assemble the truncated model of the pure contraction P of ``triple``.
 
     When ``n`` is omitted the smallest degree with tail <= TAIL_TARGET is
     used.  Purity is checked by the tail computation (NotPureError), which
@@ -271,17 +275,16 @@ def build_model(p, n: int | None = None, pol: TolerancePolicy = DEFAULT_POLICY) 
     agree with range(W) within 1e-6 + tail, otherwise ModelMismatchError
     (the two constructions are independent).
     """
-    p = ensure_matrix(p, square=True, name="P")
-    n, tail = power_tail(p, n, pol)
-    dp, qb, ds, sb = _defect_pair(p, pol)
+    n, tail = power_tail(triple.P, n, pol)
+    sb = triple.dpstar_basis
     if (n + 1) * sb.rank > MAX_GRID_DIM:
         raise TetralabError(
             f"model grid of degree {n} over a rank-{sb.rank} defect space "
             f"exceeds {MAX_GRID_DIM} coordinates"
         )
-    blocks = list(islice(_w_rows(p, ds, sb), n + 1))
-    right = dp @ qb.basis
-    theta = AnalyticSymbol((_theta_zero(p, qb, sb, pol), *(row @ right for row in blocks[:n])))
+    blocks = list(islice(_w_rows(triple), n + 1))
+    right = triple.dp @ triple.dp_basis.basis
+    theta = AnalyticSymbol((_theta_zero(triple, pol), *(row @ right for row in blocks[:n])))
     w = np.vstack(blocks)
     t_theta = toeplitz(theta, n)
     h_basis = orth_complement(range_basis(t_theta, pol, scale=1.0))
@@ -397,20 +400,15 @@ def verify_pencil_intertwining(
     at each sample point z in the open disc.
     """
     rep = CheckReport(title="characteristic-function pencil intertwining")
-    pstar = triple.P.conj().T
     f1, f2 = pair_f.F1, pair_f.F2
     g1, g2 = pair_g.F1, pair_g.F2
     worst = {"pencil_intertwine_1": 0.0, "pencil_intertwine_2": 0.0}
-    samples = [complex(z) for z in samples]
-    for z in samples:
-        if abs(z) >= 1.0:
-            raise ResolventSingularError(f"sample |z| = {abs(z):.3f} not inside the open disc")
-    for z, th in zip(samples, theta_eval(pstar, samples, pol)):
+    samples, denom = _disc_samples(samples)
+    for z, th in zip(samples, theta_eval(triple.adjoint(), samples, pol)):
         r1 = (f1.conj().T + z * f2) @ th - th @ (g1 + z * g2.conj().T)
         r2 = (f2.conj().T + z * f1) @ th - th @ (g2 + z * g1.conj().T)
         worst["pencil_intertwine_1"] = max(worst["pencil_intertwine_1"], op_norm(r1))
         worst["pencil_intertwine_2"] = max(worst["pencil_intertwine_2"], op_norm(r2))
-    denom = max(1.0 - max(map(abs, samples), default=0.0), 1e-3)
     tol = pol.scaled_eq(op_norm(f1), op_norm(f2), op_norm(g1), op_norm(g2)) / denom
     for name, value in worst.items():
         rep.check(name, value, tol, note=f"{len(samples)} sample points")
@@ -434,7 +432,7 @@ def pure_isometry_model(
     checks are restricted to defect directions supported on the isometric
     parts of A and B when such directions exist (for wide-border truncations
     the balance defect provably lives on the truncation edge).  ``model`` is
-    the model of triple.P and ``pair_g`` the pair solved from
+    the model of ``triple`` and ``pair_g`` the pair solved from
     ``triple.adjoint()``, both under ``pol``.
     """
     iso = orth_complement(triple.dp_basis)

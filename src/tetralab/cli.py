@@ -146,7 +146,7 @@ def run_instance_battery(
         verify_pencil_intertwining(t, pair_f, pair_g, DISC_SAMPLES, pol), prefix="pencil_"
     )
     try:
-        model = build_model(t.P, None, pol)
+        model = build_model(t, None, pol)
     except NotPureError:
         model = None
         rep.skip("model", "P is not pure at this tolerance")
@@ -197,7 +197,7 @@ def _cmd_verify_bidisc(args, pol: TolerancePolicy) -> list[tuple[str, CheckRepor
     fund.extend(verify_cross_relations(triple, pair_f, pair_g, pol), prefix="cross_")
     fund.extend(verify_commutator_transfer(triple, pair_f, pair_g, pol), prefix="transfer_")
     reports.append(("fundamental", fund))
-    model = build_model(triple.P, n, pol)
+    model = build_model(triple, n, pol)
     mrep = CheckReport(title="functional model")
     mrep.extend(verify_model_decomposition(model, pol), prefix="dec_")
     mrep.extend(verify_functional_model(triple, model, pair_g, pol), prefix="fm_")
@@ -259,7 +259,7 @@ def _cmd_model_check(args, pol: TolerancePolicy) -> list[tuple[str, CheckReport]
         try:
             pair_f = solve_fundamental(triple, pol)
             pair_g = solve_fundamental(triple.adjoint(), pol)
-            model = build_model(triple.P, args.degree, pol)
+            model = build_model(triple, args.degree, pol)
             rep.check("model_degree", 0.0, 0.0, note=f"N = {model.N}, tail = {model.tail:.2e}")
             rep.extend(verify_model_decomposition(model, pol), prefix="dec_")
             rep.extend(verify_functional_model(triple, model, pair_g, pol), prefix="fm_")

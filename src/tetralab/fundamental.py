@@ -139,10 +139,12 @@ def verify_tetra_characterization(
         op_norm(dp @ triple.B - (f2 @ dp + f1.conj().T @ dp @ p)),
         scale,
     )
-    rep.check("radius_F1", max(pair.w1 - 1.0 - pair.w1_err, 0.0), pol.eq_tol,
-              note=f"w={pair.w1:.6f} (+{pair.w1_err:.1e})")
-    rep.check("radius_F2", max(pair.w2 - 1.0 - pair.w2_err, 0.0), pol.eq_tol,
-              note=f"w={pair.w2:.6f} (+{pair.w2_err:.1e})")
+    # w <= w(F) <= w + err decides only when the bracket is on one side of 1 + eq_tol
+    for name, w, err in (("radius_F1", pair.w1, pair.w1_err), ("radius_F2", pair.w2, pair.w2_err)):
+        if w - 1.0 <= pol.eq_tol < w + err - 1.0:
+            rep.skip(name, f"undecided: {w:.6f} <= w <= {w + err:.6f} straddles 1 + eq_tol")
+        else:
+            rep.check(name, max(w + err - 1.0, 0.0), pol.eq_tol, note=f"w={w:.6f} (+{err:.1e})")
     return rep
 
 

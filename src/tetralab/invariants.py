@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .charfn import ModelData, build_model, model_operators, theta_eval, theta_taylor
+from .charfn import ModelData, _disc_samples, build_model, model_operators, theta_eval, theta_taylor
 from .fundamental import FundamentalPair, solve_fundamental
 from .matcore import (
     DEFAULT_POLICY,
@@ -76,30 +76,28 @@ class CoincidenceWitness:
 
 
 def verify_coincidence(
-    p,
-    p_prime,
+    triple: TetrablockTriple,
+    triple_prime: TetrablockTriple,
     wit: CoincidenceWitness,
     samples,
     pol: TolerancePolicy = DEFAULT_POLICY,
 ) -> CheckReport:
-    """Check u_star Theta_P(z) = Theta_P'(z) u at sample points and on
-    Taylor coefficients up to COINCIDENCE_DEGREE.
+    """Check u_star Theta_P(z) = Theta_P'(z) u at sample points of the open
+    disc (ResolventSingularError outside it) and on Taylor coefficients up to
+    COINCIDENCE_DEGREE, P and P' the contractions of the two triples.
 
     Zero-dimensional defect spaces make the statement vacuous; that is
     reported explicitly rather than silently passed.
     """
-    p = ensure_matrix(p, square=True, name="P")
-    p_prime = ensure_matrix(p_prime, square=True, name="P'")
+    samples, denom = _disc_samples(samples)
     rep = CheckReport(title="characteristic function coincidence")
     rep.check("witness_unitary", wit.unitarity_residual(), pol.scaled_eq(1.0))
     if wit.u.shape[1] == 0 and wit.u_star.shape[1] == 0:
         rep.vacuous("coincidence", "both defect spaces are zero-dimensional")
         return rep
-    samples = [complex(z) for z in samples]
     worst_eval = 0.0
-    for th, th_prime in zip(theta_eval(p, samples, pol), theta_eval(p_prime, samples, pol)):
-        worst_eval = max(worst_eval, op_norm(wit.u_star @ th - th_prime @ wit.u))
-    denom = max(1.0 - max(map(abs, samples), default=0.0), 1e-3)
+    for th, th_p in zip(theta_eval(triple, samples, pol), theta_eval(triple_prime, samples, pol)):
+        worst_eval = max(worst_eval, op_norm(wit.u_star @ th - th_p @ wit.u))
     rep.check(
         "coincidence_at_samples",
         worst_eval,
@@ -108,8 +106,8 @@ def verify_coincidence(
     )
     degrees = range(COINCIDENCE_DEGREE + 1)
     worst_taylor = 0.0
-    for th, th_prime in zip(theta_taylor(p, degrees, pol), theta_taylor(p_prime, degrees, pol)):
-        worst_taylor = max(worst_taylor, op_norm(wit.u_star @ th - th_prime @ wit.u))
+    for th, th_p in zip(theta_taylor(triple, degrees, pol), theta_taylor(triple_prime, degrees, pol)):
+        worst_taylor = max(worst_taylor, op_norm(wit.u_star @ th - th_p @ wit.u))
     rep.check(
         "coincidence_taylor",
         worst_taylor,
@@ -232,7 +230,7 @@ def unitary_invariant_suite(
     rather than have them rebuilt: ``pair_f`` from
     ``solve_fundamental(triple, pol)``, ``pair_g`` from
     ``solve_fundamental(triple.adjoint(), pol)`` and ``model`` from
-    ``build_model(triple.P, None, pol)``, each under the same
+    ``build_model(triple, None, pol)``, each under the same
     ``pol``.  Any of them left out is computed here exactly that way.  The
     objects of ``triple_prime`` are always computed here; its model takes
     the degree of ``model``.
@@ -240,7 +238,7 @@ def unitary_invariant_suite(
     rep = CheckReport(title="unitary invariant suite")
     wit = induced_defect_unitary(u, triple, triple_prime, pol)
     rep.extend(
-        verify_coincidence(triple.P, triple_prime.P, wit, INVARIANT_SAMPLES, pol), prefix="fwd_"
+        verify_coincidence(triple, triple_prime, wit, INVARIANT_SAMPLES, pol), prefix="fwd_"
     )
     if pair_f is None:
         pair_f = solve_fundamental(triple, pol)
@@ -253,8 +251,8 @@ def unitary_invariant_suite(
         verify_fundamental_equivalence(wit.u_star, pair_g, pair_g_prime, pol), prefix="fwd_G_"
     )
     if model is None:
-        model = build_model(triple.P, None, pol)
-    model_prime = build_model(triple_prime.P, model.N, pol)
+        model = build_model(triple, None, pol)
+    model_prime = build_model(triple_prime, model.N, pol)
     rep.extend(
         _model_transport(model, model_prime, wit, pair_g, pair_g_prime, pol), prefix="cnv_"
     )

@@ -1,8 +1,9 @@
-"""Shared fixtures: deterministic RNG streams, cached instance suites and a
-call counter."""
+"""Shared fixtures: deterministic RNG streams, cached instance suites, the
+triple of a bare contraction, a field-by-field equality and a call counter."""
 
 from __future__ import annotations
 
+import dataclasses
 import sys
 
 import numpy as np
@@ -10,6 +11,7 @@ import pytest
 
 from tetralab import generate
 from tetralab.matcore import DEFAULT_POLICY
+from tetralab.triples import TetrablockTriple, validate
 
 
 @pytest.fixture
@@ -32,6 +34,27 @@ def small_suite():
 def random_contraction(rng: np.random.Generator, dim: int, norm: float = 0.9) -> np.ndarray:
     m = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     return norm * m / np.linalg.norm(m, 2)
+
+
+def p_triple(p) -> TetrablockTriple:
+    """The validated triple (0, 0, P): the defect data of a bare contraction P."""
+    zero = np.zeros(np.shape(p))
+    return validate(zero, zero, p)
+
+
+def fields_equal(x, y) -> bool:
+    """Equal bytes and memory layout in every array field, recursively."""
+    if isinstance(x, np.ndarray):
+        same_layout = (x.flags.c_contiguous, x.flags.f_contiguous) == (
+            y.flags.c_contiguous,
+            y.flags.f_contiguous,
+        )
+        return same_layout and np.array_equal(x, y)
+    if dataclasses.is_dataclass(x):
+        return all(
+            fields_equal(getattr(x, f.name), getattr(y, f.name)) for f in dataclasses.fields(x)
+        )
+    return x == y
 
 
 def count_calls(monkeypatch, *fns) -> dict[str, int]:

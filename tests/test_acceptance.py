@@ -192,7 +192,7 @@ def test_criterion_4_functional_model(solved_pure):
     for inst, _, pair_g in solved_pure:
         triple = inst.triple
         assert is_pure(triple.P).pure, inst.label
-        model = build_model(triple.P)
+        model = build_model(triple)
         assert model.tail <= 1e-10, inst.label
         dec = verify_model_decomposition(model)
         worst_dec = max(worst_dec, *(e.residual for e in dec.entries if not e.skipped))
@@ -202,7 +202,7 @@ def test_criterion_4_functional_model(solved_pure):
             worst_model = max(worst_model, named[name].residual)
         for _ in range(20):
             z, w = (complex(*rng.uniform(-0.6, 0.6, 2)) for _ in range(2))
-            worst_kernel = max(worst_kernel, kernel_identity_check(triple.P, z, w))
+            worst_kernel = max(worst_kernel, kernel_identity_check(triple, z, w))
     ok = worst_model <= 1e-7 and worst_dec <= 1e-7 and worst_kernel <= 1e-10
     announce(
         4,
@@ -301,7 +301,7 @@ def test_criterion_7_unitary_invariants():
     perm = np.roll(np.eye(wit.u.shape[0]), 1, axis=0)
     bad = CoincidenceWitness(u=perm @ wit.u, u_star=wit.u_star)
     rejected = not verify_coincidence(
-        inst.triple.P, prime.P, bad, (0.3 + 0.2j, -0.55, 0.1 - 0.6j, 0.72j)
+        inst.triple, prime, bad, (0.3 + 0.2j, -0.55, 0.1 - 0.6j, 0.72j)
     ).overall
     q = np.roll(np.eye(inst.triple.P.shape[0]), 1, axis=0)  # permutation, wrong map
     try:

@@ -24,6 +24,8 @@ from tetralab.generate import make_instance
 from tetralab.hardy import AnalyticSymbol, TruncatedHardy, pencil, shift, toeplitz
 from tetralab.matcore import ShapeError, op_norm, range_basis
 
+from conftest import p_triple
+
 
 # --------------------------------------------------- invariant subspaces
 
@@ -35,7 +37,7 @@ def test_check_invariance_for_fundamental_pencils():
     triple = inst.triple
     pair_f = solve_fundamental(triple)
     f1, f2 = pair_f.F1, pair_f.F2
-    theta = theta_coeffs(triple.P.conj().T, power_tail(triple.P)[0] + 1)
+    theta = theta_coeffs(triple.adjoint(), power_tail(triple.P)[0] + 1)
     n = theta.degree + 3
     space = TruncatedHardy(max_degree=n, fiber_dim=theta.d_out)
     q = range_basis(toeplitz(theta, n), scale=1.0).projector
@@ -79,7 +81,7 @@ def test_extract_detects_non_invariant_subspace(rng):
     # NOT work here: the range of multiplication by z is invariant under
     # every analytic multiplier.)
     p = np.array([[0.3, 0.4], [0.0, -0.2]])  # non-normal pure contraction
-    theta = theta_coeffs(p, power_tail(p)[0])
+    theta = theta_coeffs(p_triple(p), power_tail(p)[0])
     assert theta.degree >= 2
     f1 = 0.45 * (rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
     f2 = 0.45 * (rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))

@@ -38,7 +38,7 @@ from tetralab.generate import make_instance
 from tetralab.matcore import MAX_GRID_DIM, TetralabError, op_norm
 from tetralab.triples import is_pure
 
-from conftest import random_contraction
+from conftest import p_triple, random_contraction
 
 
 def moebius(p: complex, z: complex) -> complex:
@@ -52,47 +52,47 @@ POINTS = [0.2 + 0.1j, -0.5, 0.05 - 0.6j, 0.7j]
 @pytest.mark.parametrize("p", SCALARS)
 @pytest.mark.parametrize("z", POINTS)
 def test_scalar_theta_is_moebius(p, z):
-    [val] = theta_eval(np.array([[p]]), [z])
+    [val] = theta_eval(p_triple([[p]]), [z])
     assert val.shape == (1, 1)
     assert val[0, 0] == pytest.approx(moebius(p, z), abs=1e-12)
 
 
 def test_theta_of_zero_is_multiplication_by_z():
-    sym = theta_coeffs(np.zeros((3, 3)), 4)
+    sym = theta_coeffs(p_triple(np.zeros((3, 3))), 4)
     assert op_norm(sym.coeffs[0]) == 0.0
     assert np.allclose(sym.coeffs[1], np.eye(3), atol=1e-14)
     assert all(op_norm(c) == 0.0 for c in sym.coeffs[2:])  # beyond z^1
 
 
 def test_taylor_series_matches_direct_evaluation(rng):
-    p = random_contraction(rng, 4, norm=0.7)
+    t = p_triple(random_contraction(rng, 4, norm=0.7))
     z = 0.35 - 0.25j
-    coeffs = theta_taylor(p, range(40))
+    coeffs = theta_taylor(t, range(40))
     series = sum(c * z**k for k, c in enumerate(coeffs))
-    [direct] = theta_eval(p, [z])
+    [direct] = theta_eval(t, [z])
     assert op_norm(series - direct) < 1e-11
 
 
 @pytest.mark.parametrize("p", SCALARS[1:])
 def test_scalar_theta_inner_on_circle(p):
     circle = np.exp(1j * np.linspace(0.0, 2 * np.pi, 9))
-    for val in theta_eval(np.array([[p]]), circle):
+    for val in theta_eval(p_triple([[p]]), circle):
         assert abs(val[0, 0]) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_kernel_identity(rng):
     for _ in range(3):
-        p = random_contraction(rng, 4, norm=0.85)
+        t = p_triple(random_contraction(rng, 4, norm=0.85))
         for _ in range(5):
             z, w = [complex(*rng.uniform(-0.65, 0.65, 2)) for _ in range(2)]
-            assert kernel_identity_check(p, z, w) < 1e-10
+            assert kernel_identity_check(t, z, w) < 1e-10
 
 
 def test_resolvent_guard():
     from tetralab.charfn import ResolventSingularError
 
     with pytest.raises(ResolventSingularError):
-        theta_eval(np.array([[1.0]]), [1.0])
+        theta_eval(p_triple([[1.0]]), [1.0])
 
 
 # -------------------------------------------------------- truncation tail
@@ -139,16 +139,16 @@ def test_slow_decay_is_refused_not_truncated(monkeypatch):
 
 def test_build_model_rejects_non_pure():
     with pytest.raises(NotPureError):
-        build_model(np.diag([1.0, 0.5]))
+        build_model(p_triple(np.diag([1.0, 0.5])))
 
 
 def test_build_model_refuses_oversized_grid():
     # the default degree of P = 0.999 is about 30,700: refused before any
     # grid matrix is allocated, as is an explicit degree one past the bound
     with pytest.raises(TetralabError, match="exceeds"):
-        build_model(np.array([[0.999]]))
+        build_model(p_triple([[0.999]]))
     with pytest.raises(TetralabError, match="exceeds"):
-        build_model(0.5 * np.eye(2), MAX_GRID_DIM // 2)
+        build_model(p_triple(0.5 * np.eye(2)), MAX_GRID_DIM // 2)
 
 
 @pytest.mark.parametrize(
@@ -158,12 +158,12 @@ def test_model_theta_equals_theta_coeffs(family, dim):
     # build_model reads Theta off its W rows; the coefficients must be the
     # very numbers theta_coeffs computes, and theta_taylor selects from them
     if family == "bidisc":
-        p = build_grid(dim).P
+        t = build_grid(dim)
     else:
-        p = make_instance(family, seed=83, index=0, dim=dim).triple.P
-    model = build_model(p)
-    direct = theta_coeffs(p, model.N)
-    selected = theta_taylor(p, range(model.N + 1))
+        t = make_instance(family, seed=83, index=0, dim=dim).triple
+    model = build_model(t)
+    direct = theta_coeffs(t, model.N)
+    selected = theta_taylor(t, range(model.N + 1))
     assert model.theta.degree == direct.degree == len(selected) - 1 == model.N
     for a, b, c in zip(model.theta.coeffs, direct.coeffs, selected):
         assert np.array_equal(a, b)
@@ -171,8 +171,7 @@ def test_model_theta_equals_theta_coeffs(family, dim):
 
 
 def test_model_dimensions_and_tail(rng):
-    p = random_contraction(rng, 3, norm=0.8)
-    model = build_model(p)
+    model = build_model(p_triple(random_contraction(rng, 3, norm=0.8)))
     # W maps the original space isometrically into the truncated grid
     assert model.W.shape[1] == 3
     assert op_norm(model.W.conj().T @ model.W - np.eye(3)) < 1e-10
@@ -186,7 +185,7 @@ def test_functional_model_reproduces_triple(family, dim):
     inst = make_instance(family, seed=11, index=1, dim=dim)
     triple = inst.triple
     assert is_pure(triple.P).pure
-    model = build_model(triple.P)
+    model = build_model(triple)
     pair_g = solve_fundamental(triple.adjoint())
     rep = verify_functional_model(triple, model, pair_g)
     assert rep.overall, (inst.label, [e.name for e in rep.failures])
@@ -216,7 +215,7 @@ def test_pencil_intertwining_battery(small_suite):
 def test_pure_isometry_model_on_symbol_instance():
     inst = make_instance("symbols", seed=3, index=0, dim=3)
     triple = inst.triple
-    model = build_model(triple.P)
+    model = build_model(triple)
     pair_g = solve_fundamental(triple.adjoint())
     rep = pure_isometry_model(triple, model, pair_g)
     assert rep.overall, [e.name for e in rep.failures]

@@ -27,7 +27,7 @@ from tetralab.invariants import INVARIANT_SAMPLES, induced_defect_unitary, verif
 from tetralab.matcore import MAX_GRID_DIM, TetralabError, defect
 from tetralab.triples import is_pure, validate
 
-from conftest import count_calls
+from conftest import count_calls, p_triple
 
 
 def run(capsys, *argv) -> tuple[int, str, str]:
@@ -189,7 +189,7 @@ def test_blh_subcommand_roundtrip(capsys, tmp_path):
     n = 3
     triple = build_grid(n)
     pair_f = solve_fundamental(triple)
-    theta = theta_coeffs(triple.P.conj().T, n + 1)
+    theta = theta_coeffs(triple.adjoint(), n + 1)
     theta_path = tmp_path / "theta.json"
     theta_path.write_text(io.dumps(io.symbol_to_obj(theta)))
     sym_path = tmp_path / "syms.json"
@@ -212,7 +212,7 @@ def test_blh_subcommand_roundtrip(capsys, tmp_path):
 
 def test_blh_rejects_wrong_symbol_file(capsys, tmp_path):
     theta_path = tmp_path / "theta.json"
-    theta = theta_coeffs(np.zeros((2, 2)), 2)
+    theta = theta_coeffs(p_triple(np.zeros((2, 2))), 2)
     theta_path.write_text(io.dumps(io.symbol_to_obj(theta)))
     sym_path = tmp_path / "syms.json"
     sym_path.write_text(io.dumps({"F1": io.matrix_to_obj(np.eye(2))}))  # no F2
@@ -315,10 +315,10 @@ def test_random_suite_records_failed_instance(capsys, monkeypatch, exc):
 def test_battery_builds_each_object_once(monkeypatch, small_suite):
     # the battery hands its pairs and model to the invariant suite: per
     # instance F, G, F' and G' are solved once each, and only the models of
-    # P and P' are built.  2 defects each for validating the conjugated
-    # copy, the two models, the pencil check and the four Theta calls of the
-    # coincidence check; symbols instances validate two more pencil triples
-    # for isometry propagation.  Purity is checked once by each model
+    # P and P' are built.  Models and Theta read the defect data of the
+    # validated triples, so the only 2 defects validate the conjugated copy;
+    # symbols instances validate two more pencil triples for isometry
+    # propagation.  Purity is checked once by each model
     calls = count_calls(monkeypatch, solve_fundamental, build_model, defect, is_pure)
     for inst in small_suite:
         calls.update(solve_fundamental=0, build_model=0, defect=0, is_pure=0)
@@ -326,7 +326,7 @@ def test_battery_builds_each_object_once(monkeypatch, small_suite):
         assert rep.overall, inst.label
         assert calls["solve_fundamental"] == 4, inst.label
         assert calls["build_model"] <= 2, inst.label
-        assert calls["defect"] == (20 if inst.family == "symbols" else 16), inst.label
+        assert calls["defect"] == (6 if inst.family == "symbols" else 2), inst.label
         assert calls["is_pure"] == 2, inst.label
 
 
@@ -334,11 +334,12 @@ def test_verify_bidisc_builds_each_object_once(monkeypatch, capsys):
     # the example and the command each validate the grid triple and build
     # its model once; adjoints reuse the cached defects, and the isometry
     # model takes the command's model and adjoint pair.  The six solves are
-    # F and G for the example, the command, and the extraction round trip.
-    calls = count_calls(monkeypatch, solve_fundamental, build_model, validate)
+    # F and G for the example, the command, and the extraction round trip;
+    # the four defects are those of the two validations.
+    calls = count_calls(monkeypatch, solve_fundamental, build_model, validate, defect)
     code, _, _ = run(capsys, "verify-bidisc", "--degree", "3")
     assert code == 0
-    assert calls == {"solve_fundamental": 6, "build_model": 2, "validate": 2}
+    assert calls == {"solve_fundamental": 6, "build_model": 2, "validate": 2, "defect": 4}
 
 
 def test_verify_bidisc_refuses_oversized_grid(capsys):
@@ -351,10 +352,9 @@ def test_verify_bidisc_refuses_oversized_grid(capsys):
     assert "2135" in err
 
 
-def test_theta_checks_derive_each_defect_pair_once(monkeypatch, small_suite):
-    # each theta_eval / theta_taylor call derives the defect pair of its P
-    # (two defects) once: verify_coincidence makes four such calls and the
-    # pencil check one, over all its samples
+def test_theta_checks_derive_no_defect(monkeypatch, small_suite):
+    # theta_eval / theta_taylor read the defect data of the triples they are
+    # given: neither the coincidence check nor the pencil check computes one
     calls = count_calls(monkeypatch, defect)
     for inst in small_suite:
         t = inst.triple
@@ -364,12 +364,10 @@ def test_theta_checks_derive_each_defect_pair_once(monkeypatch, small_suite):
         pair_f = solve_fundamental(t)
         pair_g = solve_fundamental(t.adjoint())
         calls["defect"] = 0
-        assert verify_coincidence(t.P, prime.P, wit, INVARIANT_SAMPLES).overall, inst.label
-        assert calls["defect"] == 8, inst.label
-        calls["defect"] = 0
+        assert verify_coincidence(t, prime, wit, INVARIANT_SAMPLES).overall, inst.label
         rep = verify_pencil_intertwining(t, pair_f, pair_g, DISC_SAMPLES)
         assert rep.overall, inst.label
-        assert calls["defect"] == 2, inst.label
+        assert calls["defect"] == 0, inst.label
 
 
 def test_pencil_intertwining_refuses_samples_outside_disc(monkeypatch, small_suite):
@@ -388,10 +386,10 @@ def test_build_model_checks_purity_once(monkeypatch, capsys, tmp_path):
     # extraction round trip; model-check adds its own "pure" check
     triple = make_instance("scalars", seed=61, index=0, dim=3).triple
     calls = count_calls(monkeypatch, is_pure)
-    model = build_model(triple.P)
+    model = build_model(triple)
     assert calls["is_pure"] == 1
     calls["is_pure"] = 0
-    build_model(triple.P, model.N)
+    build_model(triple, model.N)
     assert calls["is_pure"] == 1
     calls["is_pure"] = 0
     assert extraction_roundtrip(build_grid(2))[2].overall
@@ -411,14 +409,14 @@ def test_negative_model_degree_is_input_error(capsys, tmp_path):
     assert out == ""
     assert "--degree must be >= 0" in err
     with pytest.raises(ValueError, match="model degree must be >= 0"):
-        build_model(0.5 * np.eye(2), -1)
+        build_model(p_triple(0.5 * np.eye(2)), -1)
 
 
 def test_blh_refuses_oversized_grid(monkeypatch, capsys, tmp_path):
     # degree 100000 over a 2-dimensional fiber: refused as an input error
     # before any Toeplitz matrix is built
     theta_path = tmp_path / "theta.json"
-    theta_path.write_text(io.dumps(io.symbol_to_obj(theta_coeffs(np.zeros((2, 2)), 2))))
+    theta_path.write_text(io.dumps(io.symbol_to_obj(theta_coeffs(p_triple(np.zeros((2, 2))), 2))))
     sym_path = tmp_path / "syms.json"
     sym_path.write_text(io.dumps({
         "F1": io.matrix_to_obj(0.2 * np.eye(2)),

@@ -7,6 +7,8 @@ d F2 d = b - conj(a) p, so F1 = (a - conj(b) p) / (1 - |p|^2) exactly.
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -19,8 +21,10 @@ from tetralab.fundamental import (
     verify_tetra_characterization,
 )
 from tetralab.generate import make_instance
-from tetralab.matcore import op_norm
+from tetralab.matcore import numerical_radius, op_norm
 from tetralab.triples import validate
+
+from conftest import p_triple
 
 
 def scalar_triple(a, b, p):
@@ -95,6 +99,31 @@ def test_radius_bound_certificates(small_suite):
         pair = solve_fundamental(inst.triple)
         assert pair.w1 <= 1.0 + pair.w1_err + 1e-12, inst.label
         assert pair.w2 <= 1.0 + pair.w2_err + 1e-12, inst.label
+
+
+def radius_entry(f1):
+    """The radius_F1 entry of the characterization report for a pair with F1 = f1."""
+    triple = p_triple(0.5 * np.eye(f1.shape[0]))
+    w, err = numerical_radius(f1)
+    pair = dataclasses.replace(solve_fundamental(triple), F1=f1, w1=w, w1_err=err)
+    [entry] = [e for e in verify_tetra_characterization(triple, pair).entries if e.name == "radius_F1"]
+    return entry
+
+
+def test_radius_above_one_fails():
+    # w(F1) = 1.005: the lower end of the bracket already exceeds 1 + eq_tol
+    entry = radius_entry(np.diag([1.005, 0.3, 0.1, 0.0]))
+    assert not entry.skipped
+    assert not entry.passed
+    assert entry.residual > 0.005
+
+
+def test_radius_bracket_straddling_one_is_skipped():
+    # w(F1) = 1 exactly: w <= 1 + eq_tol < w + err decides nothing, so the
+    # check records the bracket instead of a pass
+    entry = radius_entry(np.diag([1.0, 0.0]))
+    assert entry.skipped
+    assert "straddles" in entry.note
 
 
 # ----------------------------------------------------- identity batteries

@@ -6,6 +6,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from tetralab.charfn import ResolventSingularError
 from tetralab.fundamental import solve_fundamental
 from tetralab.generate import companion_unitary, make_instance
 from tetralab.invariants import (
@@ -46,7 +47,7 @@ def test_induced_witness_is_unitary_on_defects():
     prime = conjugated_copy(inst, u)
     wit = induced_defect_unitary(u, inst.triple, prime)
     assert wit.unitarity_residual() < 1e-10
-    rep = verify_coincidence(inst.triple.P, prime.P, wit, SAMPLES)
+    rep = verify_coincidence(inst.triple, prime, wit, SAMPLES)
     assert rep.overall, [(e.name, e.residual) for e in rep.failures]
 
 
@@ -61,6 +62,18 @@ def test_non_intertwining_map_rejected(rng):
         induced_defect_unitary(q2, inst.triple, prime)
 
 
+@pytest.mark.parametrize("outside", [1.5, 2j])
+def test_coincidence_refuses_samples_outside_disc(outside):
+    # Theta is only defined inside the disc; a sample outside it is refused,
+    # not checked against a loosened tolerance
+    inst = make_instance("compressions", seed=37, index=1, dim=12)
+    u = companion_unitary(inst, inst.triple.P.shape[0])
+    prime = conjugated_copy(inst, u)
+    wit = induced_defect_unitary(u, inst.triple, prime)
+    with pytest.raises(ResolventSingularError, match="not inside the open disc"):
+        verify_coincidence(inst.triple, prime, wit, (*SAMPLES, outside))
+
+
 def test_corrupted_witness_fails_coincidence():
     inst = make_instance("scalars", seed=43, index=0, dim=6)
     u = companion_unitary(inst, inst.triple.P.shape[0])
@@ -70,7 +83,7 @@ def test_corrupted_witness_fails_coincidence():
     perm = np.roll(np.eye(wit.u.shape[0]), 1, axis=0)
     bad = CoincidenceWitness(u=perm @ wit.u, u_star=wit.u_star)
     assert bad.unitarity_residual() < 1e-10
-    rep = verify_coincidence(inst.triple.P, prime.P, bad, SAMPLES)
+    rep = verify_coincidence(inst.triple, prime, bad, SAMPLES)
     assert not rep.overall
 
 
@@ -81,7 +94,7 @@ def test_nonunitary_witness_reported():
     wit = induced_defect_unitary(u, inst.triple, prime)
     shrunk = CoincidenceWitness(u=0.5 * wit.u, u_star=wit.u_star)
     assert shrunk.unitarity_residual() > 0.1
-    rep = verify_coincidence(inst.triple.P, prime.P, shrunk, SAMPLES)
+    rep = verify_coincidence(inst.triple, prime, shrunk, SAMPLES)
     assert not rep.overall
 
 

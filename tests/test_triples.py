@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
-
 import numpy as np
 import pytest
 
@@ -22,7 +20,7 @@ from tetralab.bidisc import build as build_grid
 from tetralab.generate import make_instance
 from tetralab.matcore import SubspaceBasis
 
-from conftest import random_contraction
+from conftest import fields_equal, random_contraction
 
 
 def scalar_triple(a: complex, b: complex, p: complex):
@@ -67,20 +65,6 @@ def test_adjoint_swaps_defects():
     # adjoint is an involution up to exact equality
     back = adj.adjoint()
     assert np.array_equal(back.A, t.A)
-
-
-def fields_equal(x, y) -> bool:
-    if isinstance(x, np.ndarray):
-        same_layout = (x.flags.c_contiguous, x.flags.f_contiguous) == (
-            y.flags.c_contiguous,
-            y.flags.f_contiguous,
-        )
-        return same_layout and np.array_equal(x, y)
-    if dataclasses.is_dataclass(x):
-        return all(
-            fields_equal(getattr(x, f.name), getattr(y, f.name)) for f in dataclasses.fields(x)
-        )
-    return x == y
 
 
 @pytest.mark.parametrize(
