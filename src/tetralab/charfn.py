@@ -111,7 +111,7 @@ def _theta_zero(triple: TetrablockTriple, pol: TolerancePolicy):
     p, sb = triple.P, triple.dpstar_basis
     image = p @ triple.dp_basis.basis
     leak = op_norm(image - sb.projector @ image)
-    allowance = pol.rank_tol * (1.0 + op_norm(p)) + pol.eq_tol
+    allowance = pol.rank_tol * (1.0 + triple.norm("P")) + pol.eq_tol
     if leak > allowance:
         raise RestrictionLeakError(
             f"P(D_P) leaks out of D_P* by {leak:.3e} (> {allowance:.3e})"

@@ -90,7 +90,7 @@ def solve_fundamental(
     for f, rhs in ((f1, r1), (f2, r2)):
         emb = q.embed(f)
         res = max(res, op_norm(triple.dp @ emb @ triple.dp - rhs))
-    limit = pol.eq_tol * (1.0 + op_norm(triple.A) + op_norm(triple.B))
+    limit = pol.eq_tol * (1.0 + triple.norm("A") + triple.norm("B"))
     if res > limit:
         raise SolveFailedError(
             f"fundamental equations unsolvable at tolerance: residual {res:.3e} > {limit:.3e}"
@@ -253,9 +253,8 @@ def verify_commutator_transfer(
     g1, g2 = pair_g.F1, pair_g.F2
     fscale = pol.scaled_eq(op_norm(f1), op_norm(f2))
     gscale = pol.scaled_eq(op_norm(g1), op_norm(g2))
-    sv = np.linalg.svd(triple.P, compute_uv=False)
-    smax = float(sv[0]) if sv.size else 0.0
-    smin = float(sv[-1]) if sv.size else 0.0
+    smax = triple.norm("P")
+    smin = float(np.linalg.svd(triple.P, compute_uv=False)[-1]) if smax > 0.0 else 0.0
     dense_range = smax > 0.0 and smin > pol.rank_tol * smax
     comm_f = op_norm(commutator(f1, f2))
     hyp_f = comm_f <= fscale

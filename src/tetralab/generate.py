@@ -24,7 +24,7 @@ from typing import Any
 import numpy as np
 
 from . import bidisc
-from .matcore import DEFAULT_POLICY, SubspaceBasis, TolerancePolicy
+from .matcore import DEFAULT_POLICY, SubspaceBasis, TolerancePolicy, op_norm
 from .triples import TetrablockTriple, compress, from_symbols, validate
 
 __all__ = [
@@ -110,11 +110,11 @@ def symbol_pair(
         return f1, f2
     if kind == "twisted":
         f1 = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-        f1 /= max(np.linalg.norm(f1, 2), 1e-12)
+        f1 /= max(op_norm(f1), 1e-12)
         gamma = rng.uniform(0.0, 2.0 * np.pi)
         delta = 0.4 * (rng.standard_normal() + 1j * rng.standard_normal())
         f2 = np.exp(1j * gamma) * f1 + delta * np.eye(dim)
-        s = 0.95 / (np.linalg.norm(f1, 2) + np.linalg.norm(f2, 2))
+        s = 0.95 / (op_norm(f1) + op_norm(f2))
         return s * f1, s * f2
     raise ValueError(f"unknown symbol pair kind {kind!r}")
 

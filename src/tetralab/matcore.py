@@ -121,11 +121,12 @@ def ensure_matrix(a, *, square: bool = False, name: str = "matrix") -> np.ndarra
 
 
 def op_norm(m) -> float:
-    """Operator (spectral) norm: the largest singular value."""
+    """Operator (spectral) norm: the largest singular value.  An all-zero or
+    empty matrix is 0.0 without an SVD."""
     m = ensure_matrix(m, name="operand")
-    if m.size == 0:
+    if not m.any():
         return 0.0
-    return float(np.linalg.norm(m, 2))
+    return float(np.linalg.svd(m, compute_uv=False)[0])
 
 
 def commutator(x, y) -> np.ndarray:
@@ -146,7 +147,8 @@ def herm_part(m: np.ndarray) -> np.ndarray:
 class SubspaceBasis:
     """Orthonormal basis of a subspace of C^n, columns of ``basis``.
 
-    Invariant: basis* basis = I_rank within 1e-12.
+    Invariant: basis* basis = I_rank within 1e-12 in the spectral norm; the
+    SVD runs only when the Frobenius norm, an upper bound, exceeds 1e-12.
     """
 
     ambient_dim: int
@@ -161,12 +163,13 @@ class SubspaceBasis:
                 f" rank={self.rank}"
             )
         if self.rank:
-            gram = b.conj().T @ b
-            defect_from_identity = np.linalg.norm(gram - np.eye(self.rank), 2)
-            if defect_from_identity > 1e-12:
-                raise ShapeError(
-                    f"basis columns not orthonormal (Gram defect {defect_from_identity:.3e})"
-                )
+            gram_defect = b.conj().T @ b - np.eye(self.rank)
+            if np.linalg.norm(gram_defect) > 1e-12:
+                defect_from_identity = op_norm(gram_defect)
+                if defect_from_identity > 1e-12:
+                    raise ShapeError(
+                        f"basis columns not orthonormal (Gram defect {defect_from_identity:.3e})"
+                    )
 
     @property
     def projector(self) -> np.ndarray:
@@ -237,14 +240,15 @@ def range_basis(
     The cutoff is rank_tol * max(sigma_max, scale).  Pass ``scale`` when the
     matrix has a known natural norm (1.0 for contractions): without it, a
     matrix that is pure round-off noise would be reported as full rank,
-    because its largest singular value is itself noise.
+    because its largest singular value is itself noise.  An all-zero (or
+    empty) matrix has the zero subspace without an SVD.
     """
     m = ensure_matrix(m, name="M")
     rows = m.shape[0]
-    if m.size == 0:
+    if not m.any():
         return SubspaceBasis(ambient_dim=rows, basis=np.zeros((rows, 0), complex), rank=0)
     u, s, _ = np.linalg.svd(m, full_matrices=False)
-    cutoff = pol.rank_tol * max(float(s[0]) if s.size else 0.0, scale or 0.0)
+    cutoff = pol.rank_tol * max(float(s[0]), scale or 0.0)
     k = int(np.count_nonzero(s > cutoff)) if cutoff > 0.0 else 0
     return SubspaceBasis(ambient_dim=rows, basis=u[:, :k], rank=k)
 

@@ -10,6 +10,7 @@ this module says so in its header.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -57,6 +58,7 @@ class TetrablockTriple:
     dpstar_basis are orthonormal bases of their ranges.  All downstream
     batteries express operators on the defect spaces in these bases, so a
     triple is the single source of basis conventions for its own checks.
+    It also owns ||A||, ||B||, ||P|| (``norm``), which tolerances scale with.
     """
 
     A: np.ndarray
@@ -84,8 +86,20 @@ class TetrablockTriple:
             dp_basis=self.dpstar_basis, dpstar_basis=self.dp_basis,
         )
 
+    @cached_property
+    def _norms(self) -> dict[str, float]:
+        return {}  # validate() fills it; norm() adds what is missing
+
+    def norm(self, name: str) -> float:
+        """||A||, ||B|| or ||P|| by name: kept by ``validate``, else (an
+        adjoint) computed once on first read of that name, since ||X*|| may
+        differ from ||X|| in the last bit."""
+        if name not in self._norms:
+            self._norms[name] = op_norm(getattr(self, name))
+        return self._norms[name]
+
     def max_norm(self) -> float:
-        return max(op_norm(self.A), op_norm(self.B), op_norm(self.P))
+        return max(map(self.norm, "ABP"))
 
 
 def _commutation_residuals(a, b, p) -> dict[str, float]:
@@ -118,7 +132,7 @@ def validate(a, b, p, pol: TolerancePolicy = DEFAULT_POLICY) -> TetrablockTriple
             raise NonCommutingError(f"[{pair[0]},{pair[1]}] has norm {res:.3e} > {scale:.3e}")
     dp, dp_basis = defect(p, pol)
     dpstar, dpstar_basis = defect(p.conj().T, pol)
-    return TetrablockTriple(
+    triple = TetrablockTriple(
         A=a,
         B=b,
         P=p,
@@ -127,12 +141,14 @@ def validate(a, b, p, pol: TolerancePolicy = DEFAULT_POLICY) -> TetrablockTriple
         dp_basis=dp_basis,
         dpstar_basis=dpstar_basis,
     )
+    triple._norms.update(norms)
+    return triple
 
 
 def necessary_report(triple: TetrablockTriple, pol: TolerancePolicy = DEFAULT_POLICY) -> CheckReport:
     """Residual-level record of the necessary conditions on a built triple."""
     rep = CheckReport(title="triple necessary conditions", header=NECESSARY_HEADER)
-    norms = {"A": op_norm(triple.A), "B": op_norm(triple.B), "P": op_norm(triple.P)}
+    norms = {name: triple.norm(name) for name in "ABP"}
     scale = pol.scaled_eq(*norms.values())
     for pair, res in _commutation_residuals(triple.A, triple.B, triple.P).items():
         rep.check(f"commute_{pair}", res, scale)
@@ -221,7 +237,7 @@ def compress(
     eye = np.eye(triple.dim)
     for name, x in (("A", triple.A), ("B", triple.B), ("P", triple.P)):
         leak = op_norm((eye - q) @ x.conj().T @ q)
-        if leak > pol.scaled_eq(op_norm(x)):
+        if leak > pol.scaled_eq(triple.norm(name)):
             raise NotCoinvariantError(
                 f"subspace not invariant under {name}*: leak {leak:.3e}"
             )

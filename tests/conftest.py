@@ -1,8 +1,10 @@
 """Shared fixtures: deterministic RNG streams, cached instance suites, the
-triple of a bare contraction, a field-by-field equality and a call counter."""
+triple of a bare contraction, a field-by-field equality, a call counter and
+watches on ``numpy.linalg``."""
 
 from __future__ import annotations
 
+import collections
 import dataclasses
 import sys
 
@@ -73,3 +75,41 @@ def count_calls(monkeypatch, *fns) -> dict[str, int]:
                 if getattr(mod, fn.__name__, None) is fn:
                     monkeypatch.setattr(mod, fn.__name__, counting(fn))
     return calls
+
+
+def forbid_linalg(monkeypatch) -> None:
+    """Make every public ``numpy.linalg`` function raise AssertionError."""
+
+    def no_linalg(*args, **kwargs):
+        raise AssertionError("numpy.linalg was called")
+
+    for name in dir(np.linalg):
+        if not name.startswith("_") and callable(getattr(np.linalg, name)):
+            if not isinstance(getattr(np.linalg, name), type):
+                monkeypatch.setattr(np.linalg, name, no_linalg)
+
+
+def watch_decompositions(monkeypatch) -> tuple[collections.Counter, list]:
+    """Watch the SVDs, Hermitian eigensolvers and spectral norms of numpy.linalg.
+
+    Returns ``(calls, zeros)``: ``calls[name, caller]`` counts the calls of
+    ``name`` made directly by the function named ``caller``, and ``zeros``
+    gets ``(name, caller, shape)`` for each all-zero (or empty) matrix one of
+    them is handed, once per matrix of a stacked operand.
+    """
+    calls, zeros = collections.Counter(), []
+
+    def watching(name, fn):
+        def wrapper(a, *args, **kwargs):
+            arr = np.asarray(a)
+            spectral = name != "norm" or (args[:1] or [kwargs.get("ord")])[0] == 2
+            if spectral and arr.ndim >= 2:
+                caller = sys._getframe(1).f_code.co_name
+                calls[name, caller] += 1
+                zeros.extend([(name, caller, arr.shape)] * int(np.sum(~arr.any(axis=(-2, -1)))))
+            return fn(a, *args, **kwargs)
+        return wrapper
+
+    for name in ("svd", "eigh", "eigvalsh", "norm"):
+        monkeypatch.setattr(np.linalg, name, watching(name, getattr(np.linalg, name)))
+    return calls, zeros

@@ -27,7 +27,7 @@ from tetralab.invariants import INVARIANT_SAMPLES, induced_defect_unitary, verif
 from tetralab.matcore import MAX_GRID_DIM, TetralabError, defect
 from tetralab.triples import is_pure, validate
 
-from conftest import count_calls, p_triple
+from conftest import count_calls, p_triple, watch_decompositions
 
 
 def run(capsys, *argv) -> tuple[int, str, str]:
@@ -320,14 +320,21 @@ def test_battery_builds_each_object_once(monkeypatch, small_suite):
     # symbols instances validate two more pencil triples for isometry
     # propagation.  Purity is checked once by each model
     calls = count_calls(monkeypatch, solve_fundamental, build_model, defect, is_pure)
+    decompositions, _ = watch_decompositions(monkeypatch)
+    op_norm_svds = []
     for inst in small_suite:
         calls.update(solve_fundamental=0, build_model=0, defect=0, is_pure=0)
+        decompositions.clear()
         rep = run_instance_battery(inst)
         assert rep.overall, inst.label
         assert calls["solve_fundamental"] == 4, inst.label
         assert calls["build_model"] <= 2, inst.label
         assert calls["defect"] == (6 if inst.family == "symbols" else 2), inst.label
         assert calls["is_pure"] == 2, inst.label
+        op_norm_svds.append(decompositions["svd", "op_norm"])
+    # op_norm decomposes no zero matrix, and ||A||, ||B||, ||P|| are read
+    # from the triples
+    assert op_norm_svds == [132, 147, 259, 131, 147, 213]
 
 
 def test_verify_bidisc_builds_each_object_once(monkeypatch, capsys):
@@ -336,10 +343,28 @@ def test_verify_bidisc_builds_each_object_once(monkeypatch, capsys):
     # model takes the command's model and adjoint pair.  The six solves are
     # F and G for the example, the command, and the extraction round trip;
     # the four defects are those of the two validations.
+    # op_norm decomposes no zero matrix, reads the norms the triples keep,
+    # and the adjoints that only feed solve_fundamental decompose A* and B*
+    # but not P*
     calls = count_calls(monkeypatch, solve_fundamental, build_model, validate, defect)
+    decompositions, _ = watch_decompositions(monkeypatch)
     code, _, _ = run(capsys, "verify-bidisc", "--degree", "3")
     assert code == 0
     assert calls == {"solve_fundamental": 6, "build_model": 2, "validate": 2, "defect": 4}
+    assert decompositions["svd", "op_norm"] == 77
+
+
+def test_no_decomposition_of_an_all_zero_matrix(monkeypatch, capsys):
+    # the residuals of the exact worked example are exactly zero, and so are
+    # many of the instances', e.g. [A, P] and [B, P] of compressions[3] at
+    # seed 42, whose P is 0: none of them reaches an SVD or an eigensolver
+    _, zeros = watch_decompositions(monkeypatch)
+    code, _, _ = run(capsys, "verify-bidisc", "--degree", "6")
+    assert code == 0
+    for family, seed, index in (("symbols", 7, 0), ("compressions", 42, 3), ("scalars", 7, 0)):
+        inst = make_instance(family, seed=seed, index=index, dim=3, degree=3)
+        assert run_instance_battery(inst).overall, inst.label
+    assert zeros == []
 
 
 def test_verify_bidisc_refuses_oversized_grid(capsys):

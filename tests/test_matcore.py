@@ -30,7 +30,7 @@ from tetralab.matcore import (
     subspace_gap,
 )
 
-from conftest import random_contraction
+from conftest import count_calls, forbid_linalg, random_contraction
 
 
 # ---------------------------------------------------------------- basics
@@ -53,6 +53,23 @@ def test_ensure_matrix_rejects_wrong_rank_and_nonsquare():
 def test_op_norm_matches_largest_singular_value(rng):
     m = rng.standard_normal((5, 3)) + 1j * rng.standard_normal((5, 3))
     assert op_norm(m) == pytest.approx(np.linalg.norm(m, 2), rel=0, abs=1e-13)
+
+
+def test_op_norm_refuses_nonfinite_complex_arrays():
+    # whatever the layout of a complex array, the finiteness check of
+    # ensure_matrix runs before the zero shortcut and the SVD
+    for bad in (np.nan, np.inf, complex(0.0, -np.inf)):
+        m = np.zeros((3, 4), dtype=complex)
+        m[1, 2] = bad
+        for view in (m, np.asfortranarray(m), m.conj().T, m[:, ::2]):
+            with pytest.raises(NotFiniteError, match="operand contains non-finite entries"):
+                op_norm(view)
+
+
+def test_op_norm_of_a_zero_matrix_decomposes_nothing(monkeypatch):
+    forbid_linalg(monkeypatch)
+    for zero in (np.zeros((435, 435), complex), np.zeros((3, 0), complex), np.zeros((2, 2)), [[0, 0]]):
+        assert op_norm(zero) == 0.0
 
 
 def test_herm_part_and_commutator(rng):
@@ -290,6 +307,44 @@ def test_subspace_gap_oracles(rng):
     assert subspace_gap(e01, rotated) < 1e-13
     e2 = SubspaceBasis(ambient_dim=3, basis=np.eye(3, dtype=complex)[:, 2:], rank=1)
     assert subspace_gap(e01, e2) == pytest.approx(1.0, abs=1e-13)
+
+
+def test_basis_prescreen_keeps_the_spectral_decision(monkeypatch):
+    # the Frobenius norm of the Gram defect bounds its spectral norm: only
+    # above 1e-12 does the SVD run and decide.  Four columns 0.9e-12 too
+    # long have Frobenius defect 1.8e-12 and spectral defect 0.9e-12: kept
+    calls = count_calls(monkeypatch, op_norm)
+    b = np.eye(6, 4, dtype=complex) * np.sqrt(1 + 0.9e-12)
+    gram_defect = b.conj().T @ b - np.eye(4)
+    assert np.linalg.norm(gram_defect) > 1e-12 >= np.linalg.norm(gram_defect, 2)
+    SubspaceBasis(ambient_dim=6, basis=b, rank=4)
+    assert calls["op_norm"] == 1
+    # a spectral defect of 1.1e-12 is refused, with the message it always had
+    b = np.eye(6, 1, dtype=complex) * np.sqrt(1 + 1.1e-12)
+    with pytest.raises(ShapeError, match=r"^basis columns not orthonormal \(Gram defect 1\.100e-12\)$"):
+        SubspaceBasis(ambient_dim=6, basis=b, rank=1)
+    # an orthonormal basis passes the screen without an SVD
+    calls["op_norm"] = 0
+    SubspaceBasis(ambient_dim=6, basis=np.eye(6, 4, dtype=complex), rank=4)
+    assert calls["op_norm"] == 0
+
+
+def test_basis_acceptance_is_the_spectral_rule(rng):
+    # perturbed orthonormal bases around the threshold: accepted exactly when
+    # the spectral norm of the Gram defect is within 1e-12
+    outcomes = set()
+    for size in np.geomspace(1e-13, 1e-11, 40):
+        q, _ = np.linalg.qr(rng.standard_normal((8, 4)) + 1j * rng.standard_normal((8, 4)))
+        b = q + size * (rng.standard_normal((8, 4)) + 1j * rng.standard_normal((8, 4))) / 4
+        spectral_ok = np.linalg.norm(b.conj().T @ b - np.eye(4), 2) <= 1e-12
+        try:
+            SubspaceBasis(ambient_dim=8, basis=b, rank=4)
+            accepted = True
+        except ShapeError:
+            accepted = False
+        assert accepted == spectral_ok, size
+        outcomes.add(accepted)
+    assert outcomes == {True, False}
 
 
 def test_projector_idempotent(rng):

@@ -1,10 +1,15 @@
-"""Property checks over random contractions, drawn by hypothesis.
+"""Property checks over random contractions and matrices, drawn by hypothesis.
 
 ``TetrablockTriple.adjoint`` swaps the cached defect data instead of
 recomputing it, and every Theta_{P*} in the package is computed from that
 swapped data.  This is sound only if the swap equals a fresh validation of
 P* bit for bit, which is checked here over contractions of dimension 1-8:
-generic, nilpotent, unitary, zero and scalar multiples of the identity.
+generic, nilpotent, unitary, zero and scalar multiples of the identity.  The
+norms the adjoint computes on first read must be those of that validation.
+
+``op_norm`` skips the SVD of a zero matrix and takes the first singular
+value itself; every residual of a report is one of its values, so it must
+give the bits of ``norm(ensure_matrix(m), 2)`` whatever the layout or dtype.
 """
 
 from __future__ import annotations
@@ -16,6 +21,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from conftest import fields_equal, p_triple  # noqa: E402
+from tetralab.matcore import ShapeError, ensure_matrix, op_norm  # noqa: E402
 
 KINDS = ("generic", "nilpotent", "unitary", "zero", "scalar")
 
@@ -45,4 +51,57 @@ def contraction(kind: str, dim: int, seed: int, norm: float) -> np.ndarray:
 )
 def test_adjoint_equals_validation_of_the_adjoint(kind, dim, seed, norm):
     p = contraction(kind, dim, seed, norm)
-    assert fields_equal(p_triple(p).adjoint(), p_triple(p.conj().T))
+    adj, expected = p_triple(p).adjoint(), p_triple(p.conj().T)
+    assert fields_equal(adj, expected)
+    assert [adj.norm(name).hex() for name in "ABP"] == [
+        expected.norm(name).hex() for name in "ABP"
+    ]
+
+
+LAYOUTS = ("c_order", "f_order", "conj_transpose", "strided", "float64", "int", "nested_list", "zero")
+
+
+def operand(layout: str, rows: int, cols: int, seed: int):
+    """A rows x cols operand of op_norm in the given layout or dtype."""
+    rng = np.random.default_rng(seed)
+    m = rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
+    if layout == "f_order":
+        return np.asfortranarray(m)
+    if layout == "conj_transpose":
+        return operand("c_order", cols, rows, seed).conj().T
+    if layout == "strided":
+        big = rng.standard_normal((2 * rows + 1, 3 * cols + 2)) + 0j
+        return big[1::2, ::3][:rows, :cols]
+    if layout == "float64":
+        return m.real.copy()
+    if layout == "int":
+        return rng.integers(-9, 10, size=(rows, cols))
+    if layout == "nested_list":
+        return m.tolist()
+    if layout == "zero":
+        return np.zeros((rows, cols), dtype=complex)
+    return m
+
+
+def reference_norm(m) -> float:
+    """The spectral norm of the validated copy, 0.0 for an empty matrix."""
+    m = ensure_matrix(m, name="operand")
+    return 0.0 if m.size == 0 else float(np.linalg.norm(m, 2))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(
+    layout=st.sampled_from(LAYOUTS),
+    rows=st.integers(0, 40),
+    cols=st.integers(0, 40),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_op_norm_is_bit_equal_to_the_spectral_norm(layout, rows, cols, seed):
+    m = operand(layout, rows, cols, seed)
+    if rows == 0 and layout == "nested_list":  # [] is 1-D: both refuse it
+        for norm in (op_norm, reference_norm):
+            with pytest.raises(ShapeError):
+                norm(m)
+        return
+    assert np.shape(m) == (rows, cols)
+    assert op_norm(m).hex() == reference_norm(m).hex()

@@ -20,7 +20,7 @@ from tetralab.bidisc import build as build_grid
 from tetralab.generate import make_instance
 from tetralab.matcore import SubspaceBasis
 
-from conftest import fields_equal, random_contraction
+from conftest import count_calls, fields_equal, forbid_linalg, random_contraction
 
 
 def scalar_triple(a: complex, b: complex, p: complex):
@@ -67,7 +67,8 @@ def test_adjoint_swaps_defects():
     assert np.array_equal(back.A, t.A)
 
 
-@pytest.mark.parametrize(
+# one validated triple of each generated family and of the worked example
+each_triple = pytest.mark.parametrize(
     "make",
     [
         lambda: make_instance("symbols", seed=83, index=0, dim=3).triple,
@@ -77,22 +78,43 @@ def test_adjoint_swaps_defects():
     ],
     ids=["symbols", "compressions", "scalars", "bidisc"],
 )
+
+
+@each_triple
 def test_adjoint_equals_revalidation_without_linalg(make, monkeypatch):
     # the swapped caches are the very numbers validate derives from (A*, B*,
     # P*), bases included, and adjoint() gets them without a decomposition
     t = make()
     expected = validate(t.A.conj().T, t.B.conj().T, t.P.conj().T)
-
-    def no_linalg(*args, **kwargs):
-        raise AssertionError("adjoint() called numpy.linalg")
-
-    for name in dir(np.linalg):
-        if not name.startswith("_") and callable(getattr(np.linalg, name)):
-            if not isinstance(getattr(np.linalg, name), type):
-                monkeypatch.setattr(np.linalg, name, no_linalg)
+    forbid_linalg(monkeypatch)
     adj = t.adjoint()
     monkeypatch.undo()
     assert fields_equal(adj, expected)
+
+
+@each_triple
+def test_validate_keeps_the_norms_it_checked(make, monkeypatch):
+    # ||A||, ||B||, ||P|| come from the contraction check of validate: reading
+    # them, or max_norm, decomposes nothing, and they are the norms op_norm
+    # gives, bit for bit
+    t = make()
+    forbid_linalg(monkeypatch)
+    norms = {name: t.norm(name) for name in "ABP"}
+    top = t.max_norm()
+    monkeypatch.undo()
+    assert norms == {"A": op_norm(t.A), "B": op_norm(t.B), "P": op_norm(t.P)}
+    assert top == max(norms.values())
+
+
+def test_adjoint_computes_only_the_norms_it_reads(monkeypatch):
+    # an adjoint that feeds solve_fundamental reads ||A*|| and ||B*|| only:
+    # no SVD of P*, and none repeated on a second read
+    adj = make_instance("symbols", seed=83, index=0, dim=3).triple.adjoint()
+    calls = count_calls(monkeypatch, op_norm)
+    adj.norm("A"), adj.norm("B"), adj.norm("A")
+    assert calls["op_norm"] == 2
+    adj.norm("P")
+    assert calls["op_norm"] == 3
 
 
 # --------------------------------------------------- necessary conditions
