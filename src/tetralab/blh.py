@@ -25,6 +25,7 @@ from .hardy import AnalyticSymbol, TruncatedHardy, pencil, toeplitz
 from .matcore import (
     DEFAULT_POLICY,
     MAX_GRID_DIM,
+    GridSizeError,
     ShapeError,
     TetralabError,
     TolerancePolicy,
@@ -81,7 +82,7 @@ def extract_symbols(
     Returns G1 = Phi_0, G2 = Psi_0 together with a report asserting the
     Toeplitz structure, the degree bound, and the cross-consistency
     Phi_1 = G2*, Psi_1 = G1*.  A grid of more than MAX_GRID_DIM coordinates
-    per side is refused with TetralabError before it is allocated.
+    per side is refused with GridSizeError before it is allocated.
     """
     f1 = ensure_matrix(f1, square=True, name="F1")
     f2 = ensure_matrix(f2, square=True, name="F2")
@@ -95,7 +96,7 @@ def extract_symbols(
         )
     side = (n + 1) * max(theta.d_in, theta.d_out)
     if side > MAX_GRID_DIM:
-        raise TetralabError(f"extraction grid of degree {n} has side {side} > {MAX_GRID_DIM}")
+        raise GridSizeError(f"extraction grid of degree {n} has side {side} > {MAX_GRID_DIM}")
     t_th = toeplitz(theta, n)
     scale = pol.scaled_eq(op_norm(f1), op_norm(f2))
     # inner on interior: columns of degree <= cut are isometric

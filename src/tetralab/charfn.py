@@ -32,6 +32,7 @@ from .hardy import AnalyticSymbol, TruncatedHardy, shift, toeplitz
 from .matcore import (
     DEFAULT_POLICY,
     MAX_GRID_DIM,
+    GridSizeError,
     ShapeError,
     SubspaceBasis,
     TetralabError,
@@ -278,7 +279,7 @@ def build_model(triple: TetrablockTriple, n: int | None = None, pol: TolerancePo
     n, tail = power_tail(triple.P, n, pol)
     sb = triple.dpstar_basis
     if (n + 1) * sb.rank > MAX_GRID_DIM:
-        raise TetralabError(
+        raise GridSizeError(
             f"model grid of degree {n} over a rank-{sb.rank} defect space "
             f"exceeds {MAX_GRID_DIM} coordinates"
         )

@@ -52,7 +52,7 @@ from .fundamental import (
     verify_tetra_characterization,
 )
 from .invariants import unitary_invariant_suite
-from .matcore import DEFAULT_POLICY, MAX_GRID_DIM, TetralabError, TolerancePolicy
+from .matcore import DEFAULT_POLICY, MAX_GRID_DIM, GridSizeError, TetralabError, TolerancePolicy
 from .report import CheckReport
 from .triples import is_pure, necessary_report, validate
 
@@ -186,7 +186,7 @@ def _cmd_verify_bidisc(args, pol: TolerancePolicy) -> list[tuple[str, CheckRepor
     # model grid has only n+1 such blocks, the example grid (n+1)^2 points
     side = (n + 5) * (2 * n + 1)
     if side > MAX_GRID_DIM:
-        raise TetralabError(f"--degree {n} needs an extraction grid of {side} > {MAX_GRID_DIM}")
+        raise GridSizeError(f"--degree {n} needs an extraction grid of {side} > {MAX_GRID_DIM}")
     reports = [("example", bidisc.verify_example(n, pol))]
     triple = bidisc.build(n, pol)
     pair_f = solve_fundamental(triple, pol)
@@ -267,6 +267,8 @@ def _cmd_model_check(args, pol: TolerancePolicy) -> list[tuple[str, CheckReport]
                 verify_pencil_intertwining(triple, pair_f, pair_g, DISC_SAMPLES, pol),
                 prefix="pencil_",
             )
+        except GridSizeError:
+            raise  # a refused size is bad input, not a failed check
         except TetralabError as exc:
             rep.check("battery", float("inf"), 0.0, note=str(exc))
     reports.append(("model", rep))

@@ -50,8 +50,9 @@ class SolveFailedError(TetralabError):
 class FundamentalPair:
     """Solved pair on the defect space of P, expressed in ``basis``.
 
-    w1/w2 are certified numerical-radius lower estimates with their error
-    bounds: w_i <= true radius <= w_i + w_i_err.
+    w_i <= w(F_i) <= w_i + w_i_err: w_i is the grid maximum of
+    ``numerical_radius`` and w_i_err the gap to its outer polygon, refined
+    while the bracket straddles 1 + eq_tol.
     """
 
     F1: np.ndarray
@@ -95,11 +96,8 @@ def solve_fundamental(
         raise SolveFailedError(
             f"fundamental equations unsolvable at tolerance: residual {res:.3e} > {limit:.3e}"
         )
-    if q.rank:
-        w1, e1 = numerical_radius(f1)
-        w2, e2 = numerical_radius(f2)
-    else:
-        w1 = e1 = w2 = e2 = 0.0
+    w1, e1 = numerical_radius(f1, 1.0 + pol.eq_tol)
+    w2, e2 = numerical_radius(f2, 1.0 + pol.eq_tol)
     return FundamentalPair(
         F1=f1,
         F2=f2,

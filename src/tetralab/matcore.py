@@ -5,7 +5,7 @@ spaces) is built from the handful of primitives in this module: validated
 complex matrices, defect operators of contractions (the one place where
 eigenvalues are clamped before a square root), Hermitian pseudoinverses,
 rank-revealing range bases, the operator norm, and a certified
-numerical-radius estimate.
+numerical-radius bracket.
 
 Conventions
 -----------
@@ -33,6 +33,7 @@ __all__ = [
     "TolerancePolicy",
     "DEFAULT_POLICY",
     "MAX_GRID_DIM",
+    "GridSizeError",
     "SubspaceBasis",
     "ensure_matrix",
     "op_norm",
@@ -72,6 +73,10 @@ class NotContractiveError(TetralabError):
     """Operator norm exceeds 1 beyond the equality tolerance."""
 
 
+class GridSizeError(TetralabError):
+    """A dense grid matrix would have more than MAX_GRID_DIM coordinates."""
+
+
 @dataclass(frozen=True)
 class TolerancePolicy:
     """Bundle of the three tolerances used across the package.
@@ -103,7 +108,7 @@ class TolerancePolicy:
 DEFAULT_POLICY = TolerancePolicy()
 
 # largest side of a dense grid matrix (a truncated model space, the bidisc
-# grid) that is allocated; a larger request raises TetralabError up front.
+# grid) that is allocated; a larger request raises GridSizeError up front.
 # One complex matrix of this side takes 64 MiB.
 MAX_GRID_DIM = 2048
 
@@ -293,74 +298,61 @@ def subspace_gap(a: SubspaceBasis, b: SubspaceBasis) -> float:
     return op_norm(a.projector - b.projector)
 
 
-# theta-grid size and golden-section steps of ``numerical_radius``
+# theta-grid size of ``numerical_radius``, its bisection budget near a level,
+# and its rounding allowance in units of n * eps * ||X||_F
 RADIUS_GRID = 256
-RADIUS_REFINE_ITERS = 48
+RADIUS_BISECTIONS = 64
+RADIUS_ROUNDING = 32.0
 
 
-def _real_field_max(x: np.ndarray, theta: float) -> float:
-    half = 0.5 * (np.exp(1j * theta) * x + np.exp(-1j * theta) * x.conj().T)
-    return float(np.linalg.eigvalsh(half).max())
-
-
-def _real_field_max_grid(x: np.ndarray, thetas: np.ndarray) -> np.ndarray:
-    """``_real_field_max`` at every theta, as one stacked eigvalsh call.
-
-    The stacked Hermitian parts are formed with the same operations as the
-    scalar helper, so each value is bit-identical to it; the sum and the
-    halving run in place to keep one stack besides the result of the first
-    product.
-    """
+def _field_extremes(x: np.ndarray, thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Smallest and largest eigenvalues of Re(e^{i theta} X) at every theta, from
+    one stacked eigvalsh call; the sum and the halving run in place."""
     half = np.exp(1j * thetas)[:, None, None] * x
     half += np.exp(-1j * thetas)[:, None, None] * x.conj().T
     half *= 0.5
-    return np.linalg.eigvalsh(half).max(axis=-1)
+    eigs = np.linalg.eigvalsh(half)
+    return eigs[:, 0], eigs[:, -1]
 
 
-def numerical_radius(x) -> tuple[float, float]:
-    """Certified estimate of the numerical radius w(X).
+def _vertex_moduli(vals: np.ndarray, half_gaps, slack: float) -> np.ndarray:
+    """|vertex k| of Johnson's polygon, where Re(e^{i theta_j} z) = M_j + slack
+    meet for j = k, k + 1 (cyclically): turned to the bisecting normal, with h
+    half their gap, it is ((M_k + M_k+1)/2 + slack)/cos h + i (M_k+1 - M_k)/(2 sin h)."""
+    nxt = np.append(vals[1:], vals[0])
+    return np.hypot(
+        (0.5 * (vals + nxt) + slack) / np.cos(half_gaps), 0.5 * (nxt - vals) / np.sin(half_gaps)
+    )
 
-    w(X) = max over theta of lambda_max(Re(e^{i theta} X)).  The maximum is
-    located on a uniform grid of RADIUS_GRID angles and sharpened by
-    RADIUS_REFINE_ITERS golden-section steps around the best grid point.
-    The grid is evaluated in one call: its Hermitian parts are stacked into
-    a (RADIUS_GRID, n, n) array and go through a single ``eigvalsh``; the
-    refinement steps depend on each other and run one at a time.  Every
-    evaluation is a true lower bound, so
 
-        value <= w(X) <= value + error_bound,
+def numerical_radius(x, level: float | None = None) -> tuple[float, float]:
+    """Certified bracket (value, gap) of the numerical radius: value <= w(X) <= value + gap.
 
-    with error_bound = pi * ||X|| / RADIUS_GRID coming from the Lipschitz
-    bound |d/dtheta lambda_max| <= ||X||.
+    value is the largest support value M_k = lambda_max(Re(e^{i theta_k} X))
+    over RADIUS_GRID uniform angles, from one stacked ``eigvalsh`` over half
+    the circle, as Re(e^{i (theta + pi)} X) = -Re(e^{i theta} X).  The field
+    of values lies in each half-plane Re(e^{i theta_k} z) <= M_k + slack, so
+    value + gap is the largest vertex modulus of the polygon they cut out
+    (C. R. Johnson, SIAM J. Numer. Anal. 15 (1978) 595-602), at most
+    (value + slack) / cos(pi/RADIUS_GRID).  slack = RADIUS_ROUNDING * n * eps
+    * ||X||_F covers the rounding; the Frobenius norm needs no SVD.  While
+    the bracket straddles ``level``, up to RADIUS_BISECTIONS steps bisect the
+    edge of the farthest vertex, one single-angle ``eigvalsh`` each.
     """
     x = ensure_matrix(x, square=True, name="X")
-    xnorm = op_norm(x)
-    if xnorm == 0.0 or x.size == 0:
+    if not x.any():
         return 0.0, 0.0
-    thetas = 2.0 * np.pi * np.arange(RADIUS_GRID) / RADIUS_GRID
-    vals = _real_field_max_grid(x, thetas)
-    j = int(np.argmax(vals))
-    best = float(vals[j])
-    spacing = 2.0 * np.pi / RADIUS_GRID
-    lo = thetas[j] - spacing
-    hi = thetas[j] + spacing
-    inv_phi = (np.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - inv_phi * (b - a)
-    d = a + inv_phi * (b - a)
-    fc = _real_field_max(x, c)
-    fd = _real_field_max(x, d)
-    best = max(best, fc, fd)
-    for _ in range(RADIUS_REFINE_ITERS):
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - inv_phi * (b - a)
-            fc = _real_field_max(x, c)
-            best = max(best, fc)
-        else:
-            a, c, fc = c, d, fd
-            d = a + inv_phi * (b - a)
-            fd = _real_field_max(x, d)
-            best = max(best, fd)
-    error_bound = np.pi * xnorm / RADIUS_GRID
-    return best, float(error_bound)
+    slack = RADIUS_ROUNDING * x.shape[0] * np.finfo(float).eps * float(np.linalg.norm(x))
+    thetas = np.pi * np.arange(RADIUS_GRID // 2) / (RADIUS_GRID // 2)
+    low, high = _field_extremes(x, thetas)
+    thetas, vals = np.concatenate((thetas, thetas + np.pi)), np.concatenate((high, -low))
+    moduli = _vertex_moduli(vals, np.pi / RADIUS_GRID, slack)
+    for _ in range(RADIUS_BISECTIONS if level is not None else 0):
+        if not vals.max() <= level < moduli.max():
+            break
+        k = int(np.argmax(moduli))
+        theta = 0.5 * (thetas[k] + np.append(thetas, 2.0 * np.pi)[k + 1])
+        thetas = np.insert(thetas, k + 1, theta)
+        vals = np.insert(vals, k + 1, _field_extremes(x, np.array([theta]))[1])
+        moduli = _vertex_moduli(vals, 0.5 * np.diff(thetas, append=2.0 * np.pi), slack)
+    return float(vals.max()), float(moduli.max() - vals.max())

@@ -81,10 +81,14 @@ class TetrablockTriple:
         checked.  The result equals ``validate(A*, B*, P*)`` field by field.
         """
         a, b, p = (np.ascontiguousarray(m.conj().T) for m in (self.A, self.B, self.P))
-        return TetrablockTriple(
+        adj = TetrablockTriple(
             a, b, p, dp=self.dpstar, dpstar=self.dp,
             dp_basis=self.dpstar_basis, dpstar_basis=self.dp_basis,
         )
+        # the adjoints of one triple share one norm cache, so each norm is
+        # computed once; keeping the adjoint itself would hold three matrices
+        adj.__dict__["_norms"] = self.__dict__.setdefault("_adjoint_norms", {})
+        return adj
 
     @cached_property
     def _norms(self) -> dict[str, float]:

@@ -4,13 +4,16 @@ console entry point wraps the same function."""
 
 from __future__ import annotations
 
+import collections
 import json
+import sys
 
 import numpy as np
 import pytest
 
 import tetralab.cli
-from tetralab import io
+import tetralab.triples
+from tetralab import generate, io
 from tetralab.bidisc import build as build_grid
 from tetralab.blh import extraction_roundtrip
 from tetralab.charfn import (
@@ -24,7 +27,7 @@ from tetralab.fundamental import solve_fundamental
 from tetralab.generate import companion_unitary, make_instance
 from tetralab.hardy import toeplitz
 from tetralab.invariants import INVARIANT_SAMPLES, induced_defect_unitary, verify_coincidence
-from tetralab.matcore import MAX_GRID_DIM, TetralabError, defect
+from tetralab.matcore import MAX_GRID_DIM, TetralabError, defect, op_norm
 from tetralab.triples import is_pure, validate
 
 from conftest import count_calls, p_triple, watch_decompositions
@@ -312,17 +315,21 @@ def test_random_suite_records_failed_instance(capsys, monkeypatch, exc):
 # ----------------------------------------------------- shared objects
 
 
-def test_battery_builds_each_object_once(monkeypatch, small_suite):
+def test_battery_builds_each_object_once(monkeypatch):
     # the battery hands its pairs and model to the invariant suite: per
     # instance F, G, F' and G' are solved once each, and only the models of
     # P and P' are built.  Models and Theta read the defect data of the
     # validated triples, so the only 2 defects validate the conjugated copy;
     # symbols instances validate two more pencil triples for isometry
-    # propagation.  Purity is checked once by each model
+    # propagation.  Purity is checked once by each model.  The instances are
+    # those of ``small_suite``, generated afresh: a triple keeps the norms
+    # its adjoints computed, so a shared one would count fewer
+    # decompositions after other tests
+    instances = generate.suite(seed=7, count=6, dim=3, degree=3)
     calls = count_calls(monkeypatch, solve_fundamental, build_model, defect, is_pure)
     decompositions, _ = watch_decompositions(monkeypatch)
     op_norm_svds = []
-    for inst in small_suite:
+    for inst in instances:
         calls.update(solve_fundamental=0, build_model=0, defect=0, is_pure=0)
         decompositions.clear()
         rep = run_instance_battery(inst)
@@ -332,9 +339,9 @@ def test_battery_builds_each_object_once(monkeypatch, small_suite):
         assert calls["defect"] == (6 if inst.family == "symbols" else 2), inst.label
         assert calls["is_pure"] == 2, inst.label
         op_norm_svds.append(decompositions["svd", "op_norm"])
-    # op_norm decomposes no zero matrix, and ||A||, ||B||, ||P|| are read
-    # from the triples
-    assert op_norm_svds == [132, 147, 259, 131, 147, 213]
+    # op_norm decomposes no zero matrix, ||A||, ||B||, ||P|| are read from
+    # the triples, and numerical_radius runs none
+    assert op_norm_svds == [124, 139, 251, 123, 139, 205]
 
 
 def test_verify_bidisc_builds_each_object_once(monkeypatch, capsys):
@@ -343,15 +350,25 @@ def test_verify_bidisc_builds_each_object_once(monkeypatch, capsys):
     # model takes the command's model and adjoint pair.  The six solves are
     # F and G for the example, the command, and the extraction round trip;
     # the four defects are those of the two validations.
-    # op_norm decomposes no zero matrix, reads the norms the triples keep,
-    # and the adjoints that only feed solve_fundamental decompose A* and B*
-    # but not P*
+    # op_norm decomposes no zero matrix and reads the norms the triples keep;
+    # the adjoints of each of the two grid triples share one norm cache, so
+    # ||A*|| and ||B*|| are computed once per triple and ||P*|| once in all
     calls = count_calls(monkeypatch, solve_fundamental, build_model, validate, defect)
     decompositions, _ = watch_decompositions(monkeypatch)
+    norms_computed = collections.Counter()
+
+    def counting_op_norm(m):
+        frame = sys._getframe(1)
+        if frame.f_code.co_name == "norm":
+            norms_computed[frame.f_locals["name"]] += 1
+        return op_norm(m)
+
+    monkeypatch.setattr(tetralab.triples, "op_norm", counting_op_norm)
     code, _, _ = run(capsys, "verify-bidisc", "--degree", "3")
     assert code == 0
     assert calls == {"solve_fundamental": 6, "build_model": 2, "validate": 2, "defect": 4}
-    assert decompositions["svd", "op_norm"] == 77
+    assert decompositions["svd", "op_norm"] == 63
+    assert norms_computed == {"A": 2, "B": 2, "P": 1}
 
 
 def test_no_decomposition_of_an_all_zero_matrix(monkeypatch, capsys):
@@ -424,6 +441,19 @@ def test_build_model_checks_purity_once(monkeypatch, capsys, tmp_path):
     path.write_text(io.dumps(io.triple_to_obj(triple)))
     assert run(capsys, "model-check", str(path))[0] == 0
     assert calls["is_pure"] == 2
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_model_check_refuses_oversized_model_grid(capsys, tmp_path, fmt):
+    # ||P^k|| = 0.999^k needs degree 30698 for the default tail: a refused
+    # size is an input error in either format, not a failed check
+    path = tmp_path / "slow.json"
+    zero = io.matrix_to_obj(np.zeros((1, 1)))
+    path.write_text(io.dumps({"A": zero, "B": zero, "P": io.matrix_to_obj(np.array([[0.999]]))}))
+    code, out, err = run(capsys, "model-check", str(path), "--format", fmt)
+    assert code == 2
+    assert out == ""
+    assert f"exceeds {MAX_GRID_DIM} coordinates" in err
 
 
 def test_negative_model_degree_is_input_error(capsys, tmp_path):

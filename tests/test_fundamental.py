@@ -21,7 +21,7 @@ from tetralab.fundamental import (
     verify_tetra_characterization,
 )
 from tetralab.generate import make_instance
-from tetralab.matcore import numerical_radius, op_norm
+from tetralab.matcore import DEFAULT_POLICY, numerical_radius, op_norm
 from tetralab.triples import validate
 
 from conftest import p_triple
@@ -104,10 +104,17 @@ def test_radius_bound_certificates(small_suite):
 def radius_entry(f1):
     """The radius_F1 entry of the characterization report for a pair with F1 = f1."""
     triple = p_triple(0.5 * np.eye(f1.shape[0]))
-    w, err = numerical_radius(f1)
+    w, err = numerical_radius(f1, 1.0 + DEFAULT_POLICY.eq_tol)
     pair = dataclasses.replace(solve_fundamental(triple), F1=f1, w1=w, w1_err=err)
     [entry] = [e for e in verify_tetra_characterization(triple, pair).entries if e.name == "radius_F1"]
     return entry
+
+
+def ellipse(w):
+    """[[t, 1/2], [0, 0]] with numerical radius w: its field of values is the
+    ellipse with foci 0 and t and minor axis 1/2, so w = t/2 + sqrt(t^2/4 + 1/16)."""
+    t = (4.0 * w * w - 0.25) / (4.0 * w)
+    return np.array([[t, 0.5], [0.0, 0.0]])
 
 
 def test_radius_above_one_fails():
@@ -118,12 +125,34 @@ def test_radius_above_one_fails():
     assert entry.residual > 0.005
 
 
-def test_radius_bracket_straddling_one_is_skipped():
-    # w(F1) = 1 exactly: w <= 1 + eq_tol < w + err decides nothing, so the
-    # check records the bracket instead of a pass
+def test_radius_one_at_a_corner_passes():
+    # w(diag(1, 0)) = 1 is attained at a corner of the field of values, where
+    # the polygon's vertices are exact: the upper bound is 1 + rounding
     entry = radius_entry(np.diag([1.0, 0.0]))
+    assert not entry.skipped
+    assert entry.passed
+
+
+def test_radius_bracket_straddling_one_is_skipped():
+    # w(2 JORDAN) = 1 on a round field of values: no bisection budget brings
+    # the polygon within eq_tol of the unit disc, so the check records the
+    # bracket instead of a pass
+    entry = radius_entry(np.array([[0.0, 2.0], [0.0, 0.0]]))
     assert entry.skipped
     assert "straddles" in entry.note
+
+
+@pytest.mark.parametrize("w, passed", [(1.0 - 1e-7, True), (1.0 + 1e-7, False)])
+def test_radius_of_an_ellipse_within_1e7_of_one_is_decided(w, passed):
+    # the grid polygon alone leaves 1 - 1e-7 undecided; bisecting the edges
+    # near the real axis decides it, while 1 + 1e-7 fails on the grid
+    f1 = ellipse(w)
+    lower, err = numerical_radius(f1)
+    assert lower == pytest.approx(w, abs=1e-14)
+    assert lower + err > 1.0 + DEFAULT_POLICY.eq_tol
+    entry = radius_entry(f1)
+    assert not entry.skipped
+    assert entry.passed == passed
 
 
 # ----------------------------------------------------- identity batteries

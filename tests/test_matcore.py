@@ -6,11 +6,16 @@ and normal matrices, partial isometries) where the answer is classical.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
 from tetralab.matcore import (
     DEFAULT_POLICY,
+    RADIUS_BISECTIONS,
+    RADIUS_GRID,
+    RADIUS_ROUNDING,
     NotContractiveError,
     NotFiniteError,
     NotHermitianError,
@@ -30,7 +35,7 @@ from tetralab.matcore import (
     subspace_gap,
 )
 
-from conftest import count_calls, forbid_linalg, random_contraction
+from conftest import count_calls, forbid_linalg, random_contraction, watch_decompositions
 
 
 # ---------------------------------------------------------------- basics
@@ -89,11 +94,19 @@ JORDAN = np.array([[0.0, 1.0], [0.0, 0.0]])
 
 def test_radius_jordan_cell_is_half():
     w, err = numerical_radius(JORDAN)
-    # the estimate is a true lower bound and lands on the exact value here;
-    # err is the certified grid bound pi*||X||/256, not the actual error
+    # the disc of radius 1/2 touches every line of the grid, so the lower
+    # bound is exact and the gap is the overshoot of the polygon's vertices,
+    # (1/cos(pi/256) - 1)/2, plus the rounding allowance
     assert w == pytest.approx(0.5, abs=1e-12)
-    assert err == pytest.approx(np.pi * 1.0 / 256, abs=1e-12)
-    assert 0.5 <= w + err
+    assert err == pytest.approx(0.5 * (1.0 / np.cos(np.pi / RADIUS_GRID) - 1.0), abs=1e-12)
+
+
+def test_radius_at_a_corner_of_the_field_is_exact():
+    # W(diag(1, 0)) = [0, 1]: every grid line near theta = 0 passes through
+    # the corner 1, so the vertices sit on it up to the rounding allowance
+    w, err = numerical_radius(np.diag([1.0, 0.0]))
+    assert w == 1.0
+    assert 0.0 < err < 1e-13
 
 
 def test_radius_of_normal_matrix_is_spectral_radius():
@@ -108,46 +121,30 @@ def test_radius_homogeneity():
     assert w2 == pytest.approx(abs(2.0 - 1.0j) * w1, abs=1e-10)
 
 
-def looped_numerical_radius(x, grid_size=256, refine_iters=48):
-    """The grid evaluated one theta at a time, then the same refinement."""
-
-    def field_max(theta):
-        half = 0.5 * (np.exp(1j * theta) * x + np.exp(-1j * theta) * x.conj().T)
-        return float(np.linalg.eigvalsh(half).max())
-
+def looped_numerical_radius(x, grid_size=RADIUS_GRID):
+    """Support values one theta at a time over the whole circle, then the
+    vertex moduli of Johnson's outer polygon one vertex at a time."""
     x = ensure_matrix(x)
-    xnorm = op_norm(x)
-    if xnorm == 0.0:
+    if not x.any():
         return 0.0, 0.0
-    thetas = 2.0 * np.pi * np.arange(grid_size) / grid_size
-    vals = np.array([field_max(th) for th in thetas])
-    j = int(np.argmax(vals))
-    best = float(vals[j])
-    spacing = 2.0 * np.pi / grid_size
-    a, b = thetas[j] - spacing, thetas[j] + spacing
-    inv_phi = (np.sqrt(5.0) - 1.0) / 2.0
-    c = b - inv_phi * (b - a)
-    d = a + inv_phi * (b - a)
-    fc, fd = field_max(c), field_max(d)
-    best = max(best, fc, fd)
-    for _ in range(refine_iters):
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - inv_phi * (b - a)
-            fc = field_max(c)
-            best = max(best, fc)
-        else:
-            a, c, fc = c, d, fd
-            d = a + inv_phi * (b - a)
-            fd = field_max(d)
-            best = max(best, fd)
-    return best, float(np.pi * xnorm / grid_size)
+    vals = []
+    for k in range(grid_size):
+        theta = 2.0 * np.pi * k / grid_size
+        half = 0.5 * (np.exp(1j * theta) * x + np.exp(-1j * theta) * x.conj().T)
+        vals.append(float(np.linalg.eigvalsh(half).max()))
+    slack = RADIUS_ROUNDING * x.shape[0] * np.finfo(float).eps * np.linalg.norm(x)
+    h = np.pi / grid_size
+    upper = max(
+        math.hypot((0.5 * (m + m_next) + slack) / math.cos(h), 0.5 * (m_next - m) / math.sin(h))
+        for m, m_next in zip(vals, vals[1:] + vals[:1])
+    )
+    return max(vals), upper - max(vals)
 
 
 @pytest.mark.parametrize("dim", [*range(1, 13), 24, 42])
 def test_radius_stacked_grid_matches_loop(rng, dim):
-    # the stacked grid must reproduce the per-theta loop bit for bit, so
-    # that reports stay byte-identical
+    # the stacked half-circle grid and the vectorized polygon give the
+    # bracket of the per-theta loop over the whole circle, up to rounding
     m = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     cases = [
         m,
@@ -158,7 +155,36 @@ def test_radius_stacked_grid_matches_loop(rng, dim):
         np.diag(m[0]),
     ]
     for x in cases:
-        assert numerical_radius(x) == looped_numerical_radius(x)
+        w, err = numerical_radius(x)
+        w_loop, err_loop = looped_numerical_radius(x)
+        tol = 1e-12 * (1.0 + np.linalg.norm(x))
+        assert w == pytest.approx(w_loop, abs=tol)
+        assert w + err == pytest.approx(w_loop + err_loop, abs=tol)
+
+
+def test_radius_runs_one_stacked_eigvalsh_and_no_svd(monkeypatch, rng):
+    # a bracket that does not straddle the level is never refined
+    level = 1.0 + DEFAULT_POLICY.eq_tol
+    cases = []
+    for dim in range(1, 9):
+        m = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        cases += [m, random_contraction(rng, dim, norm=0.7)]
+    calls, _ = watch_decompositions(monkeypatch)
+    for x in cases:
+        w, err = numerical_radius(x, level)
+        assert not w <= level < w + err
+    assert calls == {("eigvalsh", "_field_extremes"): len(cases)}
+
+
+def test_radius_refinement_budget_runs_out_on_the_unit_disc(monkeypatch):
+    # W(2 JORDAN) is the closed unit disc: every vertex of the polygon lies
+    # outside it, so each bisection step runs, one single-angle eigvalsh
+    # each, and the bracket still straddles the level at the end
+    calls, _ = watch_decompositions(monkeypatch)
+    level = 1.0 + DEFAULT_POLICY.eq_tol
+    w, err = numerical_radius(2.0 * JORDAN, level)
+    assert w <= level < w + err
+    assert calls == {("eigvalsh", "_field_extremes"): 1 + RADIUS_BISECTIONS}
 
 
 def test_radius_norm_bounds(rng):

@@ -10,6 +10,11 @@ norms the adjoint computes on first read must be those of that validation.
 ``op_norm`` skips the SVD of a zero matrix and takes the first singular
 value itself; every residual of a report is one of its values, so it must
 give the bits of ``norm(ensure_matrix(m), 2)`` whatever the layout or dtype.
+
+``numerical_radius`` certifies a bracket [w, w + err] of the numerical
+radius from a grid of 256 angles; it must contain the largest support value
+on a 16 times denser grid, over matrices of dimension 1-8: generic, normal,
+nilpotent and scalar multiples of the identity.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from conftest import fields_equal, p_triple  # noqa: E402
-from tetralab.matcore import ShapeError, ensure_matrix, op_norm  # noqa: E402
+from tetralab.matcore import ShapeError, ensure_matrix, numerical_radius, op_norm  # noqa: E402
 
 KINDS = ("generic", "nilpotent", "unitary", "zero", "scalar")
 
@@ -105,3 +110,38 @@ def test_op_norm_is_bit_equal_to_the_spectral_norm(layout, rows, cols, seed):
         return
     assert np.shape(m) == (rows, cols)
     assert op_norm(m).hex() == reference_norm(m).hex()
+
+
+RADIUS_KINDS = ("generic", "normal", "nilpotent", "scalar")
+DENSE_THETAS = 2.0 * np.pi * np.arange(16 * 256) / (16 * 256)
+
+
+def radius_operand(kind: str, dim: int, seed: int, scale: float) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    m = scale * (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
+    if kind == "normal":
+        q = np.linalg.qr(m)[0]
+        return (q * np.diag(m)) @ q.conj().T
+    if kind == "nilpotent":
+        return np.triu(m, 1)
+    if kind == "scalar":
+        return m[0, 0] * np.eye(dim)
+    return m
+
+
+@settings(derandomize=True, max_examples=120, deadline=None)
+@given(
+    kind=st.sampled_from(RADIUS_KINDS),
+    dim=st.integers(1, 8),
+    seed=st.integers(0, 2**32 - 1),
+    scale=st.floats(1e-3, 1e3),
+)
+def test_radius_bracket_contains_the_dense_grid_maximum(kind, dim, seed, scale):
+    x = radius_operand(kind, dim, seed, scale)
+    w, err = numerical_radius(x)
+    half = np.exp(1j * DENSE_THETAS)[:, None, None] * x
+    half = 0.5 * (half + half.conj().transpose(0, 2, 1))
+    dense = float(np.linalg.eigvalsh(half).max())
+    # the dense grid contains the coarse one, so w may exceed it by rounding only
+    assert w <= dense + 1e-13 * (1.0 + np.linalg.norm(x))
+    assert dense <= w + err
