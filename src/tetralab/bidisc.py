@@ -19,8 +19,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .charfn import build_model, model_operators
-from .fundamental import solve_fundamental
+from .charfn import ModelData, build_model, model_operators
+from .fundamental import FundamentalPair, solve_fundamental
 from .matcore import DEFAULT_POLICY, TolerancePolicy, op_norm
 from .report import CheckReport
 from .triples import TetrablockTriple, is_pure, necessary_report, validate
@@ -41,6 +41,7 @@ __all__ = [
     "model_embedding",
     "model_embedding_series",
     "verify_example",
+    "example_battery",
 ]
 
 EXACT_TOL = 1e-13
@@ -196,8 +197,20 @@ def model_embedding_series(n: int) -> np.ndarray:
 
 
 def verify_example(n: int, pol: TolerancePolicy = DEFAULT_POLICY) -> CheckReport:
-    """Full battery on the grid example; structural identities pinned at 1e-13."""
+    """``example_battery`` on the grid triple, its pairs and its degree-n model, built here."""
     triple = build(n, pol)
+    pair_f, pair_g = solve_fundamental(triple, pol), solve_fundamental(triple.adjoint(), pol)
+    return example_battery(n, triple, pair_f, pair_g, build_model(triple, n, pol), pol)
+
+
+def example_battery(
+    n: int, triple: TetrablockTriple, pair_f: FundamentalPair, pair_g: FundamentalPair, model: ModelData,
+    pol: TolerancePolicy = DEFAULT_POLICY,
+) -> CheckReport:
+    """Full battery on the grid example; structural identities pinned at 1e-13.
+
+    ``triple`` is ``build(n, pol)``; ``pair_f``, ``pair_g`` and ``model`` are
+    its pairs and its degree-n model, all under ``pol``."""
     rep = CheckReport(
         title=f"bidisc shift example (n={n})",
         header="all identities hold exactly at this truncation",
@@ -249,7 +262,6 @@ def verify_example(n: int, pol: TolerancePolicy = DEFAULT_POLICY) -> CheckReport
         EXACT_TOL,
     )
 
-    pair_g = solve_fundamental(triple.adjoint(), pol)
     conv = pair_g.basis.basis.conj().T @ bb
     rep.check(
         "border_basis_change_unitary",
@@ -259,7 +271,6 @@ def verify_example(n: int, pol: TolerancePolicy = DEFAULT_POLICY) -> CheckReport
     rep.check("solver_G1_pattern", op_norm(pair_g.F1 - conv @ g1 @ conv.conj().T), pol.scaled_eq(1.0))
     rep.check("solver_G2_pattern", op_norm(pair_g.F2 - conv @ g2 @ conv.conj().T), pol.scaled_eq(1.0))
 
-    pair_f = solve_fundamental(triple, pol)
     conv_f = pair_f.basis.basis.conj().T @ bf
     rep.check("solver_F1_pattern", op_norm(pair_f.F1 - conv_f @ f1 @ conv_f.conj().T), pol.scaled_eq(1.0))
     rep.check("solver_F2_pattern", op_norm(pair_f.F2 - conv_f @ f2 @ conv_f.conj().T), pol.scaled_eq(1.0))
@@ -285,7 +296,6 @@ def verify_example(n: int, pol: TolerancePolicy = DEFAULT_POLICY) -> CheckReport
             EXACT_TOL,
         )
 
-    model = build_model(triple, n, pol)
     rep.check("model_tail_zero", model.tail, 0.0)
     w_from_u = np.kron(np.eye(n + 1), model.dpstar_basis.basis.conj().T @ bb) @ u
     rep.check("model_isometry_match", op_norm(model.W - w_from_u), pol.scaled_eq(1.0))

@@ -20,7 +20,7 @@ from __future__ import annotations
 import numpy as np
 
 from .charfn import power_tail, theta_coeffs
-from .fundamental import solve_fundamental
+from .fundamental import FundamentalPair, solve_fundamental
 from .hardy import AnalyticSymbol, TruncatedHardy, pencil, toeplitz
 from .matcore import (
     DEFAULT_POLICY,
@@ -40,6 +40,7 @@ __all__ = [
     "NotDegreeOneError",
     "extract_symbols",
     "extraction_roundtrip",
+    "roundtrip_battery",
     "verify_isometry_propagation",
 ]
 
@@ -157,23 +158,27 @@ def extract_symbols(
 
 
 def extraction_roundtrip(
-    triple: TetrablockTriple,
+    triple: TetrablockTriple, pol: TolerancePolicy = DEFAULT_POLICY
+) -> tuple[np.ndarray, np.ndarray, CheckReport]:
+    """``roundtrip_battery`` on the pairs of ``triple`` and ``power_tail(triple.P)``, computed here."""
+    pair_f, pair_g = solve_fundamental(triple, pol), solve_fundamental(triple.adjoint(), pol)
+    return roundtrip_battery(triple, pair_f, pair_g, *power_tail(triple.P, None, pol), pol)
+
+
+def roundtrip_battery(
+    triple: TetrablockTriple, pair_f: FundamentalPair, pair_g: FundamentalPair, degree: int, tail: float,
     pol: TolerancePolicy = DEFAULT_POLICY,
 ) -> tuple[np.ndarray, np.ndarray, CheckReport]:
     """Extract (G1, G2) from Theta_{P*} and compare with the direct solver.
 
     The characteristic function of P* maps D_P* to D_P, its Toeplitz range
     is invariant under the F-pencils, and the compressed symbols must be the
-    G-pencils.  Theta_{P*} is taken to one past the degree at which the
-    power tail of P drops below TAIL_TARGET, so the omitted Taylor mass is
-    accounted for in the match tolerance, and the grid reaches
-    EXTRACTION_MARGIN degrees beyond it.
-    """
-    adj = triple.adjoint()
-    pair_f = solve_fundamental(triple, pol)
-    pair_g = solve_fundamental(adj, pol)
-    degree, tail = power_tail(triple.P, None, pol)
-    theta = theta_coeffs(adj, degree + 1, pol)
+    G-pencils ``pair_g``.  ``pair_f``, ``pair_g`` are solved from ``triple``
+    and its adjoint under ``pol``; ``(degree, tail)`` is a ``power_tail`` pair
+    of P, such as a model's ``(N, tail)``.  Theta_{P*} is taken to degree + 1
+    with the tail in the match tolerance, on a grid EXTRACTION_MARGIN degrees
+    longer."""
+    theta = theta_coeffs(triple.adjoint(), degree + 1, pol)
     n = theta.degree + EXTRACTION_MARGIN
     g1, g2, rep = extract_symbols(theta, pair_f.F1, pair_f.F2, n, pol)
     out = CheckReport(title="symbol extraction round trip")

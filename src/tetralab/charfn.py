@@ -420,6 +420,8 @@ def pure_isometry_model(
     triple: TetrablockTriple,
     model: ModelData,
     pair_g: FundamentalPair,
+    decomposition: CheckReport,
+    functional: CheckReport,
     pol: TolerancePolicy = DEFAULT_POLICY,
 ) -> CheckReport:
     """Model battery for truncations of pure tetrablock isometries.
@@ -432,9 +434,10 @@ def pure_isometry_model(
     satisfies [G1, G2] = 0 and [G1, G1*] = [G2, G2*]; the last two balance
     checks are restricted to defect directions supported on the isometric
     parts of A and B when such directions exist (for wide-border truncations
-    the balance defect provably lives on the truncation edge).  ``model`` is
-    the model of ``triple`` and ``pair_g`` the pair solved from
-    ``triple.adjoint()``, both under ``pol``.
+    the balance defect provably lives on the truncation edge).  ``model``,
+    ``pair_g`` (solved from ``triple.adjoint()``) and the reports
+    ``decomposition`` and ``functional`` of ``verify_model_decomposition``
+    and ``verify_functional_model`` all come from ``triple`` under ``pol``.
     """
     iso = orth_complement(triple.dp_basis)
     if iso.rank == 0:
@@ -448,8 +451,8 @@ def pure_isometry_model(
         pol.scaled_eq(1.0),
         note=f"dim {iso.rank} of {dim}",
     )
-    rep.extend(verify_model_decomposition(model, pol))
-    rep.extend(verify_functional_model(triple, model, pair_g, pol))
+    rep.extend(decomposition)
+    rep.extend(functional)
     # compression acts as the raw pencil on the image of the isometric part
     g1, g2 = pair_g.F1, pair_g.F2
     xa, xb, xp = model_operators(g1, g2, model.N)

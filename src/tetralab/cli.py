@@ -33,7 +33,7 @@ from .blh import (
     NotDegreeOneError,
     NotInnerError,
     extract_symbols,
-    extraction_roundtrip,
+    roundtrip_battery,
     verify_isometry_propagation,
 )
 from .charfn import (
@@ -182,32 +182,34 @@ def _cmd_verify_bidisc(args, pol: TolerancePolicy) -> list[tuple[str, CheckRepor
         raise TetralabError(f"--degree must be >= 1, got {n}")
     # the symbol-extraction grid, (n+5) blocks of the (2n+1)-point border, is
     # the largest matrix side the command allocates: Theta_{P*} has degree
-    # n+1 and extraction_roundtrip adds EXTRACTION_MARGIN = 3 degrees.  The
+    # n+1 and roundtrip_battery adds EXTRACTION_MARGIN = 3 degrees.  The
     # model grid has only n+1 such blocks, the example grid (n+1)^2 points
     side = (n + 5) * (2 * n + 1)
     if side > MAX_GRID_DIM:
         raise GridSizeError(f"--degree {n} needs an extraction grid of {side} > {MAX_GRID_DIM}")
-    reports = [("example", bidisc.verify_example(n, pol))]
     triple = bidisc.build(n, pol)
     pair_f = solve_fundamental(triple, pol)
     pair_g = solve_fundamental(triple.adjoint(), pol)
+    model = build_model(triple, n, pol)
+    reports = [("example", bidisc.example_battery(n, triple, pair_f, pair_g, model, pol))]
     fund = CheckReport(title="fundamental battery")
     fund.extend(verify_tetra_characterization(triple, pair_f, pol), prefix="char_")
     fund.extend(verify_difference_identity(triple, pair_f, pol), prefix="diff_")
     fund.extend(verify_cross_relations(triple, pair_f, pair_g, pol), prefix="cross_")
     fund.extend(verify_commutator_transfer(triple, pair_f, pair_g, pol), prefix="transfer_")
     reports.append(("fundamental", fund))
-    model = build_model(triple, n, pol)
+    dec = verify_model_decomposition(model, pol)
+    fm = verify_functional_model(triple, model, pair_g, pol)
     mrep = CheckReport(title="functional model")
-    mrep.extend(verify_model_decomposition(model, pol), prefix="dec_")
-    mrep.extend(verify_functional_model(triple, model, pair_g, pol), prefix="fm_")
+    mrep.extend(dec, prefix="dec_")
+    mrep.extend(fm, prefix="fm_")
     mrep.extend(
         verify_pencil_intertwining(triple, pair_f, pair_g, DISC_SAMPLES, pol),
         prefix="pencil_",
     )
     reports.append(("model", mrep))
-    reports.append(("isometry_model", pure_isometry_model(triple, model, pair_g, pol)))
-    _, _, brep = extraction_roundtrip(triple, pol)
+    reports.append(("isometry_model", pure_isometry_model(triple, model, pair_g, dec, fm, pol)))
+    _, _, brep = roundtrip_battery(triple, pair_f, pair_g, model.N, model.tail, pol)
     reports.append(("blh", brep))
     return reports
 

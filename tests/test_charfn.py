@@ -217,5 +217,7 @@ def test_pure_isometry_model_on_symbol_instance():
     triple = inst.triple
     model = build_model(triple)
     pair_g = solve_fundamental(triple.adjoint())
-    rep = pure_isometry_model(triple, model, pair_g)
+    dec = verify_model_decomposition(model)
+    fm = verify_functional_model(triple, model, pair_g)
+    rep = pure_isometry_model(triple, model, pair_g, dec, fm)
     assert rep.overall, [e.name for e in rep.failures]

@@ -13,13 +13,16 @@ import pytest
 
 import tetralab.cli
 import tetralab.triples
-from tetralab import generate, io
+from tetralab import bidisc, generate, io
 from tetralab.bidisc import build as build_grid
-from tetralab.blh import extraction_roundtrip
+from tetralab.blh import extraction_roundtrip, roundtrip_battery
 from tetralab.charfn import (
     ResolventSingularError,
     build_model,
+    pure_isometry_model,
     theta_coeffs,
+    verify_functional_model,
+    verify_model_decomposition,
     verify_pencil_intertwining,
 )
 from tetralab.cli import DISC_SAMPLES, main, run_instance_battery
@@ -345,15 +348,26 @@ def test_battery_builds_each_object_once(monkeypatch):
 
 
 def test_verify_bidisc_builds_each_object_once(monkeypatch, capsys):
-    # the example and the command each validate the grid triple and build
-    # its model once; adjoints reuse the cached defects, and the isometry
-    # model takes the command's model and adjoint pair.  The six solves are
-    # F and G for the example, the command, and the extraction round trip;
-    # the four defects are those of the two validations.
-    # op_norm decomposes no zero matrix and reads the norms the triples keep;
-    # the adjoints of each of the two grid triples share one norm cache, so
-    # ||A*|| and ||B*|| are computed once per triple and ||P*|| once in all
-    calls = count_calls(monkeypatch, solve_fundamental, build_model, validate, defect)
+    # the command validates the grid triple, solves its F and G pairs and
+    # builds its model once, and hands them to the example battery, the
+    # fundamental and model reports, the isometry model and the extraction
+    # round trip; the two defects are those of the one validation, and each
+    # model report runs once, the isometry model taking the two it needs.
+    # Purity is checked by the example's "pure_nilpotent" entry and by the
+    # model; the round trip reads the model's truncation.
+    # op_norm decomposes no zero matrix and reads the norms the triple keeps;
+    # its adjoints share one norm cache, so ||A*||, ||B*|| and ||P*|| are
+    # computed once each
+    calls = count_calls(
+        monkeypatch,
+        solve_fundamental,
+        build_model,
+        validate,
+        defect,
+        is_pure,
+        verify_functional_model,
+        verify_model_decomposition,
+    )
     decompositions, _ = watch_decompositions(monkeypatch)
     norms_computed = collections.Counter()
 
@@ -366,9 +380,36 @@ def test_verify_bidisc_builds_each_object_once(monkeypatch, capsys):
     monkeypatch.setattr(tetralab.triples, "op_norm", counting_op_norm)
     code, _, _ = run(capsys, "verify-bidisc", "--degree", "3")
     assert code == 0
-    assert calls == {"solve_fundamental": 6, "build_model": 2, "validate": 2, "defect": 4}
-    assert decompositions["svd", "op_norm"] == 63
-    assert norms_computed == {"A": 2, "B": 2, "P": 1}
+    assert calls == {
+        "solve_fundamental": 2,
+        "build_model": 1,
+        "validate": 1,
+        "defect": 2,
+        "is_pure": 2,
+        "verify_functional_model": 1,
+        "verify_model_decomposition": 1,
+    }
+    assert decompositions["svd", "op_norm"] == 44
+    assert norms_computed == {"A": 1, "B": 1, "P": 1}
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_verify_bidisc_reports_equal_the_standalone_batteries(capsys, n):
+    # the command feeds one set of objects to the example battery, the round
+    # trip and the isometry model; the fronts the acceptance gate calls build
+    # their own, and so does a standalone isometry model: no entry may differ
+    code, out, _ = run(capsys, "verify-bidisc", "--degree", str(n), "--format", "json")
+    assert code == 0
+    entries = {r["label"]: r["entries"] for r in strict_json(out)["reports"]}
+    assert entries["example"] == bidisc.verify_example(n).to_dict()["entries"]
+    assert entries["blh"] == extraction_roundtrip(build_grid(n))[2].to_dict()["entries"]
+    triple = build_grid(n)
+    model = build_model(triple, n)
+    pair_g = solve_fundamental(triple.adjoint())
+    dec = verify_model_decomposition(model)
+    fm = verify_functional_model(triple, model, pair_g)
+    iso = pure_isometry_model(triple, model, pair_g, dec, fm)
+    assert entries["isometry_model"] == iso.to_dict()["entries"]
 
 
 def test_no_decomposition_of_an_all_zero_matrix(monkeypatch, capsys):
@@ -425,7 +466,8 @@ def test_pencil_intertwining_refuses_samples_outside_disc(monkeypatch, small_sui
 
 def test_build_model_checks_purity_once(monkeypatch, capsys, tmp_path):
     # one power_tail call per model, with or without a degree, and per
-    # extraction round trip; model-check adds its own "pure" check
+    # extraction round trip, none in a round trip fed a model's truncation;
+    # model-check adds its own "pure" check
     triple = make_instance("scalars", seed=61, index=0, dim=3).triple
     calls = count_calls(monkeypatch, is_pure)
     model = build_model(triple)
@@ -434,9 +476,14 @@ def test_build_model_checks_purity_once(monkeypatch, capsys, tmp_path):
     build_model(triple, model.N)
     assert calls["is_pure"] == 1
     calls["is_pure"] = 0
-    assert extraction_roundtrip(build_grid(2))[2].overall
+    grid = build_grid(2)
+    assert extraction_roundtrip(grid)[2].overall
     assert calls["is_pure"] == 1
+    pair_f, pair_g = solve_fundamental(grid), solve_fundamental(grid.adjoint())
+    grid_model = build_model(grid, 2)
     calls["is_pure"] = 0
+    assert roundtrip_battery(grid, pair_f, pair_g, grid_model.N, grid_model.tail)[2].overall
+    assert calls["is_pure"] == 0
     path = tmp_path / "triple.json"
     path.write_text(io.dumps(io.triple_to_obj(triple)))
     assert run(capsys, "model-check", str(path))[0] == 0

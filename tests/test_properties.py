@@ -15,6 +15,13 @@ give the bits of ``norm(ensure_matrix(m), 2)`` whatever the layout or dtype.
 radius from a grid of 256 angles; it must contain the largest support value
 on a 16 times denser grid, over matrices of dimension 1-8: generic, normal,
 nilpotent and scalar multiples of the identity.
+
+For a unimodular omega, (omega A, omega B, omega^2 P) is a tetrablock
+contraction with fundamental operators (omega F1, omega F2).  On random
+suite instances the rotated solve must give those operators in ambient
+coordinates (the defect bases of omega^2 P may differ from those of P inside
+degenerate eigenspaces), numerical-radius brackets that overlap, and the
+same verdict on every check of the fundamental batteries.
 """
 
 from __future__ import annotations
@@ -26,7 +33,22 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from conftest import fields_equal, p_triple  # noqa: E402
-from tetralab.matcore import ShapeError, ensure_matrix, numerical_radius, op_norm  # noqa: E402
+from tetralab.fundamental import (  # noqa: E402
+    solve_fundamental,
+    verify_commutator_transfer,
+    verify_cross_relations,
+    verify_difference_identity,
+    verify_tetra_characterization,
+)
+from tetralab.generate import FAMILIES, make_instance  # noqa: E402
+from tetralab.matcore import (  # noqa: E402
+    DEFAULT_POLICY,
+    ShapeError,
+    ensure_matrix,
+    numerical_radius,
+    op_norm,
+)
+from tetralab.triples import validate  # noqa: E402
 
 KINDS = ("generic", "nilpotent", "unitary", "zero", "scalar")
 
@@ -145,3 +167,42 @@ def test_radius_bracket_contains_the_dense_grid_maximum(kind, dim, seed, scale):
     # the dense grid contains the coarse one, so w may exceed it by rounding only
     assert w <= dense + 1e-13 * (1.0 + np.linalg.norm(x))
     assert dense <= w + err
+
+
+def fundamental_verdicts(triple) -> tuple[list, object]:
+    """(name, passed, skipped) of every check of the four fundamental batteries."""
+    pair_f, pair_g = solve_fundamental(triple), solve_fundamental(triple.adjoint())
+    reports = (
+        verify_tetra_characterization(triple, pair_f),
+        verify_difference_identity(triple, pair_f),
+        verify_cross_relations(triple, pair_f, pair_g),
+        verify_commutator_transfer(triple, pair_f, pair_g),
+    )
+    return [(e.name, e.passed, e.skipped) for rep in reports for e in rep.entries], pair_f
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(
+    family=st.sampled_from(FAMILIES),
+    seed=st.integers(0, 2**32 - 1),
+    index=st.integers(0, 5),
+    dim=st.sampled_from((3, 6)),
+    angle=st.floats(0.0, 2.0 * np.pi),
+)
+def test_unimodular_rotation_rotates_the_fundamental_operators(family, seed, index, dim, angle):
+    t = make_instance(family, seed, index, dim, degree=3).triple
+    omega = np.exp(1j * angle)
+    rotated = validate(omega * t.A, omega * t.B, omega**2 * t.P)
+    verdicts, pair = fundamental_verdicts(t)
+    rotated_verdicts, rotated_pair = fundamental_verdicts(rotated)
+    assert rotated_verdicts == verdicts
+    for f, rf in ((pair.F1, rotated_pair.F1), (pair.F2, rotated_pair.F2)):
+        diff = rotated_pair.basis.embed(rf) - omega * pair.basis.embed(f)
+        assert op_norm(diff) <= DEFAULT_POLICY.scaled_eq(op_norm(f))
+    # both brackets contain w(F_i) = w(omega F_i)
+    slack = DEFAULT_POLICY.scaled_eq(1.0)
+    for w, err, rw, rerr in (
+        (pair.w1, pair.w1_err, rotated_pair.w1, rotated_pair.w1_err),
+        (pair.w2, pair.w2_err, rotated_pair.w2, rotated_pair.w2_err),
+    ):
+        assert rw <= w + err + slack and w <= rw + rerr + slack
