@@ -23,7 +23,7 @@ from .charfn import ModelData, build_model, model_operators
 from .fundamental import FundamentalPair, solve_fundamental
 from .matcore import DEFAULT_POLICY, TolerancePolicy, op_norm
 from .report import CheckReport
-from .triples import TetrablockTriple, is_pure, necessary_report, validate
+from .triples import TetrablockTriple, necessary_report, validate
 
 __all__ = [
     "EXACT_TOL",
@@ -210,14 +210,15 @@ def example_battery(
     """Full battery on the grid example; structural identities pinned at 1e-13.
 
     ``triple`` is ``build(n, pol)``; ``pair_f``, ``pair_g`` and ``model`` are
-    its pairs and its degree-n model, all under ``pol``."""
+    its pairs and its degree-n model, all under ``pol``; ``pure_nilpotent``
+    reads the model's purity certificate."""
     rep = CheckReport(
         title=f"bidisc shift example (n={n})",
         header="all identities hold exactly at this truncation",
     )
     rep.extend(necessary_report(triple, pol), prefix="triple_")
 
-    cert = is_pure(triple.P, pol)
+    cert = model.purity
     rep.check(
         "pure_nilpotent",
         0.0 if (cert.pure and cert.nilpotency_index == n + 1) else float("inf"),

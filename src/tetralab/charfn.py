@@ -28,7 +28,7 @@ from itertools import islice
 import numpy as np
 
 from .fundamental import FundamentalPair
-from .hardy import AnalyticSymbol, TruncatedHardy, shift, toeplitz
+from .hardy import AnalyticSymbol, pencil, toeplitz
 from .matcore import (
     DEFAULT_POLICY,
     MAX_GRID_DIM,
@@ -37,6 +37,7 @@ from .matcore import (
     SubspaceBasis,
     TetralabError,
     TolerancePolicy,
+    _range_complement,
     commutator,
     ensure_matrix,
     null_basis,
@@ -46,7 +47,7 @@ from .matcore import (
     subspace_gap,
 )
 from .report import CheckReport
-from .triples import TetrablockTriple, is_pure
+from .triples import PurityCertificate, TetrablockTriple, is_pure
 
 __all__ = [
     "NotPureError",
@@ -222,6 +223,11 @@ def power_tail(p, n: int | None = None, pol: TolerancePolicy = DEFAULT_POLICY) -
     (c = 0) past its index.  When ``n`` is omitted it is the smallest degree
     whose tail is <= TAIL_TARGET.
     """
+    return _certified_tail(p, n, pol)[1:]
+
+
+def _certified_tail(p, n: int | None, pol: TolerancePolicy) -> tuple[PurityCertificate, int, float]:
+    """The PurityCertificate of P that ``power_tail`` checks, then its (n, tail)."""
     p = ensure_matrix(p, square=True, name="P")
     if n is not None and n < 0:
         raise ValueError("model degree must be >= 0")
@@ -237,7 +243,7 @@ def power_tail(p, n: int | None = None, pol: TolerancePolicy = DEFAULT_POLICY) -
     tails = np.sqrt(tails[::-1])
     if n is None:
         n = next((k for k, t in enumerate(tails) if t <= TAIL_TARGET), len(norms))
-    return n, float(tails[min(n, len(norms))])
+    return cert, n, float(tails[min(n, len(norms))])
 
 
 @dataclass(frozen=True)
@@ -247,7 +253,7 @@ class ModelData:
     W maps the original space into the truncated D_{P*}-valued Hardy grid;
     h_basis spans H_P = (range of mult-by-theta)^perp; tail bounds the
     truncation error; gap records the cross-validation distance between
-    H_P and range(W).
+    H_P and range(W); purity is the certificate of P the tail was built on.
     """
 
     N: int
@@ -257,10 +263,7 @@ class ModelData:
     tail: float
     gap: float
     dpstar_basis: SubspaceBasis
-
-    @property
-    def space(self) -> TruncatedHardy:
-        return TruncatedHardy(max_degree=self.N, fiber_dim=self.dpstar_basis.rank)
+    purity: PurityCertificate
 
 
 def build_model(triple: TetrablockTriple, n: int | None = None, pol: TolerancePolicy = DEFAULT_POLICY) -> ModelData:
@@ -272,11 +275,11 @@ def build_model(triple: TetrablockTriple, n: int | None = None, pol: TolerancePo
     MAX_GRID_DIM coordinates is refused before it is allocated.  The Taylor
     coefficients Theta_k = (row block k-1 of W) D_P Q for k >= 1, Q the basis
     of D_P, are read off the rows of W as they are formed.  The model space
-    is cross-validated: the orthocomplement of range(toeplitz(theta)) must
-    agree with range(W) within 1e-6 + tail, otherwise ModelMismatchError
-    (the two constructions are independent).
+    is cross-validated: H_P, the trailing left singular vectors of one full
+    SVD of toeplitz(theta), must agree with range(W) within 1e-6 + tail,
+    otherwise ModelMismatchError (the two constructions are independent).
     """
-    n, tail = power_tail(triple.P, n, pol)
+    purity, n, tail = _certified_tail(triple.P, n, pol)
     sb = triple.dpstar_basis
     if (n + 1) * sb.rank > MAX_GRID_DIM:
         raise GridSizeError(
@@ -287,10 +290,8 @@ def build_model(triple: TetrablockTriple, n: int | None = None, pol: TolerancePo
     right = triple.dp @ triple.dp_basis.basis
     theta = AnalyticSymbol((_theta_zero(triple, pol), *(row @ right for row in blocks[:n])))
     w = np.vstack(blocks)
-    t_theta = toeplitz(theta, n)
-    h_basis = orth_complement(range_basis(t_theta, pol, scale=1.0))
-    w_range = range_basis(w, pol, scale=1.0)
-    gap = subspace_gap(h_basis, w_range)
+    h_basis = _range_complement(toeplitz(theta, n), pol)
+    gap = subspace_gap(h_basis, range_basis(w, pol, scale=1.0))
     if gap > 1e-6 + tail:
         raise ModelMismatchError(
             f"model space mismatch: complement-of-theta-range vs range(W) gap {gap:.3e}"
@@ -303,22 +304,23 @@ def build_model(triple: TetrablockTriple, n: int | None = None, pol: TolerancePo
         tail=tail,
         gap=gap,
         dpstar_basis=sb,
+        purity=purity,
     )
 
 
+def _model_pencils(g1: np.ndarray, g2: np.ndarray) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """Coefficients (c0, c1) of the model pencils G1* + G2 z, G2* + G1 z and z I."""
+    eye = np.eye(g1.shape[0], dtype=complex)
+    return (g1.conj().T, g2), (g2.conj().T, g1), (np.zeros_like(eye), eye)
+
+
 def model_operators(g1, g2, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Truncated pencil operators (I (x) G1* + S (x) G2, I (x) G2* + S (x) G1, S (x) I)."""
+    """Truncated pencil operators, the Toeplitz matrices of G1* + G2 z, G2* + G1 z and z I."""
     g1 = ensure_matrix(g1, square=True, name="G1")
     g2 = ensure_matrix(g2, square=True, name="G2")
     if g1.shape != g2.shape:
         raise ShapeError(f"G1, G2 shapes differ: {g1.shape}, {g2.shape}")
-    d = g1.shape[0]
-    space = TruncatedHardy(max_degree=n, fiber_dim=d)
-    s = shift(space)
-    eye_blocks = np.eye(n + 1, dtype=complex)
-    xa = np.kron(eye_blocks, g1.conj().T) + s @ np.kron(eye_blocks, g2)
-    xb = np.kron(eye_blocks, g2.conj().T) + s @ np.kron(eye_blocks, g1)
-    return xa, xb, s
+    return tuple(toeplitz(pencil(c0, c1), n) for c0, c1 in _model_pencils(g1, g2))
 
 
 def verify_model_decomposition(model: ModelData, pol: TolerancePolicy = DEFAULT_POLICY) -> CheckReport:
@@ -326,16 +328,17 @@ def verify_model_decomposition(model: ModelData, pol: TolerancePolicy = DEFAULT_
 
     Blockwise this identity involves only finitely many Taylor coefficients,
     all of which the grid retains, so it holds to rounding for every
-    contraction; the interior entry (degrees <= N-1) is reported separately
-    and must meet eq_tol for nilpotent P.
+    contraction; the interior entry (degree-N rows and columns zeroed) is
+    reported separately and must meet eq_tol for nilpotent P.
     """
     rep = CheckReport(title="model range partition")
     t = toeplitz(model.theta, model.N)
     resid = model.W @ model.W.conj().T + t @ t.conj().T - np.eye(t.shape[0])
     tol = pol.scaled_eq(1.0) + 4.0 * model.tail
     rep.check("range_partition", op_norm(resid), tol)
-    proj = model.space.degree_projector(model.N - 1)
-    rep.check("range_partition_interior", op_norm(proj @ resid @ proj), tol)
+    top = model.N * model.dpstar_basis.rank
+    resid[top:], resid[:, top:] = 0.0, 0.0
+    rep.check("range_partition_interior", op_norm(resid), tol)
     rep.check("model_space_gap", model.gap, 1e-6 + model.tail)
     return rep
 
@@ -362,7 +365,8 @@ def verify_functional_model(
         W* (M_z (x) I) W = P,
 
     where (G1, G2) is the fundamental pair of (A*, B*, P*), plus
-    co-invariance of range(W) under the model operators.
+    co-invariance of range(W) under the model operators, normed on the thin
+    factor Y - Q (Q* Y), Y = X* Q, of the M x n basis Q of range(W).
     """
     _check_basis_match(pair_g, model.dpstar_basis, "verify_functional_model")
     rep = CheckReport(title="functional model intertwining")
@@ -375,14 +379,10 @@ def verify_functional_model(
     rep.check("model_reproduces_B", op_norm(w.conj().T @ xb @ w - triple.B), tol)
     rep.check("model_reproduces_P", op_norm(w.conj().T @ xp @ w - triple.P), tol)
     rep.check("W_isometry", op_norm(w.conj().T @ w - np.eye(w.shape[1])), pol.scaled_eq(1.0) + model.tail)
-    q = range_basis(w, pol, scale=1.0).projector
-    eye = np.eye(q.shape[0])
+    q = range_basis(w, pol, scale=1.0).basis
     for name, x in (("A", xa), ("B", xb), ("P", xp)):
-        rep.check(
-            f"rangeW_coinvariant_{name}",
-            op_norm((eye - q) @ x.conj().T @ q),
-            tol,
-        )
+        y = x.conj().T @ q
+        rep.check(f"rangeW_coinvariant_{name}", op_norm(y - q @ (q.conj().T @ y)), tol)
     return rep
 
 
@@ -438,6 +438,8 @@ def pure_isometry_model(
     ``pair_g`` (solved from ``triple.adjoint()``) and the reports
     ``decomposition`` and ``functional`` of ``verify_model_decomposition``
     and ``verify_functional_model`` all come from ``triple`` under ``pol``.
+    The pencil-on-model residual ||(I - P_H) X W_iso|| is normed on the thin
+    factor Y - Q_H (Q_H* Y), Y = X W_iso, Q_H the orthonormal basis of H_P.
     """
     iso = orth_complement(triple.dp_basis)
     if iso.rank == 0:
@@ -456,12 +458,12 @@ def pure_isometry_model(
     # compression acts as the raw pencil on the image of the isometric part
     g1, g2 = pair_g.F1, pair_g.F2
     xa, xb, xp = model_operators(g1, g2, model.N)
-    qh = model.h_basis.projector
-    eye_h = np.eye(qh.shape[0])
+    qh = model.h_basis.basis
     w_iso = model.W @ iso.basis
     tol = pol.scaled_eq(1.0, op_norm(g1), op_norm(g2)) + 8.0 * model.tail
     for name, x in (("A", xa), ("B", xb), ("P", xp)):
-        rep.check(f"pencil_on_model_{name}", op_norm((eye_h - qh) @ x @ w_iso), tol)
+        y = x @ w_iso
+        rep.check(f"pencil_on_model_{name}", op_norm(y - qh @ (qh.conj().T @ y)), tol)
     # adjoint-pair symbol conditions, gated to the isometric interior when available
     qs = triple.dpstar_basis
     ka = null_basis(eye - triple.A.conj().T @ triple.A, pol, scale=1.0)

@@ -116,16 +116,9 @@ def symbol_product(s1: AnalyticSymbol, s2: AnalyticSymbol, max_degree: int | Non
     return AnalyticSymbol(tuple(out))
 
 
-def _scalar_shift(n_blocks: int) -> np.ndarray:
-    s = np.zeros((n_blocks, n_blocks), dtype=complex)
-    for k in range(n_blocks - 1):
-        s[k + 1, k] = 1.0
-    return s
-
-
 def shift(space: TruncatedHardy) -> np.ndarray:
     """Truncated multiplication by z: degree n -> n + 1, top degree dies."""
-    return np.kron(_scalar_shift(space.max_degree + 1), np.eye(space.fiber_dim, dtype=complex))
+    return np.eye(space.dim, k=-space.fiber_dim, dtype=complex)
 
 
 def toeplitz(sym: AnalyticSymbol, n: int) -> np.ndarray:

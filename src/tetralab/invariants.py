@@ -18,8 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .charfn import ModelData, _disc_samples, build_model, model_operators, theta_eval, theta_taylor
+from .charfn import ModelData, _disc_samples, _model_pencils, build_model, theta_eval, theta_taylor
 from .fundamental import FundamentalPair, solve_fundamental
+from .hardy import pencil, toeplitz
 from .matcore import (
     DEFAULT_POLICY,
     ShapeError,
@@ -187,25 +188,25 @@ def _model_transport(
     pair_g_prime: FundamentalPair,
     pol: TolerancePolicy,
 ) -> CheckReport:
-    """Converse direction: U_star = I (x) u_star carries model to model'."""
+    """Converse direction: U_star = I (x) u_star carries model to model'.
+
+    U_star acts on H_P block by block; U_star X - X' U_star is normed as the
+    Toeplitz matrix of the block differences of the model pencils c0 + c1 z,
+    (u_star c0 - c0' u_star) + (u_star c1 - c1' u_star) z.
+    """
     rep = CheckReport(title="model transport")
     if model.N != model_prime.N:
         raise ShapeError("models must be built at the same truncation degree")
-    blocks = model.N + 1
-    u_star_big = np.kron(np.eye(blocks, dtype=complex), wit.u_star)
-    transported = range_basis(u_star_big @ model.h_basis.basis, pol, scale=1.0)
-    gap = subspace_gap(transported, model_prime.h_basis)
+    us, h = wit.u_star, model.h_basis.basis
+    transported = (us @ h.reshape(model.N + 1, us.shape[1], h.shape[1])).reshape(-1, h.shape[1])
+    gap = subspace_gap(range_basis(transported, pol, scale=1.0), model_prime.h_basis)
     tails = model.tail + model_prime.tail
     rep.check("model_space_transport", gap, 1e-6 + 4.0 * tails)
-    xa, xb, xp = model_operators(pair_g.F1, pair_g.F2, model.N)
-    xa_p, xb_p, xp_p = model_operators(pair_g_prime.F1, pair_g_prime.F2, model_prime.N)
     scale = pol.scaled_eq(1.0, op_norm(pair_g.F1), op_norm(pair_g.F2)) + 8.0 * tails
-    for name, x, x_p in (("A", xa, xa_p), ("B", xb, xb_p), ("P", xp, xp_p)):
-        rep.check(
-            f"model_intertwine_{name}",
-            op_norm(u_star_big @ x - x_p @ u_star_big),
-            scale,
-        )
+    pencils = _model_pencils(pair_g.F1, pair_g.F2), _model_pencils(pair_g_prime.F1, pair_g_prime.F2)
+    for name, (c0, c1), (c0_p, c1_p) in zip("ABP", *pencils):
+        diff = pencil(us @ c0 - c0_p @ us, us @ c1 - c1_p @ us)
+        rep.check(f"model_intertwine_{name}", op_norm(toeplitz(diff, model.N)), scale)
     return rep
 
 

@@ -277,25 +277,34 @@ def null_basis(
     return SubspaceBasis(ambient_dim=cols, basis=basis, rank=basis.shape[1])
 
 
+def _range_complement(m: np.ndarray, pol: TolerancePolicy = DEFAULT_POLICY) -> SubspaceBasis:
+    """(range M)^perp: the trailing left singular vectors of one full SVD of M,
+    ranked as in ``range_basis`` with scale 1; with no SVD when M is all zero."""
+    rows = m.shape[0]
+    if not m.any():
+        return SubspaceBasis(ambient_dim=rows, basis=np.eye(rows, dtype=complex), rank=rows)
+    u, s, _ = np.linalg.svd(m)
+    k = int(np.count_nonzero(s > pol.rank_tol * max(float(s[0]), 1.0)))
+    return SubspaceBasis(ambient_dim=rows, basis=u[:, k:], rank=rows - k)
+
+
 def orth_complement(sub: SubspaceBasis) -> SubspaceBasis:
     """Orthonormal basis of the orthogonal complement within the ambient space."""
-    n, r = sub.ambient_dim, sub.rank
-    if r == 0:
-        return SubspaceBasis(ambient_dim=n, basis=np.eye(n, dtype=complex), rank=n)
-    u, _, _ = np.linalg.svd(sub.basis, full_matrices=True)
-    comp = u[:, r:]
-    return SubspaceBasis(ambient_dim=n, basis=comp, rank=n - r)
+    return _range_complement(sub.basis)
 
 
 def subspace_gap(a: SubspaceBasis, b: SubspaceBasis) -> float:
     """Gap ||P_A - P_B|| between two subspaces of the same ambient space.
 
     Equals the sine of the largest principal angle when dims agree, and
-    reaches 1 when dimensions differ.
+    reaches 1 when dimensions differ.  It is taken on m x rank factors, Q the
+    orthonormal bases: ||P_A - P_B|| = max(||(I - P_A) Q_B||, ||(I - P_B) Q_A||)
+    (Kato, Perturbation Theory for Linear Operators, ch. I sec. 6.8).
     """
     if a.ambient_dim != b.ambient_dim:
         raise ShapeError("subspaces live in different ambient spaces")
-    return op_norm(a.projector - b.projector)
+    qa, qb = a.basis, b.basis
+    return max(op_norm(qb - qa @ (qa.conj().T @ qb)), op_norm(qa - qb @ (qb.conj().T @ qa)))
 
 
 # theta-grid size of ``numerical_radius``, its bisection budget near a level,

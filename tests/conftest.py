@@ -1,6 +1,7 @@
 """Shared fixtures: deterministic RNG streams, cached instance suites, the
-triple of a bare contraction, a field-by-field equality, a call counter and
-watches on ``numpy.linalg``."""
+triple of a bare contraction, a field-by-field equality, a call counter,
+watches on ``numpy.linalg`` and the dense grid formulas of the model-space
+residuals."""
 
 from __future__ import annotations
 
@@ -12,7 +13,8 @@ import numpy as np
 import pytest
 
 from tetralab import generate
-from tetralab.matcore import DEFAULT_POLICY
+from tetralab.charfn import model_operators
+from tetralab.matcore import DEFAULT_POLICY, op_norm, orth_complement, range_basis
 from tetralab.triples import TetrablockTriple, validate
 
 
@@ -89,15 +91,17 @@ def forbid_linalg(monkeypatch) -> None:
                 monkeypatch.setattr(np.linalg, name, no_linalg)
 
 
-def watch_decompositions(monkeypatch) -> tuple[collections.Counter, list]:
+def watch_decompositions(monkeypatch) -> tuple[collections.Counter, list, collections.Counter]:
     """Watch the SVDs, Hermitian eigensolvers and spectral norms of numpy.linalg.
 
-    Returns ``(calls, zeros)``: ``calls[name, caller]`` counts the calls of
-    ``name`` made directly by the function named ``caller``, and ``zeros``
+    Returns ``(calls, zeros, work)``: ``calls[name, caller]`` counts the calls
+    of ``name`` made directly by the function named ``caller``, ``zeros``
     gets ``(name, caller, shape)`` for each all-zero (or empty) matrix one of
-    them is handed, once per matrix of a stacked operand.
+    them is handed, once per matrix of a stacked operand, and
+    ``work[name, caller]`` sums min(m, n)^2 max(m, n) over the m x n matrices
+    they are handed, the order of the flops of a dense decomposition.
     """
-    calls, zeros = collections.Counter(), []
+    calls, zeros, work = collections.Counter(), [], collections.Counter()
 
     def watching(name, fn):
         def wrapper(a, *args, **kwargs):
@@ -107,9 +111,60 @@ def watch_decompositions(monkeypatch) -> tuple[collections.Counter, list]:
                 caller = sys._getframe(1).f_code.co_name
                 calls[name, caller] += 1
                 zeros.extend([(name, caller, arr.shape)] * int(np.sum(~arr.any(axis=(-2, -1)))))
+                small, large = sorted(arr.shape[-2:])
+                work[name, caller] += small * small * large * int(np.prod(arr.shape[:-2]))
             return fn(a, *args, **kwargs)
         return wrapper
 
     for name in ("svd", "eigh", "eigvalsh", "norm"):
         monkeypatch.setattr(np.linalg, name, watching(name, getattr(np.linalg, name)))
-    return calls, zeros
+    return calls, zeros, work
+
+
+# Dense M x M formulas of the model-space residuals, M the side of the model
+# grid: the package takes the same norms on thin factors or on block
+# differences, and must agree with these to rounding.
+
+
+def dense_coinvariance(model, pair_g) -> dict[str, tuple[float, float]]:
+    """(||(I - q) X* q||, ||X||) per model operator X, q the projection onto range(W)."""
+    q = range_basis(model.W, scale=1.0).projector
+    eye = np.eye(q.shape[0])
+    ops = zip("ABP", model_operators(pair_g.F1, pair_g.F2, model.N))
+    return {name: (op_norm((eye - q) @ x.conj().T @ q), op_norm(x)) for name, x in ops}
+
+
+def dense_pencil_on_model(triple, model, pair_g) -> dict[str, tuple[float, float]]:
+    """(||(I - q_H) X W_iso||, ||X||) per model operator X, q_H the projection onto H_P."""
+    qh = model.h_basis.projector
+    eye = np.eye(qh.shape[0])
+    w_iso = model.W @ orth_complement(triple.dp_basis).basis
+    ops = zip("ABP", model_operators(pair_g.F1, pair_g.F2, model.N))
+    return {name: (op_norm((eye - qh) @ x @ w_iso), op_norm(x)) for name, x in ops}
+
+
+def dense_intertwine(model, u_star, pair_g, pair_g_prime) -> dict[str, tuple[float, float]]:
+    """(||(I (x) u*) X - X' (I (x) u*)||, max(||X||, ||X'||)) per pair of model operators."""
+    big = np.kron(np.eye(model.N + 1), u_star)
+    ops = model_operators(pair_g.F1, pair_g.F2, model.N)
+    ops_prime = model_operators(pair_g_prime.F1, pair_g_prime.F2, model.N)
+    return {
+        name: (op_norm(big @ x - x_p @ big), max(op_norm(x), op_norm(x_p)))
+        for name, x, x_p in zip("ABP", ops, ops_prime)
+    }
+
+
+def perturbed(pair, rng):
+    """``pair`` with F1, F2 moved by 0.1 in norm: the model residuals become O(0.1)."""
+
+    def moved(f):
+        e = rng.standard_normal(f.shape) + 1j * rng.standard_normal(f.shape)
+        return f + 0.1 * e / op_norm(e)
+
+    return dataclasses.replace(pair, F1=moved(pair.F1), F2=moved(pair.F2))
+
+
+def assert_residuals_match(entries: dict[str, float], dense: dict[str, tuple[float, float]], prefix: str):
+    """Each ``entries[prefix + name]`` equals its dense value within 1e-13 (1 + ||X||)."""
+    for name, (value, scale) in dense.items():
+        assert abs(entries[prefix + name] - value) <= 1e-13 * (1.0 + scale), (prefix + name, value)

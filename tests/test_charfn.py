@@ -11,14 +11,18 @@ basis vector 1, so the package's matrix-valued answer is directly comparable.
 
 from __future__ import annotations
 
+import sys
+
 import numpy as np
 import pytest
 
+import tetralab.matcore
 from tetralab import charfn
 from tetralab.charfn import (
     MAX_POWERS,
     TAIL_TARGET,
     ModelMismatchError,
+    NotIsometryLikeError,
     NotPureError,
     build_model,
     kernel_identity_check,
@@ -35,10 +39,17 @@ from tetralab.charfn import (
 from tetralab.fundamental import solve_fundamental
 from tetralab.bidisc import build as build_grid
 from tetralab.generate import make_instance
-from tetralab.matcore import MAX_GRID_DIM, TetralabError, op_norm
+from tetralab.matcore import MAX_GRID_DIM, TetralabError, op_norm, orth_complement
 from tetralab.triples import is_pure
 
-from conftest import p_triple, random_contraction
+from conftest import (
+    assert_residuals_match,
+    dense_coinvariance,
+    dense_pencil_on_model,
+    p_triple,
+    perturbed,
+    random_contraction,
+)
 
 
 def moebius(p: complex, z: complex) -> complex:
@@ -221,3 +232,60 @@ def test_pure_isometry_model_on_symbol_instance():
     fm = verify_functional_model(triple, model, pair_g)
     rep = pure_isometry_model(triple, model, pair_g, dec, fm)
     assert rep.overall, [e.name for e in rep.failures]
+
+
+def test_model_space_residuals_equal_the_dense_formulas(small_suite, rng):
+    # co-invariance of range(W) and the pencil on the isometric part are
+    # normed on thin factors; they equal the dense M x M formulas, for the
+    # solved pair (residuals at rounding) and for a perturbed one (O(0.1))
+    isometric = 0
+    for inst in small_suite:
+        t = inst.triple
+        model = build_model(t)
+        solved = solve_fundamental(t.adjoint())
+        for pair_g in (solved, perturbed(solved, rng)):
+            dec = verify_model_decomposition(model)
+            fm = verify_functional_model(t, model, pair_g)
+            entries = {e.name: e.residual for e in fm.entries}
+            assert_residuals_match(entries, dense_coinvariance(model, pair_g), "rangeW_coinvariant_")
+            try:
+                iso = pure_isometry_model(t, model, pair_g, dec, fm)
+            except NotIsometryLikeError:
+                continue
+            isometric += 1
+            entries = {e.name: e.residual for e in iso.entries}
+            assert_residuals_match(entries, dense_pencil_on_model(t, model, pair_g), "pencil_on_model_")
+    assert isometric == 8
+
+
+def test_model_space_checks_hand_op_norm_thin_operands(monkeypatch, small_suite):
+    # the subspace gaps, the co-invariance checks and the pencil-on-model
+    # checks hand op_norm only M x k operands, M the side of the model grid
+    # and k the rank of the subspace at hand: H_P, range(W) or W of the
+    # isometric part
+    seen = []
+
+    def recording(m):
+        seen.append((sys._getframe(1).f_code.co_name, np.shape(m)))
+        return op_norm(m)
+
+    for mod in (tetralab.matcore, charfn):
+        monkeypatch.setattr(mod, "op_norm", recording)
+    thin = 0
+    for t in [inst.triple for inst in small_suite] + [build_grid(2)]:
+        seen.clear()
+        model = build_model(t)
+        pair_g = solve_fundamental(t.adjoint())
+        dec = verify_model_decomposition(model)
+        fm = verify_functional_model(t, model, pair_g)
+        m, n, k = model.W.shape[0], t.dim, model.h_basis.rank
+        thin += m > max(n, k)
+        shapes = lambda caller: {s for c, s in seen if c == caller and s[0] == m}
+        assert shapes("subspace_gap") == {(m, k), (m, n)}
+        assert shapes("verify_functional_model") == {(m, n)}
+        iso_rank = orth_complement(t.dp_basis).rank
+        if iso_rank:
+            seen.clear()
+            pure_isometry_model(t, model, pair_g, dec, fm)
+            assert shapes("pure_isometry_model") == {(m, iso_rank)}
+    assert thin == 5  # the symbols instances have M = dim H

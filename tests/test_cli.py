@@ -33,7 +33,14 @@ from tetralab.invariants import INVARIANT_SAMPLES, induced_defect_unitary, verif
 from tetralab.matcore import MAX_GRID_DIM, TetralabError, defect, op_norm
 from tetralab.triples import is_pure, validate
 
-from conftest import count_calls, p_triple, watch_decompositions
+from conftest import (
+    assert_residuals_match,
+    count_calls,
+    dense_coinvariance,
+    dense_pencil_on_model,
+    p_triple,
+    watch_decompositions,
+)
 
 
 def run(capsys, *argv) -> tuple[int, str, str]:
@@ -330,11 +337,12 @@ def test_battery_builds_each_object_once(monkeypatch):
     # decompositions after other tests
     instances = generate.suite(seed=7, count=6, dim=3, degree=3)
     calls = count_calls(monkeypatch, solve_fundamental, build_model, defect, is_pure)
-    decompositions, _ = watch_decompositions(monkeypatch)
-    op_norm_svds = []
+    decompositions, _, work = watch_decompositions(monkeypatch)
+    op_norm_svds, works = [], []
     for inst in instances:
         calls.update(solve_fundamental=0, build_model=0, defect=0, is_pure=0)
         decompositions.clear()
+        work.clear()
         rep = run_instance_battery(inst)
         assert rep.overall, inst.label
         assert calls["solve_fundamental"] == 4, inst.label
@@ -342,9 +350,15 @@ def test_battery_builds_each_object_once(monkeypatch):
         assert calls["defect"] == (6 if inst.family == "symbols" else 2), inst.label
         assert calls["is_pure"] == 2, inst.label
         op_norm_svds.append(decompositions["svd", "op_norm"])
+        works.append(sum(work.values()))
     # op_norm decomposes no zero matrix, ||A||, ||B||, ||P|| are read from
-    # the triples, and numerical_radius runs none
-    assert op_norm_svds == [124, 139, 251, 123, 139, 205]
+    # the triples, and numerical_radius runs none; each subspace gap is two
+    # SVDs of thin factors
+    assert op_norm_svds == [126, 142, 254, 125, 142, 208]
+    # no model-space check decomposes a grid-sized matrix of rank <= dim H:
+    # on the projector formulas the work was [174960, 86666, 44254782,
+    # 174933, 167266, 9166500], 54,025,107 in all
+    assert works == [178416, 85250, 19111167, 178389, 164186, 3994785]
 
 
 def test_verify_bidisc_builds_each_object_once(monkeypatch, capsys):
@@ -353,8 +367,8 @@ def test_verify_bidisc_builds_each_object_once(monkeypatch, capsys):
     # fundamental and model reports, the isometry model and the extraction
     # round trip; the two defects are those of the one validation, and each
     # model report runs once, the isometry model taking the two it needs.
-    # Purity is checked by the example's "pure_nilpotent" entry and by the
-    # model; the round trip reads the model's truncation.
+    # Purity is checked once, by the model, whose certificate the example's
+    # "pure_nilpotent" entry reads; the round trip reads the model's truncation.
     # op_norm decomposes no zero matrix and reads the norms the triple keeps;
     # its adjoints share one norm cache, so ||A*||, ||B*|| and ||P*|| are
     # computed once each
@@ -368,7 +382,7 @@ def test_verify_bidisc_builds_each_object_once(monkeypatch, capsys):
         verify_functional_model,
         verify_model_decomposition,
     )
-    decompositions, _ = watch_decompositions(monkeypatch)
+    decompositions, _, work = watch_decompositions(monkeypatch)
     norms_computed = collections.Counter()
 
     def counting_op_norm(m):
@@ -385,12 +399,15 @@ def test_verify_bidisc_builds_each_object_once(monkeypatch, capsys):
         "build_model": 1,
         "validate": 1,
         "defect": 2,
-        "is_pure": 2,
+        "is_pure": 1,
         "verify_functional_model": 1,
         "verify_model_decomposition": 1,
     }
     assert decompositions["svd", "op_norm"] == 44
     assert norms_computed == {"A": 1, "B": 1, "P": 1}
+    # H_P comes from one SVD of T_Theta, the gaps from thin factors: on the
+    # projector formulas the work was 351,801
+    assert sum(work.values()) == 347769
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -412,11 +429,30 @@ def test_verify_bidisc_reports_equal_the_standalone_batteries(capsys, n):
     assert entries["isometry_model"] == iso.to_dict()["entries"]
 
 
+def test_verify_bidisc_model_residuals_equal_the_dense_formulas(capsys):
+    # the command's co-invariance and pencil-on-model residuals, normed on
+    # thin factors, equal the dense M x M formulas on the degree-3 grid
+    code, out, _ = run(capsys, "verify-bidisc", "--degree", "3", "--format", "json")
+    assert code == 0
+    entries = {
+        (r["label"], e["name"]): e["residual"] for r in strict_json(out)["reports"] for e in r["entries"]
+    }
+    triple = build_grid(3)
+    model = build_model(triple, 3)
+    pair_g = solve_fundamental(triple.adjoint())
+    coinvariance = dense_coinvariance(model, pair_g)
+    for label, prefix in (("model", "fm_"), ("isometry_model", "")):
+        named = {name: value for (lab, name), value in entries.items() if lab == label}
+        assert_residuals_match(named, coinvariance, f"{prefix}rangeW_coinvariant_")
+    named = {name: value for (lab, name), value in entries.items() if lab == "isometry_model"}
+    assert_residuals_match(named, dense_pencil_on_model(triple, model, pair_g), "pencil_on_model_")
+
+
 def test_no_decomposition_of_an_all_zero_matrix(monkeypatch, capsys):
     # the residuals of the exact worked example are exactly zero, and so are
     # many of the instances', e.g. [A, P] and [B, P] of compressions[3] at
     # seed 42, whose P is 0: none of them reaches an SVD or an eigensolver
-    _, zeros = watch_decompositions(monkeypatch)
+    _, zeros, _ = watch_decompositions(monkeypatch)
     code, _, _ = run(capsys, "verify-bidisc", "--degree", "6")
     assert code == 0
     for family, seed, index in (("symbols", 7, 0), ("compressions", 42, 3), ("scalars", 7, 0)):

@@ -6,19 +6,22 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from tetralab.charfn import ResolventSingularError
+from tetralab.charfn import ResolventSingularError, build_model
 from tetralab.fundamental import solve_fundamental
 from tetralab.generate import companion_unitary, make_instance
 from tetralab.invariants import (
     CoincidenceWitness,
     NotIntertwiningError,
+    _model_transport,
     induced_defect_unitary,
     unitary_invariant_suite,
     verify_coincidence,
     verify_fundamental_equivalence,
 )
-from tetralab.matcore import ShapeError
+from tetralab.matcore import DEFAULT_POLICY, ShapeError
 from tetralab.triples import validate
+
+from conftest import assert_residuals_match, dense_intertwine, perturbed
 
 SAMPLES = (0.3 + 0.2j, -0.55, 0.1 - 0.6j, 0.72j)
 
@@ -115,3 +118,22 @@ def test_fundamental_equivalence_and_shape_guard():
 def test_witness_residual_infinite_for_nonsquare():
     wit = CoincidenceWitness(u=np.zeros((2, 3)), u_star=np.eye(2))
     assert wit.unitarity_residual() == np.inf
+
+
+def test_model_intertwine_equals_the_dense_formula(small_suite, rng):
+    # the converse check norms the Toeplitz matrix of the block differences
+    # u* c - c' u* of the model pencils; it equals the dense
+    # (I (x) u*) X - X' (I (x) u*), for the solved pair of the conjugated
+    # copy (residuals at rounding) and for a perturbed one (O(0.1))
+    for inst in small_suite:
+        u = companion_unitary(inst, inst.triple.dim)
+        prime = conjugated_copy(inst, u)
+        wit = induced_defect_unitary(u, inst.triple, prime)
+        model = build_model(inst.triple)
+        model_prime = build_model(prime, model.N)
+        pair_g, solved = solve_fundamental(inst.triple.adjoint()), solve_fundamental(prime.adjoint())
+        for pair_g_prime in (solved, perturbed(solved, rng)):
+            rep = _model_transport(model, model_prime, wit, pair_g, pair_g_prime, DEFAULT_POLICY)
+            entries = {e.name: e.residual for e in rep.entries}
+            dense = dense_intertwine(model, wit.u_star, pair_g, pair_g_prime)
+            assert_residuals_match(entries, dense, "model_intertwine_")

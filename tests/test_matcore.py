@@ -169,7 +169,7 @@ def test_radius_runs_one_stacked_eigvalsh_and_no_svd(monkeypatch, rng):
     for dim in range(1, 9):
         m = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
         cases += [m, random_contraction(rng, dim, norm=0.7)]
-    calls, _ = watch_decompositions(monkeypatch)
+    calls, _, _ = watch_decompositions(monkeypatch)
     for x in cases:
         w, err = numerical_radius(x, level)
         assert not w <= level < w + err
@@ -180,7 +180,7 @@ def test_radius_refinement_budget_runs_out_on_the_unit_disc(monkeypatch):
     # W(2 JORDAN) is the closed unit disc: every vertex of the polygon lies
     # outside it, so each bisection step runs, one single-angle eigvalsh
     # each, and the bracket still straddles the level at the end
-    calls, _ = watch_decompositions(monkeypatch)
+    calls, _, _ = watch_decompositions(monkeypatch)
     level = 1.0 + DEFAULT_POLICY.eq_tol
     w, err = numerical_radius(2.0 * JORDAN, level)
     assert w <= level < w + err

@@ -22,9 +22,21 @@ suite instances the rotated solve must give those operators in ambient
 coordinates (the defect bases of omega^2 P may differ from those of P inside
 degenerate eigenspaces), numerical-radius brackets that overlap, and the
 same verdict on every check of the fundamental batteries.
+
+``subspace_gap`` takes ||P_A - P_B|| on thin factors through the identity
+||P_A - P_B|| = max(||(I - P_A) Q_B||, ||(I - P_B) Q_A||); it must equal
+the norm of the projector difference for subspaces of C^m, m = 1-40, of
+any ranks: equal, unequal, zero, the whole space, and nearly equal.
+
+Conjugating a generated triple by a unitary U gives a unitarily equivalent
+triple, so the whole instance battery must reach the same verdict on every
+check, and each residual may move only by rounding, below its tolerance;
+the model-space residuals are the ones this guards most.
 """
 
 from __future__ import annotations
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -40,13 +52,16 @@ from tetralab.fundamental import (  # noqa: E402
     verify_difference_identity,
     verify_tetra_characterization,
 )
-from tetralab.generate import FAMILIES, make_instance  # noqa: E402
+from tetralab.cli import run_instance_battery  # noqa: E402
+from tetralab.generate import FAMILIES, make_instance, random_unitary  # noqa: E402
 from tetralab.matcore import (  # noqa: E402
     DEFAULT_POLICY,
     ShapeError,
+    SubspaceBasis,
     ensure_matrix,
     numerical_radius,
     op_norm,
+    subspace_gap,
 )
 from tetralab.triples import validate  # noqa: E402
 
@@ -206,3 +221,60 @@ def test_unimodular_rotation_rotates_the_fundamental_operators(family, seed, ind
         (pair.w2, pair.w2_err, rotated_pair.w2, rotated_pair.w2_err),
     ):
         assert rw <= w + err + slack and w <= rw + rerr + slack
+
+
+def orthonormal(z: np.ndarray) -> SubspaceBasis:
+    m, r = z.shape
+    return SubspaceBasis(ambient_dim=m, basis=np.linalg.qr(z)[0] if r else z, rank=r)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(
+    m=st.integers(1, 40),
+    frac_a=st.floats(0.0, 1.0),
+    frac_b=st.floats(0.0, 1.0),
+    nearness=st.sampled_from((None, 0.0, 1e-9, 1e-4)),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_subspace_gap_equals_the_projector_difference(m, frac_a, frac_b, nearness, seed):
+    # nearness None draws B independently, with its own rank; otherwise B is
+    # A moved by that much
+    rng = np.random.default_rng(seed)
+
+    def gaussian(r):
+        return rng.standard_normal((m, r)) + 1j * rng.standard_normal((m, r))
+
+    ra = round(frac_a * m)
+    a = orthonormal(gaussian(ra))
+    if nearness is None:
+        b = orthonormal(gaussian(round(frac_b * m)))
+    else:
+        b = orthonormal(a.basis + nearness * gaussian(ra))
+    assert abs(subspace_gap(a, b) - op_norm(a.projector - b.projector)) <= 1e-13
+
+
+def conjugated(inst, u):
+    t = inst.triple
+    return dataclasses.replace(
+        inst, triple=validate(u @ t.A @ u.conj().T, u @ t.B @ u.conj().T, u @ t.P @ u.conj().T)
+    )
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(
+    family=st.sampled_from(FAMILIES),
+    seed=st.integers(0, 2**32 - 1),
+    index=st.integers(0, 5),
+    dim=st.integers(2, 4),
+)
+def test_unitary_conjugation_keeps_every_verdict_of_the_battery(family, seed, index, dim):
+    inst = make_instance(family, seed, index, dim, degree=3)
+    u = random_unitary(np.random.default_rng(seed), inst.triple.dim)
+    entries = run_instance_battery(inst).entries
+    moved = run_instance_battery(conjugated(inst, u)).entries
+    assert [(e.name, e.passed, e.skipped) for e in moved] == [
+        (e.name, e.passed, e.skipped) for e in entries
+    ]
+    for e, e_moved in zip(entries, moved):
+        if not e.skipped:
+            assert abs(e_moved.residual - e.residual) <= e.tolerance, e.name
