@@ -183,16 +183,13 @@ def model_embedding(n: int) -> np.ndarray:
 
 
 def model_embedding_series(n: int) -> np.ndarray:
-    """Same embedding assembled analytically: row block m is B_b* D_P* (P*)^m."""
+    """Same embedding assembled analytically: row block m is B_b* D_P* (P*)^m,
+    block m + 1 the product of block m with P*; no power of P* is formed."""
     _require_size(n)
-    b = border_embedding(n)
-    dpstar = near_border_projector(n)
     pstar = _shift_matrix(n, 1, 1).conj().T
-    blocks = []
-    power = np.eye(grid_dim(n), dtype=complex)
-    for _ in range(n + 1):
-        blocks.append(b.conj().T @ dpstar @ power)
-        power = power @ pstar
+    blocks = [border_embedding(n).conj().T @ near_border_projector(n)]
+    for _ in range(n):
+        blocks.append(blocks[-1] @ pstar)
     return np.vstack(blocks)
 
 

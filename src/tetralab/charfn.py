@@ -158,16 +158,20 @@ def theta_taylor(triple: TetrablockTriple, degrees, pol: TolerancePolicy = DEFAU
 
 
 def theta_eval(triple: TetrablockTriple, points, pol: TolerancePolicy = DEFAULT_POLICY) -> list[np.ndarray]:
-    """Theta_P(z) in the defect bases, one per z in ``points``, via the resolvent of P*."""
+    """Theta_P(z) in the defect bases, one per z in ``points``, via the resolvent of P*.  The SVD refusing
+    I - z P* at clamp_tol runs only where Weyl's bounds 1 -+ |z| s on its singular values leave the test open,
+    s = sqrt(||P||_1 ||P||_inf) >= ||P|| (Schur's bound) rounded up past the (dim + 2) eps error of its sums."""
     p = triple.P
     eye = np.eye(p.shape[0])
+    s = np.sqrt(np.abs(p).sum(0).max(initial=0.0) * np.abs(p).sum(1).max(initial=0.0)) * (1 + 1e-12 + 3e-16 * len(p))
     out = []
     for z in points:
         z = complex(z)
         res = eye - z * p.conj().T
-        sv = np.linalg.svd(res, compute_uv=False)
-        if sv.size == 0 or sv[-1] <= pol.clamp_tol * max(1.0, sv[0]):
-            raise ResolventSingularError(f"I - z P* singular at z = {z!r}")
+        if not (p.size and 1.0 - abs(z) * s > pol.clamp_tol * (1.0 + abs(z) * s)):
+            sv = np.linalg.svd(res, compute_uv=False)
+            if sv.size == 0 or sv[-1] <= pol.clamp_tol * max(1.0, sv[0]):
+                raise ResolventSingularError(f"I - z P* singular at z = {z!r}")
         middle = -p + z * (triple.dpstar @ np.linalg.solve(res, triple.dp))
         out.append(triple.dpstar_basis.basis.conj().T @ middle @ triple.dp_basis.basis)
     return out
@@ -215,25 +219,28 @@ def _power_norms(p: np.ndarray) -> list[float]:
 def power_tail(p, n: int | None = None, pol: TolerancePolicy = DEFAULT_POLICY) -> tuple[int, float]:
     """Truncation degree n and an upper bound on (sum_{m > n} ||P^m||^2)^(1/2).
 
-    Checks purity (NotPureError) and forms ||P^k||, k = 1, 2, ..., until the
-    first c = ||P^K|| <= POWER_CUTOFF.  Since ||P^(K+j)|| <= c ||P^j||, the
-    remainder sum_{m >= K} ||P^m||^2 is at most c^2 (1 + T) / (1 - c^2), T
-    the sum of ||P^m||^2 for m < K.  That bound is added to every suffix
-    sum, so the tail is an upper bound; it is zero for an exact nilpotent P
-    (c = 0) past its index.  When ``n`` is omitted it is the smallest degree
-    whose tail is <= TAIL_TARGET.
+    Checks purity (NotPureError) and forms ||P^k||, k = 1, 2, ..., until the first c = ||P^K|| <= POWER_CUTOFF.
+    Since ||P^(K+j)|| <= c ||P^j||, the remainder sum_{m >= K} ||P^m||^2 is at most c^2 (1 + T) / (1 - c^2),
+    T the sum of ||P^m||^2 for m < K.  That bound is added to every suffix sum, so the tail is an upper
+    bound; it is zero for an exact nilpotent P (c = 0) past its index.  When ``n`` is omitted it is the
+    smallest degree whose tail is <= TAIL_TARGET.  When ``n`` is given and the purity check found its
+    nilpotency index K <= n + 1 with P^K exactly zero (``PurityCertificate.exact_zero``), the tail is 0.0
+    without a norm: every earlier ||P^k|| >= ||P^k||_F / sqrt(dim) > 1e-12 / sqrt(dim) > POWER_CUTOFF
+    while dim < 10^4, so the norms would stop at the same K with c = 0.
     """
     return _certified_tail(p, n, pol)[1:]
 
 
-def _certified_tail(p, n: int | None, pol: TolerancePolicy) -> tuple[PurityCertificate, int, float]:
-    """The PurityCertificate of P that ``power_tail`` checks, then its (n, tail)."""
+def _certified_tail(p, n: int | None, pol: TolerancePolicy, cert=None) -> tuple[PurityCertificate, int, float]:
+    """The PurityCertificate of P (``cert``, else ``is_pure(p, pol)``) that ``power_tail`` checks, then (n, tail)."""
     p = ensure_matrix(p, square=True, name="P")
     if n is not None and n < 0:
         raise ValueError("model degree must be >= 0")
-    cert = is_pure(p, pol)
+    cert = is_pure(p, pol) if cert is None else cert
     if not cert:
         raise NotPureError(f"P is not pure (rho = {cert.spectral_radius:.6f})")
+    if n is not None and cert.exact_zero and cert.nilpotency_index <= n + 1 and p.shape[0] < 10**4:
+        return cert, n, 0.0
     *norms, c = _power_norms(p)
     total = sum(nm * nm for nm in norms)
     # tails[k]^2 bounds sum_{m > k} ||P^m||^2; norms[k] = ||P^(k+1)||
@@ -279,7 +286,12 @@ def build_model(triple: TetrablockTriple, n: int | None = None, pol: TolerancePo
     SVD of toeplitz(theta), must agree with range(W) within 1e-6 + tail,
     otherwise ModelMismatchError (the two constructions are independent).
     """
-    purity, n, tail = _certified_tail(triple.P, n, pol)
+    return _build_model(triple, n, pol)
+
+
+def _build_model(triple: TetrablockTriple, n: int | None, pol: TolerancePolicy, purity=None) -> ModelData:
+    """``build_model``, reusing ``purity`` = ``is_pure(triple.P, pol)`` when given."""
+    purity, n, tail = _certified_tail(triple.P, n, pol, purity)
     sb = triple.dpstar_basis
     if (n + 1) * sb.rank > MAX_GRID_DIM:
         raise GridSizeError(

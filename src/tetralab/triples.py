@@ -165,19 +165,20 @@ def necessary_report(triple: TetrablockTriple, pol: TolerancePolicy = DEFAULT_PO
 class PurityCertificate:
     """Purity verdict for a contraction P (P^n -> 0).
 
-    nilpotency_index, when set, is the least n with P^n numerically zero.
+    nilpotency_index, when set, is the least K with ||P^K||_F <= 1e-12; exact_zero, whether P^K is 0.
     """
 
     pure: bool
     spectral_radius: float
     nilpotency_index: int | None = None
+    exact_zero: bool = False
 
     def __bool__(self) -> bool:
         return self.pure
 
 
 def is_pure(p, pol: TolerancePolicy = DEFAULT_POLICY) -> PurityCertificate:
-    """Decide purity by the spectral radius: pure iff rho(P) < 1 - rank_tol."""
+    """Pure iff rho(P) < 1 - rank_tol; below rank_tol the powers of P give the nilpotency index and ``exact_zero``."""
     p = ensure_matrix(p, square=True, name="P")
     n = p.shape[0]
     if n == 0:
@@ -185,16 +186,16 @@ def is_pure(p, pol: TolerancePolicy = DEFAULT_POLICY) -> PurityCertificate:
     rho = float(np.abs(np.linalg.eigvals(p)).max())
     if rho >= 1.0 - pol.rank_tol:
         return PurityCertificate(pure=False, spectral_radius=rho)
-    nil_index = None
+    nil_index, exact_zero = None, False
     if rho < pol.rank_tol:
         power = np.eye(n, dtype=complex)
         for k in range(1, n + 1):
             power = power @ p
             # the Frobenius norm bounds the spectral norm from above
             if np.linalg.norm(power) <= 1e-12:
-                nil_index = k
+                nil_index, exact_zero = k, not power.any()
                 break
-    return PurityCertificate(pure=True, spectral_radius=rho, nilpotency_index=nil_index)
+    return PurityCertificate(True, rho, nil_index, exact_zero)
 
 
 def from_symbols(f1, f2, n: int, pol: TolerancePolicy = DEFAULT_POLICY) -> TetrablockTriple:

@@ -24,6 +24,7 @@ from tetralab.charfn import (
     ModelMismatchError,
     NotIsometryLikeError,
     NotPureError,
+    ResolventSingularError,
     build_model,
     kernel_identity_check,
     model_operators,
@@ -35,20 +36,23 @@ from tetralab.charfn import (
     verify_functional_model,
     verify_model_decomposition,
     verify_pencil_intertwining,
+    _power_norms,
 )
 from tetralab.fundamental import solve_fundamental
 from tetralab.bidisc import build as build_grid
-from tetralab.generate import make_instance
-from tetralab.matcore import MAX_GRID_DIM, TetralabError, op_norm, orth_complement
-from tetralab.triples import is_pure
+from tetralab.generate import make_instance, random_unitary
+from tetralab.matcore import DEFAULT_POLICY, MAX_GRID_DIM, TetralabError, ensure_matrix, op_norm, orth_complement
+from tetralab.triples import from_symbols, is_pure
 
 from conftest import (
     assert_residuals_match,
+    count_calls,
     dense_coinvariance,
     dense_pencil_on_model,
     p_triple,
     perturbed,
     random_contraction,
+    watch_decompositions,
 )
 
 
@@ -99,11 +103,114 @@ def test_kernel_identity(rng):
             assert kernel_identity_check(t, z, w) < 1e-10
 
 
-def test_resolvent_guard():
-    from tetralab.charfn import ResolventSingularError
-
+def test_resolvent_guard(monkeypatch):
+    calls, _, _ = watch_decompositions(monkeypatch)
     with pytest.raises(ResolventSingularError):
         theta_eval(p_triple([[1.0]]), [1.0])
+    # |z| ||P|| = 1 - 1e-13: the bound cannot clear I - z P*, so the SVD
+    # runs, and finds it singular at clamp_tol
+    with pytest.raises(ResolventSingularError):
+        theta_eval(p_triple([[1.0]]), [1.0 - 1e-13])
+    assert calls["svd", "theta_eval"] == 2
+
+
+def test_skipped_resolvent_svd_would_have_passed(monkeypatch):
+    # theta_eval skips the SVD of I - z P* only where Schur's bound on ||P||
+    # settles the clamp_tol test; the SVD must then agree, over contractions
+    # of dimension 1-6 (generic, nilpotent, scalar and unitary, of norm up to
+    # exactly 1) and points of the open disc up to 1 - 1e-13 in modulus,
+    # some in the direction of an eigenvalue of P of largest modulus, where
+    # I - z P* comes closest to singular
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    calls, _, _ = watch_decompositions(monkeypatch)
+    skipped = []
+
+    @hypothesis.settings(derandomize=True, max_examples=200, deadline=None)
+    @hypothesis.given(
+        seed=st.integers(0, 2**32 - 1),
+        dim=st.integers(1, 6),
+        kind=st.sampled_from(["generic", "nilpotent", "scalar", "unitary"]),
+        norm=st.one_of(st.just(1.0), st.floats(0.0, 1.0)),
+        radius=st.one_of(st.just(1.0 - 1e-13), st.floats(0.0, 1.0, exclude_max=True)),
+        angle=st.one_of(st.none(), st.floats(0.0, 2.0 * np.pi)),
+    )
+    def skipped_svd_passes(seed, dim, kind, norm, radius, angle):
+        gen = np.random.default_rng(seed)
+        m = gen.standard_normal((dim, dim)) + 1j * gen.standard_normal((dim, dim))
+        if kind == "nilpotent":
+            m = np.triu(m, 1)
+        elif kind == "scalar":
+            m = np.exp(1j * gen.uniform(0.0, 2.0 * np.pi)) * np.eye(dim)
+        elif kind == "unitary":
+            m = random_unitary(gen, dim)
+        p = norm * m / op_norm(m) if m.any() else m
+        if angle is None:  # z P* is closest to I along the top eigenvalue of P
+            eig = np.linalg.eigvals(p)
+            angle = np.angle(eig[np.argmax(np.abs(eig))])
+        z = radius * np.exp(1j * angle)
+        calls.clear()
+        try:
+            theta_eval(p_triple(p), [z])
+        except ResolventSingularError:
+            assert calls["svd", "theta_eval"] == 1
+            return
+        if calls["svd", "theta_eval"] == 0:
+            skipped.append(z)
+            sv = np.linalg.svd(np.eye(dim) - z * p.conj().T, compute_uv=False)
+            assert sv[-1] > DEFAULT_POLICY.clamp_tol * max(1.0, sv[0])
+
+    skipped_svd_passes()
+    assert skipped
+
+
+# ---------------------------------------------- tail shortcut for exact zeros
+
+
+def full_pass_tail(p, n: int) -> tuple[int, float]:
+    """power_tail(p, n) by the formula over all the norms of the powers of P."""
+    *norms, c = _power_norms(ensure_matrix(p))
+    total = sum(nm * nm for nm in norms)
+    tails = [c * c * (1.0 + total) / (1.0 - c * c)]
+    for nm in reversed(norms):
+        tails.append(tails[-1] + nm * nm)
+    return n, float(np.sqrt(tails[::-1])[min(n, len(norms))])
+
+
+def shortcut_cases():
+    """(name, P, nilpotency index of is_pure, whether that power is exactly zero)."""
+    shift = np.diag(np.ones(3, dtype=complex), -1)
+    phases = np.diag(np.exp(1j * np.arange(4.0)))
+    c, s = np.cos(0.1), np.sin(0.1)
+    rot = np.array([[c, -s], [s, c]])
+    yield from ((f"grid{d}", build_grid(d).P, d + 1, True) for d in range(1, 7))
+    yield from ((f"symbols{d}", from_symbols(0.3 * np.eye(2), 0.2 * np.eye(2), d).P, d + 1, True) for d in (1, 3, 5))
+    yield "symbols_instance", make_instance("symbols", seed=7, index=0, dim=3, degree=3).triple.P, 4, True
+    yield "phase_conjugated_shift", phases @ shift @ phases.conj().T, 4, True
+    # P^2 = 1e-25 I: nilpotency index 2, but no exact zero
+    yield "tiny_square", np.array([[0.0, 1.0], [1e-25, 0.0]]), 2, False
+    # u P u* is nilpotent, but its computed powers are rounding noise: here
+    # P^2 is below 1e-12, there the computed spectral radius is 1.3e-4
+    yield "rotated_shift", rot @ shift[:2, :2] @ rot.T, 2, False
+    u = random_unitary(np.random.default_rng(5), 4)
+    yield "conjugated_shift", u @ shift @ u.conj().T, None, False
+
+
+@pytest.mark.parametrize("name, p, index, exact", [pytest.param(*c, id=c[0]) for c in shortcut_cases()])
+def test_tail_shortcut_equals_the_full_pass(monkeypatch, name, p, index, exact):
+    # an exact zero P^K takes the tail from the purity check for every
+    # degree n >= K - 1, and the result equals the full pass bit for bit;
+    # below K - 1, or with no exact zero, the full pass runs
+    cert = is_pure(p)
+    assert (cert.nilpotency_index, cert.exact_zero) == (index, exact)
+    calls = count_calls(monkeypatch, _power_norms)
+    for n in range((index or 3) + 2):
+        calls["_power_norms"] = 0
+        got = power_tail(p, n)
+        expected = full_pass_tail(p, n)
+        assert (got[0], got[1].hex()) == (expected[0], expected[1].hex()), (name, n)
+        shortcut = exact and n >= index - 1
+        assert calls["_power_norms"] == (0 if shortcut else 1), (name, n)
 
 
 # -------------------------------------------------------- truncation tail

@@ -17,6 +17,7 @@ from tetralab import bidisc, generate, io
 from tetralab.bidisc import build as build_grid
 from tetralab.blh import extraction_roundtrip, roundtrip_battery
 from tetralab.charfn import (
+    _power_norms,
     ResolventSingularError,
     build_model,
     pure_isometry_model,
@@ -357,8 +358,10 @@ def test_battery_builds_each_object_once(monkeypatch):
     assert op_norm_svds == [126, 142, 254, 125, 142, 208]
     # no model-space check decomposes a grid-sized matrix of rank <= dim H:
     # on the projector formulas the work was [174960, 86666, 44254782,
-    # 174933, 167266, 9166500], 54,025,107 in all
-    assert works == [178416, 85250, 19111167, 178389, 164186, 3994785]
+    # 174933, 167266, 9166500], 54,025,107 in all; with a gating SVD at each
+    # point theta_eval is handed, [178416, 85250, 19111167, 178389, 164186,
+    # 3994785]
+    assert works == [154224, 83125, 19110681, 154197, 160298, 3994299]
 
 
 def test_verify_bidisc_builds_each_object_once(monkeypatch, capsys):
@@ -371,7 +374,9 @@ def test_verify_bidisc_builds_each_object_once(monkeypatch, capsys):
     # "pure_nilpotent" entry reads; the round trip reads the model's truncation.
     # op_norm decomposes no zero matrix and reads the norms the triple keeps;
     # its adjoints share one norm cache, so ||A*||, ||B*|| and ||P*|| are
-    # computed once each
+    # computed once each.  P^4 = 0 exactly, so the tail needs no norm of a
+    # power of P (3 SVDs before), and Schur's bound clears I - z P* at every
+    # pencil sample without an SVD (10 before)
     calls = count_calls(
         monkeypatch,
         solve_fundamental,
@@ -381,6 +386,7 @@ def test_verify_bidisc_builds_each_object_once(monkeypatch, capsys):
         is_pure,
         verify_functional_model,
         verify_model_decomposition,
+        _power_norms,
     )
     decompositions, _, work = watch_decompositions(monkeypatch)
     norms_computed = collections.Counter()
@@ -402,12 +408,15 @@ def test_verify_bidisc_builds_each_object_once(monkeypatch, capsys):
         "is_pure": 1,
         "verify_functional_model": 1,
         "verify_model_decomposition": 1,
+        "_power_norms": 0,
     }
-    assert decompositions["svd", "op_norm"] == 44
+    assert decompositions["svd", "op_norm"] == 41
+    assert decompositions["svd", "theta_eval"] == 0
     assert norms_computed == {"A": 1, "B": 1, "P": 1}
     # H_P comes from one SVD of T_Theta, the gaps from thin factors: on the
-    # projector formulas the work was 351,801
-    assert sum(work.values()) == 347769
+    # projector formulas the work was 351,801, and 347,769 with the SVDs of
+    # the powers of P and of I - z P*
+    assert sum(work.values()) == 294521
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -503,7 +512,7 @@ def test_pencil_intertwining_refuses_samples_outside_disc(monkeypatch, small_sui
 def test_build_model_checks_purity_once(monkeypatch, capsys, tmp_path):
     # one power_tail call per model, with or without a degree, and per
     # extraction round trip, none in a round trip fed a model's truncation;
-    # model-check adds its own "pure" check
+    # model-check hands the certificate of its "pure" check to the model
     triple = make_instance("scalars", seed=61, index=0, dim=3).triple
     calls = count_calls(monkeypatch, is_pure)
     model = build_model(triple)
@@ -523,7 +532,20 @@ def test_build_model_checks_purity_once(monkeypatch, capsys, tmp_path):
     path = tmp_path / "triple.json"
     path.write_text(io.dumps(io.triple_to_obj(triple)))
     assert run(capsys, "model-check", str(path))[0] == 0
-    assert calls["is_pure"] == 2
+    assert calls["is_pure"] == 1
+
+
+@pytest.mark.parametrize("p, code", [(np.eye(2), 1), (np.array([[0.999]]), 2)], ids=["not-pure", "refused-grid"])
+def test_model_check_checks_purity_once(monkeypatch, capsys, tmp_path, p, code):
+    # as on the pure input of test_build_model_checks_purity_once, the model
+    # is built on the certificate of the "pure" check: P = I is not pure (a
+    # failed check), and P = 0.999 needs a model grid too large (input error)
+    path = tmp_path / "triple.json"
+    zero = io.matrix_to_obj(np.zeros(p.shape))
+    path.write_text(io.dumps({"A": zero, "B": zero, "P": io.matrix_to_obj(p)}))
+    calls = count_calls(monkeypatch, is_pure)
+    assert run(capsys, "model-check", str(path))[0] == code
+    assert calls["is_pure"] == 1
 
 
 @pytest.mark.parametrize("fmt", ["text", "json"])
