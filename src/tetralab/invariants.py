@@ -20,7 +20,6 @@ import numpy as np
 
 from .charfn import ModelData, _disc_samples, _model_pencils, build_model, theta_eval, theta_taylor
 from .fundamental import FundamentalPair, solve_fundamental
-from .hardy import pencil, toeplitz
 from .matcore import (
     DEFAULT_POLICY,
     ShapeError,
@@ -188,25 +187,32 @@ def _model_transport(
     pair_g_prime: FundamentalPair,
     pol: TolerancePolicy,
 ) -> CheckReport:
-    """Converse direction: U_star = I (x) u_star carries model to model'.
-
-    U_star acts on H_P block by block; U_star X - X' U_star is normed as the
-    Toeplitz matrix of the block differences of the model pencils c0 + c1 z,
-    (u_star c0 - c0' u_star) + (u_star c1 - c1' u_star) z.
-    """
+    """Converse direction: U_star = I (x) u_star carries H_P onto H_P' (the gap
+    ``model_space_transport``) and, with V = Q_H'* U_star Q_H, Q_H and Q_H' the
+    bases of H_P and H_P', makes the model operators X, X' compressed to them
+    equivalent: ``model_intertwine_X`` norms the dim H sided V X_H - X'_H' V,
+    X_H = Q_H* X Q_H, X Q_H applied block by block from the pencil c0 + c1 z."""
     rep = CheckReport(title="model transport")
     if model.N != model_prime.N:
         raise ShapeError("models must be built at the same truncation degree")
-    us, h = wit.u_star, model.h_basis.basis
+
+    def compressed(q, c0, c1):  # Q* X Q with (X Q)_m = c0 q_m + c1 q_{m-1}
+        blocks = q.reshape(model.N + 1, c0.shape[1], q.shape[1])
+        xq = c0 @ blocks
+        xq[1:] += c1 @ blocks[:-1]
+        return q.conj().T @ xq.reshape(q.shape)
+
+    us, h, h_p = wit.u_star, model.h_basis.basis, model_prime.h_basis.basis
     transported = (us @ h.reshape(model.N + 1, us.shape[1], h.shape[1])).reshape(-1, h.shape[1])
     gap = subspace_gap(range_basis(transported, pol, scale=1.0), model_prime.h_basis)
     tails = model.tail + model_prime.tail
     rep.check("model_space_transport", gap, 1e-6 + 4.0 * tails)
+    v = h_p.conj().T @ transported
     scale = pol.scaled_eq(1.0, op_norm(pair_g.F1), op_norm(pair_g.F2)) + 8.0 * tails
     pencils = _model_pencils(pair_g.F1, pair_g.F2), _model_pencils(pair_g_prime.F1, pair_g_prime.F2)
     for name, (c0, c1), (c0_p, c1_p) in zip("ABP", *pencils):
-        diff = pencil(us @ c0 - c0_p @ us, us @ c1 - c1_p @ us)
-        rep.check(f"model_intertwine_{name}", op_norm(toeplitz(diff, model.N)), scale)
+        resid = v @ compressed(h, c0, c1) - compressed(h_p, c0_p, c1_p) @ v
+        rep.check(f"model_intertwine_{name}", op_norm(resid), scale)
     return rep
 
 
@@ -224,8 +230,8 @@ def unitary_invariant_suite(
 
     Forward: U induces defect witnesses, which must exhibit coincidence of
     characteristic functions (at INVARIANT_SAMPLES) and equivalence of both
-    fundamental pairs.  Converse: from those witnesses alone, I (x) u_star
-    must carry H_P onto H_P' and intertwine the model operator triples.
+    fundamental pairs.  Converse: from those witnesses alone, I (x) u_star must carry
+    H_P onto H_P' and make the model operator triples compressed to them equivalent.
 
     A caller that already holds the objects of ``triple`` passes them in
     rather than have them rebuilt: ``pair_f`` from

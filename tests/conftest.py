@@ -14,6 +14,7 @@ import pytest
 
 from tetralab import generate
 from tetralab.charfn import model_operators
+from tetralab.hardy import pencil, toeplitz
 from tetralab.matcore import DEFAULT_POLICY, op_norm, orth_complement, range_basis
 from tetralab.triples import TetrablockTriple, validate
 
@@ -122,8 +123,8 @@ def watch_decompositions(monkeypatch) -> tuple[collections.Counter, list, collec
 
 
 # Dense M x M formulas of the model-space residuals, M the side of the model
-# grid: the package takes the same norms on thin factors or on block
-# differences, and must agree with these to rounding.
+# grid: the package takes the same norms on thin factors or on their
+# compressions to H_P, and must agree with these to rounding.
 
 
 def dense_coinvariance(model, pair_g) -> dict[str, tuple[float, float]]:
@@ -143,14 +144,22 @@ def dense_pencil_on_model(triple, model, pair_g) -> dict[str, tuple[float, float
     return {name: (op_norm((eye - qh) @ x @ w_iso), op_norm(x)) for name, x in ops}
 
 
-def dense_intertwine(model, u_star, pair_g, pair_g_prime) -> dict[str, tuple[float, float]]:
-    """(||(I (x) u*) X - X' (I (x) u*)||, max(||X||, ||X'||)) per pair of model operators."""
+def dense_intertwine(model, model_prime, u_star, pair_g, pair_g_prime) -> dict[str, tuple[float, float]]:
+    """(||q_H' U X q_H - q_H' X' q_H' U q_H||, max(||X||, ||X'||)) per pair of
+    model operators: U = I (x) u*, q_H and q_H' the projections onto H_P and
+    H_P', X and X' the Toeplitz matrices of G1* + G2 z, G2* + G1 z and z I."""
     big = np.kron(np.eye(model.N + 1), u_star)
-    ops = model_operators(pair_g.F1, pair_g.F2, model.N)
-    ops_prime = model_operators(pair_g_prime.F1, pair_g_prime.F2, model.N)
+    qh, qh_p = model.h_basis.projector, model_prime.h_basis.projector
+
+    def pencils(pair):
+        g1, g2 = pair.F1, pair.F2
+        eye = np.eye(g1.shape[0])
+        coeffs = ((g1.conj().T, g2), (g2.conj().T, g1), (0.0 * eye, eye))
+        return [toeplitz(pencil(c0, c1), model.N) for c0, c1 in coeffs]
+
     return {
-        name: (op_norm(big @ x - x_p @ big), max(op_norm(x), op_norm(x_p)))
-        for name, x, x_p in zip("ABP", ops, ops_prime)
+        name: (op_norm(qh_p @ big @ qh @ x @ qh - qh_p @ x_p @ qh_p @ big @ qh), max(op_norm(x), op_norm(x_p)))
+        for name, x, x_p in zip("ABP", pencils(pair_g), pencils(pair_g_prime))
     }
 
 

@@ -3,10 +3,14 @@ fundamental operators, and rejection of corrupted witnesses."""
 
 from __future__ import annotations
 
+import dataclasses
+import sys
+
 import numpy as np
 import pytest
 
 from tetralab.charfn import ResolventSingularError, build_model
+from tetralab.cli import run_instance_battery
 from tetralab.fundamental import solve_fundamental
 from tetralab.generate import companion_unitary, make_instance
 from tetralab.invariants import (
@@ -18,10 +22,10 @@ from tetralab.invariants import (
     verify_coincidence,
     verify_fundamental_equivalence,
 )
-from tetralab.matcore import DEFAULT_POLICY, ShapeError
+from tetralab.matcore import DEFAULT_POLICY, ShapeError, SubspaceBasis
 from tetralab.triples import validate
 
-from conftest import assert_residuals_match, dense_intertwine, perturbed
+from conftest import assert_residuals_match, dense_intertwine, perturbed, watch_decompositions
 
 SAMPLES = (0.3 + 0.2j, -0.55, 0.1 - 0.6j, 0.72j)
 
@@ -121,9 +125,10 @@ def test_witness_residual_infinite_for_nonsquare():
 
 
 def test_model_intertwine_equals_the_dense_formula(small_suite, rng):
-    # the converse check norms the Toeplitz matrix of the block differences
-    # u* c - c' u* of the model pencils; it equals the dense
-    # (I (x) u*) X - X' (I (x) u*), for the solved pair of the conjugated
+    # the converse check norms V X_H - X'_H' V on the compressions of the
+    # model operators to H_P and H_P', formed on dim H sided factors; it
+    # equals the dense q_H' U X q_H - q_H' X' q_H' U q_H with the M x M
+    # projections and U = I (x) u*, for the solved pair of the conjugated
     # copy (residuals at rounding) and for a perturbed one (O(0.1))
     for inst in small_suite:
         u = companion_unitary(inst, inst.triple.dim)
@@ -135,5 +140,80 @@ def test_model_intertwine_equals_the_dense_formula(small_suite, rng):
         for pair_g_prime in (solved, perturbed(solved, rng)):
             rep = _model_transport(model, model_prime, wit, pair_g, pair_g_prime, DEFAULT_POLICY)
             entries = {e.name: e.residual for e in rep.entries}
-            dense = dense_intertwine(model, wit.u_star, pair_g, pair_g_prime)
+            dense = dense_intertwine(model, model_prime, wit.u_star, pair_g, pair_g_prime)
             assert_residuals_match(entries, dense, "model_intertwine_")
+
+
+@pytest.fixture(scope="module")
+def transport_case():
+    """Models, adjoint pairs and witness of a scalars instance and its conjugated copy."""
+    inst = make_instance("scalars", seed=43, index=0, dim=6)
+    u = companion_unitary(inst, inst.triple.dim)
+    prime = conjugated_copy(inst, u)
+    wit = induced_defect_unitary(u, inst.triple, prime)
+    model = build_model(inst.triple)
+    model_prime = build_model(prime, model.N)
+    pair_g, pair_g_prime = solve_fundamental(inst.triple.adjoint()), solve_fundamental(prime.adjoint())
+    return model, model_prime, wit, pair_g, pair_g_prime
+
+
+def transport_margins(model, model_prime, wit, pair_g, pair_g_prime) -> dict[str, float]:
+    rep = _model_transport(model, model_prime, wit, pair_g, pair_g_prime, DEFAULT_POLICY)
+    return {e.name: e.residual / e.tolerance for e in rep.entries}
+
+
+def test_model_intertwine_p_fails_when_h_prime_leaves_the_model_space(transport_case):
+    # rotating one basis column of H_P' by 1e-4 toward a grid vector
+    # orthogonal to H_P' keeps the basis orthonormal but moves the space;
+    # the compressed intertwining of z I must see it
+    model, model_prime, wit, pair_g, pair_g_prime = transport_case
+    assert max(transport_margins(*transport_case).values()) < 1e-3
+    q = model_prime.h_basis.basis
+    outside = np.eye(len(q)) - q @ q.conj().T
+    v = outside[:, np.argmax(np.linalg.norm(outside, axis=0))]
+    rotated = q.copy()
+    rotated[:, 0] = np.cos(1e-4) * q[:, 0] + np.sin(1e-4) * v / np.linalg.norm(v)
+    moved = dataclasses.replace(model_prime, h_basis=SubspaceBasis(len(q), rotated, q.shape[1]))
+    margins = transport_margins(model, moved, wit, pair_g, pair_g_prime)
+    assert margins["model_intertwine_P"] > 10.0
+
+
+def test_model_intertwine_fails_for_inequivalent_fundamental_operators(transport_case):
+    # G1' moved by 1e-8 i I is no longer equivalent to G1: the compressions of
+    # the A and B pencils stop intertwining, that of z I does not read G
+    model, model_prime, wit, pair_g, pair_g_prime = transport_case
+    shifted = dataclasses.replace(pair_g_prime, F1=pair_g_prime.F1 + 1e-8j * np.eye(len(pair_g_prime.F1)))
+    margins = transport_margins(model, model_prime, wit, pair_g, shifted)
+    assert margins["model_intertwine_A"] > 10.0
+    assert margins["model_intertwine_B"] > 10.0
+    assert margins["model_intertwine_P"] < 1e-3
+
+
+def test_model_space_checks_decompose_no_grid_matrix(monkeypatch):
+    # the converse intertwining norms dim H sided compressions (and ||G1||,
+    # ||G2|| for its tolerance), and the range partition residuals take two
+    # eigvalsh of their Hermitian parts and no SVD, on a grid of M >= 192
+    inst = make_instance("scalars", seed=43, index=0, dim=6)
+    dim_h = inst.triple.dim  # W is an isometry onto H_P
+    svds = []
+    svd = np.linalg.svd
+
+    def recording(a, *args, **kwargs):
+        frame, names = sys._getframe(1), []
+        while frame is not None:
+            names.append(frame.f_code.co_name)
+            frame = frame.f_back
+        svds.append((names, np.shape(a)))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", recording)
+    calls, _, _ = watch_decompositions(monkeypatch)
+    assert run_instance_battery(inst).overall
+    assert len(build_model(inst.triple).W) >= 192
+    intertwine = [
+        shape for names, shape in svds if "op_norm" in names and names[names.index("op_norm") + 1] == "_model_transport"
+    ]
+    assert len(intertwine) == 5
+    assert all(max(shape) <= dim_h for shape in intertwine)
+    assert not [shape for names, shape in svds if "verify_model_decomposition" in names and max(shape) > dim_h]
+    assert calls["eigvalsh", "_hermitian_norm"] == 2

@@ -28,6 +28,15 @@ same verdict on every check of the fundamental batteries.
 the norm of the projector difference for subspaces of C^m, m = 1-40, of
 any ranks: equal, unequal, zero, the whole space, and nearly equal.
 
+The range partition residual R = W W* + T T* - I is Hermitian up to
+rounding, and ``charfn._hermitian_norm`` bounds ||R|| by the largest
+eigenvalue modulus of (R + R*)/2 plus the Frobenius norm of (R - R*)/2; for
+R = H + eps S, H Hermitian, S skew and eps <= 1e-14 ||H||, it must not fall
+below the spectral norm (by more than the rounding of the two
+decompositions while eps is below 1e-14 ||H||) and must stay within 1% of
+it, and for an exactly Hermitian R it must equal the spectral norm to
+rounding.
+
 Conjugating a generated triple by a unitary U gives a unitarily equivalent
 triple, so the whole instance battery must reach the same verdict on every
 check, and each residual may move only by rounding, below its tolerance;
@@ -52,6 +61,7 @@ from tetralab.fundamental import (  # noqa: E402
     verify_difference_identity,
     verify_tetra_characterization,
 )
+from tetralab.charfn import _hermitian_norm  # noqa: E402
 from tetralab.cli import run_instance_battery  # noqa: E402
 from tetralab.generate import FAMILIES, make_instance, random_unitary  # noqa: E402
 from tetralab.matcore import (  # noqa: E402
@@ -251,6 +261,32 @@ def test_subspace_gap_equals_the_projector_difference(m, frac_a, frac_b, nearnes
     else:
         b = orthonormal(a.basis + nearness * gaussian(ra))
     assert abs(subspace_gap(a, b) - op_norm(a.projector - b.projector)) <= 1e-13
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(
+    m=st.integers(1, 40),
+    scale=st.floats(1e-3, 1e3),
+    eps=st.sampled_from((0.0, 1e-16, 1e-15, 1e-14)),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_hermitian_norm_bounds_the_spectral_norm(m, scale, eps, seed):
+    rng = np.random.default_rng(seed)
+    g = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
+    h = scale * (g + g.conj().T) / 2
+    g = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
+    skew = (g - g.conj().T) / 2
+    r = h + eps * op_norm(h) * skew / op_norm(skew)
+    value, exact = _hermitian_norm(r), op_norm(r)
+    if eps == 0.0:
+        assert abs(value - exact) <= 1e-12 * exact
+        return
+    # eigvalsh and the SVD each carry a backward error of a few m ulps, so a
+    # skew part below that can leave the bound an ulp or two under the SVD's
+    # value; from eps = 1e-14 the Frobenius term clears it
+    assert exact * (1.0 - 4.0 * m * np.finfo(float).eps) <= value <= 1.01 * exact
+    if eps >= 1e-14:
+        assert exact <= value
 
 
 def conjugated(inst, u):
