@@ -23,7 +23,7 @@ from .matcore import (
     op_norm,
 )
 from .report import CheckEntry, CheckReport
-from .hardy import AnalyticSymbol, TruncatedHardy, pencil, shift, symbol_product, toeplitz
+from .hardy import AnalyticSymbol, pencil, pencil_apply, symbol_product, toeplitz
 from .triples import (
     NonCommutingError,
     NotCoinvariantError,
@@ -49,7 +49,7 @@ from .charfn import (
     NotPureError,
     build_model,
     kernel_identity_check,
-    model_operators,
+    model_pencils,
     power_tail,
     pure_isometry_model,
     theta_coeffs,
@@ -97,10 +97,9 @@ __all__ = [
     "CheckEntry",
     "CheckReport",
     # hardy
-    "TruncatedHardy",
     "AnalyticSymbol",
     "pencil",
-    "shift",
+    "pencil_apply",
     "symbol_product",
     "toeplitz",
     # triples
@@ -130,7 +129,7 @@ __all__ = [
     "kernel_identity_check",
     "power_tail",
     "build_model",
-    "model_operators",
+    "model_pencils",
     "verify_model_decomposition",
     "verify_functional_model",
     "verify_pencil_intertwining",

@@ -19,8 +19,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .charfn import ModelData, build_model, model_operators
+from .charfn import ModelData, build_model, model_pencils
 from .fundamental import FundamentalPair, solve_fundamental
+from .hardy import pencil_apply
 from .matcore import DEFAULT_POLICY, TolerancePolicy, op_norm
 from .report import CheckReport
 from .triples import TetrablockTriple, necessary_report, validate
@@ -281,16 +282,15 @@ def example_battery(
         EXACT_TOL,
     )
 
-    xa, xb, xp = model_operators(g1, g2, n)
-    for name, model_op, grid_op in (("A", xa, a), ("B", xb, b), ("P", xp, p)):
+    for name, (c0, c1), grid_op in zip("ABP", model_pencils(g1, g2), (a, b, p)):
         rep.check(
             f"intertwine_adjoint_{name}",
-            op_norm(model_op.conj().T @ u - u @ grid_op.conj().T),
+            op_norm(pencil_apply(c0, c1, u, adjoint=True) - u @ grid_op.conj().T),
             EXACT_TOL,
         )
         rep.check(
             f"compression_{name}",
-            op_norm(u.conj().T @ model_op @ u - grid_op),
+            op_norm(u.conj().T @ pencil_apply(c0, c1, u) - grid_op),
             EXACT_TOL,
         )
 

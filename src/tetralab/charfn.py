@@ -28,7 +28,7 @@ from itertools import islice
 import numpy as np
 
 from .fundamental import FundamentalPair
-from .hardy import AnalyticSymbol, pencil, toeplitz
+from .hardy import AnalyticSymbol, pencil_apply, toeplitz
 from .matcore import (
     DEFAULT_POLICY,
     MAX_GRID_DIM,
@@ -37,13 +37,11 @@ from .matcore import (
     SubspaceBasis,
     TetralabError,
     TolerancePolicy,
-    _range_complement,
     commutator,
     ensure_matrix,
-    null_basis,
     op_norm,
-    orth_complement,
     range_basis,
+    range_complement,
     subspace_gap,
 )
 from .report import CheckReport
@@ -62,7 +60,7 @@ __all__ = [
     "kernel_identity_check",
     "power_tail",
     "build_model",
-    "model_operators",
+    "model_pencils",
     "verify_model_decomposition",
     "verify_functional_model",
     "verify_pencil_intertwining",
@@ -273,24 +271,23 @@ class ModelData:
     purity: PurityCertificate
 
 
-def build_model(triple: TetrablockTriple, n: int | None = None, pol: TolerancePolicy = DEFAULT_POLICY) -> ModelData:
+def build_model(
+    triple: TetrablockTriple, n: int | None = None, pol: TolerancePolicy = DEFAULT_POLICY, purity=None
+) -> ModelData:
     """Assemble the truncated model of the pure contraction P of ``triple``.
 
     When ``n`` is omitted the smallest degree with tail <= TAIL_TARGET is
     used.  Purity is checked by the tail computation (NotPureError), which
-    runs before anything of grid size exists; a grid of more than
-    MAX_GRID_DIM coordinates is refused before it is allocated.  The Taylor
-    coefficients Theta_k = (row block k-1 of W) D_P Q for k >= 1, Q the basis
-    of D_P, are read off the rows of W as they are formed.  The model space
-    is cross-validated: H_P, the trailing left singular vectors of one full
-    SVD of toeplitz(theta), must agree with range(W) within 1e-6 + tail,
-    otherwise ModelMismatchError (the two constructions are independent).
+    runs before anything of grid size exists; a caller that already holds
+    ``is_pure(triple.P, pol)`` passes it as ``purity`` so that it is not
+    checked twice.  A grid of more than MAX_GRID_DIM coordinates is refused
+    before it is allocated.  The Taylor coefficients Theta_k = (row block
+    k-1 of W) D_P Q for k >= 1, Q the basis of D_P, are read off the rows of
+    W as they are formed.  The model space is cross-validated: H_P, the
+    trailing left singular vectors of one full SVD of toeplitz(theta), must
+    agree with range(W) within 1e-6 + tail, otherwise ModelMismatchError
+    (the two constructions are independent).
     """
-    return _build_model(triple, n, pol)
-
-
-def _build_model(triple: TetrablockTriple, n: int | None, pol: TolerancePolicy, purity=None) -> ModelData:
-    """``build_model``, reusing ``purity`` = ``is_pure(triple.P, pol)`` when given."""
     purity, n, tail = _certified_tail(triple.P, n, pol, purity)
     sb = triple.dpstar_basis
     if (n + 1) * sb.rank > MAX_GRID_DIM:
@@ -302,8 +299,8 @@ def _build_model(triple: TetrablockTriple, n: int | None, pol: TolerancePolicy, 
     right = triple.dp @ triple.dp_basis.basis
     theta = AnalyticSymbol((_theta_zero(triple, pol), *(row @ right for row in blocks[:n])))
     w = np.vstack(blocks)
-    h_basis = _range_complement(toeplitz(theta, n), pol)
-    gap = subspace_gap(h_basis, range_basis(w, pol, scale=1.0))
+    h_basis = range_complement(toeplitz(theta, n), pol)
+    gap = subspace_gap(h_basis, range_basis(w, pol))
     if gap > 1e-6 + tail:
         raise ModelMismatchError(
             f"model space mismatch: complement-of-theta-range vs range(W) gap {gap:.3e}"
@@ -320,19 +317,11 @@ def _build_model(triple: TetrablockTriple, n: int | None, pol: TolerancePolicy, 
     )
 
 
-def _model_pencils(g1: np.ndarray, g2: np.ndarray) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-    """Coefficients (c0, c1) of the model pencils G1* + G2 z, G2* + G1 z and z I."""
+def model_pencils(g1: np.ndarray, g2: np.ndarray) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """Coefficients (c0, c1) of the model pencils G1* + G2 z, G2* + G1 z and z I,
+    for ``pencil_apply``."""
     eye = np.eye(g1.shape[0], dtype=complex)
     return (g1.conj().T, g2), (g2.conj().T, g1), (np.zeros_like(eye), eye)
-
-
-def model_operators(g1, g2, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Truncated pencil operators, the Toeplitz matrices of G1* + G2 z, G2* + G1 z and z I."""
-    g1 = ensure_matrix(g1, square=True, name="G1")
-    g2 = ensure_matrix(g2, square=True, name="G2")
-    if g1.shape != g2.shape:
-        raise ShapeError(f"G1, G2 shapes differ: {g1.shape}, {g2.shape}")
-    return tuple(toeplitz(pencil(c0, c1), n) for c0, c1 in _model_pencils(g1, g2))
 
 
 def _hermitian_norm(r: np.ndarray) -> float:
@@ -391,18 +380,17 @@ def verify_functional_model(
     """
     _check_basis_match(pair_g, model.dpstar_basis, "verify_functional_model")
     rep = CheckReport(title="functional model intertwining")
-    g1, g2 = pair_g.F1, pair_g.F2
-    xa, xb, xp = model_operators(g1, g2, model.N)
+    pencils = tuple(zip("ABP", model_pencils(pair_g.F1, pair_g.F2)))
     w = model.W
-    c_tail = 4.0 * (1.0 + op_norm(g1) + op_norm(g2))
+    c_tail = 4.0 * (1.0 + sum(pair_g.norms))
     tol = pol.scaled_eq(triple.max_norm()) + c_tail * model.tail
-    rep.check("model_reproduces_A", op_norm(w.conj().T @ xa @ w - triple.A), tol)
-    rep.check("model_reproduces_B", op_norm(w.conj().T @ xb @ w - triple.B), tol)
-    rep.check("model_reproduces_P", op_norm(w.conj().T @ xp @ w - triple.P), tol)
+    for name, (c0, c1) in pencils:
+        resid = w.conj().T @ pencil_apply(c0, c1, w) - getattr(triple, name)
+        rep.check(f"model_reproduces_{name}", op_norm(resid), tol)
     rep.check("W_isometry", op_norm(w.conj().T @ w - np.eye(w.shape[1])), pol.scaled_eq(1.0) + model.tail)
-    q = range_basis(w, pol, scale=1.0).basis
-    for name, x in (("A", xa), ("B", xb), ("P", xp)):
-        y = x.conj().T @ q
+    q = range_basis(w, pol).basis
+    for name, (c0, c1) in pencils:
+        y = pencil_apply(c0, c1, q, adjoint=True)
         rep.check(f"rangeW_coinvariant_{name}", op_norm(y - q @ (q.conj().T @ y)), tol)
     return rep
 
@@ -431,7 +419,7 @@ def verify_pencil_intertwining(
         r2 = (f2.conj().T + z * f1) @ th - th @ (g2 + z * g1.conj().T)
         worst["pencil_intertwine_1"] = max(worst["pencil_intertwine_1"], op_norm(r1))
         worst["pencil_intertwine_2"] = max(worst["pencil_intertwine_2"], op_norm(r2))
-    tol = pol.scaled_eq(op_norm(f1), op_norm(f2), op_norm(g1), op_norm(g2)) / denom
+    tol = pol.scaled_eq(*pair_f.norms, *pair_g.norms) / denom
     for name, value in worst.items():
         rep.check(name, value, tol, note=f"{len(samples)} sample points")
     return rep
@@ -462,7 +450,7 @@ def pure_isometry_model(
     The pencil-on-model residual ||(I - P_H) X W_iso|| is normed on the thin
     factor Y - Q_H (Q_H* Y), Y = X W_iso, Q_H the orthonormal basis of H_P.
     """
-    iso = orth_complement(triple.dp_basis)
+    iso = range_complement(triple.dp_basis.basis, pol)
     if iso.rank == 0:
         raise NotIsometryLikeError("P has no isometric directions (D_P has full rank)")
     rep = CheckReport(title="truncated isometry model")
@@ -478,27 +466,27 @@ def pure_isometry_model(
     rep.extend(functional)
     # compression acts as the raw pencil on the image of the isometric part
     g1, g2 = pair_g.F1, pair_g.F2
-    xa, xb, xp = model_operators(g1, g2, model.N)
     qh = model.h_basis.basis
     w_iso = model.W @ iso.basis
-    tol = pol.scaled_eq(1.0, op_norm(g1), op_norm(g2)) + 8.0 * model.tail
-    for name, x in (("A", xa), ("B", xb), ("P", xp)):
-        y = x @ w_iso
+    tol = pol.scaled_eq(1.0, *pair_g.norms) + 8.0 * model.tail
+    for name, (c0, c1) in zip("ABP", model_pencils(g1, g2)):
+        y = pencil_apply(c0, c1, w_iso)
         rep.check(f"pencil_on_model_{name}", op_norm(y - qh @ (qh.conj().T @ y)), tol)
-    # adjoint-pair symbol conditions, gated to the isometric interior when available
+    # adjoint-pair symbol conditions, gated to the isometric interior when
+    # available; ker(I - X*X) is the range complement of the Hermitian I - X*X
     qs = triple.dpstar_basis
-    ka = null_basis(eye - triple.A.conj().T @ triple.A, pol, scale=1.0)
-    kb = null_basis(eye - triple.B.conj().T @ triple.B, pol, scale=1.0)
+    ka = range_complement(eye - triple.A.conj().T @ triple.A, pol)
+    kb = range_complement(eye - triple.B.conj().T @ triple.B, pol)
     stacked = np.vstack(
         [
             (eye - ka.projector) @ qs.basis,
             (eye - kb.projector) @ qs.basis,
         ]
     )
-    interior = null_basis(stacked, pol, scale=1.0)
+    interior = range_complement(stacked.conj().T, pol)
     comm = commutator(g1, g2)
     balance = commutator(g1, g1.conj().T) - commutator(g2, g2.conj().T)
-    gtol = pol.scaled_eq(op_norm(g1), op_norm(g2))
+    gtol = pol.scaled_eq(*pair_g.norms)
     if interior.rank:
         note = f"interior dim {interior.rank} of {qs.rank}; full residuals {op_norm(comm):.2e}/{op_norm(balance):.2e}"
         rep.check("adjoint_pair_commute", op_norm(comm @ interior.basis), gtol, note=note)

@@ -27,7 +27,7 @@ from typing import Any, Callable, Sequence
 
 import numpy as np
 
-from . import __version__, bidisc, charfn, generate
+from . import __version__, bidisc, generate
 from . import io as tio
 from .blh import (
     NotDegreeOneError,
@@ -261,7 +261,7 @@ def _cmd_model_check(args, pol: TolerancePolicy) -> list[tuple[str, CheckReport]
         try:
             pair_f = solve_fundamental(triple, pol)
             pair_g = solve_fundamental(triple.adjoint(), pol)
-            model = charfn._build_model(triple, args.degree, pol, cert)
+            model = build_model(triple, args.degree, pol, purity=cert)
             rep.check("model_degree", 0.0, 0.0, note=f"N = {model.N}, tail = {model.tail:.2e}")
             rep.extend(verify_model_decomposition(model, pol), prefix="dec_")
             rep.extend(verify_functional_model(triple, model, pair_g, pol), prefix="fm_")

@@ -15,6 +15,7 @@ commutator-transfer property with its converse for invertible P.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -52,7 +53,8 @@ class FundamentalPair:
 
     w_i <= w(F_i) <= w_i + w_i_err: w_i is the grid maximum of
     ``numerical_radius`` and w_i_err the gap to its outer polygon, refined
-    while the bracket straddles 1 + eq_tol.
+    while the bracket straddles 1 + eq_tol.  ``norms`` = (||F1||, ||F2||) is
+    computed on first use and kept; ``dataclasses.replace`` starts afresh.
     """
 
     F1: np.ndarray
@@ -63,6 +65,10 @@ class FundamentalPair:
     w1_err: float
     w2: float
     w2_err: float
+
+    @cached_property
+    def norms(self) -> tuple[float, float]:
+        return op_norm(self.F1), op_norm(self.F2)
 
 
 def solve_fundamental(
@@ -157,7 +163,7 @@ def verify_difference_identity(
     recorded as skipped, never as a silent pass.
     """
     rep = CheckReport(title="Gramian difference transfer")
-    fscale = pol.scaled_eq(op_norm(pair.F1), op_norm(pair.F2))
+    fscale = pol.scaled_eq(*pair.norms)
     comm = op_norm(commutator(pair.F1, pair.F2))
     if comm > fscale:
         rep.skip(
@@ -249,32 +255,29 @@ def verify_commutator_transfer(
     rep = CheckReport(title="commutator transfer")
     f1, f2 = pair_f.F1, pair_f.F2
     g1, g2 = pair_g.F1, pair_g.F2
-    fscale = pol.scaled_eq(op_norm(f1), op_norm(f2))
-    gscale = pol.scaled_eq(op_norm(g1), op_norm(g2))
+    fscale = pol.scaled_eq(*pair_f.norms)
+    gscale = pol.scaled_eq(*pair_g.norms)
     smax = triple.norm("P")
     smin = float(np.linalg.svd(triple.P, compute_uv=False)[-1]) if smax > 0.0 else 0.0
     dense_range = smax > 0.0 and smin > pol.rank_tol * smax
     comm_f = op_norm(commutator(f1, f2))
-    hyp_f = comm_f <= fscale
+    comm_g = op_norm(commutator(g1, g2))
+    hyp_f, hyp_g = comm_f <= fscale, comm_g <= gscale
+    if dense_range and (hyp_f or hyp_g):
+        balance_f = op_norm(commutator(f1, f1.conj().T) - commutator(f2, f2.conj().T))
     if not hyp_f:
         rep.skip("forward_transfer", f"hypothesis [F1,F2]=0 violated (norm {comm_f:.3e})")
     elif not dense_range:
         rep.skip("forward_transfer", f"hypothesis range(P) dense violated (sigma_min {smin:.3e})")
     else:
         rep.check("hypothesis_F_commute", comm_f, fscale)
-        rep.check(
-            "balance_F",
-            op_norm(commutator(f1, f1.conj().T) - commutator(f2, f2.conj().T)),
-            fscale,
-        )
-        rep.check("transfer_G_commute", op_norm(commutator(g1, g2)), gscale)
+        rep.check("balance_F", balance_f, fscale)
+        rep.check("transfer_G_commute", comm_g, gscale)
         rep.check(
             "balance_G",
             op_norm(commutator(g1, g1.conj().T) - commutator(g2, g2.conj().T)),
             gscale,
         )
-    comm_g = op_norm(commutator(g1, g2))
-    hyp_g = comm_g <= gscale
     if not dense_range:
         rep.skip("converse_transfer", "P not invertible at rank_tol")
     elif not hyp_g:
@@ -282,9 +285,5 @@ def verify_commutator_transfer(
     else:
         rep.check("hypothesis_G_commute", comm_g, gscale)
         rep.check("converse_F_commute", comm_f, fscale)
-        rep.check(
-            "converse_balance_F",
-            op_norm(commutator(f1, f1.conj().T) - commutator(f2, f2.conj().T)),
-            fscale,
-        )
+        rep.check("converse_balance_F", balance_f, fscale)
     return rep

@@ -3,7 +3,9 @@
 The truncated space holds E-valued polynomials of degree <= N, stored
 degree-major: the coefficient of z^n occupies coordinates
 [n*d, (n+1)*d) where d = dim E.  Analytic (lower-triangular) block-Toeplitz
-matrices represent multiplication operators compressed to that grid.
+matrices represent multiplication operators compressed to that grid;
+``pencil_apply`` multiplies by the matrix of a degree-one pencil block by
+block, without forming it.
 
 A useful exact fact drives the tests in this module: for analytic symbols,
 compression to the grid commutes with multiplication, because analytic
@@ -20,46 +22,12 @@ import numpy as np
 from .matcore import ShapeError, ensure_matrix
 
 __all__ = [
-    "TruncatedHardy",
     "AnalyticSymbol",
-    "shift",
     "toeplitz",
     "pencil",
+    "pencil_apply",
     "symbol_product",
 ]
-
-
-@dataclass(frozen=True)
-class TruncatedHardy:
-    """Polynomial degrees 0..max_degree with fiber dimension fiber_dim."""
-
-    max_degree: int
-    fiber_dim: int
-
-    def __post_init__(self) -> None:
-        if self.max_degree < 0:
-            raise ValueError(f"max_degree must be >= 0, got {self.max_degree}")
-        if self.fiber_dim < 1:
-            raise ValueError(f"fiber_dim must be >= 1, got {self.fiber_dim}")
-
-    @property
-    def dim(self) -> int:
-        return (self.max_degree + 1) * self.fiber_dim
-
-    def block(self, n: int) -> slice:
-        """Coordinate slice of the degree-n coefficient."""
-        if not 0 <= n <= self.max_degree:
-            raise IndexError(f"degree {n} outside 0..{self.max_degree}")
-        return slice(n * self.fiber_dim, (n + 1) * self.fiber_dim)
-
-    def degree_projector(self, max_deg: int) -> np.ndarray:
-        """Orthogonal projection onto degrees <= max_deg (empty if < 0)."""
-        p = np.zeros((self.dim, self.dim), dtype=complex)
-        top = min(max_deg, self.max_degree)
-        if top >= 0:
-            k = (top + 1) * self.fiber_dim
-            p[:k, :k] = np.eye(k)
-        return p
 
 
 @dataclass(frozen=True)
@@ -116,11 +84,6 @@ def symbol_product(s1: AnalyticSymbol, s2: AnalyticSymbol, max_degree: int | Non
     return AnalyticSymbol(tuple(out))
 
 
-def shift(space: TruncatedHardy) -> np.ndarray:
-    """Truncated multiplication by z: degree n -> n + 1, top degree dies."""
-    return np.eye(space.dim, k=-space.fiber_dim, dtype=complex)
-
-
 def toeplitz(sym: AnalyticSymbol, n: int) -> np.ndarray:
     """Compression of multiplication by ``sym`` to degrees 0..n.
 
@@ -137,3 +100,18 @@ def toeplitz(sym: AnalyticSymbol, n: int) -> np.ndarray:
         for m in range(j, n + 1):
             t[m * d_out : (m + 1) * d_out, (m - j) * d_in : (m - j + 1) * d_in] = c
     return t
+
+
+def pencil_apply(c0: np.ndarray, c1: np.ndarray, q: np.ndarray, adjoint: bool = False) -> np.ndarray:
+    """X q, or X* q with ``adjoint``, for X = toeplitz(pencil(c0, c1), n), the
+    rows of q in n + 1 degree-major blocks; block by block, X is never formed:
+    (X q)_m = c0 q_m + c1 q_{m-1} and (X* q)_m = c0* q_m + c1* q_{m+1}."""
+    if adjoint:
+        c0, c1 = c0.conj().T, c1.conj().T
+    blocks = q.reshape(-1, c0.shape[1], q.shape[1])
+    out = c0 @ blocks
+    if adjoint:
+        out[:-1] += c1 @ blocks[1:]
+    else:
+        out[1:] += c1 @ blocks[:-1]
+    return out.reshape(-1, q.shape[1])

@@ -18,8 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .charfn import ModelData, _disc_samples, _model_pencils, build_model, theta_eval, theta_taylor
+from .charfn import ModelData, _disc_samples, build_model, model_pencils, theta_eval, theta_taylor
 from .fundamental import FundamentalPair, solve_fundamental
+from .hardy import pencil_apply
 from .matcore import (
     DEFAULT_POLICY,
     ShapeError,
@@ -173,7 +174,7 @@ def verify_fundamental_equivalence(
     if u.shape[0] == 0:
         rep.vacuous("pair_equivalence", "defect spaces are zero-dimensional")
         return rep
-    scale = pol.scaled_eq(op_norm(pair.F1), op_norm(pair.F2))
+    scale = pol.scaled_eq(*pair.norms)
     rep.check("equivalence_F1", op_norm(u @ pair.F1 @ u.conj().T - pair_prime.F1), scale)
     rep.check("equivalence_F2", op_norm(u @ pair.F2 @ u.conj().T - pair_prime.F2), scale)
     return rep
@@ -191,28 +192,22 @@ def _model_transport(
     ``model_space_transport``) and, with V = Q_H'* U_star Q_H, Q_H and Q_H' the
     bases of H_P and H_P', makes the model operators X, X' compressed to them
     equivalent: ``model_intertwine_X`` norms the dim H sided V X_H - X'_H' V,
-    X_H = Q_H* X Q_H, X Q_H applied block by block from the pencil c0 + c1 z."""
+    X_H = Q_H* X Q_H, X Q_H from ``pencil_apply``."""
     rep = CheckReport(title="model transport")
     if model.N != model_prime.N:
         raise ShapeError("models must be built at the same truncation degree")
-
-    def compressed(q, c0, c1):  # Q* X Q with (X Q)_m = c0 q_m + c1 q_{m-1}
-        blocks = q.reshape(model.N + 1, c0.shape[1], q.shape[1])
-        xq = c0 @ blocks
-        xq[1:] += c1 @ blocks[:-1]
-        return q.conj().T @ xq.reshape(q.shape)
-
     us, h, h_p = wit.u_star, model.h_basis.basis, model_prime.h_basis.basis
     transported = (us @ h.reshape(model.N + 1, us.shape[1], h.shape[1])).reshape(-1, h.shape[1])
-    gap = subspace_gap(range_basis(transported, pol, scale=1.0), model_prime.h_basis)
+    gap = subspace_gap(range_basis(transported, pol), model_prime.h_basis)
     tails = model.tail + model_prime.tail
     rep.check("model_space_transport", gap, 1e-6 + 4.0 * tails)
     v = h_p.conj().T @ transported
-    scale = pol.scaled_eq(1.0, op_norm(pair_g.F1), op_norm(pair_g.F2)) + 8.0 * tails
-    pencils = _model_pencils(pair_g.F1, pair_g.F2), _model_pencils(pair_g_prime.F1, pair_g_prime.F2)
+    scale = pol.scaled_eq(1.0, *pair_g.norms) + 8.0 * tails
+    pencils = model_pencils(pair_g.F1, pair_g.F2), model_pencils(pair_g_prime.F1, pair_g_prime.F2)
     for name, (c0, c1), (c0_p, c1_p) in zip("ABP", *pencils):
-        resid = v @ compressed(h, c0, c1) - compressed(h_p, c0_p, c1_p) @ v
-        rep.check(f"model_intertwine_{name}", op_norm(resid), scale)
+        x_h = h.conj().T @ pencil_apply(c0, c1, h)
+        x_h_p = h_p.conj().T @ pencil_apply(c0_p, c1_p, h_p)
+        rep.check(f"model_intertwine_{name}", op_norm(v @ x_h - x_h_p @ v), scale)
     return rep
 
 

@@ -42,8 +42,7 @@ __all__ = [
     "hermitian_pinv",
     "defect",
     "range_basis",
-    "null_basis",
-    "orth_complement",
+    "range_complement",
     "subspace_gap",
     "numerical_radius",
 ]
@@ -237,60 +236,32 @@ def defect(t, pol: TolerancePolicy = DEFAULT_POLICY) -> tuple[np.ndarray, Subspa
     return d, SubspaceBasis(ambient_dim=n, basis=basis, rank=basis.shape[1])
 
 
-def range_basis(
-    m, pol: TolerancePolicy = DEFAULT_POLICY, scale: float | None = None
-) -> SubspaceBasis:
-    """Orthonormal basis of the column space, rank decided by SVD at rank_tol.
-
-    The cutoff is rank_tol * max(sigma_max, scale).  Pass ``scale`` when the
-    matrix has a known natural norm (1.0 for contractions): without it, a
-    matrix that is pure round-off noise would be reported as full rank,
-    because its largest singular value is itself noise.  An all-zero (or
-    empty) matrix has the zero subspace without an SVD.
-    """
+def range_basis(m, pol: TolerancePolicy = DEFAULT_POLICY) -> SubspaceBasis:
+    """Orthonormal basis of the column space: the left singular vectors whose
+    singular value exceeds rank_tol * max(sigma_max, 1).  The floor 1 is the
+    natural norm of the contractions and isometries ranked here; without it a
+    matrix of pure round-off noise would be reported as full rank.  An
+    all-zero (or empty) matrix has the zero subspace without an SVD."""
     m = ensure_matrix(m, name="M")
     rows = m.shape[0]
     if not m.any():
         return SubspaceBasis(ambient_dim=rows, basis=np.zeros((rows, 0), complex), rank=0)
     u, s, _ = np.linalg.svd(m, full_matrices=False)
-    cutoff = pol.rank_tol * max(float(s[0]), scale or 0.0)
-    k = int(np.count_nonzero(s > cutoff)) if cutoff > 0.0 else 0
+    k = int(np.count_nonzero(s > pol.rank_tol * max(float(s[0]), 1.0)))
     return SubspaceBasis(ambient_dim=rows, basis=u[:, :k], rank=k)
 
 
-def null_basis(
-    m, pol: TolerancePolicy = DEFAULT_POLICY, scale: float | None = None
-) -> SubspaceBasis:
-    """Orthonormal basis of the (numerical) null space of M.
-
-    ``scale`` anchors the cutoff exactly as in ``range_basis``: against a
-    pure-noise matrix with ``scale=1.0`` the whole domain is null.
-    """
-    m = ensure_matrix(m, name="M")
-    cols = m.shape[1]
-    if m.size == 0:
-        return SubspaceBasis(ambient_dim=cols, basis=np.eye(cols, dtype=complex), rank=cols)
-    _, s, vh = np.linalg.svd(m)
-    cutoff = pol.rank_tol * max(float(s[0]) if s.size else 0.0, scale or 0.0)
-    k = int(np.count_nonzero(s > cutoff)) if cutoff > 0.0 else 0
-    basis = vh.conj().T[:, k:]
-    return SubspaceBasis(ambient_dim=cols, basis=basis, rank=basis.shape[1])
-
-
-def _range_complement(m: np.ndarray, pol: TolerancePolicy = DEFAULT_POLICY) -> SubspaceBasis:
+def range_complement(m, pol: TolerancePolicy = DEFAULT_POLICY) -> SubspaceBasis:
     """(range M)^perp: the trailing left singular vectors of one full SVD of M,
-    ranked as in ``range_basis`` with scale 1; with no SVD when M is all zero."""
+    ranked as in ``range_basis``; the whole space without an SVD when M is all
+    zero.  The null space of M is ``range_complement(M*)``."""
+    m = ensure_matrix(m, name="M")
     rows = m.shape[0]
     if not m.any():
         return SubspaceBasis(ambient_dim=rows, basis=np.eye(rows, dtype=complex), rank=rows)
     u, s, _ = np.linalg.svd(m)
     k = int(np.count_nonzero(s > pol.rank_tol * max(float(s[0]), 1.0)))
     return SubspaceBasis(ambient_dim=rows, basis=u[:, k:], rank=rows - k)
-
-
-def orth_complement(sub: SubspaceBasis) -> SubspaceBasis:
-    """Orthonormal basis of the orthogonal complement within the ambient space."""
-    return _range_complement(sub.basis)
 
 
 def subspace_gap(a: SubspaceBasis, b: SubspaceBasis) -> float:

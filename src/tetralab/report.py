@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass, field
 
@@ -97,18 +98,7 @@ class CheckReport:
 
     def extend(self, other: CheckReport, prefix: str = "") -> None:
         """Absorb entries of another report, optionally prefixing names."""
-        for e in other.entries:
-            name = f"{prefix}{e.name}" if prefix else e.name
-            self.entries.append(
-                CheckEntry(
-                    name=name,
-                    residual=e.residual,
-                    tolerance=e.tolerance,
-                    passed=e.passed,
-                    skipped=e.skipped,
-                    note=e.note,
-                )
-            )
+        self.entries.extend(dataclasses.replace(e, name=prefix + e.name) for e in other.entries)
 
     @property
     def overall(self) -> bool:

@@ -14,7 +14,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .hardy import TruncatedHardy, pencil, shift, toeplitz
+from .hardy import pencil, toeplitz
 from .matcore import (
     DEFAULT_POLICY,
     NotContractiveError,
@@ -214,11 +214,9 @@ def from_symbols(f1, f2, n: int, pol: TolerancePolicy = DEFAULT_POLICY) -> Tetra
     f2 = ensure_matrix(f2, square=True, name="F2")
     if f1.shape != f2.shape:
         raise ShapeError(f"F1, F2 shapes differ: {f1.shape}, {f2.shape}")
-    d = f1.shape[0]
-    space = TruncatedHardy(max_degree=n, fiber_dim=d)
     a = toeplitz(pencil(f1.conj().T, f2), n)
     b = toeplitz(pencil(f2.conj().T, f1), n)
-    p = shift(space)
+    p = toeplitz(pencil(np.zeros_like(f1), np.eye(f1.shape[0])), n)
     return validate(a, b, p, pol)
 
 

@@ -13,9 +13,8 @@ import numpy as np
 import pytest
 
 from tetralab import generate
-from tetralab.charfn import model_operators
 from tetralab.hardy import pencil, toeplitz
-from tetralab.matcore import DEFAULT_POLICY, op_norm, orth_complement, range_basis
+from tetralab.matcore import DEFAULT_POLICY, op_norm, range_basis, range_complement
 from tetralab.triples import TetrablockTriple, validate
 
 
@@ -127,11 +126,19 @@ def watch_decompositions(monkeypatch) -> tuple[collections.Counter, list, collec
 # compressions to H_P, and must agree with these to rounding.
 
 
+def dense_model_operators(pair, n: int) -> list[np.ndarray]:
+    """The M x M Toeplitz matrices of G1* + G2 z, G2* + G1 z and z I on degrees 0..n."""
+    g1, g2 = pair.F1, pair.F2
+    eye = np.eye(g1.shape[0])
+    coeffs = ((g1.conj().T, g2), (g2.conj().T, g1), (0.0 * eye, eye))
+    return [toeplitz(pencil(c0, c1), n) for c0, c1 in coeffs]
+
+
 def dense_coinvariance(model, pair_g) -> dict[str, tuple[float, float]]:
     """(||(I - q) X* q||, ||X||) per model operator X, q the projection onto range(W)."""
-    q = range_basis(model.W, scale=1.0).projector
+    q = range_basis(model.W).projector
     eye = np.eye(q.shape[0])
-    ops = zip("ABP", model_operators(pair_g.F1, pair_g.F2, model.N))
+    ops = zip("ABP", dense_model_operators(pair_g, model.N))
     return {name: (op_norm((eye - q) @ x.conj().T @ q), op_norm(x)) for name, x in ops}
 
 
@@ -139,8 +146,8 @@ def dense_pencil_on_model(triple, model, pair_g) -> dict[str, tuple[float, float
     """(||(I - q_H) X W_iso||, ||X||) per model operator X, q_H the projection onto H_P."""
     qh = model.h_basis.projector
     eye = np.eye(qh.shape[0])
-    w_iso = model.W @ orth_complement(triple.dp_basis).basis
-    ops = zip("ABP", model_operators(pair_g.F1, pair_g.F2, model.N))
+    w_iso = model.W @ range_complement(triple.dp_basis.basis).basis
+    ops = zip("ABP", dense_model_operators(pair_g, model.N))
     return {name: (op_norm((eye - qh) @ x @ w_iso), op_norm(x)) for name, x in ops}
 
 
@@ -150,16 +157,10 @@ def dense_intertwine(model, model_prime, u_star, pair_g, pair_g_prime) -> dict[s
     H_P', X and X' the Toeplitz matrices of G1* + G2 z, G2* + G1 z and z I."""
     big = np.kron(np.eye(model.N + 1), u_star)
     qh, qh_p = model.h_basis.projector, model_prime.h_basis.projector
-
-    def pencils(pair):
-        g1, g2 = pair.F1, pair.F2
-        eye = np.eye(g1.shape[0])
-        coeffs = ((g1.conj().T, g2), (g2.conj().T, g1), (0.0 * eye, eye))
-        return [toeplitz(pencil(c0, c1), model.N) for c0, c1 in coeffs]
-
+    ops, ops_p = dense_model_operators(pair_g, model.N), dense_model_operators(pair_g_prime, model.N)
     return {
         name: (op_norm(qh_p @ big @ qh @ x @ qh - qh_p @ x_p @ qh_p @ big @ qh), max(op_norm(x), op_norm(x_p)))
-        for name, x, x_p in zip("ABP", pencils(pair_g), pencils(pair_g_prime))
+        for name, x, x_p in zip("ABP", ops, ops_p)
     }
 
 

@@ -27,7 +27,7 @@ from tetralab.charfn import (
     ResolventSingularError,
     build_model,
     kernel_identity_check,
-    model_operators,
+    model_pencils,
     power_tail,
     pure_isometry_model,
     theta_coeffs,
@@ -41,7 +41,7 @@ from tetralab.charfn import (
 from tetralab.fundamental import solve_fundamental
 from tetralab.bidisc import build as build_grid
 from tetralab.generate import make_instance, random_unitary
-from tetralab.matcore import DEFAULT_POLICY, MAX_GRID_DIM, TetralabError, ensure_matrix, op_norm, orth_complement
+from tetralab.matcore import DEFAULT_POLICY, MAX_GRID_DIM, TetralabError, ensure_matrix, op_norm, range_complement
 from tetralab.triples import from_symbols, is_pure
 
 from conftest import (
@@ -310,15 +310,49 @@ def test_functional_model_reproduces_triple(family, dim):
 
 
 def test_model_operators_are_pencil_toeplitz(rng):
-    from tetralab.hardy import pencil, toeplitz
+    # the model operators are the Toeplitz matrices of G1* + G2 z, G2* + G1 z
+    # and z I; model_pencils gives their coefficients to pencil_apply
+    from tetralab.hardy import pencil, pencil_apply, toeplitz
 
     g1 = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
     g2 = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-    xa, xb, xp = model_operators(g1, g2, 4)
-    assert np.array_equal(xa, toeplitz(pencil(g1.conj().T, g2), 4))
-    assert np.array_equal(xb, toeplitz(pencil(g2.conj().T, g1), 4))
-    sym_z = pencil(np.zeros((2, 2)), np.eye(2))
-    assert np.array_equal(xp, toeplitz(sym_z, 4))
+    expect = ((g1.conj().T, g2), (g2.conj().T, g1), (np.zeros((2, 2)), np.eye(2)))
+    q = np.eye(10, dtype=complex)
+    for (c0, c1), (e0, e1) in zip(model_pencils(g1, g2), expect, strict=True):
+        assert np.array_equal(c0, e0) and np.array_equal(c1, e1)
+        assert np.array_equal(pencil_apply(c0, c1, q), toeplitz(pencil(e0, e1), 4))
+
+
+def test_model_batteries_apply_pencils_without_forming_them(monkeypatch):
+    # every product with a model pencil goes through pencil_apply, block by
+    # block: none of these batteries builds a pencil symbol, and so none
+    # forms its grid-sized Toeplitz matrix
+    from tetralab import bidisc, generate
+    from tetralab.blh import extract_symbols
+    from tetralab.invariants import unitary_invariant_suite
+    from tetralab.triples import validate
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("hardy.pencil called")
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "tetralab" and hasattr(module, "pencil"):
+            monkeypatch.setattr(module, "pencil", refuse)
+    n = 3
+    grid = build_grid(n)
+    pair_f, pair_g = solve_fundamental(grid), solve_fundamental(grid.adjoint())
+    model = build_model(grid, n)
+    dec = verify_model_decomposition(model)
+    fm = verify_functional_model(grid, model, pair_g)
+    assert pure_isometry_model(grid, model, pair_g, dec, fm).overall
+    assert bidisc.example_battery(n, grid, pair_f, pair_g, model).overall
+    theta = theta_coeffs(grid.adjoint(), n + 1)
+    assert extract_symbols(theta, pair_f.F1, pair_f.F2, theta.degree + 3)[2].overall
+    inst = make_instance("compressions", seed=43, index=0, dim=6)
+    t = inst.triple
+    u = generate.companion_unitary(inst, t.dim)
+    conj = validate(u @ t.A @ u.conj().T, u @ t.B @ u.conj().T, u @ t.P @ u.conj().T)
+    assert unitary_invariant_suite(t, conj, u).overall
 
 
 def test_pencil_intertwining_battery(small_suite):
@@ -390,7 +424,7 @@ def test_model_space_checks_hand_op_norm_thin_operands(monkeypatch, small_suite)
         shapes = lambda caller: {s for c, s in seen if c == caller and s[0] == m}
         assert shapes("subspace_gap") == {(m, k), (m, n)}
         assert shapes("verify_functional_model") == {(m, n)}
-        iso_rank = orth_complement(t.dp_basis).rank
+        iso_rank = range_complement(t.dp_basis.basis).rank
         if iso_rank:
             seen.clear()
             pure_isometry_model(t, model, pair_g, dec, fm)

@@ -356,15 +356,19 @@ def test_battery_builds_each_object_once(monkeypatch):
     # the triples, and numerical_radius runs none; each subspace gap is two
     # SVDs of thin factors.  The range partition residuals take their norms
     # from eigvalsh, and model_intertwine_P, now a compression to H_P, is no
-    # longer exactly zero: [126, 142, 254, 125, 142, 208] before
-    assert op_norm_svds == [127, 141, 253, 126, 141, 207]
+    # longer exactly zero: [126, 142, 254, 125, 142, 208] before.  Each
+    # fundamental pair keeps ||F1||, ||F2||, so a battery norms them once per
+    # pair where it took [127, 141, 253, 126, 141, 207] SVDs
+    assert op_norm_svds == [113, 127, 237, 112, 127, 191]
     # no model-space check decomposes a grid-sized matrix of rank <= dim H:
     # on the projector formulas the work was [174960, 86666, 44254782,
     # 174933, 167266, 9166500], 54,025,107 in all; with a gating SVD at each
     # point theta_eval is handed, [178416, 85250, 19111167, 178389, 164186,
     # 3994785]; with M x M SVDs for the range partition and the converse
-    # intertwining, [154224, 83125, 19110681, 154197, 160298, 3994299]
-    assert works == [155952, 82028, 12567177, 155925, 158071, 2611575]
+    # intertwining, [154224, 83125, 19110681, 154197, 160298, 3994299]; with
+    # ||F1||, ||F2|| normed by each check, [155952, 82028, 12567177, 155925,
+    # 158071, 2611575]
+    assert works == [155574, 81132, 12566745, 155547, 156321, 2611143]
 
 
 def test_verify_bidisc_builds_each_object_once(monkeypatch, capsys):
@@ -377,9 +381,10 @@ def test_verify_bidisc_builds_each_object_once(monkeypatch, capsys):
     # "pure_nilpotent" entry reads; the round trip reads the model's truncation.
     # op_norm decomposes no zero matrix and reads the norms the triple keeps;
     # its adjoints share one norm cache, so ||A*||, ||B*|| and ||P*|| are
-    # computed once each.  P^4 = 0 exactly, so the tail needs no norm of a
-    # power of P (3 SVDs before), and Schur's bound clears I - z P* at every
-    # pencil sample without an SVD (10 before)
+    # computed once each, as each fundamental pair keeps ||F1|| and ||F2||.
+    # P^4 = 0 exactly, so the tail needs no norm of a power of P (3 SVDs
+    # before), and Schur's bound clears I - z P* at every pencil sample
+    # without an SVD (10 before)
     calls = count_calls(
         monkeypatch,
         solve_fundamental,
@@ -413,13 +418,14 @@ def test_verify_bidisc_builds_each_object_once(monkeypatch, capsys):
         "verify_model_decomposition": 1,
         "_power_norms": 0,
     }
-    assert decompositions["svd", "op_norm"] == 41
+    assert decompositions["svd", "op_norm"] == 27
     assert decompositions["svd", "theta_eval"] == 0
     assert norms_computed == {"A": 1, "B": 1, "P": 1}
     # H_P comes from one SVD of T_Theta, the gaps from thin factors: on the
-    # projector formulas the work was 351,801, and 347,769 with the SVDs of
-    # the powers of P and of I - z P*
-    assert sum(work.values()) == 294521
+    # projector formulas the work was 351,801, 347,769 with the SVDs of the
+    # powers of P and of I - z P*, and 294,521 (41 op_norm SVDs) with ||F1||,
+    # ||F2|| normed by each check rather than kept on the pair
+    assert sum(work.values()) == 289719
 
 
 @pytest.mark.parametrize("n", [2, 3])

@@ -200,3 +200,17 @@ def test_transfer_skips_when_range_not_dense():
     pair_g = solve_fundamental(inst.triple.adjoint())
     rep = verify_commutator_transfer(inst.triple, pair_f, pair_g)
     assert rep.skipped
+
+
+def test_pair_keeps_its_norms_and_a_replaced_pair_recomputes_them(monkeypatch):
+    import tetralab.fundamental
+
+    pair = solve_fundamental(make_instance("scalars", seed=43, index=0, dim=4).triple)
+    assert pair.norms == (op_norm(pair.F1), op_norm(pair.F2))
+    calls = []
+    monkeypatch.setattr(tetralab.fundamental, "op_norm", lambda m: calls.append(m.shape) or op_norm(m))
+    assert pair.norms == (op_norm(pair.F1), op_norm(pair.F2))
+    assert calls == []  # kept from the first read
+    moved = dataclasses.replace(pair, F1=2.0 * pair.F1)
+    assert moved.norms == (op_norm(2.0 * pair.F1), op_norm(pair.F2))
+    assert len(calls) == 2

@@ -12,9 +12,8 @@ import pytest
 
 from tetralab.hardy import (
     AnalyticSymbol,
-    TruncatedHardy,
     pencil,
-    shift,
+    pencil_apply,
     symbol_product,
     toeplitz,
 )
@@ -32,27 +31,29 @@ def compose_residual(s1: AnalyticSymbol, s2: AnalyticSymbol, n: int) -> float:
     return op_norm(lhs - toeplitz(symbol_product(s1, s2, max_degree=n), n))
 
 
-def test_grid_layout():
-    space = TruncatedHardy(max_degree=3, fiber_dim=2)
-    assert space.dim == 8
-    assert space.block(0) == slice(0, 2)
-    assert space.block(3) == slice(6, 8)
-    with pytest.raises(IndexError):
-        space.block(4)
+def test_grid_layout(rng):
+    # degree-major rows: the degree-n coefficient of a fiber-2 vector sits at
+    # rows [2n, 2n + 2), and the pencil c0 + c1 z sends it to c0 at degree n
+    # and c1 at degree n + 1; the top degree n = 3 has no successor
+    c0, c1 = rng.standard_normal((2, 2)), rng.standard_normal((2, 2))
+    for n in range(4):
+        q = np.zeros((8, 1), dtype=complex)
+        q[2 * n + 1] = 1.0
+        expect = np.zeros_like(q)
+        expect[2 * n : 2 * n + 2, 0] = c0[:, 1]
+        if n < 3:
+            expect[2 * n + 2 : 2 * n + 4, 0] = c1[:, 1]
+        assert np.array_equal(pencil_apply(c0, c1, q), expect)
 
 
-def test_degree_projector():
-    space = TruncatedHardy(max_degree=2, fiber_dim=2)
-    p = space.degree_projector(0)
-    assert np.allclose(np.diag(p), [1, 1, 0, 0, 0, 0])
-    assert np.allclose(space.degree_projector(5), np.eye(6))
-    assert op_norm(space.degree_projector(-1)) == 0.0
+def z_times(d: int, n: int) -> np.ndarray:
+    """M_z on degrees 0..n with fiber C^d: the Toeplitz matrix of the pencil 0 + I z."""
+    return toeplitz(pencil(np.zeros((d, d)), np.eye(d)), n)
 
 
 def test_shift_moves_degrees_up():
-    space = TruncatedHardy(max_degree=2, fiber_dim=2)
-    s = shift(space)
-    vec = np.zeros(space.dim, dtype=complex)
+    s = z_times(2, 2)
+    vec = np.zeros(6, dtype=complex)
     vec[0] = 1.0  # degree-0 coefficient, fiber coordinate 0
     out = s @ vec
     expect = np.zeros_like(vec)
@@ -65,9 +66,29 @@ def test_shift_moves_degrees_up():
 
 
 def test_toeplitz_of_z_equals_shift():
-    space = TruncatedHardy(max_degree=3, fiber_dim=2)
-    sym = AnalyticSymbol((np.zeros((2, 2)), np.eye(2)))
-    assert np.array_equal(toeplitz(sym, 3), shift(space))
+    # M_z is the block subdiagonal identity, exactly
+    assert np.array_equal(z_times(2, 3), np.eye(8, k=-2, dtype=complex))
+
+
+@pytest.mark.parametrize("d_out,d_in,cols", [(2, 2, 3), (3, 2, 1), (2, 3, 4)])
+def test_pencil_apply_matches_toeplitz(rng, d_out, d_in, cols):
+    c0 = rng.standard_normal((d_out, d_in)) + 1j * rng.standard_normal((d_out, d_in))
+    c1 = rng.standard_normal((d_out, d_in)) + 1j * rng.standard_normal((d_out, d_in))
+    n = 4
+    t = toeplitz(pencil(c0, c1), n)
+    q = rng.standard_normal((t.shape[1], cols)) + 1j * rng.standard_normal((t.shape[1], cols))
+    q_adj = rng.standard_normal((t.shape[0], cols)) + 1j * rng.standard_normal((t.shape[0], cols))
+    scale = op_norm(c0) + op_norm(c1)
+    assert op_norm(pencil_apply(c0, c1, q) - t @ q) <= 1e-14 * scale * op_norm(q)
+    adj = pencil_apply(c0, c1, q_adj, adjoint=True)
+    assert op_norm(adj - t.conj().T @ q_adj) <= 1e-14 * scale * op_norm(q_adj)
+    # integer data: both sides are exact
+    k0, k1 = (rng.integers(-3, 4, size=(d_out, d_in)).astype(complex) for _ in range(2))
+    tk = toeplitz(pencil(k0, k1), n)
+    qk = rng.integers(-3, 4, size=(tk.shape[1], cols)).astype(complex)
+    assert np.array_equal(pencil_apply(k0, k1, qk), tk @ qk)
+    qk = rng.integers(-3, 4, size=(tk.shape[0], cols)).astype(complex)
+    assert np.array_equal(pencil_apply(k0, k1, qk, adjoint=True), tk.conj().T @ qk)
 
 
 def test_toeplitz_of_constant_is_block_diagonal(rng):
@@ -82,8 +103,7 @@ def test_pencil_structure(rng):
     sym = pencil(c0, c1)
     assert sym.degree == 1
     n = 3
-    space = TruncatedHardy(max_degree=n, fiber_dim=2)
-    expect = np.kron(np.eye(n + 1), c0) + shift(space) @ np.kron(np.eye(n + 1), c1)
+    expect = np.kron(np.eye(n + 1), c0) + z_times(2, n) @ np.kron(np.eye(n + 1), c1)
     assert op_norm(toeplitz(sym, n) - expect) == 0.0
 
 

@@ -27,11 +27,10 @@ from tetralab.matcore import (
     ensure_matrix,
     herm_part,
     hermitian_pinv,
-    null_basis,
     numerical_radius,
     op_norm,
-    orth_complement,
     range_basis,
+    range_complement,
     subspace_gap,
 )
 
@@ -292,8 +291,9 @@ def test_defect_snaps_noise_eigenvalues(rng):
 def test_range_and_null_basis_oracle():
     m = np.array([[1.0, 2.0], [2.0, 4.0], [0.0, 0.0]])
     rb = range_basis(m)
-    nb = null_basis(m)
+    nb = range_complement(m.conj().T)  # ker M = (range M*)^perp
     assert rb.rank == 1 and nb.rank == 1
+    assert range_complement(m).rank == 2
     # null vector proportional to (2, -1)/sqrt(5)
     v = nb.basis[:, 0]
     assert op_norm(m @ v.reshape(-1, 1)) < 1e-12
@@ -301,16 +301,19 @@ def test_range_and_null_basis_oracle():
 
 def test_scale_anchor_zeroes_noise_matrices(rng):
     noise = 1e-15 * (rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
-    # without an anchor the relative cutoff sees a "full rank" matrix
-    assert range_basis(noise).rank == 4
-    # with the contraction-scale anchor the matrix is rank 0 / all-null
-    assert range_basis(noise, scale=1.0).rank == 0
-    assert null_basis(noise, scale=1.0).rank == 4
+    # the cutoff rank_tol * max(sigma_max, 1) is anchored at the contraction
+    # scale: a pure-noise matrix is rank 0 / all-null, not "full rank"
+    assert range_basis(noise).rank == 0
+    assert range_complement(noise).rank == 4
+    # above the anchor the cutoff is relative: 1e-4 is noise next to 1e6
+    big = np.diag([1e6, 1e-4])
+    assert range_basis(big).rank == 1
+    assert range_complement(big).rank == 1
 
 
 def test_null_basis_orthogonal_to_row_space(rng):
     m = rng.standard_normal((3, 5))
-    nb = null_basis(m)
+    nb = range_complement(m.conj().T)
     assert nb.rank == 2
     assert op_norm(m @ nb.basis) < 1e-12
 
@@ -318,7 +321,7 @@ def test_null_basis_orthogonal_to_row_space(rng):
 def test_orth_complement_roundtrip(rng):
     m = rng.standard_normal((5, 2)) + 1j * rng.standard_normal((5, 2))
     sub = range_basis(m)
-    comp = orth_complement(sub)
+    comp = range_complement(sub.basis)
     assert sub.rank + comp.rank == 5
     assert op_norm(sub.basis.conj().T @ comp.basis) < 1e-12
     proj_sum = sub.projector + comp.projector
