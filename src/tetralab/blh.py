@@ -98,13 +98,12 @@ def extract_symbols(
     side = (n + 1) * max(theta.d_in, theta.d_out)
     if side > MAX_GRID_DIM:
         raise GridSizeError(f"extraction grid of degree {n} has side {side} > {MAX_GRID_DIM}")
-    t_th = toeplitz(theta, n)
     scale = pol.scaled_eq(op_norm(f1), op_norm(f2))
-    # inner on interior: columns of degree <= cut are isometric
+    # only the columns of degree <= cut are read: inner there means isometric
     d_in = theta.d_in
-    gram = t_th.conj().T @ t_th
     k = (cut + 1) * d_in
-    inner_resid = op_norm(gram[:k, :k] - np.eye(k))
+    t_th = toeplitz(theta, n)[:, :k]
+    inner_resid = op_norm(t_th.conj().T @ t_th - np.eye(k))
     if inner_resid > pol.scaled_eq(1.0):
         raise NotInnerError(
             f"toeplitz(theta) not isometric on degrees <= {cut} (residual {inner_resid:.3e})"

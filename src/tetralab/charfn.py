@@ -10,7 +10,10 @@ space, the ranges of W and of multiplication by Theta_P are complementary,
 and the compression of the pencil pair built from the adjoint fundamental
 operators (G1, G2) to H_P = (Theta_P H^2)^perp reproduces the original
 triple.  Everything here is computed on the truncated grid of degrees <= N
-with a certified tail bound.
+with a certified tail bound.  There H_P is taken as range(W), the space W is
+unitary onto, and the grid identity W W* + T_Theta T_Theta* = I bounds its
+distance to the spectral kernel of T_Theta* without a decomposition of
+T_Theta.
 
 Every function here takes the validated ``TetrablockTriple`` of P and reads
 D_P, D_{P*} and their range bases from it; Theta_{P*} is computed from
@@ -42,7 +45,6 @@ from .matcore import (
     op_norm,
     range_basis,
     range_complement,
-    subspace_gap,
 )
 from .report import CheckReport
 from .triples import PurityCertificate, TetrablockTriple, is_pure
@@ -256,9 +258,11 @@ class ModelData:
     """Truncated functional model of a pure contraction.
 
     W maps the original space into the truncated D_{P*}-valued Hardy grid;
-    h_basis spans H_P = (range of mult-by-theta)^perp; tail bounds the
-    truncation error; gap records the cross-validation distance between
-    H_P and range(W); purity is the certificate of P the tail was built on.
+    h_basis spans H_P = range(W), an M x dim H basis; tail bounds the
+    truncation error; gap bounds the distance from H_P to the spectral
+    kernel of T_theta* (the span of the dim H smallest left singular vectors
+    of toeplitz(theta)), the independent construction of H_P; purity is the
+    certificate of P the tail was built on.
     """
 
     N: int
@@ -269,6 +273,22 @@ class ModelData:
     gap: float
     dpstar_basis: SubspaceBasis
     purity: PurityCertificate
+
+
+def _kernel_gap(w: np.ndarray, t: np.ndarray, q: np.ndarray) -> float:
+    """Davis-Kahan bound ||T T* Q - Q L|| / (1 - e - 2 rho), L = (T* Q)* T* Q, on the gap
+    from range(Q) to the span of the dim H smallest left singular vectors of T; see
+    ``build_model``.  1.0 when Q has fewer than dim H columns or e + 2 rho >= 1."""
+    partition = t @ t.conj().T
+    partition += w @ w.conj().T
+    partition[np.diag_indices_from(partition)] -= 1.0
+    rho = float(np.linalg.norm(partition))
+    e = float(np.linalg.norm(w.conj().T @ w - np.eye(w.shape[1])))
+    sep = 1.0 - e - 2.0 * rho
+    if q.shape[1] < w.shape[1] or sep <= 0.0:
+        return 1.0
+    y = t.conj().T @ q
+    return min(op_norm(t @ y - q @ (y.conj().T @ y)) / sep, 1.0)
 
 
 def build_model(
@@ -283,10 +303,17 @@ def build_model(
     checked twice.  A grid of more than MAX_GRID_DIM coordinates is refused
     before it is allocated.  The Taylor coefficients Theta_k = (row block
     k-1 of W) D_P Q for k >= 1, Q the basis of D_P, are read off the rows of
-    W as they are formed.  The model space is cross-validated: H_P, the
-    trailing left singular vectors of one full SVD of toeplitz(theta), must
-    agree with range(W) within 1e-6 + tail, otherwise ModelMismatchError
-    (the two constructions are independent).
+    W as they are formed.  H_P is range(W), from the thin SVD of W, and it
+    is cross-validated against Theta without a decomposition of T =
+    toeplitz(theta): with rho = ||W W* + T T* - I||_F and e = ||W* W - I||_F,
+    Weyl's inequalities give T T* exactly dim H eigenvalues <= e + rho and
+    the rest >= 1 - rho, while L = Q* T T* Q, Q the M x dim H basis of
+    range(W), has its eigenvalues in [0, e + rho].  So when range(W) has
+    rank dim H and e + 2 rho < 1, the Davis-Kahan sin-theta theorem bounds
+    the gap from range(W) to the span of the dim H smallest left singular
+    vectors of T by gap = ||T T* Q - Q L|| / (1 - e - 2 rho), an M x dim H
+    operand; otherwise gap = 1.  A gap above 1e-6 + tail raises
+    ModelMismatchError.
     """
     purity, n, tail = _certified_tail(triple.P, n, pol, purity)
     sb = triple.dpstar_basis
@@ -299,11 +326,11 @@ def build_model(
     right = triple.dp @ triple.dp_basis.basis
     theta = AnalyticSymbol((_theta_zero(triple, pol), *(row @ right for row in blocks[:n])))
     w = np.vstack(blocks)
-    h_basis = range_complement(toeplitz(theta, n), pol)
-    gap = subspace_gap(h_basis, range_basis(w, pol))
+    h_basis = range_basis(w, pol)
+    gap = _kernel_gap(w, toeplitz(theta, n), h_basis.basis)
     if gap > 1e-6 + tail:
         raise ModelMismatchError(
-            f"model space mismatch: complement-of-theta-range vs range(W) gap {gap:.3e}"
+            f"model space mismatch: range(W) vs the spectral kernel of T_theta* gap {gap:.3e}"
         )
     return ModelData(
         N=n,
@@ -376,7 +403,8 @@ def verify_functional_model(
 
     where (G1, G2) is the fundamental pair of (A*, B*, P*), plus
     co-invariance of range(W) under the model operators, normed on the thin
-    factor Y - Q (Q* Y), Y = X* Q, of the M x n basis Q of range(W).
+    factor Y - Q (Q* Y), Y = X* Q, of the M x n basis Q = ``model.h_basis``
+    of range(W).
     """
     _check_basis_match(pair_g, model.dpstar_basis, "verify_functional_model")
     rep = CheckReport(title="functional model intertwining")
@@ -388,7 +416,7 @@ def verify_functional_model(
         resid = w.conj().T @ pencil_apply(c0, c1, w) - getattr(triple, name)
         rep.check(f"model_reproduces_{name}", op_norm(resid), tol)
     rep.check("W_isometry", op_norm(w.conj().T @ w - np.eye(w.shape[1])), pol.scaled_eq(1.0) + model.tail)
-    q = range_basis(w, pol).basis
+    q = model.h_basis.basis
     for name, (c0, c1) in pencils:
         y = pencil_apply(c0, c1, q, adjoint=True)
         rep.check(f"rangeW_coinvariant_{name}", op_norm(y - q @ (q.conj().T @ y)), tol)

@@ -1,7 +1,7 @@
 """Shared fixtures: deterministic RNG streams, cached instance suites, the
 triple of a bare contraction, a field-by-field equality, a call counter,
-watches on ``numpy.linalg`` and the dense grid formulas of the model-space
-residuals."""
+watches on ``numpy.linalg``, the dense construction of the model space and
+the dense grid formulas of the model-space residuals."""
 
 from __future__ import annotations
 
@@ -14,7 +14,7 @@ import pytest
 
 from tetralab import generate
 from tetralab.hardy import pencil, toeplitz
-from tetralab.matcore import DEFAULT_POLICY, op_norm, range_basis, range_complement
+from tetralab.matcore import DEFAULT_POLICY, SubspaceBasis, op_norm, range_basis, range_complement, subspace_gap
 from tetralab.triples import TetrablockTriple, validate
 
 
@@ -132,6 +132,14 @@ def dense_model_operators(pair, n: int) -> list[np.ndarray]:
     eye = np.eye(g1.shape[0])
     coeffs = ((g1.conj().T, g2), (g2.conj().T, g1), (0.0 * eye, eye))
     return [toeplitz(pencil(c0, c1), n) for c0, c1 in coeffs]
+
+
+def spectral_kernel_gap(w, t) -> float:
+    """Gap between range(W) and the span of the dim H = W.shape[1] trailing left
+    singular vectors of one full SVD of T, the dense construction of H_P."""
+    u = np.linalg.svd(t)[0]
+    dim = w.shape[1]
+    return subspace_gap(range_basis(w), SubspaceBasis(len(u), u[:, len(u) - dim :], dim))
 
 
 def dense_coinvariance(model, pair_g) -> dict[str, tuple[float, float]]:

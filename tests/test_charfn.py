@@ -41,6 +41,7 @@ from tetralab.charfn import (
 from tetralab.fundamental import solve_fundamental
 from tetralab.bidisc import build as build_grid
 from tetralab.generate import make_instance, random_unitary
+from tetralab.hardy import AnalyticSymbol
 from tetralab.matcore import DEFAULT_POLICY, MAX_GRID_DIM, TetralabError, ensure_matrix, op_norm, range_complement
 from tetralab.triples import from_symbols, is_pure
 
@@ -269,6 +270,61 @@ def test_build_model_refuses_oversized_grid():
         build_model(p_triple(0.5 * np.eye(2)), MAX_GRID_DIM // 2)
 
 
+def test_model_space_gap_is_not_a_rank_decision():
+    # at degree 25, T_Theta of diag(0.5, 0.3) has singular values near
+    # ||P^26|| ~ 1.5e-8, above rank_tol: a complement of its numerical range
+    # has the wrong dimension, but range(W) is within rounding of the span of
+    # its 2 smallest left singular vectors
+    model = build_model(p_triple(np.diag([0.5, 0.3])), 25)
+    assert model.gap <= 1e-6 + model.tail
+    assert model.gap < 1e-13
+
+
+def test_model_space_mismatch_is_detected(monkeypatch):
+    # Theta_1 moved by 1e-4 inside build_model: T_Theta no longer matches W
+    real = charfn.toeplitz
+
+    def mutated(sym, n):
+        coeffs = list(sym.coeffs)
+        coeffs[1] = coeffs[1] + 1e-4
+        return real(AnalyticSymbol(tuple(coeffs)), n)
+
+    triple = p_triple(random_contraction(np.random.default_rng(5), 3, norm=0.6))
+    build_model(triple)
+    monkeypatch.setattr(charfn, "toeplitz", mutated)
+    with pytest.raises(ModelMismatchError, match="gap"):
+        build_model(triple)
+
+
+def test_build_model_decomposes_only_thin_operands(monkeypatch, small_suite):
+    # H_P and its gap to the spectral kernel of T_Theta* take the only
+    # decompositions of an operand with a side above dim H: the thin SVD of W
+    # in range_basis and the op_norm of the M x dim H Davis-Kahan residual
+    # (none when the residual is exactly zero, as on the grid)
+    seen = []
+
+    def recording(name, fn):
+        def wrapper(a, *args, **kwargs):
+            callers = sys._getframe(1).f_code.co_name, sys._getframe(2).f_code.co_name
+            seen.append((name, callers, np.shape(a)))
+            return fn(a, *args, **kwargs)
+        return wrapper
+
+    for name in ("svd", "eigh", "eigvalsh", "eigvals"):
+        monkeypatch.setattr(np.linalg, name, recording(name, getattr(np.linalg, name)))
+    wide_calls = []
+    for t in [inst.triple for inst in small_suite] + [build_grid(2)]:
+        seen.clear()
+        model = build_model(t)
+        m, dim = model.W.shape
+        wide = [(name, callers) for name, callers, shape in seen if max(shape) > dim]
+        assert all(shape == (m, dim) for _, _, shape in seen if max(shape) > dim)
+        wide_calls.append(sorted(callers[0] for _, callers in wide))
+        assert set(wide) <= {("svd", ("range_basis", "build_model")), ("svd", ("op_norm", "_kernel_gap"))}
+    both = ["op_norm", "range_basis"]
+    assert wide_calls == [[], both, both, [], both, both, ["range_basis"]]  # symbols have M = dim H
+
+
 @pytest.mark.parametrize(
     "family,dim", [("symbols", 3), ("compressions", 12), ("scalars", 6), ("bidisc", 4)]
 )
@@ -400,10 +456,10 @@ def test_model_space_residuals_equal_the_dense_formulas(small_suite, rng):
 
 
 def test_model_space_checks_hand_op_norm_thin_operands(monkeypatch, small_suite):
-    # the subspace gaps, the co-invariance checks and the pencil-on-model
+    # the model-space gap, the co-invariance checks and the pencil-on-model
     # checks hand op_norm only M x k operands, M the side of the model grid
-    # and k the rank of the subspace at hand: H_P, range(W) or W of the
-    # isometric part
+    # and k the rank of the subspace at hand: H_P = range(W) (the Davis-Kahan
+    # residual T T* Q_H - Q_H L of the gap) or W of the isometric part
     seen = []
 
     def recording(m):
@@ -422,7 +478,8 @@ def test_model_space_checks_hand_op_norm_thin_operands(monkeypatch, small_suite)
         m, n, k = model.W.shape[0], t.dim, model.h_basis.rank
         thin += m > max(n, k)
         shapes = lambda caller: {s for c, s in seen if c == caller and s[0] == m}
-        assert shapes("subspace_gap") == {(m, k), (m, n)}
+        assert k == n
+        assert shapes("_kernel_gap") == {(m, n)}
         assert shapes("verify_functional_model") == {(m, n)}
         iso_rank = range_complement(t.dp_basis.basis).rank
         if iso_rank:

@@ -113,6 +113,20 @@ def test_model_check_passes_on_valid_triple(capsys, tmp_path):
     assert "PASS" in out
 
 
+def test_model_check_passes_past_the_rank_threshold_of_t_theta(capsys, tmp_path):
+    # at degree 25 the smallest singular values of T_Theta of diag(0.5, 0.3)
+    # sit near ||P^26|| ~ 1.5e-8, above rank_tol; H_P = range(W) does not
+    # depend on that rank decision, so every check passes
+    path = tmp_path / "diag.json"
+    zero = io.matrix_to_obj(np.zeros((2, 2)))
+    path.write_text(io.dumps({"A": zero, "B": zero, "P": io.matrix_to_obj(np.diag([0.5, 0.3]))}))
+    code, out, _ = run(capsys, "model-check", str(path), "--degree", "25", "--format", "json")
+    assert code == 0
+    bundle = json.loads(out)
+    assert bundle["aggregate"]["all_passed"]
+    assert all(e["passed"] for r in bundle["reports"] for e in r["entries"])
+
+
 def test_model_check_fails_on_unsolvable_triple(capsys, tmp_path):
     # commuting contractions with unitary P but A - B*P != 0: loads fine,
     # fails the fundamental equations -> verification failure, not a crash
@@ -358,8 +372,11 @@ def test_battery_builds_each_object_once(monkeypatch):
     # from eigvalsh, and model_intertwine_P, now a compression to H_P, is no
     # longer exactly zero: [126, 142, 254, 125, 142, 208] before.  Each
     # fundamental pair keeps ||F1||, ||F2||, so a battery norms them once per
-    # pair where it took [127, 141, 253, 126, 141, 207] SVDs
-    assert op_norm_svds == [113, 127, 237, 112, 127, 191]
+    # pair where it took [127, 141, 253, 126, 141, 207] SVDs.  Each model
+    # norms one Davis-Kahan residual for the gap of H_P = range(W) to T_Theta
+    # where the subspace gap took two norms: [113, 127, 237, 112, 127, 191]
+    # before
+    assert op_norm_svds == [112, 125, 235, 111, 125, 189]
     # no model-space check decomposes a grid-sized matrix of rank <= dim H:
     # on the projector formulas the work was [174960, 86666, 44254782,
     # 174933, 167266, 9166500], 54,025,107 in all; with a gating SVD at each
@@ -367,8 +384,9 @@ def test_battery_builds_each_object_once(monkeypatch):
     # 3994785]; with M x M SVDs for the range partition and the converse
     # intertwining, [154224, 83125, 19110681, 154197, 160298, 3994299]; with
     # ||F1||, ||F2|| normed by each check, [155952, 82028, 12567177, 155925,
-    # 158071, 2611575]
-    assert works == [155574, 81132, 12566745, 155547, 156321, 2611143]
+    # 158071, 2611575]; with H_P from a full SVD of T_Theta, [155574, 81132,
+    # 12566745, 155547, 156321, 2611143]
+    assert works == [150390, 79508, 6209730, 150363, 153241, 1291788]
 
 
 def test_verify_bidisc_builds_each_object_once(monkeypatch, capsys):
@@ -421,11 +439,13 @@ def test_verify_bidisc_builds_each_object_once(monkeypatch, capsys):
     assert decompositions["svd", "op_norm"] == 27
     assert decompositions["svd", "theta_eval"] == 0
     assert norms_computed == {"A": 1, "B": 1, "P": 1}
-    # H_P comes from one SVD of T_Theta, the gaps from thin factors: on the
-    # projector formulas the work was 351,801, 347,769 with the SVDs of the
-    # powers of P and of I - z P*, and 294,521 (41 op_norm SVDs) with ||F1||,
-    # ||F2|| normed by each check rather than kept on the pair
-    assert sum(work.values()) == 289719
+    # H_P is range(W), from the one thin SVD of W that the functional model
+    # reads too, and T_Theta is not decomposed: on the projector formulas the
+    # work was 351,801, 347,769 with the SVDs of the powers of P and of
+    # I - z P*, 294,521 (41 op_norm SVDs) with ||F1||, ||F2|| normed by each
+    # check rather than kept on the pair, and 289,719 with H_P from a full
+    # SVD of T_Theta and range(W) taken twice
+    assert sum(work.values()) == 260599
 
 
 @pytest.mark.parametrize("n", [2, 3])

@@ -37,6 +37,15 @@ decompositions while eps is below 1e-14 ||H||) and must stay within 1% of
 it, and for an exactly Hermitian R it must equal the spectral norm to
 rounding.
 
+``build_model`` takes H_P = range(W) and bounds its gap to the span of the
+dim H smallest left singular vectors of T_Theta by a Davis-Kahan residual,
+without a decomposition of T_Theta.  Over pure contractions of dimension
+1-4 (generic, nilpotent, scalar, zero) at default and small degrees, with
+T_Theta as built or moved by up to 1e-7 inside ``build_model``, that bound
+must not fall below the gap to the trailing left singular vectors of a full
+SVD of the same T_Theta (beyond 1e-13, the rounding of the dense SVD), nor
+exceed twice it (plus 1e-13): it is sound and not vacuous.
+
 Conjugating a generated triple by a unitary U gives a unitarily equivalent
 triple, so the whole instance battery must reach the same verdict on every
 check, and each residual may move only by rounding, below its tolerance;
@@ -53,7 +62,8 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from conftest import fields_equal, p_triple  # noqa: E402
+from conftest import fields_equal, p_triple, spectral_kernel_gap  # noqa: E402
+from tetralab import charfn  # noqa: E402
 from tetralab.fundamental import (  # noqa: E402
     solve_fundamental,
     verify_commutator_transfer,
@@ -294,6 +304,33 @@ def conjugated(inst, u):
     return dataclasses.replace(
         inst, triple=validate(u @ t.A @ u.conj().T, u @ t.B @ u.conj().T, u @ t.P @ u.conj().T)
     )
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(
+    kind=st.sampled_from(("generic", "nilpotent", "scalar", "zero")),
+    dim=st.integers(1, 4),
+    seed=st.integers(0, 2**32 - 1),
+    norm=st.floats(0.05, 0.7),
+    degree=st.one_of(st.none(), st.integers(0, 10)),
+    delta=st.one_of(st.just(0.0), st.floats(1e-10, 1e-7)),
+)
+def test_model_space_gap_bounds_the_dense_gap(kind, dim, seed, norm, degree, delta):
+    p = contraction(kind, dim, seed, norm)
+    rng = np.random.default_rng(seed)
+    real, built = charfn.toeplitz, []
+
+    def moved(sym, n):
+        t = real(sym, n)
+        e = rng.standard_normal(t.shape) + 1j * rng.standard_normal(t.shape)
+        built.append(t + delta * e / op_norm(e))
+        return built[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(charfn, "toeplitz", moved)
+        model = charfn.build_model(p_triple(p), degree)
+    dense = spectral_kernel_gap(model.W, built[-1])
+    assert dense - 1e-13 <= model.gap <= 2.0 * dense + 1e-13
 
 
 @settings(derandomize=True, max_examples=60, deadline=None)
