@@ -66,15 +66,9 @@ def flat_index(n: int, i: int, j: int) -> int:
 
 
 def _shift_matrix(n: int, di: int, dj: int) -> np.ndarray:
-    """Matrix of e_(i,j) -> e_(i+di, j+dj), truncating outside the grid."""
-    dim = grid_dim(n)
-    m = np.zeros((dim, dim), dtype=complex)
-    for i in range(n + 1):
-        for j in range(n + 1):
-            ti, tj = i + di, j + dj
-            if 0 <= ti <= n and 0 <= tj <= n:
-                m[flat_index(n, ti, tj), flat_index(n, i, j)] = 1.0
-    return m
+    """Matrix of e_(i,j) -> e_(i+di, j+dj), truncating outside the grid: the
+    Kronecker product of the truncated shifts by di and by dj on C^(n+1)."""
+    return np.kron(np.eye(n + 1, k=-di, dtype=complex), np.eye(n + 1, k=-dj, dtype=complex))
 
 
 def border_points(n: int) -> list[tuple[int, int]]:

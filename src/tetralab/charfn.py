@@ -11,9 +11,10 @@ and the compression of the pencil pair built from the adjoint fundamental
 operators (G1, G2) to H_P = (Theta_P H^2)^perp reproduces the original
 triple.  Everything here is computed on the truncated grid of degrees <= N
 with a certified tail bound.  There H_P is taken as range(W), the space W is
-unitary onto, and the grid identity W W* + T_Theta T_Theta* = I bounds its
-distance to the spectral kernel of T_Theta* without a decomposition of
-T_Theta.
+unitary onto.  The grid identity W W* + T_Theta T_Theta* = I is formed once,
+by ``verify_model_decomposition``, which reports its residual and the gap it
+bounds from range(W) to the spectral kernel of T_Theta*, without a
+decomposition of T_Theta.
 
 Every function here takes the validated ``TetrablockTriple`` of P and reads
 D_P, D_{P*} and their range bases from it; Theta_{P*} is computed from
@@ -54,7 +55,6 @@ __all__ = [
     "RestrictionLeakError",
     "ResolventSingularError",
     "NotIsometryLikeError",
-    "ModelMismatchError",
     "ModelData",
     "theta_taylor",
     "theta_coeffs",
@@ -84,10 +84,6 @@ class ResolventSingularError(TetralabError):
 
 class NotIsometryLikeError(TetralabError):
     """Triple has no isometric part to anchor a truncated-isometry model."""
-
-
-class ModelMismatchError(TetralabError):
-    """Dual constructions of the model space disagree beyond tolerance."""
 
 
 # powers of P below POWER_CUTOFF count as zero in the tail sums; a P whose
@@ -259,10 +255,7 @@ class ModelData:
 
     W maps the original space into the truncated D_{P*}-valued Hardy grid;
     h_basis spans H_P = range(W), an M x dim H basis; tail bounds the
-    truncation error; gap bounds the distance from H_P to the spectral
-    kernel of T_theta* (the span of the dim H smallest left singular vectors
-    of toeplitz(theta)), the independent construction of H_P; purity is the
-    certificate of P the tail was built on.
+    truncation error; purity is the certificate of P the tail was built on.
     """
 
     N: int
@@ -270,19 +263,16 @@ class ModelData:
     W: np.ndarray
     h_basis: SubspaceBasis
     tail: float
-    gap: float
     dpstar_basis: SubspaceBasis
     purity: PurityCertificate
 
 
-def _kernel_gap(w: np.ndarray, t: np.ndarray, q: np.ndarray) -> float:
+def _kernel_gap(r: np.ndarray, w: np.ndarray, t: np.ndarray, q: np.ndarray) -> float:
     """Davis-Kahan bound ||T T* Q - Q L|| / (1 - e - 2 rho), L = (T* Q)* T* Q, on the gap
-    from range(Q) to the span of the dim H smallest left singular vectors of T; see
-    ``build_model``.  1.0 when Q has fewer than dim H columns or e + 2 rho >= 1."""
-    partition = t @ t.conj().T
-    partition += w @ w.conj().T
-    partition[np.diag_indices_from(partition)] -= 1.0
-    rho = float(np.linalg.norm(partition))
+    from range(Q) to the span of the dim H smallest left singular vectors of T, given
+    R = W W* + T T* - I; see ``verify_model_decomposition``.  1.0 when Q has fewer
+    than dim H columns or e + 2 rho >= 1."""
+    rho = float(np.linalg.norm(r))
     e = float(np.linalg.norm(w.conj().T @ w - np.eye(w.shape[1])))
     sep = 1.0 - e - 2.0 * rho
     if q.shape[1] < w.shape[1] or sep <= 0.0:
@@ -303,17 +293,8 @@ def build_model(
     checked twice.  A grid of more than MAX_GRID_DIM coordinates is refused
     before it is allocated.  The Taylor coefficients Theta_k = (row block
     k-1 of W) D_P Q for k >= 1, Q the basis of D_P, are read off the rows of
-    W as they are formed.  H_P is range(W), from the thin SVD of W, and it
-    is cross-validated against Theta without a decomposition of T =
-    toeplitz(theta): with rho = ||W W* + T T* - I||_F and e = ||W* W - I||_F,
-    Weyl's inequalities give T T* exactly dim H eigenvalues <= e + rho and
-    the rest >= 1 - rho, while L = Q* T T* Q, Q the M x dim H basis of
-    range(W), has its eigenvalues in [0, e + rho].  So when range(W) has
-    rank dim H and e + 2 rho < 1, the Davis-Kahan sin-theta theorem bounds
-    the gap from range(W) to the span of the dim H smallest left singular
-    vectors of T by gap = ||T T* Q - Q L|| / (1 - e - 2 rho), an M x dim H
-    operand; otherwise gap = 1.  A gap above 1e-6 + tail raises
-    ModelMismatchError.
+    W as they are formed.  H_P is range(W), from the thin SVD of W; its
+    agreement with Theta is checked by ``verify_model_decomposition``.
     """
     purity, n, tail = _certified_tail(triple.P, n, pol, purity)
     sb = triple.dpstar_basis
@@ -326,19 +307,12 @@ def build_model(
     right = triple.dp @ triple.dp_basis.basis
     theta = AnalyticSymbol((_theta_zero(triple, pol), *(row @ right for row in blocks[:n])))
     w = np.vstack(blocks)
-    h_basis = range_basis(w, pol)
-    gap = _kernel_gap(w, toeplitz(theta, n), h_basis.basis)
-    if gap > 1e-6 + tail:
-        raise ModelMismatchError(
-            f"model space mismatch: range(W) vs the spectral kernel of T_theta* gap {gap:.3e}"
-        )
     return ModelData(
         N=n,
         theta=theta,
         W=w,
-        h_basis=h_basis,
+        h_basis=range_basis(w, pol),
         tail=tail,
-        gap=gap,
         dpstar_basis=sb,
         purity=purity,
     )
@@ -361,22 +335,35 @@ def _hermitian_norm(r: np.ndarray) -> float:
 
 
 def verify_model_decomposition(model: ModelData, pol: TolerancePolicy = DEFAULT_POLICY) -> CheckReport:
-    """Check W W* + M_theta M_theta* = I on the truncated grid.
+    """Check W W* + M_theta M_theta* = I on the truncated grid, and that H_P = range(W)
+    is the model space Theta defines.
 
     Blockwise this identity involves only finitely many Taylor coefficients,
     all of which the grid retains, so it holds to rounding for every
     contraction; the interior entry (the leading block of degrees < N) is
     reported separately and must meet eq_tol for nilpotent P.  Both norm the
-    residual R, Hermitian to rounding, with ``_hermitian_norm``.
+    residual R = W W* + T T* - I, T = toeplitz(theta), Hermitian to rounding,
+    with ``_hermitian_norm``.  R is formed once and also bounds
+    ``model_space_gap`` without a decomposition of T: with rho = ||R||_F and
+    e = ||W* W - I||_F, Weyl's inequalities give T T* exactly dim H
+    eigenvalues <= e + rho and the rest >= 1 - rho, while L = Q* T T* Q, Q
+    the M x dim H basis of range(W), has its eigenvalues in [0, e + rho].  So
+    when range(W) has rank dim H and e + 2 rho < 1, the Davis-Kahan sin-theta
+    theorem bounds the gap from range(W) to the span of the dim H smallest
+    left singular vectors of T by ||T T* Q - Q L|| / (1 - e - 2 rho), an
+    M x dim H operand; otherwise the gap is reported as 1.
     """
     rep = CheckReport(title="model range partition")
+    w = model.W
     t = toeplitz(model.theta, model.N)
-    resid = model.W @ model.W.conj().T + t @ t.conj().T - np.eye(t.shape[0])
+    resid = t @ t.conj().T
+    resid += w @ w.conj().T
+    resid[np.diag_indices_from(resid)] -= 1.0
     tol = pol.scaled_eq(1.0) + 4.0 * model.tail
     rep.check("range_partition", _hermitian_norm(resid), tol)
     top = model.N * model.dpstar_basis.rank
     rep.check("range_partition_interior", _hermitian_norm(resid[:top, :top]), tol)
-    rep.check("model_space_gap", model.gap, 1e-6 + model.tail)
+    rep.check("model_space_gap", _kernel_gap(resid, w, t, model.h_basis.basis), 1e-6 + model.tail)
     return rep
 
 

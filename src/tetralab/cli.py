@@ -176,7 +176,10 @@ def run_instance_battery(
     return rep
 
 
-def _cmd_verify_bidisc(args, pol: TolerancePolicy) -> list[tuple[str, CheckReport]]:
+Reports = list[tuple[str, CheckReport]]
+
+
+def _cmd_verify_bidisc(args, pol: TolerancePolicy) -> tuple[Reports, dict[str, Any]]:
     n = args.degree
     if n < 1:
         raise TetralabError(f"--degree must be >= 1, got {n}")
@@ -211,7 +214,7 @@ def _cmd_verify_bidisc(args, pol: TolerancePolicy) -> list[tuple[str, CheckRepor
     reports.append(("isometry_model", pure_isometry_model(triple, model, pair_g, dec, fm, pol)))
     _, _, brep = roundtrip_battery(triple, pair_f, pair_g, model.N, model.tail, pol)
     reports.append(("blh", brep))
-    return reports
+    return reports, {}
 
 
 def _failed_report(title: str, note: str) -> CheckReport:
@@ -220,10 +223,18 @@ def _failed_report(title: str, note: str) -> CheckReport:
     return rep
 
 
-def _cmd_random_suite(args, pol: TolerancePolicy) -> list[tuple[str, CheckReport]]:
+def _cmd_random_suite(args, pol: TolerancePolicy) -> tuple[Reports, dict[str, Any]]:
     for name in ("count", "dim", "degree"):
         if getattr(args, name) < 1:
             raise TetralabError(f"--{name} must be >= 1")
+    # the symbols family builds its triple on a grid of (degree+1) fibers of
+    # size dim, the largest side of the suite: the scalars triples have side
+    # dim and the compressions about dim
+    side = (args.degree + 1) * args.dim
+    if side > MAX_GRID_DIM:
+        raise GridSizeError(
+            f"--degree {args.degree} --dim {args.dim} needs a symbols grid of {side} > {MAX_GRID_DIM}"
+        )
     # instances are generated under the default policy so that --tol only
     # moves the verification bar, never changes which instances exist
     instances = generate.suite(args.seed, args.count, args.dim, args.degree)
@@ -236,7 +247,7 @@ def _cmd_random_suite(args, pol: TolerancePolicy) -> list[tuple[str, CheckReport
             # routine that does not converge on this instance, is a failure,
             # not a usage error: record it and keep going
             out.append((inst.label, _failed_report(inst.label, str(exc))))
-    return out
+    return out, {}
 
 
 def _load_json(path: str):
@@ -244,7 +255,7 @@ def _load_json(path: str):
         return tio.load(fp)
 
 
-def _cmd_model_check(args, pol: TolerancePolicy) -> list[tuple[str, CheckReport]]:
+def _cmd_model_check(args, pol: TolerancePolicy) -> tuple[Reports, dict[str, Any]]:
     if args.degree is not None and args.degree < 0:
         raise TetralabError("--degree must be >= 0")
     triple = tio.triple_from_obj(_load_json(args.triple_file), pol)
@@ -274,10 +285,10 @@ def _cmd_model_check(args, pol: TolerancePolicy) -> list[tuple[str, CheckReport]
         except TetralabError as exc:
             rep.check("battery", float("inf"), 0.0, note=str(exc))
     reports.append(("model", rep))
-    return reports
+    return reports, {}
 
 
-def _cmd_blh(args, pol: TolerancePolicy):
+def _cmd_blh(args, pol: TolerancePolicy) -> tuple[Reports, dict[str, Any]]:
     theta = tio.symbol_from_obj(_load_json(args.theta_file))
     pair_obj = _load_json(args.symbols_file)
     if not isinstance(pair_obj, dict) or not {"F1", "F2"} <= set(pair_obj):
@@ -298,7 +309,7 @@ def _cmd_blh(args, pol: TolerancePolicy):
     return [("blh", rep)], extra
 
 
-def _aggregate(reports: list[tuple[str, CheckReport]]) -> dict[str, Any]:
+def _aggregate(reports: Reports) -> dict[str, Any]:
     entries = [e for _, rep in reports for e in rep.entries]
     active = [e for e in entries if not e.skipped]
     return {
@@ -369,15 +380,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     start = time.perf_counter()
     try:
         pol = _policy_from(args.tol)
-        result = _DISPATCH[args.command](args, pol)
+        reports, extra = _DISPATCH[args.command](args, pol)
     except (TetralabError, OSError, ValueError) as exc:
         print(f"tetralab: error: {exc}", file=sys.stderr)
         return 2
-    extra: dict[str, Any] = {}
-    if isinstance(result, tuple):
-        reports, extra = result
-    else:
-        reports = result
     bundle: dict[str, Any] = {
         "tool": "tetralab",
         "version": __version__,

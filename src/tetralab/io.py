@@ -52,11 +52,11 @@ def matrix_from_obj(obj) -> np.ndarray:
     if not isinstance(obj, dict):
         raise FormatError(f"matrix object must be a dict, got {type(obj).__name__}")
     try:
-        rows = int(obj["rows"])
-        cols = int(obj["cols"])
-        data = obj["data"]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise FormatError(f"matrix object missing or malformed field: {exc}") from exc
+        rows, cols, data = obj["rows"], obj["cols"], obj["data"]
+    except KeyError as exc:
+        raise FormatError(f"matrix object missing field: {exc}") from exc
+    if not all(isinstance(d, int) and not isinstance(d, bool) for d in (rows, cols)):
+        raise FormatError(f"matrix dimensions must be integers, got rows={rows!r}, cols={cols!r}")
     if rows < 0 or cols < 0:
         raise FormatError("matrix dimensions must be non-negative")
     if not isinstance(data, list) or len(data) != rows * cols:

@@ -21,7 +21,6 @@ from tetralab import charfn
 from tetralab.charfn import (
     MAX_POWERS,
     TAIL_TARGET,
-    ModelMismatchError,
     NotIsometryLikeError,
     NotPureError,
     ResolventSingularError,
@@ -40,8 +39,9 @@ from tetralab.charfn import (
 )
 from tetralab.fundamental import solve_fundamental
 from tetralab.bidisc import build as build_grid
+from tetralab.cli import run_instance_battery
 from tetralab.generate import make_instance, random_unitary
-from tetralab.hardy import AnalyticSymbol
+from tetralab.hardy import AnalyticSymbol, toeplitz
 from tetralab.matcore import DEFAULT_POLICY, MAX_GRID_DIM, TetralabError, ensure_matrix, op_norm, range_complement
 from tetralab.triples import from_symbols, is_pure
 
@@ -270,18 +270,26 @@ def test_build_model_refuses_oversized_grid():
         build_model(p_triple(0.5 * np.eye(2)), MAX_GRID_DIM // 2)
 
 
+def model_entries(rep) -> dict:
+    return {e.name: e for e in rep.entries}
+
+
 def test_model_space_gap_is_not_a_rank_decision():
     # at degree 25, T_Theta of diag(0.5, 0.3) has singular values near
     # ||P^26|| ~ 1.5e-8, above rank_tol: a complement of its numerical range
     # has the wrong dimension, but range(W) is within rounding of the span of
     # its 2 smallest left singular vectors
     model = build_model(p_triple(np.diag([0.5, 0.3])), 25)
-    assert model.gap <= 1e-6 + model.tail
-    assert model.gap < 1e-13
+    gap = model_entries(verify_model_decomposition(model))["model_space_gap"]
+    assert gap.passed and gap.tolerance == 1e-6 + model.tail
+    assert gap.residual < 1e-13
 
 
-def test_model_space_mismatch_is_detected(monkeypatch):
-    # Theta_1 moved by 1e-4 inside build_model: T_Theta no longer matches W
+def test_model_space_mismatch_is_detected(monkeypatch, small_suite):
+    # Theta_1 moved by 1e-4 where the report forms T_Theta: it no longer
+    # matches W.  build_model forms no T_Theta and still returns; the
+    # report records the mismatch as failed checks, in the model report and
+    # in the instance battery, where every other entry is still recorded
     real = charfn.toeplitz
 
     def mutated(sym, n):
@@ -290,17 +298,57 @@ def test_model_space_mismatch_is_detected(monkeypatch):
         return real(AnalyticSymbol(tuple(coeffs)), n)
 
     triple = p_triple(random_contraction(np.random.default_rng(5), 3, norm=0.6))
-    build_model(triple)
+    model = build_model(triple)
+    assert verify_model_decomposition(model).overall
+    inst = small_suite[2]
+    assert inst.family == "scalars"
+    clean = run_instance_battery(inst)
+    assert clean.overall
     monkeypatch.setattr(charfn, "toeplitz", mutated)
-    with pytest.raises(ModelMismatchError, match="gap"):
-        build_model(triple)
+    entries = model_entries(verify_model_decomposition(build_model(triple)))
+    assert list(entries) == ["range_partition", "range_partition_interior", "model_space_gap"]
+    assert not entries["model_space_gap"].passed
+    assert not entries["range_partition"].passed
+    battery = run_instance_battery(inst)
+    assert [e.name for e in battery.entries] == [e.name for e in clean.entries]
+    failed = {e.name for e in battery.failures}
+    assert {"model_model_space_gap", "model_range_partition"} <= failed
+    assert all(name.startswith("model_range_partition") or name == "model_model_space_gap" for name in failed)
+
+
+def test_model_decomposition_forms_the_grid_identity_once(monkeypatch, small_suite):
+    # one T_Theta and one R = W W* + T T* - I per report: the range
+    # partition norms R and its interior block, the Davis-Kahan gap reads
+    # the same R
+    calls = count_calls(monkeypatch, toeplitz)
+    handed = []
+    norm, gap = charfn._hermitian_norm, charfn._kernel_gap
+
+    def hermitian_norm(r):
+        handed.append(r)
+        return norm(r)
+
+    def kernel_gap(r, w, t, q):
+        handed.append(r)
+        return gap(r, w, t, q)
+
+    monkeypatch.setattr(charfn, "_hermitian_norm", hermitian_norm)
+    monkeypatch.setattr(charfn, "_kernel_gap", kernel_gap)
+    for t in [inst.triple for inst in small_suite] + [build_grid(2)]:
+        model = build_model(t)
+        calls["toeplitz"] = 0
+        handed.clear()
+        assert verify_model_decomposition(model).overall
+        assert calls["toeplitz"] == 1
+        whole, interior, kernel = handed
+        assert kernel is whole and interior.base is whole
+        assert whole.shape == (len(model.W), len(model.W))
 
 
 def test_build_model_decomposes_only_thin_operands(monkeypatch, small_suite):
-    # H_P and its gap to the spectral kernel of T_Theta* take the only
-    # decompositions of an operand with a side above dim H: the thin SVD of W
-    # in range_basis and the op_norm of the M x dim H Davis-Kahan residual
-    # (none when the residual is exactly zero, as on the grid)
+    # build_model forms no T_Theta and no M x M matrix: its only
+    # decomposition of an operand with a side above dim H is the thin SVD
+    # of W in range_basis
     seen = []
 
     def recording(name, fn):
@@ -312,6 +360,7 @@ def test_build_model_decomposes_only_thin_operands(monkeypatch, small_suite):
 
     for name in ("svd", "eigh", "eigvalsh", "eigvals"):
         monkeypatch.setattr(np.linalg, name, recording(name, getattr(np.linalg, name)))
+    calls = count_calls(monkeypatch, toeplitz)
     wide_calls = []
     for t in [inst.triple for inst in small_suite] + [build_grid(2)]:
         seen.clear()
@@ -319,10 +368,10 @@ def test_build_model_decomposes_only_thin_operands(monkeypatch, small_suite):
         m, dim = model.W.shape
         wide = [(name, callers) for name, callers, shape in seen if max(shape) > dim]
         assert all(shape == (m, dim) for _, _, shape in seen if max(shape) > dim)
-        wide_calls.append(sorted(callers[0] for _, callers in wide))
-        assert set(wide) <= {("svd", ("range_basis", "build_model")), ("svd", ("op_norm", "_kernel_gap"))}
-    both = ["op_norm", "range_basis"]
-    assert wide_calls == [[], both, both, [], both, both, ["range_basis"]]  # symbols have M = dim H
+        wide_calls.append(wide)
+    assert calls["toeplitz"] == 0
+    thin = [("svd", ("range_basis", "build_model"))]
+    assert wide_calls == [[], thin, thin, [], thin, thin, thin]  # symbols have M = dim H
 
 
 @pytest.mark.parametrize(

@@ -104,6 +104,19 @@ def test_malformed_triple_file_is_input_error(capsys, tmp_path):
     assert run(capsys, "model-check", str(path))[0] == 2
 
 
+@pytest.mark.parametrize("rows", [1.9, "1", True], ids=["float", "string", "bool"])
+def test_non_integer_matrix_dimension_is_input_error(capsys, tmp_path, rows):
+    # a 1 x 1 triple whose A declares a non-integer row count is refused on
+    # load, not read as a 1 x 1 matrix
+    path = tmp_path / "bad.json"
+    one = io.matrix_to_obj(np.array([[0.5]]))
+    path.write_text(io.dumps({"A": {**one, "rows": rows}, "B": one, "P": one}))
+    code, out, err = run(capsys, "model-check", str(path))
+    assert code == 2
+    assert out == ""
+    assert "matrix dimensions must be integers" in err
+
+
 def test_model_check_passes_on_valid_triple(capsys, tmp_path):
     inst = make_instance("scalars", seed=61, index=0, dim=6)
     path = tmp_path / "triple.json"
@@ -375,8 +388,9 @@ def test_battery_builds_each_object_once(monkeypatch):
     # pair where it took [127, 141, 253, 126, 141, 207] SVDs.  Each model
     # norms one Davis-Kahan residual for the gap of H_P = range(W) to T_Theta
     # where the subspace gap took two norms: [113, 127, 237, 112, 127, 191]
-    # before
-    assert op_norm_svds == [112, 125, 235, 111, 125, 189]
+    # before.  The model of P' computes no gap, as no report reads one:
+    # [112, 125, 235, 111, 125, 189] before
+    assert op_norm_svds == [111, 124, 234, 110, 124, 188]
     # no model-space check decomposes a grid-sized matrix of rank <= dim H:
     # on the projector formulas the work was [174960, 86666, 44254782,
     # 174933, 167266, 9166500], 54,025,107 in all; with a gating SVD at each
@@ -385,8 +399,9 @@ def test_battery_builds_each_object_once(monkeypatch):
     # intertwining, [154224, 83125, 19110681, 154197, 160298, 3994299]; with
     # ||F1||, ||F2|| normed by each check, [155952, 82028, 12567177, 155925,
     # 158071, 2611575]; with H_P from a full SVD of T_Theta, [155574, 81132,
-    # 12566745, 155547, 156321, 2611143]
-    assert works == [150390, 79508, 6209730, 150363, 153241, 1291788]
+    # 12566745, 155547, 156321, 2611143]; with a gap for the model of P',
+    # [150390, 79508, 6209730, 150363, 153241, 1291788]
+    assert works == [148662, 79308, 6208407, 148635, 152881, 1291005]
 
 
 def test_verify_bidisc_builds_each_object_once(monkeypatch, capsys):
@@ -599,6 +614,18 @@ def test_negative_model_degree_is_input_error(capsys, tmp_path):
     assert "--degree must be >= 0" in err
     with pytest.raises(ValueError, match="model degree must be >= 0"):
         build_model(p_triple(0.5 * np.eye(2)), -1)
+
+
+def test_random_suite_refuses_oversized_grid(monkeypatch, capsys):
+    # --dim 2048 --degree 3 asks for symbols triples on an 8192-coordinate
+    # grid: refused as an input error before any instance or Toeplitz
+    # matrix is built
+    calls = count_calls(monkeypatch, toeplitz)
+    code, out, err = run(capsys, "random-suite", "--seed", "1", "--dim", "2048", "--degree", "3")
+    assert code == 2
+    assert out == ""
+    assert f"symbols grid of 8192 > {MAX_GRID_DIM}" in err
+    assert calls["toeplitz"] == 0
 
 
 def test_blh_refuses_oversized_grid(monkeypatch, capsys, tmp_path):

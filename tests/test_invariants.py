@@ -192,8 +192,9 @@ def test_model_intertwine_fails_for_inequivalent_fundamental_operators(transport
 def test_model_space_checks_decompose_no_grid_matrix(monkeypatch):
     # the converse intertwining norms dim H sided compressions (||G1||, ||G2||
     # for its tolerance are kept on the pair), and the range partition
-    # residuals take two eigvalsh of their Hermitian parts and no SVD, on a
-    # grid of M >= 192
+    # residuals take two eigvalsh of their Hermitian parts, on a grid of
+    # M >= 192; the one SVD of the model report with a side above dim H is
+    # that of the M x dim H Davis-Kahan operand of the model-space gap
     inst = make_instance("scalars", seed=43, index=0, dim=6)
     dim_h = inst.triple.dim  # W is an isometry onto H_P
     svds = []
@@ -210,11 +211,17 @@ def test_model_space_checks_decompose_no_grid_matrix(monkeypatch):
     monkeypatch.setattr(np.linalg, "svd", recording)
     calls, _, _ = watch_decompositions(monkeypatch)
     assert run_instance_battery(inst).overall
-    assert len(build_model(inst.triple).W) >= 192
+    m = len(build_model(inst.triple).W)
+    assert m >= 192
     intertwine = [
         shape for names, shape in svds if "op_norm" in names and names[names.index("op_norm") + 1] == "_model_transport"
     ]
     assert len(intertwine) == 3
     assert all(max(shape) <= dim_h for shape in intertwine)
-    assert not [shape for names, shape in svds if "verify_model_decomposition" in names and max(shape) > dim_h]
+    wide = [
+        (names[names.index("op_norm") + 1], shape)
+        for names, shape in svds
+        if "verify_model_decomposition" in names and max(shape) > dim_h
+    ]
+    assert wide == [("_kernel_gap", (m, dim_h))]
     assert calls["eigvalsh", "_hermitian_norm"] == 2

@@ -40,6 +40,9 @@ def test_empty_matrix_roundtrip():
         {"rows": 1, "cols": 1, "data": [[1.0]]},  # missing imag part
         {"rows": 1, "cols": 1, "data": [[True, False]]},  # bools are not floats
         {"rows": 1, "cols": 1, "data": [["1.0", "0.0"]]},
+        {"rows": 1.9, "cols": True, "data": [[1.0, 0.0]]},  # dimensions are JSON integers
+        {"rows": "1", "cols": 1, "data": [[1.0, 0.0]]},
+        {"rows": 1, "cols": 1.0, "data": [[1.0, 0.0]]},
     ],
 )
 def test_malformed_matrix_rejected(obj):

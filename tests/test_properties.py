@@ -326,11 +326,13 @@ def test_model_space_gap_bounds_the_dense_gap(kind, dim, seed, norm, degree, del
         built.append(t + delta * e / op_norm(e))
         return built[-1]
 
+    model = charfn.build_model(p_triple(p), degree)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(charfn, "toeplitz", moved)
-        model = charfn.build_model(p_triple(p), degree)
+        rep = charfn.verify_model_decomposition(model)
+    [gap] = [e.residual for e in rep.entries if e.name == "model_space_gap"]
     dense = spectral_kernel_gap(model.W, built[-1])
-    assert dense - 1e-13 <= model.gap <= 2.0 * dense + 1e-13
+    assert dense - 1e-13 <= gap <= 2.0 * dense + 1e-13
 
 
 @settings(derandomize=True, max_examples=60, deadline=None)
