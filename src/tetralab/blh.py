@@ -160,7 +160,7 @@ def extraction_roundtrip(
 ) -> tuple[np.ndarray, np.ndarray, CheckReport]:
     """``roundtrip_battery`` on the pairs of ``triple`` and ``power_tail(triple.P)``, computed here."""
     pair_f, pair_g = solve_fundamental(triple, pol), solve_fundamental(triple.adjoint(), pol)
-    return roundtrip_battery(triple, pair_f, pair_g, *power_tail(triple.P, None, pol), pol)
+    return roundtrip_battery(triple, pair_f, pair_g, *power_tail(triple.P), pol)
 
 
 def roundtrip_battery(

@@ -34,8 +34,10 @@ import numpy as np
 from .fundamental import FundamentalPair
 from .hardy import AnalyticSymbol, pencil_apply, toeplitz
 from .matcore import (
+    CLAMP_TOL,
     DEFAULT_POLICY,
     MAX_GRID_DIM,
+    RANK_TOL,
     GridSizeError,
     ShapeError,
     SubspaceBasis,
@@ -71,7 +73,7 @@ __all__ = [
 
 
 class NotPureError(TetralabError):
-    """P^n does not tend to zero (spectral radius >= 1 - rank_tol)."""
+    """P^n does not tend to zero (spectral radius >= 1 - RANK_TOL)."""
 
 
 class RestrictionLeakError(TetralabError):
@@ -109,7 +111,7 @@ def _theta_zero(triple: TetrablockTriple, pol: TolerancePolicy):
     p, sb = triple.P, triple.dpstar_basis
     image = p @ triple.dp_basis.basis
     leak = op_norm(image - sb.projector @ image)
-    allowance = pol.rank_tol * (1.0 + triple.norm("P")) + pol.eq_tol
+    allowance = RANK_TOL * (1.0 + triple.norm("P")) + pol.eq_tol
     if leak > allowance:
         raise RestrictionLeakError(
             f"P(D_P) leaks out of D_P* by {leak:.3e} (> {allowance:.3e})"
@@ -120,13 +122,13 @@ def _theta_zero(triple: TetrablockTriple, pol: TolerancePolicy):
 def _w_rows(triple: TetrablockTriple):
     """Row blocks Q*^* D_{P*} P*^k of W, k = 0, 1, 2, ..., Q* the basis of D_{P*}.
 
-    The one loop over the powers of P*: Theta_k = (row block k-1) D_P Q for
-    k >= 1, Q the basis of D_P.
+    The one loop over the powers of P*, from (D_{P*} Q*)^*: Theta_k = (row
+    block k-1) D_P Q for k >= 1, Q the basis of D_P.
     """
     pd = triple.P.conj().T
-    cur = triple.dpstar
+    cur = triple.dpstar_q.conj().T
     while True:
-        yield triple.dpstar_basis.basis.conj().T @ cur
+        yield cur
         cur = cur @ pd
 
 
@@ -139,9 +141,8 @@ def theta_coeffs(triple: TetrablockTriple, n_max: int, pol: TolerancePolicy = DE
     """
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
-    right = triple.dp @ triple.dp_basis.basis
     rows = islice(_w_rows(triple), n_max)
-    return AnalyticSymbol((_theta_zero(triple, pol), *(row @ right for row in rows)))
+    return AnalyticSymbol((_theta_zero(triple, pol), *(row @ triple.dp_q for row in rows)))
 
 
 def theta_taylor(triple: TetrablockTriple, degrees, pol: TolerancePolicy = DEFAULT_POLICY) -> list[np.ndarray]:
@@ -154,22 +155,23 @@ def theta_taylor(triple: TetrablockTriple, degrees, pol: TolerancePolicy = DEFAU
 
 
 def theta_eval(triple: TetrablockTriple, points, pol: TolerancePolicy = DEFAULT_POLICY) -> list[np.ndarray]:
-    """Theta_P(z) in the defect bases, one per z in ``points``, via the resolvent of P*.  The SVD refusing
-    I - z P* at clamp_tol runs only where Weyl's bounds 1 -+ |z| s on its singular values leave the test open,
+    """Theta_P(z) in the defect bases, one per z in ``points``: -Q*^* P Q + z (D_{P*} Q*)^* (I - z P*)^{-1} D_P Q,
+    Q and Q* the bases of D_P and D_{P*}, one solve against the dim x rank D_P Q per point.  The SVD refusing
+    I - z P* at CLAMP_TOL runs only where Weyl's bounds 1 -+ |z| s on its singular values leave the test open,
     s = sqrt(||P||_1 ||P||_inf) >= ||P|| (Schur's bound) rounded up past the (dim + 2) eps error of its sums."""
-    p = triple.P
+    p, dq, dsq = triple.P, triple.dp_q, triple.dpstar_q
+    theta_0 = -(triple.dpstar_basis.basis.conj().T @ (p @ triple.dp_basis.basis))
     eye = np.eye(p.shape[0])
     s = np.sqrt(np.abs(p).sum(0).max(initial=0.0) * np.abs(p).sum(1).max(initial=0.0)) * (1 + 1e-12 + 3e-16 * len(p))
     out = []
     for z in points:
         z = complex(z)
         res = eye - z * p.conj().T
-        if not (p.size and 1.0 - abs(z) * s > pol.clamp_tol * (1.0 + abs(z) * s)):
+        if not (p.size and 1.0 - abs(z) * s > CLAMP_TOL * (1.0 + abs(z) * s)):
             sv = np.linalg.svd(res, compute_uv=False)
-            if sv.size == 0 or sv[-1] <= pol.clamp_tol * max(1.0, sv[0]):
+            if sv.size == 0 or sv[-1] <= CLAMP_TOL * max(1.0, sv[0]):
                 raise ResolventSingularError(f"I - z P* singular at z = {z!r}")
-        middle = -p + z * (triple.dpstar @ np.linalg.solve(res, triple.dp))
-        out.append(triple.dpstar_basis.basis.conj().T @ middle @ triple.dp_basis.basis)
+        out.append(theta_0 + z * (dsq.conj().T @ np.linalg.solve(res, dq)))
     return out
 
 
@@ -186,14 +188,13 @@ def kernel_identity_check(
     """
     z, w = complex(z), complex(w)
     tw, tz = theta_eval(triple, (w, z), pol)
-    p, ds, sb = triple.P, triple.dpstar, triple.dpstar_basis
+    p, dsq = triple.P, triple.dpstar_q
     n = p.shape[0]
-    lhs = np.eye(sb.rank) - tw @ tz.conj().T
+    lhs = np.eye(dsq.shape[1]) - tw @ tz.conj().T
     res_w = np.eye(n) - w * p.conj().T
     res_z = np.eye(n) - np.conj(z) * p
-    core = ds @ np.linalg.solve(res_w, np.linalg.solve(res_z, ds))
-    rhs = (1.0 - w * np.conj(z)) * (sb.basis.conj().T @ core @ sb.basis)
-    return op_norm(lhs - rhs)
+    core = dsq.conj().T @ np.linalg.solve(res_w, np.linalg.solve(res_z, dsq))
+    return op_norm(lhs - (1.0 - w * np.conj(z)) * core)
 
 
 def _power_norms(p: np.ndarray) -> list[float]:
@@ -212,7 +213,7 @@ def _power_norms(p: np.ndarray) -> list[float]:
     raise TetralabError(f"||P^k|| still {norms[-1]:.3e} after {MAX_POWERS} powers; P decays too slowly")
 
 
-def power_tail(p, n: int | None = None, pol: TolerancePolicy = DEFAULT_POLICY) -> tuple[int, float]:
+def power_tail(p, n: int | None = None) -> tuple[int, float]:
     """Truncation degree n and an upper bound on (sum_{m > n} ||P^m||^2)^(1/2).
 
     Checks purity (NotPureError) and forms ||P^k||, k = 1, 2, ..., until the first c = ||P^K|| <= POWER_CUTOFF.
@@ -224,15 +225,15 @@ def power_tail(p, n: int | None = None, pol: TolerancePolicy = DEFAULT_POLICY) -
     without a norm: every earlier ||P^k|| >= ||P^k||_F / sqrt(dim) > 1e-12 / sqrt(dim) > POWER_CUTOFF
     while dim < 10^4, so the norms would stop at the same K with c = 0.
     """
-    return _certified_tail(p, n, pol)[1:]
+    return _certified_tail(p, n)[1:]
 
 
-def _certified_tail(p, n: int | None, pol: TolerancePolicy, cert=None) -> tuple[PurityCertificate, int, float]:
-    """The PurityCertificate of P (``cert``, else ``is_pure(p, pol)``) that ``power_tail`` checks, then (n, tail)."""
+def _certified_tail(p, n: int | None, cert=None) -> tuple[PurityCertificate, int, float]:
+    """The PurityCertificate of P (``cert``, else ``is_pure(p)``) that ``power_tail`` checks, then (n, tail)."""
     p = ensure_matrix(p, square=True, name="P")
     if n is not None and n < 0:
         raise ValueError("model degree must be >= 0")
-    cert = is_pure(p, pol) if cert is None else cert
+    cert = is_pure(p) if cert is None else cert
     if not cert:
         raise NotPureError(f"P is not pure (rho = {cert.spectral_radius:.6f})")
     if n is not None and cert.exact_zero and cert.nilpotency_index <= n + 1 and p.shape[0] < 10**4:
@@ -267,12 +268,11 @@ class ModelData:
     purity: PurityCertificate
 
 
-def _kernel_gap(r: np.ndarray, w: np.ndarray, t: np.ndarray, q: np.ndarray) -> float:
+def _kernel_gap(rho: float, w: np.ndarray, t: np.ndarray, q: np.ndarray) -> float:
     """Davis-Kahan bound ||T T* Q - Q L|| / (1 - e - 2 rho), L = (T* Q)* T* Q, on the gap
     from range(Q) to the span of the dim H smallest left singular vectors of T, given
-    R = W W* + T T* - I; see ``verify_model_decomposition``.  1.0 when Q has fewer
-    than dim H columns or e + 2 rho >= 1."""
-    rho = float(np.linalg.norm(r))
+    rho = ||W W* + T T* - I||_F; see ``verify_model_decomposition``.  1.0 when Q has
+    fewer than dim H columns or e + 2 rho >= 1."""
     e = float(np.linalg.norm(w.conj().T @ w - np.eye(w.shape[1])))
     sep = 1.0 - e - 2.0 * rho
     if q.shape[1] < w.shape[1] or sep <= 0.0:
@@ -289,14 +289,14 @@ def build_model(
     When ``n`` is omitted the smallest degree with tail <= TAIL_TARGET is
     used.  Purity is checked by the tail computation (NotPureError), which
     runs before anything of grid size exists; a caller that already holds
-    ``is_pure(triple.P, pol)`` passes it as ``purity`` so that it is not
+    ``is_pure(triple.P)`` passes it as ``purity`` so that it is not
     checked twice.  A grid of more than MAX_GRID_DIM coordinates is refused
     before it is allocated.  The Taylor coefficients Theta_k = (row block
     k-1 of W) D_P Q for k >= 1, Q the basis of D_P, are read off the rows of
     W as they are formed.  H_P is range(W), from the thin SVD of W; its
     agreement with Theta is checked by ``verify_model_decomposition``.
     """
-    purity, n, tail = _certified_tail(triple.P, n, pol, purity)
+    purity, n, tail = _certified_tail(triple.P, n, purity)
     sb = triple.dpstar_basis
     if (n + 1) * sb.rank > MAX_GRID_DIM:
         raise GridSizeError(
@@ -304,14 +304,13 @@ def build_model(
             f"exceeds {MAX_GRID_DIM} coordinates"
         )
     blocks = list(islice(_w_rows(triple), n + 1))
-    right = triple.dp @ triple.dp_basis.basis
-    theta = AnalyticSymbol((_theta_zero(triple, pol), *(row @ right for row in blocks[:n])))
+    theta = AnalyticSymbol((_theta_zero(triple, pol), *(row @ triple.dp_q for row in blocks[:n])))
     w = np.vstack(blocks)
     return ModelData(
         N=n,
         theta=theta,
         W=w,
-        h_basis=range_basis(w, pol),
+        h_basis=range_basis(w),
         tail=tail,
         dpstar_basis=sb,
         purity=purity,
@@ -325,33 +324,25 @@ def model_pencils(g1: np.ndarray, g2: np.ndarray) -> tuple[tuple[np.ndarray, np.
     return (g1.conj().T, g2), (g2.conj().T, g1), (np.zeros_like(eye), eye)
 
 
-def _hermitian_norm(r: np.ndarray) -> float:
-    """Upper bound ||(R + R*)/2|| (one eigvalsh) + ||(R - R*)/2||_F on ||R||
-    for a nearly Hermitian R; 0.0 without a decomposition for an all-zero R."""
-    if not r.any():
-        return 0.0
-    rh = r.conj().T
-    return float(np.abs(np.linalg.eigvalsh(r + rh)).max() / 2 + np.linalg.norm(r - rh) / 2)
-
-
 def verify_model_decomposition(model: ModelData, pol: TolerancePolicy = DEFAULT_POLICY) -> CheckReport:
     """Check W W* + M_theta M_theta* = I on the truncated grid, and that H_P = range(W)
     is the model space Theta defines.
 
     Blockwise this identity involves only finitely many Taylor coefficients,
     all of which the grid retains, so it holds to rounding for every
-    contraction; the interior entry (the leading block of degrees < N) is
-    reported separately and must meet eq_tol for nilpotent P.  Both norm the
-    residual R = W W* + T T* - I, T = toeplitz(theta), Hermitian to rounding,
-    with ``_hermitian_norm``.  R is formed once and also bounds
-    ``model_space_gap`` without a decomposition of T: with rho = ||R||_F and
-    e = ||W* W - I||_F, Weyl's inequalities give T T* exactly dim H
-    eigenvalues <= e + rho and the rest >= 1 - rho, while L = Q* T T* Q, Q
-    the M x dim H basis of range(W), has its eigenvalues in [0, e + rho].  So
-    when range(W) has rank dim H and e + 2 rho < 1, the Davis-Kahan sin-theta
-    theorem bounds the gap from range(W) to the span of the dim H smallest
-    left singular vectors of T by ||T T* Q - Q L|| / (1 - e - 2 rho), an
-    M x dim H operand; otherwise the gap is reported as 1.
+    contraction and every N, and both entries meet eq_tol with no tail
+    allowance; the interior entry (the leading block of degrees < N) is
+    reported separately.  Both are Frobenius norms, upper bounds on the
+    spectral norms, of the residual R = W W* + T T* - I, T = toeplitz(theta).
+    R is formed once, and rho = ||R||_F also bounds ``model_space_gap``
+    without a decomposition of T: with e = ||W* W - I||_F, Weyl's
+    inequalities give T T* exactly dim H eigenvalues <= e + rho and the rest
+    >= 1 - rho, while L = Q* T T* Q, Q the M x dim H basis of range(W), has
+    its eigenvalues in [0, e + rho].  So when range(W) has rank dim H and
+    e + 2 rho < 1, the Davis-Kahan sin-theta theorem bounds the gap from
+    range(W) to the span of the dim H smallest left singular vectors of T by
+    ||T T* Q - Q L|| / (1 - e - 2 rho), an M x dim H operand; otherwise the
+    gap is reported as 1.
     """
     rep = CheckReport(title="model range partition")
     w = model.W
@@ -359,11 +350,12 @@ def verify_model_decomposition(model: ModelData, pol: TolerancePolicy = DEFAULT_
     resid = t @ t.conj().T
     resid += w @ w.conj().T
     resid[np.diag_indices_from(resid)] -= 1.0
-    tol = pol.scaled_eq(1.0) + 4.0 * model.tail
-    rep.check("range_partition", _hermitian_norm(resid), tol)
+    rho = float(np.linalg.norm(resid))
+    tol = pol.scaled_eq(1.0)
+    rep.check("range_partition", rho, tol)
     top = model.N * model.dpstar_basis.rank
-    rep.check("range_partition_interior", _hermitian_norm(resid[:top, :top]), tol)
-    rep.check("model_space_gap", _kernel_gap(resid, w, t, model.h_basis.basis), 1e-6 + model.tail)
+    rep.check("range_partition_interior", float(np.linalg.norm(resid[:top, :top])), tol)
+    rep.check("model_space_gap", _kernel_gap(rho, w, t, model.h_basis.basis), 1e-6 + model.tail)
     return rep
 
 
@@ -465,7 +457,7 @@ def pure_isometry_model(
     The pencil-on-model residual ||(I - P_H) X W_iso|| is normed on the thin
     factor Y - Q_H (Q_H* Y), Y = X W_iso, Q_H the orthonormal basis of H_P.
     """
-    iso = range_complement(triple.dp_basis.basis, pol)
+    iso = range_complement(triple.dp_basis.basis)
     if iso.rank == 0:
         raise NotIsometryLikeError("P has no isometric directions (D_P has full rank)")
     rep = CheckReport(title="truncated isometry model")
@@ -490,15 +482,15 @@ def pure_isometry_model(
     # adjoint-pair symbol conditions, gated to the isometric interior when
     # available; ker(I - X*X) is the range complement of the Hermitian I - X*X
     qs = triple.dpstar_basis
-    ka = range_complement(eye - triple.A.conj().T @ triple.A, pol)
-    kb = range_complement(eye - triple.B.conj().T @ triple.B, pol)
+    ka = range_complement(eye - triple.A.conj().T @ triple.A)
+    kb = range_complement(eye - triple.B.conj().T @ triple.B)
     stacked = np.vstack(
         [
             (eye - ka.projector) @ qs.basis,
             (eye - kb.projector) @ qs.basis,
         ]
     )
-    interior = range_complement(stacked.conj().T, pol)
+    interior = range_complement(stacked.conj().T)
     comm = commutator(g1, g2)
     balance = commutator(g1, g1.conj().T) - commutator(g2, g2.conj().T)
     gtol = pol.scaled_eq(*pair_g.norms)

@@ -261,7 +261,7 @@ def _cmd_model_check(args, pol: TolerancePolicy) -> tuple[Reports, dict[str, Any
     triple = tio.triple_from_obj(_load_json(args.triple_file), pol)
     reports = [("necessary", necessary_report(triple, pol))]
     rep = CheckReport(title="model check")
-    cert = is_pure(triple.P, pol)
+    cert = is_pure(triple.P)
     rep.check(
         "pure",
         0.0 if cert.pure else float("inf"),

@@ -21,6 +21,7 @@ import numpy as np
 
 from .matcore import (
     DEFAULT_POLICY,
+    RANK_TOL,
     SubspaceBasis,
     TetralabError,
     TolerancePolicy,
@@ -81,22 +82,21 @@ def solve_fundamental(
     is F_i = Dt^+ Q* R_i Q Dt^+ for R_1 = A - B*P, R_2 = B - A*P.  The solve
     residual is measured on the full ambient space,
 
-        max_i || D_P (Q F_i Q*) D_P - R_i ||,
+        max_i || D_P (Q F_i Q*) D_P - R_i || = max_i || (D_P Q) F_i (D_P Q)* - R_i ||,
 
     which certifies both that R_i maps into the defect space and vanishes on
     its complement.  Raises SolveFailedError beyond eq_tol * (1+||A||+||B||).
     """
-    q = triple.dp_basis
-    dtil = q.restrict(triple.dp)
+    q, dq = triple.dp_basis.basis, triple.dp_q
+    qh = q.conj().T
     r1 = triple.A - triple.B.conj().T @ triple.P
     r2 = triple.B - triple.A.conj().T @ triple.P
-    dinv = hermitian_pinv(dtil, pol)
-    f1 = dinv @ q.restrict(r1) @ dinv
-    f2 = dinv @ q.restrict(r2) @ dinv
+    dinv = hermitian_pinv(qh @ dq, pol)
+    f1 = dinv @ (qh @ r1 @ q) @ dinv
+    f2 = dinv @ (qh @ r2 @ q) @ dinv
     res = 0.0
     for f, rhs in ((f1, r1), (f2, r2)):
-        emb = q.embed(f)
-        res = max(res, op_norm(triple.dp @ emb @ triple.dp - rhs))
+        res = max(res, op_norm(dq @ f @ dq.conj().T - rhs))
     limit = pol.eq_tol * (1.0 + triple.norm("A") + triple.norm("B"))
     if res > limit:
         raise SolveFailedError(
@@ -107,7 +107,7 @@ def solve_fundamental(
     return FundamentalPair(
         F1=f1,
         F2=f2,
-        basis=q,
+        basis=triple.dp_basis,
         solve_residual=res,
         w1=w1,
         w1_err=e1,
@@ -126,23 +126,17 @@ def verify_tetra_characterization(
         D_P A = F1 D_P + F2* D_P P,      D_P B = F2 D_P + F1* D_P P.
 
     Conversely, any pair satisfying these with numerical radii <= 1 must be
-    the fundamental pair, so this doubles as a uniqueness certificate.
+    the fundamental pair, so this doubles as a uniqueness certificate.  With
+    Q the basis of D_P the right-hand sides are Q (F1 (D_P Q)* + F2* (D_P Q)* P)
+    and the same with F1, F2 swapped.
     """
     rep = CheckReport(title="fundamental characterization")
-    f1 = pair.basis.embed(pair.F1)
-    f2 = pair.basis.embed(pair.F2)
-    dp, p = triple.dp, triple.P
+    q, dqh = triple.dp_basis.basis, triple.dp_q.conj().T
+    dqh_p = dqh @ triple.P
     scale = pol.scaled_eq(triple.max_norm())
-    rep.check(
-        "defect_intertwine_A",
-        op_norm(dp @ triple.A - (f1 @ dp + f2.conj().T @ dp @ p)),
-        scale,
-    )
-    rep.check(
-        "defect_intertwine_B",
-        op_norm(dp @ triple.B - (f2 @ dp + f1.conj().T @ dp @ p)),
-        scale,
-    )
+    for name, x, f, g in (("A", triple.A, pair.F1, pair.F2), ("B", triple.B, pair.F2, pair.F1)):
+        resid = triple.dp @ x - q @ (f @ dqh + g.conj().T @ dqh_p)
+        rep.check(f"defect_intertwine_{name}", op_norm(resid), scale)
     # w <= w(F) <= w + err decides only when the bracket is on one side of 1 + eq_tol
     for name, w, err in (("radius_F1", pair.w1, pair.w1_err), ("radius_F2", pair.w2, pair.w2_err)):
         if w - 1.0 <= pol.eq_tol < w + err - 1.0:
@@ -157,7 +151,8 @@ def verify_difference_identity(
     pair: FundamentalPair,
     pol: TolerancePolicy = DEFAULT_POLICY,
 ) -> CheckReport:
-    """Check A*A - B*B = D_P (F1*F1 - F2*F2) D_P.
+    """Check A*A - B*B = D_P (F1*F1 - F2*F2) D_P, the right-hand side taken as
+    (D_P Q) (F1*F1 - F2*F2) (D_P Q)*, Q the basis of D_P.
 
     The identity needs [F1, F2] = 0; when that hypothesis fails the check is
     recorded as skipped, never as a silent pass.
@@ -172,10 +167,9 @@ def verify_difference_identity(
         )
         return rep
     rep.check("hypothesis_F_commute", comm, fscale)
-    f1 = pair.basis.embed(pair.F1)
-    f2 = pair.basis.embed(pair.F2)
+    f1, f2, dq = pair.F1, pair.F2, triple.dp_q
     lhs = triple.A.conj().T @ triple.A - triple.B.conj().T @ triple.B
-    rhs = triple.dp @ (f1.conj().T @ f1 - f2.conj().T @ f2) @ triple.dp
+    rhs = dq @ (f1.conj().T @ f1 - f2.conj().T @ f2) @ dq.conj().T
     rep.check("gramian_difference", op_norm(lhs - rhs), pol.scaled_eq(triple.max_norm()))
     return rep
 
@@ -196,45 +190,31 @@ def verify_cross_relations(
       cross_P_F2:       P F2 = G2* P on D_P
       product_rel_1:    (F1* D_P D_{P*} - F2 P*) = D_P D_{P*} G1 - P* G2* on D_{P*}
       product_rel_2:    (F2* D_P D_{P*} - F1 P*) = D_P D_{P*} G2 - P* G1* on D_{P*}
+
+    F_i and G_i stand for their ambient extensions Q F_i Q* and Q_* G_i Q_*^*,
+    Q and Q_* the bases of D_P and D_{P*}.  Each residual is the ambient one
+    applied to Q (or Q_*) from the right, associated into dim x rank
+    products of the factors D_P Q and D_{P*} Q_* the triple keeps.
     """
     rep = CheckReport(title="cross relations (F vs adjoint G)")
-    qp = pair_f.basis.basis
-    qs = pair_g.basis.basis
-    f1 = pair_f.basis.embed(pair_f.F1)
-    f2 = pair_f.basis.embed(pair_f.F2)
-    g1 = pair_g.basis.embed(pair_g.F1)
-    g2 = pair_g.basis.embed(pair_g.F2)
-    a, b, p = triple.A, triple.B, triple.P
-    dp, ds = triple.dp, triple.dpstar
-    scale = pol.scaled_eq(triple.max_norm(), op_norm(f1), op_norm(f2), op_norm(g1), op_norm(g2))
-    rep.check(
-        "mixed_defect_1",
-        op_norm((dp @ f1 - (a @ dp - ds @ g2 @ p)) @ qp),
-        scale,
-    )
-    rep.check(
-        "mixed_defect_2",
-        op_norm((dp @ f2 - (b @ dp - ds @ g1 @ p)) @ qp),
-        scale,
-    )
-    rep.check("cross_P_F1", op_norm((p @ f1 - g1.conj().T @ p) @ qp), scale)
-    rep.check("cross_P_F2", op_norm((p @ f2 - g2.conj().T @ p) @ qp), scale)
-    rep.check(
-        "product_rel_1",
-        op_norm(
-            (f1.conj().T @ dp @ ds - f2 @ p.conj().T - (dp @ ds @ g1 - p.conj().T @ g2.conj().T))
-            @ qs
-        ),
-        scale,
-    )
-    rep.check(
-        "product_rel_2",
-        op_norm(
-            (f2.conj().T @ dp @ ds - f1 @ p.conj().T - (dp @ ds @ g2 - p.conj().T @ g1.conj().T))
-            @ qs
-        ),
-        scale,
-    )
+    f1, f2, g1, g2 = pair_f.F1, pair_f.F2, pair_g.F1, pair_g.F2
+    qp, qs = triple.dp_basis.basis, triple.dpstar_basis.basis
+    dq, dsq = triple.dp_q, triple.dpstar_q
+    p = triple.P
+    pq = p @ qp  # P Q
+    qs_pq = qs.conj().T @ pq  # Q_*^* P Q
+    dd = triple.dp @ dsq  # D_P D_{P*} Q_*
+    dq_dd = dq.conj().T @ dsq  # Q* D_P D_{P*} Q_*
+    pq_qs = pq.conj().T @ qs  # Q* P* Q_*
+    ps = p.conj().T @ qs  # P* Q_*
+    scale = pol.scaled_eq(triple.max_norm(), *pair_f.norms, *pair_g.norms)
+    for k, x, f, g in ((1, triple.A, f1, g2), (2, triple.B, f2, g1)):
+        rep.check(f"mixed_defect_{k}", op_norm(dq @ f - (x @ dq - dsq @ (g @ qs_pq))), scale)
+    for k, f, g in ((1, f1, g1), (2, f2, g2)):
+        rep.check(f"cross_P_F{k}", op_norm(pq @ f - qs @ (g.conj().T @ qs_pq)), scale)
+    for k, f, f_other, g, g_other in ((1, f1, f2, g1, g2), (2, f2, f1, g2, g1)):
+        lhs = qp @ (f.conj().T @ dq_dd - f_other @ pq_qs)
+        rep.check(f"product_rel_{k}", op_norm(lhs - (dd @ g - ps @ g_other.conj().T)), scale)
     return rep
 
 
@@ -259,7 +239,7 @@ def verify_commutator_transfer(
     gscale = pol.scaled_eq(*pair_g.norms)
     smax = triple.norm("P")
     smin = float(np.linalg.svd(triple.P, compute_uv=False)[-1]) if smax > 0.0 else 0.0
-    dense_range = smax > 0.0 and smin > pol.rank_tol * smax
+    dense_range = smax > 0.0 and smin > RANK_TOL * smax
     comm_f = op_norm(commutator(f1, f2))
     comm_g = op_norm(commutator(g1, g2))
     hyp_f, hyp_g = comm_f <= fscale, comm_g <= gscale

@@ -137,13 +137,9 @@ def induced_defect_unitary(
     scale = pol.scaled_eq(1.0)
     if op_norm(u.conj().T @ u - np.eye(triple.dim)) > scale:
         raise NotIntertwiningError("U is not unitary within eq_tol")
-    for name, x, xp in (
-        ("A", triple.A, triple_prime.A),
-        ("B", triple.B, triple_prime.B),
-        ("P", triple.P, triple_prime.P),
-    ):
-        res = op_norm(u @ x - xp @ u)
-        if res > pol.scaled_eq(op_norm(x)):
+    for name in "ABP":
+        res = op_norm(u @ getattr(triple, name) - getattr(triple_prime, name) @ u)
+        if res > pol.scaled_eq(triple.norm(name)):
             raise NotIntertwiningError(f"U does not intertwine {name} (residual {res:.3e})")
     small_u = triple_prime.dp_basis.basis.conj().T @ u @ triple.dp_basis.basis
     small_ustar = triple_prime.dpstar_basis.basis.conj().T @ u @ triple.dpstar_basis.basis
@@ -198,7 +194,7 @@ def _model_transport(
         raise ShapeError("models must be built at the same truncation degree")
     us, h, h_p = wit.u_star, model.h_basis.basis, model_prime.h_basis.basis
     transported = (us @ h.reshape(model.N + 1, us.shape[1], h.shape[1])).reshape(-1, h.shape[1])
-    gap = subspace_gap(range_basis(transported, pol), model_prime.h_basis)
+    gap = subspace_gap(range_basis(transported), model_prime.h_basis)
     tails = model.tail + model_prime.tail
     rep.check("model_space_transport", gap, 1e-6 + 4.0 * tails)
     v = h_p.conj().T @ transported

@@ -14,7 +14,8 @@ Conventions
 * Equality checks are relative: a residual ``r`` passes at tolerance ``tol``
   when ``r <= tol * (1 + max operand norm)``.
 * Rank decisions are relative to the largest singular value (or eigenvalue)
-  at ``TolerancePolicy.rank_tol``.
+  at ``RANK_TOL``; eigenvalues of I - T*T within ``CLAMP_TOL`` of zero are
+  snapped to zero before a square root.
 """
 
 from __future__ import annotations
@@ -32,6 +33,8 @@ __all__ = [
     "NotContractiveError",
     "TolerancePolicy",
     "DEFAULT_POLICY",
+    "RANK_TOL",
+    "CLAMP_TOL",
     "MAX_GRID_DIM",
     "GridSizeError",
     "SubspaceBasis",
@@ -76,28 +79,22 @@ class GridSizeError(TetralabError):
     """A dense grid matrix would have more than MAX_GRID_DIM coordinates."""
 
 
+# relative rank-decision threshold, and the eigenvalue clamping threshold
+# below it; no caller sets either, so they are fixed here
+RANK_TOL = 1e-9
+CLAMP_TOL = 1e-12
+
+
 @dataclass(frozen=True)
 class TolerancePolicy:
-    """Bundle of the three tolerances used across the package.
-
-    eq_tol    relative equality / residual tolerance
-    rank_tol  relative rank-decision threshold
-    clamp_tol eigenvalue clamping threshold
-    """
+    """The relative equality / residual tolerance eq_tol, the one tolerance a
+    caller sets (the CLI's ``--tol``)."""
 
     eq_tol: float = 1e-10
-    rank_tol: float = 1e-9
-    clamp_tol: float = 1e-12
 
     def __post_init__(self) -> None:
-        for name in ("eq_tol", "rank_tol", "clamp_tol"):
-            value = getattr(self, name)
-            if not (value > 0.0 and np.isfinite(value)):
-                raise ValueError(f"{name} must be a positive finite float, got {value!r}")
-        if not self.rank_tol > self.clamp_tol:
-            raise ValueError(
-                f"rank_tol ({self.rank_tol}) must exceed clamp_tol ({self.clamp_tol})"
-            )
+        if not (self.eq_tol > 0.0 and np.isfinite(self.eq_tol)):
+            raise ValueError(f"eq_tol must be a positive finite float, got {self.eq_tol!r}")
 
     def scaled_eq(self, *norms: float) -> float:
         """Absolute equality tolerance for operands of the given norms."""
@@ -180,17 +177,9 @@ class SubspaceBasis:
         """Orthogonal projection onto the subspace, as an ambient matrix."""
         return self.basis @ self.basis.conj().T
 
-    def restrict(self, m: np.ndarray) -> np.ndarray:
-        """Compression basis* M basis of an ambient operator to the subspace."""
-        return self.basis.conj().T @ m @ self.basis
-
-    def embed(self, m: np.ndarray) -> np.ndarray:
-        """Ambient extension basis M basis* of an operator on the subspace."""
-        return self.basis @ m @ self.basis.conj().T
-
 
 def hermitian_pinv(h, pol: TolerancePolicy = DEFAULT_POLICY) -> np.ndarray:
-    """Pseudoinverse of a Hermitian matrix, cutting eigenvalues at rank_tol."""
+    """Pseudoinverse of a Hermitian matrix, cutting eigenvalues at RANK_TOL."""
     h = ensure_matrix(h, square=True, name="H")
     hnorm = op_norm(h)
     if op_norm(h - h.conj().T) > pol.scaled_eq(hnorm):
@@ -198,7 +187,7 @@ def hermitian_pinv(h, pol: TolerancePolicy = DEFAULT_POLICY) -> np.ndarray:
     w, v = np.linalg.eigh(herm_part(h))
     if w.size == 0:
         return h.copy()
-    cut = pol.rank_tol * np.abs(w).max()
+    cut = RANK_TOL * np.abs(w).max()
     inv = np.where(np.abs(w) > cut, 1.0 / np.where(np.abs(w) > cut, w, 1.0), 0.0)
     return herm_part((v * inv) @ v.conj().T)
 
@@ -207,7 +196,7 @@ def defect(t, pol: TolerancePolicy = DEFAULT_POLICY) -> tuple[np.ndarray, Subspa
     """Defect operator D_T = (I - T*T)^(1/2) and a basis of its range.
 
     Raises ``NotContractiveError`` when ||T|| > 1 + eq_tol.  The range basis
-    keeps the eigenvectors whose eigenvalue of I - T*T exceeds rank_tol
+    keeps the eigenvectors whose eigenvalue of I - T*T exceeds RANK_TOL
     times the largest one (deciding on I - T*T rather than on its square
     root keeps round-off noise below the threshold), ordered by decreasing
     eigenvalue.
@@ -220,9 +209,9 @@ def defect(t, pol: TolerancePolicy = DEFAULT_POLICY) -> tuple[np.ndarray, Subspa
     h = herm_part(np.eye(n) - t.conj().T @ t)
     w, v = np.linalg.eigh(h)
     # I - T*T has natural scale 1 for a contraction; eigenvalues within
-    # clamp_tol of zero are snapped to exactly zero BEFORE the square root,
+    # CLAMP_TOL of zero are snapped to exactly zero BEFORE the square root,
     # which is not Lipschitz at 0 and would lift 1e-16 noise to 1e-8
-    floor = pol.clamp_tol
+    floor = CLAMP_TOL
     if w.size and w.min() < -floor:
         raise NotPSDError(f"I - T*T has eigenvalue {w.min():.3e} below clamp threshold")
     w = np.where(w <= floor, 0.0, w)
@@ -230,15 +219,15 @@ def defect(t, pol: TolerancePolicy = DEFAULT_POLICY) -> tuple[np.ndarray, Subspa
     d = herm_part((v * s) @ v.conj().T)
     # rank decision on I - T*T against its natural unit scale, so that a
     # numerically unitary T gets an exactly empty defect space
-    mask = w > pol.rank_tol * max(float(w.max()) if w.size else 0.0, 1.0)
+    mask = w > RANK_TOL * max(float(w.max()) if w.size else 0.0, 1.0)
     order = np.argsort(s[mask])[::-1]
     basis = v[:, mask][:, order]
     return d, SubspaceBasis(ambient_dim=n, basis=basis, rank=basis.shape[1])
 
 
-def range_basis(m, pol: TolerancePolicy = DEFAULT_POLICY) -> SubspaceBasis:
+def range_basis(m) -> SubspaceBasis:
     """Orthonormal basis of the column space: the left singular vectors whose
-    singular value exceeds rank_tol * max(sigma_max, 1).  The floor 1 is the
+    singular value exceeds RANK_TOL * max(sigma_max, 1).  The floor 1 is the
     natural norm of the contractions and isometries ranked here; without it a
     matrix of pure round-off noise would be reported as full rank.  An
     all-zero (or empty) matrix has the zero subspace without an SVD."""
@@ -247,11 +236,11 @@ def range_basis(m, pol: TolerancePolicy = DEFAULT_POLICY) -> SubspaceBasis:
     if not m.any():
         return SubspaceBasis(ambient_dim=rows, basis=np.zeros((rows, 0), complex), rank=0)
     u, s, _ = np.linalg.svd(m, full_matrices=False)
-    k = int(np.count_nonzero(s > pol.rank_tol * max(float(s[0]), 1.0)))
+    k = int(np.count_nonzero(s > RANK_TOL * max(float(s[0]), 1.0)))
     return SubspaceBasis(ambient_dim=rows, basis=u[:, :k], rank=k)
 
 
-def range_complement(m, pol: TolerancePolicy = DEFAULT_POLICY) -> SubspaceBasis:
+def range_complement(m) -> SubspaceBasis:
     """(range M)^perp: the trailing left singular vectors of one full SVD of M,
     ranked as in ``range_basis``; the whole space without an SVD when M is all
     zero.  The null space of M is ``range_complement(M*)``."""
@@ -260,7 +249,7 @@ def range_complement(m, pol: TolerancePolicy = DEFAULT_POLICY) -> SubspaceBasis:
     if not m.any():
         return SubspaceBasis(ambient_dim=rows, basis=np.eye(rows, dtype=complex), rank=rows)
     u, s, _ = np.linalg.svd(m)
-    k = int(np.count_nonzero(s > pol.rank_tol * max(float(s[0]), 1.0)))
+    k = int(np.count_nonzero(s > RANK_TOL * max(float(s[0]), 1.0)))
     return SubspaceBasis(ambient_dim=rows, basis=u[:, k:], rank=rows - k)
 
 

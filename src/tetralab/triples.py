@@ -17,6 +17,7 @@ import numpy as np
 from .hardy import pencil, toeplitz
 from .matcore import (
     DEFAULT_POLICY,
+    RANK_TOL,
     NotContractiveError,
     ShapeError,
     SubspaceBasis,
@@ -55,10 +56,12 @@ class TetrablockTriple:
     """Validated commuting triple with cached defect operators of P.
 
     dp / dpstar are the defect operators D_P and D_{P*}; dp_basis and
-    dpstar_basis are orthonormal bases of their ranges.  All downstream
-    batteries express operators on the defect spaces in these bases, so a
-    triple is the single source of basis conventions for its own checks.
-    It also owns ||A||, ||B||, ||P|| (``norm``), which tolerances scale with.
+    dpstar_basis are orthonormal bases Q, Q_* of their ranges, and dp_q =
+    D_P Q, dpstar_q = D_{P*} Q_* the dim x rank factors through which every
+    defect-space identity applies them.  All downstream batteries express
+    operators on the defect spaces in these bases, so a triple is the single
+    source of basis conventions for its own checks.  It also owns ||A||,
+    ||B||, ||P|| (``norm``), which tolerances scale with.
     """
 
     A: np.ndarray
@@ -68,6 +71,8 @@ class TetrablockTriple:
     dpstar: np.ndarray
     dp_basis: SubspaceBasis
     dpstar_basis: SubspaceBasis
+    dp_q: np.ndarray
+    dpstar_q: np.ndarray
 
     @property
     def dim(self) -> int:
@@ -84,6 +89,7 @@ class TetrablockTriple:
         adj = TetrablockTriple(
             a, b, p, dp=self.dpstar, dpstar=self.dp,
             dp_basis=self.dpstar_basis, dpstar_basis=self.dp_basis,
+            dp_q=self.dpstar_q, dpstar_q=self.dp_q,
         )
         # the adjoints of one triple share one norm cache, so each norm is
         # computed once; keeping the adjoint itself would hold three matrices
@@ -119,7 +125,8 @@ def validate(a, b, p, pol: TolerancePolicy = DEFAULT_POLICY) -> TetrablockTriple
 
     Checks: equal square shapes; pairwise commutation within eq_tol
     (relative); ||A||, ||B||, ||P|| <= 1 + eq_tol.  The defect operators of P
-    and their range bases are computed once here and cached.
+    with their range bases and the factors D_P Q, D_{P*} Q_* are computed
+    once here and cached.
     """
     a = ensure_matrix(a, square=True, name="A")
     b = ensure_matrix(b, square=True, name="B")
@@ -144,6 +151,8 @@ def validate(a, b, p, pol: TolerancePolicy = DEFAULT_POLICY) -> TetrablockTriple
         dpstar=dpstar,
         dp_basis=dp_basis,
         dpstar_basis=dpstar_basis,
+        dp_q=dp @ dp_basis.basis,
+        dpstar_q=dpstar @ dpstar_basis.basis,
     )
     triple._norms.update(norms)
     return triple
@@ -177,17 +186,17 @@ class PurityCertificate:
         return self.pure
 
 
-def is_pure(p, pol: TolerancePolicy = DEFAULT_POLICY) -> PurityCertificate:
-    """Pure iff rho(P) < 1 - rank_tol; below rank_tol the powers of P give the nilpotency index and ``exact_zero``."""
+def is_pure(p) -> PurityCertificate:
+    """Pure iff rho(P) < 1 - RANK_TOL; below RANK_TOL the powers of P give the nilpotency index and ``exact_zero``."""
     p = ensure_matrix(p, square=True, name="P")
     n = p.shape[0]
     if n == 0:
         return PurityCertificate(pure=True, spectral_radius=0.0, nilpotency_index=1)
     rho = float(np.abs(np.linalg.eigvals(p)).max())
-    if rho >= 1.0 - pol.rank_tol:
+    if rho >= 1.0 - RANK_TOL:
         return PurityCertificate(pure=False, spectral_radius=rho)
     nil_index, exact_zero = None, False
-    if rho < pol.rank_tol:
+    if rho < RANK_TOL:
         power = np.eye(n, dtype=complex)
         for k in range(1, n + 1):
             power = power @ p

@@ -1,7 +1,8 @@
 """Shared fixtures: deterministic RNG streams, cached instance suites, the
 triple of a bare contraction, a field-by-field equality, a call counter,
-watches on ``numpy.linalg``, the dense construction of the model space and
-the dense grid formulas of the model-space residuals."""
+watches on ``numpy.linalg``, the dense construction of the model space, the
+dense grid formulas of the model-space residuals and the dense embedded
+formulas of the defect-space residuals."""
 
 from __future__ import annotations
 
@@ -186,3 +187,75 @@ def assert_residuals_match(entries: dict[str, float], dense: dict[str, tuple[flo
     """Each ``entries[prefix + name]`` equals its dense value within 1e-13 (1 + ||X||)."""
     for name, (value, scale) in dense.items():
         assert abs(entries[prefix + name] - value) <= 1e-13 * (1.0 + scale), (prefix + name, value)
+
+
+# Dense dim x dim formulas of the defect-space residuals, F and G embedded
+# as Q F Q* and Q_* G Q_*^*: the package applies the factors D_P Q and
+# D_{P*} Q_* the triple keeps, and must agree with these to rounding.
+
+
+def defect_outside_basis_triples() -> list[TetrablockTriple]:
+    """Triples whose D_P and D_{P*} have the eigenvalue 1e-5 (I - P*P has
+    1e-10, between CLAMP_TOL and RANK_TOL) outside their range bases Q, Q_*:
+    a residual that projected D_P onto range(Q) would move by O(1e-5) here.
+    The first is diagonal with A, B != 0; in the second P = U diag(0.6, p)
+    turns Q_* away from Q, so D_P Q_* has a part outside range(Q)."""
+    p2 = np.sqrt(1.0 - 1e-10)
+    c, s = np.cos(0.7), np.sin(0.7)
+    return [
+        validate(np.diag([0.3, 0.5 * p2]), np.diag([0.2, 0.5]), np.diag([0.6, p2])),
+        p_triple(np.array([[c, -s], [s, c]]) @ np.diag([0.6, p2])),
+    ]
+
+
+def embedded(pair) -> list[np.ndarray]:
+    """Q F1 Q* and Q F2 Q*, Q the basis of ``pair``."""
+    q = pair.basis.basis
+    return [q @ f @ q.conj().T for f in (pair.F1, pair.F2)]
+
+
+def dense_solve_residual(triple, pair) -> float:
+    """max_i ||D_P (Q F_i Q*) D_P - R_i||, R_1 = A - B*P, R_2 = B - A*P."""
+    a, b, p, dp = triple.A, triple.B, triple.P, triple.dp
+    rhs = a - b.conj().T @ p, b - a.conj().T @ p
+    return max(op_norm(dp @ f @ dp - r) for f, r in zip(embedded(pair), rhs))
+
+
+def dense_fundamental(triple, pair_f, pair_g) -> dict[str, tuple[float, float]]:
+    """(residual, scale) of the characterization, the Gramian difference and
+    the six cross relations, the scale the largest operand norm."""
+    f1, f2 = embedded(pair_f)
+    g1, g2 = embedded(pair_g)
+    a, b, p = triple.A, triple.B, triple.P
+    dp, ds = triple.dp, triple.dpstar
+    qp, qs = pair_f.basis.basis, pair_g.basis.basis
+    ph = p.conj().T
+    scale = max(triple.max_norm(), *pair_f.norms, *pair_g.norms)
+    residuals = {
+        "defect_intertwine_A": dp @ a - (f1 @ dp + f2.conj().T @ dp @ p),
+        "defect_intertwine_B": dp @ b - (f2 @ dp + f1.conj().T @ dp @ p),
+        "gramian_difference": a.conj().T @ a - b.conj().T @ b - dp @ (f1.conj().T @ f1 - f2.conj().T @ f2) @ dp,
+        "mixed_defect_1": (dp @ f1 - (a @ dp - ds @ g2 @ p)) @ qp,
+        "mixed_defect_2": (dp @ f2 - (b @ dp - ds @ g1 @ p)) @ qp,
+        "cross_P_F1": (p @ f1 - g1.conj().T @ p) @ qp,
+        "cross_P_F2": (p @ f2 - g2.conj().T @ p) @ qp,
+        "product_rel_1": (f1.conj().T @ dp @ ds - f2 @ ph - (dp @ ds @ g1 - ph @ g2.conj().T)) @ qs,
+        "product_rel_2": (f2.conj().T @ dp @ ds - f1 @ ph - (dp @ ds @ g2 - ph @ g1.conj().T)) @ qs,
+    }
+    return {name: (op_norm(r), scale) for name, r in residuals.items()}
+
+
+def dense_theta(triple, z: complex) -> np.ndarray:
+    """Q_*^* (-P + z D_{P*} (I - z P*)^{-1} D_P) Q."""
+    p = triple.P
+    middle = -p + z * (triple.dpstar @ np.linalg.solve(np.eye(len(p)) - z * p.conj().T, triple.dp))
+    return triple.dpstar_basis.basis.conj().T @ middle @ triple.dp_basis.basis
+
+
+def dense_kernel_identity(triple, z: complex, w: complex) -> float:
+    """||I - Theta(w) Theta(z)* - (1 - w conj(z)) Q_*^* D_{P*} (I - w P*)^{-1} (I - conj(z) P)^{-1} D_{P*} Q_*||."""
+    p, ds, qs = triple.P, triple.dpstar, triple.dpstar_basis.basis
+    eye = np.eye(len(p))
+    core = ds @ np.linalg.solve(eye - w * p.conj().T, np.linalg.solve(eye - np.conj(z) * p, ds))
+    lhs = np.eye(qs.shape[1]) - dense_theta(triple, w) @ dense_theta(triple, z).conj().T
+    return op_norm(lhs - (1.0 - w * np.conj(z)) * (qs.conj().T @ core @ qs))

@@ -11,6 +11,7 @@ basis vector 1, so the package's matrix-valued answer is directly comparable.
 
 from __future__ import annotations
 
+import dataclasses
 import sys
 
 import numpy as np
@@ -42,14 +43,17 @@ from tetralab.bidisc import build as build_grid
 from tetralab.cli import run_instance_battery
 from tetralab.generate import make_instance, random_unitary
 from tetralab.hardy import AnalyticSymbol, toeplitz
-from tetralab.matcore import DEFAULT_POLICY, MAX_GRID_DIM, TetralabError, ensure_matrix, op_norm, range_complement
+from tetralab.matcore import CLAMP_TOL, DEFAULT_POLICY, MAX_GRID_DIM, TetralabError, ensure_matrix, op_norm, range_complement
 from tetralab.triples import from_symbols, is_pure
 
 from conftest import (
     assert_residuals_match,
     count_calls,
+    defect_outside_basis_triples,
     dense_coinvariance,
+    dense_kernel_identity,
     dense_pencil_on_model,
+    dense_theta,
     p_triple,
     perturbed,
     random_contraction,
@@ -109,7 +113,7 @@ def test_resolvent_guard(monkeypatch):
     with pytest.raises(ResolventSingularError):
         theta_eval(p_triple([[1.0]]), [1.0])
     # |z| ||P|| = 1 - 1e-13: the bound cannot clear I - z P*, so the SVD
-    # runs, and finds it singular at clamp_tol
+    # runs, and finds it singular at CLAMP_TOL
     with pytest.raises(ResolventSingularError):
         theta_eval(p_triple([[1.0]]), [1.0 - 1e-13])
     assert calls["svd", "theta_eval"] == 2
@@ -117,7 +121,7 @@ def test_resolvent_guard(monkeypatch):
 
 def test_skipped_resolvent_svd_would_have_passed(monkeypatch):
     # theta_eval skips the SVD of I - z P* only where Schur's bound on ||P||
-    # settles the clamp_tol test; the SVD must then agree, over contractions
+    # settles the CLAMP_TOL test; the SVD must then agree, over contractions
     # of dimension 1-6 (generic, nilpotent, scalar and unitary, of norm up to
     # exactly 1) and points of the open disc up to 1 - 1e-13 in modulus,
     # some in the direction of an eigenvalue of P of largest modulus, where
@@ -159,7 +163,7 @@ def test_skipped_resolvent_svd_would_have_passed(monkeypatch):
         if calls["svd", "theta_eval"] == 0:
             skipped.append(z)
             sv = np.linalg.svd(np.eye(dim) - z * p.conj().T, compute_uv=False)
-            assert sv[-1] > DEFAULT_POLICY.clamp_tol * max(1.0, sv[0])
+            assert sv[-1] > CLAMP_TOL * max(1.0, sv[0])
 
     skipped_svd_passes()
     assert skipped
@@ -276,7 +280,7 @@ def model_entries(rep) -> dict:
 
 def test_model_space_gap_is_not_a_rank_decision():
     # at degree 25, T_Theta of diag(0.5, 0.3) has singular values near
-    # ||P^26|| ~ 1.5e-8, above rank_tol: a complement of its numerical range
+    # ||P^26|| ~ 1.5e-8, above RANK_TOL: a complement of its numerical range
     # has the wrong dimension, but range(W) is within rounding of the span of
     # its 2 smallest left singular vectors
     model = build_model(p_triple(np.diag([0.5, 0.3])), 25)
@@ -317,32 +321,30 @@ def test_model_space_mismatch_is_detected(monkeypatch, small_suite):
 
 
 def test_model_decomposition_forms_the_grid_identity_once(monkeypatch, small_suite):
-    # one T_Theta and one R = W W* + T T* - I per report: the range
-    # partition norms R and its interior block, the Davis-Kahan gap reads
-    # the same R
+    # one T_Theta and one R = W W* + T T* - I per report, normed once: the
+    # range partition reports rho = ||R||_F, the rho the Davis-Kahan gap
+    # reads, and no Hermitian eigensolver runs on R or its interior block
     calls = count_calls(monkeypatch, toeplitz)
+    decompositions, _, _ = watch_decompositions(monkeypatch)
     handed = []
-    norm, gap = charfn._hermitian_norm, charfn._kernel_gap
+    gap = charfn._kernel_gap
 
-    def hermitian_norm(r):
-        handed.append(r)
-        return norm(r)
+    def kernel_gap(rho, w, t, q):
+        handed.append(rho)
+        return gap(rho, w, t, q)
 
-    def kernel_gap(r, w, t, q):
-        handed.append(r)
-        return gap(r, w, t, q)
-
-    monkeypatch.setattr(charfn, "_hermitian_norm", hermitian_norm)
     monkeypatch.setattr(charfn, "_kernel_gap", kernel_gap)
     for t in [inst.triple for inst in small_suite] + [build_grid(2)]:
         model = build_model(t)
         calls["toeplitz"] = 0
         handed.clear()
-        assert verify_model_decomposition(model).overall
+        decompositions.clear()
+        entries = model_entries(verify_model_decomposition(model))
+        assert all(e.passed for e in entries.values())
         assert calls["toeplitz"] == 1
-        whole, interior, kernel = handed
-        assert kernel is whole and interior.base is whole
-        assert whole.shape == (len(model.W), len(model.W))
+        assert handed == [entries["range_partition"].residual]
+        assert entries["range_partition_interior"].residual <= handed[0]
+        assert not any(name in ("eigh", "eigvalsh") for name, _ in decompositions)
 
 
 def test_build_model_decomposes_only_thin_operands(monkeypatch, small_suite):
@@ -536,3 +538,21 @@ def test_model_space_checks_hand_op_norm_thin_operands(monkeypatch, small_suite)
             pure_isometry_model(t, model, pair_g, dec, fm)
             assert shapes("pure_isometry_model") == {(m, iso_rank)}
     assert thin == 5  # the symbols instances have M = dim H
+
+
+def test_theta_on_thin_factors_equals_the_dense_formula(small_suite, rng):
+    # theta_eval solves against D_P Q and kernel_identity_check against
+    # D_{P*} Q_*; both equal the dense formulas on D_P and D_{P*}, for the
+    # triple as validated and with P moved by 0.1 under the same defect
+    # data, where the kernel identity fails by O(0.1); the last two triples
+    # keep an eigenvalue 1e-5 of D_P outside range(Q)
+    points = [(0.3 + 0.2j, -0.55), (0.1 - 0.6j, 0.0), (0.62j, 0.45 - 0.1j)]
+    for t in [inst.triple for inst in small_suite] + defect_outside_basis_triples():
+        e = rng.standard_normal(t.P.shape) + 1j * rng.standard_normal(t.P.shape)
+        for triple in (t, dataclasses.replace(t, P=t.P + 0.1 * e / op_norm(e))):
+            for z, w in points:
+                [th] = theta_eval(triple, [z])
+                dense = dense_theta(triple, z)
+                assert op_norm(th - dense) <= 1e-13 * (1.0 + op_norm(dense))
+                value = kernel_identity_check(triple, z, w)
+                assert abs(value - dense_kernel_identity(triple, z, w)) <= 1e-13 * (1.0 + value)

@@ -11,6 +11,7 @@ import sys
 import numpy as np
 import pytest
 
+import tetralab.charfn
 import tetralab.cli
 import tetralab.triples
 from tetralab import bidisc, generate, io
@@ -20,6 +21,7 @@ from tetralab.charfn import (
     _power_norms,
     ResolventSingularError,
     build_model,
+    power_tail,
     pure_isometry_model,
     theta_coeffs,
     verify_functional_model,
@@ -29,7 +31,7 @@ from tetralab.charfn import (
 from tetralab.cli import DISC_SAMPLES, main, run_instance_battery
 from tetralab.fundamental import solve_fundamental
 from tetralab.generate import companion_unitary, make_instance
-from tetralab.hardy import toeplitz
+from tetralab.hardy import AnalyticSymbol, toeplitz
 from tetralab.invariants import INVARIANT_SAMPLES, induced_defect_unitary, verify_coincidence
 from tetralab.matcore import MAX_GRID_DIM, TetralabError, defect, op_norm
 from tetralab.triples import is_pure, validate
@@ -128,7 +130,7 @@ def test_model_check_passes_on_valid_triple(capsys, tmp_path):
 
 def test_model_check_passes_past_the_rank_threshold_of_t_theta(capsys, tmp_path):
     # at degree 25 the smallest singular values of T_Theta of diag(0.5, 0.3)
-    # sit near ||P^26|| ~ 1.5e-8, above rank_tol; H_P = range(W) does not
+    # sit near ||P^26|| ~ 1.5e-8, above RANK_TOL; H_P = range(W) does not
     # depend on that rank decision, so every check passes
     path = tmp_path / "diag.json"
     zero = io.matrix_to_obj(np.zeros((2, 2)))
@@ -138,6 +140,32 @@ def test_model_check_passes_past_the_rank_threshold_of_t_theta(capsys, tmp_path)
     bundle = json.loads(out)
     assert bundle["aggregate"]["all_passed"]
     assert all(e["passed"] for r in bundle["reports"] for e in r["entries"])
+
+
+def test_model_check_fails_a_grid_identity_moved_below_the_tail(monkeypatch, capsys, tmp_path):
+    # W W* + T T* = I holds to rounding on the grid at every degree, so its
+    # tolerance carries no tail allowance: at degree 3 the tail of
+    # diag(0.9, 0.5) is 1.51, and Theta_1 moved by 1e-6 I where the report
+    # forms T_Theta must fail range_partition (a tolerance of eq_tol +
+    # 4 tail = 6.02 would pass it)
+    path = tmp_path / "diag.json"
+    zero = io.matrix_to_obj(np.zeros((2, 2)))
+    path.write_text(io.dumps({"A": zero, "B": zero, "P": io.matrix_to_obj(np.diag([0.9, 0.5]))}))
+    assert power_tail(np.diag([0.9, 0.5]), 3)[1] > 1.5
+    real = tetralab.charfn.toeplitz
+
+    def mutated(sym, n):
+        coeffs = list(sym.coeffs)
+        coeffs[1] = coeffs[1] + 1e-6 * np.eye(len(coeffs[1]))
+        return real(AnalyticSymbol(tuple(coeffs)), n)
+
+    assert run(capsys, "model-check", str(path), "--degree", "3")[0] == 0
+    monkeypatch.setattr(tetralab.charfn, "toeplitz", mutated)
+    code, out, _ = run(capsys, "model-check", str(path), "--degree", "3", "--format", "json")
+    assert code == 1
+    entries = {e["name"]: e for r in strict_json(out)["reports"] for e in r["entries"]}
+    [partition] = [e for name, e in entries.items() if name.endswith("range_partition")]
+    assert not partition["passed"] and partition["residual"] > 1e-6
 
 
 def test_model_check_fails_on_unsolvable_triple(capsys, tmp_path):
@@ -389,8 +417,11 @@ def test_battery_builds_each_object_once(monkeypatch):
     # norms one Davis-Kahan residual for the gap of H_P = range(W) to T_Theta
     # where the subspace gap took two norms: [113, 127, 237, 112, 127, 191]
     # before.  The model of P' computes no gap, as no report reads one:
-    # [112, 125, 235, 111, 125, 189] before
-    assert op_norm_svds == [111, 124, 234, 110, 124, 188]
+    # [112, 125, 235, 111, 125, 189] before.  The cross relations take their
+    # scale from the norms the pairs keep rather than norm four embedded
+    # F and G, and the induced witness reads ||A||, ||B||, ||P|| from the
+    # triple: [111, 124, 234, 110, 124, 188] before
+    assert op_norm_svds == [104, 117, 227, 103, 117, 181]
     # no model-space check decomposes a grid-sized matrix of rank <= dim H:
     # on the projector formulas the work was [174960, 86666, 44254782,
     # 174933, 167266, 9166500], 54,025,107 in all; with a gating SVD at each
@@ -400,8 +431,10 @@ def test_battery_builds_each_object_once(monkeypatch):
     # ||F1||, ||F2|| normed by each check, [155952, 82028, 12567177, 155925,
     # 158071, 2611575]; with H_P from a full SVD of T_Theta, [155574, 81132,
     # 12566745, 155547, 156321, 2611143]; with a gap for the model of P',
-    # [150390, 79508, 6209730, 150363, 153241, 1291788]
-    assert works == [148662, 79308, 6208407, 148635, 152881, 1291005]
+    # [150390, 79508, 6209730, 150363, 153241, 1291788]; with the range
+    # partition normed by an M x M eigvalsh and F, G embedded in the cross
+    # relations, [148662, 79308, 6208407, 148635, 152881, 1291005]
+    assert works == [136566, 77857, 45711, 136539, 150244, 39609]
 
 
 def test_verify_bidisc_builds_each_object_once(monkeypatch, capsys):
@@ -451,7 +484,7 @@ def test_verify_bidisc_builds_each_object_once(monkeypatch, capsys):
         "verify_model_decomposition": 1,
         "_power_norms": 0,
     }
-    assert decompositions["svd", "op_norm"] == 27
+    assert decompositions["svd", "op_norm"] == 23
     assert decompositions["svd", "theta_eval"] == 0
     assert norms_computed == {"A": 1, "B": 1, "P": 1}
     # H_P is range(W), from the one thin SVD of W that the functional model
@@ -459,8 +492,9 @@ def test_verify_bidisc_builds_each_object_once(monkeypatch, capsys):
     # work was 351,801, 347,769 with the SVDs of the powers of P and of
     # I - z P*, 294,521 (41 op_norm SVDs) with ||F1||, ||F2|| normed by each
     # check rather than kept on the pair, and 289,719 with H_P from a full
-    # SVD of T_Theta and range(W) taken twice
-    assert sum(work.values()) == 260599
+    # SVD of T_Theta and range(W) taken twice, and 260,599 with F and G
+    # embedded in the cross relations and normed there
+    assert sum(work.values()) == 244215
 
 
 @pytest.mark.parametrize("n", [2, 3])

@@ -21,10 +21,17 @@ from tetralab.fundamental import (
     verify_tetra_characterization,
 )
 from tetralab.generate import make_instance
-from tetralab.matcore import DEFAULT_POLICY, numerical_radius, op_norm
+from tetralab.matcore import DEFAULT_POLICY, RANK_TOL, numerical_radius, op_norm
 from tetralab.triples import validate
 
-from conftest import p_triple
+from conftest import (
+    assert_residuals_match,
+    defect_outside_basis_triples,
+    dense_fundamental,
+    dense_solve_residual,
+    p_triple,
+    perturbed,
+)
 
 
 def scalar_triple(a, b, p):
@@ -65,14 +72,14 @@ def test_methods_agree(small_suite, pol):
     # solution is unique
     for inst in small_suite:
         t = inst.triple
-        q = t.dp_basis
-        dtil = q.restrict(t.dp)
+        q = t.dp_basis.basis
+        dtil = q.conj().T @ t.dp @ q
         pair = solve_fundamental(t, pol)
         for f, rhs in (
             (pair.F1, t.A - t.B.conj().T @ t.P),
             (pair.F2, t.B - t.A.conj().T @ t.P),
         ):
-            oracle = lstsq_oracle(dtil, q.restrict(rhs), pol.rank_tol)
+            oracle = lstsq_oracle(dtil, q.conj().T @ rhs @ q, RANK_TOL)
             assert op_norm(f - oracle) < 1e-9, inst.label
 
 
@@ -88,7 +95,7 @@ def test_solution_supported_on_defect_space():
     # vanish on the orthogonal complement
     inst = make_instance("compressions", seed=3, index=0, dim=12)
     pair = solve_fundamental(inst.triple)
-    f1_full = pair.basis.embed(pair.F1)
+    f1_full = pair.basis.basis @ pair.F1 @ pair.basis.basis.conj().T
     comp = np.eye(f1_full.shape[0]) - pair.basis.projector
     assert op_norm(comp @ f1_full) < 1e-12
     assert op_norm(f1_full @ comp) < 1e-12
@@ -214,3 +221,37 @@ def test_pair_keeps_its_norms_and_a_replaced_pair_recomputes_them(monkeypatch):
     moved = dataclasses.replace(pair, F1=2.0 * pair.F1)
     assert moved.norms == (op_norm(2.0 * pair.F1), op_norm(pair.F2))
     assert len(calls) == 2
+
+
+def test_defect_space_residuals_equal_the_dense_formulas(small_suite, rng):
+    # the solve residual, the characterization, the Gramian difference and
+    # the cross relations apply the factors D_P Q, D_{P*} Q_* of the triple;
+    # they equal the dense formulas on embedded F and G, for the solved
+    # pairs (residuals at rounding) and for pairs moved by 0.1 (O(0.1)); the
+    # Gramian difference is moved by multiples of I, which keep [F1, F2].
+    # The last two triples keep an eigenvalue 1e-5 of D_P outside range(Q),
+    # where a residual that projected D_P onto range(Q) would differ
+    gramians = 0
+    edges = defect_outside_basis_triples()
+    assert all(t.dp_basis.rank == 1 and np.linalg.eigvalsh(t.dp)[0] > 9e-6 for t in edges)
+    for t in [inst.triple for inst in small_suite] + edges:
+        pair_f, pair_g = solve_fundamental(t), solve_fundamental(t.adjoint())
+        dense = dense_solve_residual(t, pair_f)
+        assert abs(pair_f.solve_residual - dense) <= 1e-13 * (1.0 + t.max_norm())
+        eye = np.eye(len(pair_f.F1))
+        shifted = dataclasses.replace(pair_f, F1=pair_f.F1 + 0.1 * eye, F2=pair_f.F2 - 0.1j * eye)
+        moved = perturbed(pair_f, rng), perturbed(pair_g, rng), shifted
+        for f, g, gram in ((pair_f, pair_g, pair_f), moved):
+            reports = (
+                verify_tetra_characterization(t, f),
+                verify_difference_identity(t, gram),
+                verify_cross_relations(t, f, g),
+            )
+            entries = {e.name: e.residual for rep in reports for e in rep.entries if not e.skipped}
+            expected = dense_fundamental(t, f, g)
+            expected["gramian_difference"] = dense_fundamental(t, gram, g)["gramian_difference"]
+            if "gramian_difference" not in entries:
+                del expected["gramian_difference"]
+            gramians += "gramian_difference" in expected
+            assert_residuals_match(entries, expected, "")
+    assert gramians == 16

@@ -301,7 +301,7 @@ def test_range_and_null_basis_oracle():
 
 def test_scale_anchor_zeroes_noise_matrices(rng):
     noise = 1e-15 * (rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
-    # the cutoff rank_tol * max(sigma_max, 1) is anchored at the contraction
+    # the cutoff RANK_TOL * max(sigma_max, 1) is anchored at the contraction
     # scale: a pure-noise matrix is rank 0 / all-null, not "full rank"
     assert range_basis(noise).rank == 0
     assert range_complement(noise).rank == 4
