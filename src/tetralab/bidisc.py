@@ -192,18 +192,19 @@ def verify_example(n: int, pol: TolerancePolicy = DEFAULT_POLICY) -> CheckReport
     """``example_battery`` on the grid triple, its pairs and its degree-n model, built here."""
     triple = build(n, pol)
     pair_f, pair_g = solve_fundamental(triple, pol), solve_fundamental(triple.adjoint(), pol)
-    return example_battery(n, triple, pair_f, pair_g, build_model(triple, n, pol), pol)
+    return example_battery(triple, pair_f, pair_g, build_model(triple, n, pol), pol)
 
 
 def example_battery(
-    n: int, triple: TetrablockTriple, pair_f: FundamentalPair, pair_g: FundamentalPair, model: ModelData,
+    triple: TetrablockTriple, pair_f: FundamentalPair, pair_g: FundamentalPair, model: ModelData,
     pol: TolerancePolicy = DEFAULT_POLICY,
 ) -> CheckReport:
     """Full battery on the grid example; structural identities pinned at 1e-13.
 
     ``triple`` is ``build(n, pol)``; ``pair_f``, ``pair_g`` and ``model`` are
-    its pairs and its degree-n model, all under ``pol``; ``pure_nilpotent``
-    reads the model's purity certificate."""
+    its pairs and its degree-n model, all under ``pol``, so n is ``model.N``;
+    ``pure_nilpotent`` reads the model's purity certificate."""
+    n = model.N
     rep = CheckReport(
         title=f"bidisc shift example (n={n})",
         header="all identities hold exactly at this truncation",

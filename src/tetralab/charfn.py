@@ -154,11 +154,12 @@ def theta_taylor(triple: TetrablockTriple, degrees, pol: TolerancePolicy = DEFAU
     return [coeffs[n] for n in degrees]
 
 
-def theta_eval(triple: TetrablockTriple, points, pol: TolerancePolicy = DEFAULT_POLICY) -> list[np.ndarray]:
+def theta_eval(triple: TetrablockTriple, points) -> list[np.ndarray]:
     """Theta_P(z) in the defect bases, one per z in ``points``: -Q*^* P Q + z (D_{P*} Q*)^* (I - z P*)^{-1} D_P Q,
     Q and Q* the bases of D_P and D_{P*}, one solve against the dim x rank D_P Q per point.  The SVD refusing
     I - z P* at CLAMP_TOL runs only where Weyl's bounds 1 -+ |z| s on its singular values leave the test open,
-    s = sqrt(||P||_1 ||P||_inf) >= ||P|| (Schur's bound) rounded up past the (dim + 2) eps error of its sums."""
+    s = sqrt(||P||_1 ||P||_inf) >= ||P|| (Schur's bound) rounded up past the (dim + 2) eps error of its sums.
+    No tolerance enters: Theta_0 is taken without the leak check of ``theta_coeffs``."""
     p, dq, dsq = triple.P, triple.dp_q, triple.dpstar_q
     theta_0 = -(triple.dpstar_basis.basis.conj().T @ (p @ triple.dp_basis.basis))
     eye = np.eye(p.shape[0])
@@ -175,9 +176,7 @@ def theta_eval(triple: TetrablockTriple, points, pol: TolerancePolicy = DEFAULT_
     return out
 
 
-def kernel_identity_check(
-    triple: TetrablockTriple, z: complex, w: complex, pol: TolerancePolicy = DEFAULT_POLICY
-) -> float:
+def kernel_identity_check(triple: TetrablockTriple, z: complex, w: complex) -> float:
     """Residual of the reproducing-kernel identity on the defect space of P*:
 
         I - Theta_P(w) Theta_P(z)* =
@@ -187,7 +186,7 @@ def kernel_identity_check(
     adjoint of I - conj(z) P, so both resolvents below exist.
     """
     z, w = complex(z), complex(w)
-    tw, tz = theta_eval(triple, (w, z), pol)
+    tw, tz = theta_eval(triple, (w, z))
     p, dsq = triple.P, triple.dpstar_q
     n = p.shape[0]
     lhs = np.eye(dsq.shape[1]) - tw @ tz.conj().T
@@ -421,7 +420,7 @@ def verify_pencil_intertwining(
     g1, g2 = pair_g.F1, pair_g.F2
     worst = {"pencil_intertwine_1": 0.0, "pencil_intertwine_2": 0.0}
     samples, denom = _disc_samples(samples)
-    for z, th in zip(samples, theta_eval(triple.adjoint(), samples, pol)):
+    for z, th in zip(samples, theta_eval(triple.adjoint(), samples)):
         r1 = (f1.conj().T + z * f2) @ th - th @ (g1 + z * g2.conj().T)
         r2 = (f2.conj().T + z * f1) @ th - th @ (g2 + z * g1.conj().T)
         worst["pencil_intertwine_1"] = max(worst["pencil_intertwine_1"], op_norm(r1))

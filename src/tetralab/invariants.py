@@ -97,7 +97,7 @@ def verify_coincidence(
         rep.vacuous("coincidence", "both defect spaces are zero-dimensional")
         return rep
     worst_eval = 0.0
-    for th, th_p in zip(theta_eval(triple, samples, pol), theta_eval(triple_prime, samples, pol)):
+    for th, th_p in zip(theta_eval(triple, samples), theta_eval(triple_prime, samples)):
         worst_eval = max(worst_eval, op_norm(wit.u_star @ th - th_p @ wit.u))
     rep.check(
         "coincidence_at_samples",
@@ -213,9 +213,9 @@ def unitary_invariant_suite(
     u,
     pol: TolerancePolicy = DEFAULT_POLICY,
     *,
-    pair_f: FundamentalPair | None = None,
-    pair_g: FundamentalPair | None = None,
-    model: ModelData | None = None,
+    pair_f: FundamentalPair,
+    pair_g: FundamentalPair,
+    model: ModelData,
 ) -> CheckReport:
     """Round trip of the complete-unitary-invariant property for pure triples.
 
@@ -224,32 +224,22 @@ def unitary_invariant_suite(
     fundamental pairs.  Converse: from those witnesses alone, I (x) u_star must carry
     H_P onto H_P' and make the model operator triples compressed to them equivalent.
 
-    A caller that already holds the objects of ``triple`` passes them in
-    rather than have them rebuilt: ``pair_f`` from
-    ``solve_fundamental(triple, pol)``, ``pair_g`` from
-    ``solve_fundamental(triple.adjoint(), pol)`` and ``model`` from
-    ``build_model(triple, None, pol)``, each under the same
-    ``pol``.  Any of them left out is computed here exactly that way.  The
-    objects of ``triple_prime`` are always computed here; its model takes
-    the degree of ``model``.
+    ``pair_f``, ``pair_g`` and ``model`` are the objects of ``triple``:
+    ``solve_fundamental(triple, pol)``, ``solve_fundamental(triple.adjoint(),
+    pol)`` and ``build_model(triple, N, pol)``.  The objects of
+    ``triple_prime`` are computed here; its model takes the degree of ``model``.
     """
     rep = CheckReport(title="unitary invariant suite")
     wit = induced_defect_unitary(u, triple, triple_prime, pol)
     rep.extend(
         verify_coincidence(triple, triple_prime, wit, INVARIANT_SAMPLES, pol), prefix="fwd_"
     )
-    if pair_f is None:
-        pair_f = solve_fundamental(triple, pol)
     pair_f_prime = solve_fundamental(triple_prime, pol)
-    if pair_g is None:
-        pair_g = solve_fundamental(triple.adjoint(), pol)
     pair_g_prime = solve_fundamental(triple_prime.adjoint(), pol)
     rep.extend(verify_fundamental_equivalence(wit.u, pair_f, pair_f_prime, pol), prefix="fwd_F_")
     rep.extend(
         verify_fundamental_equivalence(wit.u_star, pair_g, pair_g_prime, pol), prefix="fwd_G_"
     )
-    if model is None:
-        model = build_model(triple, None, pol)
     model_prime = build_model(triple_prime, model.N, pol)
     rep.extend(
         _model_transport(model, model_prime, wit, pair_g, pair_g_prime, pol), prefix="cnv_"

@@ -146,23 +146,18 @@ def herm_part(m: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SubspaceBasis:
-    """Orthonormal basis of a subspace of C^n, columns of ``basis``.
+    """Orthonormal basis of a subspace of C^n, the columns of the n x rank ``basis``.
 
     Invariant: basis* basis = I_rank within 1e-12 in the spectral norm; the
     SVD runs only when the Frobenius norm, an upper bound, exceeds 1e-12.
     """
 
-    ambient_dim: int
     basis: np.ndarray
-    rank: int
 
     def __post_init__(self) -> None:
         b = self.basis
-        if b.ndim != 2 or b.shape != (self.ambient_dim, self.rank):
-            raise ShapeError(
-                f"basis shape {b.shape} inconsistent with ambient_dim={self.ambient_dim},"
-                f" rank={self.rank}"
-            )
+        if b.ndim != 2:
+            raise ShapeError(f"basis must be 2-D, got ndim={b.ndim}")
         if self.rank:
             gram_defect = b.conj().T @ b - np.eye(self.rank)
             if np.linalg.norm(gram_defect) > 1e-12:
@@ -171,6 +166,14 @@ class SubspaceBasis:
                     raise ShapeError(
                         f"basis columns not orthonormal (Gram defect {defect_from_identity:.3e})"
                     )
+
+    @property
+    def ambient_dim(self) -> int:
+        return self.basis.shape[0]
+
+    @property
+    def rank(self) -> int:
+        return self.basis.shape[1]
 
     @property
     def projector(self) -> np.ndarray:
@@ -221,8 +224,7 @@ def defect(t, pol: TolerancePolicy = DEFAULT_POLICY) -> tuple[np.ndarray, Subspa
     # numerically unitary T gets an exactly empty defect space
     mask = w > RANK_TOL * max(float(w.max()) if w.size else 0.0, 1.0)
     order = np.argsort(s[mask])[::-1]
-    basis = v[:, mask][:, order]
-    return d, SubspaceBasis(ambient_dim=n, basis=basis, rank=basis.shape[1])
+    return d, SubspaceBasis(v[:, mask][:, order])
 
 
 def range_basis(m) -> SubspaceBasis:
@@ -234,10 +236,10 @@ def range_basis(m) -> SubspaceBasis:
     m = ensure_matrix(m, name="M")
     rows = m.shape[0]
     if not m.any():
-        return SubspaceBasis(ambient_dim=rows, basis=np.zeros((rows, 0), complex), rank=0)
+        return SubspaceBasis(np.zeros((rows, 0), complex))
     u, s, _ = np.linalg.svd(m, full_matrices=False)
     k = int(np.count_nonzero(s > RANK_TOL * max(float(s[0]), 1.0)))
-    return SubspaceBasis(ambient_dim=rows, basis=u[:, :k], rank=k)
+    return SubspaceBasis(u[:, :k])
 
 
 def range_complement(m) -> SubspaceBasis:
@@ -247,10 +249,10 @@ def range_complement(m) -> SubspaceBasis:
     m = ensure_matrix(m, name="M")
     rows = m.shape[0]
     if not m.any():
-        return SubspaceBasis(ambient_dim=rows, basis=np.eye(rows, dtype=complex), rank=rows)
+        return SubspaceBasis(np.eye(rows, dtype=complex))
     u, s, _ = np.linalg.svd(m)
     k = int(np.count_nonzero(s > RANK_TOL * max(float(s[0]), 1.0)))
-    return SubspaceBasis(ambient_dim=rows, basis=u[:, k:], rank=rows - k)
+    return SubspaceBasis(u[:, k:])
 
 
 def subspace_gap(a: SubspaceBasis, b: SubspaceBasis) -> float:

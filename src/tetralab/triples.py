@@ -61,7 +61,8 @@ class TetrablockTriple:
     defect-space identity applies them.  All downstream batteries express
     operators on the defect spaces in these bases, so a triple is the single
     source of basis conventions for its own checks.  It also owns ||A||,
-    ||B||, ||P|| (``norm``), which tolerances scale with.
+    ||B||, ||P|| (``norm``), which tolerances scale with, and the commutator
+    norms ``validate`` checked, which ``necessary_report`` records.
     """
 
     A: np.ndarray
@@ -111,6 +112,12 @@ class TetrablockTriple:
     def max_norm(self) -> float:
         return max(map(self.norm, "ABP"))
 
+    @cached_property
+    def _commutators(self) -> dict[str, float]:
+        """||[A,B]||, ||[A,P]||, ||[B,P]||: kept by ``validate``, else (an
+        adjoint) computed on first read."""
+        return _commutation_residuals(self.A, self.B, self.P)
+
 
 def _commutation_residuals(a, b, p) -> dict[str, float]:
     return {
@@ -138,7 +145,8 @@ def validate(a, b, p, pol: TolerancePolicy = DEFAULT_POLICY) -> TetrablockTriple
         if value > 1.0 + pol.eq_tol:
             raise NotContractiveError(f"||{name}|| = {value:.12g} exceeds 1 + eq_tol")
     scale = pol.scaled_eq(*norms.values())
-    for pair, res in _commutation_residuals(a, b, p).items():
+    commutators = _commutation_residuals(a, b, p)
+    for pair, res in commutators.items():
         if res > scale:
             raise NonCommutingError(f"[{pair[0]},{pair[1]}] has norm {res:.3e} > {scale:.3e}")
     dp, dp_basis = defect(p, pol)
@@ -155,6 +163,7 @@ def validate(a, b, p, pol: TolerancePolicy = DEFAULT_POLICY) -> TetrablockTriple
         dpstar_q=dpstar @ dpstar_basis.basis,
     )
     triple._norms.update(norms)
+    triple.__dict__["_commutators"] = commutators
     return triple
 
 
@@ -163,7 +172,7 @@ def necessary_report(triple: TetrablockTriple, pol: TolerancePolicy = DEFAULT_PO
     rep = CheckReport(title="triple necessary conditions", header=NECESSARY_HEADER)
     norms = {name: triple.norm(name) for name in "ABP"}
     scale = pol.scaled_eq(*norms.values())
-    for pair, res in _commutation_residuals(triple.A, triple.B, triple.P).items():
+    for pair, res in triple._commutators.items():
         rep.check(f"commute_{pair}", res, scale)
     for name, value in norms.items():
         rep.check(f"norm_{name}", max(value - 1.0, 0.0), pol.eq_tol)
@@ -229,17 +238,14 @@ def from_symbols(f1, f2, n: int, pol: TolerancePolicy = DEFAULT_POLICY) -> Tetra
     return validate(a, b, p, pol)
 
 
-def compress(
-    triple: TetrablockTriple,
-    subspace: SubspaceBasis,
-    pol: TolerancePolicy = DEFAULT_POLICY,
-) -> TetrablockTriple:
+def compress(triple: TetrablockTriple, subspace: SubspaceBasis) -> TetrablockTriple:
     """Compression of the triple to a co-invariant subspace.
 
     Co-invariance (invariance of the subspace under A*, B*, P*) makes the
     compression multiplicative on polynomials, which is what preserves
     commutation and the contraction bounds; it is checked here via
-    ||(I - Q) X* Q|| <= eq_tol relative, Q the orthogonal projection.
+    ||(I - Q) X* Q|| <= eq_tol relative, Q the orthogonal projection, under
+    ``DEFAULT_POLICY``, which also validates the result.
     """
     if subspace.ambient_dim != triple.dim:
         raise ShapeError("subspace ambient dimension does not match the triple")
@@ -249,7 +255,7 @@ def compress(
     eye = np.eye(triple.dim)
     for name, x in (("A", triple.A), ("B", triple.B), ("P", triple.P)):
         leak = op_norm((eye - q) @ x.conj().T @ q)
-        if leak > pol.scaled_eq(triple.norm(name)):
+        if leak > DEFAULT_POLICY.scaled_eq(triple.norm(name)):
             raise NotCoinvariantError(
                 f"subspace not invariant under {name}*: leak {leak:.3e}"
             )
@@ -258,5 +264,4 @@ def compress(
         v.conj().T @ triple.A @ v,
         v.conj().T @ triple.B @ v,
         v.conj().T @ triple.P @ v,
-        pol,
     )

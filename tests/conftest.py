@@ -140,7 +140,7 @@ def spectral_kernel_gap(w, t) -> float:
     singular vectors of one full SVD of T, the dense construction of H_P."""
     u = np.linalg.svd(t)[0]
     dim = w.shape[1]
-    return subspace_gap(range_basis(w), SubspaceBasis(len(u), u[:, len(u) - dim :], dim))
+    return subspace_gap(range_basis(w), SubspaceBasis(u[:, len(u) - dim :]))
 
 
 def dense_coinvariance(model, pair_g) -> dict[str, tuple[float, float]]:

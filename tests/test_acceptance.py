@@ -285,7 +285,10 @@ def test_criterion_7_unitary_invariants():
         u = companion_unitary(inst, inst.triple.P.shape[0])
         t = inst.triple
         prime = validate(u @ t.A @ u.conj().T, u @ t.B @ u.conj().T, u @ t.P @ u.conj().T)
-        rep = unitary_invariant_suite(t, prime, u)
+        rep = unitary_invariant_suite(
+            t, prime, u,
+            pair_f=solve_fundamental(t), pair_g=solve_fundamental(t.adjoint()), model=build_model(t),
+        )
         assert rep.overall, (inst.label, [(e.name, e.residual) for e in rep.failures])
         named = entries_by_name(rep)
         if all(named[n].passed for n in named if n.startswith("fwd_")):

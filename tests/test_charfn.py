@@ -452,14 +452,17 @@ def test_model_batteries_apply_pencils_without_forming_them(monkeypatch):
     dec = verify_model_decomposition(model)
     fm = verify_functional_model(grid, model, pair_g)
     assert pure_isometry_model(grid, model, pair_g, dec, fm).overall
-    assert bidisc.example_battery(n, grid, pair_f, pair_g, model).overall
+    assert bidisc.example_battery(grid, pair_f, pair_g, model).overall
     theta = theta_coeffs(grid.adjoint(), n + 1)
     assert extract_symbols(theta, pair_f.F1, pair_f.F2, theta.degree + 3)[2].overall
     inst = make_instance("compressions", seed=43, index=0, dim=6)
     t = inst.triple
     u = generate.companion_unitary(inst, t.dim)
     conj = validate(u @ t.A @ u.conj().T, u @ t.B @ u.conj().T, u @ t.P @ u.conj().T)
-    assert unitary_invariant_suite(t, conj, u).overall
+    assert unitary_invariant_suite(
+        t, conj, u,
+        pair_f=solve_fundamental(t), pair_g=solve_fundamental(t.adjoint()), model=build_model(t),
+    ).overall
 
 
 def test_pencil_intertwining_battery(small_suite):

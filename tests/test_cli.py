@@ -378,6 +378,22 @@ def test_random_suite_records_failed_instance(capsys, monkeypatch, exc):
     assert len(seen) == 3
 
 
+def test_random_suite_fails_a_non_pure_instance_with_one_battery_entry(capsys, monkeypatch):
+    # build_model refuses a P with a unitary part, so the instance's report is
+    # the one failed battery entry the suite records, not a skipped model
+    triple = validate(np.diag([0.5, 0.2]), np.diag([0.5, 0.1]), np.diag([1.0, 0.5]))
+    inst = generate.Instance(family="scalars", index=0, seed=5, triple=triple)
+    monkeypatch.setattr(tetralab.cli.generate, "suite", lambda *args: [inst])
+    code, out, err = run(
+        capsys, "random-suite", "--seed", "5", "--count", "1", "--format", "json"
+    )
+    assert (code, err) == (1, "")
+    [report] = strict_json(out)["reports"]
+    [entry] = report["entries"]
+    assert (entry["name"], entry["passed"]) == ("battery", False)
+    assert entry["note"].startswith("P is not pure")
+
+
 # ----------------------------------------------------- shared objects
 
 
@@ -420,8 +436,10 @@ def test_battery_builds_each_object_once(monkeypatch):
     # [112, 125, 235, 111, 125, 189] before.  The cross relations take their
     # scale from the norms the pairs keep rather than norm four embedded
     # F and G, and the induced witness reads ||A||, ||B||, ||P|| from the
-    # triple: [111, 124, 234, 110, 124, 188] before
-    assert op_norm_svds == [104, 117, 227, 103, 117, 181]
+    # triple: [111, 124, 234, 110, 124, 188] before.  The necessary report
+    # reads the commutator norms validate kept: [104, 117, 227, 103, 117, 181]
+    # before
+    assert op_norm_svds == [101, 114, 224, 100, 114, 178]
     # no model-space check decomposes a grid-sized matrix of rank <= dim H:
     # on the projector formulas the work was [174960, 86666, 44254782,
     # 174933, 167266, 9166500], 54,025,107 in all; with a gating SVD at each
@@ -433,8 +451,10 @@ def test_battery_builds_each_object_once(monkeypatch):
     # 12566745, 155547, 156321, 2611143]; with a gap for the model of P',
     # [150390, 79508, 6209730, 150363, 153241, 1291788]; with the range
     # partition normed by an M x M eigvalsh and F, G embedded in the cross
-    # relations, [148662, 79308, 6208407, 148635, 152881, 1291005]
-    assert works == [136566, 77857, 45711, 136539, 150244, 39609]
+    # relations, [148662, 79308, 6208407, 148635, 152881, 1291005]; with the
+    # commutators normed again by the necessary report, [136566, 77857,
+    # 45711, 136539, 150244, 39609]
+    assert works == [131382, 77482, 45630, 131355, 149596, 39528]
 
 
 def test_verify_bidisc_builds_each_object_once(monkeypatch, capsys):

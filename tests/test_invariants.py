@@ -40,7 +40,11 @@ def test_suite_passes_for_conjugated_pairs(family, dim):
     inst = make_instance(family, seed=31, index=0, dim=dim)
     u = companion_unitary(inst, inst.triple.P.shape[0])
     prime = conjugated_copy(inst, u)
-    rep = unitary_invariant_suite(inst.triple, prime, u)
+    t = inst.triple
+    rep = unitary_invariant_suite(
+        t, prime, u,
+        pair_f=solve_fundamental(t), pair_g=solve_fundamental(t.adjoint()), model=build_model(t),
+    )
     assert rep.overall, (inst.label, [(e.name, e.residual) for e in rep.failures])
     # forward and converse sections are both present
     names = {e.name for e in rep.entries}
@@ -173,7 +177,7 @@ def test_model_intertwine_p_fails_when_h_prime_leaves_the_model_space(transport_
     v = outside[:, np.argmax(np.linalg.norm(outside, axis=0))]
     rotated = q.copy()
     rotated[:, 0] = np.cos(1e-4) * q[:, 0] + np.sin(1e-4) * v / np.linalg.norm(v)
-    moved = dataclasses.replace(model_prime, h_basis=SubspaceBasis(len(q), rotated, q.shape[1]))
+    moved = dataclasses.replace(model_prime, h_basis=SubspaceBasis(rotated))
     margins = transport_margins(model, moved, wit, pair_g, pair_g_prime)
     assert margins["model_intertwine_P"] > 10.0
 

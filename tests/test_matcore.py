@@ -329,12 +329,12 @@ def test_orth_complement_roundtrip(rng):
 
 
 def test_subspace_gap_oracles(rng):
-    e01 = SubspaceBasis(ambient_dim=3, basis=np.eye(3, dtype=complex)[:, :2], rank=2)
+    e01 = SubspaceBasis(np.eye(3, dtype=complex)[:, :2])
     # same space, rotated basis
     q, _ = np.linalg.qr(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
-    rotated = SubspaceBasis(ambient_dim=3, basis=e01.basis @ q, rank=2)
+    rotated = SubspaceBasis(e01.basis @ q)
     assert subspace_gap(e01, rotated) < 1e-13
-    e2 = SubspaceBasis(ambient_dim=3, basis=np.eye(3, dtype=complex)[:, 2:], rank=1)
+    e2 = SubspaceBasis(np.eye(3, dtype=complex)[:, 2:])
     assert subspace_gap(e01, e2) == pytest.approx(1.0, abs=1e-13)
 
 
@@ -346,16 +346,24 @@ def test_basis_prescreen_keeps_the_spectral_decision(monkeypatch):
     b = np.eye(6, 4, dtype=complex) * np.sqrt(1 + 0.9e-12)
     gram_defect = b.conj().T @ b - np.eye(4)
     assert np.linalg.norm(gram_defect) > 1e-12 >= np.linalg.norm(gram_defect, 2)
-    SubspaceBasis(ambient_dim=6, basis=b, rank=4)
+    SubspaceBasis(b)
     assert calls["op_norm"] == 1
     # a spectral defect of 1.1e-12 is refused, with the message it always had
     b = np.eye(6, 1, dtype=complex) * np.sqrt(1 + 1.1e-12)
     with pytest.raises(ShapeError, match=r"^basis columns not orthonormal \(Gram defect 1\.100e-12\)$"):
-        SubspaceBasis(ambient_dim=6, basis=b, rank=1)
+        SubspaceBasis(b)
     # an orthonormal basis passes the screen without an SVD
     calls["op_norm"] = 0
-    SubspaceBasis(ambient_dim=6, basis=np.eye(6, 4, dtype=complex), rank=4)
+    SubspaceBasis(np.eye(6, 4, dtype=complex))
     assert calls["op_norm"] == 0
+
+
+@pytest.mark.parametrize("shape", [(4,), (4, 2, 1)])
+def test_basis_must_be_two_dimensional(shape):
+    # ambient_dim and rank are read off the shape, so its dimension count is
+    # the one shape rule left
+    with pytest.raises(ShapeError, match=r"^basis must be 2-D"):
+        SubspaceBasis(np.ones(shape, dtype=complex))
 
 
 def test_basis_acceptance_is_the_spectral_rule(rng):
@@ -367,7 +375,7 @@ def test_basis_acceptance_is_the_spectral_rule(rng):
         b = q + size * (rng.standard_normal((8, 4)) + 1j * rng.standard_normal((8, 4))) / 4
         spectral_ok = np.linalg.norm(b.conj().T @ b - np.eye(4), 2) <= 1e-12
         try:
-            SubspaceBasis(ambient_dim=8, basis=b, rank=4)
+            SubspaceBasis(b)
             accepted = True
         except ShapeError:
             accepted = False

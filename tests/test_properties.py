@@ -243,7 +243,7 @@ def test_unimodular_rotation_rotates_the_fundamental_operators(family, seed, ind
 
 def orthonormal(z: np.ndarray) -> SubspaceBasis:
     m, r = z.shape
-    return SubspaceBasis(ambient_dim=m, basis=np.linalg.qr(z)[0] if r else z, rank=r)
+    return SubspaceBasis(np.linalg.qr(z)[0] if r else z)
 
 
 @settings(derandomize=True, max_examples=200, deadline=None)

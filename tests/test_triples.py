@@ -221,13 +221,13 @@ def test_compress_requires_coinvariance(rng):
     # span of the first (degree-0) block is co-invariant for analytic ops
     e0 = np.zeros((dim, 2), dtype=complex)
     e0[0, 0] = e0[1, 1] = 1.0
-    sub = SubspaceBasis(ambient_dim=dim, basis=e0, rank=2)
+    sub = SubspaceBasis(e0)
     small = compress(t, sub)
     assert small.P.shape == (2, 2)
     assert op_norm(small.P) < 1e-13  # shift drops degree-0 to nothing
     # a generic subspace is not co-invariant
     g = rng.standard_normal((dim, 2)) + 1j * rng.standard_normal((dim, 2))
     q, _ = np.linalg.qr(g)
-    bad = SubspaceBasis(ambient_dim=dim, basis=q, rank=2)
+    bad = SubspaceBasis(q)
     with pytest.raises(NotCoinvariantError):
         compress(t, bad)
