@@ -46,6 +46,7 @@ from .matcore import (
     commutator,
     ensure_matrix,
     op_norm,
+    op_norms,
     range_basis,
     range_complement,
 )
@@ -418,16 +419,15 @@ def verify_pencil_intertwining(
     rep = CheckReport(title="characteristic-function pencil intertwining")
     f1, f2 = pair_f.F1, pair_f.F2
     g1, g2 = pair_g.F1, pair_g.F2
-    worst = {"pencil_intertwine_1": 0.0, "pencil_intertwine_2": 0.0}
     samples, denom = _disc_samples(samples)
-    for z, th in zip(samples, theta_eval(triple.adjoint(), samples)):
-        r1 = (f1.conj().T + z * f2) @ th - th @ (g1 + z * g2.conj().T)
-        r2 = (f2.conj().T + z * f1) @ th - th @ (g2 + z * g1.conj().T)
-        worst["pencil_intertwine_1"] = max(worst["pencil_intertwine_1"], op_norm(r1))
-        worst["pencil_intertwine_2"] = max(worst["pencil_intertwine_2"], op_norm(r2))
+    resid = np.empty((2 * len(samples), f1.shape[0], g1.shape[0]), complex)
+    for k, (z, th) in enumerate(zip(samples, theta_eval(triple.adjoint(), samples))):
+        resid[2 * k] = (f1.conj().T + z * f2) @ th - th @ (g1 + z * g2.conj().T)
+        resid[2 * k + 1] = (f2.conj().T + z * f1) @ th - th @ (g2 + z * g1.conj().T)
+    worst = op_norms(resid).reshape(-1, 2).max(axis=0, initial=0.0)
     tol = pol.scaled_eq(*pair_f.norms, *pair_g.norms) / denom
-    for name, value in worst.items():
-        rep.check(name, value, tol, note=f"{len(samples)} sample points")
+    for k, value in enumerate(worst, start=1):
+        rep.check(f"pencil_intertwine_{k}", value, tol, note=f"{len(samples)} sample points")
     return rep
 
 

@@ -315,15 +315,15 @@ def _aggregate(reports: Reports) -> dict[str, Any]:
     }
 
 
-def _render_text(bundle: dict[str, Any]) -> str:
+def _render_text(bundle: dict[str, Any], reports: Reports) -> str:
     lines = [f"tetralab {bundle['version']} :: {bundle['command']}"]
     config = " ".join(f"{k}={v}" for k, v in sorted(bundle["config"].items()))
     lines.append(f"config: {config}")
     agg = bundle["aggregate"]
-    for item in bundle["reports"]:
+    for label, rep in reports:
         lines.append("")
-        lines.append(f"== {item['label']} ==")
-        lines.append(item["rendered"])
+        lines.append(f"== {label} ==")
+        lines.append(rep.table())
     lines.append("")
     lines.append(
         f"summary: {agg['reports_passed']}/{agg['reports']} reports, "
@@ -340,13 +340,13 @@ def _render_text(bundle: dict[str, Any]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _emit(bundle: dict[str, Any], fmt: str, out: str | None) -> None:
+def _emit(bundle: dict[str, Any], reports: Reports, fmt: str, out: str | None) -> None:
+    """Write the bundle as JSON, or as text with one table per report; the
+    tables are rendered only for text."""
     if fmt == "json":
-        for item in bundle["reports"]:
-            item.pop("rendered", None)
         text = tio.dumps(bundle)
     else:
-        text = _render_text(bundle)
+        text = _render_text(bundle, reports)
     if out is None:
         sys.stdout.write(text)
     else:
@@ -387,15 +387,12 @@ def main(argv: Sequence[str] | None = None) -> int:
             if hasattr(args, k) and getattr(args, k) is not None
         },
         "aggregate": _aggregate(reports),
-        "reports": [
-            {"label": label, "rendered": rep.table(), **rep.to_dict()}
-            for label, rep in reports
-        ],
+        "reports": [{"label": label, **rep.to_dict()} for label, rep in reports],
         "wall_time_s": round(time.perf_counter() - start, 3),
         **extra,
     }
     try:
-        _emit(bundle, args.format, args.out)
+        _emit(bundle, reports, args.format, args.out)
     except OSError as exc:
         print(f"tetralab: error: {exc}", file=sys.stderr)
         return 2

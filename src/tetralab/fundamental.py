@@ -52,20 +52,15 @@ class SolveFailedError(TetralabError):
 class FundamentalPair:
     """Solved pair on the defect space of P, expressed in ``basis``.
 
-    w_i <= w(F_i) <= w_i + w_i_err: w_i is the grid maximum of
-    ``numerical_radius`` and w_i_err the gap to its outer polygon, refined
-    while the bracket straddles 1 + eq_tol.  ``norms`` = (||F1||, ||F2||) is
-    computed on first use and kept; ``dataclasses.replace`` starts afresh.
+    ``norms`` = (||F1||, ||F2||) is computed on first use and kept;
+    ``dataclasses.replace`` starts afresh.  The numerical radii are bracketed
+    only by ``verify_tetra_characterization``, the one check that reads them.
     """
 
     F1: np.ndarray
     F2: np.ndarray
     basis: SubspaceBasis
     solve_residual: float
-    w1: float
-    w1_err: float
-    w2: float
-    w2_err: float
 
     @cached_property
     def norms(self) -> tuple[float, float]:
@@ -102,18 +97,7 @@ def solve_fundamental(
         raise SolveFailedError(
             f"fundamental equations unsolvable at tolerance: residual {res:.3e} > {limit:.3e}"
         )
-    w1, e1 = numerical_radius(f1, 1.0 + pol.eq_tol)
-    w2, e2 = numerical_radius(f2, 1.0 + pol.eq_tol)
-    return FundamentalPair(
-        F1=f1,
-        F2=f2,
-        basis=triple.dp_basis,
-        solve_residual=res,
-        w1=w1,
-        w1_err=e1,
-        w2=w2,
-        w2_err=e2,
-    )
+    return FundamentalPair(F1=f1, F2=f2, basis=triple.dp_basis, solve_residual=res)
 
 
 def verify_tetra_characterization(
@@ -137,8 +121,10 @@ def verify_tetra_characterization(
     for name, x, f, g in (("A", triple.A, pair.F1, pair.F2), ("B", triple.B, pair.F2, pair.F1)):
         resid = triple.dp @ x - q @ (f @ dqh + g.conj().T @ dqh_p)
         rep.check(f"defect_intertwine_{name}", op_norm(resid), scale)
-    # w <= w(F) <= w + err decides only when the bracket is on one side of 1 + eq_tol
-    for name, w, err in (("radius_F1", pair.w1, pair.w1_err), ("radius_F2", pair.w2, pair.w2_err)):
+    # w <= w(F) <= w + err decides only when the bracket is on one side of
+    # 1 + eq_tol; numerical_radius refines it while it straddles that level
+    for name, f in (("radius_F1", pair.F1), ("radius_F2", pair.F2)):
+        w, err = numerical_radius(f, 1.0 + pol.eq_tol)
         if w - 1.0 <= pol.eq_tol < w + err - 1.0:
             rep.skip(name, f"undecided: {w:.6f} <= w <= {w + err:.6f} straddles 1 + eq_tol")
         else:

@@ -211,7 +211,7 @@ def scalars_instance(seed: int, index: int, dim: int) -> Instance:
     )
 
 
-def make_instance(family: str, seed: int, index: int, dim: int, degree: int = 4) -> Instance:
+def make_instance(family: str, seed: int, index: int, dim: int, degree: int) -> Instance:
     if family == "symbols":
         return symbols_instance(seed, index, dim=max(1, dim), degree=degree)
     if family == "compressions":
@@ -221,7 +221,7 @@ def make_instance(family: str, seed: int, index: int, dim: int, degree: int = 4)
     raise ValueError(f"unknown family {family!r}; expected one of {FAMILIES}")
 
 
-def suite(seed: int, count: int, dim: int = 3, degree: int = 4) -> list[Instance]:
+def suite(seed: int, count: int, dim: int, degree: int) -> list[Instance]:
     """Round-robin over the families, ``count`` instances in total."""
     out = []
     for k in range(count):

@@ -28,6 +28,7 @@ from .matcore import (
     TolerancePolicy,
     ensure_matrix,
     op_norm,
+    op_norms,
     range_basis,
     subspace_gap,
 )
@@ -96,22 +97,21 @@ def verify_coincidence(
     if wit.u.shape[1] == 0 and wit.u_star.shape[1] == 0:
         rep.vacuous("coincidence", "both defect spaces are zero-dimensional")
         return rep
-    worst_eval = 0.0
-    for th, th_p in zip(theta_eval(triple, samples), theta_eval(triple_prime, samples)):
-        worst_eval = max(worst_eval, op_norm(wit.u_star @ th - th_p @ wit.u))
+    degrees = range(COINCIDENCE_DEGREE + 1)
+    thetas = [
+        *zip(theta_eval(triple, samples), theta_eval(triple_prime, samples)),
+        *zip(theta_taylor(triple, degrees, pol), theta_taylor(triple_prime, degrees, pol)),
+    ]
+    norms = op_norms([wit.u_star @ th - th_p @ wit.u for th, th_p in thetas])
     rep.check(
         "coincidence_at_samples",
-        worst_eval,
+        norms[: len(samples)].max(initial=0.0),
         pol.scaled_eq(1.0) / denom,
         note=f"{len(samples)} sample points",
     )
-    degrees = range(COINCIDENCE_DEGREE + 1)
-    worst_taylor = 0.0
-    for th, th_p in zip(theta_taylor(triple, degrees, pol), theta_taylor(triple_prime, degrees, pol)):
-        worst_taylor = max(worst_taylor, op_norm(wit.u_star @ th - th_p @ wit.u))
     rep.check(
         "coincidence_taylor",
-        worst_taylor,
+        norms[len(samples) :].max(initial=0.0),
         pol.scaled_eq(1.0),
         note=f"coefficients 0..{COINCIDENCE_DEGREE}",
     )

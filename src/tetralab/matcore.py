@@ -4,8 +4,8 @@ Everything downstream (defect operators, characteristic functions, model
 spaces) is built from the handful of primitives in this module: validated
 complex matrices, defect operators of contractions (the one place where
 eigenvalues are clamped before a square root), Hermitian pseudoinverses,
-rank-revealing range bases, the operator norm, and a certified
-numerical-radius bracket.
+rank-revealing range bases, the operator norm (of one matrix or of a stack
+of equal-shape ones), and a certified numerical-radius bracket.
 
 Conventions
 -----------
@@ -40,6 +40,7 @@ __all__ = [
     "SubspaceBasis",
     "ensure_matrix",
     "op_norm",
+    "op_norms",
     "commutator",
     "herm_part",
     "hermitian_pinv",
@@ -114,20 +115,37 @@ def ensure_matrix(a, *, square: bool = False, name: str = "matrix") -> np.ndarra
     arr = np.array(a, dtype=np.complex128, copy=True, order="C")
     if arr.ndim != 2:
         raise ShapeError(f"{name} must be 2-D, got ndim={arr.ndim}")
-    if arr.size and not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise NotFiniteError(f"{name} contains non-finite entries")
     if square and arr.shape[0] != arr.shape[1]:
         raise ShapeError(f"{name} must be square, got shape {arr.shape}")
     return arr
 
 
+def op_norms(mats) -> np.ndarray:
+    """Operator (spectral) norms of a stack of equal-shape matrices, a 3-D
+    array or a sequence of 2-D ones: one finiteness check, 0.0 for each
+    all-zero (or empty) member without an SVD, and one stacked SVD for the
+    rest, which under one BLAS thread equals the SVD of each member alone."""
+    stack = np.asarray(mats, dtype=np.complex128)
+    if stack.ndim != 3:
+        raise ShapeError(f"operands must be a 3-D stack of matrices, got ndim={stack.ndim}")
+    if not np.isfinite(stack).all():
+        raise NotFiniteError("operand contains non-finite entries")
+    norms = np.zeros(stack.shape[0])
+    nonzero = stack.any(axis=(1, 2))
+    if nonzero.any():
+        norms[nonzero] = np.linalg.svd(stack[nonzero], compute_uv=False)[:, 0]
+    return norms
+
+
 def op_norm(m) -> float:
-    """Operator (spectral) norm: the largest singular value.  An all-zero or
-    empty matrix is 0.0 without an SVD."""
-    m = ensure_matrix(m, name="operand")
-    if not m.any():
-        return 0.0
-    return float(np.linalg.svd(m, compute_uv=False)[0])
+    """Operator (spectral) norm: the largest singular value, by ``op_norms``
+    on a stack of one.  An all-zero or empty matrix is 0.0 without an SVD."""
+    m = np.asarray(m)
+    if m.ndim != 2:
+        raise ShapeError(f"operand must be 2-D, got ndim={m.ndim}")
+    return float(op_norms(m[None])[0])
 
 
 def commutator(x, y) -> np.ndarray:

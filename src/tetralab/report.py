@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass, field
 
@@ -98,7 +97,10 @@ class CheckReport:
 
     def extend(self, other: CheckReport, prefix: str = "") -> None:
         """Absorb entries of another report, optionally prefixing names."""
-        self.entries.extend(dataclasses.replace(e, name=prefix + e.name) for e in other.entries)
+        self.entries.extend(
+            CheckEntry(prefix + e.name, e.residual, e.tolerance, e.passed, e.skipped, e.note)
+            for e in other.entries
+        )
 
     @property
     def overall(self) -> bool:

@@ -27,6 +27,7 @@ from .matcore import (
     defect,
     ensure_matrix,
     op_norm,
+    op_norms,
 )
 from .report import NECESSARY_HEADER, CheckReport
 
@@ -120,11 +121,8 @@ class TetrablockTriple:
 
 
 def _commutation_residuals(a, b, p) -> dict[str, float]:
-    return {
-        "AB": op_norm(commutator(a, b)),
-        "AP": op_norm(commutator(a, p)),
-        "BP": op_norm(commutator(b, p)),
-    }
+    norms = op_norms([commutator(a, b), commutator(a, p), commutator(b, p)])
+    return dict(zip(("AB", "AP", "BP"), norms.tolist()))
 
 
 def validate(a, b, p, pol: TolerancePolicy = DEFAULT_POLICY) -> TetrablockTriple:
@@ -140,7 +138,7 @@ def validate(a, b, p, pol: TolerancePolicy = DEFAULT_POLICY) -> TetrablockTriple
     p = ensure_matrix(p, square=True, name="P")
     if not (a.shape == b.shape == p.shape):
         raise ShapeError(f"coordinate shapes differ: {a.shape}, {b.shape}, {p.shape}")
-    norms = {"A": op_norm(a), "B": op_norm(b), "P": op_norm(p)}
+    norms = dict(zip("ABP", op_norms([a, b, p]).tolist()))
     for name, value in norms.items():
         if value > 1.0 + pol.eq_tol:
             raise NotContractiveError(f"||{name}|| = {value:.12g} exceeds 1 + eq_tol")

@@ -38,7 +38,7 @@ from tetralab.invariants import (
     unitary_invariant_suite,
     verify_coincidence,
 )
-from tetralab.matcore import op_norm
+from tetralab.matcore import DEFAULT_POLICY, numerical_radius, op_norm
 from tetralab.triples import is_pure, validate
 
 
@@ -68,9 +68,9 @@ def pure_instances():
     """>= 50 pure instances with vanishing or tiny model tail."""
     out = []
     for k in range(17):
-        out.append(make_instance("symbols", seed=500, index=k, dim=3))
-        out.append(make_instance("compressions", seed=500, index=k, dim=12))
-        out.append(make_instance("scalars", seed=500, index=k, dim=6))
+        out.append(make_instance("symbols", seed=500, index=k, dim=3, degree=4))
+        out.append(make_instance("compressions", seed=500, index=k, dim=12, degree=4))
+        out.append(make_instance("scalars", seed=500, index=k, dim=6, degree=4))
     return out
 
 
@@ -143,8 +143,9 @@ def test_criterion_2_fundamental_battery(battery_instances):
             worst = max(worst, e.residual)
         # radius certificates
         for pair in (pair_f, pair_g):
-            assert pair.w1 <= 1.0 + pair.w1_err + 1e-12, inst.label
-            assert pair.w2 <= 1.0 + pair.w2_err + 1e-12, inst.label
+            for f in (pair.F1, pair.F2):
+                w, err = numerical_radius(f, 1.0 + DEFAULT_POLICY.eq_tol)
+                assert w <= 1.0 + err + 1e-12, inst.label
     ok = worst <= 1e-8 and gated > 0
     announce(2, ok, f"{len(battery_instances)} instances, worst residual {worst:.2e}")
     assert worst <= 1e-8
@@ -159,7 +160,7 @@ def test_criterion_3_commutator_transfer():
     converse_seen = 0
     count = 50
     for k in range(count):
-        inst = make_instance("scalars", seed=600, index=k, dim=6)
+        inst = make_instance("scalars", seed=600, index=k, dim=6, degree=4)
         pair_f = solve_fundamental(inst.triple)
         pair_g = solve_fundamental(inst.triple.adjoint())
         comm = op_norm(pair_f.F1 @ pair_f.F2 - pair_f.F2 @ pair_f.F1)
@@ -251,7 +252,7 @@ def test_criterion_6_symbol_extraction(solved_pure):
     # propagation battery on symbol-built instances
     propagation_ok = True
     for k in range(4):
-        inst = make_instance("symbols", seed=640, index=k, dim=3)
+        inst = make_instance("symbols", seed=640, index=k, dim=3, degree=4)
         pair_g = solve_fundamental(inst.triple.adjoint())
         prep = verify_isometry_propagation(
             inst.meta["f1"], inst.meta["f2"], pair_g.F1, pair_g.F2, n=4
@@ -281,7 +282,7 @@ def test_criterion_7_unitary_invariants():
     for k in range(25):
         family = ("symbols", "compressions", "scalars")[k % 3]
         dim = {"symbols": 3, "compressions": 12, "scalars": 6}[family]
-        inst = make_instance(family, seed=700, index=k, dim=dim)
+        inst = make_instance(family, seed=700, index=k, dim=dim, degree=4)
         u = companion_unitary(inst, inst.triple.P.shape[0])
         t = inst.triple
         prime = validate(u @ t.A @ u.conj().T, u @ t.B @ u.conj().T, u @ t.P @ u.conj().T)

@@ -33,7 +33,7 @@ from conftest import p_triple
 def test_check_invariance_for_fundamental_pencils():
     # range(T_theta) for theta = Theta_{P*} is invariant under the F-pencils
     # and the shift: ||(I - Q) X Q|| vanishes on the interior degrees
-    inst = make_instance("symbols", seed=19, index=0, dim=3)
+    inst = make_instance("symbols", seed=19, index=0, dim=3, degree=4)
     triple = inst.triple
     pair_f = solve_fundamental(triple)
     f1, f2 = pair_f.F1, pair_f.F2
@@ -102,7 +102,7 @@ def test_extract_identity_theta_returns_pencil_constants(rng):
 
 @pytest.mark.parametrize("family,dim", [("symbols", 3), ("compressions", 12), ("scalars", 6)])
 def test_extraction_roundtrip_matches_solver(family, dim):
-    inst = make_instance(family, seed=23, index=2, dim=dim)
+    inst = make_instance(family, seed=23, index=2, dim=dim, degree=4)
     g1, g2, rep = extraction_roundtrip(inst.triple)
     assert rep.overall, (inst.label, [(e.name, e.residual) for e in rep.failures])
     # the report already compares against the solver; double-check the norm
@@ -115,7 +115,7 @@ def test_extraction_roundtrip_matches_solver(family, dim):
 
 
 def test_isometry_propagation_battery():
-    inst = make_instance("symbols", seed=29, index=0, dim=3)
+    inst = make_instance("symbols", seed=29, index=0, dim=3, degree=4)
     f1 = inst.meta["f1"]
     f2 = inst.meta["f2"]
     pair_g = solve_fundamental(inst.triple.adjoint())

@@ -385,7 +385,7 @@ def test_model_theta_equals_theta_coeffs(family, dim):
     if family == "bidisc":
         t = build_grid(dim)
     else:
-        t = make_instance(family, seed=83, index=0, dim=dim).triple
+        t = make_instance(family, seed=83, index=0, dim=dim, degree=4).triple
     model = build_model(t)
     direct = theta_coeffs(t, model.N)
     selected = theta_taylor(t, range(model.N + 1))
@@ -407,7 +407,7 @@ def test_model_dimensions_and_tail(rng):
 
 @pytest.mark.parametrize("family,dim", [("symbols", 3), ("compressions", 12), ("scalars", 6)])
 def test_functional_model_reproduces_triple(family, dim):
-    inst = make_instance(family, seed=11, index=1, dim=dim)
+    inst = make_instance(family, seed=11, index=1, dim=dim, degree=4)
     triple = inst.triple
     assert is_pure(triple.P).pure
     model = build_model(triple)
@@ -455,7 +455,7 @@ def test_model_batteries_apply_pencils_without_forming_them(monkeypatch):
     assert bidisc.example_battery(grid, pair_f, pair_g, model).overall
     theta = theta_coeffs(grid.adjoint(), n + 1)
     assert extract_symbols(theta, pair_f.F1, pair_f.F2, theta.degree + 3)[2].overall
-    inst = make_instance("compressions", seed=43, index=0, dim=6)
+    inst = make_instance("compressions", seed=43, index=0, dim=6, degree=4)
     t = inst.triple
     u = generate.companion_unitary(inst, t.dim)
     conj = validate(u @ t.A @ u.conj().T, u @ t.B @ u.conj().T, u @ t.P @ u.conj().T)
@@ -475,7 +475,7 @@ def test_pencil_intertwining_battery(small_suite):
 
 
 def test_pure_isometry_model_on_symbol_instance():
-    inst = make_instance("symbols", seed=3, index=0, dim=3)
+    inst = make_instance("symbols", seed=3, index=0, dim=3, degree=4)
     triple = inst.triple
     model = build_model(triple)
     pair_g = solve_fundamental(triple.adjoint())

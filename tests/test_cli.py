@@ -33,7 +33,7 @@ from tetralab.fundamental import solve_fundamental
 from tetralab.generate import companion_unitary, make_instance
 from tetralab.hardy import AnalyticSymbol, toeplitz
 from tetralab.invariants import INVARIANT_SAMPLES, induced_defect_unitary, verify_coincidence
-from tetralab.matcore import MAX_GRID_DIM, TetralabError, defect, op_norm
+from tetralab.matcore import MAX_GRID_DIM, TetralabError, defect, numerical_radius, op_norm
 from tetralab.triples import is_pure, validate
 
 from conftest import (
@@ -120,7 +120,7 @@ def test_non_integer_matrix_dimension_is_input_error(capsys, tmp_path, rows):
 
 
 def test_model_check_passes_on_valid_triple(capsys, tmp_path):
-    inst = make_instance("scalars", seed=61, index=0, dim=6)
+    inst = make_instance("scalars", seed=61, index=0, dim=6, degree=4)
     path = tmp_path / "triple.json"
     path.write_text(io.dumps(io.triple_to_obj(inst.triple)))
     code, out, _ = run(capsys, "model-check", str(path))
@@ -408,11 +408,13 @@ def test_battery_builds_each_object_once(monkeypatch):
     # its adjoints computed, so a shared one would count fewer
     # decompositions after other tests
     instances = generate.suite(seed=7, count=6, dim=3, degree=3)
-    calls = count_calls(monkeypatch, solve_fundamental, build_model, defect, is_pure)
+    calls = count_calls(
+        monkeypatch, solve_fundamental, build_model, defect, is_pure, numerical_radius
+    )
     decompositions, _, work = watch_decompositions(monkeypatch)
     op_norm_svds, works = [], []
     for inst in instances:
-        calls.update(solve_fundamental=0, build_model=0, defect=0, is_pure=0)
+        calls.update(solve_fundamental=0, build_model=0, defect=0, is_pure=0, numerical_radius=0)
         decompositions.clear()
         work.clear()
         rep = run_instance_battery(inst)
@@ -421,7 +423,10 @@ def test_battery_builds_each_object_once(monkeypatch):
         assert calls["build_model"] <= 2, inst.label
         assert calls["defect"] == (6 if inst.family == "symbols" else 2), inst.label
         assert calls["is_pure"] == 2, inst.label
-        op_norm_svds.append(decompositions["svd", "op_norm"])
+        # only the characterization of F reads a radius bracket: 8 with a
+        # bracket of both radii in each of the 4 solves
+        assert calls["numerical_radius"] == 2, inst.label
+        op_norm_svds.append(decompositions["svd", "op_norms"])
         works.append(sum(work.values()))
     # op_norm decomposes no zero matrix, ||A||, ||B||, ||P|| are read from
     # the triples, and numerical_radius runs none; each subspace gap is two
@@ -438,8 +443,11 @@ def test_battery_builds_each_object_once(monkeypatch):
     # F and G, and the induced witness reads ||A||, ||B||, ||P|| from the
     # triple: [111, 124, 234, 110, 124, 188] before.  The necessary report
     # reads the commutator norms validate kept: [104, 117, 227, 103, 117, 181]
-    # before
-    assert op_norm_svds == [101, 114, 224, 100, 114, 178]
+    # before.  Every op_norm is an op_norms of one, and one stacked SVD norms
+    # the 20 pencil residuals, the 17 coincidence residuals, ||A||, ||B||,
+    # ||P|| and the three commutators of a validation: [101, 114, 224, 100,
+    # 114, 178] SVD calls before
+    assert op_norm_svds == [62, 75, 185, 62, 75, 139]
     # no model-space check decomposes a grid-sized matrix of rank <= dim H:
     # on the projector formulas the work was [174960, 86666, 44254782,
     # 174933, 167266, 9166500], 54,025,107 in all; with a gating SVD at each
@@ -453,8 +461,9 @@ def test_battery_builds_each_object_once(monkeypatch):
     # partition normed by an M x M eigvalsh and F, G embedded in the cross
     # relations, [148662, 79308, 6208407, 148635, 152881, 1291005]; with the
     # commutators normed again by the necessary report, [136566, 77857,
-    # 45711, 136539, 150244, 39609]
-    assert works == [131382, 77482, 45630, 131355, 149596, 39528]
+    # 45711, 136539, 150244, 39609]; with 8 radius brackets, [131382, 77482,
+    # 45630, 131355, 149596, 39528]
+    assert works == [110646, 28330, 24894, 110619, 53596, 18792]
 
 
 def test_verify_bidisc_builds_each_object_once(monkeypatch, capsys):
@@ -481,6 +490,7 @@ def test_verify_bidisc_builds_each_object_once(monkeypatch, capsys):
         verify_functional_model,
         verify_model_decomposition,
         _power_norms,
+        numerical_radius,
     )
     decompositions, _, work = watch_decompositions(monkeypatch)
     norms_computed = collections.Counter()
@@ -503,8 +513,13 @@ def test_verify_bidisc_builds_each_object_once(monkeypatch, capsys):
         "verify_functional_model": 1,
         "verify_model_decomposition": 1,
         "_power_norms": 0,
+        "numerical_radius": 2,
     }
-    assert decompositions["svd", "op_norm"] == 23
+    # only the characterization of F brackets a radius (4 before, both radii
+    # of each solve).  An op_norm SVD is an op_norms call of one; one stacked
+    # SVD norms ||A||, ||B||, ||P|| of the validation and one the 20 pencil
+    # residuals: 23 SVD calls before
+    assert decompositions["svd", "op_norms"] == 16
     assert decompositions["svd", "theta_eval"] == 0
     assert norms_computed == {"A": 1, "B": 1, "P": 1}
     # H_P is range(W), from the one thin SVD of W that the functional model
@@ -513,8 +528,9 @@ def test_verify_bidisc_builds_each_object_once(monkeypatch, capsys):
     # I - z P*, 294,521 (41 op_norm SVDs) with ||F1||, ||F2|| normed by each
     # check rather than kept on the pair, and 289,719 with H_P from a full
     # SVD of T_Theta and range(W) taken twice, and 260,599 with F and G
-    # embedded in the cross relations and normed there
-    assert sum(work.values()) == 244215
+    # embedded in the cross relations and normed there, and 244,215 with the
+    # radius brackets of G, which no check reads
+    assert sum(work.values()) == 156407
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -611,7 +627,7 @@ def test_build_model_checks_purity_once(monkeypatch, capsys, tmp_path):
     # one power_tail call per model, with or without a degree, and per
     # extraction round trip, none in a round trip fed a model's truncation;
     # model-check hands the certificate of its "pure" check to the model
-    triple = make_instance("scalars", seed=61, index=0, dim=3).triple
+    triple = make_instance("scalars", seed=61, index=0, dim=3, degree=4).triple
     calls = count_calls(monkeypatch, is_pure)
     model = build_model(triple)
     assert calls["is_pure"] == 1
@@ -661,7 +677,7 @@ def test_model_check_refuses_oversized_model_grid(capsys, tmp_path, fmt):
 
 def test_negative_model_degree_is_input_error(capsys, tmp_path):
     path = tmp_path / "triple.json"
-    path.write_text(io.dumps(io.triple_to_obj(make_instance("scalars", seed=61, index=0, dim=3).triple)))
+    path.write_text(io.dumps(io.triple_to_obj(make_instance("scalars", seed=61, index=0, dim=3, degree=4).triple)))
     code, out, err = run(capsys, "model-check", str(path), "--degree", "-1")
     assert code == 2
     assert out == ""

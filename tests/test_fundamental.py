@@ -93,7 +93,7 @@ def test_unsolvable_when_defect_vanishes():
 def test_solution_supported_on_defect_space():
     # F lives on range(D_P); its embedding back into the ambient space must
     # vanish on the orthogonal complement
-    inst = make_instance("compressions", seed=3, index=0, dim=12)
+    inst = make_instance("compressions", seed=3, index=0, dim=12, degree=4)
     pair = solve_fundamental(inst.triple)
     f1_full = pair.basis.basis @ pair.F1 @ pair.basis.basis.conj().T
     comp = np.eye(f1_full.shape[0]) - pair.basis.projector
@@ -104,15 +104,15 @@ def test_solution_supported_on_defect_space():
 def test_radius_bound_certificates(small_suite):
     for inst in small_suite:
         pair = solve_fundamental(inst.triple)
-        assert pair.w1 <= 1.0 + pair.w1_err + 1e-12, inst.label
-        assert pair.w2 <= 1.0 + pair.w2_err + 1e-12, inst.label
+        for f in (pair.F1, pair.F2):
+            w, err = numerical_radius(f, 1.0 + DEFAULT_POLICY.eq_tol)
+            assert w <= 1.0 + err + 1e-12, inst.label
 
 
 def radius_entry(f1):
     """The radius_F1 entry of the characterization report for a pair with F1 = f1."""
     triple = p_triple(0.5 * np.eye(f1.shape[0]))
-    w, err = numerical_radius(f1, 1.0 + DEFAULT_POLICY.eq_tol)
-    pair = dataclasses.replace(solve_fundamental(triple), F1=f1, w1=w, w1_err=err)
+    pair = dataclasses.replace(solve_fundamental(triple), F1=f1)
     [entry] = [e for e in verify_tetra_characterization(triple, pair).entries if e.name == "radius_F1"]
     return entry
 
@@ -169,7 +169,7 @@ def test_radius_of_an_ellipse_within_1e7_of_one_is_decided(w, passed):
 @pytest.mark.parametrize("index", [0, 1, 2])
 def test_identity_batteries(family, index):
     dim = {"symbols": 3, "compressions": 12, "scalars": 6}[family]
-    inst = make_instance(family, seed=2026, index=index, dim=dim)
+    inst = make_instance(family, seed=2026, index=index, dim=dim, degree=4)
     triple = inst.triple
     pair_f = solve_fundamental(triple)
     pair_g = solve_fundamental(triple.adjoint())
@@ -189,7 +189,7 @@ def test_identity_batteries(family, index):
 
 def test_transfer_on_invertible_scalar_instance():
     # scalars instances have invertible P, so both transfer directions run
-    inst = make_instance("scalars", seed=5, index=4, dim=6)
+    inst = make_instance("scalars", seed=5, index=4, dim=6, degree=4)
     pair_f = solve_fundamental(inst.triple)
     pair_g = solve_fundamental(inst.triple.adjoint())
     rep = verify_commutator_transfer(inst.triple, pair_f, pair_g)
@@ -202,7 +202,7 @@ def test_transfer_on_invertible_scalar_instance():
 
 def test_transfer_skips_when_range_not_dense():
     # symbols instances have nilpotent P: range is not dense, hypothesis out
-    inst = make_instance("symbols", seed=5, index=0, dim=3)
+    inst = make_instance("symbols", seed=5, index=0, dim=3, degree=4)
     pair_f = solve_fundamental(inst.triple)
     pair_g = solve_fundamental(inst.triple.adjoint())
     rep = verify_commutator_transfer(inst.triple, pair_f, pair_g)
@@ -212,7 +212,7 @@ def test_transfer_skips_when_range_not_dense():
 def test_pair_keeps_its_norms_and_a_replaced_pair_recomputes_them(monkeypatch):
     import tetralab.fundamental
 
-    pair = solve_fundamental(make_instance("scalars", seed=43, index=0, dim=4).triple)
+    pair = solve_fundamental(make_instance("scalars", seed=43, index=0, dim=4, degree=4).triple)
     assert pair.norms == (op_norm(pair.F1), op_norm(pair.F2))
     calls = []
     monkeypatch.setattr(tetralab.fundamental, "op_norm", lambda m: calls.append(m.shape) or op_norm(m))

@@ -37,7 +37,7 @@ def conjugated_copy(inst, u):
 
 @pytest.mark.parametrize("family,dim", [("symbols", 3), ("compressions", 12), ("scalars", 6)])
 def test_suite_passes_for_conjugated_pairs(family, dim):
-    inst = make_instance(family, seed=31, index=0, dim=dim)
+    inst = make_instance(family, seed=31, index=0, dim=dim, degree=4)
     u = companion_unitary(inst, inst.triple.P.shape[0])
     prime = conjugated_copy(inst, u)
     t = inst.triple
@@ -53,7 +53,7 @@ def test_suite_passes_for_conjugated_pairs(family, dim):
 
 
 def test_induced_witness_is_unitary_on_defects():
-    inst = make_instance("compressions", seed=37, index=1, dim=12)
+    inst = make_instance("compressions", seed=37, index=1, dim=12, degree=4)
     u = companion_unitary(inst, inst.triple.P.shape[0])
     prime = conjugated_copy(inst, u)
     wit = induced_defect_unitary(u, inst.triple, prime)
@@ -63,7 +63,7 @@ def test_induced_witness_is_unitary_on_defects():
 
 
 def test_non_intertwining_map_rejected(rng):
-    inst = make_instance("symbols", seed=41, index=0, dim=3)
+    inst = make_instance("symbols", seed=41, index=0, dim=3, degree=4)
     dim = inst.triple.P.shape[0]
     q, _ = np.linalg.qr(rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
     prime = conjugated_copy(inst, q)
@@ -77,7 +77,7 @@ def test_non_intertwining_map_rejected(rng):
 def test_coincidence_refuses_samples_outside_disc(outside):
     # Theta is only defined inside the disc; a sample outside it is refused,
     # not checked against a loosened tolerance
-    inst = make_instance("compressions", seed=37, index=1, dim=12)
+    inst = make_instance("compressions", seed=37, index=1, dim=12, degree=4)
     u = companion_unitary(inst, inst.triple.P.shape[0])
     prime = conjugated_copy(inst, u)
     wit = induced_defect_unitary(u, inst.triple, prime)
@@ -86,7 +86,7 @@ def test_coincidence_refuses_samples_outside_disc(outside):
 
 
 def test_corrupted_witness_fails_coincidence():
-    inst = make_instance("scalars", seed=43, index=0, dim=6)
+    inst = make_instance("scalars", seed=43, index=0, dim=6, degree=4)
     u = companion_unitary(inst, inst.triple.P.shape[0])
     prime = conjugated_copy(inst, u)
     wit = induced_defect_unitary(u, inst.triple, prime)
@@ -99,7 +99,7 @@ def test_corrupted_witness_fails_coincidence():
 
 
 def test_nonunitary_witness_reported():
-    inst = make_instance("scalars", seed=43, index=1, dim=6)
+    inst = make_instance("scalars", seed=43, index=1, dim=6, degree=4)
     u = companion_unitary(inst, inst.triple.P.shape[0])
     prime = conjugated_copy(inst, u)
     wit = induced_defect_unitary(u, inst.triple, prime)
@@ -110,7 +110,7 @@ def test_nonunitary_witness_reported():
 
 
 def test_fundamental_equivalence_and_shape_guard():
-    inst = make_instance("compressions", seed=47, index=0, dim=12)
+    inst = make_instance("compressions", seed=47, index=0, dim=12, degree=4)
     u = companion_unitary(inst, inst.triple.P.shape[0])
     prime = conjugated_copy(inst, u)
     wit = induced_defect_unitary(u, inst.triple, prime)
@@ -151,7 +151,7 @@ def test_model_intertwine_equals_the_dense_formula(small_suite, rng):
 @pytest.fixture(scope="module")
 def transport_case():
     """Models, adjoint pairs and witness of a scalars instance and its conjugated copy."""
-    inst = make_instance("scalars", seed=43, index=0, dim=6)
+    inst = make_instance("scalars", seed=43, index=0, dim=6, degree=4)
     u = companion_unitary(inst, inst.triple.dim)
     prime = conjugated_copy(inst, u)
     wit = induced_defect_unitary(u, inst.triple, prime)
@@ -199,7 +199,7 @@ def test_model_space_checks_decompose_no_grid_matrix(monkeypatch):
     # residuals are Frobenius norms, with no eigensolver, on a grid of
     # M >= 192; the one SVD of the model report with a side above dim H is
     # that of the M x dim H Davis-Kahan operand of the model-space gap
-    inst = make_instance("scalars", seed=43, index=0, dim=6)
+    inst = make_instance("scalars", seed=43, index=0, dim=6, degree=4)
     dim_h = inst.triple.dim  # W is an isometry onto H_P
     svds, eigs = [], []
 
@@ -229,5 +229,6 @@ def test_model_space_checks_decompose_no_grid_matrix(monkeypatch):
         for names, shape in svds
         if "verify_model_decomposition" in names and max(shape) > dim_h
     ]
-    assert wide == [("_kernel_gap", (m, dim_h))]
+    # op_norm hands the SVD a stack of one
+    assert wide == [("_kernel_gap", (1, m, dim_h))]
     assert eigs and all(shape[-1] <= dim_h for _, shape in eigs)

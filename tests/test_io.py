@@ -58,7 +58,7 @@ def test_nonfinite_rejected_on_both_paths():
 
 
 def test_triple_roundtrip_revalidates():
-    inst = make_instance("scalars", seed=53, index=0, dim=6)
+    inst = make_instance("scalars", seed=53, index=0, dim=6, degree=4)
     obj = io.triple_to_obj(inst.triple)
     back = io.triple_from_obj(obj)
     assert np.array_equal(back.A, inst.triple.A)
@@ -73,7 +73,7 @@ def test_triple_roundtrip_revalidates():
 
 
 def test_triple_requires_all_three_operators():
-    inst = make_instance("scalars", seed=53, index=1, dim=6)
+    inst = make_instance("scalars", seed=53, index=1, dim=6, degree=4)
     obj = io.triple_to_obj(inst.triple)
     del obj["B"]
     with pytest.raises(io.FormatError):

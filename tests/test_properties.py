@@ -10,6 +10,10 @@ norms the adjoint computes on first read must be those of that validation.
 ``op_norm`` skips the SVD of a zero matrix and takes the first singular
 value itself; every residual of a report is one of its values, so it must
 give the bits of ``norm(ensure_matrix(m), 2)`` whatever the layout or dtype.
+``op_norms`` norms a stack of equal-shape residuals by one stacked SVD; each
+of its values must be the bits of ``op_norm`` of that member, over m x n
+stacks (m, n = 0-12) of random, rank-deficient and all-zero members, no
+all-zero member may reach the SVD, and a non-finite entry anywhere is refused.
 
 ``numerical_radius`` certifies a bracket [w, w + err] of the numerical
 radius from a grid of 256 angles; it must contain the largest support value
@@ -60,7 +64,7 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from conftest import fields_equal, p_triple, spectral_kernel_gap  # noqa: E402
+from conftest import fields_equal, p_triple, spectral_kernel_gap, watch_decompositions  # noqa: E402
 from tetralab import charfn  # noqa: E402
 from tetralab.fundamental import (  # noqa: E402
     solve_fundamental,
@@ -73,11 +77,13 @@ from tetralab.cli import run_instance_battery  # noqa: E402
 from tetralab.generate import FAMILIES, make_instance, random_unitary  # noqa: E402
 from tetralab.matcore import (  # noqa: E402
     DEFAULT_POLICY,
+    NotFiniteError,
     ShapeError,
     SubspaceBasis,
     ensure_matrix,
     numerical_radius,
     op_norm,
+    op_norms,
     subspace_gap,
 )
 from tetralab.triples import validate  # noqa: E402
@@ -166,6 +172,45 @@ def test_op_norm_is_bit_equal_to_the_spectral_norm(layout, rows, cols, seed):
     assert op_norm(m).hex() == reference_norm(m).hex()
 
 
+MEMBER_KINDS = ("random", "rank_deficient", "zero")
+
+
+def stack_member(kind: str, rows: int, cols: int, rng: np.random.Generator) -> np.ndarray:
+    """A rows x cols member of an op_norms stack: a product of random factors
+    of full rank, of rank one less (when that is positive), or all zero."""
+    if kind == "zero":
+        return np.zeros((rows, cols), dtype=complex)
+    inner = max(min(rows, cols) - (kind == "rank_deficient"), 0)
+    left = rng.standard_normal((rows, inner)) + 1j * rng.standard_normal((rows, inner))
+    right = rng.standard_normal((inner, cols)) + 1j * rng.standard_normal((inner, cols))
+    return left @ right
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(
+    kinds=st.lists(st.sampled_from(MEMBER_KINDS), max_size=6),
+    rows=st.integers(0, 12),
+    cols=st.integers(0, 12),
+    seed=st.integers(0, 2**32 - 1),
+    poison=st.sampled_from((None, np.nan, np.inf, complex(0.0, -np.inf))),
+)
+def test_op_norms_is_bit_equal_to_op_norm_of_each_member(kinds, rows, cols, seed, poison):
+    rng = np.random.default_rng(seed)
+    stack = np.array([stack_member(k, rows, cols, rng) for k in kinds], dtype=complex)
+    stack = stack.reshape(len(kinds), rows, cols)
+    if poison is not None and stack.size:
+        stack[rng.integers(len(kinds)), rng.integers(rows), rng.integers(cols)] = poison
+        with pytest.raises(NotFiniteError, match="operand contains non-finite entries"):
+            op_norms(stack)
+        return
+    with pytest.MonkeyPatch.context() as mp:
+        _, zeros, _ = watch_decompositions(mp)
+        norms = op_norms(stack)
+    assert zeros == []  # no all-zero member reaches the stacked SVD
+    assert norms.shape == (len(kinds),)
+    assert [x.hex() for x in norms.tolist()] == [op_norm(m).hex() for m in stack]
+
+
 RADIUS_KINDS = ("generic", "normal", "nilpotent", "scalar")
 DENSE_THETAS = 2.0 * np.pi * np.arange(16 * 256) / (16 * 256)
 
@@ -234,10 +279,9 @@ def test_unimodular_rotation_rotates_the_fundamental_operators(family, seed, ind
         assert op_norm(diff) <= DEFAULT_POLICY.scaled_eq(op_norm(f))
     # both brackets contain w(F_i) = w(omega F_i)
     slack = DEFAULT_POLICY.scaled_eq(1.0)
-    for w, err, rw, rerr in (
-        (pair.w1, pair.w1_err, rotated_pair.w1, rotated_pair.w1_err),
-        (pair.w2, pair.w2_err, rotated_pair.w2, rotated_pair.w2_err),
-    ):
+    level = 1.0 + DEFAULT_POLICY.eq_tol
+    for f, rf in ((pair.F1, rotated_pair.F1), (pair.F2, rotated_pair.F2)):
+        (w, err), (rw, rerr) = numerical_radius(f, level), numerical_radius(rf, level)
         assert rw <= w + err + slack and w <= rw + rerr + slack
 
 

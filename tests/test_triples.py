@@ -71,9 +71,9 @@ def test_adjoint_swaps_defects():
 each_triple = pytest.mark.parametrize(
     "make",
     [
-        lambda: make_instance("symbols", seed=83, index=0, dim=3).triple,
-        lambda: make_instance("compressions", seed=83, index=0, dim=12).triple,
-        lambda: make_instance("scalars", seed=83, index=0, dim=6).triple,
+        lambda: make_instance("symbols", seed=83, index=0, dim=3, degree=4).triple,
+        lambda: make_instance("compressions", seed=83, index=0, dim=12, degree=4).triple,
+        lambda: make_instance("scalars", seed=83, index=0, dim=6, degree=4).triple,
         lambda: build_grid(4),
     ],
     ids=["symbols", "compressions", "scalars", "bidisc"],
@@ -109,7 +109,7 @@ def test_validate_keeps_the_norms_it_checked(make, monkeypatch):
 def test_adjoint_computes_only_the_norms_it_reads(monkeypatch):
     # an adjoint that feeds solve_fundamental reads ||A*|| and ||B*|| only:
     # no SVD of P*, and none repeated on a second read
-    adj = make_instance("symbols", seed=83, index=0, dim=3).triple.adjoint()
+    adj = make_instance("symbols", seed=83, index=0, dim=3, degree=4).triple.adjoint()
     calls = count_calls(monkeypatch, op_norm)
     adj.norm("A"), adj.norm("B"), adj.norm("A")
     assert calls["op_norm"] == 2
