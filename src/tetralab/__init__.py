@@ -11,7 +11,6 @@ from .matcore import (
     DEFAULT_POLICY,
     NotContractiveError,
     NotFiniteError,
-    NotHermitianError,
     NotPSDError,
     ShapeError,
     SubspaceBasis,
@@ -86,7 +85,6 @@ __all__ = [
     "TetralabError",
     "ShapeError",
     "NotFiniteError",
-    "NotHermitianError",
     "NotPSDError",
     "NotContractiveError",
     "commutator",

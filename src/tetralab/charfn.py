@@ -109,15 +109,16 @@ def _disc_samples(samples) -> tuple[list[complex], float]:
 
 def _theta_zero(triple: TetrablockTriple, pol: TolerancePolicy):
     """Theta_0 = -P restricted to D_P, after checking P maps D_P into D_{P*}."""
-    p, sb = triple.P, triple.dpstar_basis
-    image = p @ triple.dp_basis.basis
-    leak = op_norm(image - sb.projector @ image)
+    qs = triple.dpstar_basis.basis
+    image = triple.P @ triple.dp_basis.basis
+    coords = qs.conj().T @ image
+    leak = op_norm(image - qs @ coords)
     allowance = RANK_TOL * (1.0 + triple.norm("P")) + pol.eq_tol
     if leak > allowance:
         raise RestrictionLeakError(
             f"P(D_P) leaks out of D_P* by {leak:.3e} (> {allowance:.3e})"
         )
-    return -(sb.basis.conj().T @ image)
+    return -coords
 
 
 def _w_rows(triple: TetrablockTriple):

@@ -26,7 +26,6 @@ from .matcore import (
     TetralabError,
     TolerancePolicy,
     commutator,
-    hermitian_pinv,
     numerical_radius,
     op_norm,
 )
@@ -73,9 +72,10 @@ def solve_fundamental(
 ) -> FundamentalPair:
     """Solve both fundamental equations on the defect space of P.
 
-    With Q the defect-range basis and Dt = Q* D_P Q, the compressed solution
-    is F_i = Dt^+ Q* R_i Q Dt^+ for R_1 = A - B*P, R_2 = B - A*P.  The solve
-    residual is measured on the full ambient space,
+    With Q the defect-range basis, D_P Q = Q diag(s) for the spectrum s the
+    triple keeps, so the compressed solution is F_i = S^-1 Q* R_i Q S^-1,
+    S = diag(s), for R_1 = A - B*P, R_2 = B - A*P.  The solve residual is
+    measured on the full ambient space,
 
         max_i || D_P (Q F_i Q*) D_P - R_i || = max_i || (D_P Q) F_i (D_P Q)* - R_i ||,
 
@@ -86,9 +86,9 @@ def solve_fundamental(
     qh = q.conj().T
     r1 = triple.A - triple.B.conj().T @ triple.P
     r2 = triple.B - triple.A.conj().T @ triple.P
-    dinv = hermitian_pinv(qh @ dq, pol)
-    f1 = dinv @ (qh @ r1 @ q) @ dinv
-    f2 = dinv @ (qh @ r2 @ q) @ dinv
+    ss = np.outer(triple.dp_s, triple.dp_s)
+    f1 = (qh @ r1 @ q) / ss
+    f2 = (qh @ r2 @ q) / ss
     res = 0.0
     for f, rhs in ((f1, r1), (f2, r2)):
         res = max(res, op_norm(dq @ f @ dq.conj().T - rhs))

@@ -2,10 +2,10 @@
 
 Everything downstream (defect operators, characteristic functions, model
 spaces) is built from the handful of primitives in this module: validated
-complex matrices, defect operators of contractions (the one place where
-eigenvalues are clamped before a square root), Hermitian pseudoinverses,
-rank-revealing range bases, the operator norm (of one matrix or of a stack
-of equal-shape ones), and a certified numerical-radius bracket.
+complex matrices, defect operators of contractions with their spectrum on
+their range (the one place where eigenvalues are clamped before a square
+root), rank-revealing range bases, the operator norm (of one matrix or of a
+stack of equal-shape ones), and a certified numerical-radius bracket.
 
 Conventions
 -----------
@@ -28,7 +28,6 @@ __all__ = [
     "TetralabError",
     "ShapeError",
     "NotFiniteError",
-    "NotHermitianError",
     "NotPSDError",
     "NotContractiveError",
     "TolerancePolicy",
@@ -43,7 +42,6 @@ __all__ = [
     "op_norms",
     "commutator",
     "herm_part",
-    "hermitian_pinv",
     "defect",
     "range_basis",
     "range_complement",
@@ -62,10 +60,6 @@ class ShapeError(TetralabError):
 
 class NotFiniteError(TetralabError):
     """Matrix contains NaN or infinite entries."""
-
-
-class NotHermitianError(TetralabError):
-    """Matrix is not Hermitian within the equality tolerance."""
 
 
 class NotPSDError(TetralabError):
@@ -199,28 +193,15 @@ class SubspaceBasis:
         return self.basis @ self.basis.conj().T
 
 
-def hermitian_pinv(h, pol: TolerancePolicy = DEFAULT_POLICY) -> np.ndarray:
-    """Pseudoinverse of a Hermitian matrix, cutting eigenvalues at RANK_TOL."""
-    h = ensure_matrix(h, square=True, name="H")
-    hnorm = op_norm(h)
-    if op_norm(h - h.conj().T) > pol.scaled_eq(hnorm):
-        raise NotHermitianError("matrix is not Hermitian within eq_tol")
-    w, v = np.linalg.eigh(herm_part(h))
-    if w.size == 0:
-        return h.copy()
-    cut = RANK_TOL * np.abs(w).max()
-    inv = np.where(np.abs(w) > cut, 1.0 / np.where(np.abs(w) > cut, w, 1.0), 0.0)
-    return herm_part((v * inv) @ v.conj().T)
-
-
-def defect(t, pol: TolerancePolicy = DEFAULT_POLICY) -> tuple[np.ndarray, SubspaceBasis]:
-    """Defect operator D_T = (I - T*T)^(1/2) and a basis of its range.
+def defect(t, pol: TolerancePolicy = DEFAULT_POLICY) -> tuple[np.ndarray, SubspaceBasis, np.ndarray]:
+    """Defect operator D_T = (I - T*T)^(1/2), a basis Q of its range and the
+    eigenvalues s of D_T on Q, so that D_T Q = Q diag(s).
 
     Raises ``NotContractiveError`` when ||T|| > 1 + eq_tol.  The range basis
     keeps the eigenvectors whose eigenvalue of I - T*T exceeds RANK_TOL
     times the largest one (deciding on I - T*T rather than on its square
     root keeps round-off noise below the threshold), ordered by decreasing
-    eigenvalue.
+    eigenvalue; every kept s is above sqrt(RANK_TOL) s_max.
     """
     t = ensure_matrix(t, square=True, name="T")
     tnorm = op_norm(t)
@@ -242,7 +223,7 @@ def defect(t, pol: TolerancePolicy = DEFAULT_POLICY) -> tuple[np.ndarray, Subspa
     # numerically unitary T gets an exactly empty defect space
     mask = w > RANK_TOL * max(float(w.max()) if w.size else 0.0, 1.0)
     order = np.argsort(s[mask])[::-1]
-    return d, SubspaceBasis(v[:, mask][:, order])
+    return d, SubspaceBasis(v[:, mask][:, order]), s[mask][order]
 
 
 def range_basis(m) -> SubspaceBasis:

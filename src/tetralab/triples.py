@@ -57,13 +57,15 @@ class TetrablockTriple:
     """Validated commuting triple with cached defect operators of P.
 
     dp / dpstar are the defect operators D_P and D_{P*}; dp_basis and
-    dpstar_basis are orthonormal bases Q, Q_* of their ranges, and dp_q =
-    D_P Q, dpstar_q = D_{P*} Q_* the dim x rank factors through which every
-    defect-space identity applies them.  All downstream batteries express
-    operators on the defect spaces in these bases, so a triple is the single
-    source of basis conventions for its own checks.  It also owns ||A||,
-    ||B||, ||P|| (``norm``), which tolerances scale with, and the commutator
-    norms ``validate`` checked, which ``necessary_report`` records.
+    dpstar_basis are orthonormal bases Q, Q_* of their ranges, dp_s and
+    dpstar_s the eigenvalues of D_P on Q and of D_{P*} on Q_*, and dp_q =
+    D_P Q = Q diag(dp_s), dpstar_q = D_{P*} Q_* the dim x rank factors
+    through which every defect-space identity applies them.  All downstream
+    batteries express operators on the defect spaces in these bases, so a
+    triple is the single source of basis conventions for its own checks.  It
+    also owns ||A||, ||B||, ||P|| (``norm``), which tolerances scale with,
+    and the commutator norms ``validate`` checked, which ``necessary_report``
+    records.
     """
 
     A: np.ndarray
@@ -73,6 +75,8 @@ class TetrablockTriple:
     dpstar: np.ndarray
     dp_basis: SubspaceBasis
     dpstar_basis: SubspaceBasis
+    dp_s: np.ndarray
+    dpstar_s: np.ndarray
     dp_q: np.ndarray
     dpstar_q: np.ndarray
 
@@ -91,6 +95,7 @@ class TetrablockTriple:
         adj = TetrablockTriple(
             a, b, p, dp=self.dpstar, dpstar=self.dp,
             dp_basis=self.dpstar_basis, dpstar_basis=self.dp_basis,
+            dp_s=self.dpstar_s, dpstar_s=self.dp_s,
             dp_q=self.dpstar_q, dpstar_q=self.dp_q,
         )
         # the adjoints of one triple share one norm cache, so each norm is
@@ -130,8 +135,8 @@ def validate(a, b, p, pol: TolerancePolicy = DEFAULT_POLICY) -> TetrablockTriple
 
     Checks: equal square shapes; pairwise commutation within eq_tol
     (relative); ||A||, ||B||, ||P|| <= 1 + eq_tol.  The defect operators of P
-    with their range bases and the factors D_P Q, D_{P*} Q_* are computed
-    once here and cached.
+    with their range bases, their spectra on them and the factors D_P Q,
+    D_{P*} Q_* are computed once here and cached.
     """
     a = ensure_matrix(a, square=True, name="A")
     b = ensure_matrix(b, square=True, name="B")
@@ -147,8 +152,8 @@ def validate(a, b, p, pol: TolerancePolicy = DEFAULT_POLICY) -> TetrablockTriple
     for pair, res in commutators.items():
         if res > scale:
             raise NonCommutingError(f"[{pair[0]},{pair[1]}] has norm {res:.3e} > {scale:.3e}")
-    dp, dp_basis = defect(p, pol)
-    dpstar, dpstar_basis = defect(p.conj().T, pol)
+    dp, dp_basis, dp_s = defect(p, pol)
+    dpstar, dpstar_basis, dpstar_s = defect(p.conj().T, pol)
     triple = TetrablockTriple(
         A=a,
         B=b,
@@ -157,8 +162,10 @@ def validate(a, b, p, pol: TolerancePolicy = DEFAULT_POLICY) -> TetrablockTriple
         dpstar=dpstar,
         dp_basis=dp_basis,
         dpstar_basis=dpstar_basis,
-        dp_q=dp @ dp_basis.basis,
-        dpstar_q=dpstar @ dpstar_basis.basis,
+        dp_s=dp_s,
+        dpstar_s=dpstar_s,
+        dp_q=dp_basis.basis * dp_s,
+        dpstar_q=dpstar_basis.basis * dpstar_s,
     )
     triple._norms.update(norms)
     triple.__dict__["_commutators"] = commutators
@@ -242,22 +249,21 @@ def compress(triple: TetrablockTriple, subspace: SubspaceBasis) -> TetrablockTri
     Co-invariance (invariance of the subspace under A*, B*, P*) makes the
     compression multiplicative on polynomials, which is what preserves
     commutation and the contraction bounds; it is checked here via
-    ||(I - Q) X* Q|| <= eq_tol relative, Q the orthogonal projection, under
+    ||X* V - V (V* X* V)|| <= eq_tol relative, V the orthonormal basis, under
     ``DEFAULT_POLICY``, which also validates the result.
     """
     if subspace.ambient_dim != triple.dim:
         raise ShapeError("subspace ambient dimension does not match the triple")
     if subspace.rank == 0:
         raise ShapeError("cannot compress to the zero subspace")
-    q = subspace.projector
-    eye = np.eye(triple.dim)
+    v = subspace.basis
     for name, x in (("A", triple.A), ("B", triple.B), ("P", triple.P)):
-        leak = op_norm((eye - q) @ x.conj().T @ q)
+        image = x.conj().T @ v
+        leak = op_norm(image - v @ (v.conj().T @ image))
         if leak > DEFAULT_POLICY.scaled_eq(triple.norm(name)):
             raise NotCoinvariantError(
                 f"subspace not invariant under {name}*: leak {leak:.3e}"
             )
-    v = subspace.basis
     return validate(
         v.conj().T @ triple.A @ v,
         v.conj().T @ triple.B @ v,

@@ -18,13 +18,13 @@ from tetralab.blh import (
     extraction_roundtrip,
     verify_isometry_propagation,
 )
-from tetralab.charfn import power_tail, theta_coeffs
+from tetralab.charfn import model_pencils, power_tail, theta_coeffs
 from tetralab.fundamental import solve_fundamental
 from tetralab.generate import make_instance
-from tetralab.hardy import AnalyticSymbol, pencil, toeplitz
-from tetralab.matcore import ShapeError, op_norm, range_basis
+from tetralab.hardy import AnalyticSymbol, pencil, pencil_apply, toeplitz
+from tetralab.matcore import ShapeError, TolerancePolicy, op_norm, range_basis
 
-from conftest import p_triple
+from conftest import p_triple, random_contraction
 
 
 # --------------------------------------------------- invariant subspaces
@@ -87,6 +87,47 @@ def test_extract_detects_non_invariant_subspace(rng):
     f2 = 0.45 * (rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
     with pytest.raises(NotDegreeOneError):
         extract_symbols(theta, f1, f2, theta.degree + 3)
+
+
+def blockwise_residuals(theta, f1, f2, n) -> dict[str, float]:
+    """The residual families of ``extract_symbols`` by one norm per block of
+    the compressions T_theta* T_X T_theta, X the two F-pencils."""
+    cut, d = n - theta.degree, theta.d_in
+    t_th = toeplitz(theta, n)[:, : (cut + 1) * d]
+    mats = [t_th.conj().T @ pencil_apply(c0, c1, t_th) for c0, c1 in model_pencils(f1, f2)[:2]]
+
+    def block(mat, i, j):
+        return mat[i * d : (i + 1) * d, j * d : (j + 1) * d]
+
+    pairs = [(i, j) for i in range(cut + 1) for j in range(cut + 1)]
+    return {
+        "toeplitz_on_interior": max(
+            op_norm(block(m, i, j) - block(m, i - min(i, j), j - min(i, j)))
+            for m in mats for i, j in pairs if i and j
+        ),
+        "analytic_on_interior": max(op_norm(block(m, 0, j)) for m in mats for j in range(1, cut + 1)),
+        "degree_le_one_on_interior": max(op_norm(block(m, i, 0)) for m in mats for i in range(2, cut + 1)),
+        "cross_consistency_1": op_norm(block(mats[0], 1, 0) - block(mats[1], 0, 0).conj().T),
+        "cross_consistency_2": op_norm(block(mats[1], 1, 0) - block(mats[0], 0, 0).conj().T),
+    }
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_extract_residual_families_equal_the_blockwise_norms(seed):
+    # a tolerance that lets every family through on a subspace that is not
+    # invariant: the stacked families must give the bits of the largest
+    # block norms, the Toeplitz differences (rounding only, as the
+    # compressions are Toeplitz) as well as the residuals of order one
+    rng = np.random.default_rng(seed)
+    p = random_contraction(rng, 2, norm=0.5)
+    theta = theta_coeffs(p_triple(p), power_tail(p)[0])
+    f1, f2 = (0.45 * (rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))) for _ in range(2))
+    n = theta.degree + 4
+    _, _, rep = extract_symbols(theta, f1, f2, n, TolerancePolicy(eq_tol=1e3))
+    got = {e.name: e.residual for e in rep.entries}
+    for name, expected in blockwise_residuals(theta, f1, f2, n).items():
+        assert expected > 0.0, name
+        assert got[name] == expected, name
 
 
 def test_extract_identity_theta_returns_pencil_constants(rng):

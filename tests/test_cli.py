@@ -5,6 +5,7 @@ console entry point wraps the same function."""
 from __future__ import annotations
 
 import collections
+import hashlib
 import json
 import sys
 
@@ -73,6 +74,20 @@ def test_verify_bidisc_passes(capsys):
     code, out, err = run(capsys, "verify-bidisc", "--degree", "3")
     assert code == 0
     assert "summary:" in out and "PASS" in out
+
+
+def test_verify_bidisc_degree_6_bundle_keeps_its_digest(tmp_path):
+    # the SHA-256 of the bundle in canonical JSON without wall_time_s.  The
+    # bidisc benchmark's worst margin comes from one residual of about 1e-17
+    # in pencil_pencil_intertwine_1/_2, so a single moved bit there can
+    # double that metric; any change of these bytes must be deliberate
+    out = tmp_path / "bidisc.json"
+    assert main(["verify-bidisc", "--degree", "6", "--format", "json", "--out", str(out)]) == 0
+    rest = {k: v for k, v in load_bundle(out).items() if k != "wall_time_s"}
+    text = json.dumps(rest, sort_keys=True, indent=2, allow_nan=False)
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "44db1164dbf5efaca969a3c11cede30760cc48499d613dd92953ab9d482249ec"
+    )
 
 
 def test_random_suite_passes(capsys):
@@ -446,8 +461,10 @@ def test_battery_builds_each_object_once(monkeypatch):
     # before.  Every op_norm is an op_norms of one, and one stacked SVD norms
     # the 20 pencil residuals, the 17 coincidence residuals, ||A||, ||B||,
     # ||P|| and the three commutators of a validation: [101, 114, 224, 100,
-    # 114, 178] SVD calls before
-    assert op_norm_svds == [62, 75, 185, 62, 75, 139]
+    # 114, 178] SVD calls before.  Each solve divides by the spectrum of D_P
+    # that the triple keeps, where the pseudoinverse of Q* D_P Q took two
+    # norms and one eigh: [62, 75, 185, 62, 75, 139] before
+    assert op_norm_svds == [56, 67, 177, 56, 67, 131]
     # no model-space check decomposes a grid-sized matrix of rank <= dim H:
     # on the projector formulas the work was [174960, 86666, 44254782,
     # 174933, 167266, 9166500], 54,025,107 in all; with a gating SVD at each
@@ -462,8 +479,9 @@ def test_battery_builds_each_object_once(monkeypatch):
     # relations, [148662, 79308, 6208407, 148635, 152881, 1291005]; with the
     # commutators normed again by the necessary report, [136566, 77857,
     # 45711, 136539, 150244, 39609]; with 8 radius brackets, [131382, 77482,
-    # 45630, 131355, 149596, 39528]
-    assert works == [110646, 28330, 24894, 110619, 53596, 18792]
+    # 45630, 131355, 149596, 39528]; with the pseudoinverse of Q* D_P Q in
+    # each solve, [110646, 28330, 24894, 110619, 53596, 18792]
+    assert works == [110376, 27562, 24570, 110349, 52096, 18468]
 
 
 def test_verify_bidisc_builds_each_object_once(monkeypatch, capsys):
@@ -518,8 +536,10 @@ def test_verify_bidisc_builds_each_object_once(monkeypatch, capsys):
     # only the characterization of F brackets a radius (4 before, both radii
     # of each solve).  An op_norm SVD is an op_norms call of one; one stacked
     # SVD norms ||A||, ||B||, ||P|| of the validation and one the 20 pencil
-    # residuals: 23 SVD calls before
-    assert decompositions["svd", "op_norms"] == 16
+    # residuals: 23 SVD calls before.  Each solve divides by the spectrum of
+    # D_P that the triple keeps instead of norming Q* D_P Q twice for its
+    # pseudoinverse: 16 before
+    assert decompositions["svd", "op_norms"] == 14
     assert decompositions["svd", "theta_eval"] == 0
     assert norms_computed == {"A": 1, "B": 1, "P": 1}
     # H_P is range(W), from the one thin SVD of W that the functional model
@@ -529,8 +549,9 @@ def test_verify_bidisc_builds_each_object_once(monkeypatch, capsys):
     # check rather than kept on the pair, and 289,719 with H_P from a full
     # SVD of T_Theta and range(W) taken twice, and 260,599 with F and G
     # embedded in the cross relations and normed there, and 244,215 with the
-    # radius brackets of G, which no check reads
-    assert sum(work.values()) == 156407
+    # radius brackets of G, which no check reads, and 156,407 with the
+    # pseudoinverse of Q* D_P Q in each solve
+    assert sum(work.values()) == 155035
 
 
 @pytest.mark.parametrize("n", [2, 3])

@@ -18,7 +18,6 @@ from tetralab.matcore import (
     RADIUS_ROUNDING,
     NotContractiveError,
     NotFiniteError,
-    NotHermitianError,
     NotPSDError,
     ShapeError,
     SubspaceBasis,
@@ -26,7 +25,6 @@ from tetralab.matcore import (
     defect,
     ensure_matrix,
     herm_part,
-    hermitian_pinv,
     numerical_radius,
     op_norm,
     range_basis,
@@ -195,41 +193,21 @@ def test_radius_norm_bounds(rng):
         assert w <= nrm + err + 1e-12
 
 
-# --------------------------------------------------------- pseudoinverse
-
-
-def test_hermitian_pinv_rejects_skew():
-    with pytest.raises(NotHermitianError):
-        hermitian_pinv(np.array([[0.0, 1.0], [0.0, 0.0]]))
-
-
-def test_hermitian_pinv_oracle():
-    h = np.diag([2.0, 0.0, 0.5])
-    pinv = hermitian_pinv(h)
-    assert np.allclose(pinv, np.diag([0.5, 0.0, 2.0]), atol=1e-14)
-
-
-def test_hermitian_pinv_projects(rng):
-    m = rng.standard_normal((4, 2))
-    h = m @ m.T  # rank 2 PSD
-    pinv = hermitian_pinv(herm_part(h.astype(complex)))
-    assert op_norm(h @ pinv @ h - h) < 1e-10
-
-
 # ----------------------------------------------------------------- defect
 
 
 def test_defect_of_truncated_shift_has_rank_one():
     s = np.diag([1.0 + 0j] * 2, -1)  # shift on C^3
-    d, basis = defect(s)
+    d, basis, sv = defect(s)
     assert basis.rank == 1
+    assert sv.tolist() == [1.0]
     assert np.allclose(d, np.diag([0.0, 0.0, 1.0]), atol=1e-14)
     assert np.allclose(np.abs(basis.basis.ravel()), [0.0, 0.0, 1.0], atol=1e-14)
 
 
 def test_defect_of_unitary_is_zero(rng):
     q, _ = np.linalg.qr(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
-    d, basis = defect(q)
+    d, basis, _ = defect(q)
     assert basis.rank == 0
     assert op_norm(d) == 0.0
 
@@ -239,8 +217,8 @@ def test_defect_rank_stable_under_conjugation(rng):
     # though conjugation turns exact zero eigenvalues into round-off
     s = np.diag([1.0 + 0j] * 3, -1)
     q, _ = np.linalg.qr(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
-    _, basis = defect(s)
-    _, basis_conj = defect(q @ s @ q.conj().T)
+    _, basis, _ = defect(s)
+    _, basis_conj, _ = defect(q @ s @ q.conj().T)
     assert basis_conj.rank == basis.rank == 1
 
 
@@ -248,8 +226,8 @@ def test_defect_intertwining_identity(rng):
     # P D_P = D_{P*} P holds for every contraction
     for _ in range(5):
         p = random_contraction(rng, 4)
-        dp, _ = defect(p)
-        ds, _ = defect(p.conj().T)
+        dp, _, _ = defect(p)
+        ds, _, _ = defect(p.conj().T)
         assert op_norm(p @ dp - ds @ p) < 1e-10
 
 
@@ -267,7 +245,7 @@ def test_defect_rejects_indefinite_gramian_complement():
 
 def test_defect_squares_to_gramian_complement(rng):
     t = random_contraction(rng, 5, norm=0.9)
-    d, _ = defect(t)
+    d, _, _ = defect(t)
     assert op_norm(d @ d - (np.eye(5) - t.conj().T @ t)) < 1e-12
     assert op_norm(d - d.conj().T) == 0.0
 
@@ -277,7 +255,7 @@ def test_defect_snaps_noise_eigenvalues(rng):
     # surface as 1e-8 in D_T unless it is clamped to zero first
     q, _ = np.linalg.qr(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
     t = (q * np.sqrt(np.array([0.0, 1.0 - 1e-16, 1.0]))) @ q.conj().T
-    d, basis = defect(t)
+    d, basis, _ = defect(t)
     evals = np.sort(np.linalg.eigvalsh(d))
     assert evals[0] >= -1e-15
     assert evals[1] < 1e-12  # not 1e-8

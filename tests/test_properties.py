@@ -20,6 +20,13 @@ radius from a grid of 256 angles; it must contain the largest support value
 on a 16 times denser grid, over matrices of dimension 1-8: generic, normal,
 nilpotent and scalar multiples of the identity.
 
+``solve_fundamental`` divides Q* R_i Q by s s^T, s the spectrum of D_P on
+its range basis Q that ``defect`` keeps, in place of the pseudoinverse of
+Q* D_P Q; over generated triples, their adjoints and the triples with a
+small eigenvalue of D_P outside Q, F_i must equal the dense sandwich
+pinv(Q* D_P Q) Q* R_i Q pinv(Q* D_P Q) within 1e-12 (1 + ||F_i||), and the
+kept factor D_P Q = Q diag(s) must equal the product D_P Q within 1e-14.
+
 For a unimodular omega, (omega A, omega B, omega^2 P) is a tetrablock
 contraction with fundamental operators (omega F1, omega F2).  On random
 suite instances the rotated solve must give those operators in ambient
@@ -64,7 +71,13 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from conftest import fields_equal, p_triple, spectral_kernel_gap, watch_decompositions  # noqa: E402
+from conftest import (  # noqa: E402
+    defect_outside_basis_triples,
+    fields_equal,
+    p_triple,
+    spectral_kernel_gap,
+    watch_decompositions,
+)
 from tetralab import charfn  # noqa: E402
 from tetralab.fundamental import (  # noqa: E402
     solve_fundamental,
@@ -256,6 +269,34 @@ def fundamental_verdicts(triple) -> tuple[list, object]:
         verify_commutator_transfer(triple, pair_f, pair_g),
     )
     return [(e.name, e.passed, e.skipped) for rep in reports for e in rep.entries], pair_f
+
+
+@st.composite
+def solver_triples(draw):
+    """A generated triple or one of ``defect_outside_basis_triples``, or its adjoint."""
+    edge = draw(st.sampled_from((None, 0, 1)))
+    if edge is None:
+        family, seed = draw(st.sampled_from(FAMILIES)), draw(st.integers(0, 2**32 - 1))
+        index, dim = draw(st.integers(0, 5)), draw(st.sampled_from((3, 6)))
+        triple = make_instance(family, seed, index, dim, degree=3).triple
+    else:
+        triple = defect_outside_basis_triples()[edge]
+    return triple.adjoint() if draw(st.booleans()) else triple
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(triple=solver_triples())
+def test_fundamental_solve_equals_the_pseudoinverse_sandwich(triple):
+    q, dp = triple.dp_basis.basis, triple.dp
+    qh = q.conj().T
+    dinv = np.linalg.pinv(qh @ dp @ q)
+    pair = solve_fundamental(triple)
+    for f, r in (
+        (pair.F1, triple.A - triple.B.conj().T @ triple.P),
+        (pair.F2, triple.B - triple.A.conj().T @ triple.P),
+    ):
+        assert op_norm(f - dinv @ (qh @ r @ q) @ dinv) <= 1e-12 * (1.0 + op_norm(f))
+    assert op_norm(triple.dp_q - dp @ q) <= 1e-14
 
 
 @settings(derandomize=True, max_examples=80, deadline=None)
