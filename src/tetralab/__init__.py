@@ -9,6 +9,7 @@ connecting these objects as residual checks with explicit tolerances.
 
 from .matcore import (
     DEFAULT_POLICY,
+    Defect,
     NotContractiveError,
     NotFiniteError,
     NotPSDError,
@@ -82,6 +83,7 @@ __all__ = [
     "DEFAULT_POLICY",
     "TolerancePolicy",
     "SubspaceBasis",
+    "Defect",
     "TetralabError",
     "ShapeError",
     "NotFiniteError",

@@ -203,7 +203,7 @@ def example_battery(
 
     ``triple`` is ``build(n, pol)``; ``pair_f``, ``pair_g`` and ``model`` are
     its pairs and its degree-n model, all under ``pol``, so n is ``model.N``;
-    ``pure_nilpotent`` reads the model's purity certificate."""
+    ``pure_nilpotent`` reads the triple's purity certificate."""
     n = model.N
     rep = CheckReport(
         title=f"bidisc shift example (n={n})",
@@ -211,7 +211,7 @@ def example_battery(
     )
     rep.extend(necessary_report(triple, pol), prefix="triple_")
 
-    cert = model.purity
+    cert = triple.purity
     rep.check(
         "pure_nilpotent",
         0.0 if (cert.pure and cert.nilpotency_index == n + 1) else float("inf"),
@@ -221,8 +221,8 @@ def example_battery(
 
     near = near_border_projector(n)
     far = far_border_projector(n)
-    rep.check("defect_projector_near", op_norm(triple.dpstar @ triple.dpstar - near), EXACT_TOL)
-    rep.check("defect_projector_far", op_norm(triple.dp @ triple.dp - far), EXACT_TOL)
+    rep.check("defect_projector_near", op_norm(triple.dpstar.op @ triple.dpstar.op - near), EXACT_TOL)
+    rep.check("defect_projector_far", op_norm(triple.dp.op @ triple.dp.op - far), EXACT_TOL)
 
     a, b, p = triple.A, triple.B, triple.P
     bb = border_embedding(n)
@@ -290,6 +290,6 @@ def example_battery(
         )
 
     rep.check("model_tail_zero", model.tail, 0.0)
-    w_from_u = np.kron(np.eye(n + 1), model.dpstar_basis.basis.conj().T @ bb) @ u
+    w_from_u = np.kron(np.eye(n + 1), triple.dpstar.basis.conj().T @ bb) @ u
     rep.check("model_isometry_match", op_norm(model.W - w_from_u), pol.scaled_eq(1.0))
     return rep

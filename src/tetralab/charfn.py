@@ -109,8 +109,8 @@ def _disc_samples(samples) -> tuple[list[complex], float]:
 
 def _theta_zero(triple: TetrablockTriple, pol: TolerancePolicy):
     """Theta_0 = -P restricted to D_P, after checking P maps D_P into D_{P*}."""
-    qs = triple.dpstar_basis.basis
-    image = triple.P @ triple.dp_basis.basis
+    qs = triple.dpstar.basis
+    image = triple.P @ triple.dp.basis
     coords = qs.conj().T @ image
     leak = op_norm(image - qs @ coords)
     allowance = RANK_TOL * (1.0 + triple.norm("P")) + pol.eq_tol
@@ -128,7 +128,7 @@ def _w_rows(triple: TetrablockTriple):
     block k-1) D_P Q for k >= 1, Q the basis of D_P.
     """
     pd = triple.P.conj().T
-    cur = triple.dpstar_q.conj().T
+    cur = triple.dpstar.factor.conj().T
     while True:
         yield cur
         cur = cur @ pd
@@ -144,7 +144,7 @@ def theta_coeffs(triple: TetrablockTriple, n_max: int, pol: TolerancePolicy = DE
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
     rows = islice(_w_rows(triple), n_max)
-    return AnalyticSymbol((_theta_zero(triple, pol), *(row @ triple.dp_q for row in rows)))
+    return AnalyticSymbol((_theta_zero(triple, pol), *(row @ triple.dp.factor for row in rows)))
 
 
 def theta_taylor(triple: TetrablockTriple, degrees, pol: TolerancePolicy = DEFAULT_POLICY) -> list[np.ndarray]:
@@ -162,8 +162,8 @@ def theta_eval(triple: TetrablockTriple, points) -> list[np.ndarray]:
     I - z P* at CLAMP_TOL runs only where Weyl's bounds 1 -+ |z| s on its singular values leave the test open,
     s = sqrt(||P||_1 ||P||_inf) >= ||P|| (Schur's bound) rounded up past the (dim + 2) eps error of its sums.
     No tolerance enters: Theta_0 is taken without the leak check of ``theta_coeffs``."""
-    p, dq, dsq = triple.P, triple.dp_q, triple.dpstar_q
-    theta_0 = -(triple.dpstar_basis.basis.conj().T @ (p @ triple.dp_basis.basis))
+    p, dq, dsq = triple.P, triple.dp.factor, triple.dpstar.factor
+    theta_0 = -(triple.dpstar.basis.conj().T @ (p @ triple.dp.basis))
     eye = np.eye(p.shape[0])
     s = np.sqrt(np.abs(p).sum(0).max(initial=0.0) * np.abs(p).sum(1).max(initial=0.0)) * (1 + 1e-12 + 3e-16 * len(p))
     out = []
@@ -189,7 +189,7 @@ def kernel_identity_check(triple: TetrablockTriple, z: complex, w: complex) -> f
     """
     z, w = complex(z), complex(w)
     tw, tz = theta_eval(triple, (w, z))
-    p, dsq = triple.P, triple.dpstar_q
+    p, dsq = triple.P, triple.dpstar.factor
     n = p.shape[0]
     lhs = np.eye(dsq.shape[1]) - tw @ tz.conj().T
     res_w = np.eye(n) - w * p.conj().T
@@ -226,19 +226,18 @@ def power_tail(p, n: int | None = None) -> tuple[int, float]:
     without a norm: every earlier ||P^k|| >= ||P^k||_F / sqrt(dim) > 1e-12 / sqrt(dim) > POWER_CUTOFF
     while dim < 10^4, so the norms would stop at the same K with c = 0.
     """
-    return _certified_tail(p, n)[1:]
-
-
-def _certified_tail(p, n: int | None, cert=None) -> tuple[PurityCertificate, int, float]:
-    """The PurityCertificate of P (``cert``, else ``is_pure(p)``) that ``power_tail`` checks, then (n, tail)."""
     p = ensure_matrix(p, square=True, name="P")
     if n is not None and n < 0:
         raise ValueError("model degree must be >= 0")
-    cert = is_pure(p) if cert is None else cert
+    return _certified_tail(p, n, is_pure(p))
+
+
+def _certified_tail(p: np.ndarray, n: int | None, cert: PurityCertificate) -> tuple[int, float]:
+    """``power_tail`` of P on its PurityCertificate ``cert``: NotPureError unless pure, then (n, tail)."""
     if not cert:
         raise NotPureError(f"P is not pure (rho = {cert.spectral_radius:.6f})")
     if n is not None and cert.exact_zero and cert.nilpotency_index <= n + 1 and p.shape[0] < 10**4:
-        return cert, n, 0.0
+        return n, 0.0
     *norms, c = _power_norms(p)
     total = sum(nm * nm for nm in norms)
     # tails[k]^2 bounds sum_{m > k} ||P^m||^2; norms[k] = ||P^(k+1)||
@@ -248,7 +247,7 @@ def _certified_tail(p, n: int | None, cert=None) -> tuple[PurityCertificate, int
     tails = np.sqrt(tails[::-1])
     if n is None:
         n = next((k for k, t in enumerate(tails) if t <= TAIL_TARGET), len(norms))
-    return cert, n, float(tails[min(n, len(norms))])
+    return n, float(tails[min(n, len(norms))])
 
 
 @dataclass(frozen=True)
@@ -257,7 +256,7 @@ class ModelData:
 
     W maps the original space into the truncated D_{P*}-valued Hardy grid;
     h_basis spans H_P = range(W), an M x dim H basis; tail bounds the
-    truncation error; purity is the certificate of P the tail was built on.
+    truncation error.
     """
 
     N: int
@@ -265,8 +264,6 @@ class ModelData:
     W: np.ndarray
     h_basis: SubspaceBasis
     tail: float
-    dpstar_basis: SubspaceBasis
-    purity: PurityCertificate
 
 
 def _kernel_gap(rho: float, w: np.ndarray, t: np.ndarray, q: np.ndarray) -> float:
@@ -282,40 +279,31 @@ def _kernel_gap(rho: float, w: np.ndarray, t: np.ndarray, q: np.ndarray) -> floa
     return min(op_norm(t @ y - q @ (y.conj().T @ y)) / sep, 1.0)
 
 
-def build_model(
-    triple: TetrablockTriple, n: int | None = None, pol: TolerancePolicy = DEFAULT_POLICY, purity=None
-) -> ModelData:
+def build_model(triple: TetrablockTriple, n: int | None = None, pol: TolerancePolicy = DEFAULT_POLICY) -> ModelData:
     """Assemble the truncated model of the pure contraction P of ``triple``.
 
     When ``n`` is omitted the smallest degree with tail <= TAIL_TARGET is
-    used.  Purity is checked by the tail computation (NotPureError), which
-    runs before anything of grid size exists; a caller that already holds
-    ``is_pure(triple.P)`` passes it as ``purity`` so that it is not
-    checked twice.  A grid of more than MAX_GRID_DIM coordinates is refused
+    used.  Purity is checked by the tail computation (NotPureError) on
+    ``triple.purity``, which the triple computes once, before anything of
+    grid size exists.  A grid of more than MAX_GRID_DIM coordinates is refused
     before it is allocated.  The Taylor coefficients Theta_k = (row block
     k-1 of W) D_P Q for k >= 1, Q the basis of D_P, are read off the rows of
     W as they are formed.  H_P is range(W), from the thin SVD of W; its
     agreement with Theta is checked by ``verify_model_decomposition``.
     """
-    purity, n, tail = _certified_tail(triple.P, n, purity)
-    sb = triple.dpstar_basis
-    if (n + 1) * sb.rank > MAX_GRID_DIM:
+    if n is not None and n < 0:
+        raise ValueError("model degree must be >= 0")
+    n, tail = _certified_tail(triple.P, n, triple.purity)
+    rank = triple.dpstar.rank
+    if (n + 1) * rank > MAX_GRID_DIM:
         raise GridSizeError(
-            f"model grid of degree {n} over a rank-{sb.rank} defect space "
+            f"model grid of degree {n} over a rank-{rank} defect space "
             f"exceeds {MAX_GRID_DIM} coordinates"
         )
     blocks = list(islice(_w_rows(triple), n + 1))
-    theta = AnalyticSymbol((_theta_zero(triple, pol), *(row @ triple.dp_q for row in blocks[:n])))
+    theta = AnalyticSymbol((_theta_zero(triple, pol), *(row @ triple.dp.factor for row in blocks[:n])))
     w = np.vstack(blocks)
-    return ModelData(
-        N=n,
-        theta=theta,
-        W=w,
-        h_basis=range_basis(w),
-        tail=tail,
-        dpstar_basis=sb,
-        purity=purity,
-    )
+    return ModelData(N=n, theta=theta, W=w, h_basis=range_basis(w), tail=tail)
 
 
 def model_pencils(g1: np.ndarray, g2: np.ndarray) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
@@ -354,7 +342,7 @@ def verify_model_decomposition(model: ModelData, pol: TolerancePolicy = DEFAULT_
     rho = float(np.linalg.norm(resid))
     tol = pol.scaled_eq(1.0)
     rep.check("range_partition", rho, tol)
-    top = model.N * model.dpstar_basis.rank
+    top = model.N * model.theta.d_out
     rep.check("range_partition_interior", float(np.linalg.norm(resid[:top, :top])), tol)
     rep.check("model_space_gap", _kernel_gap(rho, w, t, model.h_basis.basis), 1e-6 + model.tail)
     return rep
@@ -386,7 +374,7 @@ def verify_functional_model(
     factor Y - Q (Q* Y), Y = X* Q, of the M x n basis Q = ``model.h_basis``
     of range(W).
     """
-    _check_basis_match(pair_g, model.dpstar_basis, "verify_functional_model")
+    _check_basis_match(pair_g, triple.dpstar, "verify_functional_model")
     rep = CheckReport(title="functional model intertwining")
     pencils = tuple(zip("ABP", model_pencils(pair_g.F1, pair_g.F2)))
     w = model.W
@@ -457,7 +445,7 @@ def pure_isometry_model(
     The pencil-on-model residual ||(I - P_H) X W_iso|| is normed on the thin
     factor Y - Q_H (Q_H* Y), Y = X W_iso, Q_H the orthonormal basis of H_P.
     """
-    iso = range_complement(triple.dp_basis.basis)
+    iso = range_complement(triple.dp.basis)
     if iso.rank == 0:
         raise NotIsometryLikeError("P has no isometric directions (D_P has full rank)")
     rep = CheckReport(title="truncated isometry model")
@@ -481,15 +469,10 @@ def pure_isometry_model(
         rep.check(f"pencil_on_model_{name}", op_norm(y - qh @ (qh.conj().T @ y)), tol)
     # adjoint-pair symbol conditions, gated to the isometric interior when
     # available; ker(I - X*X) is the range complement of the Hermitian I - X*X
-    qs = triple.dpstar_basis
+    qs = triple.dpstar
     ka = range_complement(eye - triple.A.conj().T @ triple.A)
     kb = range_complement(eye - triple.B.conj().T @ triple.B)
-    stacked = np.vstack(
-        [
-            (eye - ka.projector) @ qs.basis,
-            (eye - kb.projector) @ qs.basis,
-        ]
-    )
+    stacked = np.vstack([qs.basis - k.basis @ (k.basis.conj().T @ qs.basis) for k in (ka, kb)])
     interior = range_complement(stacked.conj().T)
     comm = commutator(g1, g2)
     balance = commutator(g1, g1.conj().T) - commutator(g2, g2.conj().T)

@@ -53,7 +53,7 @@ from .fundamental import (
 from .invariants import unitary_invariant_suite
 from .matcore import DEFAULT_POLICY, MAX_GRID_DIM, GridSizeError, TetralabError, TolerancePolicy
 from .report import CheckReport
-from .triples import is_pure, necessary_report, validate
+from .triples import necessary_report, validate
 
 __all__ = ["main", "build_parser", "run_instance_battery"]
 
@@ -254,7 +254,7 @@ def _cmd_model_check(args, pol: TolerancePolicy) -> tuple[Reports, dict[str, Any
     triple = tio.triple_from_obj(_load_json(args.triple_file), pol)
     reports = [("necessary", necessary_report(triple, pol))]
     rep = CheckReport(title="model check")
-    cert = is_pure(triple.P)
+    cert = triple.purity
     rep.check(
         "pure",
         0.0 if cert.pure else float("inf"),
@@ -265,7 +265,7 @@ def _cmd_model_check(args, pol: TolerancePolicy) -> tuple[Reports, dict[str, Any
         try:
             pair_f = solve_fundamental(triple, pol)
             pair_g = solve_fundamental(triple.adjoint(), pol)
-            model = build_model(triple, args.degree, pol, purity=cert)
+            model = build_model(triple, args.degree, pol)
             rep.check("model_degree", 0.0, 0.0, note=f"N = {model.N}, tail = {model.tail:.2e}")
             rep.extend(verify_model_decomposition(model, pol), prefix="dec_")
             rep.extend(verify_functional_model(triple, model, pair_g, pol), prefix="fm_")

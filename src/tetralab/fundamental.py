@@ -22,7 +22,7 @@ import numpy as np
 from .matcore import (
     DEFAULT_POLICY,
     RANK_TOL,
-    SubspaceBasis,
+    Defect,
     TetralabError,
     TolerancePolicy,
     commutator,
@@ -49,7 +49,8 @@ class SolveFailedError(TetralabError):
 
 @dataclass(frozen=True)
 class FundamentalPair:
-    """Solved pair on the defect space of P, expressed in ``basis``.
+    """Solved pair on the defect space of P, expressed in ``basis``, the
+    ``Defect`` of P it was solved on.
 
     ``norms`` = (||F1||, ||F2||) is computed on first use and kept;
     ``dataclasses.replace`` starts afresh.  The numerical radii are bracketed
@@ -58,7 +59,7 @@ class FundamentalPair:
 
     F1: np.ndarray
     F2: np.ndarray
-    basis: SubspaceBasis
+    basis: Defect
     solve_residual: float
 
     @cached_property
@@ -82,11 +83,11 @@ def solve_fundamental(
     which certifies both that R_i maps into the defect space and vanishes on
     its complement.  Raises SolveFailedError beyond eq_tol * (1+||A||+||B||).
     """
-    q, dq = triple.dp_basis.basis, triple.dp_q
+    q, dq = triple.dp.basis, triple.dp.factor
     qh = q.conj().T
     r1 = triple.A - triple.B.conj().T @ triple.P
     r2 = triple.B - triple.A.conj().T @ triple.P
-    ss = np.outer(triple.dp_s, triple.dp_s)
+    ss = np.outer(triple.dp.s, triple.dp.s)
     f1 = (qh @ r1 @ q) / ss
     f2 = (qh @ r2 @ q) / ss
     res = 0.0
@@ -97,7 +98,7 @@ def solve_fundamental(
         raise SolveFailedError(
             f"fundamental equations unsolvable at tolerance: residual {res:.3e} > {limit:.3e}"
         )
-    return FundamentalPair(F1=f1, F2=f2, basis=triple.dp_basis, solve_residual=res)
+    return FundamentalPair(F1=f1, F2=f2, basis=triple.dp, solve_residual=res)
 
 
 def verify_tetra_characterization(
@@ -115,11 +116,11 @@ def verify_tetra_characterization(
     and the same with F1, F2 swapped.
     """
     rep = CheckReport(title="fundamental characterization")
-    q, dqh = triple.dp_basis.basis, triple.dp_q.conj().T
+    q, dqh = triple.dp.basis, triple.dp.factor.conj().T
     dqh_p = dqh @ triple.P
     scale = pol.scaled_eq(triple.max_norm())
     for name, x, f, g in (("A", triple.A, pair.F1, pair.F2), ("B", triple.B, pair.F2, pair.F1)):
-        resid = triple.dp @ x - q @ (f @ dqh + g.conj().T @ dqh_p)
+        resid = triple.dp.op @ x - q @ (f @ dqh + g.conj().T @ dqh_p)
         rep.check(f"defect_intertwine_{name}", op_norm(resid), scale)
     # w <= w(F) <= w + err decides only when the bracket is on one side of
     # 1 + eq_tol; numerical_radius refines it while it straddles that level
@@ -153,7 +154,7 @@ def verify_difference_identity(
         )
         return rep
     rep.check("hypothesis_F_commute", comm, fscale)
-    f1, f2, dq = pair.F1, pair.F2, triple.dp_q
+    f1, f2, dq = pair.F1, pair.F2, triple.dp.factor
     lhs = triple.A.conj().T @ triple.A - triple.B.conj().T @ triple.B
     rhs = dq @ (f1.conj().T @ f1 - f2.conj().T @ f2) @ dq.conj().T
     rep.check("gramian_difference", op_norm(lhs - rhs), pol.scaled_eq(triple.max_norm()))
@@ -184,12 +185,12 @@ def verify_cross_relations(
     """
     rep = CheckReport(title="cross relations (F vs adjoint G)")
     f1, f2, g1, g2 = pair_f.F1, pair_f.F2, pair_g.F1, pair_g.F2
-    qp, qs = triple.dp_basis.basis, triple.dpstar_basis.basis
-    dq, dsq = triple.dp_q, triple.dpstar_q
+    qp, qs = triple.dp.basis, triple.dpstar.basis
+    dq, dsq = triple.dp.factor, triple.dpstar.factor
     p = triple.P
     pq = p @ qp  # P Q
     qs_pq = qs.conj().T @ pq  # Q_*^* P Q
-    dd = triple.dp @ dsq  # D_P D_{P*} Q_*
+    dd = triple.dp.op @ dsq  # D_P D_{P*} Q_*
     dq_dd = dq.conj().T @ dsq  # Q* D_P D_{P*} Q_*
     pq_qs = pq.conj().T @ qs  # Q* P* Q_*
     ps = p.conj().T @ qs  # P* Q_*

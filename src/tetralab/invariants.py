@@ -141,8 +141,8 @@ def induced_defect_unitary(
         res = op_norm(u @ getattr(triple, name) - getattr(triple_prime, name) @ u)
         if res > pol.scaled_eq(triple.norm(name)):
             raise NotIntertwiningError(f"U does not intertwine {name} (residual {res:.3e})")
-    small_u = triple_prime.dp_basis.basis.conj().T @ u @ triple.dp_basis.basis
-    small_ustar = triple_prime.dpstar_basis.basis.conj().T @ u @ triple.dpstar_basis.basis
+    small_u = triple_prime.dp.basis.conj().T @ u @ triple.dp.basis
+    small_ustar = triple_prime.dpstar.basis.conj().T @ u @ triple.dpstar.basis
     wit = CoincidenceWitness(u=small_u, u_star=small_ustar)
     res = wit.unitarity_residual()
     if res > scale:

@@ -37,6 +37,7 @@ __all__ = [
     "MAX_GRID_DIM",
     "GridSizeError",
     "SubspaceBasis",
+    "Defect",
     "ensure_matrix",
     "op_norm",
     "op_norms",
@@ -187,15 +188,22 @@ class SubspaceBasis:
     def rank(self) -> int:
         return self.basis.shape[1]
 
-    @property
-    def projector(self) -> np.ndarray:
-        """Orthogonal projection onto the subspace, as an ambient matrix."""
-        return self.basis @ self.basis.conj().T
+
+@dataclass(frozen=True)
+class Defect(SubspaceBasis):
+    """The defect data of a contraction T: ``basis`` is the orthonormal basis Q
+    of the range of ``op`` = D_T, ``s`` the eigenvalues of D_T on Q and
+    ``factor`` = D_T Q = Q diag(s), the dim x rank operand through which
+    every defect-space identity applies D_T."""
+
+    op: np.ndarray
+    s: np.ndarray
+    factor: np.ndarray
 
 
-def defect(t, pol: TolerancePolicy = DEFAULT_POLICY) -> tuple[np.ndarray, SubspaceBasis, np.ndarray]:
-    """Defect operator D_T = (I - T*T)^(1/2), a basis Q of its range and the
-    eigenvalues s of D_T on Q, so that D_T Q = Q diag(s).
+def defect(t, pol: TolerancePolicy = DEFAULT_POLICY) -> Defect:
+    """The ``Defect`` of T: D_T = (I - T*T)^(1/2), a basis Q of its range, the
+    eigenvalues s of D_T on Q and the factor D_T Q = Q diag(s).
 
     Raises ``NotContractiveError`` when ||T|| > 1 + eq_tol.  The range basis
     keeps the eigenvectors whose eigenvalue of I - T*T exceeds RANK_TOL
@@ -223,7 +231,8 @@ def defect(t, pol: TolerancePolicy = DEFAULT_POLICY) -> tuple[np.ndarray, Subspa
     # numerically unitary T gets an exactly empty defect space
     mask = w > RANK_TOL * max(float(w.max()) if w.size else 0.0, 1.0)
     order = np.argsort(s[mask])[::-1]
-    return d, SubspaceBasis(v[:, mask][:, order]), s[mask][order]
+    q, s = v[:, mask][:, order], s[mask][order]
+    return Defect(q, op=d, s=s, factor=q * s)
 
 
 def range_basis(m) -> SubspaceBasis:

@@ -18,6 +18,7 @@ from .hardy import pencil, toeplitz
 from .matcore import (
     DEFAULT_POLICY,
     RANK_TOL,
+    Defect,
     NotContractiveError,
     ShapeError,
     SubspaceBasis,
@@ -54,31 +55,24 @@ class NotCoinvariantError(TetralabError):
 
 @dataclass(frozen=True)
 class TetrablockTriple:
-    """Validated commuting triple with cached defect operators of P.
+    """Validated commuting triple with the cached defect data of P.
 
-    dp / dpstar are the defect operators D_P and D_{P*}; dp_basis and
-    dpstar_basis are orthonormal bases Q, Q_* of their ranges, dp_s and
-    dpstar_s the eigenvalues of D_P on Q and of D_{P*} on Q_*, and dp_q =
-    D_P Q = Q diag(dp_s), dpstar_q = D_{P*} Q_* the dim x rank factors
-    through which every defect-space identity applies them.  All downstream
-    batteries express operators on the defect spaces in these bases, so a
-    triple is the single source of basis conventions for its own checks.  It
-    also owns ||A||, ||B||, ||P|| (``norm``), which tolerances scale with,
-    and the commutator norms ``validate`` checked, which ``necessary_report``
-    records.
+    dp / dpstar are the ``Defect`` of P and of P*: D_P and D_{P*}, the
+    orthonormal bases Q, Q_* of their ranges, their spectra on them and the
+    dim x rank factors D_P Q, D_{P*} Q_* through which every defect-space
+    identity applies them.  All downstream batteries express operators on
+    the defect spaces in these bases, so a triple is the single source of
+    basis conventions for its own checks.  It also owns ||A||, ||B||, ||P||
+    (``norm``), which tolerances scale with, the commutator norms
+    ``validate`` checked, which ``necessary_report`` records, and the
+    ``purity`` certificate of P, computed on first read.
     """
 
     A: np.ndarray
     B: np.ndarray
     P: np.ndarray
-    dp: np.ndarray
-    dpstar: np.ndarray
-    dp_basis: SubspaceBasis
-    dpstar_basis: SubspaceBasis
-    dp_s: np.ndarray
-    dpstar_s: np.ndarray
-    dp_q: np.ndarray
-    dpstar_q: np.ndarray
+    dp: Defect
+    dpstar: Defect
 
     @property
     def dim(self) -> int:
@@ -92,16 +86,16 @@ class TetrablockTriple:
         checked.  The result equals ``validate(A*, B*, P*)`` field by field.
         """
         a, b, p = (np.ascontiguousarray(m.conj().T) for m in (self.A, self.B, self.P))
-        adj = TetrablockTriple(
-            a, b, p, dp=self.dpstar, dpstar=self.dp,
-            dp_basis=self.dpstar_basis, dpstar_basis=self.dp_basis,
-            dp_s=self.dpstar_s, dpstar_s=self.dp_s,
-            dp_q=self.dpstar_q, dpstar_q=self.dp_q,
-        )
+        adj = TetrablockTriple(a, b, p, dp=self.dpstar, dpstar=self.dp)
         # the adjoints of one triple share one norm cache, so each norm is
         # computed once; keeping the adjoint itself would hold three matrices
         adj.__dict__["_norms"] = self.__dict__.setdefault("_adjoint_norms", {})
         return adj
+
+    @cached_property
+    def purity(self) -> PurityCertificate:
+        """``is_pure(P)``, computed on first read and kept."""
+        return is_pure(self.P)
 
     @cached_property
     def _norms(self) -> dict[str, float]:
@@ -134,9 +128,8 @@ def validate(a, b, p, pol: TolerancePolicy = DEFAULT_POLICY) -> TetrablockTriple
     """Check necessary conditions and build the triple with cached defects.
 
     Checks: equal square shapes; pairwise commutation within eq_tol
-    (relative); ||A||, ||B||, ||P|| <= 1 + eq_tol.  The defect operators of P
-    with their range bases, their spectra on them and the factors D_P Q,
-    D_{P*} Q_* are computed once here and cached.
+    (relative); ||A||, ||B||, ||P|| <= 1 + eq_tol.  The ``Defect`` of P and
+    of P* is computed once here and cached.
     """
     a = ensure_matrix(a, square=True, name="A")
     b = ensure_matrix(b, square=True, name="B")
@@ -152,21 +145,7 @@ def validate(a, b, p, pol: TolerancePolicy = DEFAULT_POLICY) -> TetrablockTriple
     for pair, res in commutators.items():
         if res > scale:
             raise NonCommutingError(f"[{pair[0]},{pair[1]}] has norm {res:.3e} > {scale:.3e}")
-    dp, dp_basis, dp_s = defect(p, pol)
-    dpstar, dpstar_basis, dpstar_s = defect(p.conj().T, pol)
-    triple = TetrablockTriple(
-        A=a,
-        B=b,
-        P=p,
-        dp=dp,
-        dpstar=dpstar,
-        dp_basis=dp_basis,
-        dpstar_basis=dpstar_basis,
-        dp_s=dp_s,
-        dpstar_s=dpstar_s,
-        dp_q=dp_basis.basis * dp_s,
-        dpstar_q=dpstar_basis.basis * dpstar_s,
-    )
+    triple = TetrablockTriple(a, b, p, dp=defect(p, pol), dpstar=defect(p.conj().T, pol))
     triple._norms.update(norms)
     triple.__dict__["_commutators"] = commutators
     return triple

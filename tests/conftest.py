@@ -1,8 +1,8 @@
 """Shared fixtures: deterministic RNG streams, cached instance suites, the
-triple of a bare contraction, a field-by-field equality, a call counter,
-watches on ``numpy.linalg``, the dense construction of the model space, the
-dense grid formulas of the model-space residuals and the dense embedded
-formulas of the defect-space residuals."""
+triple of a bare contraction, the projector onto a subspace, a field-by-field
+equality, a call counter, watches on ``numpy.linalg``, the dense construction
+of the model space, the dense grid formulas of the model-space residuals and
+the dense embedded formulas of the defect-space residuals."""
 
 from __future__ import annotations
 
@@ -45,6 +45,11 @@ def p_triple(p) -> TetrablockTriple:
     """The validated triple (0, 0, P): the defect data of a bare contraction P."""
     zero = np.zeros(np.shape(p))
     return validate(zero, zero, p)
+
+
+def projector(sub: SubspaceBasis) -> np.ndarray:
+    """Orthogonal projection onto ``sub``, as an ambient matrix."""
+    return sub.basis @ sub.basis.conj().T
 
 
 def fields_equal(x, y) -> bool:
@@ -145,7 +150,7 @@ def spectral_kernel_gap(w, t) -> float:
 
 def dense_coinvariance(model, pair_g) -> dict[str, tuple[float, float]]:
     """(||(I - q) X* q||, ||X||) per model operator X, q the projection onto range(W)."""
-    q = range_basis(model.W).projector
+    q = projector(range_basis(model.W))
     eye = np.eye(q.shape[0])
     ops = zip("ABP", dense_model_operators(pair_g, model.N))
     return {name: (op_norm((eye - q) @ x.conj().T @ q), op_norm(x)) for name, x in ops}
@@ -153,9 +158,9 @@ def dense_coinvariance(model, pair_g) -> dict[str, tuple[float, float]]:
 
 def dense_pencil_on_model(triple, model, pair_g) -> dict[str, tuple[float, float]]:
     """(||(I - q_H) X W_iso||, ||X||) per model operator X, q_H the projection onto H_P."""
-    qh = model.h_basis.projector
+    qh = projector(model.h_basis)
     eye = np.eye(qh.shape[0])
-    w_iso = model.W @ range_complement(triple.dp_basis.basis).basis
+    w_iso = model.W @ range_complement(triple.dp.basis).basis
     ops = zip("ABP", dense_model_operators(pair_g, model.N))
     return {name: (op_norm((eye - qh) @ x @ w_iso), op_norm(x)) for name, x in ops}
 
@@ -165,7 +170,7 @@ def dense_intertwine(model, model_prime, u_star, pair_g, pair_g_prime) -> dict[s
     model operators: U = I (x) u*, q_H and q_H' the projections onto H_P and
     H_P', X and X' the Toeplitz matrices of G1* + G2 z, G2* + G1 z and z I."""
     big = np.kron(np.eye(model.N + 1), u_star)
-    qh, qh_p = model.h_basis.projector, model_prime.h_basis.projector
+    qh, qh_p = projector(model.h_basis), projector(model_prime.h_basis)
     ops, ops_p = dense_model_operators(pair_g, model.N), dense_model_operators(pair_g_prime, model.N)
     return {
         name: (op_norm(qh_p @ big @ qh @ x @ qh - qh_p @ x_p @ qh_p @ big @ qh), max(op_norm(x), op_norm(x_p)))
@@ -216,7 +221,7 @@ def embedded(pair) -> list[np.ndarray]:
 
 def dense_solve_residual(triple, pair) -> float:
     """max_i ||D_P (Q F_i Q*) D_P - R_i||, R_1 = A - B*P, R_2 = B - A*P."""
-    a, b, p, dp = triple.A, triple.B, triple.P, triple.dp
+    a, b, p, dp = triple.A, triple.B, triple.P, triple.dp.op
     rhs = a - b.conj().T @ p, b - a.conj().T @ p
     return max(op_norm(dp @ f @ dp - r) for f, r in zip(embedded(pair), rhs))
 
@@ -227,7 +232,7 @@ def dense_fundamental(triple, pair_f, pair_g) -> dict[str, tuple[float, float]]:
     f1, f2 = embedded(pair_f)
     g1, g2 = embedded(pair_g)
     a, b, p = triple.A, triple.B, triple.P
-    dp, ds = triple.dp, triple.dpstar
+    dp, ds = triple.dp.op, triple.dpstar.op
     qp, qs = pair_f.basis.basis, pair_g.basis.basis
     ph = p.conj().T
     scale = max(triple.max_norm(), *pair_f.norms, *pair_g.norms)
@@ -248,13 +253,13 @@ def dense_fundamental(triple, pair_f, pair_g) -> dict[str, tuple[float, float]]:
 def dense_theta(triple, z: complex) -> np.ndarray:
     """Q_*^* (-P + z D_{P*} (I - z P*)^{-1} D_P) Q."""
     p = triple.P
-    middle = -p + z * (triple.dpstar @ np.linalg.solve(np.eye(len(p)) - z * p.conj().T, triple.dp))
-    return triple.dpstar_basis.basis.conj().T @ middle @ triple.dp_basis.basis
+    middle = -p + z * (triple.dpstar.op @ np.linalg.solve(np.eye(len(p)) - z * p.conj().T, triple.dp.op))
+    return triple.dpstar.basis.conj().T @ middle @ triple.dp.basis
 
 
 def dense_kernel_identity(triple, z: complex, w: complex) -> float:
     """||I - Theta(w) Theta(z)* - (1 - w conj(z)) Q_*^* D_{P*} (I - w P*)^{-1} (I - conj(z) P)^{-1} D_{P*} Q_*||."""
-    p, ds, qs = triple.P, triple.dpstar, triple.dpstar_basis.basis
+    p, ds, qs = triple.P, triple.dpstar.op, triple.dpstar.basis
     eye = np.eye(len(p))
     core = ds @ np.linalg.solve(eye - w * p.conj().T, np.linalg.solve(eye - np.conj(z) * p, ds))
     lhs = np.eye(qs.shape[1]) - dense_theta(triple, w) @ dense_theta(triple, z).conj().T

@@ -24,7 +24,7 @@ from tetralab.generate import make_instance
 from tetralab.hardy import AnalyticSymbol, pencil, pencil_apply, toeplitz
 from tetralab.matcore import ShapeError, TolerancePolicy, op_norm, range_basis
 
-from conftest import p_triple, random_contraction
+from conftest import p_triple, projector, random_contraction
 
 
 # --------------------------------------------------- invariant subspaces
@@ -40,7 +40,7 @@ def test_check_invariance_for_fundamental_pencils():
     theta = theta_coeffs(triple.adjoint(), power_tail(triple.P)[0] + 1)
     n = theta.degree + 3
     d = theta.d_out
-    q = range_basis(toeplitz(theta, n)).projector
+    q = projector(range_basis(toeplitz(theta, n)))
     eye = np.eye((n + 1) * d)
     tol = 1e-10 * (1.0 + max(op_norm(f1), op_norm(f2)))
     for x in (

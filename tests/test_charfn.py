@@ -535,7 +535,7 @@ def test_model_space_checks_hand_op_norm_thin_operands(monkeypatch, small_suite)
         assert k == n
         assert shapes("_kernel_gap") == {(m, n)}
         assert shapes("verify_functional_model") == {(m, n)}
-        iso_rank = range_complement(t.dp_basis.basis).rank
+        iso_rank = range_complement(t.dp.basis).rank
         if iso_rank:
             seen.clear()
             pure_isometry_model(t, model, pair_g, dec, fm)

@@ -76,18 +76,26 @@ def test_verify_bidisc_passes(capsys):
     assert "summary:" in out and "PASS" in out
 
 
-def test_verify_bidisc_degree_6_bundle_keeps_its_digest(tmp_path):
-    # the SHA-256 of the bundle in canonical JSON without wall_time_s.  The
-    # bidisc benchmark's worst margin comes from one residual of about 1e-17
-    # in pencil_pencil_intertwine_1/_2, so a single moved bit there can
-    # double that metric; any change of these bytes must be deliberate
+@pytest.mark.parametrize(
+    "degree, digest",
+    [
+        (6, "44db1164dbf5efaca969a3c11cede30760cc48499d613dd92953ab9d482249ec"),
+        (14, "f536f340d88681c701f8367e42e489d58b0d6706da8c8f23ca5b43e0192c49f8"),
+    ],
+    ids=["6", "14"],
+)
+def test_verify_bidisc_bundle_keeps_its_digest(tmp_path, degree, digest):
+    # the SHA-256 of the bundle in canonical JSON without wall_time_s; it
+    # reads the same with one BLAS thread, two, or the default.  Degree 14 is
+    # the bidisc benchmark's shape: its worst margin (4.58e-9) comes from one
+    # residual of about 1e-17 in pencil_pencil_intertwine_1/_2, so a single
+    # moved bit there can double that metric; any change of these bytes must
+    # be deliberate
     out = tmp_path / "bidisc.json"
-    assert main(["verify-bidisc", "--degree", "6", "--format", "json", "--out", str(out)]) == 0
+    assert main(["verify-bidisc", "--degree", str(degree), "--format", "json", "--out", str(out)]) == 0
     rest = {k: v for k, v in load_bundle(out).items() if k != "wall_time_s"}
     text = json.dumps(rest, sort_keys=True, indent=2, allow_nan=False)
-    assert hashlib.sha256(text.encode()).hexdigest() == (
-        "44db1164dbf5efaca969a3c11cede30760cc48499d613dd92953ab9d482249ec"
-    )
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def test_random_suite_passes(capsys):
@@ -645,16 +653,18 @@ def test_pencil_intertwining_refuses_samples_outside_disc(monkeypatch, small_sui
 
 
 def test_build_model_checks_purity_once(monkeypatch, capsys, tmp_path):
-    # one power_tail call per model, with or without a degree, and per
-    # extraction round trip, none in a round trip fed a model's truncation;
-    # model-check hands the certificate of its "pure" check to the model
+    # one is_pure call per triple: the first model reads triple.purity and
+    # a second model of the same triple reads the kept certificate (it made
+    # 1 call when build_model checked purity itself); one per extraction
+    # round trip, none in a round trip fed a model's truncation; model-check
+    # reads the certificate of its "pure" check from the triple
     triple = make_instance("scalars", seed=61, index=0, dim=3, degree=4).triple
     calls = count_calls(monkeypatch, is_pure)
     model = build_model(triple)
     assert calls["is_pure"] == 1
     calls["is_pure"] = 0
     build_model(triple, model.N)
-    assert calls["is_pure"] == 1
+    assert calls["is_pure"] == 0
     calls["is_pure"] = 0
     grid = build_grid(2)
     assert extraction_roundtrip(grid)[2].overall
@@ -673,8 +683,9 @@ def test_build_model_checks_purity_once(monkeypatch, capsys, tmp_path):
 @pytest.mark.parametrize("p, code", [(np.eye(2), 1), (np.array([[0.999]]), 2)], ids=["not-pure", "refused-grid"])
 def test_model_check_checks_purity_once(monkeypatch, capsys, tmp_path, p, code):
     # as on the pure input of test_build_model_checks_purity_once, the model
-    # is built on the certificate of the "pure" check: P = I is not pure (a
-    # failed check), and P = 0.999 needs a model grid too large (input error)
+    # is built on the certificate of the "pure" check, kept on the triple:
+    # P = I is not pure (a failed check), and P = 0.999 needs a model grid
+    # too large (input error)
     path = tmp_path / "triple.json"
     zero = io.matrix_to_obj(np.zeros(p.shape))
     path.write_text(io.dumps({"A": zero, "B": zero, "P": io.matrix_to_obj(p)}))

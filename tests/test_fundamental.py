@@ -31,6 +31,7 @@ from conftest import (
     dense_solve_residual,
     p_triple,
     perturbed,
+    projector,
 )
 
 
@@ -72,8 +73,8 @@ def test_methods_agree(small_suite, pol):
     # solution is unique
     for inst in small_suite:
         t = inst.triple
-        q = t.dp_basis.basis
-        dtil = q.conj().T @ t.dp @ q
+        q = t.dp.basis
+        dtil = q.conj().T @ t.dp.op @ q
         pair = solve_fundamental(t, pol)
         for f, rhs in (
             (pair.F1, t.A - t.B.conj().T @ t.P),
@@ -96,7 +97,7 @@ def test_solution_supported_on_defect_space():
     inst = make_instance("compressions", seed=3, index=0, dim=12, degree=4)
     pair = solve_fundamental(inst.triple)
     f1_full = pair.basis.basis @ pair.F1 @ pair.basis.basis.conj().T
-    comp = np.eye(f1_full.shape[0]) - pair.basis.projector
+    comp = np.eye(f1_full.shape[0]) - projector(pair.basis)
     assert op_norm(comp @ f1_full) < 1e-12
     assert op_norm(f1_full @ comp) < 1e-12
 
@@ -233,7 +234,7 @@ def test_defect_space_residuals_equal_the_dense_formulas(small_suite, rng):
     # where a residual that projected D_P onto range(Q) would differ
     gramians = 0
     edges = defect_outside_basis_triples()
-    assert all(t.dp_basis.rank == 1 and np.linalg.eigvalsh(t.dp)[0] > 9e-6 for t in edges)
+    assert all(t.dp.rank == 1 and np.linalg.eigvalsh(t.dp.op)[0] > 9e-6 for t in edges)
     for t in [inst.triple for inst in small_suite] + edges:
         pair_f, pair_g = solve_fundamental(t), solve_fundamental(t.adjoint())
         dense = dense_solve_residual(t, pair_f)

@@ -32,7 +32,7 @@ from tetralab.matcore import (
     subspace_gap,
 )
 
-from conftest import count_calls, forbid_linalg, random_contraction, watch_decompositions
+from conftest import count_calls, forbid_linalg, projector, random_contraction, watch_decompositions
 
 
 # ---------------------------------------------------------------- basics
@@ -198,18 +198,18 @@ def test_radius_norm_bounds(rng):
 
 def test_defect_of_truncated_shift_has_rank_one():
     s = np.diag([1.0 + 0j] * 2, -1)  # shift on C^3
-    d, basis, sv = defect(s)
-    assert basis.rank == 1
-    assert sv.tolist() == [1.0]
-    assert np.allclose(d, np.diag([0.0, 0.0, 1.0]), atol=1e-14)
-    assert np.allclose(np.abs(basis.basis.ravel()), [0.0, 0.0, 1.0], atol=1e-14)
+    dt = defect(s)
+    assert dt.rank == 1
+    assert dt.s.tolist() == [1.0]
+    assert np.allclose(dt.op, np.diag([0.0, 0.0, 1.0]), atol=1e-14)
+    assert np.allclose(np.abs(dt.basis.ravel()), [0.0, 0.0, 1.0], atol=1e-14)
 
 
 def test_defect_of_unitary_is_zero(rng):
     q, _ = np.linalg.qr(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
-    d, basis, _ = defect(q)
-    assert basis.rank == 0
-    assert op_norm(d) == 0.0
+    dt = defect(q)
+    assert dt.rank == 0
+    assert op_norm(dt.op) == 0.0
 
 
 def test_defect_rank_stable_under_conjugation(rng):
@@ -217,17 +217,14 @@ def test_defect_rank_stable_under_conjugation(rng):
     # though conjugation turns exact zero eigenvalues into round-off
     s = np.diag([1.0 + 0j] * 3, -1)
     q, _ = np.linalg.qr(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
-    _, basis, _ = defect(s)
-    _, basis_conj, _ = defect(q @ s @ q.conj().T)
-    assert basis_conj.rank == basis.rank == 1
+    assert defect(q @ s @ q.conj().T).rank == defect(s).rank == 1
 
 
 def test_defect_intertwining_identity(rng):
     # P D_P = D_{P*} P holds for every contraction
     for _ in range(5):
         p = random_contraction(rng, 4)
-        dp, _, _ = defect(p)
-        ds, _, _ = defect(p.conj().T)
+        dp, ds = defect(p).op, defect(p.conj().T).op
         assert op_norm(p @ dp - ds @ p) < 1e-10
 
 
@@ -245,7 +242,7 @@ def test_defect_rejects_indefinite_gramian_complement():
 
 def test_defect_squares_to_gramian_complement(rng):
     t = random_contraction(rng, 5, norm=0.9)
-    d, _, _ = defect(t)
+    d = defect(t).op
     assert op_norm(d @ d - (np.eye(5) - t.conj().T @ t)) < 1e-12
     assert op_norm(d - d.conj().T) == 0.0
 
@@ -255,12 +252,12 @@ def test_defect_snaps_noise_eigenvalues(rng):
     # surface as 1e-8 in D_T unless it is clamped to zero first
     q, _ = np.linalg.qr(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
     t = (q * np.sqrt(np.array([0.0, 1.0 - 1e-16, 1.0]))) @ q.conj().T
-    d, basis, _ = defect(t)
-    evals = np.sort(np.linalg.eigvalsh(d))
+    dt = defect(t)
+    evals = np.sort(np.linalg.eigvalsh(dt.op))
     assert evals[0] >= -1e-15
     assert evals[1] < 1e-12  # not 1e-8
     assert evals[2] == pytest.approx(1.0, abs=1e-10)
-    assert basis.rank == 1
+    assert dt.rank == 1
 
 
 # ------------------------------------------------------- rank decisions
@@ -302,7 +299,7 @@ def test_orth_complement_roundtrip(rng):
     comp = range_complement(sub.basis)
     assert sub.rank + comp.rank == 5
     assert op_norm(sub.basis.conj().T @ comp.basis) < 1e-12
-    proj_sum = sub.projector + comp.projector
+    proj_sum = projector(sub) + projector(comp)
     assert op_norm(proj_sum - np.eye(5)) < 1e-12
 
 
@@ -364,7 +361,7 @@ def test_basis_acceptance_is_the_spectral_rule(rng):
 
 def test_projector_idempotent(rng):
     sub = range_basis(rng.standard_normal((6, 3)))
-    p = sub.projector
+    p = projector(sub)
     assert op_norm(p @ p - p) < 1e-12
     assert op_norm(p - p.conj().T) < 1e-12
 

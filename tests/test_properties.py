@@ -75,6 +75,7 @@ from conftest import (  # noqa: E402
     defect_outside_basis_triples,
     fields_equal,
     p_triple,
+    projector,
     spectral_kernel_gap,
     watch_decompositions,
 )
@@ -287,7 +288,7 @@ def solver_triples(draw):
 @settings(derandomize=True, max_examples=100, deadline=None)
 @given(triple=solver_triples())
 def test_fundamental_solve_equals_the_pseudoinverse_sandwich(triple):
-    q, dp = triple.dp_basis.basis, triple.dp
+    q, dp = triple.dp.basis, triple.dp.op
     qh = q.conj().T
     dinv = np.linalg.pinv(qh @ dp @ q)
     pair = solve_fundamental(triple)
@@ -296,7 +297,7 @@ def test_fundamental_solve_equals_the_pseudoinverse_sandwich(triple):
         (pair.F2, triple.B - triple.A.conj().T @ triple.P),
     ):
         assert op_norm(f - dinv @ (qh @ r @ q) @ dinv) <= 1e-12 * (1.0 + op_norm(f))
-    assert op_norm(triple.dp_q - dp @ q) <= 1e-14
+    assert op_norm(triple.dp.factor - dp @ q) <= 1e-14
 
 
 @settings(derandomize=True, max_examples=80, deadline=None)
@@ -353,7 +354,7 @@ def test_subspace_gap_equals_the_projector_difference(m, frac_a, frac_b, nearnes
         b = orthonormal(gaussian(round(frac_b * m)))
     else:
         b = orthonormal(a.basis + nearness * gaussian(ra))
-    assert abs(subspace_gap(a, b) - op_norm(a.projector - b.projector)) <= 1e-13
+    assert abs(subspace_gap(a, b) - op_norm(projector(a) - projector(b))) <= 1e-13
 
 
 def moved_toeplitz(rng, delta, built):
@@ -388,7 +389,7 @@ def test_range_partition_bounds_the_dense_residual_norm(kind, dim, seed, norm, d
     entries = {e.name: e.residual for e in rep.entries}
     w, t = model.W, built[-1]
     dense = w @ w.conj().T + t @ t.conj().T - np.eye(len(w))
-    top = model.N * model.dpstar_basis.rank
+    top = model.N * model.theta.d_out
     for name, r in (("range_partition", dense), ("range_partition_interior", dense[:top, :top])):
         exact = op_norm(r)
         assert exact - 1e-13 <= entries[name] <= np.sqrt(max(len(r), 1)) * exact + 1e-13, name

@@ -34,7 +34,7 @@ def test_validate_accepts_scalar_point():
     t = scalar_triple(0.3, 0.2 + 0.1j, 0.05)
     assert t.A.shape == (1, 1)
     # defect operators are computed on construction
-    assert t.dp[0, 0] == pytest.approx(np.sqrt(1 - 0.05**2))
+    assert t.dp.op[0, 0] == pytest.approx(np.sqrt(1 - 0.05**2))
 
 
 def test_validate_rejects_noncommuting():
@@ -60,8 +60,11 @@ def test_adjoint_swaps_defects():
     t = scalar_triple(0.3, 0.1, 0.25)
     adj = t.adjoint()
     assert adj.A[0, 0] == np.conj(t.A[0, 0])
-    assert np.array_equal(adj.dp, t.dpstar)
-    assert np.array_equal(adj.dpstar, t.dp)
+    # the adjoint holds the same two Defect objects, swapped
+    assert adj.dp is t.dpstar
+    assert adj.dpstar is t.dp
+    # the factor D_P Q is Q diag(s), formed once by defect()
+    assert t.dp.factor.tobytes() == (t.dp.basis * t.dp.s).tobytes()
     # adjoint is an involution up to exact equality
     back = adj.adjoint()
     assert np.array_equal(back.A, t.A)
