@@ -141,9 +141,9 @@ def extract_symbols(
 def extraction_roundtrip(
     triple: TetrablockTriple, pol: TolerancePolicy = DEFAULT_POLICY
 ) -> tuple[np.ndarray, np.ndarray, CheckReport]:
-    """``roundtrip_battery`` on the pairs of ``triple`` and ``power_tail(triple.P)``, computed here."""
+    """``roundtrip_battery`` on the pairs of ``triple`` and ``power_tail(triple)``, computed here."""
     pair_f, pair_g = solve_fundamental(triple, pol), solve_fundamental(triple.adjoint(), pol)
-    return roundtrip_battery(triple, pair_f, pair_g, *power_tail(triple.P), pol)
+    return roundtrip_battery(triple, pair_f, pair_g, *power_tail(triple), pol)
 
 
 def roundtrip_battery(

@@ -44,14 +44,14 @@ from .matcore import (
     TetralabError,
     TolerancePolicy,
     commutator,
-    ensure_matrix,
+    herm_part,
     op_norm,
     op_norms,
     range_basis,
     range_complement,
 )
 from .report import CheckReport
-from .triples import PurityCertificate, TetrablockTriple, is_pure
+from .triples import TetrablockTriple
 
 __all__ = [
     "NotPureError",
@@ -160,12 +160,12 @@ def theta_eval(triple: TetrablockTriple, points) -> list[np.ndarray]:
     """Theta_P(z) in the defect bases, one per z in ``points``: -Q*^* P Q + z (D_{P*} Q*)^* (I - z P*)^{-1} D_P Q,
     Q and Q* the bases of D_P and D_{P*}, one solve against the dim x rank D_P Q per point.  The SVD refusing
     I - z P* at CLAMP_TOL runs only where Weyl's bounds 1 -+ |z| s on its singular values leave the test open,
-    s = sqrt(||P||_1 ||P||_inf) >= ||P|| (Schur's bound) rounded up past the (dim + 2) eps error of its sums.
-    No tolerance enters: Theta_0 is taken without the leak check of ``theta_coeffs``."""
+    s >= ||P|| the kept ||P|| rounded up by 1e-12, past the error of the SVD that computed it.  No tolerance
+    enters: Theta_0 is taken without the leak check of ``theta_coeffs``."""
     p, dq, dsq = triple.P, triple.dp.factor, triple.dpstar.factor
     theta_0 = -(triple.dpstar.basis.conj().T @ (p @ triple.dp.basis))
     eye = np.eye(p.shape[0])
-    s = np.sqrt(np.abs(p).sum(0).max(initial=0.0) * np.abs(p).sum(1).max(initial=0.0)) * (1 + 1e-12 + 3e-16 * len(p))
+    s = triple.norm("P") * (1 + 1e-12)
     out = []
     for z in points:
         z = complex(z)
@@ -214,10 +214,11 @@ def _power_norms(p: np.ndarray) -> list[float]:
     raise TetralabError(f"||P^k|| still {norms[-1]:.3e} after {MAX_POWERS} powers; P decays too slowly")
 
 
-def power_tail(p, n: int | None = None) -> tuple[int, float]:
-    """Truncation degree n and an upper bound on (sum_{m > n} ||P^m||^2)^(1/2).
+def power_tail(triple: TetrablockTriple, n: int | None = None) -> tuple[int, float]:
+    """Truncation degree n and an upper bound on (sum_{m > n} ||P^m||^2)^(1/2) for the P of ``triple``.
 
-    Checks purity (NotPureError) and forms ||P^k||, k = 1, 2, ..., until the first c = ||P^K|| <= POWER_CUTOFF.
+    Reads purity from ``triple.purity`` (NotPureError unless pure) and forms ||P^k||, k = 1, 2, ..., until
+    the first c = ||P^K|| <= POWER_CUTOFF.
     Since ||P^(K+j)|| <= c ||P^j||, the remainder sum_{m >= K} ||P^m||^2 is at most c^2 (1 + T) / (1 - c^2),
     T the sum of ||P^m||^2 for m < K.  That bound is added to every suffix sum, so the tail is an upper
     bound; it is zero for an exact nilpotent P (c = 0) past its index.  When ``n`` is omitted it is the
@@ -226,14 +227,9 @@ def power_tail(p, n: int | None = None) -> tuple[int, float]:
     without a norm: every earlier ||P^k|| >= ||P^k||_F / sqrt(dim) > 1e-12 / sqrt(dim) > POWER_CUTOFF
     while dim < 10^4, so the norms would stop at the same K with c = 0.
     """
-    p = ensure_matrix(p, square=True, name="P")
     if n is not None and n < 0:
         raise ValueError("model degree must be >= 0")
-    return _certified_tail(p, n, is_pure(p))
-
-
-def _certified_tail(p: np.ndarray, n: int | None, cert: PurityCertificate) -> tuple[int, float]:
-    """``power_tail`` of P on its PurityCertificate ``cert``: NotPureError unless pure, then (n, tail)."""
+    p, cert = triple.P, triple.purity
     if not cert:
         raise NotPureError(f"P is not pure (rho = {cert.spectral_radius:.6f})")
     if n is not None and cert.exact_zero and cert.nilpotency_index <= n + 1 and p.shape[0] < 10**4:
@@ -276,6 +272,8 @@ def _kernel_gap(rho: float, w: np.ndarray, t: np.ndarray, q: np.ndarray) -> floa
     if q.shape[1] < w.shape[1] or sep <= 0.0:
         return 1.0
     y = t.conj().T @ q
+    if not y.any():
+        return 0.0
     return min(op_norm(t @ y - q @ (y.conj().T @ y)) / sep, 1.0)
 
 
@@ -288,12 +286,13 @@ def build_model(triple: TetrablockTriple, n: int | None = None, pol: TolerancePo
     grid size exists.  A grid of more than MAX_GRID_DIM coordinates is refused
     before it is allocated.  The Taylor coefficients Theta_k = (row block
     k-1 of W) D_P Q for k >= 1, Q the basis of D_P, are read off the rows of
-    W as they are formed.  H_P is range(W), from the thin SVD of W; its
-    agreement with Theta is checked by ``verify_model_decomposition``.
+    W as they are formed.  H_P is range(W), with ``range_basis(W)`` as its
+    basis: W itself when its columns are orthonormal, as at the default
+    degree, where ||W*W - I|| = ||P^(N+1) P*^(N+1)|| <= tail^2, else the
+    thin SVD of W.  Its agreement with Theta is checked by
+    ``verify_model_decomposition``.
     """
-    if n is not None and n < 0:
-        raise ValueError("model degree must be >= 0")
-    n, tail = _certified_tail(triple.P, n, triple.purity)
+    n, tail = power_tail(triple, n)
     rank = triple.dpstar.rank
     if (n + 1) * rank > MAX_GRID_DIM:
         raise GridSizeError(
@@ -372,7 +371,7 @@ def verify_functional_model(
     where (G1, G2) is the fundamental pair of (A*, B*, P*), plus
     co-invariance of range(W) under the model operators, normed on the thin
     factor Y - Q (Q* Y), Y = X* Q, of the M x n basis Q = ``model.h_basis``
-    of range(W).
+    of range(W); where Q is W, Q* Y is (W* X W)*, the compression just formed.
     """
     _check_basis_match(pair_g, triple.dpstar, "verify_functional_model")
     rep = CheckReport(title="functional model intertwining")
@@ -380,14 +379,16 @@ def verify_functional_model(
     w = model.W
     c_tail = 4.0 * (1.0 + sum(pair_g.norms))
     tol = pol.scaled_eq(triple.max_norm()) + c_tail * model.tail
-    for name, (c0, c1) in pencils:
-        resid = w.conj().T @ pencil_apply(c0, c1, w) - getattr(triple, name)
-        rep.check(f"model_reproduces_{name}", op_norm(resid), tol)
-    rep.check("W_isometry", op_norm(w.conj().T @ w - np.eye(w.shape[1])), pol.scaled_eq(1.0) + model.tail)
     q = model.h_basis.basis
+    coinvariance = []
     for name, (c0, c1) in pencils:
+        compression = w.conj().T @ pencil_apply(c0, c1, w)
+        rep.check(f"model_reproduces_{name}", op_norm(compression - getattr(triple, name)), tol)
         y = pencil_apply(c0, c1, q, adjoint=True)
-        rep.check(f"rangeW_coinvariant_{name}", op_norm(y - q @ (q.conj().T @ y)), tol)
+        coinvariance.append(op_norm(y - q @ (compression.conj().T if q is w else q.conj().T @ y)))
+    rep.check("W_isometry", op_norm(w.conj().T @ w - np.eye(w.shape[1])), pol.scaled_eq(1.0) + model.tail)
+    for name, value in zip("ABP", coinvariance):
+        rep.check(f"rangeW_coinvariant_{name}", value, tol)
     return rep
 
 
@@ -418,6 +419,13 @@ def verify_pencil_intertwining(
     for k, value in enumerate(worst, start=1):
         rep.check(f"pencil_intertwine_{k}", value, tol, note=f"{len(samples)} sample points")
     return rep
+
+
+def _isometric_directions(x: np.ndarray) -> SubspaceBasis:
+    """ker(I - X*X) from one ``eigh`` of the Hermitian I - X*X: the eigenvectors whose |eigenvalue| is at most
+    RANK_TOL * max(sigma_1, 1), sigma_1 the largest |eigenvalue|, the rank rule of ``range_complement``."""
+    w, v = np.linalg.eigh(herm_part(np.eye(x.shape[0]) - x.conj().T @ x))
+    return SubspaceBasis(v[:, np.abs(w) <= RANK_TOL * max(np.abs(w).max(initial=0.0), 1.0)])
 
 
 def pure_isometry_model(
@@ -468,10 +476,9 @@ def pure_isometry_model(
         y = pencil_apply(c0, c1, w_iso)
         rep.check(f"pencil_on_model_{name}", op_norm(y - qh @ (qh.conj().T @ y)), tol)
     # adjoint-pair symbol conditions, gated to the isometric interior when
-    # available; ker(I - X*X) is the range complement of the Hermitian I - X*X
+    # available
     qs = triple.dpstar
-    ka = range_complement(eye - triple.A.conj().T @ triple.A)
-    kb = range_complement(eye - triple.B.conj().T @ triple.B)
+    ka, kb = _isometric_directions(triple.A), _isometric_directions(triple.B)
     stacked = np.vstack([qs.basis - k.basis @ (k.basis.conj().T @ qs.basis) for k in (ka, kb)])
     interior = range_complement(stacked.conj().T)
     comm = commutator(g1, g2)

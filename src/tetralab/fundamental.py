@@ -218,6 +218,8 @@ def verify_commutator_transfer(
     When P is invertible the converse runs too (swap the roles of F and G):
     [G1, G2] = 0 forces [F1, F2] = 0 back, making F-commutation and
     G-commutation equivalent.  Hypothesis violations are reported as skips.
+    An exactly nilpotent P (``triple.purity.exact_zero``) is singular, and
+    its sigma_min is taken as 0 without an SVD.
     """
     rep = CheckReport(title="commutator transfer")
     f1, f2 = pair_f.F1, pair_f.F2
@@ -225,7 +227,8 @@ def verify_commutator_transfer(
     fscale = pol.scaled_eq(*pair_f.norms)
     gscale = pol.scaled_eq(*pair_g.norms)
     smax = triple.norm("P")
-    smin = float(np.linalg.svd(triple.P, compute_uv=False)[-1]) if smax > 0.0 else 0.0
+    singular = smax == 0.0 or triple.purity.exact_zero
+    smin = 0.0 if singular else float(np.linalg.svd(triple.P, compute_uv=False)[-1])
     dense_range = smax > 0.0 and smin > RANK_TOL * smax
     comm_f = op_norm(commutator(f1, f2))
     comm_g = op_norm(commutator(g1, g2))

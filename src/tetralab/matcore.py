@@ -240,12 +240,19 @@ def range_basis(m) -> SubspaceBasis:
     singular value exceeds RANK_TOL * max(sigma_max, 1).  The floor 1 is the
     natural norm of the contractions and isometries ranked here; without it a
     matrix of pure round-off noise would be reported as full rank.  An
-    all-zero (or empty) matrix has the zero subspace without an SVD."""
-    m = ensure_matrix(m, name="M")
-    rows = m.shape[0]
-    if not m.any():
+    all-zero (or empty) matrix has the zero subspace without an SVD, and M
+    itself is the basis, without an SVD, when its columns pass the
+    ``SubspaceBasis`` check: they span the range, and the rule above would
+    keep every one of them."""
+    arr = ensure_matrix(m, name="M")
+    rows = arr.shape[0]
+    if not arr.any():
         return SubspaceBasis(np.zeros((rows, 0), complex))
-    u, s, _ = np.linalg.svd(m, full_matrices=False)
+    try:
+        return SubspaceBasis(m if isinstance(m, np.ndarray) and m.dtype == arr.dtype else arr)
+    except ShapeError:
+        pass
+    u, s, _ = np.linalg.svd(arr, full_matrices=False)
     k = int(np.count_nonzero(s > RANK_TOL * max(float(s[0]), 1.0)))
     return SubspaceBasis(u[:, :k])
 

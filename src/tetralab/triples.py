@@ -83,13 +83,12 @@ class TetrablockTriple:
 
         Nothing is recomputed: ``validate`` derived D_{P*} from the same
         bytes as P*, and the adjoints have the norms and commutators already
-        checked.  The result equals ``validate(A*, B*, P*)`` field by field.
+        checked.  The result equals ``validate(A*, B*, P*)`` field by field,
+        and reads the norms of this triple, as ||X*|| = ||X||.
         """
         a, b, p = (np.ascontiguousarray(m.conj().T) for m in (self.A, self.B, self.P))
         adj = TetrablockTriple(a, b, p, dp=self.dpstar, dpstar=self.dp)
-        # the adjoints of one triple share one norm cache, so each norm is
-        # computed once; keeping the adjoint itself would hold three matrices
-        adj.__dict__["_norms"] = self.__dict__.setdefault("_adjoint_norms", {})
+        adj.__dict__["_norms"] = self._norms
         return adj
 
     @cached_property
@@ -102,9 +101,9 @@ class TetrablockTriple:
         return {}  # validate() fills it; norm() adds what is missing
 
     def norm(self, name: str) -> float:
-        """||A||, ||B|| or ||P|| by name: kept by ``validate``, else (an
-        adjoint) computed once on first read of that name, since ||X*|| may
-        differ from ||X|| in the last bit."""
+        """||A||, ||B|| or ||P|| by name: kept by ``validate`` and read by the
+        adjoint too, else (a triple made by ``dataclasses.replace``) computed
+        once on first read of that name."""
         if name not in self._norms:
             self._norms[name] = op_norm(getattr(self, name))
         return self._norms[name]
@@ -180,7 +179,17 @@ class PurityCertificate:
 
 
 def is_pure(p) -> PurityCertificate:
-    """Pure iff rho(P) < 1 - RANK_TOL; below RANK_TOL the powers of P give the nilpotency index and ``exact_zero``."""
+    """Pure iff rho(P) < 1 - RANK_TOL; below RANK_TOL the powers of P give the nilpotency index and ``exact_zero``.
+
+    P must be a contraction, ||P|| <= 1 + eq_tol as ``validate`` checks, so
+    that ||P^(k+1)||_F <= ||P|| ||P^k||_F: the least K <= dim with ||P^K||_F <=
+    1e-12 (the Frobenius norm bounds the spectral norm from above) is then
+    found from the squares P^(2^j) and a bisection over the bits below the
+    last, and ``exact_zero`` is decided on P^K itself.  Where that search
+    runs, ``NotContractiveError`` refuses a P with ||P|| > 1 + eq_tol; the
+    SVD deciding it runs only when Schur's bound sqrt(||P||_1 ||P||_inf)
+    exceeds 1 + eq_tol.
+    """
     p = ensure_matrix(p, square=True, name="P")
     n = p.shape[0]
     if n == 0:
@@ -190,13 +199,22 @@ def is_pure(p) -> PurityCertificate:
         return PurityCertificate(pure=False, spectral_radius=rho)
     nil_index, exact_zero = None, False
     if rho < RANK_TOL:
-        power = np.eye(n, dtype=complex)
-        for k in range(1, n + 1):
-            power = power @ p
-            # the Frobenius norm bounds the spectral norm from above
-            if np.linalg.norm(power) <= 1e-12:
-                nil_index, exact_zero = k, not power.any()
-                break
+        bound = 1.0 + DEFAULT_POLICY.eq_tol
+        if np.sqrt(np.abs(p).sum(0).max() * np.abs(p).sum(1).max()) > bound and (pnorm := op_norm(p)) > bound:
+            raise NotContractiveError(f"||P|| = {pnorm:.12g} exceeds 1 + eq_tol")
+        squares = [p]  # squares[j] = P^(2^j), up to the first at or below 1e-12
+        while np.linalg.norm(squares[-1]) > 1e-12 and 2 ** len(squares) <= n:
+            squares.append(squares[-1] @ squares[-1])
+        # k: the largest power <= n above 1e-12, bit by bit; power = P^k
+        k, power = 0, None
+        for j in reversed(range(len(squares))):
+            if k + 2**j <= n:
+                step = squares[j] if power is None else power @ squares[j]
+                if np.linalg.norm(step) > 1e-12:
+                    k, power = k + 2**j, step
+        if k < n:
+            power = p if power is None else power @ p
+            nil_index, exact_zero = k + 1, not power.any()
     return PurityCertificate(True, rho, nil_index, exact_zero)
 
 

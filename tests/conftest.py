@@ -1,5 +1,6 @@
 """Shared fixtures: deterministic RNG streams, cached instance suites, the
-triple of a bare contraction, the projector onto a subspace, a field-by-field
+triple of a bare contraction, the linear scan for the nilpotency index of
+``is_pure``, the projector onto a subspace, a field-by-field
 equality, a call counter, watches on ``numpy.linalg``, the dense construction
 of the model space, the dense grid formulas of the model-space residuals and
 the dense embedded formulas of the defect-space residuals."""
@@ -45,6 +46,18 @@ def p_triple(p) -> TetrablockTriple:
     """The validated triple (0, 0, P): the defect data of a bare contraction P."""
     zero = np.zeros(np.shape(p))
     return validate(zero, zero, p)
+
+
+def linear_scan_nilpotency(p) -> tuple[int | None, bool]:
+    """(nilpotency_index, exact_zero) of ``is_pure`` by the linear scan over
+    P, P^2, ..., P^dim: the least K with ||P^K||_F <= 1e-12 and whether P^K is
+    exactly zero, or (None, False) when there is no such K."""
+    power = np.eye(len(p), dtype=complex)
+    for k in range(1, len(p) + 1):
+        power = power @ p
+        if np.linalg.norm(power) <= 1e-12:
+            return k, not power.any()
+    return None, False
 
 
 def projector(sub: SubspaceBasis) -> np.ndarray:

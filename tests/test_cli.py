@@ -174,7 +174,7 @@ def test_model_check_fails_a_grid_identity_moved_below_the_tail(monkeypatch, cap
     path = tmp_path / "diag.json"
     zero = io.matrix_to_obj(np.zeros((2, 2)))
     path.write_text(io.dumps({"A": zero, "B": zero, "P": io.matrix_to_obj(np.diag([0.9, 0.5]))}))
-    assert power_tail(np.diag([0.9, 0.5]), 3)[1] > 1.5
+    assert power_tail(p_triple(np.diag([0.9, 0.5])), 3)[1] > 1.5
     real = tetralab.charfn.toeplitz
 
     def mutated(sym, n):
@@ -471,8 +471,9 @@ def test_battery_builds_each_object_once(monkeypatch):
     # ||P|| and the three commutators of a validation: [101, 114, 224, 100,
     # 114, 178] SVD calls before.  Each solve divides by the spectrum of D_P
     # that the triple keeps, where the pseudoinverse of Q* D_P Q took two
-    # norms and one eigh: [62, 75, 185, 62, 75, 139] before
-    assert op_norm_svds == [56, 67, 177, 56, 67, 131]
+    # norms and one eigh: [62, 75, 185, 62, 75, 139] before.  The adjoint
+    # reads the norms of its triple: [56, 67, 177, 56, 67, 131] before
+    assert op_norm_svds == [52, 63, 173, 52, 63, 127]
     # no model-space check decomposes a grid-sized matrix of rank <= dim H:
     # on the projector formulas the work was [174960, 86666, 44254782,
     # 174933, 167266, 9166500], 54,025,107 in all; with a gating SVD at each
@@ -488,8 +489,11 @@ def test_battery_builds_each_object_once(monkeypatch):
     # commutators normed again by the necessary report, [136566, 77857,
     # 45711, 136539, 150244, 39609]; with 8 radius brackets, [131382, 77482,
     # 45630, 131355, 149596, 39528]; with the pseudoinverse of Q* D_P Q in
-    # each solve, [110646, 28330, 24894, 110619, 53596, 18792]
-    assert works == [110376, 27562, 24570, 110349, 52096, 18468]
+    # each solve, [110646, 28330, 24894, 110619, 53596, 18792]; with the
+    # thin SVD of W for H_P, the norms of the adjoint's A*, B*, P* and full
+    # SVDs for ker(I - A*A), ker(I - B*B), [110376, 27562, 24570, 110349,
+    # 52096, 18468]
+    assert works == [89640, 26337, 20493, 89613, 50152, 16011]
 
 
 def test_verify_bidisc_builds_each_object_once(monkeypatch, capsys):
@@ -501,10 +505,10 @@ def test_verify_bidisc_builds_each_object_once(monkeypatch, capsys):
     # Purity is checked once, by the model, whose certificate the example's
     # "pure_nilpotent" entry reads; the round trip reads the model's truncation.
     # op_norm decomposes no zero matrix and reads the norms the triple keeps;
-    # its adjoints share one norm cache, so ||A*||, ||B*|| and ||P*|| are
-    # computed once each, as each fundamental pair keeps ||F1|| and ||F2||.
+    # its adjoints read them too, as ||X*|| = ||X||, and each fundamental
+    # pair keeps ||F1|| and ||F2||.
     # P^4 = 0 exactly, so the tail needs no norm of a power of P (3 SVDs
-    # before), and Schur's bound clears I - z P* at every pencil sample
+    # before), and the kept ||P|| clears I - z P* at every pencil sample
     # without an SVD (10 before)
     calls = count_calls(
         monkeypatch,
@@ -546,20 +550,23 @@ def test_verify_bidisc_builds_each_object_once(monkeypatch, capsys):
     # SVD norms ||A||, ||B||, ||P|| of the validation and one the 20 pencil
     # residuals: 23 SVD calls before.  Each solve divides by the spectrum of
     # D_P that the triple keeps instead of norming Q* D_P Q twice for its
-    # pseudoinverse: 16 before
-    assert decompositions["svd", "op_norms"] == 14
+    # pseudoinverse: 16 before.  The adjoint reads ||A||, ||B||, ||P|| of
+    # the triple, where they took one norm each: 14 before
+    assert decompositions["svd", "op_norms"] == 11
     assert decompositions["svd", "theta_eval"] == 0
-    assert norms_computed == {"A": 1, "B": 1, "P": 1}
-    # H_P is range(W), from the one thin SVD of W that the functional model
-    # reads too, and T_Theta is not decomposed: on the projector formulas the
+    assert norms_computed == {}  # {"A": 1, "B": 1, "P": 1} before
+    # H_P is range(W), with W as its basis, and T_Theta is not decomposed;
+    # ker(I - A*A) and ker(I - B*B) come from one eigh each: on the projector formulas the
     # work was 351,801, 347,769 with the SVDs of the powers of P and of
     # I - z P*, 294,521 (41 op_norm SVDs) with ||F1||, ||F2|| normed by each
     # check rather than kept on the pair, and 289,719 with H_P from a full
     # SVD of T_Theta and range(W) taken twice, and 260,599 with F and G
     # embedded in the cross relations and normed there, and 244,215 with the
     # radius brackets of G, which no check reads, and 156,407 with the
-    # pseudoinverse of Q* D_P Q in each solve
-    assert sum(work.values()) == 155035
+    # pseudoinverse of Q* D_P Q in each solve, and 155,035 with full SVDs
+    # for ker(I - A*A) and ker(I - B*B), where one eigh each now serves,
+    # with the thin SVD of W and with the norms of A*, B* and P*
+    assert sum(work.values()) == 131483
 
 
 @pytest.mark.parametrize("n", [2, 3])

@@ -233,6 +233,16 @@ def test_defect_rejects_expansion():
         defect(1.5 * np.eye(2))
 
 
+@pytest.mark.parametrize("excess, error", [(2.0, NotContractiveError), (0.5, NotPSDError)])
+def test_defect_refuses_either_side_of_the_contraction_bound(excess, error):
+    # ||T|| = 1 + excess * eq_tol: past the contraction bound T is refused as
+    # non-contractive; within it, the eigenvalue 1 - ||T||^2 of I - T*T is
+    # still below -CLAMP_TOL
+    t = (1.0 + excess * DEFAULT_POLICY.eq_tol) * np.diag([1.0, 0.5, 0.0])
+    with pytest.raises(error):
+        defect(t)
+
+
 def test_defect_rejects_indefinite_gramian_complement():
     # ||T|| = 1 + 1e-11 passes the contraction bound, but the eigenvalue
     # -2e-11 of I - T*T lies below the clamp threshold

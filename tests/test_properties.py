@@ -5,7 +5,18 @@ recomputing it, and every Theta_{P*} in the package is computed from that
 swapped data.  This is sound only if the swap equals a fresh validation of
 P* bit for bit, which is checked here over contractions of dimension 1-8:
 generic, nilpotent, unitary, zero and scalar multiples of the identity.  The
-norms the adjoint computes on first read must be those of that validation.
+adjoint reads the norms of its triple, which must agree with those of that
+validation to 1e-14 relative.
+
+``is_pure`` finds the nilpotency index from the squares P^(2^j) and a
+bisection, which needs ||P^(k+1)||_F <= ||P|| ||P^k||_F for a contraction; it
+must give the index and ``exact_zero`` of the linear scan over the powers,
+over grid shifts, generated compressions, scaled strictly triangular
+contractions and pure diagonal P.
+
+``pure_isometry_model`` takes ker(I - X*X) from one ``eigh``; over
+contractions with planted isometric directions it must equal
+``range_complement(I - X*X)``: the same rank and a gap of at most 1e-10.
 
 ``op_norm`` skips the SVD of a zero matrix and takes the first singular
 value itself; every residual of a report is one of its values, so it must
@@ -69,11 +80,12 @@ import numpy as np
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 from conftest import (  # noqa: E402
     defect_outside_basis_triples,
     fields_equal,
+    linear_scan_nilpotency,
     p_triple,
     projector,
     spectral_kernel_gap,
@@ -91,6 +103,7 @@ from tetralab.cli import run_instance_battery  # noqa: E402
 from tetralab.generate import FAMILIES, make_instance, random_unitary  # noqa: E402
 from tetralab.matcore import (  # noqa: E402
     DEFAULT_POLICY,
+    RANK_TOL,
     NotFiniteError,
     ShapeError,
     SubspaceBasis,
@@ -98,9 +111,11 @@ from tetralab.matcore import (  # noqa: E402
     numerical_radius,
     op_norm,
     op_norms,
+    range_complement,
     subspace_gap,
 )
-from tetralab.triples import validate  # noqa: E402
+from tetralab.bidisc import build as build_grid  # noqa: E402
+from tetralab.triples import is_pure, validate  # noqa: E402
 
 KINDS = ("generic", "nilpotent", "unitary", "zero", "scalar")
 
@@ -129,12 +144,74 @@ def contraction(kind: str, dim: int, seed: int, norm: float) -> np.ndarray:
     norm=st.floats(0.05, 1.0),
 )
 def test_adjoint_equals_validation_of_the_adjoint(kind, dim, seed, norm):
+    # the adjoint reads the norms of its triple, as ||X*|| = ||X||; they
+    # agree with those validate computes for the adjoints to 1e-14 relative,
+    # where they were required equal bit for bit while the adjoint kept a
+    # cache of its own (||P*|| read 0x1.0000000000000p+0 against
+    # 0x1.0000000000001p+0 on the generic kind, dim 2, seed 1)
     p = contraction(kind, dim, seed, norm)
-    adj, expected = p_triple(p).adjoint(), p_triple(p.conj().T)
+    triple = p_triple(p)
+    adj, expected = triple.adjoint(), p_triple(p.conj().T)
     assert fields_equal(adj, expected)
-    assert [adj.norm(name).hex() for name in "ABP"] == [
-        expected.norm(name).hex() for name in "ABP"
-    ]
+    for name in "ABP":
+        assert adj.norm(name) == triple.norm(name)
+        assert abs(adj.norm(name) - expected.norm(name)) <= 1e-14 * expected.norm(name)
+
+
+@st.composite
+def nilpotency_inputs(draw) -> np.ndarray:
+    """A contraction P: a grid shift, a generated compression, a scaled
+    strictly triangular matrix, with or without a tiny diagonal, or a pure
+    diagonal."""
+    kind = draw(st.sampled_from(("grid", "compression", "triangular", "diagonal")))
+    if kind == "grid":
+        return build_grid(draw(st.integers(1, 8))).P
+    seed, dim = draw(st.integers(0, 2**32 - 1)), draw(st.integers(1, 12))
+    if kind == "compression":
+        return make_instance("compressions", seed=seed, index=0, dim=dim, degree=draw(st.integers(1, 6))).triple.P
+    if kind == "diagonal":
+        moduli = draw(st.lists(st.sampled_from((0.0, 1e-14, 1e-12, 1e-10, 5e-10, 0.3, 0.99)), min_size=dim, max_size=dim))
+        return np.diag(np.asarray(moduli) * np.exp(2j * np.pi * np.random.default_rng(seed).uniform(size=dim)))
+    # a Jordan-like block: strictly triangular plus eigenvalues 1e-10
+    shift = draw(st.sampled_from((0.0, 1e-10))) * np.eye(dim)
+    return contraction("nilpotent", dim, seed, draw(st.sampled_from((1.0, 0.5, 1e-3, 3e-4, 1e-4, 1e-7)))) + shift
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(p=nilpotency_inputs())
+# P^3 is below 1e-12 but not zero, P^4 is exactly zero
+@example(p=np.triu(contraction("generic", 4, 0, 1.0), 1) * 3e-4)
+def test_is_pure_bisection_equals_the_linear_scan(p):
+    cert = is_pure(p)
+    expected = linear_scan_nilpotency(p) if cert.spectral_radius < RANK_TOL else (None, False)
+    assert (cert.nilpotency_index, cert.exact_zero) == expected
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(
+    dim=st.integers(1, 10),
+    planted=st.integers(0, 10),
+    seed=st.integers(0, 2**32 - 1),
+    top=st.floats(0.0, 0.99),
+)
+def test_isometric_directions_equal_the_range_complement(dim, planted, seed, top):
+    # X = U diag(s) V* with min(planted, dim) singular values exactly 1 and
+    # the rest in [0, top]: ker(I - X*X) is spanned by those columns of V
+    rng = np.random.default_rng(seed)
+    s = rng.uniform(0.0, top, dim)
+    s[: min(planted, dim)] = 1.0
+    x = random_unitary(rng, dim) @ np.diag(s) @ random_unitary(rng, dim).conj().T
+    kernel = charfn._isometric_directions(x)
+    expected = range_complement(np.eye(dim) - x.conj().T @ x)
+    assert kernel.rank == expected.rank == min(planted, dim)
+    assert subspace_gap(kernel, expected) <= 1e-10
+
+
+def test_isometric_directions_rank_at_the_threshold():
+    # eigenvalues 1e-10 and 1e-7 of I - X*X lie on either side of RANK_TOL:
+    # only the first direction joins the exact one in the kernel
+    x = np.diag(np.sqrt([1.0, 1.0 - 1e-10, 1.0 - 1e-7, 0.25]))
+    assert charfn._isometric_directions(x).rank == range_complement(np.eye(4) - x @ x).rank == 2
 
 
 LAYOUTS = ("c_order", "f_order", "conj_transpose", "strided", "float64", "int", "nested_list", "zero")

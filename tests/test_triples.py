@@ -110,14 +110,13 @@ def test_validate_keeps_the_norms_it_checked(make, monkeypatch):
 
 
 def test_adjoint_computes_only_the_norms_it_reads(monkeypatch):
-    # an adjoint that feeds solve_fundamental reads ||A*|| and ||B*|| only:
-    # no SVD of P*, and none repeated on a second read
-    adj = make_instance("symbols", seed=83, index=0, dim=3, degree=4).triple.adjoint()
+    # an adjoint reads ||A||, ||B||, ||P|| of its triple, as ||X*|| = ||X||:
+    # no SVD of A*, B* or P* (it computed the 3 it read once each before)
+    triple = make_instance("symbols", seed=83, index=0, dim=3, degree=4).triple
+    adj = triple.adjoint()
     calls = count_calls(monkeypatch, op_norm)
-    adj.norm("A"), adj.norm("B"), adj.norm("A")
-    assert calls["op_norm"] == 2
-    adj.norm("P")
-    assert calls["op_norm"] == 3
+    assert [adj.norm(name) for name in "ABPA"] == [triple.norm(name) for name in "ABPA"]
+    assert calls["op_norm"] == 0
 
 
 # --------------------------------------------------- necessary conditions
@@ -154,6 +153,19 @@ def test_is_pure_nilpotent():
     assert cert.pure
     assert cert.nilpotency_index == 3
     assert cert.spectral_radius < 1e-9
+
+
+def test_is_pure_refuses_a_non_contraction_before_the_index_search():
+    # nilpotent with ||P^3||_F ~ 1.4e-20 but ||P^4||_F = 1e-10: the powers'
+    # Frobenius norms are not decreasing, so the search over the squares
+    # could miss the least index; P is refused instead
+    with pytest.raises(NotContractiveError):
+        is_pure(np.diag([1e10, 1.0, 1e-30, 1e10], 1))
+    # a contraction whose Schur bound exceeds 1 passes the SVD and is searched
+    m = np.triu(np.ones((4, 4)), 1)
+    p = 0.9 * m / op_norm(m)
+    assert np.sqrt(np.abs(p).sum(0).max() * np.abs(p).sum(1).max()) > 1.0
+    assert is_pure(p).nilpotency_index == 4
 
 
 def test_nilpotency_index_without_spectral_norms(monkeypatch):
