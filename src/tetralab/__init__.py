@@ -52,7 +52,6 @@ from .charfn import (
     model_pencils,
     power_tail,
     pure_isometry_model,
-    theta_coeffs,
     theta_eval,
     theta_taylor,
     verify_functional_model,
@@ -124,7 +123,6 @@ __all__ = [
     "ModelData",
     "NotPureError",
     "theta_taylor",
-    "theta_coeffs",
     "theta_eval",
     "kernel_identity_check",
     "power_tail",

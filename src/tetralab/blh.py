@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .charfn import model_pencils, power_tail, theta_coeffs
+from .charfn import model_pencils, power_tail, theta_taylor
 from .fundamental import FundamentalPair, solve_fundamental
 from .hardy import AnalyticSymbol, pencil_apply, toeplitz
 from .matcore import (
@@ -76,16 +76,19 @@ def extract_symbols(
 ) -> tuple[np.ndarray, np.ndarray, CheckReport]:
     """Recover (G1, G2) from the compressions of the pencils to range(M_theta).
 
-    Requires toeplitz(theta) isometric on degrees <= n - deg(theta)
-    (NotInnerError otherwise).  The compressed operators Phi, Psi must be
-    block Toeplitz with only degree-0 and degree-1 diagonals on the interior
-    region; interior mass at degree >= 2 raises NotDegreeOneError, which
-    signals that the subspace is not invariant under the pencil pair.
+    Requires nonempty fibers (ShapeError otherwise) and toeplitz(theta)
+    isometric on degrees <= n - deg(theta) (NotInnerError otherwise).  The
+    compressed operators Phi, Psi must be block Toeplitz with only degree-0
+    and degree-1 diagonals on the interior region; interior mass at degree
+    >= 2 raises NotDegreeOneError, which signals that the subspace is not
+    invariant under the pencil pair.
     Returns G1 = Phi_0, G2 = Psi_0 together with a report asserting the
     Toeplitz structure, the degree bound, and the cross-consistency
     Phi_1 = G2*, Psi_1 = G1*.  A grid of more than MAX_GRID_DIM coordinates
     per side is refused with GridSizeError before it is allocated.
     """
+    if not (theta.d_in and theta.d_out):
+        raise ShapeError(f"theta has an empty fiber: input dimension {theta.d_in}, output dimension {theta.d_out}")
     f1 = ensure_matrix(f1, square=True, name="F1")
     f2 = ensure_matrix(f2, square=True, name="F2")
     if theta.d_out != f1.shape[0]:
@@ -159,7 +162,7 @@ def roundtrip_battery(
     of P, such as a model's ``(N, tail)``.  Theta_{P*} is taken to degree + 1
     with the tail in the match tolerance, on a grid EXTRACTION_MARGIN degrees
     longer."""
-    theta = theta_coeffs(triple.adjoint(), degree + 1, pol)
+    theta = theta_taylor(triple.adjoint(), degree + 1, pol)
     n = theta.degree + EXTRACTION_MARGIN
     g1, g2, rep = extract_symbols(theta, pair_f.F1, pair_f.F2, n, pol)
     out = CheckReport(title="symbol extraction round trip")

@@ -60,7 +60,6 @@ __all__ = [
     "NotIsometryLikeError",
     "ModelData",
     "theta_taylor",
-    "theta_coeffs",
     "theta_eval",
     "kernel_identity_check",
     "power_tail",
@@ -134,26 +133,22 @@ def _w_rows(triple: TetrablockTriple):
         cur = cur @ pd
 
 
-def theta_coeffs(triple: TetrablockTriple, n_max: int, pol: TolerancePolicy = DEFAULT_POLICY) -> AnalyticSymbol:
-    """Taylor coefficients 0..n_max of Theta_P as an AnalyticSymbol, in the defect bases.
-
-    Theta_0 = -P restricted to D_P, Theta_n = D_{P*} P*^{n-1} D_P for n >= 1.
-    Theta_0 checks that P actually maps D_P into D_{P*} (it must, because
-    P D_P = D_{P*} P) and raises RestrictionLeakError otherwise.
-    """
-    if n_max < 0:
-        raise ValueError("n_max must be >= 0")
-    rows = islice(_w_rows(triple), n_max)
+def _taylor(triple: TetrablockTriple, rows, pol: TolerancePolicy) -> AnalyticSymbol:
+    """Theta_0 and Theta_k = (row block k-1 of W) D_P Q, one k per block of ``rows``."""
     return AnalyticSymbol((_theta_zero(triple, pol), *(row @ triple.dp.factor for row in rows)))
 
 
-def theta_taylor(triple: TetrablockTriple, degrees, pol: TolerancePolicy = DEFAULT_POLICY) -> list[np.ndarray]:
-    """The Taylor coefficients Theta_n of ``theta_coeffs``, one per n in ``degrees``."""
-    degrees = tuple(degrees)
-    if any(n < 0 for n in degrees):
-        raise ValueError("Taylor index must be >= 0")
-    coeffs = theta_coeffs(triple, max(degrees, default=0), pol).coeffs
-    return [coeffs[n] for n in degrees]
+def theta_taylor(triple: TetrablockTriple, n: int, pol: TolerancePolicy = DEFAULT_POLICY) -> AnalyticSymbol:
+    """Taylor coefficients 0..n of Theta_P as an AnalyticSymbol, in the defect bases.
+
+    Theta_0 = -P restricted to D_P, Theta_k = D_{P*} P*^{k-1} D_P for k >= 1;
+    ``build_model`` keeps the same numbers to k = N + 1.  Theta_0 checks that
+    P maps D_P into D_{P*} (it must, because P D_P = D_{P*} P) and raises
+    RestrictionLeakError otherwise.
+    """
+    if n < 0:
+        raise ValueError("Taylor degree must be >= 0")
+    return _taylor(triple, islice(_w_rows(triple), n), pol)
 
 
 def theta_eval(triple: TetrablockTriple, points) -> list[np.ndarray]:
@@ -161,7 +156,7 @@ def theta_eval(triple: TetrablockTriple, points) -> list[np.ndarray]:
     Q and Q* the bases of D_P and D_{P*}, one solve against the dim x rank D_P Q per point.  The SVD refusing
     I - z P* at CLAMP_TOL runs only where Weyl's bounds 1 -+ |z| s on its singular values leave the test open,
     s >= ||P|| the kept ||P|| rounded up by 1e-12, past the error of the SVD that computed it.  No tolerance
-    enters: Theta_0 is taken without the leak check of ``theta_coeffs``."""
+    enters: Theta_0 is taken without the leak check of ``theta_taylor``."""
     p, dq, dsq = triple.P, triple.dp.factor, triple.dpstar.factor
     theta_0 = -(triple.dpstar.basis.conj().T @ (p @ triple.dp.basis))
     eye = np.eye(p.shape[0])
@@ -251,8 +246,9 @@ class ModelData:
     """Truncated functional model of a pure contraction.
 
     W maps the original space into the truncated D_{P*}-valued Hardy grid;
-    h_basis spans H_P = range(W), an M x dim H basis; tail bounds the
-    truncation error.
+    theta holds Theta_0..Theta_{N+1}, one more than the grid reads, with
+    ||Theta_k|| <= ||P^(k-1)|| <= tail for k > N + 1; h_basis spans
+    H_P = range(W), an M x dim H basis; tail bounds the truncation error.
     """
 
     N: int
@@ -284,13 +280,12 @@ def build_model(triple: TetrablockTriple, n: int | None = None, pol: TolerancePo
     used.  Purity is checked by the tail computation (NotPureError) on
     ``triple.purity``, which the triple computes once, before anything of
     grid size exists.  A grid of more than MAX_GRID_DIM coordinates is refused
-    before it is allocated.  The Taylor coefficients Theta_k = (row block
-    k-1 of W) D_P Q for k >= 1, Q the basis of D_P, are read off the rows of
-    W as they are formed.  H_P is range(W), with ``range_basis(W)`` as its
-    basis: W itself when its columns are orthonormal, as at the default
-    degree, where ||W*W - I|| = ||P^(N+1) P*^(N+1)|| <= tail^2, else the
-    thin SVD of W.  Its agreement with Theta is checked by
-    ``verify_model_decomposition``.
+    before it is allocated.  Theta_0..Theta_{N+1} are read off the N + 1 row
+    blocks of W as ``theta_taylor`` reads them.  H_P is range(W), with
+    ``range_basis(W)`` as its basis: W itself when its columns are
+    orthonormal, as at the default degree, where ||W*W - I|| =
+    ||P^(N+1) P*^(N+1)|| <= tail^2, else the thin SVD of W.  Its agreement
+    with Theta is checked by ``verify_model_decomposition``.
     """
     n, tail = power_tail(triple, n)
     rank = triple.dpstar.rank
@@ -300,9 +295,8 @@ def build_model(triple: TetrablockTriple, n: int | None = None, pol: TolerancePo
             f"exceeds {MAX_GRID_DIM} coordinates"
         )
     blocks = list(islice(_w_rows(triple), n + 1))
-    theta = AnalyticSymbol((_theta_zero(triple, pol), *(row @ triple.dp.factor for row in blocks[:n])))
     w = np.vstack(blocks)
-    return ModelData(N=n, theta=theta, W=w, h_basis=range_basis(w), tail=tail)
+    return ModelData(N=n, theta=_taylor(triple, blocks, pol), W=w, h_basis=range_basis(w), tail=tail)
 
 
 def model_pencils(g1: np.ndarray, g2: np.ndarray) -> tuple[tuple[np.ndarray, np.ndarray], ...]:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .charfn import ModelData, _disc_samples, build_model, model_pencils, theta_eval, theta_taylor
+from .charfn import ModelData, _disc_samples, build_model, model_pencils, theta_eval
 from .fundamental import FundamentalPair, solve_fundamental
 from .hardy import pencil_apply
 from .matcore import (
@@ -45,9 +45,7 @@ __all__ = [
 ]
 
 
-# Taylor coefficients compared by ``verify_coincidence``, and the disc points
-# at which ``unitary_invariant_suite`` compares characteristic functions
-COINCIDENCE_DEGREE = 12
+# the disc points at which ``unitary_invariant_suite`` compares characteristic functions
 INVARIANT_SAMPLES = (0.3 + 0.2j, -0.55, 0.1 - 0.6j, 0.72j)
 
 
@@ -83,24 +81,29 @@ def verify_coincidence(
     wit: CoincidenceWitness,
     samples,
     pol: TolerancePolicy = DEFAULT_POLICY,
+    *,
+    model: ModelData,
+    model_prime: ModelData,
 ) -> CheckReport:
     """Check u_star Theta_P(z) = Theta_P'(z) u at sample points of the open
-    disc (ResolventSingularError outside it) and on Taylor coefficients up to
-    COINCIDENCE_DEGREE, P and P' the contractions of the two triples.
+    disc (ResolventSingularError outside it) and on the Taylor coefficients
+    0..N+1 held by ``model`` and ``model_prime``, the models of P and P' at
+    one degree N (ShapeError otherwise).
 
     Zero-dimensional defect spaces make the statement vacuous; that is
     reported explicitly rather than silently passed.
     """
+    if model.N != model_prime.N:
+        raise ShapeError("models must be built at the same truncation degree")
     samples, denom = _disc_samples(samples)
     rep = CheckReport(title="characteristic function coincidence")
     rep.check("witness_unitary", wit.unitarity_residual(), pol.scaled_eq(1.0))
     if wit.u.shape[1] == 0 and wit.u_star.shape[1] == 0:
         rep.vacuous("coincidence", "both defect spaces are zero-dimensional")
         return rep
-    degrees = range(COINCIDENCE_DEGREE + 1)
     thetas = [
         *zip(theta_eval(triple, samples), theta_eval(triple_prime, samples)),
-        *zip(theta_taylor(triple, degrees, pol), theta_taylor(triple_prime, degrees, pol)),
+        *zip(model.theta.coeffs, model_prime.theta.coeffs),
     ]
     norms = op_norms([wit.u_star @ th - th_p @ wit.u for th, th_p in thetas])
     rep.check(
@@ -113,7 +116,7 @@ def verify_coincidence(
         "coincidence_taylor",
         norms[len(samples) :].max(initial=0.0),
         pol.scaled_eq(1.0),
-        note=f"coefficients 0..{COINCIDENCE_DEGREE}",
+        note=f"coefficients 0..{model.theta.degree}",
     )
     return rep
 
@@ -190,8 +193,6 @@ def _model_transport(
     equivalent: ``model_intertwine_X`` norms the dim H sided V X_H - X'_H' V,
     X_H = Q_H* X Q_H, X Q_H from ``pencil_apply``."""
     rep = CheckReport(title="model transport")
-    if model.N != model_prime.N:
-        raise ShapeError("models must be built at the same truncation degree")
     us, h, h_p = wit.u_star, model.h_basis.basis, model_prime.h_basis.basis
     transported = (us @ h.reshape(model.N + 1, us.shape[1], h.shape[1])).reshape(-1, h.shape[1])
     gap = subspace_gap(range_basis(transported), model_prime.h_basis)
@@ -231,8 +232,10 @@ def unitary_invariant_suite(
     """
     rep = CheckReport(title="unitary invariant suite")
     wit = induced_defect_unitary(u, triple, triple_prime, pol)
+    model_prime = build_model(triple_prime, model.N, pol)
     rep.extend(
-        verify_coincidence(triple, triple_prime, wit, INVARIANT_SAMPLES, pol), prefix="fwd_"
+        verify_coincidence(triple, triple_prime, wit, INVARIANT_SAMPLES, pol, model=model, model_prime=model_prime),
+        prefix="fwd_",
     )
     pair_f_prime = solve_fundamental(triple_prime, pol)
     pair_g_prime = solve_fundamental(triple_prime.adjoint(), pol)
@@ -240,7 +243,6 @@ def unitary_invariant_suite(
     rep.extend(
         verify_fundamental_equivalence(wit.u_star, pair_g, pair_g_prime, pol), prefix="fwd_G_"
     )
-    model_prime = build_model(triple_prime, model.N, pol)
     rep.extend(
         _model_transport(model, model_prime, wit, pair_g, pair_g_prime, pol), prefix="cnv_"
     )

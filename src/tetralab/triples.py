@@ -126,7 +126,7 @@ def _commutation_residuals(a, b, p) -> dict[str, float]:
 def validate(a, b, p, pol: TolerancePolicy = DEFAULT_POLICY) -> TetrablockTriple:
     """Check necessary conditions and build the triple with cached defects.
 
-    Checks: equal square shapes; pairwise commutation within eq_tol
+    Checks: equal square nonempty shapes; pairwise commutation within eq_tol
     (relative); ||A||, ||B||, ||P|| <= 1 + eq_tol.  The ``Defect`` of P and
     of P* is computed once here and cached.
     """
@@ -135,6 +135,8 @@ def validate(a, b, p, pol: TolerancePolicy = DEFAULT_POLICY) -> TetrablockTriple
     p = ensure_matrix(p, square=True, name="P")
     if not (a.shape == b.shape == p.shape):
         raise ShapeError(f"coordinate shapes differ: {a.shape}, {b.shape}, {p.shape}")
+    if p.shape[0] == 0:
+        raise ShapeError("A, B, P are 0 x 0: the triple acts on a zero-dimensional space")
     norms = dict(zip("ABP", op_norms([a, b, p]).tolist()))
     for name, value in norms.items():
         if value > 1.0 + pol.eq_tol:

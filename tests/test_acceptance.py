@@ -304,8 +304,10 @@ def test_criterion_7_unitary_invariants():
     wit = induced_defect_unitary(u, inst.triple, prime)
     perm = np.roll(np.eye(wit.u.shape[0]), 1, axis=0)
     bad = CoincidenceWitness(u=perm @ wit.u, u_star=wit.u_star)
+    model = build_model(inst.triple)
     rejected = not verify_coincidence(
-        inst.triple, prime, bad, (0.3 + 0.2j, -0.55, 0.1 - 0.6j, 0.72j)
+        inst.triple, prime, bad, (0.3 + 0.2j, -0.55, 0.1 - 0.6j, 0.72j),
+        model=model, model_prime=build_model(prime, model.N),
     ).overall
     q = np.roll(np.eye(inst.triple.P.shape[0]), 1, axis=0)  # permutation, wrong map
     try:

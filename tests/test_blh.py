@@ -18,7 +18,7 @@ from tetralab.blh import (
     extraction_roundtrip,
     verify_isometry_propagation,
 )
-from tetralab.charfn import model_pencils, power_tail, theta_coeffs
+from tetralab.charfn import model_pencils, power_tail, theta_taylor
 from tetralab.fundamental import solve_fundamental
 from tetralab.generate import make_instance
 from tetralab.hardy import AnalyticSymbol, pencil, pencil_apply, toeplitz
@@ -37,7 +37,7 @@ def test_check_invariance_for_fundamental_pencils():
     triple = inst.triple
     pair_f = solve_fundamental(triple)
     f1, f2 = pair_f.F1, pair_f.F2
-    theta = theta_coeffs(triple.adjoint(), power_tail(triple)[0] + 1)
+    theta = theta_taylor(triple.adjoint(), power_tail(triple)[0] + 1)
     n = theta.degree + 3
     d = theta.d_out
     q = projector(range_basis(toeplitz(theta, n)))
@@ -82,7 +82,7 @@ def test_extract_detects_non_invariant_subspace(rng):
     # every analytic multiplier.)
     p = np.array([[0.3, 0.4], [0.0, -0.2]])  # non-normal pure contraction
     p = p_triple(p)
-    theta = theta_coeffs(p, power_tail(p)[0])
+    theta = theta_taylor(p, power_tail(p)[0])
     assert theta.degree >= 2
     f1 = 0.45 * (rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
     f2 = 0.45 * (rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
@@ -121,7 +121,7 @@ def test_extract_residual_families_equal_the_blockwise_norms(seed):
     # compressions are Toeplitz) as well as the residuals of order one
     rng = np.random.default_rng(seed)
     p = p_triple(random_contraction(rng, 2, norm=0.5))
-    theta = theta_coeffs(p, power_tail(p)[0])
+    theta = theta_taylor(p, power_tail(p)[0])
     f1, f2 = (0.45 * (rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))) for _ in range(2))
     n = theta.degree + 4
     _, _, rep = extract_symbols(theta, f1, f2, n, TolerancePolicy(eq_tol=1e3))

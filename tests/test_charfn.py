@@ -30,7 +30,6 @@ from tetralab.charfn import (
     model_pencils,
     power_tail,
     pure_isometry_model,
-    theta_coeffs,
     theta_eval,
     theta_taylor,
     verify_functional_model,
@@ -78,7 +77,7 @@ def test_scalar_theta_is_moebius(p, z):
 
 
 def test_theta_of_zero_is_multiplication_by_z():
-    sym = theta_coeffs(p_triple(np.zeros((3, 3))), 4)
+    sym = theta_taylor(p_triple(np.zeros((3, 3))), 4)
     assert op_norm(sym.coeffs[0]) == 0.0
     assert np.allclose(sym.coeffs[1], np.eye(3), atol=1e-14)
     assert all(op_norm(c) == 0.0 for c in sym.coeffs[2:])  # beyond z^1
@@ -87,7 +86,7 @@ def test_theta_of_zero_is_multiplication_by_z():
 def test_taylor_series_matches_direct_evaluation(rng):
     t = p_triple(random_contraction(rng, 4, norm=0.7))
     z = 0.35 - 0.25j
-    coeffs = theta_taylor(t, range(40))
+    coeffs = theta_taylor(t, 39).coeffs
     series = sum(c * z**k for k, c in enumerate(coeffs))
     [direct] = theta_eval(t, [z])
     assert op_norm(series - direct) < 1e-11
@@ -382,20 +381,18 @@ def test_build_model_decomposes_only_thin_operands(monkeypatch, small_suite):
 @pytest.mark.parametrize(
     "family,dim", [("symbols", 3), ("compressions", 12), ("scalars", 6), ("bidisc", 4)]
 )
-def test_model_theta_equals_theta_coeffs(family, dim):
-    # build_model reads Theta off its W rows; the coefficients must be the
-    # very numbers theta_coeffs computes, and theta_taylor selects from them
+def test_model_theta_equals_theta_taylor(family, dim):
+    # build_model reads Theta off all N + 1 row blocks of W; the coefficients
+    # must be the very numbers theta_taylor computes to degree N + 1
     if family == "bidisc":
         t = build_grid(dim)
     else:
         t = make_instance(family, seed=83, index=0, dim=dim, degree=4).triple
     model = build_model(t)
-    direct = theta_coeffs(t, model.N)
-    selected = theta_taylor(t, range(model.N + 1))
-    assert model.theta.degree == direct.degree == len(selected) - 1 == model.N
-    for a, b, c in zip(model.theta.coeffs, direct.coeffs, selected):
+    direct = theta_taylor(t, model.N + 1)
+    assert model.theta.degree == direct.degree == model.N + 1
+    for a, b in zip(model.theta.coeffs, direct.coeffs):
         assert np.array_equal(a, b)
-        assert np.array_equal(b, c)
 
 
 def test_model_dimensions_and_tail(rng):
@@ -456,7 +453,7 @@ def test_model_batteries_apply_pencils_without_forming_them(monkeypatch):
     fm = verify_functional_model(grid, model, pair_g)
     assert pure_isometry_model(grid, model, pair_g, dec, fm).overall
     assert bidisc.example_battery(grid, pair_f, pair_g, model).overall
-    theta = theta_coeffs(grid.adjoint(), n + 1)
+    theta = theta_taylor(grid.adjoint(), n + 1)
     assert extract_symbols(theta, pair_f.F1, pair_f.F2, theta.degree + 3)[2].overall
     inst = make_instance("compressions", seed=43, index=0, dim=6, degree=4)
     t = inst.triple

@@ -20,11 +20,12 @@ from tetralab.bidisc import build as build_grid
 from tetralab.blh import extraction_roundtrip, roundtrip_battery
 from tetralab.charfn import (
     _power_norms,
+    _theta_zero,
     ResolventSingularError,
     build_model,
     power_tail,
     pure_isometry_model,
-    theta_coeffs,
+    theta_taylor,
     verify_functional_model,
     verify_model_decomposition,
     verify_pencil_intertwining,
@@ -281,7 +282,7 @@ def test_blh_subcommand_roundtrip(capsys, tmp_path):
     n = 3
     triple = build_grid(n)
     pair_f = solve_fundamental(triple)
-    theta = theta_coeffs(triple.adjoint(), n + 1)
+    theta = theta_taylor(triple.adjoint(), n + 1)
     theta_path = tmp_path / "theta.json"
     theta_path.write_text(io.dumps(io.symbol_to_obj(theta)))
     sym_path = tmp_path / "syms.json"
@@ -304,7 +305,7 @@ def test_blh_subcommand_roundtrip(capsys, tmp_path):
 
 def test_blh_rejects_wrong_symbol_file(capsys, tmp_path):
     theta_path = tmp_path / "theta.json"
-    theta = theta_coeffs(p_triple(np.zeros((2, 2))), 2)
+    theta = theta_taylor(p_triple(np.zeros((2, 2))), 2)
     theta_path.write_text(io.dumps(io.symbol_to_obj(theta)))
     sym_path = tmp_path / "syms.json"
     sym_path.write_text(io.dumps({"F1": io.matrix_to_obj(np.eye(2))}))  # no F2
@@ -432,12 +433,12 @@ def test_battery_builds_each_object_once(monkeypatch):
     # decompositions after other tests
     instances = generate.suite(seed=7, count=6, dim=3, degree=3)
     calls = count_calls(
-        monkeypatch, solve_fundamental, build_model, defect, is_pure, numerical_radius
+        monkeypatch, solve_fundamental, build_model, defect, is_pure, numerical_radius, _theta_zero, theta_taylor
     )
     decompositions, _, work = watch_decompositions(monkeypatch)
     op_norm_svds, works = [], []
     for inst in instances:
-        calls.update(solve_fundamental=0, build_model=0, defect=0, is_pure=0, numerical_radius=0)
+        calls.update({name: 0 for name in calls})
         decompositions.clear()
         work.clear()
         rep = run_instance_battery(inst)
@@ -449,6 +450,10 @@ def test_battery_builds_each_object_once(monkeypatch):
         # only the characterization of F reads a radius bracket: 8 with a
         # bracket of both radii in each of the 4 solves
         assert calls["numerical_radius"] == 2, inst.label
+        # Theta is formed once by each model, and the coincidence check
+        # compares the two models' coefficients (4 with its own Taylor pass)
+        assert calls["_theta_zero"] == 2, inst.label
+        assert calls["theta_taylor"] == 0, inst.label
         op_norm_svds.append(decompositions["svd", "op_norms"])
         works.append(sum(work.values()))
     # op_norm decomposes no zero matrix, ||A||, ||B||, ||P|| are read from
@@ -472,8 +477,11 @@ def test_battery_builds_each_object_once(monkeypatch):
     # 114, 178] SVD calls before.  Each solve divides by the spectrum of D_P
     # that the triple keeps, where the pseudoinverse of Q* D_P Q took two
     # norms and one eigh: [62, 75, 185, 62, 75, 139] before.  The adjoint
-    # reads the norms of its triple: [56, 67, 177, 56, 67, 131] before
-    assert op_norm_svds == [52, 63, 173, 52, 63, 127]
+    # reads the norms of its triple: [56, 67, 177, 56, 67, 131] before.  The
+    # coincidence check compares the coefficients the two models hold, where
+    # its own Taylor pass checked the leak of P(D_P) twice more:
+    # [52, 63, 173, 52, 63, 127] before
+    assert op_norm_svds == [51, 61, 171, 51, 61, 125]
     # no model-space check decomposes a grid-sized matrix of rank <= dim H:
     # on the projector formulas the work was [174960, 86666, 44254782,
     # 174933, 167266, 9166500], 54,025,107 in all; with a gating SVD at each
@@ -492,8 +500,11 @@ def test_battery_builds_each_object_once(monkeypatch):
     # each solve, [110646, 28330, 24894, 110619, 53596, 18792]; with the
     # thin SVD of W for H_P, the norms of the adjoint's A*, B*, P* and full
     # SVDs for ker(I - A*A), ker(I - B*B), [110376, 27562, 24570, 110349,
-    # 52096, 18468]
-    assert works == [89640, 26337, 20493, 89613, 50152, 16011]
+    # 52096, 18468]; with a Taylor pass of its own to degree 12 in the
+    # coincidence check, [89640, 26337, 20493, 89613, 50152, 16011].  The
+    # scalars instances, at N = 48 and 28, now compare coefficients 0..N+1
+    # in the one stacked SVD of the coincidence residuals, not 0..12
+    assert works == [89316, 25537, 21438, 89289, 48602, 16416]
 
 
 def test_verify_bidisc_builds_each_object_once(monkeypatch, capsys):
@@ -631,8 +642,9 @@ def test_verify_bidisc_refuses_oversized_grid(capsys):
 
 
 def test_theta_checks_derive_no_defect(monkeypatch, small_suite):
-    # theta_eval / theta_taylor read the defect data of the triples they are
-    # given: neither the coincidence check nor the pencil check computes one
+    # theta_eval and the Theta of build_model read the defect data of the
+    # triples they are given: neither the models, the coincidence check that
+    # compares them nor the pencil check computes one
     calls = count_calls(monkeypatch, defect)
     for inst in small_suite:
         t = inst.triple
@@ -642,7 +654,10 @@ def test_theta_checks_derive_no_defect(monkeypatch, small_suite):
         pair_f = solve_fundamental(t)
         pair_g = solve_fundamental(t.adjoint())
         calls["defect"] = 0
-        assert verify_coincidence(t, prime, wit, INVARIANT_SAMPLES).overall, inst.label
+        model = build_model(t)
+        model_prime = build_model(prime, model.N)
+        rep = verify_coincidence(t, prime, wit, INVARIANT_SAMPLES, model=model, model_prime=model_prime)
+        assert rep.overall, inst.label
         rep = verify_pencil_intertwining(t, pair_f, pair_g, DISC_SAMPLES)
         assert rep.overall, inst.label
         assert calls["defect"] == 0, inst.label
@@ -714,6 +729,33 @@ def test_model_check_refuses_oversized_model_grid(capsys, tmp_path, fmt):
     assert f"exceeds {MAX_GRID_DIM} coordinates" in err
 
 
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_model_check_refuses_zero_dimensional_triple(capsys, tmp_path, fmt):
+    # 0 x 0 matrices pass every other check of validate; they are refused
+    # there, not left to fail inside a grid product
+    path = tmp_path / "empty.json"
+    empty = io.matrix_to_obj(np.zeros((0, 0)))
+    path.write_text(io.dumps({"A": empty, "B": empty, "P": empty}))
+    code, out, err = run(capsys, "model-check", str(path), "--format", fmt)
+    assert code == 2
+    assert out == ""
+    assert "A, B, P are 0 x 0: the triple acts on a zero-dimensional space" in err
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("rows, cols", [(0, 0), (2, 0), (0, 2)], ids=["0x0", "2x0", "0x2"])
+def test_blh_refuses_empty_symbol_fiber(capsys, tmp_path, fmt, rows, cols):
+    theta_path = tmp_path / "theta.json"
+    theta_path.write_text(io.dumps({"coeffs": [io.matrix_to_obj(np.zeros((rows, cols)))]}))
+    sym_path = tmp_path / "syms.json"
+    f = io.matrix_to_obj(0.2 * np.eye(rows))
+    sym_path.write_text(io.dumps({"F1": f, "F2": f}))
+    code, out, err = run(capsys, "blh", str(theta_path), str(sym_path), "--format", fmt)
+    assert code == 2
+    assert out == ""
+    assert f"empty fiber: input dimension {cols}, output dimension {rows}" in err
+
+
 def test_negative_model_degree_is_input_error(capsys, tmp_path):
     path = tmp_path / "triple.json"
     path.write_text(io.dumps(io.triple_to_obj(make_instance("scalars", seed=61, index=0, dim=3, degree=4).triple)))
@@ -741,7 +783,7 @@ def test_blh_refuses_oversized_grid(monkeypatch, capsys, tmp_path):
     # degree 100000 over a 2-dimensional fiber: refused as an input error
     # before any Toeplitz matrix is built
     theta_path = tmp_path / "theta.json"
-    theta_path.write_text(io.dumps(io.symbol_to_obj(theta_coeffs(p_triple(np.zeros((2, 2))), 2))))
+    theta_path.write_text(io.dumps(io.symbol_to_obj(theta_taylor(p_triple(np.zeros((2, 2))), 2))))
     sym_path = tmp_path / "syms.json"
     sym_path.write_text(io.dumps({
         "F1": io.matrix_to_obj(0.2 * np.eye(2)),

@@ -35,6 +35,12 @@ def conjugated_copy(inst, u):
     return validate(u @ t.A @ u.conj().T, u @ t.B @ u.conj().T, u @ t.P @ u.conj().T)
 
 
+def model_pair(triple, prime) -> dict:
+    """The models of ``triple`` and ``prime`` at one degree, as ``verify_coincidence`` takes them."""
+    model = build_model(triple)
+    return {"model": model, "model_prime": build_model(prime, model.N)}
+
+
 @pytest.mark.parametrize("family,dim", [("symbols", 3), ("compressions", 12), ("scalars", 6)])
 def test_suite_passes_for_conjugated_pairs(family, dim):
     inst = make_instance(family, seed=31, index=0, dim=dim, degree=4)
@@ -58,8 +64,13 @@ def test_induced_witness_is_unitary_on_defects():
     prime = conjugated_copy(inst, u)
     wit = induced_defect_unitary(u, inst.triple, prime)
     assert wit.unitarity_residual() < 1e-10
-    rep = verify_coincidence(inst.triple, prime, wit, SAMPLES)
+    models = model_pair(inst.triple, prime)
+    rep = verify_coincidence(inst.triple, prime, wit, SAMPLES, **models)
     assert rep.overall, [(e.name, e.residual) for e in rep.failures]
+    # the coefficients of models of different degree are not comparable
+    deeper = build_model(prime, models["model"].N + 1)
+    with pytest.raises(ShapeError, match="same truncation degree"):
+        verify_coincidence(inst.triple, prime, wit, SAMPLES, model=models["model"], model_prime=deeper)
 
 
 def test_non_intertwining_map_rejected(rng):
@@ -82,20 +93,28 @@ def test_coincidence_refuses_samples_outside_disc(outside):
     prime = conjugated_copy(inst, u)
     wit = induced_defect_unitary(u, inst.triple, prime)
     with pytest.raises(ResolventSingularError, match="not inside the open disc"):
-        verify_coincidence(inst.triple, prime, wit, (*SAMPLES, outside))
+        verify_coincidence(inst.triple, prime, wit, (*SAMPLES, outside), **model_pair(inst.triple, prime))
 
 
 def test_corrupted_witness_fails_coincidence():
-    inst = make_instance("scalars", seed=43, index=0, dim=6, degree=4)
-    u = companion_unitary(inst, inst.triple.P.shape[0])
-    prime = conjugated_copy(inst, u)
-    wit = induced_defect_unitary(u, inst.triple, prime)
-    # corrupt the defect-side map but keep it unitary: permute its rows
-    perm = np.roll(np.eye(wit.u.shape[0]), 1, axis=0)
-    bad = CoincidenceWitness(u=perm @ wit.u, u_star=wit.u_star)
-    assert bad.unitarity_residual() < 1e-10
-    rep = verify_coincidence(inst.triple, prime, bad, SAMPLES)
-    assert not rep.overall
+    # the compressions instance has P = 0, so N = 0 and Theta_0 = 0: among
+    # the Taylor coefficients only Theta_1 = Theta_{N+1}, the one the model
+    # keeps beyond its grid, can expose the wrong witness
+    for inst in (
+        make_instance("scalars", seed=43, index=0, dim=6, degree=4),
+        make_instance("compressions", seed=42, index=3, dim=3, degree=3),
+    ):
+        u = companion_unitary(inst, inst.triple.P.shape[0])
+        prime = conjugated_copy(inst, u)
+        wit = induced_defect_unitary(u, inst.triple, prime)
+        # corrupt the defect-side map but keep it unitary: permute its rows
+        perm = np.roll(np.eye(wit.u.shape[0]), 1, axis=0)
+        bad = CoincidenceWitness(u=perm @ wit.u, u_star=wit.u_star)
+        assert bad.unitarity_residual() < 1e-10
+        rep = verify_coincidence(inst.triple, prime, bad, SAMPLES, **model_pair(inst.triple, prime))
+        assert not rep.overall
+        [taylor] = [e for e in rep.entries if e.name == "coincidence_taylor"]
+        assert not taylor.passed, (inst.label, taylor.residual, taylor.tolerance)
 
 
 def test_nonunitary_witness_reported():
@@ -105,7 +124,7 @@ def test_nonunitary_witness_reported():
     wit = induced_defect_unitary(u, inst.triple, prime)
     shrunk = CoincidenceWitness(u=0.5 * wit.u, u_star=wit.u_star)
     assert shrunk.unitarity_residual() > 0.1
-    rep = verify_coincidence(inst.triple, prime, shrunk, SAMPLES)
+    rep = verify_coincidence(inst.triple, prime, shrunk, SAMPLES, **model_pair(inst.triple, prime))
     assert not rep.overall
 
 
