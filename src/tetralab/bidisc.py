@@ -19,8 +19,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .charfn import ModelData, build_model, model_pencils
-from .fundamental import FundamentalPair, solve_fundamental
+from .charfn import ModelData, model_pencils
+from .fundamental import FundamentalPair
 from .hardy import pencil_apply
 from .matcore import DEFAULT_POLICY, TolerancePolicy, op_norm
 from .report import CheckReport
@@ -42,7 +42,6 @@ __all__ = [
     "model_embedding",
     "model_embedding_series",
     "verify_example",
-    "example_battery",
 ]
 
 EXACT_TOL = 1e-13
@@ -188,14 +187,7 @@ def model_embedding_series(n: int) -> np.ndarray:
     return np.vstack(blocks)
 
 
-def verify_example(n: int, pol: TolerancePolicy = DEFAULT_POLICY) -> CheckReport:
-    """``example_battery`` on the grid triple, its pairs and its degree-n model, built here."""
-    triple = build(n, pol)
-    pair_f, pair_g = solve_fundamental(triple, pol), solve_fundamental(triple.adjoint(), pol)
-    return example_battery(triple, pair_f, pair_g, build_model(triple, n, pol), pol)
-
-
-def example_battery(
+def verify_example(
     triple: TetrablockTriple, pair_f: FundamentalPair, pair_g: FundamentalPair, model: ModelData,
     pol: TolerancePolicy = DEFAULT_POLICY,
 ) -> CheckReport:

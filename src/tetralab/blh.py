@@ -19,8 +19,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .charfn import model_pencils, power_tail, theta_taylor
-from .fundamental import FundamentalPair, solve_fundamental
+from .charfn import model_pencils, theta_taylor
+from .fundamental import FundamentalPair
 from .hardy import AnalyticSymbol, pencil_apply, toeplitz
 from .matcore import (
     DEFAULT_POLICY,
@@ -41,7 +41,6 @@ __all__ = [
     "NotDegreeOneError",
     "extract_symbols",
     "extraction_roundtrip",
-    "roundtrip_battery",
     "verify_isometry_propagation",
 ]
 
@@ -142,14 +141,6 @@ def extract_symbols(
 
 
 def extraction_roundtrip(
-    triple: TetrablockTriple, pol: TolerancePolicy = DEFAULT_POLICY
-) -> tuple[np.ndarray, np.ndarray, CheckReport]:
-    """``roundtrip_battery`` on the pairs of ``triple`` and ``power_tail(triple)``, computed here."""
-    pair_f, pair_g = solve_fundamental(triple, pol), solve_fundamental(triple.adjoint(), pol)
-    return roundtrip_battery(triple, pair_f, pair_g, *power_tail(triple), pol)
-
-
-def roundtrip_battery(
     triple: TetrablockTriple, pair_f: FundamentalPair, pair_g: FundamentalPair, degree: int, tail: float,
     pol: TolerancePolicy = DEFAULT_POLICY,
 ) -> tuple[np.ndarray, np.ndarray, CheckReport]:

@@ -165,9 +165,9 @@ def theta_eval(triple: TetrablockTriple, points) -> list[np.ndarray]:
     for z in points:
         z = complex(z)
         res = eye - z * p.conj().T
-        if not (p.size and 1.0 - abs(z) * s > CLAMP_TOL * (1.0 + abs(z) * s)):
+        if not 1.0 - abs(z) * s > CLAMP_TOL * (1.0 + abs(z) * s):
             sv = np.linalg.svd(res, compute_uv=False)
-            if sv.size == 0 or sv[-1] <= CLAMP_TOL * max(1.0, sv[0]):
+            if sv[-1] <= CLAMP_TOL * max(1.0, sv[0]):
                 raise ResolventSingularError(f"I - z P* singular at z = {z!r}")
         out.append(theta_0 + z * (dsq.conj().T @ np.linalg.solve(res, dq)))
     return out

@@ -20,7 +20,6 @@ except for the ``wall_time_s`` field.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 import time
 from typing import Any, Callable, Sequence
@@ -33,7 +32,7 @@ from .blh import (
     NotDegreeOneError,
     NotInnerError,
     extract_symbols,
-    roundtrip_battery,
+    extraction_roundtrip,
     verify_isometry_propagation,
 )
 from .charfn import (
@@ -57,8 +56,6 @@ from .triples import necessary_report, validate
 
 __all__ = ["main", "build_parser", "run_instance_battery"]
 
-ENV_TOL = "TETRALAB_TOL"
-
 # fixed sample points in the open disc for pointwise identities
 DISC_SAMPLES = tuple(
     r * np.exp(2j * np.pi * k / 5)
@@ -68,13 +65,6 @@ DISC_SAMPLES = tuple(
 
 
 def _policy_from(tol: float | None) -> TolerancePolicy:
-    if tol is None:
-        env = os.environ.get(ENV_TOL)
-        if env is not None:
-            try:
-                tol = float(env)
-            except ValueError as exc:
-                raise TetralabError(f"{ENV_TOL} must be a float, got {env!r}") from exc
     if tol is None:
         return DEFAULT_POLICY
     if not tol > 0:
@@ -179,7 +169,7 @@ def _cmd_verify_bidisc(args, pol: TolerancePolicy) -> tuple[Reports, dict[str, A
         raise TetralabError(f"--degree must be >= 1, got {n}")
     # the symbol-extraction grid, (n+5) blocks of the (2n+1)-point border, is
     # the largest matrix side the command allocates: Theta_{P*} has degree
-    # n+1 and roundtrip_battery adds EXTRACTION_MARGIN = 3 degrees.  The
+    # n+1 and extraction_roundtrip adds EXTRACTION_MARGIN = 3 degrees.  The
     # model grid has only n+1 such blocks, the example grid (n+1)^2 points
     side = (n + 5) * (2 * n + 1)
     if side > MAX_GRID_DIM:
@@ -188,7 +178,7 @@ def _cmd_verify_bidisc(args, pol: TolerancePolicy) -> tuple[Reports, dict[str, A
     pair_f = solve_fundamental(triple, pol)
     pair_g = solve_fundamental(triple.adjoint(), pol)
     model = build_model(triple, n, pol)
-    reports = [("example", bidisc.example_battery(triple, pair_f, pair_g, model, pol))]
+    reports = [("example", bidisc.verify_example(triple, pair_f, pair_g, model, pol))]
     fund = CheckReport(title="fundamental battery")
     fund.extend(verify_tetra_characterization(triple, pair_f, pol), prefix="char_")
     fund.extend(verify_difference_identity(triple, pair_f, pol), prefix="diff_")
@@ -206,7 +196,7 @@ def _cmd_verify_bidisc(args, pol: TolerancePolicy) -> tuple[Reports, dict[str, A
     )
     reports.append(("model", mrep))
     reports.append(("isometry_model", pure_isometry_model(triple, model, pair_g, dec, fm, pol)))
-    _, _, brep = roundtrip_battery(triple, pair_f, pair_g, model.N, model.tail, pol)
+    _, _, brep = extraction_roundtrip(triple, pair_f, pair_g, model.N, model.tail, pol)
     reports.append(("blh", brep))
     return reports, {}
 

@@ -62,10 +62,10 @@ class TetrablockTriple:
     dim x rank factors D_P Q, D_{P*} Q_* through which every defect-space
     identity applies them.  All downstream batteries express operators on
     the defect spaces in these bases, so a triple is the single source of
-    basis conventions for its own checks.  It also owns ||A||, ||B||, ||P||
-    (``norm``), which tolerances scale with, the commutator norms
-    ``validate`` checked, which ``necessary_report`` records, and the
-    ``purity`` certificate of P, computed on first read.
+    basis conventions for its own checks.  It also owns ``norms`` =
+    (||A||, ||B||, ||P||), which tolerances scale with, and ``commutators`` =
+    (||[A,B]||, ||[A,P]||, ||[B,P]||), both as ``validate`` checked them, and
+    the ``purity`` certificate of P, computed on first read.
     """
 
     A: np.ndarray
@@ -73,6 +73,8 @@ class TetrablockTriple:
     P: np.ndarray
     dp: Defect
     dpstar: Defect
+    norms: tuple[float, float, float]
+    commutators: tuple[float, float, float]
 
     @property
     def dim(self) -> int:
@@ -82,45 +84,28 @@ class TetrablockTriple:
         """The triple (A*, B*, P*) with the cached defect data of P swapped.
 
         Nothing is recomputed: ``validate`` derived D_{P*} from the same
-        bytes as P*, and the adjoints have the norms and commutators already
-        checked.  The result equals ``validate(A*, B*, P*)`` field by field,
-        and reads the norms of this triple, as ||X*|| = ||X||.
+        bytes as P*, and the adjoints keep the norms and commutator norms
+        already checked, as ||X*|| = ||X|| and ||[X*, Y*]|| = ||[X, Y]||.
+        The result equals ``validate(A*, B*, P*)`` field by field, the kept
+        numbers to rounding.
         """
         a, b, p = (np.ascontiguousarray(m.conj().T) for m in (self.A, self.B, self.P))
-        adj = TetrablockTriple(a, b, p, dp=self.dpstar, dpstar=self.dp)
-        adj.__dict__["_norms"] = self._norms
-        return adj
+        return TetrablockTriple(a, b, p, self.dpstar, self.dp, self.norms, self.commutators)
 
     @cached_property
     def purity(self) -> PurityCertificate:
         """``is_pure(P)``, computed on first read and kept."""
         return is_pure(self.P)
 
-    @cached_property
-    def _norms(self) -> dict[str, float]:
-        return {}  # validate() fills it; norm() adds what is missing
-
     def norm(self, name: str) -> float:
-        """||A||, ||B|| or ||P|| by name: kept by ``validate`` and read by the
-        adjoint too, else (a triple made by ``dataclasses.replace``) computed
-        once on first read of that name."""
-        if name not in self._norms:
-            self._norms[name] = op_norm(getattr(self, name))
-        return self._norms[name]
+        """||A||, ||B|| or ||P|| by name."""
+        return self.norms["ABP".index(name)]
 
     def max_norm(self) -> float:
-        return max(map(self.norm, "ABP"))
-
-    @cached_property
-    def _commutators(self) -> dict[str, float]:
-        """||[A,B]||, ||[A,P]||, ||[B,P]||: kept by ``validate``, else (an
-        adjoint) computed on first read."""
-        return _commutation_residuals(self.A, self.B, self.P)
+        return max(self.norms)
 
 
-def _commutation_residuals(a, b, p) -> dict[str, float]:
-    norms = op_norms([commutator(a, b), commutator(a, p), commutator(b, p)])
-    return dict(zip(("AB", "AP", "BP"), norms.tolist()))
+COMMUTATOR_PAIRS = ("AB", "AP", "BP")
 
 
 def validate(a, b, p, pol: TolerancePolicy = DEFAULT_POLICY) -> TetrablockTriple:
@@ -137,29 +122,25 @@ def validate(a, b, p, pol: TolerancePolicy = DEFAULT_POLICY) -> TetrablockTriple
         raise ShapeError(f"coordinate shapes differ: {a.shape}, {b.shape}, {p.shape}")
     if p.shape[0] == 0:
         raise ShapeError("A, B, P are 0 x 0: the triple acts on a zero-dimensional space")
-    norms = dict(zip("ABP", op_norms([a, b, p]).tolist()))
-    for name, value in norms.items():
+    norms = tuple(op_norms([a, b, p]).tolist())
+    for name, value in zip("ABP", norms):
         if value > 1.0 + pol.eq_tol:
             raise NotContractiveError(f"||{name}|| = {value:.12g} exceeds 1 + eq_tol")
-    scale = pol.scaled_eq(*norms.values())
-    commutators = _commutation_residuals(a, b, p)
-    for pair, res in commutators.items():
+    scale = pol.scaled_eq(*norms)
+    commutators = tuple(op_norms([commutator(a, b), commutator(a, p), commutator(b, p)]).tolist())
+    for pair, res in zip(COMMUTATOR_PAIRS, commutators):
         if res > scale:
             raise NonCommutingError(f"[{pair[0]},{pair[1]}] has norm {res:.3e} > {scale:.3e}")
-    triple = TetrablockTriple(a, b, p, dp=defect(p, pol), dpstar=defect(p.conj().T, pol))
-    triple._norms.update(norms)
-    triple.__dict__["_commutators"] = commutators
-    return triple
+    return TetrablockTriple(a, b, p, defect(p, pol), defect(p.conj().T, pol), norms, commutators)
 
 
 def necessary_report(triple: TetrablockTriple, pol: TolerancePolicy = DEFAULT_POLICY) -> CheckReport:
     """Residual-level record of the necessary conditions on a built triple."""
     rep = CheckReport(title="triple necessary conditions", header=NECESSARY_HEADER)
-    norms = {name: triple.norm(name) for name in "ABP"}
-    scale = pol.scaled_eq(*norms.values())
-    for pair, res in triple._commutators.items():
+    scale = pol.scaled_eq(*triple.norms)
+    for pair, res in zip(COMMUTATOR_PAIRS, triple.commutators):
         rep.check(f"commute_{pair}", res, scale)
-    for name, value in norms.items():
+    for name, value in zip("ABP", triple.norms):
         rep.check(f"norm_{name}", max(value - 1.0, 0.0), pol.eq_tol)
     return rep
 

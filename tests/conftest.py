@@ -1,9 +1,10 @@
 """Shared fixtures: deterministic RNG streams, cached instance suites, the
-triple of a bare contraction, the linear scan for the nilpotency index of
-``is_pure``, the projector onto a subspace, a field-by-field
-equality, a call counter, watches on ``numpy.linalg``, the dense construction
-of the model space, the dense grid formulas of the model-space residuals and
-the dense embedded formulas of the defect-space residuals."""
+fundamental pairs of a triple, the triple of a bare contraction, the linear
+scan for the nilpotency index of ``is_pure``, the projector onto a subspace,
+a field-by-field equality and its form for triples, a call counter, watches
+on ``numpy.linalg``, the dense construction of the model space, the dense
+grid formulas of the model-space residuals and the dense embedded formulas of
+the defect-space residuals."""
 
 from __future__ import annotations
 
@@ -15,6 +16,7 @@ import numpy as np
 import pytest
 
 from tetralab import generate
+from tetralab.fundamental import FundamentalPair, solve_fundamental
 from tetralab.hardy import pencil, toeplitz
 from tetralab.matcore import DEFAULT_POLICY, SubspaceBasis, op_norm, range_basis, range_complement, subspace_gap
 from tetralab.triples import TetrablockTriple, validate
@@ -40,6 +42,11 @@ def small_suite():
 def random_contraction(rng: np.random.Generator, dim: int, norm: float = 0.9) -> np.ndarray:
     m = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     return norm * m / np.linalg.norm(m, 2)
+
+
+def fundamental_pairs(triple: TetrablockTriple) -> tuple[FundamentalPair, FundamentalPair]:
+    """(F1, F2) of ``triple`` and (G1, G2), those of its adjoint, solved as every command solves them."""
+    return solve_fundamental(triple), solve_fundamental(triple.adjoint())
 
 
 def p_triple(p) -> TetrablockTriple:
@@ -78,6 +85,21 @@ def fields_equal(x, y) -> bool:
             fields_equal(getattr(x, f.name), getattr(y, f.name)) for f in dataclasses.fields(x)
         )
     return x == y
+
+
+def triples_agree(x: TetrablockTriple, y: TetrablockTriple) -> bool:
+    """``fields_equal`` on every field but the kept numbers: ``norms`` agree to
+    1e-14 relative and ``commutators`` to 1e-14 of the largest norm.  ||X*||
+    and ||X|| come from SVDs of different bytes, and the commutator norms of
+    a commuting triple are rounding, which no bound relative to themselves
+    holds."""
+    tol = {"norms": (1e-14, 0.0), "commutators": (0.0, 1e-14 * max(y.norms))}
+    return all(
+        np.allclose(getattr(x, f.name), getattr(y, f.name), *tol[f.name])
+        if f.name in tol
+        else fields_equal(getattr(x, f.name), getattr(y, f.name))
+        for f in dataclasses.fields(x)
+    )
 
 
 def count_calls(monkeypatch, *fns) -> dict[str, int]:

@@ -18,6 +18,7 @@ from tetralab.blh import extraction_roundtrip, verify_isometry_propagation
 from tetralab.charfn import (
     build_model,
     kernel_identity_check,
+    power_tail,
     verify_functional_model,
     verify_model_decomposition,
     verify_pencil_intertwining,
@@ -40,6 +41,8 @@ from tetralab.invariants import (
 )
 from tetralab.matcore import DEFAULT_POLICY, numerical_radius, op_norm
 from tetralab.triples import is_pure, validate
+
+from conftest import fundamental_pairs
 
 
 def announce(k: int, ok: bool, detail: str) -> None:
@@ -76,12 +79,7 @@ def pure_instances():
 
 @pytest.fixture(scope="module")
 def solved_pure(pure_instances):
-    solved = []
-    for inst in pure_instances:
-        pair_f = solve_fundamental(inst.triple)
-        pair_g = solve_fundamental(inst.triple.adjoint())
-        solved.append((inst, pair_f, pair_g))
-    return solved
+    return [(inst, *fundamental_pairs(inst.triple)) for inst in pure_instances]
 
 
 # ------------------------------------------------------------ criterion 1
@@ -123,8 +121,7 @@ def test_criterion_2_fundamental_battery(battery_instances):
     gated = 0
     for inst in battery_instances:
         triple = inst.triple
-        pair_f = solve_fundamental(triple)
-        pair_g = solve_fundamental(triple.adjoint())
+        pair_f, pair_g = fundamental_pairs(triple)
         # defining equations and their characterization
         worst = max(worst, pair_f.solve_residual, pair_g.solve_residual)
         char = verify_tetra_characterization(triple, pair_f)
@@ -161,8 +158,7 @@ def test_criterion_3_commutator_transfer():
     count = 50
     for k in range(count):
         inst = make_instance("scalars", seed=600, index=k, dim=6, degree=4)
-        pair_f = solve_fundamental(inst.triple)
-        pair_g = solve_fundamental(inst.triple.adjoint())
+        pair_f, pair_g = fundamental_pairs(inst.triple)
         comm = op_norm(pair_f.F1 @ pair_f.F2 - pair_f.F2 @ pair_f.F1)
         assert comm <= 1e-10, inst.label  # hypothesis [F1,F2] ~ 0
         assert np.linalg.matrix_rank(inst.triple.P) == inst.triple.P.shape[0]
@@ -235,15 +231,15 @@ def test_criterion_6_symbol_extraction(solved_pure):
     worst_high = 0.0  # degree >= 2 interior mass
     worst_match = 0.0
     cases = 0
-    for inst, _, pair_g in solved_pure[:50]:
-        g1, g2, rep = extraction_roundtrip(inst.triple)
+    for inst, pair_f, pair_g in solved_pure[:50]:
+        g1, g2, rep = extraction_roundtrip(inst.triple, pair_f, pair_g, *power_tail(inst.triple))
         named = entries_by_name(rep)
         worst_high = max(worst_high, named["ext_degree_le_one_on_interior"].residual)
         worst_match = max(worst_match, named["match_G1"].residual, named["match_G2"].residual)
         cases += 1
     # the grid example's characteristic function is part of the contract
     t = bidisc.build(3)
-    g1, g2, rep = extraction_roundtrip(t)
+    g1, g2, rep = extraction_roundtrip(t, *fundamental_pairs(t), *power_tail(t))
     named = entries_by_name(rep)
     worst_high = max(worst_high, named["ext_degree_le_one_on_interior"].residual)
     worst_match = max(worst_match, named["match_G1"].residual, named["match_G2"].residual)
@@ -286,10 +282,8 @@ def test_criterion_7_unitary_invariants():
         u = companion_unitary(inst, inst.triple.P.shape[0])
         t = inst.triple
         prime = validate(u @ t.A @ u.conj().T, u @ t.B @ u.conj().T, u @ t.P @ u.conj().T)
-        rep = unitary_invariant_suite(
-            t, prime, u,
-            pair_f=solve_fundamental(t), pair_g=solve_fundamental(t.adjoint()), model=build_model(t),
-        )
+        pair_f, pair_g = fundamental_pairs(t)
+        rep = unitary_invariant_suite(t, prime, u, pair_f=pair_f, pair_g=pair_g, model=build_model(t))
         assert rep.overall, (inst.label, [(e.name, e.residual) for e in rep.failures])
         named = entries_by_name(rep)
         if all(named[n].passed for n in named if n.startswith("fwd_")):
@@ -364,8 +358,9 @@ def test_criterion_8_truncation_consistency():
         exact = exact and np.array_equal(g1b[sel], g1s)
         exact = exact and np.array_equal(g2b[sel], g2s)
         # and the whole example battery stays green at each size
-        exact = exact and bidisc.verify_example(n).overall
-    exact = exact and bidisc.verify_example(8).overall
+        exact = exact and bidisc.verify_example(small, *fundamental_pairs(small), build_model(small, n)).overall
+    big = bidisc.build(8)
+    exact = exact and bidisc.verify_example(big, *fundamental_pairs(big), build_model(big, 8)).overall
     announce(8, exact, "sizes 3..8 restriction-equal and individually verified")
     assert exact
 

@@ -10,9 +10,12 @@ import numpy as np
 import pytest
 
 from tetralab import bidisc
+from tetralab.charfn import build_model
 from tetralab.fundamental import solve_fundamental
 from tetralab.matcore import op_norm
 from tetralab.triples import is_pure
+
+from conftest import fundamental_pairs
 
 
 def test_grid_indexing():
@@ -71,7 +74,8 @@ def test_embedding_constructions_agree_exactly():
 
 @pytest.mark.parametrize("n", [2, 3, 6])
 def test_example_verifies_exactly(n):
-    rep = bidisc.verify_example(n)
+    t = bidisc.build(n)
+    rep = bidisc.verify_example(t, *fundamental_pairs(t), build_model(t, n))
     assert rep.overall, [(e.name, e.residual) for e in rep.failures]
     for e in rep.entries:
         if not e.skipped and e.residual is not None:

@@ -452,7 +452,7 @@ def test_model_batteries_apply_pencils_without_forming_them(monkeypatch):
     dec = verify_model_decomposition(model)
     fm = verify_functional_model(grid, model, pair_g)
     assert pure_isometry_model(grid, model, pair_g, dec, fm).overall
-    assert bidisc.example_battery(grid, pair_f, pair_g, model).overall
+    assert bidisc.verify_example(grid, pair_f, pair_g, model).overall
     theta = theta_taylor(grid.adjoint(), n + 1)
     assert extract_symbols(theta, pair_f.F1, pair_f.F2, theta.degree + 3)[2].overall
     inst = make_instance("compressions", seed=43, index=0, dim=6, degree=4)
@@ -548,13 +548,14 @@ def test_model_space_checks_hand_op_norm_thin_operands(monkeypatch, small_suite)
 def test_theta_on_thin_factors_equals_the_dense_formula(small_suite, rng):
     # theta_eval solves against D_P Q and kernel_identity_check against
     # D_{P*} Q_*; both equal the dense formulas on D_P and D_{P*}, for the
-    # triple as validated and with P moved by 0.1 under the same defect
-    # data, where the kernel identity fails by O(0.1); the last two triples
-    # keep an eigenvalue 1e-5 of D_P outside range(Q)
+    # triple as validated and with P (and its kept norm) moved by 0.1 under
+    # the same defect data, where the kernel identity fails by O(0.1); the
+    # last two triples keep an eigenvalue 1e-5 of D_P outside range(Q)
     points = [(0.3 + 0.2j, -0.55), (0.1 - 0.6j, 0.0), (0.62j, 0.45 - 0.1j)]
     for t in [inst.triple for inst in small_suite] + defect_outside_basis_triples():
         e = rng.standard_normal(t.P.shape) + 1j * rng.standard_normal(t.P.shape)
-        for triple in (t, dataclasses.replace(t, P=t.P + 0.1 * e / op_norm(e))):
+        moved = t.P + 0.1 * e / op_norm(e)
+        for triple in (t, dataclasses.replace(t, P=moved, norms=(*t.norms[:2], op_norm(moved)))):
             for z, w in points:
                 [th] = theta_eval(triple, [z])
                 dense = dense_theta(triple, z)

@@ -4,20 +4,17 @@ console entry point wraps the same function."""
 
 from __future__ import annotations
 
-import collections
 import hashlib
 import json
-import sys
 
 import numpy as np
 import pytest
 
 import tetralab.charfn
 import tetralab.cli
-import tetralab.triples
 from tetralab import bidisc, generate, io
 from tetralab.bidisc import build as build_grid
-from tetralab.blh import extraction_roundtrip, roundtrip_battery
+from tetralab.blh import extraction_roundtrip
 from tetralab.charfn import (
     _power_norms,
     _theta_zero,
@@ -35,7 +32,7 @@ from tetralab.fundamental import solve_fundamental
 from tetralab.generate import companion_unitary, make_instance
 from tetralab.hardy import AnalyticSymbol, toeplitz
 from tetralab.invariants import INVARIANT_SAMPLES, induced_defect_unitary, verify_coincidence
-from tetralab.matcore import MAX_GRID_DIM, TetralabError, defect, numerical_radius, op_norm
+from tetralab.matcore import MAX_GRID_DIM, TetralabError, defect, numerical_radius
 from tetralab.triples import is_pure, validate
 
 from conftest import (
@@ -43,6 +40,7 @@ from conftest import (
     count_calls,
     dense_coinvariance,
     dense_pencil_on_model,
+    fundamental_pairs,
     p_triple,
     watch_decompositions,
 )
@@ -258,21 +256,6 @@ def test_tol_flag_tightens_until_failure(capsys):
     assert "FAIL" in out
 
 
-def test_env_tol_respected_and_flag_wins(capsys, monkeypatch):
-    monkeypatch.setenv("TETRALAB_TOL", "1e-30")
-    code, _, _ = run(capsys, "verify-bidisc", "--degree", "2")
-    assert code == 1  # env tightens: grid checks keep passing at 0.0 but
-    # policy-tolerance checks on solver output round-off now fail
-    # the flag overrides the environment
-    code, _, _ = run(capsys, "verify-bidisc", "--degree", "2", "--tol", "1e-10")
-    assert code == 0
-
-
-def test_env_tol_garbage_is_input_error(capsys, monkeypatch):
-    monkeypatch.setenv("TETRALAB_TOL", "much")
-    assert run(capsys, "verify-bidisc", "--degree", "2")[0] == 2
-
-
 # ------------------------------------------------------------------- blh
 
 
@@ -428,9 +411,9 @@ def test_battery_builds_each_object_once(monkeypatch):
     # validated triples, so the only 2 defects validate the conjugated copy;
     # symbols instances validate two more pencil triples for isometry
     # propagation.  Purity is checked once by each model.  The instances are
-    # those of ``small_suite``, generated afresh: a triple keeps the norms
-    # its adjoints computed, so a shared one would count fewer
-    # decompositions after other tests
+    # those of ``small_suite``, generated afresh: a triple keeps the purity
+    # certificate once read, so a shared one would count fewer is_pure calls
+    # after other tests
     instances = generate.suite(seed=7, count=6, dim=3, degree=3)
     calls = count_calls(
         monkeypatch, solve_fundamental, build_model, defect, is_pure, numerical_radius, _theta_zero, theta_taylor
@@ -447,63 +430,21 @@ def test_battery_builds_each_object_once(monkeypatch):
         assert calls["build_model"] <= 2, inst.label
         assert calls["defect"] == (6 if inst.family == "symbols" else 2), inst.label
         assert calls["is_pure"] == 2, inst.label
-        # only the characterization of F reads a radius bracket: 8 with a
-        # bracket of both radii in each of the 4 solves
+        # only the characterization of F reads a radius bracket
         assert calls["numerical_radius"] == 2, inst.label
         # Theta is formed once by each model, and the coincidence check
-        # compares the two models' coefficients (4 with its own Taylor pass)
+        # compares the two models' coefficients
         assert calls["_theta_zero"] == 2, inst.label
         assert calls["theta_taylor"] == 0, inst.label
         op_norm_svds.append(decompositions["svd", "op_norms"])
         works.append(sum(work.values()))
-    # op_norm decomposes no zero matrix, ||A||, ||B||, ||P|| are read from
-    # the triples, and numerical_radius runs none; each subspace gap is two
-    # SVDs of thin factors.  The range partition residuals take their norms
-    # from eigvalsh, and model_intertwine_P, now a compression to H_P, is no
-    # longer exactly zero: [126, 142, 254, 125, 142, 208] before.  Each
-    # fundamental pair keeps ||F1||, ||F2||, so a battery norms them once per
-    # pair where it took [127, 141, 253, 126, 141, 207] SVDs.  Each model
-    # norms one Davis-Kahan residual for the gap of H_P = range(W) to T_Theta
-    # where the subspace gap took two norms: [113, 127, 237, 112, 127, 191]
-    # before.  The model of P' computes no gap, as no report reads one:
-    # [112, 125, 235, 111, 125, 189] before.  The cross relations take their
-    # scale from the norms the pairs keep rather than norm four embedded
-    # F and G, and the induced witness reads ||A||, ||B||, ||P|| from the
-    # triple: [111, 124, 234, 110, 124, 188] before.  The necessary report
-    # reads the commutator norms validate kept: [104, 117, 227, 103, 117, 181]
-    # before.  Every op_norm is an op_norms of one, and one stacked SVD norms
-    # the 20 pencil residuals, the 17 coincidence residuals, ||A||, ||B||,
-    # ||P|| and the three commutators of a validation: [101, 114, 224, 100,
-    # 114, 178] SVD calls before.  Each solve divides by the spectrum of D_P
-    # that the triple keeps, where the pseudoinverse of Q* D_P Q took two
-    # norms and one eigh: [62, 75, 185, 62, 75, 139] before.  The adjoint
-    # reads the norms of its triple: [56, 67, 177, 56, 67, 131] before.  The
-    # coincidence check compares the coefficients the two models hold, where
-    # its own Taylor pass checked the leak of P(D_P) twice more:
-    # [52, 63, 173, 52, 63, 127] before
+    # op_norm decomposes no zero matrix, the norms of A, B, P, of their
+    # commutators and of F1, F2 are read from the triples and pairs, and one
+    # stacked SVD norms each family of same-shape residuals
     assert op_norm_svds == [51, 61, 171, 51, 61, 125]
-    # no model-space check decomposes a grid-sized matrix of rank <= dim H:
-    # on the projector formulas the work was [174960, 86666, 44254782,
-    # 174933, 167266, 9166500], 54,025,107 in all; with a gating SVD at each
-    # point theta_eval is handed, [178416, 85250, 19111167, 178389, 164186,
-    # 3994785]; with M x M SVDs for the range partition and the converse
-    # intertwining, [154224, 83125, 19110681, 154197, 160298, 3994299]; with
-    # ||F1||, ||F2|| normed by each check, [155952, 82028, 12567177, 155925,
-    # 158071, 2611575]; with H_P from a full SVD of T_Theta, [155574, 81132,
-    # 12566745, 155547, 156321, 2611143]; with a gap for the model of P',
-    # [150390, 79508, 6209730, 150363, 153241, 1291788]; with the range
-    # partition normed by an M x M eigvalsh and F, G embedded in the cross
-    # relations, [148662, 79308, 6208407, 148635, 152881, 1291005]; with the
-    # commutators normed again by the necessary report, [136566, 77857,
-    # 45711, 136539, 150244, 39609]; with 8 radius brackets, [131382, 77482,
-    # 45630, 131355, 149596, 39528]; with the pseudoinverse of Q* D_P Q in
-    # each solve, [110646, 28330, 24894, 110619, 53596, 18792]; with the
-    # thin SVD of W for H_P, the norms of the adjoint's A*, B*, P* and full
-    # SVDs for ker(I - A*A), ker(I - B*B), [110376, 27562, 24570, 110349,
-    # 52096, 18468]; with a Taylor pass of its own to degree 12 in the
-    # coincidence check, [89640, 26337, 20493, 89613, 50152, 16011].  The
-    # scalars instances, at N = 48 and 28, now compare coefficients 0..N+1
-    # in the one stacked SVD of the coincidence residuals, not 0..12
+    # no model-space check decomposes a grid-sized matrix of rank <= dim H;
+    # the scalars instances, at N = 48 and 28, compare coefficients 0..N+1
+    # in the one stacked SVD of the coincidence residuals
     assert works == [89316, 25537, 21438, 89289, 48602, 16416]
 
 
@@ -511,18 +452,17 @@ def test_verify_bidisc_builds_each_object_once(monkeypatch, capsys):
     # the command validates the grid triple, solves its F and G pairs and
     # builds its model once, and hands them to the example battery, the
     # fundamental and model reports, the isometry model and the extraction
-    # round trip; the two defects are those of the one validation, and each
-    # model report runs once, the isometry model taking the two it needs.
-    # Purity is checked once, by the model, whose certificate the example's
-    # "pure_nilpotent" entry reads; the round trip reads the model's truncation.
-    # op_norm decomposes no zero matrix and reads the norms the triple keeps;
-    # its adjoints read them too, as ||X*|| = ||X||, and each fundamental
-    # pair keeps ||F1|| and ||F2||.
-    # P^4 = 0 exactly, so the tail needs no norm of a power of P (3 SVDs
-    # before), and the kept ||P|| clears I - z P* at every pencil sample
-    # without an SVD (10 before)
+    # round trip, each run once; the two defects are those of the one
+    # validation, and each model report runs once, the isometry model taking
+    # the two it needs.  Purity is checked once, by the model, whose
+    # certificate the example's "pure_nilpotent" entry reads; the round trip
+    # reads the model's truncation.  P^4 = 0 exactly, so the tail needs no
+    # norm of a power of P, and the kept ||P|| clears I - z P* at every
+    # pencil sample without an SVD
     calls = count_calls(
         monkeypatch,
+        bidisc.verify_example,
+        extraction_roundtrip,
         solve_fundamental,
         build_model,
         validate,
@@ -534,18 +474,11 @@ def test_verify_bidisc_builds_each_object_once(monkeypatch, capsys):
         numerical_radius,
     )
     decompositions, _, work = watch_decompositions(monkeypatch)
-    norms_computed = collections.Counter()
-
-    def counting_op_norm(m):
-        frame = sys._getframe(1)
-        if frame.f_code.co_name == "norm":
-            norms_computed[frame.f_locals["name"]] += 1
-        return op_norm(m)
-
-    monkeypatch.setattr(tetralab.triples, "op_norm", counting_op_norm)
     code, _, _ = run(capsys, "verify-bidisc", "--degree", "3")
     assert code == 0
     assert calls == {
+        "verify_example": 1,
+        "extraction_roundtrip": 1,
         "solve_fundamental": 2,
         "build_model": 1,
         "validate": 1,
@@ -556,40 +489,24 @@ def test_verify_bidisc_builds_each_object_once(monkeypatch, capsys):
         "_power_norms": 0,
         "numerical_radius": 2,
     }
-    # only the characterization of F brackets a radius (4 before, both radii
-    # of each solve).  An op_norm SVD is an op_norms call of one; one stacked
-    # SVD norms ||A||, ||B||, ||P|| of the validation and one the 20 pencil
-    # residuals: 23 SVD calls before.  Each solve divides by the spectrum of
-    # D_P that the triple keeps instead of norming Q* D_P Q twice for its
-    # pseudoinverse: 16 before.  The adjoint reads ||A||, ||B||, ||P|| of
-    # the triple, where they took one norm each: 14 before
+    # only the characterization of F brackets a radius; the norms of A, B, P
+    # (also for the adjoint, as ||X*|| = ||X||) and of F1, F2 are kept, and
+    # one stacked SVD norms ||A||, ||B||, ||P|| and one the 20 pencil residuals
     assert decompositions["svd", "op_norms"] == 11
     assert decompositions["svd", "theta_eval"] == 0
-    assert norms_computed == {}  # {"A": 1, "B": 1, "P": 1} before
     # H_P is range(W), with W as its basis, and T_Theta is not decomposed;
-    # ker(I - A*A) and ker(I - B*B) come from one eigh each: on the projector formulas the
-    # work was 351,801, 347,769 with the SVDs of the powers of P and of
-    # I - z P*, 294,521 (41 op_norm SVDs) with ||F1||, ||F2|| normed by each
-    # check rather than kept on the pair, and 289,719 with H_P from a full
-    # SVD of T_Theta and range(W) taken twice, and 260,599 with F and G
-    # embedded in the cross relations and normed there, and 244,215 with the
-    # radius brackets of G, which no check reads, and 156,407 with the
-    # pseudoinverse of Q* D_P Q in each solve, and 155,035 with full SVDs
-    # for ker(I - A*A) and ker(I - B*B), where one eigh each now serves,
-    # with the thin SVD of W and with the norms of A*, B* and P*
+    # ker(I - A*A) and ker(I - B*B) come from one eigh each
     assert sum(work.values()) == 131483
 
 
 @pytest.mark.parametrize("n", [2, 3])
 def test_verify_bidisc_reports_equal_the_standalone_batteries(capsys, n):
-    # the command feeds one set of objects to the example battery, the round
-    # trip and the isometry model; the fronts the acceptance gate calls build
-    # their own, and so does a standalone isometry model: no entry may differ
+    # the command's isometry model reuses the functional-model and
+    # range-partition reports of its model report; a standalone isometry
+    # model on objects of its own gives the same entries
     code, out, _ = run(capsys, "verify-bidisc", "--degree", str(n), "--format", "json")
     assert code == 0
     entries = {r["label"]: r["entries"] for r in strict_json(out)["reports"]}
-    assert entries["example"] == bidisc.verify_example(n).to_dict()["entries"]
-    assert entries["blh"] == extraction_roundtrip(build_grid(n))[2].to_dict()["entries"]
     triple = build_grid(n)
     model = build_model(triple, n)
     pair_g = solve_fundamental(triple.adjoint())
@@ -676,10 +593,9 @@ def test_pencil_intertwining_refuses_samples_outside_disc(monkeypatch, small_sui
 
 def test_build_model_checks_purity_once(monkeypatch, capsys, tmp_path):
     # one is_pure call per triple: the first model reads triple.purity and
-    # a second model of the same triple reads the kept certificate (it made
-    # 1 call when build_model checked purity itself); one per extraction
-    # round trip, none in a round trip fed a model's truncation; model-check
-    # reads the certificate of its "pure" check from the triple
+    # a second model of the same triple reads the kept certificate; none in
+    # a round trip fed a model's truncation; model-check reads the
+    # certificate of its "pure" check from the triple
     triple = make_instance("scalars", seed=61, index=0, dim=3, degree=4).triple
     calls = count_calls(monkeypatch, is_pure)
     model = build_model(triple)
@@ -687,14 +603,11 @@ def test_build_model_checks_purity_once(monkeypatch, capsys, tmp_path):
     calls["is_pure"] = 0
     build_model(triple, model.N)
     assert calls["is_pure"] == 0
-    calls["is_pure"] = 0
     grid = build_grid(2)
-    assert extraction_roundtrip(grid)[2].overall
-    assert calls["is_pure"] == 1
-    pair_f, pair_g = solve_fundamental(grid), solve_fundamental(grid.adjoint())
+    pair_f, pair_g = fundamental_pairs(grid)
     grid_model = build_model(grid, 2)
     calls["is_pure"] = 0
-    assert roundtrip_battery(grid, pair_f, pair_g, grid_model.N, grid_model.tail)[2].overall
+    assert extraction_roundtrip(grid, pair_f, pair_g, grid_model.N, grid_model.tail)[2].overall
     assert calls["is_pure"] == 0
     path = tmp_path / "triple.json"
     path.write_text(io.dumps(io.triple_to_obj(triple)))

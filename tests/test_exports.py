@@ -1,7 +1,6 @@
 """Every callable the package exports has a caller besides its unit tests.
 
-A name in ``tetralab.__all__`` or in the ``__all__`` of any package module
-counts as used when the package source refers to it outside its own
+A name in the ``__all__`` of any package module counts as used when the package source refers to it outside its own
 definition, or when the acceptance gate calls it.  A public method or
 property of a class listed there counts as used only when one of them reads
 it as an attribute (``x.name``): a bare name that happens to match, such as a
@@ -66,13 +65,12 @@ def public_members(cls: type) -> set[str]:
 def test_every_export_has_a_caller():
     names, attrs = referenced_names(ACCEPTANCE)
     exported = set()
-    for path in sorted(SRC.glob("*.py")):
+    for path in sorted(SRC.glob("[!_]*.py")):
         more_names, more_attrs = referenced_names(path)
         names |= more_names
         attrs |= more_attrs
-        name = "tetralab" if path.stem == "__init__" else f"tetralab.{path.stem}"
-        module = importlib.import_module(name)
-        for n in getattr(module, "__all__", ()):
+        module = importlib.import_module(f"tetralab.{path.stem}")
+        for n in module.__all__:
             obj = getattr(module, n)
             if callable(obj):
                 exported.add(n)

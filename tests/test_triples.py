@@ -20,7 +20,7 @@ from tetralab.bidisc import build as build_grid
 from tetralab.generate import make_instance
 from tetralab.matcore import SubspaceBasis
 
-from conftest import count_calls, fields_equal, forbid_linalg, random_contraction
+from conftest import count_calls, forbid_linalg, random_contraction, triples_agree
 
 
 def scalar_triple(a: complex, b: complex, p: complex):
@@ -85,14 +85,15 @@ each_triple = pytest.mark.parametrize(
 
 @each_triple
 def test_adjoint_equals_revalidation_without_linalg(make, monkeypatch):
-    # the swapped caches are the very numbers validate derives from (A*, B*,
-    # P*), bases included, and adjoint() gets them without a decomposition
+    # the swapped defect data are the very bytes validate derives from (A*,
+    # B*, P*), bases included, the kept norms agree with its own to rounding,
+    # and adjoint() gets them without a decomposition
     t = make()
     expected = validate(t.A.conj().T, t.B.conj().T, t.P.conj().T)
     forbid_linalg(monkeypatch)
     adj = t.adjoint()
     monkeypatch.undo()
-    assert fields_equal(adj, expected)
+    assert triples_agree(adj, expected)
 
 
 @each_triple
@@ -111,7 +112,7 @@ def test_validate_keeps_the_norms_it_checked(make, monkeypatch):
 
 def test_adjoint_computes_only_the_norms_it_reads(monkeypatch):
     # an adjoint reads ||A||, ||B||, ||P|| of its triple, as ||X*|| = ||X||:
-    # no SVD of A*, B* or P* (it computed the 3 it read once each before)
+    # no SVD of A*, B* or P*
     triple = make_instance("symbols", seed=83, index=0, dim=3, degree=4).triple
     adj = triple.adjoint()
     calls = count_calls(monkeypatch, op_norm)
