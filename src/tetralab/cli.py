@@ -67,8 +67,6 @@ DISC_SAMPLES = tuple(
 def _policy_from(tol: float | None) -> TolerancePolicy:
     if tol is None:
         return DEFAULT_POLICY
-    if not tol > 0:
-        raise TetralabError(f"tolerance must be positive, got {tol}")
     return TolerancePolicy(eq_tol=tol)
 
 

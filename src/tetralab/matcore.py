@@ -45,7 +45,6 @@ __all__ = [
     "herm_part",
     "defect",
     "range_basis",
-    "range_complement",
     "subspace_gap",
     "numerical_radius",
 ]
@@ -255,19 +254,6 @@ def range_basis(m) -> SubspaceBasis:
     u, s, _ = np.linalg.svd(arr, full_matrices=False)
     k = int(np.count_nonzero(s > RANK_TOL * max(float(s[0]), 1.0)))
     return SubspaceBasis(u[:, :k])
-
-
-def range_complement(m) -> SubspaceBasis:
-    """(range M)^perp: the trailing left singular vectors of one full SVD of M,
-    ranked as in ``range_basis``; the whole space without an SVD when M is all
-    zero.  The null space of M is ``range_complement(M*)``."""
-    m = ensure_matrix(m, name="M")
-    rows = m.shape[0]
-    if not m.any():
-        return SubspaceBasis(np.eye(rows, dtype=complex))
-    u, s, _ = np.linalg.svd(m)
-    k = int(np.count_nonzero(s > RANK_TOL * max(float(s[0]), 1.0)))
-    return SubspaceBasis(u[:, k:])
 
 
 def subspace_gap(a: SubspaceBasis, b: SubspaceBasis) -> float:

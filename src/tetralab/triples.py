@@ -94,8 +94,8 @@ class TetrablockTriple:
 
     @cached_property
     def purity(self) -> PurityCertificate:
-        """``is_pure(P)``, computed on first read and kept."""
-        return is_pure(self.P)
+        """``is_pure`` of this triple, computed on first read and kept."""
+        return is_pure(self)
 
     def norm(self, name: str) -> float:
         """||A||, ||B|| or ||P|| by name."""
@@ -161,30 +161,22 @@ class PurityCertificate:
         return self.pure
 
 
-def is_pure(p) -> PurityCertificate:
+def is_pure(triple: TetrablockTriple) -> PurityCertificate:
     """Pure iff rho(P) < 1 - RANK_TOL; below RANK_TOL the powers of P give the nilpotency index and ``exact_zero``.
 
-    P must be a contraction, ||P|| <= 1 + eq_tol as ``validate`` checks, so
-    that ||P^(k+1)||_F <= ||P|| ||P^k||_F: the least K <= dim with ||P^K||_F <=
-    1e-12 (the Frobenius norm bounds the spectral norm from above) is then
-    found from the squares P^(2^j) and a bisection over the bits below the
-    last, and ``exact_zero`` is decided on P^K itself.  Where that search
-    runs, ``NotContractiveError`` refuses a P with ||P|| > 1 + eq_tol; the
-    SVD deciding it runs only when Schur's bound sqrt(||P||_1 ||P||_inf)
-    exceeds 1 + eq_tol.
+    P is that of the validated ``triple``, so a nonempty contraction, ||P|| <=
+    1 + eq_tol, and ||P^(k+1)||_F <= ||P|| ||P^k||_F: the least K <= dim with
+    ||P^K||_F <= 1e-12 (the Frobenius norm bounds the spectral norm from
+    above) is then found from the squares P^(2^j) and a bisection over the
+    bits below the last, and ``exact_zero`` is decided on P^K itself.
     """
-    p = ensure_matrix(p, square=True, name="P")
+    p = triple.P
     n = p.shape[0]
-    if n == 0:
-        return PurityCertificate(pure=True, spectral_radius=0.0, nilpotency_index=1)
     rho = float(np.abs(np.linalg.eigvals(p)).max())
     if rho >= 1.0 - RANK_TOL:
         return PurityCertificate(pure=False, spectral_radius=rho)
     nil_index, exact_zero = None, False
     if rho < RANK_TOL:
-        bound = 1.0 + DEFAULT_POLICY.eq_tol
-        if np.sqrt(np.abs(p).sum(0).max() * np.abs(p).sum(1).max()) > bound and (pnorm := op_norm(p)) > bound:
-            raise NotContractiveError(f"||P|| = {pnorm:.12g} exceeds 1 + eq_tol")
         squares = [p]  # squares[j] = P^(2^j), up to the first at or below 1e-12
         while np.linalg.norm(squares[-1]) > 1e-12 and 2 ** len(squares) <= n:
             squares.append(squares[-1] @ squares[-1])

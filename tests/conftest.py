@@ -1,6 +1,7 @@
 """Shared fixtures: deterministic RNG streams, cached instance suites, the
 fundamental pairs of a triple, the triple of a bare contraction, the linear
-scan for the nilpotency index of ``is_pure``, the projector onto a subspace,
+scan for the nilpotency index of ``is_pure``, the dense SVD construction of
+a range complement and of the isometric interior, the projector onto a subspace,
 a field-by-field equality and its form for triples, a call counter, watches
 on ``numpy.linalg``, the dense construction of the model space, the dense
 grid formulas of the model-space residuals and the dense embedded formulas of
@@ -18,7 +19,7 @@ import pytest
 from tetralab import generate
 from tetralab.fundamental import FundamentalPair, solve_fundamental
 from tetralab.hardy import pencil, toeplitz
-from tetralab.matcore import DEFAULT_POLICY, SubspaceBasis, op_norm, range_basis, range_complement, subspace_gap
+from tetralab.matcore import DEFAULT_POLICY, RANK_TOL, SubspaceBasis, op_norm, range_basis, subspace_gap
 from tetralab.triples import TetrablockTriple, validate
 
 
@@ -65,6 +66,24 @@ def linear_scan_nilpotency(p) -> tuple[int | None, bool]:
         if np.linalg.norm(power) <= 1e-12:
             return k, not power.any()
     return None, False
+
+
+def range_complement(m) -> SubspaceBasis:
+    """(range M)^perp: the trailing left singular vectors of one full SVD of M,
+    past those above RANK_TOL * max(sigma_1, 1), the rank rule of
+    ``range_basis``.  The null space of M is ``range_complement(M*)``."""
+    u, s, _ = np.linalg.svd(np.asarray(m, dtype=complex))
+    return SubspaceBasis(u[:, np.count_nonzero(s > RANK_TOL * max(s.max(initial=0.0), 1.0)) :])
+
+
+def two_step_interior(triple: TetrablockTriple) -> SubspaceBasis:
+    """The coordinates c on the basis Q_* of D_{P*} with Q_* c in ker(I - A*A)
+    and ker(I - B*B), by two full-space steps: each kernel as the range
+    complement of I - X*X, then the null space of the stacked (I - K K*) Q_*,
+    K the basis of each kernel."""
+    qs, eye = triple.dpstar.basis, np.eye(triple.dim)
+    kernels = [range_complement(eye - x.conj().T @ x).basis for x in (triple.A, triple.B)]
+    return range_complement(np.vstack([qs - k @ (k.conj().T @ qs) for k in kernels]).conj().T)
 
 
 def projector(sub: SubspaceBasis) -> np.ndarray:

@@ -188,7 +188,7 @@ def test_criterion_4_functional_model(solved_pure):
     worst_kernel = 0.0
     for inst, _, pair_g in solved_pure:
         triple = inst.triple
-        assert is_pure(triple.P).pure, inst.label
+        assert is_pure(triple).pure, inst.label
         model = build_model(triple)
         assert model.tail <= 1e-10, inst.label
         dec = verify_model_decomposition(model)

@@ -34,7 +34,7 @@ def test_triple_structure():
     # A and B are coordinate shifts; P = AB = BA is the diagonal shift
     assert np.array_equal(t.P, t.A @ t.B)
     assert np.array_equal(t.P, t.B @ t.A)
-    cert = is_pure(t.P)
+    cert = is_pure(t)
     assert cert.pure and cert.nilpotency_index == n + 1
 
 

@@ -42,8 +42,17 @@ from tetralab.bidisc import build as build_grid
 from tetralab.cli import run_instance_battery
 from tetralab.generate import make_instance, random_unitary
 from tetralab.hardy import AnalyticSymbol, toeplitz
-from tetralab.matcore import CLAMP_TOL, DEFAULT_POLICY, MAX_GRID_DIM, TetralabError, ensure_matrix, op_norm, range_complement
-from tetralab.triples import from_symbols, is_pure
+from tetralab.matcore import (
+    CLAMP_TOL,
+    DEFAULT_POLICY,
+    MAX_GRID_DIM,
+    ShapeError,
+    TetralabError,
+    ensure_matrix,
+    op_norm,
+    subspace_gap,
+)
+from tetralab.triples import from_symbols, is_pure, validate
 
 from conftest import (
     assert_residuals_match,
@@ -56,6 +65,7 @@ from conftest import (
     p_triple,
     perturbed,
     random_contraction,
+    two_step_interior,
     watch_decompositions,
 )
 
@@ -205,9 +215,9 @@ def test_tail_shortcut_equals_the_full_pass(monkeypatch, name, p, index, exact):
     # an exact zero P^K takes the tail from the purity check for every
     # degree n >= K - 1, and the result equals the full pass bit for bit;
     # below K - 1, or with no exact zero, the full pass runs
-    cert = is_pure(p)
-    assert (cert.nilpotency_index, cert.exact_zero) == (index, exact)
     triple = p_triple(p)
+    cert = is_pure(triple)
+    assert (cert.nilpotency_index, cert.exact_zero) == (index, exact)
     calls = count_calls(monkeypatch, _power_norms)
     for n in range((index or 3) + 2):
         calls["_power_norms"] = 0
@@ -409,7 +419,7 @@ def test_model_dimensions_and_tail(rng):
 def test_functional_model_reproduces_triple(family, dim):
     inst = make_instance(family, seed=11, index=1, dim=dim, degree=4)
     triple = inst.triple
-    assert is_pure(triple.P).pure
+    assert is_pure(triple).pure
     model = build_model(triple)
     pair_g = solve_fundamental(triple.adjoint())
     rep = verify_functional_model(triple, model, pair_g)
@@ -485,6 +495,68 @@ def test_pure_isometry_model_on_symbol_instance():
     assert rep.overall, [e.name for e in rep.failures]
 
 
+@pytest.mark.parametrize(
+    "make",
+    [pytest.param(lambda n=n: build_grid(n), id=f"grid{n}") for n in range(1, 9)]
+    + [pytest.param(lambda n=n: from_symbols(np.diag([1.0, 0.3]), np.diag([0.0, 0.4]), n), id=f"symbols{n}") for n in (1, 4)]
+    + [pytest.param(lambda: make_instance("symbols", seed=3, index=0, dim=3, degree=4).triple, id="symbols_instance")],
+)
+def test_isometric_interior_equals_the_two_step_oracle(make):
+    # grid n has an interior of 2n - 1 of its 2n + 1 defect directions of
+    # P*; the diagonal symbols one, the generated instance none
+    triple = make()
+    interior, expected = charfn._isometric_interior(triple), two_step_interior(triple)
+    assert interior.rank == expected.rank
+    assert subspace_gap(interior, expected) <= 1e-10
+
+
+@pytest.mark.parametrize("n", [6, 14])
+def test_pure_isometry_model_decomposes_only_defect_sized_operands(monkeypatch, n):
+    # apart from the norms of its residuals, the isometry model decomposes
+    # one dim x rank D_P basis (a complete QR, for ker D_P) and one rank
+    # D_{P*} square matrix (an eigh, for the interior)
+    triple = build_grid(n)
+    model = build_model(triple, n)
+    pair_g = solve_fundamental(triple.adjoint())
+    dec = verify_model_decomposition(model)
+    fm = verify_functional_model(triple, model, pair_g)
+    seen = []
+
+    def recording(name, fn):
+        def wrapper(a, *args, **kwargs):
+            seen.append((name, sys._getframe(1).f_code.co_name, np.shape(a)))
+            return fn(a, *args, **kwargs)
+        return wrapper
+
+    for name in ("svd", "eig", "eigh", "eigvals", "eigvalsh", "qr", "solve", "pinv", "lstsq"):
+        monkeypatch.setattr(np.linalg, name, recording(name, getattr(np.linalg, name)))
+    assert pure_isometry_model(triple, model, pair_g, dec, fm).overall
+    r, rs = triple.dp.rank, triple.dpstar.rank
+    assert [s for s in seen if s[1] != "op_norms"] == [
+        ("qr", "pure_isometry_model", (triple.dim, r)),
+        ("eigh", "_isometric_interior", (rs, rs)),
+    ]
+
+
+def test_functional_model_refuses_a_pair_on_another_defect_basis():
+    # the adjoint pair must be expressed in the very basis of D_{P*} the
+    # triple keeps: pairs of another triple are refused, whether their basis
+    # has the same shape (that of the conjugate u T u*) or not (a wider
+    # truncation), and a pair from a fresh validation of (A*, B*, P*) has
+    # the same bytes and is accepted
+    triple = make_instance("symbols", seed=83, index=0, dim=3, degree=4).triple
+    model = build_model(triple)
+    u = random_unitary(np.random.default_rng(83), triple.dim)
+    for other in (
+        validate(*(u @ x @ u.conj().T for x in (triple.A, triple.B, triple.P))),
+        make_instance("symbols", seed=83, index=0, dim=3, degree=5).triple,
+    ):
+        with pytest.raises(ShapeError, match="defect basis"):
+            verify_functional_model(triple, model, solve_fundamental(other.adjoint()))
+    revalidated = validate(triple.A.conj().T, triple.B.conj().T, triple.P.conj().T)
+    assert verify_functional_model(triple, model, solve_fundamental(revalidated)).overall
+
+
 def test_model_space_residuals_equal_the_dense_formulas(small_suite, rng):
     # co-invariance of range(W) and the pencil on the isometric part are
     # normed on thin factors; they equal the dense M x M formulas, for the
@@ -537,7 +609,7 @@ def test_model_space_checks_hand_op_norm_thin_operands(monkeypatch, small_suite)
         zero = not (toeplitz(model.theta, model.N).conj().T @ model.h_basis.basis).any()
         assert shapes("_kernel_gap") == (set() if zero else {(m, n)})
         assert shapes("verify_functional_model") == {(m, n)}
-        iso_rank = range_complement(t.dp.basis).rank
+        iso_rank = t.dim - t.dp.rank
         if iso_rank:
             seen.clear()
             pure_isometry_model(t, model, pair_g, dec, fm)

@@ -78,14 +78,17 @@ def test_verify_bidisc_passes(capsys):
 @pytest.mark.parametrize(
     "degree, digest",
     [
+        (3, "e6c861dee6353124c5d204da097b7a1593ab0214d5d145c1235902f846c03e68"),
         (6, "44db1164dbf5efaca969a3c11cede30760cc48499d613dd92953ab9d482249ec"),
         (14, "f536f340d88681c701f8367e42e489d58b0d6706da8c8f23ca5b43e0192c49f8"),
     ],
-    ids=["6", "14"],
+    ids=["3", "6", "14"],
 )
 def test_verify_bidisc_bundle_keeps_its_digest(tmp_path, degree, digest):
     # the SHA-256 of the bundle in canonical JSON without wall_time_s; it
-    # reads the same with one BLAS thread, two, or the default.  Degree 14 is
+    # reads the same with one BLAS thread, two, or the default.  At degree 3
+    # the isometric interior is 5 of the 7 defect directions of P* and ker D_P
+    # 9 of 16, a second size for the isometry model's kernels.  Degree 14 is
     # the bidisc benchmark's shape: its worst margin (4.58e-9) comes from one
     # residual of about 1e-17 in pencil_pencil_intertwine_1/_2, so a single
     # moved bit there can double that metric; any change of these bytes must
@@ -114,6 +117,17 @@ def test_missing_required_flag_is_usage_error(capsys):
 def test_bad_tol_value_is_input_error(capsys):
     code, _, err = run(capsys, "verify-bidisc", "--tol", "banana")
     assert code == 2
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("tol", ["0", "-1e-3", "nan", "inf"])
+def test_non_positive_or_non_finite_tol_is_input_error(capsys, tol, fmt):
+    # TolerancePolicy refuses the value as bad input: one error line and no
+    # report in either format
+    code, out, err = run(capsys, "verify-bidisc", "--degree", "2", f"--tol={tol}", "--format", fmt)
+    assert (code, out) == (2, "")
+    assert len(err.splitlines()) == 1 and err.startswith("tetralab: error:")
+    assert "Traceback" not in err
 
 
 def test_missing_file_is_input_error(capsys, tmp_path):
@@ -495,8 +509,9 @@ def test_verify_bidisc_builds_each_object_once(monkeypatch, capsys):
     assert decompositions["svd", "op_norms"] == 11
     assert decompositions["svd", "theta_eval"] == 0
     # H_P is range(W), with W as its basis, and T_Theta is not decomposed;
-    # ker(I - A*A) and ker(I - B*B) come from one eigh each
-    assert sum(work.values()) == 131483
+    # the isometric interior comes from one eigh of a rank D_{P*} square
+    # matrix, and ker D_P from a QR, which is not counted here
+    assert sum(work.values()) == 121282
 
 
 @pytest.mark.parametrize("n", [2, 3])

