@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from tetralab import triples
-from tetralab.matcore import NotContractiveError, ShapeError, op_norm
+from tetralab.matcore import NotContractiveError, ShapeError, op_norm, op_norms
 from tetralab.triples import (
     NonCommutingError,
     NotCoinvariantError,
@@ -20,7 +20,7 @@ from tetralab.bidisc import build as build_grid
 from tetralab.generate import make_instance
 from tetralab.matcore import SubspaceBasis
 
-from conftest import forbid_linalg, p_triple, random_contraction, triples_agree
+from conftest import count_calls, forbid_linalg, p_triple, random_contraction, triples_agree
 
 
 def scalar_triple(a: complex, b: complex, p: complex):
@@ -99,11 +99,20 @@ def test_adjoint_equals_revalidation_without_linalg(make, monkeypatch):
 @each_triple
 def test_validate_keeps_the_norms_it_checked(make):
     # ||A||, ||B||, ||P|| are kept from the contraction check of validate:
-    # the norms op_norm gives, bit for bit, and the adjoint keeps them
-    # exactly, as ||X*|| = ||X||
+    # the norms op_norm gives, bit for bit
     t = make()
     assert [t.norm(name) for name in "ABP"] == [op_norm(t.A), op_norm(t.B), op_norm(t.P)]
-    assert t.adjoint().norms == t.norms
+
+
+def test_adjoint_computes_only_the_norms_it_reads(monkeypatch):
+    # an adjoint keeps ||A||, ||B||, ||P|| of its triple exactly, as
+    # ||X*|| = ||X||: building it and reading them takes no SVD of A*, B*, P*
+    triple = make_instance("symbols", seed=83, index=0, dim=3, degree=4).triple
+    calls = count_calls(monkeypatch, op_norm, op_norms)
+    adj = triple.adjoint()
+    assert [adj.norm(name) for name in "ABP"] == [triple.norm(name) for name in "ABP"]
+    assert adj.max_norm() == triple.max_norm()
+    assert calls == {"op_norm": 0, "op_norms": 0}
 
 
 # --------------------------------------------------- necessary conditions
