@@ -59,7 +59,6 @@ __all__ = [
     "ModelData",
     "theta_taylor",
     "theta_eval",
-    "kernel_identity_check",
     "power_tail",
     "build_model",
     "model_pencils",
@@ -169,26 +168,6 @@ def theta_eval(triple: TetrablockTriple, points) -> list[np.ndarray]:
                 raise ResolventSingularError(f"I - z P* singular at z = {z!r}")
         out.append(theta_0 + z * (dsq.conj().T @ np.linalg.solve(res, dq)))
     return out
-
-
-def kernel_identity_check(triple: TetrablockTriple, z: complex, w: complex) -> float:
-    """Residual of the reproducing-kernel identity on the defect space of P*:
-
-        I - Theta_P(w) Theta_P(z)* =
-            (1 - w conj(z)) D_{P*} (I - w P*)^{-1} (I - conj(z) P)^{-1} D_{P*}.
-
-    ``theta_eval`` refuses a singular I - w P* or I - z P*; the latter is the
-    adjoint of I - conj(z) P, so both resolvents below exist.
-    """
-    z, w = complex(z), complex(w)
-    tw, tz = theta_eval(triple, (w, z))
-    p, dsq = triple.P, triple.dpstar.factor
-    n = p.shape[0]
-    lhs = np.eye(dsq.shape[1]) - tw @ tz.conj().T
-    res_w = np.eye(n) - w * p.conj().T
-    res_z = np.eye(n) - np.conj(z) * p
-    core = dsq.conj().T @ np.linalg.solve(res_w, np.linalg.solve(res_z, dsq))
-    return op_norm(lhs - (1.0 - w * np.conj(z)) * core)
 
 
 def _power_norms(p: np.ndarray) -> list[float]:
@@ -411,7 +390,7 @@ def verify_pencil_intertwining(
     return rep
 
 
-def _isometric_interior(triple: TetrablockTriple) -> SubspaceBasis:
+def _isometric_interior(triple: TetrablockTriple) -> np.ndarray:
     """The c with Q_* c in ker(I - A*A) and ker(I - B*B), Q_* the basis of D_{P*}: the eigenvectors of
     H = 2I - (A Q_*)^* A Q_* - (B Q_*)^* B Q_* = Q_*^* (I - A*A) Q_* + Q_*^* (I - B*B) Q_* whose |eigenvalue|
     is at most 2 RANK_TOL max(lambda_max(H), 1).  For contractions both terms are positive semidefinite, so
@@ -419,11 +398,12 @@ def _isometric_interior(triple: TetrablockTriple) -> SubspaceBasis:
     at RANK_TOL, then the c whose Q_* c both contain, at RANK_TOL again) keeps only unit c on which each
     term of c*Hc is at most RANK_TOL, up to a cross term below 1e-13 of sqrt(RANK_TOL) times the second cut.
     By Courant-Fischer H then has at least as many eigenvalues within the cut as that construction keeps
-    directions: this interior is never smaller, and the checks restricted to it never looser."""
+    directions: this interior is never smaller, and the checks restricted to it never looser.  The eigenvectors
+    of ``eigh`` are orthonormal, so they are returned as a plain array, without a ``SubspaceBasis`` check."""
     qs = triple.dpstar.basis
     ya, yb = triple.A @ qs, triple.B @ qs
     w, v = np.linalg.eigh(2.0 * np.eye(qs.shape[1]) - ya.conj().T @ ya - yb.conj().T @ yb)
-    return SubspaceBasis(v[:, np.abs(w) <= 2.0 * RANK_TOL * max(w.max(initial=0.0), 1.0)])
+    return v[:, np.abs(w) <= 2.0 * RANK_TOL * max(w.max(initial=0.0), 1.0)]
 
 
 def pure_isometry_model(
@@ -451,41 +431,44 @@ def pure_isometry_model(
     The pencil-on-model residual ||(I - P_H) X W_iso|| is normed on the thin
     factor Y - Q_H (Q_H* Y), Y = X W_iso, Q_H the orthonormal basis of H_P.
     ker D_P is the trailing columns of one complete QR of the orthonormal
-    dim x rank D_P basis of D_P, whose rank needs no decision.
+    dim x rank D_P basis of D_P, whose rank needs no decision; the QR makes
+    them orthonormal, so they stay a plain array, without the
+    ``SubspaceBasis`` check.
     """
     q = triple.dp.basis
-    iso = SubspaceBasis(np.linalg.qr(q, mode="complete")[0][:, q.shape[1] :])
-    if iso.rank == 0:
+    iso = np.linalg.qr(q, mode="complete")[0][:, q.shape[1] :]
+    if iso.shape[1] == 0:
         raise NotIsometryLikeError("P has no isometric directions (D_P has full rank)")
     rep = CheckReport(title="truncated isometry model")
     dim = triple.dim
     eye = np.eye(dim)
     rep.check(
         "isometric_part",
-        op_norm((triple.P.conj().T @ triple.P - eye) @ iso.basis),
+        op_norm((triple.P.conj().T @ triple.P - eye) @ iso),
         pol.scaled_eq(1.0),
-        note=f"dim {iso.rank} of {dim}",
+        note=f"dim {iso.shape[1]} of {dim}",
     )
     rep.extend(decomposition)
     rep.extend(functional)
     # compression acts as the raw pencil on the image of the isometric part
     g1, g2 = pair_g.F1, pair_g.F2
     qh = model.h_basis.basis
-    w_iso = model.W @ iso.basis
+    w_iso = model.W @ iso
     tol = pol.scaled_eq(1.0, *pair_g.norms) + 8.0 * model.tail
     for name, (c0, c1) in zip("ABP", model_pencils(g1, g2)):
         y = pencil_apply(c0, c1, w_iso)
         rep.check(f"pencil_on_model_{name}", op_norm(y - qh @ (qh.conj().T @ y)), tol)
     # adjoint-pair symbol conditions, gated to the isometric interior when
     # available
-    interior, rank = _isometric_interior(triple), triple.dpstar.rank
+    interior = _isometric_interior(triple)
+    k, rank = interior.shape[1], triple.dpstar.rank
     comm = commutator(g1, g2)
     balance = commutator(g1, g1.conj().T) - commutator(g2, g2.conj().T)
     gtol = pol.scaled_eq(*pair_g.norms)
-    if interior.rank:
-        note = f"interior dim {interior.rank} of {rank}; full residuals {op_norm(comm):.2e}/{op_norm(balance):.2e}"
-        rep.check("adjoint_pair_commute", op_norm(comm @ interior.basis), gtol, note=note)
-        rep.check("adjoint_pair_balance", op_norm(balance @ interior.basis), gtol, note=note)
+    if k:
+        note = f"interior dim {k} of {rank}; full residuals {op_norm(comm):.2e}/{op_norm(balance):.2e}"
+        rep.check("adjoint_pair_commute", op_norm(comm @ interior), gtol, note=note)
+        rep.check("adjoint_pair_balance", op_norm(balance @ interior), gtol, note=note)
     else:
         rep.check("adjoint_pair_commute", op_norm(comm), gtol)
         rep.check("adjoint_pair_balance", op_norm(balance), gtol)

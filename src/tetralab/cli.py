@@ -9,7 +9,7 @@ check fails, and 2 on usage or input errors:
 * ``random-suite``   -- seeded random instances across the three generator
                         families, each run through the whole battery.
 * ``model-check``    -- load a triple from a JSON file and verify its
-                        functional model.
+                        fundamental battery and functional model.
 * ``blh``            -- load an inner symbol and a coefficient pair, extract
                         (G1, G2) and check isometry propagation.
 
@@ -52,7 +52,7 @@ from .fundamental import (
 from .invariants import unitary_invariant_suite
 from .matcore import DEFAULT_POLICY, MAX_GRID_DIM, GridSizeError, TetralabError, TolerancePolicy
 from .report import CheckReport
-from .triples import necessary_report, validate
+from .triples import TetrablockTriple, necessary_report, validate
 
 __all__ = ["main", "build_parser", "run_instance_battery"]
 
@@ -106,14 +106,42 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+FUNDAMENTAL = ("char", "diff", "cross", "transfer")
+MODEL = ("dec", "fm", "pencil")
+
+
+def _families(triple: TetrablockTriple, degree: int | None, pol: TolerancePolicy):
+    """(F1, F2) of ``triple``, (G1, G2) of its adjoint and the model of P at ``degree`` (None: as its tail
+    needs), each built once, with the report of each family of ``FUNDAMENTAL + MODEL`` keyed by its name."""
+    pair_f = solve_fundamental(triple, pol)
+    pair_g = solve_fundamental(triple.adjoint(), pol)
+    model = build_model(triple, degree, pol)
+    families = {
+        "char": verify_tetra_characterization(triple, pair_f, pol),
+        "diff": verify_difference_identity(triple, pair_f, pol),
+        "cross": verify_cross_relations(triple, pair_f, pair_g, pol),
+        "transfer": verify_commutator_transfer(triple, pair_f, pair_g, pol),
+        "dec": verify_model_decomposition(model, pol),
+        "fm": verify_functional_model(triple, model, pair_g, pol),
+        "pencil": verify_pencil_intertwining(triple, pair_f, pair_g, DISC_SAMPLES, pol),
+    }
+    return pair_f, pair_g, model, families
+
+
+def _extend(rep: CheckReport, families: dict[str, CheckReport], names: Sequence[str]) -> CheckReport:
+    """Append the named family reports to ``rep``, each under the prefix ``name_``."""
+    for name in names:
+        rep.extend(families[name], prefix=f"{name}_")
+    return rep
+
+
 def run_instance_battery(
     inst: generate.Instance, pol: TolerancePolicy = DEFAULT_POLICY
 ) -> CheckReport:
     """Whole verification battery on one generated instance.
 
-    Covers the fundamental-equation identities, the commutator transfer, the
-    pencil intertwining of the characteristic function, the functional model
-    (``build_model`` raises NotPureError when P is not pure),
+    Covers the necessary conditions, both solves, every family of
+    ``_families`` (``build_model`` raises NotPureError when P is not pure),
     unitary-invariance round trips against a conjugated copy, and (for
     pencil instances) isometry propagation.  Each fundamental pair and the
     model of P are built once and shared with the invariant suite.
@@ -121,20 +149,10 @@ def run_instance_battery(
     t = inst.triple
     rep = CheckReport(title=inst.label)
     rep.extend(necessary_report(t, pol), prefix="nec_")
-    pair_f = solve_fundamental(t, pol)
-    pair_g = solve_fundamental(t.adjoint(), pol)
+    pair_f, pair_g, model, families = _families(t, None, pol)
     rep.check("solve_residual_F", pair_f.solve_residual, pol.scaled_eq(t.max_norm()))
     rep.check("solve_residual_G", pair_g.solve_residual, pol.scaled_eq(t.max_norm()))
-    rep.extend(verify_tetra_characterization(t, pair_f, pol), prefix="char_")
-    rep.extend(verify_difference_identity(t, pair_f, pol), prefix="diff_")
-    rep.extend(verify_cross_relations(t, pair_f, pair_g, pol), prefix="cross_")
-    rep.extend(verify_commutator_transfer(t, pair_f, pair_g, pol), prefix="transfer_")
-    rep.extend(
-        verify_pencil_intertwining(t, pair_f, pair_g, DISC_SAMPLES, pol), prefix="pencil_"
-    )
-    model = build_model(t, None, pol)
-    rep.extend(verify_model_decomposition(model, pol), prefix="model_")
-    rep.extend(verify_functional_model(t, model, pair_g, pol), prefix="model_")
+    _extend(rep, families, FUNDAMENTAL + MODEL)
     u = generate.companion_unitary(inst, t.dim)
     conj = validate(
         u @ t.A @ u.conj().T, u @ t.B @ u.conj().T, u @ t.P @ u.conj().T, pol
@@ -173,30 +191,17 @@ def _cmd_verify_bidisc(args, pol: TolerancePolicy) -> tuple[Reports, dict[str, A
     if side > MAX_GRID_DIM:
         raise GridSizeError(f"--degree {n} needs an extraction grid of {side} > {MAX_GRID_DIM}")
     triple = bidisc.build(n, pol)
-    pair_f = solve_fundamental(triple, pol)
-    pair_g = solve_fundamental(triple.adjoint(), pol)
-    model = build_model(triple, n, pol)
-    reports = [("example", bidisc.verify_example(triple, pair_f, pair_g, model, pol))]
-    fund = CheckReport(title="fundamental battery")
-    fund.extend(verify_tetra_characterization(triple, pair_f, pol), prefix="char_")
-    fund.extend(verify_difference_identity(triple, pair_f, pol), prefix="diff_")
-    fund.extend(verify_cross_relations(triple, pair_f, pair_g, pol), prefix="cross_")
-    fund.extend(verify_commutator_transfer(triple, pair_f, pair_g, pol), prefix="transfer_")
-    reports.append(("fundamental", fund))
-    dec = verify_model_decomposition(model, pol)
-    fm = verify_functional_model(triple, model, pair_g, pol)
-    mrep = CheckReport(title="functional model")
-    mrep.extend(dec, prefix="dec_")
-    mrep.extend(fm, prefix="fm_")
-    mrep.extend(
-        verify_pencil_intertwining(triple, pair_f, pair_g, DISC_SAMPLES, pol),
-        prefix="pencil_",
-    )
-    reports.append(("model", mrep))
-    reports.append(("isometry_model", pure_isometry_model(triple, model, pair_g, dec, fm, pol)))
+    pair_f, pair_g, model, families = _families(triple, n, pol)
+    example = bidisc.verify_example(triple, pair_f, pair_g, model, pol)
+    iso = pure_isometry_model(triple, model, pair_g, families["dec"], families["fm"], pol)
     _, _, brep = extraction_roundtrip(triple, pair_f, pair_g, model.N, model.tail, pol)
-    reports.append(("blh", brep))
-    return reports, {}
+    return [
+        ("example", example),
+        ("fundamental", _extend(CheckReport(title="fundamental battery"), families, FUNDAMENTAL)),
+        ("model", _extend(CheckReport(title="functional model"), families, MODEL)),
+        ("isometry_model", iso),
+        ("blh", brep),
+    ], {}
 
 
 def _failed_report(title: str, note: str) -> CheckReport:
@@ -240,7 +245,9 @@ def _cmd_model_check(args, pol: TolerancePolicy) -> tuple[Reports, dict[str, Any
     if args.degree is not None and args.degree < 0:
         raise TetralabError("--degree must be >= 0")
     triple = tio.triple_from_obj(_load_json(args.triple_file), pol)
-    reports = [("necessary", necessary_report(triple, pol))]
+    nec = necessary_report(triple, pol)
+    necessary = CheckReport(title=nec.title, header=nec.header)
+    necessary.extend(nec, prefix="nec_")
     rep = CheckReport(title="model check")
     cert = triple.purity
     rep.check(
@@ -251,22 +258,14 @@ def _cmd_model_check(args, pol: TolerancePolicy) -> tuple[Reports, dict[str, Any
     )
     if cert.pure:
         try:
-            pair_f = solve_fundamental(triple, pol)
-            pair_g = solve_fundamental(triple.adjoint(), pol)
-            model = build_model(triple, args.degree, pol)
+            _, _, model, families = _families(triple, args.degree, pol)
             rep.check("model_degree", 0.0, 0.0, note=f"N = {model.N}, tail = {model.tail:.2e}")
-            rep.extend(verify_model_decomposition(model, pol), prefix="dec_")
-            rep.extend(verify_functional_model(triple, model, pair_g, pol), prefix="fm_")
-            rep.extend(
-                verify_pencil_intertwining(triple, pair_f, pair_g, DISC_SAMPLES, pol),
-                prefix="pencil_",
-            )
+            _extend(rep, families, FUNDAMENTAL + MODEL)
         except GridSizeError:
             raise  # a refused size is bad input, not a failed check
         except TetralabError as exc:
             rep.check("battery", float("inf"), 0.0, note=str(exc))
-    reports.append(("model", rep))
-    return reports, {}
+    return [("necessary", necessary), ("model", rep)], {}
 
 
 def _cmd_blh(args, pol: TolerancePolicy) -> tuple[Reports, dict[str, Any]]:

@@ -26,7 +26,6 @@ __all__ = [
     "toeplitz",
     "pencil",
     "pencil_apply",
-    "symbol_product",
 ]
 
 
@@ -67,21 +66,6 @@ class AnalyticSymbol:
 def pencil(c0, c1) -> AnalyticSymbol:
     """Degree-one symbol c0 + c1 z."""
     return AnalyticSymbol((ensure_matrix(c0, name="c0"), ensure_matrix(c1, name="c1")))
-
-
-def symbol_product(s1: AnalyticSymbol, s2: AnalyticSymbol, max_degree: int | None = None) -> AnalyticSymbol:
-    """Cauchy product s1(z) s2(z), optionally truncated at max_degree."""
-    if s1.d_in != s2.d_out:
-        raise ShapeError(f"cannot compose {s1.d_out}x{s1.d_in} with {s2.d_out}x{s2.d_in}")
-    deg = s1.degree + s2.degree
-    if max_degree is not None:
-        deg = min(deg, max_degree)
-    out = [np.zeros((s1.d_out, s2.d_in), dtype=complex) for _ in range(deg + 1)]
-    for i, a in enumerate(s1.coeffs):
-        for j, b in enumerate(s2.coeffs):
-            if i + j <= deg:
-                out[i + j] += a @ b
-    return AnalyticSymbol(tuple(out))
 
 
 def toeplitz(sym: AnalyticSymbol, n: int) -> np.ndarray:

@@ -72,7 +72,10 @@ def matrix_from_obj(obj) -> np.ndarray:
             or not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in entry)
         ):
             raise FormatError(f"matrix entry {k} must be a [re, im] pair of numbers")
-        re, im = float(entry[0]), float(entry[1])
+        try:
+            re, im = float(entry[0]), float(entry[1])
+        except OverflowError as exc:  # a JSON integer past the binary64 range
+            raise FormatError(f"matrix entry {k} is too large for a binary64 float") from exc
         if not (np.isfinite(re) and np.isfinite(im)):
             raise FormatError(f"matrix entry {k} is not finite")
         out[k] = complex(re, im)

@@ -2,6 +2,8 @@
 fundamental pairs of a triple, the triple of a bare contraction, the linear
 scan for the nilpotency index of ``is_pure``, the dense SVD construction of
 a range complement and of the isometric interior, the projector onto a subspace,
+the Cauchy product of two analytic symbols, the reproducing-kernel identity of
+Theta on the thin factors,
 a field-by-field equality and its form for triples, a call counter, watches
 on ``numpy.linalg``, the dense construction of the model space, the dense
 grid formulas of the model-space residuals and the dense embedded formulas of
@@ -17,9 +19,10 @@ import numpy as np
 import pytest
 
 from tetralab import generate
+from tetralab.charfn import theta_eval
 from tetralab.fundamental import FundamentalPair, solve_fundamental
-from tetralab.hardy import pencil, toeplitz
-from tetralab.matcore import DEFAULT_POLICY, RANK_TOL, SubspaceBasis, op_norm, range_basis, subspace_gap
+from tetralab.hardy import AnalyticSymbol, pencil, toeplitz
+from tetralab.matcore import DEFAULT_POLICY, RANK_TOL, ShapeError, SubspaceBasis, op_norm, range_basis, subspace_gap
 from tetralab.triples import TetrablockTriple, validate
 
 
@@ -302,6 +305,43 @@ def dense_fundamental(triple, pair_f, pair_g) -> dict[str, tuple[float, float]]:
         "product_rel_2": (f2.conj().T @ dp @ ds - f1 @ ph - (dp @ ds @ g2 - ph @ g1.conj().T)) @ qs,
     }
     return {name: (op_norm(r), scale) for name, r in residuals.items()}
+
+
+def symbol_product(s1: AnalyticSymbol, s2: AnalyticSymbol, max_degree: int | None = None) -> AnalyticSymbol:
+    """Cauchy product s1(z) s2(z), optionally truncated at max_degree: the
+    oracle of the Toeplitz-multiplicativity tests."""
+    if s1.d_in != s2.d_out:
+        raise ShapeError(f"cannot compose {s1.d_out}x{s1.d_in} with {s2.d_out}x{s2.d_in}")
+    deg = s1.degree + s2.degree
+    if max_degree is not None:
+        deg = min(deg, max_degree)
+    out = [np.zeros((s1.d_out, s2.d_in), dtype=complex) for _ in range(deg + 1)]
+    for i, a in enumerate(s1.coeffs):
+        for j, b in enumerate(s2.coeffs):
+            if i + j <= deg:
+                out[i + j] += a @ b
+    return AnalyticSymbol(tuple(out))
+
+
+def kernel_identity_check(triple: TetrablockTriple, z: complex, w: complex) -> float:
+    """Residual of the reproducing-kernel identity on the defect space of P*:
+
+        I - Theta_P(w) Theta_P(z)* =
+            (1 - w conj(z)) D_{P*} (I - w P*)^{-1} (I - conj(z) P)^{-1} D_{P*},
+
+    on the thin factor D_{P*} Q_* of the triple.  ``theta_eval`` refuses a
+    singular I - w P* or I - z P*; the latter is the adjoint of
+    I - conj(z) P, so both resolvents below exist.
+    """
+    z, w = complex(z), complex(w)
+    tw, tz = theta_eval(triple, (w, z))
+    p, dsq = triple.P, triple.dpstar.factor
+    n = p.shape[0]
+    lhs = np.eye(dsq.shape[1]) - tw @ tz.conj().T
+    res_w = np.eye(n) - w * p.conj().T
+    res_z = np.eye(n) - np.conj(z) * p
+    core = dsq.conj().T @ np.linalg.solve(res_w, np.linalg.solve(res_z, dsq))
+    return op_norm(lhs - (1.0 - w * np.conj(z)) * core)
 
 
 def dense_theta(triple, z: complex) -> np.ndarray:

@@ -17,7 +17,6 @@ from tetralab import bidisc, io
 from tetralab.blh import extraction_roundtrip, verify_isometry_propagation
 from tetralab.charfn import (
     build_model,
-    kernel_identity_check,
     power_tail,
     verify_functional_model,
     verify_model_decomposition,
@@ -42,7 +41,7 @@ from tetralab.invariants import (
 from tetralab.matcore import DEFAULT_POLICY, numerical_radius, op_norm
 from tetralab.triples import is_pure, validate
 
-from conftest import fundamental_pairs
+from conftest import fundamental_pairs, kernel_identity_check
 
 
 def announce(k: int, ok: bool, detail: str) -> None:

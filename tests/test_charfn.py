@@ -26,7 +26,6 @@ from tetralab.charfn import (
     NotPureError,
     ResolventSingularError,
     build_model,
-    kernel_identity_check,
     model_pencils,
     power_tail,
     pure_isometry_model,
@@ -47,6 +46,7 @@ from tetralab.matcore import (
     DEFAULT_POLICY,
     MAX_GRID_DIM,
     ShapeError,
+    SubspaceBasis,
     TetralabError,
     ensure_matrix,
     op_norm,
@@ -62,6 +62,7 @@ from conftest import (
     dense_kernel_identity,
     dense_pencil_on_model,
     dense_theta,
+    kernel_identity_check,
     p_triple,
     perturbed,
     random_contraction,
@@ -326,8 +327,8 @@ def test_model_space_mismatch_is_detected(monkeypatch, small_suite):
     battery = run_instance_battery(inst)
     assert [e.name for e in battery.entries] == [e.name for e in clean.entries]
     failed = {e.name for e in battery.failures}
-    assert {"model_model_space_gap", "model_range_partition"} <= failed
-    assert all(name.startswith("model_range_partition") or name == "model_model_space_gap" for name in failed)
+    assert {"dec_model_space_gap", "dec_range_partition"} <= failed
+    assert all(name.startswith("dec_range_partition") or name == "dec_model_space_gap" for name in failed)
 
 
 def test_model_decomposition_forms_the_grid_identity_once(monkeypatch, small_suite):
@@ -506,8 +507,9 @@ def test_isometric_interior_equals_the_two_step_oracle(make):
     # P*; the diagonal symbols one, the generated instance none
     triple = make()
     interior, expected = charfn._isometric_interior(triple), two_step_interior(triple)
-    assert interior.rank == expected.rank
-    assert subspace_gap(interior, expected) <= 1e-10
+    # the plain eigenvector array passes the orthonormality check it skips
+    assert interior.shape[1] == expected.rank
+    assert subspace_gap(SubspaceBasis(interior), expected) <= 1e-10
 
 
 @pytest.mark.parametrize("n", [6, 14])

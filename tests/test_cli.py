@@ -4,7 +4,9 @@ console entry point wraps the same function."""
 
 from __future__ import annotations
 
+import collections
 import hashlib
+import itertools
 import json
 
 import numpy as np
@@ -153,6 +155,28 @@ def test_non_integer_matrix_dimension_is_input_error(capsys, tmp_path, rows):
     assert code == 2
     assert out == ""
     assert "matrix dimensions must be integers" in err
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("command", ["model-check", "blh"])
+def test_integer_past_binary64_range_is_input_error(capsys, tmp_path, command, fmt):
+    # 1 followed by 400 zeros parses as a Python int that no float holds:
+    # refused on load with exit 2 in either format, never a traceback
+    huge = '{"rows": 1, "cols": 1, "data": [[1' + "0" * 400 + ', 0]]}'
+    path = tmp_path / "huge.json"
+    if command == "model-check":
+        path.write_text('{"A": %s, "B": %s, "P": %s}' % (huge, huge, huge))
+        argv = [str(path)]
+    else:
+        path.write_text('{"coeffs": [%s]}' % huge)
+        sym_path = tmp_path / "syms.json"
+        f = io.matrix_to_obj(0.2 * np.eye(1))
+        sym_path.write_text(io.dumps({"F1": f, "F2": f}))
+        argv = [str(path), str(sym_path)]
+    code, out, err = run(capsys, command, *argv, "--format", fmt)
+    assert (code, out) == (2, "")
+    assert "matrix entry 0 is too large for a binary64 float" in err
+    assert "Traceback" not in err
 
 
 def test_model_check_passes_on_valid_triple(capsys, tmp_path):
@@ -413,6 +437,38 @@ def test_random_suite_fails_a_non_pure_instance_with_one_battery_entry(capsys, m
     [entry] = report["entries"]
     assert (entry["name"], entry["passed"]) == ("battery", False)
     assert entry["note"].startswith("P is not pure")
+
+
+def test_family_names_agree_across_commands(capsys, tmp_path):
+    # each command takes its family reports from one composer, under one
+    # prefix per family: a residual that one command emits as dec_*, fm_*,
+    # ... is emitted under no other prefix by any command (random-suite once
+    # wrote model_model_reproduces_A where the others wrote
+    # fm_model_reproduces_A), and model-check runs the fundamental families
+    # too.  The isometry model's unprefixed copies and its own
+    # pencil_on_model_* entries belong to no family and are left out
+    path = tmp_path / "diag.json"
+    zero = io.matrix_to_obj(np.zeros((2, 2)))
+    path.write_text(io.dumps({"A": zero, "B": zero, "P": io.matrix_to_obj(np.diag([0.9, 0.5]))}))
+    prefixes = ("char_", "diff_", "cross_", "transfer_", "dec_", "fm_", "pencil_")
+    emitted = {}
+    for argv in (("random-suite", "--seed", "42", "--count", "3"), ("verify-bidisc", "--degree", "2"), ("model-check", str(path))):
+        code, out, _ = run(capsys, *argv, "--format", "json")
+        assert code == 0, argv
+        reports = strict_json(out)["reports"]
+        emitted[argv[0]] = {e["name"] for r in reports if r["label"] != "isometry_model" for e in r["entries"]}
+        assert not any(name.startswith("model_model_") for name in emitted[argv[0]]), argv
+    prefixes_of = collections.defaultdict(set)
+    for names in emitted.values():
+        for name, prefix in itertools.product(names, prefixes):
+            if name.startswith(prefix):
+                prefixes_of[name[len(prefix) :]].add(prefix)
+    for names in emitted.values():
+        for name in names:
+            head, _, inner = name.partition("_")
+            assert inner not in prefixes_of or f"{head}_" in prefixes_of[inner], name
+    for command, names in emitted.items():
+        assert all(any(name.startswith(prefix) for name in names) for prefix in prefixes), command
 
 
 # ----------------------------------------------------- shared objects

@@ -19,8 +19,6 @@ SRC = ROOT / "src" / "tetralab"
 ACCEPTANCE = ROOT / "tests" / "test_acceptance.py"
 
 TEST_ORACLES = {
-    # the oracle of the Toeplitz-multiplicativity tests in test_hardy
-    "symbol_product",
     # write the triple and symbol files that the CLI reads; the CLI tests
     # build their inputs with them
     "triple_to_obj",

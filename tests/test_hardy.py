@@ -14,10 +14,11 @@ from tetralab.hardy import (
     AnalyticSymbol,
     pencil,
     pencil_apply,
-    symbol_product,
     toeplitz,
 )
 from tetralab.matcore import ShapeError, op_norm
+
+from conftest import symbol_product
 
 
 def random_symbol(rng, d: int, deg: int) -> AnalyticSymbol:

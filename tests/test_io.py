@@ -57,6 +57,14 @@ def test_nonfinite_rejected_on_both_paths():
         io.matrix_from_obj({"rows": 1, "cols": 1, "data": [[float("inf"), 0.0]]})
 
 
+def test_integer_past_binary64_range_rejected():
+    # JSON integers are unbounded; one that no float holds is malformed
+    # input, not an OverflowError
+    for entry in ([10**400, 0], [0, -(10**400)]):
+        with pytest.raises(io.FormatError, match="matrix entry 0 is too large"):
+            io.matrix_from_obj(io.loads(json.dumps({"rows": 1, "cols": 1, "data": [entry]})))
+
+
 def test_triple_roundtrip_revalidates():
     inst = make_instance("scalars", seed=53, index=0, dim=6, degree=4)
     obj = io.triple_to_obj(inst.triple)
