@@ -150,7 +150,7 @@ def theta_taylor(triple: TetrablockTriple, n: int, pol: TolerancePolicy = DEFAUL
 
 def theta_eval(triple: TetrablockTriple, points) -> list[np.ndarray]:
     """Theta_P(z) in the defect bases, one per z in ``points``: -Q*^* P Q + z (D_{P*} Q*)^* (I - z P*)^{-1} D_P Q,
-    Q and Q* the bases of D_P and D_{P*}, one solve against the dim x rank D_P Q per point.  The SVD refusing
+    Q and Q* the bases of D_P and D_{P*}, from one stacked solve against the dim x rank D_P Q.  The SVD refusing
     I - z P* at CLAMP_TOL runs only where Weyl's bounds 1 -+ |z| s on its singular values leave the test open,
     s >= ||P|| the kept ||P|| rounded up by 1e-12, past the error of the SVD that computed it.  No tolerance
     enters: Theta_0 is taken without the leak check of ``theta_taylor``."""
@@ -158,30 +158,33 @@ def theta_eval(triple: TetrablockTriple, points) -> list[np.ndarray]:
     theta_0 = -(triple.dpstar.basis.conj().T @ (p @ triple.dp.basis))
     eye = np.eye(p.shape[0])
     s = triple.norm("P") * (1 + 1e-12)
-    out = []
-    for z in points:
-        z = complex(z)
-        res = eye - z * p.conj().T
+    points = [complex(z) for z in points]
+    res = np.empty((len(points), *p.shape), complex)
+    for k, z in enumerate(points):
+        res[k] = eye - z * p.conj().T
         if not 1.0 - abs(z) * s > CLAMP_TOL * (1.0 + abs(z) * s):
-            sv = np.linalg.svd(res, compute_uv=False)
+            sv = np.linalg.svd(res[k], compute_uv=False)
             if sv[-1] <= CLAMP_TOL * max(1.0, sv[0]):
                 raise ResolventSingularError(f"I - z P* singular at z = {z!r}")
-        out.append(theta_0 + z * (dsq.conj().T @ np.linalg.solve(res, dq)))
-    return out
+    return [theta_0 + z * (dsq.conj().T @ x) for z, x in zip(points, np.linalg.solve(res, dq))]
 
 
 def _power_norms(p: np.ndarray) -> list[float]:
     """||P||, ||P^2||, ... up to (and including) the first norm <= POWER_CUTOFF.
 
-    Raises TetralabError when MAX_POWERS norms do not get there, rather than
-    let a caller sum a partial list.
+    Powers are formed while their Frobenius norm (an upper bound) is above the cutoff, at most MAX_GRID_DIM^2
+    entries at a time, and normed in one ``op_norms`` call per stack.  Raises TetralabError when MAX_POWERS
+    norms do not get there, rather than let a caller sum a partial list.
     """
-    norms = []
-    m = p
-    for _ in range(MAX_POWERS):
-        norms.append(op_norm(m))
-        if norms[-1] <= POWER_CUTOFF:
-            return norms
+    norms, powers, m = [], [], p
+    for k in range(1, MAX_POWERS + 1):
+        powers.append(m)
+        if np.vdot(m, m).real <= POWER_CUTOFF**2 or (len(powers) + 1) * m.size > MAX_GRID_DIM**2 or k == MAX_POWERS:
+            for nm in op_norms(powers).tolist():
+                norms.append(nm)
+                if nm <= POWER_CUTOFF:
+                    return norms
+            powers = []
         m = m @ p
     raise TetralabError(f"||P^k|| still {norms[-1]:.3e} after {MAX_POWERS} powers; P decays too slowly")
 

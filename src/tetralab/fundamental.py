@@ -28,6 +28,7 @@ from .matcore import (
     commutator,
     numerical_radius,
     op_norm,
+    op_norms,
 )
 from .report import CheckReport
 from .triples import TetrablockTriple
@@ -64,7 +65,7 @@ class FundamentalPair:
 
     @cached_property
     def norms(self) -> tuple[float, float]:
-        return op_norm(self.F1), op_norm(self.F2)
+        return tuple(op_norms([self.F1, self.F2]).tolist())
 
 
 def solve_fundamental(
@@ -90,9 +91,7 @@ def solve_fundamental(
     ss = np.outer(triple.dp.s, triple.dp.s)
     f1 = (qh @ r1 @ q) / ss
     f2 = (qh @ r2 @ q) / ss
-    res = 0.0
-    for f, rhs in ((f1, r1), (f2, r2)):
-        res = max(res, op_norm(dq @ f @ dq.conj().T - rhs))
+    res = float(op_norms([dq @ f @ dq.conj().T - rhs for f, rhs in ((f1, r1), (f2, r2))]).max())
     limit = pol.eq_tol * (1.0 + triple.norm("A") + triple.norm("B"))
     if res > limit:
         raise SolveFailedError(
@@ -119,9 +118,10 @@ def verify_tetra_characterization(
     q, dqh = triple.dp.basis, triple.dp.factor.conj().T
     dqh_p = dqh @ triple.P
     scale = pol.scaled_eq(triple.max_norm())
-    for name, x, f, g in (("A", triple.A, pair.F1, pair.F2), ("B", triple.B, pair.F2, pair.F1)):
-        resid = triple.dp.op @ x - q @ (f @ dqh + g.conj().T @ dqh_p)
-        rep.check(f"defect_intertwine_{name}", op_norm(resid), scale)
+    terms = ((triple.A, pair.F1, pair.F2), (triple.B, pair.F2, pair.F1))
+    resid = op_norms([triple.dp.op @ x - q @ (f @ dqh + g.conj().T @ dqh_p) for x, f, g in terms])
+    for name, value in zip("AB", resid.tolist()):
+        rep.check(f"defect_intertwine_{name}", value, scale)
     # w <= w(F) <= w + err decides only when the bracket is on one side of
     # 1 + eq_tol; numerical_radius refines it while it straddles that level
     for name, f in (("radius_F1", pair.F1), ("radius_F2", pair.F2)):
@@ -195,13 +195,16 @@ def verify_cross_relations(
     pq_qs = pq.conj().T @ qs  # Q* P* Q_*
     ps = p.conj().T @ qs  # P* Q_*
     scale = pol.scaled_eq(triple.max_norm(), *pair_f.norms, *pair_g.norms)
-    for k, x, f, g in ((1, triple.A, f1, g2), (2, triple.B, f2, g1)):
-        rep.check(f"mixed_defect_{k}", op_norm(dq @ f - (x @ dq - dsq @ (g @ qs_pq))), scale)
-    for k, f, g in ((1, f1, g1), (2, f2, g2)):
-        rep.check(f"cross_P_F{k}", op_norm(pq @ f - qs @ (g.conj().T @ qs_pq)), scale)
-    for k, f, f_other, g, g_other in ((1, f1, f2, g1, g2), (2, f2, f1, g2, g1)):
-        lhs = qp @ (f.conj().T @ dq_dd - f_other @ pq_qs)
-        rep.check(f"product_rel_{k}", op_norm(lhs - (dd @ g - ps @ g_other.conj().T)), scale)
+    on_dp = [dq @ f - (x @ dq - dsq @ (g @ qs_pq)) for x, f, g in ((triple.A, f1, g2), (triple.B, f2, g1))]
+    on_dp += [pq @ f - qs @ (g.conj().T @ qs_pq) for f, g in ((f1, g1), (f2, g2))]
+    on_dpstar = [
+        qp @ (f.conj().T @ dq_dd - f_other @ pq_qs) - (dd @ g - ps @ g_other.conj().T)
+        for f, f_other, g, g_other in ((f1, f2, g1, g2), (f2, f1, g2, g1))
+    ]
+    names = ("mixed_defect_1", "mixed_defect_2", "cross_P_F1", "cross_P_F2", "product_rel_1", "product_rel_2")
+    # one stacked SVD per shape: dim x rank D_P, then dim x rank D_{P*}
+    for name, value in zip(names, [*op_norms(on_dp).tolist(), *op_norms(on_dpstar).tolist()]):
+        rep.check(name, value, scale)
     return rep
 
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .matcore import ShapeError, ensure_matrix
 
@@ -72,18 +73,17 @@ def toeplitz(sym: AnalyticSymbol, n: int) -> np.ndarray:
     """Compression of multiplication by ``sym`` to degrees 0..n.
 
     Block (m, k) equals coeffs[m - k] (zero when out of range), so the matrix
-    is block lower triangular of shape (d_out*(n+1), d_in*(n+1)).
+    is block lower triangular of shape (d_out*(n+1), d_in*(n+1)).  Block row
+    m is the window of n + 1 blocks from block n - m of the strip
+    [coeffs[n], ..., coeffs[0], 0, ..., 0], and one copy gathers them all.
     """
     if n < 0:
         raise ValueError("truncation degree must be >= 0")
     d_out, d_in = sym.d_out, sym.d_in
-    t = np.zeros(((n + 1) * d_out, (n + 1) * d_in), dtype=complex)
-    for j, c in enumerate(sym.coeffs):
-        if j > n:
-            break
-        for m in range(j, n + 1):
-            t[m * d_out : (m + 1) * d_out, (m - j) * d_in : (m - j + 1) * d_in] = c
-    return t
+    strip = np.zeros((d_out, 2 * n + 1, d_in), dtype=complex)
+    strip[:, max(n - sym.degree, 0) : n + 1] = np.transpose(sym.coeffs[n::-1], (1, 0, 2))
+    windows = sliding_window_view(strip.reshape(d_out, (2 * n + 1) * d_in), (n + 1) * d_in, axis=1)
+    return windows[:, ::-max(d_in, 1)].transpose(1, 0, 2).copy().reshape((n + 1) * d_out, (n + 1) * d_in)
 
 
 def pencil_apply(c0: np.ndarray, c1: np.ndarray, q: np.ndarray, adjoint: bool = False) -> np.ndarray:

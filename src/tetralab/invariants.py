@@ -140,8 +140,8 @@ def induced_defect_unitary(
     scale = pol.scaled_eq(1.0)
     if op_norm(u.conj().T @ u - np.eye(triple.dim)) > scale:
         raise NotIntertwiningError("U is not unitary within eq_tol")
-    for name in "ABP":
-        res = op_norm(u @ getattr(triple, name) - getattr(triple_prime, name) @ u)
+    gates = op_norms([u @ getattr(triple, name) - getattr(triple_prime, name) @ u for name in "ABP"])
+    for name, res in zip("ABP", gates.tolist()):
         if res > pol.scaled_eq(triple.norm(name)):
             raise NotIntertwiningError(f"U does not intertwine {name} (residual {res:.3e})")
     small_u = triple_prime.dp.basis.conj().T @ u @ triple.dp.basis
@@ -174,8 +174,9 @@ def verify_fundamental_equivalence(
         rep.vacuous("pair_equivalence", "defect spaces are zero-dimensional")
         return rep
     scale = pol.scaled_eq(*pair.norms)
-    rep.check("equivalence_F1", op_norm(u @ pair.F1 @ u.conj().T - pair_prime.F1), scale)
-    rep.check("equivalence_F2", op_norm(u @ pair.F2 @ u.conj().T - pair_prime.F2), scale)
+    resid = op_norms([u @ f @ u.conj().T - f_p for f, f_p in ((pair.F1, pair_prime.F1), (pair.F2, pair_prime.F2))])
+    for name, value in zip(("equivalence_F1", "equivalence_F2"), resid.tolist()):
+        rep.check(name, value, scale)
     return rep
 
 
@@ -201,10 +202,12 @@ def _model_transport(
     v = h_p.conj().T @ transported
     scale = pol.scaled_eq(1.0, *pair_g.norms) + 8.0 * tails
     pencils = model_pencils(pair_g.F1, pair_g.F2), model_pencils(pair_g_prime.F1, pair_g_prime.F2)
-    for name, (c0, c1), (c0_p, c1_p) in zip("ABP", *pencils):
-        x_h = h.conj().T @ pencil_apply(c0, c1, h)
-        x_h_p = h_p.conj().T @ pencil_apply(c0_p, c1_p, h_p)
-        rep.check(f"model_intertwine_{name}", op_norm(v @ x_h - x_h_p @ v), scale)
+    resid = [
+        v @ (h.conj().T @ pencil_apply(c0, c1, h)) - (h_p.conj().T @ pencil_apply(c0_p, c1_p, h_p)) @ v
+        for (c0, c1), (c0_p, c1_p) in zip(*pencils)
+    ]
+    for name, value in zip("ABP", op_norms(resid).tolist()):
+        rep.check(f"model_intertwine_{name}", value, scale)
     return rep
 
 

@@ -14,8 +14,8 @@ Conventions
 * Equality checks are relative: a residual ``r`` passes at tolerance ``tol``
   when ``r <= tol * (1 + max operand norm)``.
 * Rank decisions are relative to the largest singular value (or eigenvalue)
-  at ``RANK_TOL``; eigenvalues of I - T*T within ``CLAMP_TOL`` of zero are
-  snapped to zero before a square root.
+  at ``RANK_TOL``; eigenvalues of I - T*T from 1 - (1 + eq_tol)^2 up to
+  ``CLAMP_TOL`` are snapped to zero before a square root.
 """
 
 from __future__ import annotations
@@ -129,7 +129,7 @@ def op_norms(mats) -> np.ndarray:
     norms = np.zeros(stack.shape[0])
     nonzero = stack.any(axis=(1, 2))
     if nonzero.any():
-        norms[nonzero] = np.linalg.svd(stack[nonzero], compute_uv=False)[:, 0]
+        norms[nonzero] = np.linalg.svd(stack if nonzero.all() else stack[nonzero], compute_uv=False)[:, 0]
     return norms
 
 
@@ -204,7 +204,9 @@ def defect(t, pol: TolerancePolicy = DEFAULT_POLICY) -> Defect:
     """The ``Defect`` of T: D_T = (I - T*T)^(1/2), a basis Q of its range, the
     eigenvalues s of D_T on Q and the factor D_T Q = Q diag(s).
 
-    Raises ``NotContractiveError`` when ||T|| > 1 + eq_tol.  The range basis
+    Raises ``NotContractiveError`` when ||T|| > 1 + eq_tol; any other T has
+    the eigenvalues of I - T*T at or above 1 - (1 + eq_tol)^2, and
+    ``NotPSDError`` is raised only CLAMP_TOL below that.  The range basis
     keeps the eigenvectors whose eigenvalue of I - T*T exceeds RANK_TOL
     times the largest one (deciding on I - T*T rather than on its square
     root keeps round-off noise below the threshold), ordered by decreasing
@@ -218,12 +220,13 @@ def defect(t, pol: TolerancePolicy = DEFAULT_POLICY) -> Defect:
     h = herm_part(np.eye(n) - t.conj().T @ t)
     w, v = np.linalg.eigh(h)
     # I - T*T has natural scale 1 for a contraction; eigenvalues within
-    # CLAMP_TOL of zero are snapped to exactly zero BEFORE the square root,
-    # which is not Lipschitz at 0 and would lift 1e-16 noise to 1e-8
-    floor = CLAMP_TOL
+    # CLAMP_TOL of zero, or down to 1 - (1 + eq_tol)^2, are snapped to exactly
+    # zero BEFORE the square root, which is not Lipschitz at 0 and would
+    # lift 1e-16 noise to 1e-8
+    floor = CLAMP_TOL + (1.0 + pol.eq_tol) ** 2 - 1.0
     if w.size and w.min() < -floor:
         raise NotPSDError(f"I - T*T has eigenvalue {w.min():.3e} below clamp threshold")
-    w = np.where(w <= floor, 0.0, w)
+    w = np.where(w <= CLAMP_TOL, 0.0, w)
     s = np.sqrt(w)
     d = herm_part((v * s) @ v.conj().T)
     # rank decision on I - T*T against its natural unit scale, so that a

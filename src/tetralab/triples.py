@@ -9,7 +9,7 @@ this module says so in its header.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from functools import cached_property
 
 import numpy as np
@@ -65,7 +65,8 @@ class TetrablockTriple:
     basis conventions for its own checks.  It also owns ``norms`` =
     (||A||, ||B||, ||P||), which tolerances scale with, and ``commutators`` =
     (||[A,B]||, ||[A,P]||, ||[B,P]||), both as ``validate`` checked them, and
-    the ``purity`` certificate of P, computed on first read.
+    the ``purity`` certificate of P, computed on first read.  Only ``validate``
+    and ``adjoint`` build one: a ``dataclasses.replace`` copy raises TypeError.
     """
 
     A: np.ndarray
@@ -75,6 +76,11 @@ class TetrablockTriple:
     dpstar: Defect
     norms: tuple[float, float, float]
     commutators: tuple[float, float, float]
+    key: InitVar[object] = None
+
+    def __post_init__(self, key) -> None:
+        if key is not _BUILD:
+            raise TypeError("a TetrablockTriple is built only by validate() or adjoint()")
 
     @property
     def dim(self) -> int:
@@ -90,7 +96,7 @@ class TetrablockTriple:
         numbers to rounding.
         """
         a, b, p = (np.ascontiguousarray(m.conj().T) for m in (self.A, self.B, self.P))
-        return TetrablockTriple(a, b, p, self.dpstar, self.dp, self.norms, self.commutators)
+        return TetrablockTriple(a, b, p, self.dpstar, self.dp, self.norms, self.commutators, _BUILD)
 
     @cached_property
     def purity(self) -> PurityCertificate:
@@ -106,6 +112,7 @@ class TetrablockTriple:
 
 
 COMMUTATOR_PAIRS = ("AB", "AP", "BP")
+_BUILD = object()  # the key of validate and adjoint
 
 
 def validate(a, b, p, pol: TolerancePolicy = DEFAULT_POLICY) -> TetrablockTriple:
@@ -131,7 +138,7 @@ def validate(a, b, p, pol: TolerancePolicy = DEFAULT_POLICY) -> TetrablockTriple
     for pair, res in zip(COMMUTATOR_PAIRS, commutators):
         if res > scale:
             raise NonCommutingError(f"[{pair[0]},{pair[1]}] has norm {res:.3e} > {scale:.3e}")
-    return TetrablockTriple(a, b, p, defect(p, pol), defect(p.conj().T, pol), norms, commutators)
+    return TetrablockTriple(a, b, p, defect(p, pol), defect(p.conj().T, pol), norms, commutators, _BUILD)
 
 
 def necessary_report(triple: TetrablockTriple, pol: TolerancePolicy = DEFAULT_POLICY) -> CheckReport:

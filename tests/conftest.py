@@ -3,7 +3,8 @@ fundamental pairs of a triple, the triple of a bare contraction, the linear
 scan for the nilpotency index of ``is_pure``, the dense SVD construction of
 a range complement and of the isometric interior, the projector onto a subspace,
 the Cauchy product of two analytic symbols, the reproducing-kernel identity of
-Theta on the thin factors,
+Theta on the thin factors, the loops the package runs stacked (one norm per
+power of P, one solve per point of Theta_P, one slice per Toeplitz block),
 a field-by-field equality and its form for triples, a call counter, watches
 on ``numpy.linalg``, the dense construction of the model space, the dense
 grid formulas of the model-space residuals and the dense embedded formulas of
@@ -18,11 +19,21 @@ import sys
 import numpy as np
 import pytest
 
-from tetralab import generate
-from tetralab.charfn import theta_eval
+from tetralab import charfn, generate
+from tetralab.charfn import ResolventSingularError, theta_eval
 from tetralab.fundamental import FundamentalPair, solve_fundamental
 from tetralab.hardy import AnalyticSymbol, pencil, toeplitz
-from tetralab.matcore import DEFAULT_POLICY, RANK_TOL, ShapeError, SubspaceBasis, op_norm, range_basis, subspace_gap
+from tetralab.matcore import (
+    CLAMP_TOL,
+    DEFAULT_POLICY,
+    RANK_TOL,
+    ShapeError,
+    SubspaceBasis,
+    TetralabError,
+    op_norm,
+    range_basis,
+    subspace_gap,
+)
 from tetralab.triples import TetrablockTriple, validate
 
 
@@ -358,3 +369,50 @@ def dense_kernel_identity(triple, z: complex, w: complex) -> float:
     core = ds @ np.linalg.solve(eye - w * p.conj().T, np.linalg.solve(eye - np.conj(z) * p, ds))
     lhs = np.eye(qs.shape[1]) - dense_theta(triple, w) @ dense_theta(triple, z).conj().T
     return op_norm(lhs - (1.0 - w * np.conj(z)) * (qs.conj().T @ core @ qs))
+
+
+# The loops the package replaced by stacked calls, kept as oracles: under
+# one BLAS thread a stacked LAPACK call gives each member the bits it gets
+# alone, so the package must agree with these bit for bit.
+
+
+def power_norms_one_at_a_time(p) -> list[float]:
+    """||P||, ||P^2||, ... by one ``op_norm`` per power, up to (and including)
+    the first <= ``charfn.POWER_CUTOFF``; TetralabError after
+    ``charfn.MAX_POWERS`` powers (both read at call time)."""
+    norms, m = [], p
+    for _ in range(charfn.MAX_POWERS):
+        norms.append(op_norm(m))
+        if norms[-1] <= charfn.POWER_CUTOFF:
+            return norms
+        m = m @ p
+    raise TetralabError(f"||P^k|| still {norms[-1]:.3e} after {charfn.MAX_POWERS} powers; P decays too slowly")
+
+
+def theta_eval_per_point(triple, points) -> list[np.ndarray]:
+    """``charfn.theta_eval`` with one solve (and, where Weyl's bounds leave
+    the CLAMP_TOL test open, one SVD) per point."""
+    p, dq, dsq = triple.P, triple.dp.factor, triple.dpstar.factor
+    theta_0 = -(triple.dpstar.basis.conj().T @ (p @ triple.dp.basis))
+    eye = np.eye(p.shape[0])
+    s = triple.norm("P") * (1 + 1e-12)
+    out = []
+    for z in points:
+        z = complex(z)
+        res = eye - z * p.conj().T
+        if not 1.0 - abs(z) * s > CLAMP_TOL * (1.0 + abs(z) * s):
+            sv = np.linalg.svd(res, compute_uv=False)
+            if sv[-1] <= CLAMP_TOL * max(1.0, sv[0]):
+                raise ResolventSingularError(f"I - z P* singular at z = {z!r}")
+        out.append(theta_0 + z * (dsq.conj().T @ np.linalg.solve(res, dq)))
+    return out
+
+
+def toeplitz_slice_loop(sym: AnalyticSymbol, n: int) -> np.ndarray:
+    """``hardy.toeplitz`` filled one block slice at a time."""
+    d_out, d_in = sym.d_out, sym.d_in
+    t = np.zeros(((n + 1) * d_out, (n + 1) * d_in), dtype=complex)
+    for j, c in enumerate(sym.coeffs[: n + 1]):
+        for m in range(j, n + 1):
+            t[m * d_out : (m + 1) * d_out, (m - j) * d_in : (m - j + 1) * d_in] = c
+    return t

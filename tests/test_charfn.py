@@ -11,7 +11,6 @@ basis vector 1, so the package's matrix-valued answer is directly comparable.
 
 from __future__ import annotations
 
-import dataclasses
 import sys
 
 import numpy as np
@@ -362,7 +361,8 @@ def test_build_model_decomposes_only_thin_operands(monkeypatch, small_suite):
     # build_model forms no T_Theta and no M x M matrix, and W, whose columns
     # are orthonormal at the default degree, is its own basis of H_P: no
     # operand with a side above dim H is decomposed (the thin SVD of W in
-    # range_basis was, for every model with M > dim H)
+    # range_basis was, for every model with M > dim H); a stacked operand is
+    # measured by its matrix side, not by its depth
     seen = []
 
     def recording(name, fn):
@@ -380,7 +380,7 @@ def test_build_model_decomposes_only_thin_operands(monkeypatch, small_suite):
         seen.clear()
         model = build_model(t)
         m, dim = model.W.shape
-        wide = [(name, callers) for name, callers, shape in seen if max(shape) > dim]
+        wide = [(name, callers) for name, callers, shape in seen if max(shape[-2:]) > dim]
         wide_calls.append(wide)
         assert model.h_basis.basis is model.W
     assert calls["toeplitz"] == 0
@@ -622,14 +622,14 @@ def test_model_space_checks_hand_op_norm_thin_operands(monkeypatch, small_suite)
 def test_theta_on_thin_factors_equals_the_dense_formula(small_suite, rng):
     # theta_eval solves against D_P Q and kernel_identity_check against
     # D_{P*} Q_*; both equal the dense formulas on D_P and D_{P*}, for the
-    # triple as validated and with P (and its kept norm) moved by 0.1 under
-    # the same defect data, where the kernel identity fails by O(0.1); the
-    # last two triples keep an eigenvalue 1e-5 of D_P outside range(Q)
+    # triple as validated and for P moved by 0.1 (scaled back to norm 1 when
+    # it leaves the ball), validated with its own defect data; the last two
+    # triples keep an eigenvalue 1e-5 of D_P outside range(Q)
     points = [(0.3 + 0.2j, -0.55), (0.1 - 0.6j, 0.0), (0.62j, 0.45 - 0.1j)]
     for t in [inst.triple for inst in small_suite] + defect_outside_basis_triples():
         e = rng.standard_normal(t.P.shape) + 1j * rng.standard_normal(t.P.shape)
         moved = t.P + 0.1 * e / op_norm(e)
-        for triple in (t, dataclasses.replace(t, P=moved, norms=(*t.norms[:2], op_norm(moved)))):
+        for triple in (t, p_triple(moved / max(op_norm(moved), 1.0))):
             for z, w in points:
                 [th] = theta_eval(triple, [z])
                 dense = dense_theta(triple, z)

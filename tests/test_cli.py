@@ -8,6 +8,10 @@ import collections
 import hashlib
 import itertools
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -54,6 +58,12 @@ def run(capsys, *argv) -> tuple[int, str, str]:
     return code, captured.out, captured.err
 
 
+def bundle_digest(path) -> str:
+    """SHA-256 of the bundle at ``path`` in canonical JSON, without wall_time_s."""
+    rest = {k: v for k, v in load_bundle(path).items() if k != "wall_time_s"}
+    return hashlib.sha256(json.dumps(rest, sort_keys=True, indent=2, allow_nan=False).encode()).hexdigest()
+
+
 def load_bundle(path) -> dict:
     with open(path) as fh:
         return json.load(fh)
@@ -97,9 +107,29 @@ def test_verify_bidisc_bundle_keeps_its_digest(tmp_path, degree, digest):
     # be deliberate
     out = tmp_path / "bidisc.json"
     assert main(["verify-bidisc", "--degree", str(degree), "--format", "json", "--out", str(out)]) == 0
-    rest = {k: v for k, v in load_bundle(out).items() if k != "wall_time_s"}
-    text = json.dumps(rest, sort_keys=True, indent=2, allow_nan=False)
-    assert hashlib.sha256(text.encode()).hexdigest() == digest
+    assert bundle_digest(out) == digest
+
+
+@pytest.mark.parametrize(
+    "shape, digest",
+    [
+        (("--dim", "3", "--degree", "3", "--count", "25"), "5820392ebed2e5c9bd319099c3761ae7900c425e7374cc2f4dddb7425ecc4cae"),
+        (("--dim", "6", "--degree", "6", "--count", "15"), "32a6e832143d80791ee62e00e9acfcdb18183575430a53f2e0d5fbc5b2085de7"),
+    ],
+    ids=["suite", "suite-wide"],
+)
+def test_random_suite_bundle_keeps_its_digest(tmp_path, shape, digest):
+    # the seed-42 bundles of the benchmark's suite and suite-wide shapes; a
+    # random-suite bundle depends on the BLAS thread count (README, "Reports
+    # and determinism"), so the command runs in a child process pinned to one
+    # thread, as the benchmark runs it.  Any change of these bytes must be
+    # deliberate
+    out = tmp_path / "suite.json"
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+    env["PYTHONPATH"] = str(Path(tetralab.cli.__file__).parents[1])
+    argv = ["-m", "tetralab.cli", "random-suite", "--seed", "42", *shape, "--format", "json", "--out", str(out)]
+    assert subprocess.run([sys.executable, *argv], env=env).returncode == 0
+    assert bundle_digest(out) == digest
 
 
 def test_random_suite_passes(capsys):
@@ -509,9 +539,10 @@ def test_battery_builds_each_object_once(monkeypatch):
         op_norm_svds.append(decompositions["svd", "op_norms"])
         works.append(sum(work.values()))
     # op_norm decomposes no zero matrix, the norms of A, B, P, of their
-    # commutators and of F1, F2 are read from the triples and pairs, and one
-    # stacked SVD norms each family of same-shape residuals
-    assert op_norm_svds == [51, 61, 171, 51, 61, 125]
+    # commutators and of F1, F2 are read from the triples and pairs, one
+    # stacked SVD norms each family of same-shape residuals, and one the
+    # powers of P up to the first whose Frobenius norm is below the cutoff
+    assert op_norm_svds == [36, 42, 44, 36, 42, 44]
     # no model-space check decomposes a grid-sized matrix of rank <= dim H;
     # the scalars instances, at N = 48 and 28, compare coefficients 0..N+1
     # in the one stacked SVD of the coincidence residuals
@@ -561,8 +592,9 @@ def test_verify_bidisc_builds_each_object_once(monkeypatch, capsys):
     }
     # only the characterization of F brackets a radius; the norms of A, B, P
     # (also for the adjoint, as ||X*|| = ||X||) and of F1, F2 are kept, and
-    # one stacked SVD norms ||A||, ||B||, ||P|| and one the 20 pencil residuals
-    assert decompositions["svd", "op_norms"] == 11
+    # one stacked SVD norms ||A||, ||B||, ||P||, one the 20 pencil residuals
+    # and one each family of defect-sized residuals
+    assert decompositions["svd", "op_norms"] == 9
     assert decompositions["svd", "theta_eval"] == 0
     # H_P is range(W), with W as its basis, and T_Theta is not decomposed;
     # the isometric interior comes from one eigh of a rank D_{P*} square
@@ -711,6 +743,24 @@ def test_model_check_refuses_oversized_model_grid(capsys, tmp_path, fmt):
     assert code == 2
     assert out == ""
     assert f"exceeds {MAX_GRID_DIM} coordinates" in err
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_model_check_reports_a_contraction_within_eq_tol_as_not_pure(capsys, tmp_path, fmt):
+    # ||P|| = 1 + 5e-11 passes validate's bound 1 + eq_tol, so the defect of
+    # P exists and the command reports: spectral radius 1 fails "pure" (exit
+    # 1), where refusing I - P*P as indefinite made it an input error (exit 2)
+    path = tmp_path / "edge.json"
+    zero = io.matrix_to_obj(np.zeros((2, 2)))
+    path.write_text(io.dumps({"A": zero, "B": zero, "P": io.matrix_to_obj((1.0 + 5e-11) * np.diag([1.0, 0.5]))}))
+    code, out, err = run(capsys, "model-check", str(path), "--format", fmt)
+    assert (code, err) == (1, "")
+    if fmt == "json":
+        [model] = [r for r in strict_json(out)["reports"] if r["label"] == "model"]
+        assert [(e["name"], e["passed"]) for e in model["entries"]] == [("pure", False)]
+    else:
+        assert "pure            inf     0.000e+00  FAIL  (spectral radius 1.000000)" in out
+        assert "nec_norm_P         5.000e-11     1.000e-10  pass" in out
 
 
 @pytest.mark.parametrize("fmt", ["text", "json"])

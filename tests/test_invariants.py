@@ -238,11 +238,9 @@ def test_model_space_checks_decompose_no_grid_matrix(monkeypatch):
     assert run_instance_battery(inst).overall
     m = len(build_model(inst.triple).W)
     assert m >= 192
-    intertwine = [
-        shape for names, shape in svds if "op_norm" in names and names[names.index("op_norm") + 1] == "_model_transport"
-    ]
-    assert len(intertwine) == 3
-    assert all(max(shape) <= dim_h for shape in intertwine)
+    # the three residuals are dim H x dim H, normed in one stacked SVD
+    intertwine = [shape for names, shape in svds if names[:2] == ["op_norms", "_model_transport"]]
+    assert intertwine == [(3, dim_h, dim_h)]
     wide = [
         (names[names.index("op_norm") + 1], shape)
         for names, shape in svds

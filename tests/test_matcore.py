@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from tetralab.matcore import (
+    CLAMP_TOL,
     DEFAULT_POLICY,
     RADIUS_BISECTIONS,
     RADIUS_GRID,
@@ -232,21 +233,33 @@ def test_defect_rejects_expansion():
         defect(1.5 * np.eye(2))
 
 
-@pytest.mark.parametrize("excess, error", [(2.0, NotContractiveError), (0.5, NotPSDError)])
-def test_defect_refuses_either_side_of_the_contraction_bound(excess, error):
+@pytest.mark.parametrize("excess", [2.0, 1.01, 0.99, 0.5, 0.1])
+def test_defect_decides_on_the_contraction_bound(excess):
     # ||T|| = 1 + excess * eq_tol: past the contraction bound T is refused as
-    # non-contractive; within it, the eigenvalue 1 - ||T||^2 of I - T*T is
-    # still below -CLAMP_TOL
-    t = (1.0 + excess * DEFAULT_POLICY.eq_tol) * np.diag([1.0, 0.5, 0.0])
-    with pytest.raises(error):
-        defect(t)
+    # non-contractive; within it, the eigenvalue 1 - ||T||^2 of I - T*T lies
+    # between 1 - (1 + eq_tol)^2 and -CLAMP_TOL and is snapped to zero, so
+    # every T that validate admits has a defect
+    c = 1.0 + excess * DEFAULT_POLICY.eq_tol
+    t = c * np.diag([1.0, 0.5, 0.0])
+    if excess > 1.0:
+        with pytest.raises(NotContractiveError):
+            defect(t)
+        return
+    assert 1.0 - c * c < -CLAMP_TOL
+    dt = defect(t)
+    assert dt.rank == 2
+    assert np.allclose(dt.op, np.diag([0.0, np.sqrt(1.0 - 0.25 * c * c), 1.0]), rtol=0.0, atol=1e-15)
+    assert dt.op[0, 0] == 0.0
 
 
-def test_defect_rejects_indefinite_gramian_complement():
-    # ||T|| = 1 + 1e-11 passes the contraction bound, but the eigenvalue
-    # -2e-11 of I - T*T lies below the clamp threshold
-    with pytest.raises(NotPSDError):
-        defect([[1.0 + 1e-11]])
+def test_defect_refuses_an_eigenvalue_below_what_its_norm_allows(monkeypatch):
+    # a T with ||T|| <= 1 + eq_tol has the eigenvalues of I - T*T above
+    # 1 - (1 + eq_tol)^2; one an eigensolver put below that, past CLAMP_TOL,
+    # would be refused rather than snapped
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda h: (eigh(h)[0] - 3.0 * DEFAULT_POLICY.eq_tol, eigh(h)[1]))
+    with pytest.raises(NotPSDError, match="below clamp threshold"):
+        defect([[1.0]])
 
 
 def test_defect_squares_to_gramian_complement(rng):

@@ -72,6 +72,16 @@ must not fall below the gap to the trailing left singular vectors of a full
 SVD of the same T_Theta (beyond 1e-13, the rounding of the dense SVD), nor
 exceed twice it (plus 1e-13): it is sound and not vacuous.
 
+The power pass of the model degree, the points of Theta_P and the blocks of
+a Toeplitz matrix are computed in bulk: the powers of P are normed in one
+stacked SVD per stack (cut where their Frobenius norm falls below the
+cutoff, or where the stack fills), the resolvents in one stacked solve, the
+blocks in one gather.  Each must give the bits of the loop it replaced,
+kept in ``conftest``: over zero, nilpotent, scalar, generic and unitary P of
+dimension 1-6 with the cap on powers and the stack size lowered (so the
+refusal and the flush of a full stack both run), over 0-12 points of the
+disc, and over symbols with rectangular or empty blocks.
+
 Conjugating a generated triple by a unitary U gives a unitarily equivalent
 triple, so the whole instance battery must reach the same verdict on every
 check, and each residual may move only by rounding, below its tolerance;
@@ -92,8 +102,11 @@ from conftest import (  # noqa: E402
     defect_outside_basis_triples,
     linear_scan_nilpotency,
     p_triple,
+    power_norms_one_at_a_time,
     projector,
     spectral_kernel_gap,
+    theta_eval_per_point,
+    toeplitz_slice_loop,
     triples_agree,
     two_step_interior,
     watch_decompositions,
@@ -108,12 +121,15 @@ from tetralab.fundamental import (  # noqa: E402
 )
 from tetralab.cli import run_instance_battery  # noqa: E402
 from tetralab.generate import FAMILIES, make_instance, random_unitary  # noqa: E402
+from tetralab.hardy import AnalyticSymbol, toeplitz  # noqa: E402
 from tetralab.matcore import (  # noqa: E402
     DEFAULT_POLICY,
+    MAX_GRID_DIM,
     RANK_TOL,
     NotFiniteError,
     ShapeError,
     SubspaceBasis,
+    TetralabError,
     ensure_matrix,
     numerical_radius,
     op_norm,
@@ -538,3 +554,111 @@ def test_unitary_conjugation_keeps_every_verdict_of_the_battery(family, seed, in
     for e, e_moved in zip(entries, moved):
         if not e.skipped:
             assert abs(e_moved.residual - e.residual) <= e.tolerance, e.name
+
+
+def outcome(fn, *args):
+    """("ok", value) or (exception type, message) of fn(*args)."""
+    try:
+        return "ok", fn(*args)
+    except TetralabError as exc:
+        return type(exc), str(exc)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(
+    kind=st.sampled_from(KINDS),
+    dim=st.integers(1, 6),
+    seed=st.integers(0, 2**32 - 1),
+    norm=st.floats(0.05, 0.95),
+    max_powers=st.integers(1, 120),
+    grid=st.sampled_from((1, 2, 3, 5, MAX_GRID_DIM)),
+)
+@example(kind="scalar", dim=1, seed=0, norm=0.5, max_powers=100000, grid=MAX_GRID_DIM)
+@example(kind="zero", dim=3, seed=0, norm=0.5, max_powers=100000, grid=MAX_GRID_DIM)
+@example(kind="nilpotent", dim=5, seed=1, norm=0.9, max_powers=100000, grid=4)
+@example(kind="unitary", dim=2, seed=2, norm=0.5, max_powers=50, grid=3)
+def test_power_pass_is_bit_equal_to_one_norm_per_power(kind, dim, seed, norm, max_powers, grid):
+    # the same norms, bit for bit, cut at the same power, or the same
+    # refusal; a lowered MAX_GRID_DIM flushes the stack every
+    # grid^2 / dim^2 powers (at least every power), and a lowered MAX_POWERS
+    # refuses the unitary and slowly decaying P
+    p = contraction(kind, dim, seed, norm)
+    stacks, svd = [], np.linalg.svd
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(charfn, "MAX_POWERS", max_powers)
+        mp.setattr(charfn, "MAX_GRID_DIM", grid)
+        expected = outcome(power_norms_one_at_a_time, p)
+        mp.setattr(np.linalg, "svd", lambda a, *args, **kw: stacks.append(len(a)) or svd(a, *args, **kw))
+        got = outcome(charfn._power_norms, p)
+    # a stack never holds more than grid^2 entries, or one power
+    assert all(depth * dim * dim <= max(grid * grid, dim * dim) for depth in stacks)
+    assert got[0] == expected[0]
+    if got[0] == "ok":
+        assert [x.hex() for x in got[1]] == [x.hex() for x in expected[1]]
+    else:
+        assert got[1] == expected[1]
+
+
+def test_power_pass_of_a_half_cuts_at_the_47th_power():
+    # 0.5^46 = 1.4e-14 is above the cutoff 1e-14, 0.5^47 = 7.1e-15 is not;
+    # with P exactly zero the pass is one zero member and no SVD
+    assert charfn._power_norms(np.array([[0.5 + 0j]])) == [0.5**k for k in range(1, 48)]
+    with pytest.MonkeyPatch.context() as mp:
+        calls, zeros, _ = watch_decompositions(mp)
+        assert charfn._power_norms(np.zeros((3, 3), complex)) == [0.0]
+    assert (sum(calls.values()), zeros) == (0, [])
+
+
+@st.composite
+def disc_points(draw) -> list[complex]:
+    radii = draw(st.lists(st.floats(0.0, 0.95), max_size=12))
+    return [r * np.exp(2j * np.pi * draw(st.floats(0.0, 1.0))) for r in radii]
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(
+    kind=st.sampled_from(KINDS),
+    dim=st.integers(1, 6),
+    seed=st.integers(0, 2**32 - 1),
+    norm=st.floats(0.05, 1.0),
+    points=disc_points(),
+)
+@example(kind="generic", dim=3, seed=0, norm=0.9, points=[])
+@example(kind="zero", dim=2, seed=0, norm=0.5, points=[0.5, -0.3j])
+def test_stacked_theta_eval_is_bit_equal_to_one_solve_per_point(kind, dim, seed, norm, points):
+    triple = p_triple(contraction(kind, dim, seed, norm))
+    got, expected = outcome(charfn.theta_eval, triple, points), outcome(theta_eval_per_point, triple, points)
+    assert got[0] == expected[0]
+    if got[0] == "ok":
+        assert len(got[1]) == len(expected[1]) == len(points)
+        assert all(x.shape == y.shape and np.array_equal(x, y) for x, y in zip(*(got[1], expected[1])))
+    else:
+        assert got[1] == expected[1]
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(
+    degree=st.integers(0, 6),
+    n=st.integers(0, 8),
+    d_out=st.integers(0, 4),
+    d_in=st.integers(0, 4),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_toeplitz_gather_is_bit_equal_to_the_slice_loop(degree, n, d_out, d_in, seed):
+    rng = np.random.default_rng(seed)
+    coeffs = rng.standard_normal((degree + 1, d_out, d_in)) + 1j * rng.standard_normal((degree + 1, d_out, d_in))
+    sym = AnalyticSymbol(tuple(coeffs))
+    t = toeplitz(sym, n)
+    expected = toeplitz_slice_loop(sym, n)
+    assert t.shape == expected.shape and np.array_equal(t, expected)
+    assert t.flags.c_contiguous and t.flags.writeable
+
+
+def test_stacked_theta_eval_refuses_the_first_singular_point_as_the_loop_does():
+    # I - z P* for P = I is singular at CLAMP_TOL at z = 1 - 1e-13, which
+    # Weyl's bounds leave open, so the SVD gate runs there and refuses
+    triple = p_triple(np.eye(2))
+    points = [0.3, 1.0 - 1e-13, -0.2, 1.0 - 1e-14]
+    got = outcome(charfn.theta_eval, triple, points)
+    assert got == outcome(theta_eval_per_point, triple, points)
+    assert got == (charfn.ResolventSingularError, f"I - z P* singular at z = {complex(1.0 - 1e-13)!r}")

@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from tetralab import triples
-from tetralab.matcore import NotContractiveError, ShapeError, op_norm, op_norms
+from tetralab.matcore import DEFAULT_POLICY, NotContractiveError, ShapeError, op_norm, op_norms
 from tetralab.triples import (
     NonCommutingError,
     NotCoinvariantError,
@@ -20,7 +22,7 @@ from tetralab.bidisc import build as build_grid
 from tetralab.generate import make_instance
 from tetralab.matcore import SubspaceBasis
 
-from conftest import count_calls, forbid_linalg, p_triple, random_contraction, triples_agree
+from conftest import count_calls, fields_equal, forbid_linalg, p_triple, random_contraction, triples_agree
 
 
 def scalar_triple(a: complex, b: complex, p: complex):
@@ -49,6 +51,33 @@ def test_validate_rejects_expansions():
         scalar_triple(1.2, 0.0, 0.0)
     with pytest.raises(NotContractiveError):
         scalar_triple(0.0, 0.0, 1.0 + 1e-6)
+
+
+@pytest.mark.parametrize("excess", [1e-12, 1e-11, 5e-11, 9e-11, 0.99e-10, 1.01e-10, 2e-10])
+def test_validate_decides_on_one_plus_eq_tol_alone(excess):
+    # ||P|| = 1 + excess: admitted up to 1 + eq_tol, with the eigenvalue
+    # 1 - ||P||^2 < 0 of I - P*P snapped to zero in the defect of P and of P*;
+    # refused past it
+    p = (1.0 + excess) * np.diag([1.0, 0.5])
+    if excess > DEFAULT_POLICY.eq_tol:
+        with pytest.raises(NotContractiveError, match="exceeds 1 \\+ eq_tol"):
+            p_triple(p)
+        return
+    t = p_triple(p)
+    assert (t.dp.rank, t.dpstar.rank) == (1, 1)
+    assert t.dp.op[0, 0] == t.dpstar.op[0, 0] == 0.0
+
+
+def test_a_replaced_triple_is_refused():
+    # the kept norms and commutator norms belong to the validated A, B, P:
+    # a copy with a moved P (which theta_eval's Weyl shortcut would trust)
+    # cannot be made, nor a triple built by hand
+    t = scalar_triple(0.3, 0.1, 0.25)
+    with pytest.raises(TypeError, match="built only by validate"):
+        dataclasses.replace(t, P=np.array([[0.9]]))
+    with pytest.raises(TypeError, match="built only by validate"):
+        triples.TetrablockTriple(t.A, t.B, t.P, t.dp, t.dpstar, t.norms, t.commutators)
+    assert fields_equal(t.adjoint().adjoint(), t)
 
 
 def test_validate_rejects_shape_mismatch():
