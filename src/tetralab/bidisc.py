@@ -31,11 +31,7 @@ __all__ = [
     "grid_dim",
     "flat_index",
     "border_points",
-    "far_border_points",
     "border_embedding",
-    "far_border_embedding",
-    "near_border_projector",
-    "far_border_projector",
     "build",
     "fundamental_ops",
     "forward_fundamental_ops",
@@ -70,50 +66,24 @@ def _shift_matrix(n: int, di: int, dj: int) -> np.ndarray:
     return np.kron(np.eye(n + 1, k=-di, dtype=complex), np.eye(n + 1, k=-dj, dtype=complex))
 
 
-def border_points(n: int) -> list[tuple[int, int]]:
-    """Near border, corner first: (0,0), (k,0) for k=1..n, (0,k) for k=1..n."""
+def border_points(n: int, far: bool = False) -> list[tuple[int, int]]:
+    """Near border {i = 0 or j = 0}, or with ``far`` the far border {i = n or
+    j = n}: for the corner c = 0 or n, the point (c, c) first, then (k, c)
+    and then (c, k) for the other k in increasing order."""
     _require_size(n)
-    pts = [(0, 0)]
-    pts.extend((k, 0) for k in range(1, n + 1))
-    pts.extend((0, k) for k in range(1, n + 1))
-    return pts
+    c = n if far else 0
+    ks = [k for k in range(n + 1) if k != c]
+    return [(c, c)] + [(k, c) for k in ks] + [(c, k) for k in ks]
 
 
-def far_border_points(n: int) -> list[tuple[int, int]]:
-    """Far border, corner first: (n,n), (i,n) for i=0..n-1, (n,j) for j=0..n-1."""
-    _require_size(n)
-    pts = [(n, n)]
-    pts.extend((i, n) for i in range(n))
-    pts.extend((n, j) for j in range(n))
-    return pts
-
-
-def _embedding(n: int, pts: list[tuple[int, int]]) -> np.ndarray:
+def border_embedding(n: int, far: bool = False) -> np.ndarray:
+    """Isometric embedding C^(2n+1) -> grid with columns the points of
+    ``border_points(n, far)``; B B* is the diagonal projection onto that border."""
+    pts = border_points(n, far)
     m = np.zeros((grid_dim(n), len(pts)), dtype=complex)
     for col, (i, j) in enumerate(pts):
         m[flat_index(n, i, j), col] = 1.0
     return m
-
-
-def border_embedding(n: int) -> np.ndarray:
-    """Isometric embedding C^(2n+1) -> grid with columns the near-border points."""
-    return _embedding(n, border_points(n))
-
-
-def far_border_embedding(n: int) -> np.ndarray:
-    return _embedding(n, far_border_points(n))
-
-
-def near_border_projector(n: int) -> np.ndarray:
-    """Diagonal projection onto {i = 0 or j = 0}; equals I - P P* exactly."""
-    b = border_embedding(n)
-    return b @ b.conj().T
-
-
-def far_border_projector(n: int) -> np.ndarray:
-    """Diagonal projection onto {i = n or j = n}; equals I - P* P exactly."""
-    b = far_border_embedding(n)
-    return b @ b.conj().T
 
 
 def build(n: int, pol: TolerancePolicy = DEFAULT_POLICY) -> TetrablockTriple:
@@ -125,6 +95,17 @@ def build(n: int, pol: TolerancePolicy = DEFAULT_POLICY) -> TetrablockTriple:
     return validate(a, b, p, pol)
 
 
+def _border_shift(n: int, far: bool, di: int, dj: int) -> np.ndarray:
+    """In the coordinates of ``border_points(n, far)``: e_(i,j) -> e_(i+di, j+dj)
+    for each border point whose image is also a border point, 0 on the others."""
+    idx = {pt: k for k, pt in enumerate(border_points(n, far))}
+    s = np.zeros((2 * n + 1, 2 * n + 1), dtype=complex)
+    for (i, j), k in idx.items():
+        if (i + di, j + dj) in idx:
+            s[idx[(i + di, j + dj)], k] = 1.0
+    return s
+
+
 def fundamental_ops(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Solutions (G1, G2) of the adjoint-triple equations, on the near border.
 
@@ -133,28 +114,13 @@ def fundamental_ops(n: int) -> tuple[np.ndarray, np.ndarray]:
     then A* - B P* = D_P* G1 D_P* and B* - A P* = D_P* G2 D_P* hold with
     zero residual.
     """
-    _require_size(n)
-    idx = {pt: k for k, pt in enumerate(border_points(n))}
-    g1 = np.zeros((2 * n + 1, 2 * n + 1), dtype=complex)
-    g2 = np.zeros_like(g1)
-    for k in range(1, n + 1):
-        g1[idx[(k - 1, 0)], idx[(k, 0)]] = 1.0
-        g2[idx[(0, k - 1)], idx[(0, k)]] = 1.0
-    return g1, g2
+    return _border_shift(n, False, -1, 0), _border_shift(n, False, 0, -1)
 
 
 def forward_fundamental_ops(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Solutions (F1, F2) of A - B* P = D_P F1 D_P and B - A* P = D_P F2 D_P,
     on the far border: F1 shifts the j = n edge forward, F2 the i = n edge."""
-    _require_size(n)
-    idx = {pt: k for k, pt in enumerate(far_border_points(n))}
-    f1 = np.zeros((2 * n + 1, 2 * n + 1), dtype=complex)
-    f2 = np.zeros_like(f1)
-    for i in range(n):
-        f1[idx[(i + 1, n)] if i + 1 < n else idx[(n, n)], idx[(i, n)]] = 1.0
-    for j in range(n):
-        f2[idx[(n, j + 1)] if j + 1 < n else idx[(n, n)], idx[(n, j)]] = 1.0
-    return f1, f2
+    return _border_shift(n, True, 1, 0), _border_shift(n, True, 0, 1)
 
 
 def model_embedding(n: int) -> np.ndarray:
@@ -181,7 +147,8 @@ def model_embedding_series(n: int) -> np.ndarray:
     block m + 1 the product of block m with P*; no power of P* is formed."""
     _require_size(n)
     pstar = _shift_matrix(n, 1, 1).conj().T
-    blocks = [border_embedding(n).conj().T @ near_border_projector(n)]
+    bb = border_embedding(n)
+    blocks = [bb.conj().T @ (bb @ bb.conj().T)]
     for _ in range(n):
         blocks.append(blocks[-1] @ pstar)
     return np.vstack(blocks)
@@ -211,13 +178,14 @@ def verify_example(
         note=f"nilpotency index {cert.nilpotency_index}",
     )
 
-    near = near_border_projector(n)
-    far = far_border_projector(n)
+    bb = border_embedding(n)
+    bf = border_embedding(n, far=True)
+    near = bb @ bb.conj().T
+    far = bf @ bf.conj().T
     rep.check("defect_projector_near", op_norm(triple.dpstar.op @ triple.dpstar.op - near), EXACT_TOL)
     rep.check("defect_projector_far", op_norm(triple.dp.op @ triple.dp.op - far), EXACT_TOL)
 
     a, b, p = triple.A, triple.B, triple.P
-    bb = border_embedding(n)
     g1, g2 = fundamental_ops(n)
     res_g1 = a.conj().T - b @ p.conj().T - bb @ g1 @ bb.conj().T
     res_g2 = b.conj().T - a @ p.conj().T - bb @ g2 @ bb.conj().T
@@ -236,7 +204,6 @@ def verify_example(
         EXACT_TOL,
     )
 
-    bf = far_border_embedding(n)
     f1, f2 = forward_fundamental_ops(n)
     rep.check(
         "forward_eq_1",

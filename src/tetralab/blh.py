@@ -75,7 +75,8 @@ def extract_symbols(
 ) -> tuple[np.ndarray, np.ndarray, CheckReport]:
     """Recover (G1, G2) from the compressions of the pencils to range(M_theta).
 
-    Requires nonempty fibers (ShapeError otherwise) and toeplitz(theta)
+    Requires nonempty fibers and square F1, F2 of one shape matching the
+    output fiber of theta (ShapeError otherwise) and toeplitz(theta)
     isometric on degrees <= n - deg(theta) (NotInnerError otherwise).  The
     compressed operators Phi, Psi must be block Toeplitz with only degree-0
     and degree-1 diagonals on the interior region; interior mass at degree
@@ -90,6 +91,8 @@ def extract_symbols(
         raise ShapeError(f"theta has an empty fiber: input dimension {theta.d_in}, output dimension {theta.d_out}")
     f1 = ensure_matrix(f1, square=True, name="F1")
     f2 = ensure_matrix(f2, square=True, name="F2")
+    if f1.shape != f2.shape:
+        raise ShapeError(f"F1, F2 shapes differ: {f1.shape}, {f2.shape}")
     if theta.d_out != f1.shape[0]:
         raise ShapeError("theta output fiber must match the symbol dimension")
     cut = _interior_cut(n, theta)

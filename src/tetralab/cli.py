@@ -214,6 +214,8 @@ def _cmd_random_suite(args, pol: TolerancePolicy) -> tuple[Reports, dict[str, An
     for name in ("count", "dim", "degree"):
         if getattr(args, name) < 1:
             raise TetralabError(f"--{name} must be >= 1")
+    if args.seed < 0:
+        raise TetralabError("--seed must be >= 0")
     # the symbols family builds its triple on a grid of (degree+1) fibers of
     # size dim, the largest side of the suite: the scalars triples have side
     # dim and the compressions about dim

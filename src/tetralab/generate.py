@@ -27,8 +27,8 @@ from typing import Any
 import numpy as np
 
 from . import bidisc
-from .matcore import SubspaceBasis, op_norm
-from .triples import TetrablockTriple, compress, from_symbols, validate
+from .matcore import op_norm
+from .triples import TetrablockTriple, from_symbols, validate
 
 __all__ = [
     "FAMILIES",
@@ -154,21 +154,12 @@ def compression_instance(seed: int, index: int, dim: int) -> Instance:
     rng = _rng(seed, "compressions", index)
     heights = _staircase_heights(rng, n)
     base = bidisc.build(n)
-    cols = [
-        bidisc.flat_index(n, i, j)
-        for i in range(n + 1)
-        for j in range(int(heights[i]))
-    ]
-    basis = np.zeros((bidisc.grid_dim(n), len(cols)), dtype=complex)
-    for k, c in enumerate(cols):
-        basis[c, k] = 1.0
-    small = compress(base, SubspaceBasis(basis))
-    v = random_unitary(rng, small.dim)
-    triple = validate(
-        v @ small.A @ v.conj().T,
-        v @ small.B @ v.conj().T,
-        v @ small.P @ v.conj().T,
-    )
+    # the staircase is down-closed, so its span is invariant under A*, B*
+    # and P*, and the compression of a grid operator X is the block X[S, S]
+    keep = [bidisc.flat_index(n, i, j) for i in range(n + 1) for j in range(int(heights[i]))]
+    block = np.ix_(keep, keep)
+    v = random_unitary(rng, len(keep))
+    triple = validate(*(v @ x[block] @ v.conj().T for x in (base.A, base.B, base.P)))
     return Instance(
         family="compressions",
         index=index,

@@ -21,36 +21,28 @@ from .matcore import (
     Defect,
     NotContractiveError,
     ShapeError,
-    SubspaceBasis,
     TetralabError,
     TolerancePolicy,
     commutator,
     defect,
     ensure_matrix,
-    op_norm,
     op_norms,
 )
 from .report import NECESSARY_HEADER, CheckReport
 
 __all__ = [
     "NonCommutingError",
-    "NotCoinvariantError",
     "TetrablockTriple",
     "PurityCertificate",
     "validate",
     "necessary_report",
     "is_pure",
     "from_symbols",
-    "compress",
 ]
 
 
 class NonCommutingError(TetralabError):
     """A pair of coordinates fails to commute within eq_tol."""
-
-
-class NotCoinvariantError(TetralabError):
-    """Subspace is not co-invariant (invariant under the adjoints) within eq_tol."""
 
 
 @dataclass(frozen=True)
@@ -220,31 +212,3 @@ def from_symbols(f1, f2, n: int, pol: TolerancePolicy = DEFAULT_POLICY) -> Tetra
     b = toeplitz(pencil(f2.conj().T, f1), n)
     p = toeplitz(pencil(np.zeros_like(f1), np.eye(f1.shape[0])), n)
     return validate(a, b, p, pol)
-
-
-def compress(triple: TetrablockTriple, subspace: SubspaceBasis) -> TetrablockTriple:
-    """Compression of the triple to a co-invariant subspace.
-
-    Co-invariance (invariance of the subspace under A*, B*, P*) makes the
-    compression multiplicative on polynomials, which is what preserves
-    commutation and the contraction bounds; it is checked here via
-    ||X* V - V (V* X* V)|| <= eq_tol relative, V the orthonormal basis, under
-    ``DEFAULT_POLICY``, which also validates the result.
-    """
-    if subspace.ambient_dim != triple.dim:
-        raise ShapeError("subspace ambient dimension does not match the triple")
-    if subspace.rank == 0:
-        raise ShapeError("cannot compress to the zero subspace")
-    v = subspace.basis
-    for name, x in (("A", triple.A), ("B", triple.B), ("P", triple.P)):
-        image = x.conj().T @ v
-        leak = op_norm(image - v @ (v.conj().T @ image))
-        if leak > DEFAULT_POLICY.scaled_eq(triple.norm(name)):
-            raise NotCoinvariantError(
-                f"subspace not invariant under {name}*: leak {leak:.3e}"
-            )
-    return validate(
-        v.conj().T @ triple.A @ v,
-        v.conj().T @ triple.B @ v,
-        v.conj().T @ triple.P @ v,
-    )

@@ -41,8 +41,10 @@ def test_triple_structure():
 def test_defect_projectors_are_borders():
     n = 4
     t = bidisc.build(n)
-    near = bidisc.near_border_projector(n)
-    far = bidisc.far_border_projector(n)
+    bb = bidisc.border_embedding(n)
+    bf = bidisc.border_embedding(n, far=True)
+    near = bb @ bb.conj().T
+    far = bf @ bf.conj().T
     dim = bidisc.grid_dim(n)
     assert op_norm(np.eye(dim) - t.P @ t.P.conj().T - near) == 0.0
     assert op_norm(np.eye(dim) - t.P.conj().T @ t.P - far) == 0.0
@@ -61,6 +63,30 @@ def test_fundamental_ops_entries_are_zero_one():
         assert np.all(m.imag == 0.0)
         # at most one nonzero entry per column: shift structure
         assert np.max(np.sum(m.real, axis=0)) <= 1.0
+
+
+def edge_shift_oracle(n: int) -> tuple[np.ndarray, ...]:
+    """G1, G2, F1, F2 written edge by edge, each point of an edge to the next
+    one along it, in the border coordinates the near and far point lists give."""
+    near = [(0, 0)] + [(k, 0) for k in range(1, n + 1)] + [(0, k) for k in range(1, n + 1)]
+    far = [(n, n)] + [(i, n) for i in range(n)] + [(n, j) for j in range(n)]
+    assert bidisc.border_points(n) == near and bidisc.border_points(n, far=True) == far
+    inear, ifar = ({pt: k for k, pt in enumerate(pts)} for pts in (near, far))
+    g1, g2, f1, f2 = (np.zeros((2 * n + 1, 2 * n + 1), dtype=complex) for _ in range(4))
+    for k in range(1, n + 1):
+        g1[inear[(k - 1, 0)], inear[(k, 0)]] = 1.0
+        g2[inear[(0, k - 1)], inear[(0, k)]] = 1.0
+    for k in range(n):
+        f1[ifar[(k + 1, n)], ifar[(k, n)]] = 1.0
+        f2[ifar[(n, k + 1)], ifar[(n, k)]] = 1.0
+    return g1, g2, f1, f2
+
+
+def test_border_shifts_equal_the_edge_by_edge_oracle():
+    for n in range(1, 15):
+        ops = (*bidisc.fundamental_ops(n), *bidisc.forward_fundamental_ops(n))
+        for got, want in zip(ops, edge_shift_oracle(n)):
+            assert got.dtype == want.dtype and np.array_equal(got, want), n
 
 
 def test_embedding_constructions_agree_exactly():

@@ -8,6 +8,8 @@ tests assert the two routes agree without sharing any code path.
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 
@@ -65,6 +67,8 @@ def test_extract_requires_matching_fibers():
     theta = AnalyticSymbol((np.zeros((2, 2)), np.eye(2)))
     with pytest.raises(ShapeError):
         extract_symbols(theta, np.eye(3), np.eye(3), 4)
+    with pytest.raises(ShapeError, match=re.escape("F1, F2 shapes differ: (2, 2), (3, 3)")):
+        extract_symbols(theta, 0.1 * np.eye(2), 0.1 * np.eye(3), 4)
 
 
 def test_extract_requires_enough_degrees():

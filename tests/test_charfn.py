@@ -559,6 +559,16 @@ def test_functional_model_refuses_a_pair_on_another_defect_basis():
     assert verify_functional_model(triple, model, solve_fundamental(revalidated)).overall
 
 
+def test_functional_model_refuses_the_forward_pair():
+    # (F1, F2) of the triple lives on D_P, not on the D_{P*} the model reads;
+    # the pair solved from the adjoint triple is accepted
+    triple = build_grid(3)
+    model = build_model(triple, 3)
+    with pytest.raises(ShapeError, match=r"solve it from triple\.adjoint\(\)"):
+        verify_functional_model(triple, model, solve_fundamental(triple))
+    assert verify_functional_model(triple, model, solve_fundamental(triple.adjoint())).overall
+
+
 def test_model_space_residuals_equal_the_dense_formulas(small_suite, rng):
     # co-invariance of range(W) and the pencil on the isometric part are
     # normed on thin factors; they equal the dense M x M formulas, for the

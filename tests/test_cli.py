@@ -115,11 +115,13 @@ def test_verify_bidisc_bundle_keeps_its_digest(tmp_path, degree, digest):
     [
         (("--dim", "3", "--degree", "3", "--count", "25"), "5820392ebed2e5c9bd319099c3761ae7900c425e7374cc2f4dddb7425ecc4cae"),
         (("--dim", "6", "--degree", "6", "--count", "15"), "32a6e832143d80791ee62e00e9acfcdb18183575430a53f2e0d5fbc5b2085de7"),
+        (("--dim", "16", "--degree", "2", "--count", "6"), "7345c3a07ba88dfe8f1c590bf7686f4c949950d1afa7d8ae30d5e71a2ef4792b"),
     ],
-    ids=["suite", "suite-wide"],
+    ids=["suite", "suite-wide", "staircase-n3"],
 )
 def test_random_suite_bundle_keeps_its_digest(tmp_path, shape, digest):
-    # the seed-42 bundles of the benchmark's suite and suite-wide shapes; a
+    # the seed-42 bundles of the benchmark's suite and suite-wide shapes, and
+    # one whose two compressions instances stand on the grid n = 3; a
     # random-suite bundle depends on the BLAS thread count (README, "Reports
     # and determinism"), so the command runs in a child process pinned to one
     # thread, as the benchmark runs it.  Any change of these bytes must be
@@ -399,6 +401,21 @@ def test_model_check_json_on_non_pure_p(capsys, tmp_path):
     assert entry["name"] == "pure"
     assert entry["residual"] == "inf"
     assert entry["tolerance"] == 0.0
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_blh_refuses_symbols_of_different_sizes(capsys, tmp_path, fmt):
+    theta_path = tmp_path / "theta.json"
+    theta_path.write_text(io.dumps({"coeffs": [io.matrix_to_obj(np.zeros((2, 2))), io.matrix_to_obj(np.eye(2))]}))
+    sym_path = tmp_path / "syms.json"
+    sym_path.write_text(io.dumps({
+        "F1": io.matrix_to_obj(0.1 * np.eye(2)),
+        "F2": io.matrix_to_obj(0.1 * np.eye(3)),
+    }))
+    code, out, err = run(capsys, "blh", str(theta_path), str(sym_path), "--format", fmt)
+    assert code == 2
+    assert out == ""
+    assert "F1, F2 shapes differ: (2, 2), (3, 3)" in err
 
 
 def test_blh_json_on_extraction_failure(capsys, tmp_path):
@@ -799,6 +816,15 @@ def test_negative_model_degree_is_input_error(capsys, tmp_path):
     assert "--degree must be >= 0" in err
     with pytest.raises(ValueError, match="model degree must be >= 0"):
         build_model(p_triple(0.5 * np.eye(2)), -1)
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_random_suite_refuses_negative_seed(capsys, fmt):
+    code, out, err = run(capsys, "random-suite", "--seed", "-1", "--count", "1", "--format", fmt)
+    assert code == 2
+    assert out == ""
+    assert "--seed must be >= 0" in err
+    assert run(capsys, "random-suite", "--seed", "0", "--count", "1")[0] == 0
 
 
 def test_random_suite_refuses_oversized_grid(monkeypatch, capsys):

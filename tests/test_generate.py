@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from tetralab.bidisc import build as build_grid, flat_index, grid_dim
 from tetralab.generate import (
     FAMILIES,
     companion_unitary,
@@ -74,6 +75,30 @@ def test_compressions_family_is_pure_nilpotent():
     cert = is_pure(inst.triple)
     assert cert.pure
     assert cert.nilpotency_index is not None
+
+
+@pytest.mark.parametrize("dim, n", [(3, 2), (16, 3), (25, 4), (36, 5), (49, 6)])
+def test_staircase_compressions_are_index_blocks(dim, n):
+    # every dim <= 12 gives the grid n = 2; these dims reach n = 2 to 6.  The
+    # staircase S is down-closed, so X[S, S^c] = 0 for the grid's A, B, P
+    # (span S is co-invariant) and the compression V* X V to span S is the
+    # index block X[S, S], bit for bit
+    for seed in (3, 17, 42):
+        inst = make_instance("compressions", seed=seed, index=0, dim=dim, degree=4)
+        assert inst.meta["grid"] == n
+        grid = build_grid(n)
+        stair = [flat_index(n, i, j) for i in range(n + 1) for j in range(inst.meta["heights"][i])]
+        rest = np.setdiff1d(np.arange(grid_dim(n)), stair)
+        v = np.zeros((grid_dim(n), len(stair)), dtype=complex)
+        v[stair, np.arange(len(stair))] = 1.0
+        assert inst.triple.dim == len(stair)
+        for name in "ABP":
+            x = getattr(grid, name)
+            assert not x[np.ix_(stair, rest)].any(), (seed, name)
+            block = x[np.ix_(stair, stair)]
+            assert np.array_equal(block, v.conj().T @ x @ v), (seed, name)
+            # the instance is the block in a basis scrambled by a unitary
+            assert np.isclose(np.linalg.norm(getattr(inst.triple, name)), np.linalg.norm(block))
 
 
 def test_scalars_family_invertible_P():

@@ -11,8 +11,6 @@ from tetralab import triples
 from tetralab.matcore import DEFAULT_POLICY, NotContractiveError, ShapeError, op_norm, op_norms
 from tetralab.triples import (
     NonCommutingError,
-    NotCoinvariantError,
-    compress,
     from_symbols,
     is_pure,
     necessary_report,
@@ -20,9 +18,16 @@ from tetralab.triples import (
 )
 from tetralab.bidisc import build as build_grid
 from tetralab.generate import make_instance
-from tetralab.matcore import SubspaceBasis
 
-from conftest import count_calls, fields_equal, forbid_linalg, p_triple, random_contraction, triples_agree
+from conftest import (
+    count_calls,
+    fields_equal,
+    forbid_linalg,
+    p_triple,
+    random_contraction,
+    triples_agree,
+    watch_decompositions,
+)
 
 
 def scalar_triple(a: complex, b: complex, p: complex):
@@ -181,15 +186,13 @@ def test_is_pure_nilpotent():
 
 
 def test_nilpotency_index_without_spectral_norms(monkeypatch):
-    # the Frobenius norm decides "numerically zero" for the powers; no SVD
+    # the Frobenius norm decides "numerically zero" for the powers: no SVD,
+    # Hermitian eigensolver or spectral norm
     grids = {n: build_grid(n) for n in range(1, 9)}
-
-    def no_op_norm(*_):
-        raise AssertionError("is_pure must not take spectral norms")
-
-    monkeypatch.setattr(triples, "op_norm", no_op_norm)
+    calls, _, _ = watch_decompositions(monkeypatch)
     for n, t in grids.items():
         assert is_pure(t).nilpotency_index == n + 1, n
+    assert not calls, calls
 
 
 def test_is_pure_strict_contraction(rng):
@@ -238,23 +241,3 @@ def test_from_symbols_rejects_unbounded_pencil():
     # F1 = F2 = 0.9 I gives sup |0.9 + 0.9 z| = 1.8 on the circle.
     with pytest.raises(NotContractiveError):
         from_symbols(0.9 * np.eye(2), 0.9 * np.eye(2), 3)
-
-
-def test_compress_requires_coinvariance(rng):
-    d1 = np.diag([0.4, -0.2])
-    d2 = np.diag([0.1, 0.3])
-    t = from_symbols(d1, d2, 3)
-    dim = t.P.shape[0]
-    # span of the first (degree-0) block is co-invariant for analytic ops
-    e0 = np.zeros((dim, 2), dtype=complex)
-    e0[0, 0] = e0[1, 1] = 1.0
-    sub = SubspaceBasis(e0)
-    small = compress(t, sub)
-    assert small.P.shape == (2, 2)
-    assert op_norm(small.P) < 1e-13  # shift drops degree-0 to nothing
-    # a generic subspace is not co-invariant
-    g = rng.standard_normal((dim, 2)) + 1j * rng.standard_normal((dim, 2))
-    q, _ = np.linalg.qr(g)
-    bad = SubspaceBasis(q)
-    with pytest.raises(NotCoinvariantError):
-        compress(t, bad)
