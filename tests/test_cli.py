@@ -64,6 +64,14 @@ def bundle_digest(path) -> str:
     return hashlib.sha256(json.dumps(rest, sort_keys=True, indent=2, allow_nan=False).encode()).hexdigest()
 
 
+def run_one_thread(*argv, cwd=None) -> int:
+    """Exit code of the CLI run in a child process pinned to one BLAS thread,
+    as the benchmark runs it."""
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+    env["PYTHONPATH"] = str(Path(tetralab.cli.__file__).parents[1])
+    return subprocess.run([sys.executable, "-m", "tetralab.cli", *argv], env=env, cwd=cwd).returncode
+
+
 def load_bundle(path) -> dict:
     with open(path) as fh:
         return json.load(fh)
@@ -127,11 +135,32 @@ def test_random_suite_bundle_keeps_its_digest(tmp_path, shape, digest):
     # thread, as the benchmark runs it.  Any change of these bytes must be
     # deliberate
     out = tmp_path / "suite.json"
-    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
-    env["PYTHONPATH"] = str(Path(tetralab.cli.__file__).parents[1])
-    argv = ["-m", "tetralab.cli", "random-suite", "--seed", "42", *shape, "--format", "json", "--out", str(out)]
-    assert subprocess.run([sys.executable, *argv], env=env).returncode == 0
+    assert run_one_thread("random-suite", "--seed", "42", *shape, "--format", "json", "--out", str(out)) == 0
     assert bundle_digest(out) == digest
+
+
+@pytest.mark.parametrize(
+    "degree, digest",
+    [
+        (("--degree", "3"), "f6a08d9d941bfcb46672f98b7820915b3926c560cbaa47fada5f56e8150907a6"),
+        ((), "19ac60ee97aac95077b3ed5b59e9a5798a320dc94aa08419be65c1f18c60c89c"),
+    ],
+    ids=["3", "default"],
+)
+def test_model_check_bundle_keeps_its_digest(tmp_path, degree, digest):
+    # (0, 0, diag(0.9, 0.5)): at degree 3 the columns of W are not
+    # orthonormal (the tail is 1.51), so the basis of H_P comes from the thin
+    # SVD of W, which no other pinned bundle covers; at the default degree
+    # (270) it is W itself.  The bundle records the triple file as given, so
+    # the child runs in tmp_path on a relative name; the default-degree bytes
+    # depend on the BLAS thread count, so it is pinned to one thread
+    zero = io.matrix_to_obj(np.zeros((2, 2)))
+    (tmp_path / "diag.json").write_text(io.dumps({"A": zero, "B": zero, "P": io.matrix_to_obj(np.diag([0.9, 0.5]))}))
+    argv = ("model-check", "diag.json", *degree, "--format", "json", "--out", "out.json")
+    assert run_one_thread(*argv, cwd=tmp_path) == 0
+    bundle = load_bundle(tmp_path / "out.json")
+    assert (bundle["aggregate"]["checks"], bundle["aggregate"]["checks_skipped"]) == (39, 0)
+    assert bundle_digest(tmp_path / "out.json") == digest
 
 
 def test_random_suite_passes(capsys):
