@@ -32,6 +32,7 @@ __all__ = [
     "flat_index",
     "border_points",
     "border_embedding",
+    "shifts",
     "build",
     "fundamental_ops",
     "forward_fundamental_ops",
@@ -86,13 +87,15 @@ def border_embedding(n: int, far: bool = False) -> np.ndarray:
     return m
 
 
-def build(n: int, pol: TolerancePolicy = DEFAULT_POLICY) -> TetrablockTriple:
-    """The validated triple of truncated coordinate shifts on the (n+1)^2 grid."""
+def shifts(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The truncated coordinate shifts (A, B, P) on the (n+1)^2 grid, not validated."""
     _require_size(n)
-    a = _shift_matrix(n, 1, 0)
-    b = _shift_matrix(n, 0, 1)
-    p = _shift_matrix(n, 1, 1)
-    return validate(a, b, p, pol)
+    return _shift_matrix(n, 1, 0), _shift_matrix(n, 0, 1), _shift_matrix(n, 1, 1)
+
+
+def build(n: int, pol: TolerancePolicy = DEFAULT_POLICY) -> TetrablockTriple:
+    """The validated triple of ``shifts(n)``."""
+    return validate(*shifts(n), pol)
 
 
 def _border_shift(n: int, far: bool, di: int, dj: int) -> np.ndarray:

@@ -45,7 +45,7 @@ __all__ = [
 ]
 
 
-# grid degrees kept beyond deg(Theta) in ``extraction_roundtrip``
+# grid degrees kept beyond deg(Theta) in ``extraction_roundtrip`` and by default in the CLI's ``blh``
 EXTRACTION_MARGIN = 3
 
 

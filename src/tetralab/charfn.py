@@ -38,9 +38,9 @@ from .matcore import (
     DEFAULT_POLICY,
     MAX_GRID_DIM,
     RANK_TOL,
+    Defect,
     GridSizeError,
     ShapeError,
-    SubspaceBasis,
     TetralabError,
     TolerancePolicy,
     commutator,
@@ -227,14 +227,15 @@ class ModelData:
 
     W maps the original space into the truncated D_{P*}-valued Hardy grid;
     theta holds Theta_0..Theta_{N+1}, one more than the grid reads, with
-    ||Theta_k|| <= ||P^(k-1)|| <= tail for k > N + 1; h_basis spans
-    H_P = range(W), an M x dim H basis; tail bounds the truncation error.
+    ||Theta_k|| <= ||P^(k-1)|| <= tail for k > N + 1; h_basis is an
+    orthonormal M x dim H basis of H_P = range(W), W itself at the default
+    degree; tail bounds the truncation error.
     """
 
     N: int
     theta: AnalyticSymbol
     W: np.ndarray
-    h_basis: SubspaceBasis
+    h_basis: np.ndarray
     tail: float
 
 
@@ -317,11 +318,11 @@ def verify_model_decomposition(model: ModelData, pol: TolerancePolicy = DEFAULT_
     rep.check("range_partition", rho, tol)
     top = model.N * model.theta.d_out
     rep.check("range_partition_interior", float(np.linalg.norm(resid[:top, :top])), tol)
-    rep.check("model_space_gap", _kernel_gap(rho, w, t, model.h_basis.basis), 1e-6 + model.tail)
+    rep.check("model_space_gap", _kernel_gap(rho, w, t, model.h_basis), 1e-6 + model.tail)
     return rep
 
 
-def _check_basis_match(pair: FundamentalPair, expected: SubspaceBasis, label: str) -> None:
+def _check_basis_match(pair: FundamentalPair, expected: Defect, label: str) -> None:
     if not np.array_equal(pair.basis.basis, expected.basis):
         raise ShapeError(
             f"{label}: fundamental pair expressed in a different defect basis; "
@@ -351,7 +352,7 @@ def verify_functional_model(
     w = model.W
     c_tail = 4.0 * (1.0 + sum(pair_g.norms))
     tol = pol.scaled_eq(triple.max_norm()) + c_tail * model.tail
-    q = model.h_basis.basis
+    q = model.h_basis
     coinvariance = []
     for name, (c0, c1) in pencils:
         compression = w.conj().T @ pencil_apply(c0, c1, w)
@@ -402,7 +403,7 @@ def _isometric_interior(triple: TetrablockTriple) -> np.ndarray:
     term of c*Hc is at most RANK_TOL, up to a cross term below 1e-13 of sqrt(RANK_TOL) times the second cut.
     By Courant-Fischer H then has at least as many eigenvalues within the cut as that construction keeps
     directions: this interior is never smaller, and the checks restricted to it never looser.  The eigenvectors
-    of ``eigh`` are orthonormal, so they are returned as a plain array, without a ``SubspaceBasis`` check."""
+    of ``eigh`` are orthonormal."""
     qs = triple.dpstar.basis
     ya, yb = triple.A @ qs, triple.B @ qs
     w, v = np.linalg.eigh(2.0 * np.eye(qs.shape[1]) - ya.conj().T @ ya - yb.conj().T @ yb)
@@ -435,8 +436,7 @@ def pure_isometry_model(
     factor Y - Q_H (Q_H* Y), Y = X W_iso, Q_H the orthonormal basis of H_P.
     ker D_P is the trailing columns of one complete QR of the orthonormal
     dim x rank D_P basis of D_P, whose rank needs no decision; the QR makes
-    them orthonormal, so they stay a plain array, without the
-    ``SubspaceBasis`` check.
+    them orthonormal.
     """
     q = triple.dp.basis
     iso = np.linalg.qr(q, mode="complete")[0][:, q.shape[1] :]
@@ -455,7 +455,7 @@ def pure_isometry_model(
     rep.extend(functional)
     # compression acts as the raw pencil on the image of the isometric part
     g1, g2 = pair_g.F1, pair_g.F2
-    qh = model.h_basis.basis
+    qh = model.h_basis
     w_iso = model.W @ iso
     tol = pol.scaled_eq(1.0, *pair_g.norms) + 8.0 * model.tail
     for name, (c0, c1) in zip("ABP", model_pencils(g1, g2)):

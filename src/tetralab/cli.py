@@ -29,6 +29,7 @@ import numpy as np
 from . import __version__, bidisc, generate
 from . import io as tio
 from .blh import (
+    EXTRACTION_MARGIN,
     NotDegreeOneError,
     NotInnerError,
     extract_symbols,
@@ -183,11 +184,12 @@ def _cmd_verify_bidisc(args, pol: TolerancePolicy) -> tuple[Reports, dict[str, A
     n = args.degree
     if n < 1:
         raise TetralabError(f"--degree must be >= 1, got {n}")
-    # the symbol-extraction grid, (n+5) blocks of the (2n+1)-point border, is
-    # the largest matrix side the command allocates: Theta_{P*} has degree
-    # n+1 and extraction_roundtrip adds EXTRACTION_MARGIN = 3 degrees.  The
-    # model grid has only n+1 such blocks, the example grid (n+1)^2 points
-    side = (n + 5) * (2 * n + 1)
+    # the symbol-extraction grid, degrees 0..n+1+EXTRACTION_MARGIN of the
+    # (2n+1)-point border, is the largest matrix side the command allocates:
+    # Theta_{P*} has degree n+1 and extraction_roundtrip adds EXTRACTION_MARGIN
+    # degrees.  The model grid has only n+1 such blocks, the example grid
+    # (n+1)^2 points
+    side = (n + 2 + EXTRACTION_MARGIN) * (2 * n + 1)
     if side > MAX_GRID_DIM:
         raise GridSizeError(f"--degree {n} needs an extraction grid of {side} > {MAX_GRID_DIM}")
     triple = bidisc.build(n, pol)
@@ -277,7 +279,7 @@ def _cmd_blh(args, pol: TolerancePolicy) -> tuple[Reports, dict[str, Any]]:
         raise tio.FormatError('symbols file must contain keys "F1" and "F2"')
     f1 = tio.matrix_from_obj(pair_obj["F1"])
     f2 = tio.matrix_from_obj(pair_obj["F2"])
-    n = args.degree if args.degree is not None else theta.degree + 3
+    n = args.degree if args.degree is not None else theta.degree + EXTRACTION_MARGIN
     rep = CheckReport(title="symbol extraction")
     extra: dict[str, Any] = {}
     try:

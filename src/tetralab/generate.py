@@ -153,13 +153,12 @@ def compression_instance(seed: int, index: int, dim: int) -> Instance:
     n = max(2, int(round(np.sqrt(max(dim, 9)))) - 1)
     rng = _rng(seed, "compressions", index)
     heights = _staircase_heights(rng, n)
-    base = bidisc.build(n)
     # the staircase is down-closed, so its span is invariant under A*, B*
     # and P*, and the compression of a grid operator X is the block X[S, S]
     keep = [bidisc.flat_index(n, i, j) for i in range(n + 1) for j in range(int(heights[i]))]
     block = np.ix_(keep, keep)
     v = random_unitary(rng, len(keep))
-    triple = validate(*(v @ x[block] @ v.conj().T for x in (base.A, base.B, base.P)))
+    triple = validate(*(v @ x[block] @ v.conj().T for x in bidisc.shifts(n)))
     return Instance(
         family="compressions",
         index=index,

@@ -57,12 +57,6 @@ class AnalyticSymbol:
     def d_in(self) -> int:
         return self.coeffs[0].shape[1]
 
-    def __call__(self, z: complex) -> np.ndarray:
-        acc = np.zeros_like(self.coeffs[0])
-        for c in reversed(self.coeffs):
-            acc = acc * z + c
-        return acc
-
 
 def pencil(c0, c1) -> AnalyticSymbol:
     """Degree-one symbol c0 + c1 z."""

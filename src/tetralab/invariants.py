@@ -194,9 +194,9 @@ def _model_transport(
     equivalent: ``model_intertwine_X`` norms the dim H sided V X_H - X'_H' V,
     X_H = Q_H* X Q_H, X Q_H from ``pencil_apply``."""
     rep = CheckReport(title="model transport")
-    us, h, h_p = wit.u_star, model.h_basis.basis, model_prime.h_basis.basis
+    us, h, h_p = wit.u_star, model.h_basis, model_prime.h_basis
     transported = (us @ h.reshape(model.N + 1, us.shape[1], h.shape[1])).reshape(-1, h.shape[1])
-    gap = subspace_gap(range_basis(transported), model_prime.h_basis)
+    gap = subspace_gap(range_basis(transported), h_p)
     tails = model.tail + model_prime.tail
     rep.check("model_space_transport", gap, 1e-6 + 4.0 * tails)
     v = h_p.conj().T @ transported

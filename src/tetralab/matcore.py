@@ -36,7 +36,6 @@ __all__ = [
     "CLAMP_TOL",
     "MAX_GRID_DIM",
     "GridSizeError",
-    "SubspaceBasis",
     "Defect",
     "ensure_matrix",
     "op_norm",
@@ -157,47 +156,20 @@ def herm_part(m: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class SubspaceBasis:
-    """Orthonormal basis of a subspace of C^n, the columns of the n x rank ``basis``.
-
-    Invariant: basis* basis = I_rank within 1e-12 in the spectral norm; the
-    SVD runs only when the Frobenius norm, an upper bound, exceeds 1e-12.
-    """
+class Defect:
+    """The defect data of a contraction T: ``basis`` is the orthonormal
+    eigenvector basis Q (dim x rank) of the range of ``op`` = D_T, ``s`` the
+    eigenvalues of D_T on Q and ``factor`` = D_T Q = Q diag(s), the dim x rank
+    operand through which every defect-space identity applies D_T."""
 
     basis: np.ndarray
-
-    def __post_init__(self) -> None:
-        b = self.basis
-        if b.ndim != 2:
-            raise ShapeError(f"basis must be 2-D, got ndim={b.ndim}")
-        if self.rank:
-            gram_defect = b.conj().T @ b - np.eye(self.rank)
-            if np.linalg.norm(gram_defect) > 1e-12:
-                defect_from_identity = op_norm(gram_defect)
-                if defect_from_identity > 1e-12:
-                    raise ShapeError(
-                        f"basis columns not orthonormal (Gram defect {defect_from_identity:.3e})"
-                    )
-
-    @property
-    def ambient_dim(self) -> int:
-        return self.basis.shape[0]
+    op: np.ndarray
+    s: np.ndarray
+    factor: np.ndarray
 
     @property
     def rank(self) -> int:
         return self.basis.shape[1]
-
-
-@dataclass(frozen=True)
-class Defect(SubspaceBasis):
-    """The defect data of a contraction T: ``basis`` is the orthonormal basis Q
-    of the range of ``op`` = D_T, ``s`` the eigenvalues of D_T on Q and
-    ``factor`` = D_T Q = Q diag(s), the dim x rank operand through which
-    every defect-space identity applies D_T."""
-
-    op: np.ndarray
-    s: np.ndarray
-    factor: np.ndarray
 
 
 def defect(t, pol: TolerancePolicy = DEFAULT_POLICY) -> Defect:
@@ -234,42 +206,57 @@ def defect(t, pol: TolerancePolicy = DEFAULT_POLICY) -> Defect:
     mask = w > RANK_TOL * max(float(w.max()) if w.size else 0.0, 1.0)
     order = np.argsort(s[mask])[::-1]
     q, s = v[:, mask][:, order], s[mask][order]
-    return Defect(q, op=d, s=s, factor=q * s)
+    return Defect(basis=q, op=d, s=s, factor=q * s)
 
 
-def range_basis(m) -> SubspaceBasis:
-    """Orthonormal basis of the column space: the left singular vectors whose
-    singular value exceeds RANK_TOL * max(sigma_max, 1).  The floor 1 is the
-    natural norm of the contractions and isometries ranked here; without it a
-    matrix of pure round-off noise would be reported as full rank.  An
-    all-zero (or empty) matrix has the zero subspace without an SVD, and M
-    itself is the basis, without an SVD, when its columns pass the
-    ``SubspaceBasis`` check: they span the range, and the rule above would
-    keep every one of them."""
+def _gram_defect(q: np.ndarray) -> float:
+    """The orthonormality rule for the columns of Q: ||Q*Q - I|| in the
+    spectral norm, or 0.0 without an SVD when the Frobenius norm, an upper
+    bound, is at most 1e-12.  The columns are orthonormal when this is at
+    most 1e-12.  Only bases decided here or received from a caller are
+    checked; LAPACK factors (``eigh``, the thin SVD) are not."""
+    gram = q.conj().T @ q - np.eye(q.shape[1])
+    return op_norm(gram) if np.linalg.norm(gram) > 1e-12 else 0.0
+
+
+def range_basis(m) -> np.ndarray:
+    """Orthonormal basis (rows x rank) of the column space: the left singular
+    vectors whose singular value exceeds RANK_TOL * max(sigma_max, 1).  The
+    floor 1 is the natural norm of the contractions and isometries ranked
+    here; without it a matrix of pure round-off noise would be reported as
+    full rank.  An all-zero (or empty) matrix has the zero subspace without
+    an SVD, and M itself (the caller's object, when it is a complex128 array)
+    is the basis, without an SVD, when its columns are orthonormal by
+    ``_gram_defect``: they span the range, and the rule above would keep
+    every one of them."""
     arr = ensure_matrix(m, name="M")
-    rows = arr.shape[0]
     if not arr.any():
-        return SubspaceBasis(np.zeros((rows, 0), complex))
-    try:
-        return SubspaceBasis(m if isinstance(m, np.ndarray) and m.dtype == arr.dtype else arr)
-    except ShapeError:
-        pass
+        return np.zeros((arr.shape[0], 0), complex)
+    if _gram_defect(arr) <= 1e-12:
+        return m if isinstance(m, np.ndarray) and m.dtype == arr.dtype else arr
     u, s, _ = np.linalg.svd(arr, full_matrices=False)
-    k = int(np.count_nonzero(s > RANK_TOL * max(float(s[0]), 1.0)))
-    return SubspaceBasis(u[:, :k])
+    return u[:, : int(np.count_nonzero(s > RANK_TOL * max(float(s[0]), 1.0)))]
 
 
-def subspace_gap(a: SubspaceBasis, b: SubspaceBasis) -> float:
-    """Gap ||P_A - P_B|| between two subspaces of the same ambient space.
+def subspace_gap(qa, qb) -> float:
+    """Gap ||P_A - P_B|| between two subspaces of the same ambient space,
+    given by orthonormal bases Q_A, Q_B (ambient x rank arrays).
 
     Equals the sine of the largest principal angle when dims agree, and
-    reaches 1 when dimensions differ.  It is taken on m x rank factors, Q the
-    orthonormal bases: ||P_A - P_B|| = max(||(I - P_A) Q_B||, ||(I - P_B) Q_A||)
-    (Kato, Perturbation Theory for Linear Operators, ch. I sec. 6.8).
+    reaches 1 when dimensions differ.  It is taken on the thin factors:
+    ||P_A - P_B|| = max(||(I - P_A) Q_B||, ||(I - P_B) Q_A||) (Kato,
+    Perturbation Theory for Linear Operators, ch. I sec. 6.8).  Raises
+    ``ShapeError`` for a basis that is not 2-D or whose columns are not
+    orthonormal by ``_gram_defect``, and for different ambient dimensions.
     """
-    if a.ambient_dim != b.ambient_dim:
+    for q in (qa, qb):
+        if q.ndim != 2:
+            raise ShapeError(f"basis must be 2-D, got ndim={q.ndim}")
+        gram_defect = _gram_defect(q)
+        if gram_defect > 1e-12:
+            raise ShapeError(f"basis columns not orthonormal (Gram defect {gram_defect:.3e})")
+    if qa.shape[0] != qb.shape[0]:
         raise ShapeError("subspaces live in different ambient spaces")
-    qa, qb = a.basis, b.basis
     return max(op_norm(qb - qa @ (qa.conj().T @ qb)), op_norm(qa - qb @ (qb.conj().T @ qa)))
 
 

@@ -52,13 +52,11 @@ class CheckReport:
     entries: list[CheckEntry] = field(default_factory=list)
 
     def check(self, name: str, residual: float, tolerance: float, note: str = "") -> bool:
-        """Record a residual against an absolute tolerance; returns pass/fail."""
+        """Record a residual against an absolute tolerance; returns pass/fail.
+        A NaN residual or tolerance fails, as every comparison with NaN is False."""
         residual = float(residual)
         tolerance = float(tolerance)
-        if math.isnan(residual):
-            ok = False
-        else:
-            ok = residual <= tolerance
+        ok = residual <= tolerance
         self.entries.append(
             CheckEntry(
                 name=name,
@@ -110,10 +108,6 @@ class CheckReport:
     @property
     def failures(self) -> list[CheckEntry]:
         return [e for e in self.entries if not e.passed and not e.skipped]
-
-    @property
-    def skipped(self) -> list[CheckEntry]:
-        return [e for e in self.entries if e.skipped]
 
     def to_dict(self) -> dict:
         return {

@@ -2,7 +2,8 @@
 fundamental pairs of a triple, the triple of a bare contraction, the linear
 scan for the nilpotency index of ``is_pure``, the dense SVD construction of
 a range complement and of the isometric interior, the projector onto a subspace,
-the Cauchy product of two analytic symbols, the reproducing-kernel identity of
+the Cauchy product of two analytic symbols and the value of one by Horner's
+rule, the reproducing-kernel identity of
 Theta on the thin factors, the loops the package runs stacked (one norm per
 power of P, one solve per point of Theta_P, one slice per Toeplitz block),
 a field-by-field equality and its form for triples, a call counter, watches
@@ -28,7 +29,6 @@ from tetralab.matcore import (
     DEFAULT_POLICY,
     RANK_TOL,
     ShapeError,
-    SubspaceBasis,
     TetralabError,
     op_norm,
     range_basis,
@@ -82,27 +82,27 @@ def linear_scan_nilpotency(p) -> tuple[int | None, bool]:
     return None, False
 
 
-def range_complement(m) -> SubspaceBasis:
+def range_complement(m) -> np.ndarray:
     """(range M)^perp: the trailing left singular vectors of one full SVD of M,
     past those above RANK_TOL * max(sigma_1, 1), the rank rule of
     ``range_basis``.  The null space of M is ``range_complement(M*)``."""
     u, s, _ = np.linalg.svd(np.asarray(m, dtype=complex))
-    return SubspaceBasis(u[:, np.count_nonzero(s > RANK_TOL * max(s.max(initial=0.0), 1.0)) :])
+    return u[:, np.count_nonzero(s > RANK_TOL * max(s.max(initial=0.0), 1.0)) :]
 
 
-def two_step_interior(triple: TetrablockTriple) -> SubspaceBasis:
+def two_step_interior(triple: TetrablockTriple) -> np.ndarray:
     """The coordinates c on the basis Q_* of D_{P*} with Q_* c in ker(I - A*A)
     and ker(I - B*B), by two full-space steps: each kernel as the range
     complement of I - X*X, then the null space of the stacked (I - K K*) Q_*,
     K the basis of each kernel."""
     qs, eye = triple.dpstar.basis, np.eye(triple.dim)
-    kernels = [range_complement(eye - x.conj().T @ x).basis for x in (triple.A, triple.B)]
+    kernels = [range_complement(eye - x.conj().T @ x) for x in (triple.A, triple.B)]
     return range_complement(np.vstack([qs - k @ (k.conj().T @ qs) for k in kernels]).conj().T)
 
 
-def projector(sub: SubspaceBasis) -> np.ndarray:
-    """Orthogonal projection onto ``sub``, as an ambient matrix."""
-    return sub.basis @ sub.basis.conj().T
+def projector(q: np.ndarray) -> np.ndarray:
+    """Orthogonal projection onto the span of the orthonormal columns of Q, as an ambient matrix."""
+    return q @ q.conj().T
 
 
 def fields_equal(x, y) -> bool:
@@ -213,7 +213,7 @@ def spectral_kernel_gap(w, t) -> float:
     singular vectors of one full SVD of T, the dense construction of H_P."""
     u = np.linalg.svd(t)[0]
     dim = w.shape[1]
-    return subspace_gap(range_basis(w), SubspaceBasis(u[:, len(u) - dim :]))
+    return subspace_gap(range_basis(w), u[:, len(u) - dim :])
 
 
 def dense_coinvariance(model, pair_g) -> dict[str, tuple[float, float]]:
@@ -228,7 +228,7 @@ def dense_pencil_on_model(triple, model, pair_g) -> dict[str, tuple[float, float
     """(||(I - q_H) X W_iso||, ||X||) per model operator X, q_H the projection onto H_P."""
     qh = projector(model.h_basis)
     eye = np.eye(qh.shape[0])
-    w_iso = model.W @ range_complement(triple.dp.basis).basis
+    w_iso = model.W @ range_complement(triple.dp.basis)
     ops = zip("ABP", dense_model_operators(pair_g, model.N))
     return {name: (op_norm((eye - qh) @ x @ w_iso), op_norm(x)) for name, x in ops}
 
@@ -332,6 +332,14 @@ def symbol_product(s1: AnalyticSymbol, s2: AnalyticSymbol, max_degree: int | Non
             if i + j <= deg:
                 out[i + j] += a @ b
     return AnalyticSymbol(tuple(out))
+
+
+def symbol_at(sym: AnalyticSymbol, z: complex) -> np.ndarray:
+    """sum_k coeffs[k] z^k by Horner's rule: the value of ``sym`` at z."""
+    acc = np.zeros_like(sym.coeffs[0])
+    for c in reversed(sym.coeffs):
+        acc = acc * z + c
+    return acc
 
 
 def kernel_identity_check(triple: TetrablockTriple, z: complex, w: complex) -> float:

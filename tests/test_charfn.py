@@ -45,8 +45,8 @@ from tetralab.matcore import (
     DEFAULT_POLICY,
     MAX_GRID_DIM,
     ShapeError,
-    SubspaceBasis,
     TetralabError,
+    defect,
     ensure_matrix,
     op_norm,
     subspace_gap,
@@ -382,11 +382,30 @@ def test_build_model_decomposes_only_thin_operands(monkeypatch, small_suite):
         m, dim = model.W.shape
         wide = [(name, callers) for name, callers, shape in seen if max(shape[-2:]) > dim]
         wide_calls.append(wide)
-        assert model.h_basis.basis is model.W
+        assert model.h_basis is model.W
     assert calls["toeplitz"] == 0
     # before: [[], thin, thin, [], thin, thin, thin], thin = [("svd",
     # ("range_basis", "build_model"))] of shape (M, dim); symbols have M = dim H
     assert wide_calls == [[]] * 7
+
+
+def test_orthonormality_is_checked_where_a_basis_is_decided_or_received(monkeypatch):
+    # the eigh eigenvectors of defect and the thin-SVD columns of range_basis
+    # are LAPACK factors and are not re-checked: validate and defect check
+    # nothing, build_model checks W once, in range_basis, whether its basis
+    # comes from the thin SVD (degree 3, tail 1.51) or is W (default degree),
+    # and subspace_gap checks each basis it receives
+    calls = count_calls(monkeypatch, tetralab.matcore._gram_defect)
+    p = np.diag([0.9, 0.5])
+    triple = validate(np.zeros((2, 2)), np.zeros((2, 2)), p)
+    defect(p)
+    assert calls["_gram_defect"] == 0
+    thin = build_model(triple, 3)
+    assert calls["_gram_defect"] == 1 and thin.h_basis is not thin.W
+    model = build_model(triple)
+    assert calls["_gram_defect"] == 2 and model.h_basis is model.W
+    subspace_gap(thin.h_basis, thin.h_basis)
+    assert calls["_gram_defect"] == 4
 
 
 @pytest.mark.parametrize(
@@ -508,8 +527,8 @@ def test_isometric_interior_equals_the_two_step_oracle(make):
     triple = make()
     interior, expected = charfn._isometric_interior(triple), two_step_interior(triple)
     # the plain eigenvector array passes the orthonormality check it skips
-    assert interior.shape[1] == expected.rank
-    assert subspace_gap(SubspaceBasis(interior), expected) <= 1e-10
+    assert interior.shape[1] == expected.shape[1]
+    assert subspace_gap(interior, expected) <= 1e-10
 
 
 @pytest.mark.parametrize("n", [6, 14])
@@ -614,11 +633,11 @@ def test_model_space_checks_hand_op_norm_thin_operands(monkeypatch, small_suite)
         pair_g = solve_fundamental(t.adjoint())
         dec = verify_model_decomposition(model)
         fm = verify_functional_model(t, model, pair_g)
-        m, n, k = model.W.shape[0], t.dim, model.h_basis.rank
+        m, n, k = model.W.shape[0], t.dim, model.h_basis.shape[1]
         thin += m > max(n, k)
         shapes = lambda caller: {s for c, s in seen if c == caller and s[0] == m}
         assert k == n
-        zero = not (toeplitz(model.theta, model.N).conj().T @ model.h_basis.basis).any()
+        zero = not (toeplitz(model.theta, model.N).conj().T @ model.h_basis).any()
         assert shapes("_kernel_gap") == (set() if zero else {(m, n)})
         assert shapes("verify_functional_model") == {(m, n)}
         iso_rank = t.dim - t.dp.rank

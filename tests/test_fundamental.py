@@ -97,7 +97,7 @@ def test_solution_supported_on_defect_space():
     inst = make_instance("compressions", seed=3, index=0, dim=12, degree=4)
     pair = solve_fundamental(inst.triple)
     f1_full = pair.basis.basis @ pair.F1 @ pair.basis.basis.conj().T
-    comp = np.eye(f1_full.shape[0]) - projector(pair.basis)
+    comp = np.eye(f1_full.shape[0]) - projector(pair.basis.basis)
     assert op_norm(comp @ f1_full) < 1e-12
     assert op_norm(f1_full @ comp) < 1e-12
 
@@ -198,7 +198,7 @@ def test_transfer_on_invertible_scalar_instance():
     # forward conclusions and the converse direction all materialize
     assert {"balance_F", "transfer_G_commute", "balance_G", "converse_F_commute"} <= names
     assert rep.overall, [e.name for e in rep.failures]
-    assert not rep.skipped
+    assert not any(e.skipped for e in rep.entries)
 
 
 def test_transfer_skips_when_range_not_dense():
@@ -207,7 +207,7 @@ def test_transfer_skips_when_range_not_dense():
     pair_f = solve_fundamental(inst.triple)
     pair_g = solve_fundamental(inst.triple.adjoint())
     rep = verify_commutator_transfer(inst.triple, pair_f, pair_g)
-    assert rep.skipped
+    assert any(e.skipped for e in rep.entries)
 
 
 def test_pair_keeps_its_norms_and_a_replaced_pair_recomputes_them(monkeypatch):

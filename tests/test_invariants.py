@@ -22,7 +22,7 @@ from tetralab.invariants import (
     verify_coincidence,
     verify_fundamental_equivalence,
 )
-from tetralab.matcore import DEFAULT_POLICY, ShapeError, SubspaceBasis
+from tetralab.matcore import DEFAULT_POLICY, ShapeError
 from tetralab.triples import validate
 
 from conftest import assert_residuals_match, dense_intertwine, perturbed
@@ -191,12 +191,12 @@ def test_model_intertwine_p_fails_when_h_prime_leaves_the_model_space(transport_
     # the compressed intertwining of z I must see it
     model, model_prime, wit, pair_g, pair_g_prime = transport_case
     assert max(transport_margins(*transport_case).values()) < 1e-3
-    q = model_prime.h_basis.basis
+    q = model_prime.h_basis
     outside = np.eye(len(q)) - q @ q.conj().T
     v = outside[:, np.argmax(np.linalg.norm(outside, axis=0))]
     rotated = q.copy()
     rotated[:, 0] = np.cos(1e-4) * q[:, 0] + np.sin(1e-4) * v / np.linalg.norm(v)
-    moved = dataclasses.replace(model_prime, h_basis=SubspaceBasis(rotated))
+    moved = dataclasses.replace(model_prime, h_basis=rotated)
     margins = transport_margins(model, moved, wit, pair_g, pair_g_prime)
     assert margins["model_intertwine_P"] > 10.0
 

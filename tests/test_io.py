@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -124,6 +125,16 @@ def test_report_non_finite_numbers_become_strings():
         (1.5e-3, 2e-3),
         (None, None),
     ]
+
+
+@pytest.mark.parametrize("residual, tolerance", [(math.nan, math.inf), (math.nan, 0.0), (0.0, math.nan)])
+def test_report_nan_check_fails(residual, tolerance):
+    # a NaN residual or tolerance never passes, not even against an infinite
+    # tolerance, and the entry records the failure
+    rep = CheckReport(title="demo")
+    assert rep.check("nan", residual, tolerance) is False
+    assert json.loads(io.dumps(rep.to_dict()))["entries"][0]["passed"] is False
+    assert not rep.overall
 
 
 def test_dumps_is_stable_and_sorted():

@@ -21,7 +21,6 @@ from tetralab.matcore import (
     NotFiniteError,
     NotPSDError,
     ShapeError,
-    SubspaceBasis,
     commutator,
     defect,
     ensure_matrix,
@@ -291,10 +290,10 @@ def test_range_and_null_basis_oracle():
     m = np.array([[1.0, 2.0], [2.0, 4.0], [0.0, 0.0]])
     rb = range_basis(m)
     nb = range_complement(m.conj().T)  # ker M = (range M*)^perp
-    assert rb.rank == 1 and nb.rank == 1
-    assert range_complement(m).rank == 2
+    assert rb.shape[1] == 1 and nb.shape[1] == 1
+    assert range_complement(m).shape[1] == 2
     # null vector proportional to (2, -1)/sqrt(5)
-    v = nb.basis[:, 0]
+    v = nb[:, 0]
     assert op_norm(m @ v.reshape(-1, 1)) < 1e-12
 
 
@@ -302,83 +301,95 @@ def test_scale_anchor_zeroes_noise_matrices(rng):
     noise = 1e-15 * (rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
     # the cutoff RANK_TOL * max(sigma_max, 1) is anchored at the contraction
     # scale: a pure-noise matrix is rank 0 / all-null, not "full rank"
-    assert range_basis(noise).rank == 0
-    assert range_complement(noise).rank == 4
+    assert range_basis(noise).shape == (4, 0)
+    assert range_complement(noise).shape[1] == 4
     # above the anchor the cutoff is relative: 1e-4 is noise next to 1e6
     big = np.diag([1e6, 1e-4])
-    assert range_basis(big).rank == 1
-    assert range_complement(big).rank == 1
+    assert range_basis(big).shape[1] == 1
+    assert range_complement(big).shape[1] == 1
 
 
 def test_null_basis_orthogonal_to_row_space(rng):
     m = rng.standard_normal((3, 5))
     nb = range_complement(m.conj().T)
-    assert nb.rank == 2
-    assert op_norm(m @ nb.basis) < 1e-12
+    assert nb.shape[1] == 2
+    assert op_norm(m @ nb) < 1e-12
 
 
 def test_orth_complement_roundtrip(rng):
     m = rng.standard_normal((5, 2)) + 1j * rng.standard_normal((5, 2))
     sub = range_basis(m)
-    comp = range_complement(sub.basis)
-    assert sub.rank + comp.rank == 5
-    assert op_norm(sub.basis.conj().T @ comp.basis) < 1e-12
+    comp = range_complement(sub)
+    assert sub.shape[1] + comp.shape[1] == 5
+    assert op_norm(sub.conj().T @ comp) < 1e-12
     proj_sum = projector(sub) + projector(comp)
     assert op_norm(proj_sum - np.eye(5)) < 1e-12
 
 
 def test_subspace_gap_oracles(rng):
-    e01 = SubspaceBasis(np.eye(3, dtype=complex)[:, :2])
+    e01 = np.eye(3, dtype=complex)[:, :2]
     # same space, rotated basis
     q, _ = np.linalg.qr(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
-    rotated = SubspaceBasis(e01.basis @ q)
-    assert subspace_gap(e01, rotated) < 1e-13
-    e2 = SubspaceBasis(np.eye(3, dtype=complex)[:, 2:])
+    assert subspace_gap(e01, e01 @ q) < 1e-13
+    e2 = np.eye(3, dtype=complex)[:, 2:]
     assert subspace_gap(e01, e2) == pytest.approx(1.0, abs=1e-13)
+    with pytest.raises(ShapeError, match=r"^subspaces live in different ambient spaces$"):
+        subspace_gap(e01, np.eye(4, 2, dtype=complex))
 
 
 def test_basis_prescreen_keeps_the_spectral_decision(monkeypatch):
     # the Frobenius norm of the Gram defect bounds its spectral norm: only
     # above 1e-12 does the SVD run and decide.  Four columns 0.9e-12 too
-    # long have Frobenius defect 1.8e-12 and spectral defect 0.9e-12: kept
+    # long have Frobenius defect 1.8e-12 and spectral defect 0.9e-12: range_basis
+    # keeps them as the basis, and subspace_gap accepts them
     calls = count_calls(monkeypatch, op_norm)
     b = np.eye(6, 4, dtype=complex) * np.sqrt(1 + 0.9e-12)
     gram_defect = b.conj().T @ b - np.eye(4)
     assert np.linalg.norm(gram_defect) > 1e-12 >= np.linalg.norm(gram_defect, 2)
-    SubspaceBasis(b)
+    assert range_basis(b) is b
     assert calls["op_norm"] == 1
-    # a spectral defect of 1.1e-12 is refused, with the message it always had
+    assert subspace_gap(b, b) < 1e-11
+    # a spectral defect of 1.1e-12 is refused, with the message it always had,
+    # and range_basis takes the thin SVD in place of the columns
     b = np.eye(6, 1, dtype=complex) * np.sqrt(1 + 1.1e-12)
-    with pytest.raises(ShapeError, match=r"^basis columns not orthonormal \(Gram defect 1\.100e-12\)$"):
-        SubspaceBasis(b)
+    for pair in ((b, np.eye(6, 1)), (np.eye(6, 1), b)):
+        with pytest.raises(ShapeError, match=r"^basis columns not orthonormal \(Gram defect 1\.100e-12\)$"):
+            subspace_gap(*pair)
+    assert range_basis(b) is not b
     # an orthonormal basis passes the screen without an SVD
     calls["op_norm"] = 0
-    SubspaceBasis(np.eye(6, 4, dtype=complex))
+    eye = np.eye(6, 4, dtype=complex)
+    assert range_basis(eye) is eye
     assert calls["op_norm"] == 0
 
 
 @pytest.mark.parametrize("shape", [(4,), (4, 2, 1)])
 def test_basis_must_be_two_dimensional(shape):
-    # ambient_dim and rank are read off the shape, so its dimension count is
-    # the one shape rule left
-    with pytest.raises(ShapeError, match=r"^basis must be 2-D"):
-        SubspaceBasis(np.ones(shape, dtype=complex))
+    # the ambient dimension and the rank are read off the shape, so its
+    # dimension count is the one shape rule; range_basis refuses such an M
+    # as every matrix input is refused
+    for pair in ((np.ones(shape, dtype=complex), np.eye(4, 1)), (np.eye(4, 1), np.ones(shape, dtype=complex))):
+        with pytest.raises(ShapeError, match=r"^basis must be 2-D"):
+            subspace_gap(*pair)
+    with pytest.raises(ShapeError, match=r"^M must be 2-D"):
+        range_basis(np.ones(shape, dtype=complex))
 
 
 def test_basis_acceptance_is_the_spectral_rule(rng):
-    # perturbed orthonormal bases around the threshold: accepted exactly when
-    # the spectral norm of the Gram defect is within 1e-12
+    # perturbed orthonormal bases around the threshold: range_basis keeps M as
+    # the basis, and subspace_gap accepts it, exactly when the spectral norm
+    # of the Gram defect is within 1e-12
     outcomes = set()
     for size in np.geomspace(1e-13, 1e-11, 40):
         q, _ = np.linalg.qr(rng.standard_normal((8, 4)) + 1j * rng.standard_normal((8, 4)))
         b = q + size * (rng.standard_normal((8, 4)) + 1j * rng.standard_normal((8, 4))) / 4
         spectral_ok = np.linalg.norm(b.conj().T @ b - np.eye(4), 2) <= 1e-12
         try:
-            SubspaceBasis(b)
+            subspace_gap(b, q)
             accepted = True
         except ShapeError:
             accepted = False
-        assert accepted == spectral_ok, size
+        assert accepted == spectral_ok == (range_basis(b) is b), size
         outcomes.add(accepted)
     assert outcomes == {True, False}
 
