@@ -24,7 +24,7 @@ from .fundamental import FundamentalPair
 from .hardy import pencil_apply
 from .matcore import DEFAULT_POLICY, TolerancePolicy, op_norm
 from .report import CheckReport
-from .triples import TetrablockTriple, necessary_report, validate
+from .triples import TetrablockTriple, validate
 
 __all__ = [
     "EXACT_TOL",
@@ -171,8 +171,6 @@ def verify_example(
         title=f"bidisc shift example (n={n})",
         header="all identities hold exactly at this truncation",
     )
-    rep.extend(necessary_report(triple, pol), prefix="triple_")
-
     cert = triple.purity
     rep.check(
         "pure_nilpotent",

@@ -61,11 +61,6 @@ class NotDegreeOneError(TetralabError):
     """
 
 
-def _interior_cut(n: int, theta: AnalyticSymbol) -> int:
-    """Largest block index faithful to the infinite compression."""
-    return n - theta.degree
-
-
 def extract_symbols(
     theta: AnalyticSymbol,
     f1,
@@ -95,7 +90,8 @@ def extract_symbols(
         raise ShapeError(f"F1, F2 shapes differ: {f1.shape}, {f2.shape}")
     if theta.d_out != f1.shape[0]:
         raise ShapeError("theta output fiber must match the symbol dimension")
-    cut = _interior_cut(n, theta)
+    # largest block index faithful to the infinite compression
+    cut = n - theta.degree
     if cut < 1:
         raise ShapeError(
             f"truncation degree {n} too small for theta of degree {theta.degree}; "

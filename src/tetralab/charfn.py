@@ -205,7 +205,7 @@ def power_tail(triple: TetrablockTriple, n: int | None = None) -> tuple[int, flo
     if n is not None and n < 0:
         raise ValueError("model degree must be >= 0")
     p, cert = triple.P, triple.purity
-    if not cert:
+    if not cert.pure:
         raise NotPureError(f"P is not pure (rho = {cert.spectral_radius:.6f})")
     if n is not None and cert.exact_zero and cert.nilpotency_index <= n + 1 and p.shape[0] < 10**4:
         return n, 0.0
@@ -414,24 +414,21 @@ def pure_isometry_model(
     triple: TetrablockTriple,
     model: ModelData,
     pair_g: FundamentalPair,
-    decomposition: CheckReport,
-    functional: CheckReport,
     pol: TolerancePolicy = DEFAULT_POLICY,
 ) -> CheckReport:
     """Model battery for truncations of pure tetrablock isometries.
 
     The triple must have a nonempty isometric part ker(I - P*P) (so P = 0 or
     any strict contraction without isometric directions is rejected with
-    NotIsometryLikeError).  Verifies that W is unitary onto the truncated
-    model, that the compressed model operators agree with the raw symbol
-    pencils on the image of the isometric part, and that the adjoint pair
+    NotIsometryLikeError).  Verifies that P is isometric on ker D_P, that the
+    compressed model operators agree with the raw symbol pencils on the
+    image of the isometric part, and that the adjoint pair
     satisfies [G1, G2] = 0 and [G1, G1*] = [G2, G2*]; the last two balance
     checks are restricted to defect directions supported on the isometric
     parts of A and B when such directions exist (for wide-border truncations
-    the balance defect provably lives on the truncation edge).  ``model``,
-    ``pair_g`` (solved from ``triple.adjoint()``) and the reports
-    ``decomposition`` and ``functional`` of ``verify_model_decomposition``
-    and ``verify_functional_model`` all come from ``triple`` under ``pol``.
+    the balance defect provably lives on the truncation edge).  ``model`` and
+    ``pair_g`` (solved from ``triple.adjoint()``) come from ``triple`` under
+    ``pol``.
     The pencil-on-model residual ||(I - P_H) X W_iso|| is normed on the thin
     factor Y - Q_H (Q_H* Y), Y = X W_iso, Q_H the orthonormal basis of H_P.
     ker D_P is the trailing columns of one complete QR of the orthonormal
@@ -451,8 +448,6 @@ def pure_isometry_model(
         pol.scaled_eq(1.0),
         note=f"dim {iso.shape[1]} of {dim}",
     )
-    rep.extend(decomposition)
-    rep.extend(functional)
     # compression acts as the raw pencil on the image of the isometric part
     g1, g2 = pair_g.F1, pair_g.F2
     qh = model.h_basis

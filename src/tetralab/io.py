@@ -11,7 +11,7 @@ infinity tokens (reports encode non-finite residuals as strings first).
 from __future__ import annotations
 
 import json
-from typing import Any, IO
+from typing import Any
 
 import numpy as np
 
@@ -29,7 +29,6 @@ __all__ = [
     "symbol_from_obj",
     "dumps",
     "loads",
-    "load",
 ]
 
 
@@ -123,7 +122,3 @@ def loads(text: str) -> Any:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise FormatError(f"invalid JSON: {exc}") from exc
-
-
-def load(fp: IO[str]) -> Any:
-    return loads(fp.read())

@@ -26,9 +26,14 @@ class CheckEntry:
     name: str
     residual: float | None
     tolerance: float | None
-    passed: bool
     skipped: bool = False
     note: str = ""
+
+    @property
+    def passed(self) -> bool:
+        """Not skipped and the residual within tolerance; a NaN residual or
+        tolerance fails, as every comparison with NaN is False."""
+        return not self.skipped and self.residual <= self.tolerance
 
     def to_dict(self) -> dict:
         """Plain-data form; non-finite residuals and tolerances become the
@@ -52,52 +57,22 @@ class CheckReport:
     entries: list[CheckEntry] = field(default_factory=list)
 
     def check(self, name: str, residual: float, tolerance: float, note: str = "") -> bool:
-        """Record a residual against an absolute tolerance; returns pass/fail.
-        A NaN residual or tolerance fails, as every comparison with NaN is False."""
-        residual = float(residual)
-        tolerance = float(tolerance)
-        ok = residual <= tolerance
-        self.entries.append(
-            CheckEntry(
-                name=name,
-                residual=residual,
-                tolerance=tolerance,
-                passed=ok,
-                note=note,
-            )
-        )
-        return ok
+        """Record a residual against an absolute tolerance; returns pass/fail."""
+        self.entries.append(CheckEntry(name, float(residual), float(tolerance), note=note))
+        return self.entries[-1].passed
 
     def skip(self, name: str, reason: str) -> None:
         """Record that a check could not run (hypothesis violated etc.)."""
-        self.entries.append(
-            CheckEntry(
-                name=name,
-                residual=None,
-                tolerance=None,
-                passed=False,
-                skipped=True,
-                note=reason,
-            )
-        )
+        self.entries.append(CheckEntry(name, None, None, skipped=True, note=reason))
 
     def vacuous(self, name: str, reason: str) -> None:
         """Record a check that holds vacuously (e.g. zero-dimensional data)."""
-        self.entries.append(
-            CheckEntry(
-                name=name,
-                residual=0.0,
-                tolerance=0.0,
-                passed=True,
-                note=f"vacuous: {reason}",
-            )
-        )
+        self.entries.append(CheckEntry(name, 0.0, 0.0, note=f"vacuous: {reason}"))
 
     def extend(self, other: CheckReport, prefix: str = "") -> None:
         """Absorb entries of another report, optionally prefixing names."""
         self.entries.extend(
-            CheckEntry(prefix + e.name, e.residual, e.tolerance, e.passed, e.skipped, e.note)
-            for e in other.entries
+            CheckEntry(prefix + e.name, e.residual, e.tolerance, e.skipped, e.note) for e in other.entries
         )
 
     @property

@@ -156,9 +156,6 @@ class PurityCertificate:
     nilpotency_index: int | None = None
     exact_zero: bool = False
 
-    def __bool__(self) -> bool:
-        return self.pure
-
 
 def is_pure(triple: TetrablockTriple) -> PurityCertificate:
     """Pure iff rho(P) < 1 - RANK_TOL; below RANK_TOL the powers of P give the nilpotency index and ``exact_zero``.

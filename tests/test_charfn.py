@@ -479,9 +479,9 @@ def test_model_batteries_apply_pencils_without_forming_them(monkeypatch):
     grid = build_grid(n)
     pair_f, pair_g = solve_fundamental(grid), solve_fundamental(grid.adjoint())
     model = build_model(grid, n)
-    dec = verify_model_decomposition(model)
-    fm = verify_functional_model(grid, model, pair_g)
-    assert pure_isometry_model(grid, model, pair_g, dec, fm).overall
+    assert verify_model_decomposition(model).overall
+    assert verify_functional_model(grid, model, pair_g).overall
+    assert pure_isometry_model(grid, model, pair_g).overall
     assert bidisc.verify_example(grid, pair_f, pair_g, model).overall
     theta = theta_taylor(grid.adjoint(), n + 1)
     assert extract_symbols(theta, pair_f.F1, pair_f.F2, theta.degree + 3)[2].overall
@@ -509,10 +509,12 @@ def test_pure_isometry_model_on_symbol_instance():
     triple = inst.triple
     model = build_model(triple)
     pair_g = solve_fundamental(triple.adjoint())
-    dec = verify_model_decomposition(model)
-    fm = verify_functional_model(triple, model, pair_g)
-    rep = pure_isometry_model(triple, model, pair_g, dec, fm)
-    assert rep.overall, [e.name for e in rep.failures]
+    for rep in (
+        verify_model_decomposition(model),
+        verify_functional_model(triple, model, pair_g),
+        pure_isometry_model(triple, model, pair_g),
+    ):
+        assert rep.overall, (rep.title, [e.name for e in rep.failures])
 
 
 @pytest.mark.parametrize(
@@ -539,8 +541,6 @@ def test_pure_isometry_model_decomposes_only_defect_sized_operands(monkeypatch, 
     triple = build_grid(n)
     model = build_model(triple, n)
     pair_g = solve_fundamental(triple.adjoint())
-    dec = verify_model_decomposition(model)
-    fm = verify_functional_model(triple, model, pair_g)
     seen = []
 
     def recording(name, fn):
@@ -551,7 +551,7 @@ def test_pure_isometry_model_decomposes_only_defect_sized_operands(monkeypatch, 
 
     for name in ("svd", "eig", "eigh", "eigvals", "eigvalsh", "qr", "solve", "pinv", "lstsq"):
         monkeypatch.setattr(np.linalg, name, recording(name, getattr(np.linalg, name)))
-    assert pure_isometry_model(triple, model, pair_g, dec, fm).overall
+    assert pure_isometry_model(triple, model, pair_g).overall
     r, rs = triple.dp.rank, triple.dpstar.rank
     assert [s for s in seen if s[1] != "op_norms"] == [
         ("qr", "pure_isometry_model", (triple.dim, r)),
@@ -598,12 +598,11 @@ def test_model_space_residuals_equal_the_dense_formulas(small_suite, rng):
         model = build_model(t)
         solved = solve_fundamental(t.adjoint())
         for pair_g in (solved, perturbed(solved, rng)):
-            dec = verify_model_decomposition(model)
             fm = verify_functional_model(t, model, pair_g)
             entries = {e.name: e.residual for e in fm.entries}
             assert_residuals_match(entries, dense_coinvariance(model, pair_g), "rangeW_coinvariant_")
             try:
-                iso = pure_isometry_model(t, model, pair_g, dec, fm)
+                iso = pure_isometry_model(t, model, pair_g)
             except NotIsometryLikeError:
                 continue
             isometric += 1
@@ -631,8 +630,8 @@ def test_model_space_checks_hand_op_norm_thin_operands(monkeypatch, small_suite)
         seen.clear()
         model = build_model(t)
         pair_g = solve_fundamental(t.adjoint())
-        dec = verify_model_decomposition(model)
-        fm = verify_functional_model(t, model, pair_g)
+        verify_model_decomposition(model)
+        verify_functional_model(t, model, pair_g)
         m, n, k = model.W.shape[0], t.dim, model.h_basis.shape[1]
         thin += m > max(n, k)
         shapes = lambda caller: {s for c, s in seen if c == caller and s[0] == m}
@@ -643,7 +642,7 @@ def test_model_space_checks_hand_op_norm_thin_operands(monkeypatch, small_suite)
         iso_rank = t.dim - t.dp.rank
         if iso_rank:
             seen.clear()
-            pure_isometry_model(t, model, pair_g, dec, fm)
+            pure_isometry_model(t, model, pair_g)
             assert shapes("pure_isometry_model") == {(m, iso_rank)}
     assert thin == 5  # the symbols instances have M = dim H
 

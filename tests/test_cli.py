@@ -39,6 +39,7 @@ from tetralab.generate import companion_unitary, make_instance
 from tetralab.hardy import AnalyticSymbol, toeplitz
 from tetralab.invariants import INVARIANT_SAMPLES, induced_defect_unitary, verify_coincidence
 from tetralab.matcore import MAX_GRID_DIM, TetralabError, defect, numerical_radius
+from tetralab.report import CheckReport
 from tetralab.triples import is_pure, validate
 
 from conftest import (
@@ -98,9 +99,9 @@ def test_verify_bidisc_passes(capsys):
 @pytest.mark.parametrize(
     "degree, digest",
     [
-        (3, "e6c861dee6353124c5d204da097b7a1593ab0214d5d145c1235902f846c03e68"),
-        (6, "44db1164dbf5efaca969a3c11cede30760cc48499d613dd92953ab9d482249ec"),
-        (14, "f536f340d88681c701f8367e42e489d58b0d6706da8c8f23ca5b43e0192c49f8"),
+        (3, "d0ab5a15c9de3c49caac62682cf26115836a13d52db450a972e812ce139088ea"),
+        (6, "4caf753732639aa98b71142e98c7983fe345ddbfb62c560e953a5cf3db8612c5"),
+        (14, "33b7ca29dc3ae724819754d6aa5f7c99726e756404c143df75a55c8885f75443"),
     ],
     ids=["3", "6", "14"],
 )
@@ -520,19 +521,21 @@ def test_family_names_agree_across_commands(capsys, tmp_path):
     # prefix per family: a residual that one command emits as dec_*, fm_*,
     # ... is emitted under no other prefix by any command (random-suite once
     # wrote model_model_reproduces_A where the others wrote
-    # fm_model_reproduces_A), and model-check runs the fundamental families
-    # too.  The isometry model's unprefixed copies and its own
-    # pencil_on_model_* entries belong to no family and are left out
+    # fm_model_reproduces_A, and verify-bidisc once wrote triple_* where the
+    # others wrote nec_*), and model-check runs the fundamental families too.
+    # Every report is read, the isometry model's too: only verify-bidisc has
+    # one, and its own entries are iso_*
     path = tmp_path / "diag.json"
     zero = io.matrix_to_obj(np.zeros((2, 2)))
     path.write_text(io.dumps({"A": zero, "B": zero, "P": io.matrix_to_obj(np.diag([0.9, 0.5]))}))
-    prefixes = ("char_", "diff_", "cross_", "transfer_", "dec_", "fm_", "pencil_")
+    shared = ("nec_", "char_", "diff_", "cross_", "transfer_", "dec_", "fm_", "pencil_")
+    prefixes = shared + ("iso_",)
     emitted = {}
     for argv in (("random-suite", "--seed", "42", "--count", "3"), ("verify-bidisc", "--degree", "2"), ("model-check", str(path))):
         code, out, _ = run(capsys, *argv, "--format", "json")
         assert code == 0, argv
         reports = strict_json(out)["reports"]
-        emitted[argv[0]] = {e["name"] for r in reports if r["label"] != "isometry_model" for e in r["entries"]}
+        emitted[argv[0]] = {e["name"] for r in reports for e in r["entries"]}
         assert not any(name.startswith("model_model_") for name in emitted[argv[0]]), argv
     prefixes_of = collections.defaultdict(set)
     for names in emitted.values():
@@ -544,7 +547,8 @@ def test_family_names_agree_across_commands(capsys, tmp_path):
             head, _, inner = name.partition("_")
             assert inner not in prefixes_of or f"{head}_" in prefixes_of[inner], name
     for command, names in emitted.items():
-        assert all(any(name.startswith(prefix) for name in names) for prefix in prefixes), command
+        assert all(any(name.startswith(prefix) for name in names) for prefix in shared), command
+    assert any(name.startswith("iso_") for name in emitted["verify-bidisc"])
 
 
 # ----------------------------------------------------- shared objects
@@ -600,8 +604,8 @@ def test_verify_bidisc_builds_each_object_once(monkeypatch, capsys):
     # builds its model once, and hands them to the example battery, the
     # fundamental and model reports, the isometry model and the extraction
     # round trip, each run once; the two defects are those of the one
-    # validation, and each model report runs once, the isometry model taking
-    # the two it needs.  Purity is checked once, by the model, whose
+    # validation, and each model report runs once, the isometry model report
+    # repeating two of them.  Purity is checked once, by the model, whose
     # certificate the example's "pure_nilpotent" entry reads; the round trip
     # reads the model's truncation.  P^4 = 0 exactly, so the tail needs no
     # norm of a power of P, and the kept ||P|| clears I - z P* at every
@@ -650,18 +654,20 @@ def test_verify_bidisc_builds_each_object_once(monkeypatch, capsys):
 
 @pytest.mark.parametrize("n", [2, 3])
 def test_verify_bidisc_reports_equal_the_standalone_batteries(capsys, n):
-    # the command's isometry model reuses the functional-model and
-    # range-partition reports of its model report; a standalone isometry
-    # model on objects of its own gives the same entries
+    # the command's isometry model report holds the iso_* entries of the
+    # isometry model, then the dec_* and fm_* entries of its model report; the
+    # standalone batteries on objects of their own, composed under the same
+    # prefixes, give the same entries
     code, out, _ = run(capsys, "verify-bidisc", "--degree", str(n), "--format", "json")
     assert code == 0
     entries = {r["label"]: r["entries"] for r in strict_json(out)["reports"]}
     triple = build_grid(n)
     model = build_model(triple, n)
     pair_g = solve_fundamental(triple.adjoint())
-    dec = verify_model_decomposition(model)
-    fm = verify_functional_model(triple, model, pair_g)
-    iso = pure_isometry_model(triple, model, pair_g, dec, fm)
+    iso = CheckReport(title="truncated isometry model")
+    iso.extend(pure_isometry_model(triple, model, pair_g), prefix="iso_")
+    iso.extend(verify_model_decomposition(model), prefix="dec_")
+    iso.extend(verify_functional_model(triple, model, pair_g), prefix="fm_")
     assert entries["isometry_model"] == iso.to_dict()["entries"]
 
 
@@ -677,11 +683,11 @@ def test_verify_bidisc_model_residuals_equal_the_dense_formulas(capsys):
     model = build_model(triple, 3)
     pair_g = solve_fundamental(triple.adjoint())
     coinvariance = dense_coinvariance(model, pair_g)
-    for label, prefix in (("model", "fm_"), ("isometry_model", "")):
+    for label in ("model", "isometry_model"):
         named = {name: value for (lab, name), value in entries.items() if lab == label}
-        assert_residuals_match(named, coinvariance, f"{prefix}rangeW_coinvariant_")
+        assert_residuals_match(named, coinvariance, "fm_rangeW_coinvariant_")
     named = {name: value for (lab, name), value in entries.items() if lab == "isometry_model"}
-    assert_residuals_match(named, dense_pencil_on_model(triple, model, pair_g), "pencil_on_model_")
+    assert_residuals_match(named, dense_pencil_on_model(triple, model, pair_g), "iso_pencil_on_model_")
 
 
 def test_no_decomposition_of_an_all_zero_matrix(monkeypatch, capsys):

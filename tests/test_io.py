@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 
@@ -11,7 +12,7 @@ import pytest
 from tetralab import io
 from tetralab.generate import make_instance
 from tetralab.hardy import AnalyticSymbol
-from tetralab.report import CheckReport
+from tetralab.report import CheckEntry, CheckReport
 
 
 def test_matrix_roundtrip_is_bit_exact(rng):
@@ -130,11 +131,24 @@ def test_report_non_finite_numbers_become_strings():
 @pytest.mark.parametrize("residual, tolerance", [(math.nan, math.inf), (math.nan, 0.0), (0.0, math.nan)])
 def test_report_nan_check_fails(residual, tolerance):
     # a NaN residual or tolerance never passes, not even against an infinite
-    # tolerance, and the entry records the failure
+    # tolerance, and the entry records the failure.  An entry stores no
+    # verdict: check, skip, vacuous and extend each record entries whose
+    # passed is derived by the one rule
     rep = CheckReport(title="demo")
     assert rep.check("nan", residual, tolerance) is False
     assert json.loads(io.dumps(rep.to_dict()))["entries"][0]["passed"] is False
     assert not rep.overall
+    assert rep.check("within", 1.0, 1.0) is True
+    assert rep.check("beyond", 2.0, 1.0) is False
+    rep.skip("skipped", "hypothesis violated")
+    rep.vacuous("empty", "zero-dimensional")
+    merged = CheckReport(title="merged")
+    merged.extend(rep, prefix="x_")
+    assert "passed" not in {f.name for f in dataclasses.fields(CheckEntry)}
+    for e in rep.entries + merged.entries:
+        assert e.passed is (not e.skipped and e.residual <= e.tolerance), e.name
+    verdicts = [e["passed"] for e in json.loads(io.dumps(merged.to_dict()))["entries"]]
+    assert verdicts == [False, True, False, False, True]
 
 
 def test_dumps_is_stable_and_sorted():
@@ -160,5 +174,5 @@ def test_file_roundtrip(tmp_path, rng):
     with open(path, "w") as fh:
         fh.write(io.dumps(io.matrix_to_obj(m)))
     with open(path) as fh:
-        back = io.matrix_from_obj(io.load(fh))
+        back = io.matrix_from_obj(io.loads(fh.read()))
     assert np.array_equal(back, m)
