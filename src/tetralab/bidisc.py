@@ -64,7 +64,7 @@ def flat_index(n: int, i: int, j: int) -> int:
 def _shift_matrix(n: int, di: int, dj: int) -> np.ndarray:
     """Matrix of e_(i,j) -> e_(i+di, j+dj), truncating outside the grid: the
     Kronecker product of the truncated shifts by di and by dj on C^(n+1)."""
-    return np.kron(np.eye(n + 1, k=-di, dtype=complex), np.eye(n + 1, k=-dj, dtype=complex))
+    return np.kron(np.eye(n + 1, k=-di), np.eye(n + 1, k=-dj))
 
 
 def border_points(n: int, far: bool = False) -> list[tuple[int, int]]:
@@ -81,7 +81,7 @@ def border_embedding(n: int, far: bool = False) -> np.ndarray:
     """Isometric embedding C^(2n+1) -> grid with columns the points of
     ``border_points(n, far)``; B B* is the diagonal projection onto that border."""
     pts = border_points(n, far)
-    m = np.zeros((grid_dim(n), len(pts)), dtype=complex)
+    m = np.zeros((grid_dim(n), len(pts)))
     for col, (i, j) in enumerate(pts):
         m[flat_index(n, i, j), col] = 1.0
     return m
@@ -102,7 +102,7 @@ def _border_shift(n: int, far: bool, di: int, dj: int) -> np.ndarray:
     """In the coordinates of ``border_points(n, far)``: e_(i,j) -> e_(i+di, j+dj)
     for each border point whose image is also a border point, 0 on the others."""
     idx = {pt: k for k, pt in enumerate(border_points(n, far))}
-    s = np.zeros((2 * n + 1, 2 * n + 1), dtype=complex)
+    s = np.zeros((2 * n + 1, 2 * n + 1))
     for (i, j), k in idx.items():
         if (i + di, j + dj) in idx:
             s[idx[(i + di, j + dj)], k] = 1.0
@@ -137,7 +137,7 @@ def model_embedding(n: int) -> np.ndarray:
     _require_size(n)
     idx = {pt: k for k, pt in enumerate(border_points(n))}
     fiber = 2 * n + 1
-    u = np.zeros(((n + 1) * fiber, grid_dim(n)), dtype=complex)
+    u = np.zeros(((n + 1) * fiber, grid_dim(n)))
     for i in range(n + 1):
         for j in range(n + 1):
             m = min(i, j)

@@ -283,7 +283,7 @@ def build_model(triple: TetrablockTriple, n: int | None = None, pol: TolerancePo
 def model_pencils(g1: np.ndarray, g2: np.ndarray) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
     """Coefficients (c0, c1) of the model pencils G1* + G2 z, G2* + G1 z and z I,
     for ``pencil_apply``."""
-    eye = np.eye(g1.shape[0], dtype=complex)
+    eye = np.eye(g1.shape[0], dtype=g1.dtype)
     return (g1.conj().T, g2), (g2.conj().T, g1), (np.zeros_like(eye), eye)
 
 

@@ -74,7 +74,7 @@ def toeplitz(sym: AnalyticSymbol, n: int) -> np.ndarray:
     if n < 0:
         raise ValueError("truncation degree must be >= 0")
     d_out, d_in = sym.d_out, sym.d_in
-    strip = np.zeros((d_out, 2 * n + 1, d_in), dtype=complex)
+    strip = np.zeros((d_out, 2 * n + 1, d_in), np.result_type(*sym.coeffs))
     strip[:, max(n - sym.degree, 0) : n + 1] = np.transpose(sym.coeffs[n::-1], (1, 0, 2))
     windows = sliding_window_view(strip.reshape(d_out, (2 * n + 1) * d_in), (n + 1) * d_in, axis=1)
     return windows[:, ::-max(d_in, 1)].transpose(1, 0, 2).copy().reshape((n + 1) * d_out, (n + 1) * d_in)
@@ -83,11 +83,12 @@ def toeplitz(sym: AnalyticSymbol, n: int) -> np.ndarray:
 def pencil_apply(c0: np.ndarray, c1: np.ndarray, q: np.ndarray, adjoint: bool = False) -> np.ndarray:
     """X q, or X* q with ``adjoint``, for X = toeplitz(pencil(c0, c1), n), the
     rows of q in n + 1 degree-major blocks; block by block, X is never formed:
-    (X q)_m = c0 q_m + c1 q_{m-1} and (X* q)_m = c0* q_m + c1* q_{m+1}."""
+    (X q)_m = c0 q_m + c1 q_{m-1} and (X* q)_m = c0* q_m + c1* q_{m+1}, in the
+    dtype the three operands promote to."""
     if adjoint:
         c0, c1 = c0.conj().T, c1.conj().T
     blocks = q.reshape(-1, c0.shape[1], q.shape[1])
-    out = c0 @ blocks
+    out = (c0 @ blocks).astype(np.result_type(c0, c1, q), copy=False)
     if adjoint:
         out[:-1] += c1 @ blocks[1:]
     else:

@@ -1,16 +1,18 @@
-"""Dense complex linear algebra kernel.
+"""Dense linear algebra kernel.
 
 Everything downstream (defect operators, characteristic functions, model
 spaces) is built from the handful of primitives in this module: validated
-complex matrices, defect operators of contractions with their spectrum on
+matrices, defect operators of contractions with their spectrum on
 their range (the one place where eigenvalues are clamped before a square
 root), rank-revealing range bases, the operator norm (of one matrix or of a
 stack of equal-shape ones), and a certified numerical-radius bracket.
 
 Conventions
 -----------
-* Matrices are ``numpy.ndarray`` of ``complex128``, row-major, validated to
-  be finite on entry to every public function.
+* The dtype rule: real input (bool, integer or float) stays ``float64``, and
+  anything complex becomes ``complex128``; the same functions serve both.
+  Matrices are row-major and validated to be finite on entry to every
+  public function.
 * Equality checks are relative: a residual ``r`` passes at tolerance ``tol``
   when ``r <= tol * (1 + max operand norm)``.
 * Rank decisions are relative to the largest singular value (or eigenvalue)
@@ -99,13 +101,14 @@ DEFAULT_POLICY = TolerancePolicy()
 
 # largest side of a dense grid matrix (a truncated model space, the bidisc
 # grid) that is allocated; a larger request raises GridSizeError up front.
-# One complex matrix of this side takes 64 MiB.
+# One matrix of this side takes 64 MiB complex, 32 MiB real.
 MAX_GRID_DIM = 2048
 
 
 def ensure_matrix(a, *, square: bool = False, name: str = "matrix") -> np.ndarray:
-    """Validate and return ``a`` as a finite complex128 2-D array."""
-    arr = np.array(a, dtype=np.complex128, copy=True, order="C")
+    """Validate and return a C-ordered copy of ``a`` as a finite 2-D array,
+    float64 or complex128 by the dtype rule."""
+    arr = np.array(a, dtype=np.float64 if np.asarray(a).dtype.kind in "biuf" else np.complex128, copy=True, order="C")
     if arr.ndim != 2:
         raise ShapeError(f"{name} must be 2-D, got ndim={arr.ndim}")
     if not np.isfinite(arr).all():
@@ -117,10 +120,12 @@ def ensure_matrix(a, *, square: bool = False, name: str = "matrix") -> np.ndarra
 
 def op_norms(mats) -> np.ndarray:
     """Operator (spectral) norms of a stack of equal-shape matrices, a 3-D
-    array or a sequence of 2-D ones: one finiteness check, 0.0 for each
-    all-zero (or empty) member without an SVD, and one stacked SVD for the
-    rest, which under one BLAS thread equals the SVD of each member alone."""
-    stack = np.asarray(mats, dtype=np.complex128)
+    array or a sequence of 2-D ones, taken in float64 or complex128 by the
+    dtype rule: one finiteness check, 0.0 for each all-zero (or empty) member
+    without an SVD, and one stacked SVD for the rest, which under one BLAS
+    thread equals the SVD of each member alone."""
+    stack = np.asarray(mats)
+    stack = stack.astype(np.float64 if stack.dtype.kind in "biuf" else np.complex128, copy=False)
     if stack.ndim != 3:
         raise ShapeError(f"operands must be a 3-D stack of matrices, got ndim={stack.ndim}")
     if not np.isfinite(stack).all():
@@ -225,13 +230,13 @@ def range_basis(m) -> np.ndarray:
     floor 1 is the natural norm of the contractions and isometries ranked
     here; without it a matrix of pure round-off noise would be reported as
     full rank.  An all-zero (or empty) matrix has the zero subspace without
-    an SVD, and M itself (the caller's object, when it is a complex128 array)
-    is the basis, without an SVD, when its columns are orthonormal by
-    ``_gram_defect``: they span the range, and the rule above would keep
-    every one of them."""
+    an SVD, and M itself (the caller's object, when it is an array already
+    in the dtype of the rule) is the basis, without an SVD, when its columns
+    are orthonormal by ``_gram_defect``: they span the range, and the rule
+    above would keep every one of them.  The basis has the rule's dtype."""
     arr = ensure_matrix(m, name="M")
     if not arr.any():
-        return np.zeros((arr.shape[0], 0), complex)
+        return np.zeros((arr.shape[0], 0), arr.dtype)
     if _gram_defect(arr) <= 1e-12:
         return m if isinstance(m, np.ndarray) and m.dtype == arr.dtype else arr
     u, s, _ = np.linalg.svd(arr, full_matrices=False)

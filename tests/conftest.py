@@ -165,17 +165,19 @@ def forbid_linalg(monkeypatch) -> None:
                 monkeypatch.setattr(np.linalg, name, no_linalg)
 
 
-def watch_decompositions(monkeypatch) -> tuple[collections.Counter, list, collections.Counter]:
-    """Watch the SVDs, Hermitian eigensolvers and spectral norms of numpy.linalg.
+def watch_decompositions(monkeypatch) -> tuple[collections.Counter, list, collections.Counter, collections.Counter]:
+    """Watch the SVDs, Hermitian eigensolvers, spectral norms and QR factorizations of numpy.linalg.
 
-    Returns ``(calls, zeros, work)``: ``calls[name, caller]`` counts the calls
-    of ``name`` made directly by the function named ``caller``, ``zeros``
-    gets ``(name, caller, shape)`` for each all-zero (or empty) matrix one of
-    them is handed, once per matrix of a stacked operand, and
-    ``work[name, caller]`` sums min(m, n)^2 max(m, n) over the m x n matrices
-    they are handed, the order of the flops of a dense decomposition.
+    Returns ``(calls, zeros, work, dtypes)``: ``calls[name, caller]`` counts
+    the calls of ``name`` made directly by the function named ``caller``,
+    ``dtypes[name, caller, dtype]`` splits that count by the dtype name of the
+    operand, ``zeros`` gets ``(name, caller, shape)`` for each all-zero (or
+    empty) matrix one of the decompositions is handed, once per matrix of a
+    stacked operand, and ``work[name, caller]`` sums min(m, n)^2 max(m, n)
+    over the m x n matrices they are handed, the order of the flops of a dense
+    decomposition.  A QR is counted in ``calls`` and ``dtypes`` only.
     """
-    calls, zeros, work = collections.Counter(), [], collections.Counter()
+    calls, zeros, work, dtypes = collections.Counter(), [], collections.Counter(), collections.Counter()
 
     def watching(name, fn):
         def wrapper(a, *args, **kwargs):
@@ -184,15 +186,17 @@ def watch_decompositions(monkeypatch) -> tuple[collections.Counter, list, collec
             if spectral and arr.ndim >= 2:
                 caller = sys._getframe(1).f_code.co_name
                 calls[name, caller] += 1
-                zeros.extend([(name, caller, arr.shape)] * int(np.sum(~arr.any(axis=(-2, -1)))))
-                small, large = sorted(arr.shape[-2:])
-                work[name, caller] += small * small * large * int(np.prod(arr.shape[:-2]))
+                dtypes[name, caller, arr.dtype.name] += 1
+                if name != "qr":
+                    zeros.extend([(name, caller, arr.shape)] * int(np.sum(~arr.any(axis=(-2, -1)))))
+                    small, large = sorted(arr.shape[-2:])
+                    work[name, caller] += small * small * large * int(np.prod(arr.shape[:-2]))
             return fn(a, *args, **kwargs)
         return wrapper
 
-    for name in ("svd", "eigh", "eigvalsh", "norm"):
+    for name in ("svd", "eigh", "eigvalsh", "norm", "qr"):
         monkeypatch.setattr(np.linalg, name, watching(name, getattr(np.linalg, name)))
-    return calls, zeros, work
+    return calls, zeros, work, dtypes
 
 
 # Dense M x M formulas of the model-space residuals, M the side of the model

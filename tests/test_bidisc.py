@@ -67,12 +67,13 @@ def test_fundamental_ops_entries_are_zero_one():
 
 def edge_shift_oracle(n: int) -> tuple[np.ndarray, ...]:
     """G1, G2, F1, F2 written edge by edge, each point of an edge to the next
-    one along it, in the border coordinates the near and far point lists give."""
+    one along it, in the border coordinates the near and far point lists give;
+    0/1 matrices are real, so by the dtype rule of ``matcore`` they are float64."""
     near = [(0, 0)] + [(k, 0) for k in range(1, n + 1)] + [(0, k) for k in range(1, n + 1)]
     far = [(n, n)] + [(i, n) for i in range(n)] + [(n, j) for j in range(n)]
     assert bidisc.border_points(n) == near and bidisc.border_points(n, far=True) == far
     inear, ifar = ({pt: k for k, pt in enumerate(pts)} for pts in (near, far))
-    g1, g2, f1, f2 = (np.zeros((2 * n + 1, 2 * n + 1), dtype=complex) for _ in range(4))
+    g1, g2, f1, f2 = (np.zeros((2 * n + 1, 2 * n + 1), dtype=np.float64) for _ in range(4))
     for k in range(1, n + 1):
         g1[inear[(k - 1, 0)], inear[(k, 0)]] = 1.0
         g2[inear[(0, k - 1)], inear[(0, k)]] = 1.0

@@ -118,7 +118,7 @@ def test_kernel_identity(rng):
 
 
 def test_resolvent_guard(monkeypatch):
-    calls, _, _ = watch_decompositions(monkeypatch)
+    calls, _, _, _ = watch_decompositions(monkeypatch)
     with pytest.raises(ResolventSingularError):
         theta_eval(p_triple([[1.0]]), [1.0])
     # |z| ||P|| = 1 - 1e-13: the bound cannot clear I - z P*, so the SVD
@@ -137,7 +137,7 @@ def test_skipped_resolvent_svd_would_have_passed(monkeypatch):
     # I - z P* comes closest to singular
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
-    calls, _, _ = watch_decompositions(monkeypatch)
+    calls, _, _, _ = watch_decompositions(monkeypatch)
     skipped = []
 
     @hypothesis.settings(derandomize=True, max_examples=200, deadline=None)
@@ -335,7 +335,7 @@ def test_model_decomposition_forms_the_grid_identity_once(monkeypatch, small_sui
     # range partition reports rho = ||R||_F, the rho the Davis-Kahan gap
     # reads, and no Hermitian eigensolver runs on R or its interior block
     calls = count_calls(monkeypatch, toeplitz)
-    decompositions, _, _ = watch_decompositions(monkeypatch)
+    decompositions, _, _, _ = watch_decompositions(monkeypatch)
     handed = []
     gap = charfn._kernel_gap
 

@@ -568,7 +568,7 @@ def test_battery_builds_each_object_once(monkeypatch):
     calls = count_calls(
         monkeypatch, solve_fundamental, build_model, defect, is_pure, numerical_radius, _theta_zero, theta_taylor
     )
-    decompositions, _, work = watch_decompositions(monkeypatch)
+    decompositions, _, work, _ = watch_decompositions(monkeypatch)
     op_norm_svds, works = [], []
     for inst in instances:
         calls.update({name: 0 for name in calls})
@@ -624,7 +624,7 @@ def test_verify_bidisc_builds_each_object_once(monkeypatch, capsys):
         _power_norms,
         numerical_radius,
     )
-    decompositions, _, work = watch_decompositions(monkeypatch)
+    decompositions, _, work, dtypes = watch_decompositions(monkeypatch)
     code, _, _ = run(capsys, "verify-bidisc", "--degree", "3")
     assert code == 0
     assert calls == {
@@ -650,6 +650,18 @@ def test_verify_bidisc_builds_each_object_once(monkeypatch, capsys):
     # the isometric interior comes from one eigh of a rank D_{P*} square
     # matrix, and ker D_P from a QR, which is not counted here
     assert sum(work.values()) == 121282
+    # the grid's A, B and P are real 0/1 matrices, and by the dtype rule of
+    # matcore every decomposition of their real products runs in float64:
+    # only the pencil residuals at complex disc samples, and the rotated
+    # fields e^{i theta} X of the radius brackets, are complex
+    assert dtypes == {
+        ("svd", "op_norms", "float64"): 8,
+        ("svd", "op_norms", "complex128"): 1,
+        ("eigh", "defect", "float64"): 2,
+        ("eigh", "_isometric_interior", "float64"): 1,
+        ("qr", "pure_isometry_model", "float64"): 1,
+        ("eigvalsh", "_field_extremes", "complex128"): 2,
+    }
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -694,7 +706,7 @@ def test_no_decomposition_of_an_all_zero_matrix(monkeypatch, capsys):
     # the residuals of the exact worked example are exactly zero, and so are
     # many of the instances', e.g. [A, P] and [B, P] of compressions[3] at
     # seed 42, whose P is 0: none of them reaches an SVD or an eigensolver
-    _, zeros, _ = watch_decompositions(monkeypatch)
+    _, zeros, _, _ = watch_decompositions(monkeypatch)
     code, _, _ = run(capsys, "verify-bidisc", "--degree", "6")
     assert code == 0
     for family, seed, index in (("symbols", 7, 0), ("compressions", 42, 3), ("scalars", 7, 0)):

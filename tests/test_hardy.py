@@ -10,6 +10,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from tetralab.charfn import model_pencils
 from tetralab.hardy import (
     AnalyticSymbol,
     pencil,
@@ -18,7 +19,7 @@ from tetralab.hardy import (
 )
 from tetralab.matcore import ShapeError, op_norm
 
-from conftest import symbol_at, symbol_product
+from conftest import symbol_at, symbol_product, toeplitz_slice_loop
 
 
 def random_symbol(rng, d: int, deg: int) -> AnalyticSymbol:
@@ -90,6 +91,39 @@ def test_pencil_apply_matches_toeplitz(rng, d_out, d_in, cols):
     assert np.array_equal(pencil_apply(k0, k1, qk), tk @ qk)
     qk = rng.integers(-3, 4, size=(tk.shape[0], cols)).astype(complex)
     assert np.array_equal(pencil_apply(k0, k1, qk, adjoint=True), tk.conj().T @ qk)
+
+
+def test_toeplitz_and_model_pencils_follow_the_dtype_rule(rng):
+    # real coefficients (integer and boolean ones included) give a float64
+    # Toeplitz matrix and complex ones a complex128 one; one complex
+    # coefficient makes the whole matrix complex
+    real = [rng.standard_normal((2, 3)) for _ in range(3)]
+    cases = [
+        (real, np.float64),
+        ([rng.integers(-3, 4, size=(2, 3)) for _ in range(3)], np.float64),
+        ([c > 0 for c in real], np.float64),
+        ([c + 1j * rng.standard_normal((2, 3)) for c in real], np.complex128),
+        ([real[0], 1j * real[1]], np.complex128),
+    ]
+    for coeffs, dtype in cases:
+        sym = AnalyticSymbol(tuple(coeffs))
+        t = toeplitz(sym, 3)
+        assert t.dtype == dtype
+        assert np.array_equal(t, toeplitz_slice_loop(sym, 3))
+    # the model pencils, and the pencil applied to real data, stay in G1's dtype
+    for dtype in (np.float64, np.complex128):
+        g1, g2 = (rng.standard_normal((3, 3)).astype(dtype) for _ in range(2))
+        q = rng.standard_normal((4 * 3, 2))
+        for c0, c1 in model_pencils(g1, g2):
+            assert c0.dtype == c1.dtype == dtype
+            assert pencil_apply(c0, c1, q).dtype == pencil_apply(c0, c1, q, adjoint=True).dtype == dtype
+    # a real c0 and q with a complex c1 promote to complex, as numpy does
+    # (integer data, so both sides are exact)
+    c0, c1 = rng.integers(-3, 4, size=(2, 2)).astype(float), 1j * rng.integers(-3, 4, size=(2, 2))
+    t = toeplitz(pencil(c0, c1), 2)
+    q = rng.integers(-3, 4, size=(6, 3)).astype(float)
+    assert np.array_equal(pencil_apply(c0, c1, q), t @ q)
+    assert np.array_equal(pencil_apply(c0, c1, q, adjoint=True), t.conj().T @ q)
 
 
 def test_toeplitz_of_constant_is_block_diagonal(rng):

@@ -27,6 +27,7 @@ from tetralab.matcore import (
     herm_part,
     numerical_radius,
     op_norm,
+    op_norms,
     range_basis,
     subspace_gap,
 )
@@ -71,6 +72,68 @@ def test_op_norm_of_a_zero_matrix_decomposes_nothing(monkeypatch):
     forbid_linalg(monkeypatch)
     for zero in (np.zeros((435, 435), complex), np.zeros((3, 0), complex), np.zeros((2, 2)), [[0, 0]]):
         assert op_norm(zero) == 0.0
+
+
+# ------------------------------------------------------------ dtype rule
+
+# real input (bool, integer or float) stays real as float64, and anything
+# complex becomes complex128, even when every imaginary part is 0.0
+RULE_INPUTS = [
+    (np.array([[True, False], [True, True]]), np.float64),
+    (np.array([[1, 2], [3, 4]], dtype=np.int32), np.float64),
+    ([[1, 0], [2, 5]], np.float64),
+    (np.array([[0.5, 0.25], [0.0, 1.0]], dtype=np.float32), np.float64),
+    (np.array([[0.5, 0.25], [0.0, 1.0]]), np.float64),
+    (np.array([[0.5, 0.25j], [0.0, 1.0]]), np.complex128),
+    (np.array([[1, 2], [3, 4]], dtype=np.complex64), np.complex128),
+    (np.array([[0.5, 0.0], [0.0, 1.0]], dtype=complex), np.complex128),
+]
+
+
+@pytest.mark.parametrize("a, dtype", RULE_INPUTS)
+def test_ensure_matrix_follows_the_dtype_rule(a, dtype):
+    arr = ensure_matrix(a)
+    assert arr.dtype == dtype and arr.flags.c_contiguous and arr is not a
+    assert np.array_equal(arr, np.asarray(a))
+
+
+@pytest.mark.parametrize("a, dtype", RULE_INPUTS)
+def test_op_norms_decompose_in_the_dtype_of_the_rule(monkeypatch, a, dtype):
+    a = np.asarray(a)
+    want = np.linalg.norm(a.astype(complex), 2)
+    _, _, _, dtypes = watch_decompositions(monkeypatch)
+    norms = op_norms([a, 3 * a])
+    assert op_norm(a) == norms[0] == pytest.approx(want, rel=1e-14)
+    assert norms.dtype == np.float64
+    assert dtypes == {("svd", "op_norms", np.dtype(dtype).name): 2}
+    # a stack with one complex member is complex
+    dtypes.clear()
+    op_norms([a, 1j * a])
+    assert dtypes == {("svd", "op_norms", "complex128"): 1}
+
+
+def test_range_basis_follows_the_dtype_rule(monkeypatch):
+    calls, _, _, _ = watch_decompositions(monkeypatch)
+    for dtype, unit in ((np.float64, 1.0), (np.complex128, 1j)):
+        # the two shortcuts, without an SVD: the empty basis of a zero
+        # matrix, and orthonormal columns as the caller's own object
+        empty = range_basis(np.zeros((4, 3), dtype))
+        assert empty.shape == (4, 0) and empty.dtype == dtype
+        ortho = unit * np.eye(4, 2)
+        assert range_basis(ortho) is ortho
+        assert not calls
+        deficient = range_basis(unit * np.array([[1.0, 2.0], [2.0, 4.0], [0.0, 0.0]]))
+        assert deficient.shape == (3, 1) and deficient.dtype == dtype
+        # its Gram defect is normed, then the thin SVD decides
+        assert calls == {("svd", "op_norms"): 1, ("svd", "range_basis"): 1}
+        calls.clear()
+    # integer and boolean input is copied to float64 by ensure_matrix, so
+    # neither shortcut can hand back the caller's object
+    for a in (np.zeros((4, 3), int), np.eye(4, 2, dtype=int), np.eye(4, 2, dtype=bool)):
+        basis = range_basis(a)
+        assert basis.dtype == np.float64 and basis is not a
+        assert np.array_equal(basis, a[:, : basis.shape[1]])
+    assert not calls
 
 
 def test_herm_part_and_commutator(rng):
@@ -165,7 +228,7 @@ def test_radius_runs_one_stacked_eigvalsh_and_no_svd(monkeypatch, rng):
     for dim in range(1, 9):
         m = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
         cases += [m, random_contraction(rng, dim, norm=0.7)]
-    calls, _, _ = watch_decompositions(monkeypatch)
+    calls, _, _, _ = watch_decompositions(monkeypatch)
     for x in cases:
         w, err = numerical_radius(x, level)
         assert not w <= level < w + err
@@ -176,7 +239,7 @@ def test_radius_refinement_budget_runs_out_on_the_unit_disc(monkeypatch):
     # W(2 JORDAN) is the closed unit disc: every vertex of the polygon lies
     # outside it, so each bisection step runs, one single-angle eigvalsh
     # each, and the bracket still straddles the level at the end
-    calls, _, _ = watch_decompositions(monkeypatch)
+    calls, _, _, _ = watch_decompositions(monkeypatch)
     level = 1.0 + DEFAULT_POLICY.eq_tol
     w, err = numerical_radius(2.0 * JORDAN, level)
     assert w <= level < w + err

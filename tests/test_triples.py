@@ -190,7 +190,7 @@ def test_nilpotency_index_without_spectral_norms(monkeypatch):
     # the Frobenius norm decides "numerically zero" for the powers: no SVD,
     # Hermitian eigensolver or spectral norm
     grids = {n: build_grid(n) for n in range(1, 9)}
-    calls, _, _ = watch_decompositions(monkeypatch)
+    calls, _, _, _ = watch_decompositions(monkeypatch)
     for n, t in grids.items():
         assert is_pure(t).nilpotency_index == n + 1, n
     assert not calls, calls
