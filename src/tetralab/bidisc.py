@@ -19,9 +19,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .charfn import ModelData, model_pencils
+from .charfn import ModelData
 from .fundamental import FundamentalPair
-from .hardy import pencil_apply
+from .hardy import model_pencils, pencil_apply
 from .matcore import DEFAULT_POLICY, TolerancePolicy, op_norm
 from .report import CheckReport
 from .triples import TetrablockTriple, validate

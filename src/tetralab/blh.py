@@ -19,9 +19,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .charfn import model_pencils, theta_taylor
+from .charfn import theta_taylor
 from .fundamental import FundamentalPair
-from .hardy import AnalyticSymbol, pencil_apply, toeplitz
+from .hardy import AnalyticSymbol, model_pencils, pencil_apply, toeplitz
 from .matcore import (
     DEFAULT_POLICY,
     MAX_GRID_DIM,
@@ -84,10 +84,8 @@ def extract_symbols(
     """
     if not (theta.d_in and theta.d_out):
         raise ShapeError(f"theta has an empty fiber: input dimension {theta.d_in}, output dimension {theta.d_out}")
-    f1 = ensure_matrix(f1, square=True, name="F1")
-    f2 = ensure_matrix(f2, square=True, name="F2")
-    if f1.shape != f2.shape:
-        raise ShapeError(f"F1, F2 shapes differ: {f1.shape}, {f2.shape}")
+    # the z-coefficients of F1* + F2 z and F2* + F1 z are the validated F2 and F1
+    (a0, f2), (b0, f1), _ = model_pencils(f1, f2)
     if theta.d_out != f1.shape[0]:
         raise ShapeError("theta output fiber must match the symbol dimension")
     # largest block index faithful to the infinite compression
@@ -110,9 +108,8 @@ def extract_symbols(
         raise NotInnerError(
             f"toeplitz(theta) not isometric on degrees <= {cut} (residual {inner_resid:.3e})"
         )
-    (a0, a1), (b0, b1), _ = model_pencils(f1, f2)
-    phi = t_th.conj().T @ pencil_apply(a0, a1, t_th)
-    psi = t_th.conj().T @ pencil_apply(b0, b1, t_th)
+    phi = t_th.conj().T @ pencil_apply(a0, f2, t_th)
+    psi = t_th.conj().T @ pencil_apply(b0, f1, t_th)
     rep = CheckReport(title="symbol extraction from invariant subspace")
     rep.check("inner_on_interior", inner_resid, pol.scaled_eq(1.0))
 

@@ -32,7 +32,7 @@ from itertools import islice
 import numpy as np
 
 from .fundamental import FundamentalPair
-from .hardy import AnalyticSymbol, pencil_apply, toeplitz
+from .hardy import AnalyticSymbol, model_pencils, pencil_apply, toeplitz
 from .matcore import (
     CLAMP_TOL,
     DEFAULT_POLICY,
@@ -57,11 +57,11 @@ __all__ = [
     "ResolventSingularError",
     "NotIsometryLikeError",
     "ModelData",
+    "disc_samples",
     "theta_taylor",
     "theta_eval",
     "power_tail",
     "build_model",
-    "model_pencils",
     "verify_model_decomposition",
     "verify_functional_model",
     "verify_pencil_intertwining",
@@ -93,7 +93,7 @@ MAX_POWERS = 100000
 TAIL_TARGET = 1e-12
 
 
-def _disc_samples(samples) -> tuple[list[complex], float]:
+def disc_samples(samples) -> tuple[list[complex], float]:
     """The samples as complex numbers and the divisor max(1 - max |z|, 1e-3) of
     sampled tolerances; ResolventSingularError unless all lie in the open disc."""
     samples = [complex(z) for z in samples]
@@ -280,13 +280,6 @@ def build_model(triple: TetrablockTriple, n: int | None = None, pol: TolerancePo
     return ModelData(N=n, theta=_taylor(triple, blocks, pol), W=w, h_basis=range_basis(w), tail=tail)
 
 
-def model_pencils(g1: np.ndarray, g2: np.ndarray) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-    """Coefficients (c0, c1) of the model pencils G1* + G2 z, G2* + G1 z and z I,
-    for ``pencil_apply``."""
-    eye = np.eye(g1.shape[0], dtype=g1.dtype)
-    return (g1.conj().T, g2), (g2.conj().T, g1), (np.zeros_like(eye), eye)
-
-
 def verify_model_decomposition(model: ModelData, pol: TolerancePolicy = DEFAULT_POLICY) -> CheckReport:
     """Check W W* + M_theta M_theta* = I on the truncated grid, and that H_P = range(W)
     is the model space Theta defines.
@@ -382,7 +375,7 @@ def verify_pencil_intertwining(
     rep = CheckReport(title="characteristic-function pencil intertwining")
     f1, f2 = pair_f.F1, pair_f.F2
     g1, g2 = pair_g.F1, pair_g.F2
-    samples, denom = _disc_samples(samples)
+    samples, denom = disc_samples(samples)
     resid = np.empty((2 * len(samples), f1.shape[0], g1.shape[0]), complex)
     for k, (z, th) in enumerate(zip(samples, theta_eval(triple.adjoint(), samples))):
         resid[2 * k] = (f1.conj().T + z * f2) @ th - th @ (g1 + z * g2.conj().T)

@@ -235,15 +235,20 @@ def _cmd_random_suite(args, pol: TolerancePolicy) -> tuple[Reports, dict[str, An
     return out, {}
 
 
-def _load_json(path: str):
-    with open(path, "r", encoding="utf-8") as fp:
-        return tio.loads(fp.read())
+def _load_json(args, key: str):
+    """The JSON file named by ``args.<key>``, parsed; ``args.<key>`` becomes the SHA-256 of
+    the bytes read, so the bundle's config names the input by content, not by path."""
+    import hashlib  # loads OpenSSL, about 4 MB of RSS, so only the commands that read a file pay it
+    with open(getattr(args, key), "rb") as fp:
+        data = fp.read()
+    setattr(args, key, hashlib.sha256(data).hexdigest())
+    return tio.loads(data.decode("utf-8"))
 
 
 def _cmd_model_check(args, pol: TolerancePolicy) -> tuple[Reports, dict[str, Any]]:
     if args.degree is not None and args.degree < 0:
         raise TetralabError("--degree must be >= 0")
-    triple = tio.triple_from_obj(_load_json(args.triple_file), pol)
+    triple = tio.triple_from_obj(_load_json(args, "triple_file"), pol)
     nec = necessary_report(triple, pol)
     necessary = CheckReport(title=nec.title, header=nec.header)
     necessary.extend(nec, prefix="nec_")
@@ -268,8 +273,8 @@ def _cmd_model_check(args, pol: TolerancePolicy) -> tuple[Reports, dict[str, Any
 
 
 def _cmd_blh(args, pol: TolerancePolicy) -> tuple[Reports, dict[str, Any]]:
-    theta = tio.symbol_from_obj(_load_json(args.theta_file))
-    pair_obj = _load_json(args.symbols_file)
+    theta = tio.symbol_from_obj(_load_json(args, "theta_file"))
+    pair_obj = _load_json(args, "symbols_file")
     if not isinstance(pair_obj, dict) or not {"F1", "F2"} <= set(pair_obj):
         raise tio.FormatError('symbols file must contain keys "F1" and "F2"')
     f1 = tio.matrix_from_obj(pair_obj["F1"])
@@ -347,9 +352,6 @@ _DISPATCH: dict[str, Callable] = {
     "blh": _cmd_blh,
 }
 
-_CONFIG_KEYS = ("degree", "seed", "count", "dim", "tol", "triple_file", "theta_file", "symbols_file")
-
-
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     try:
@@ -368,9 +370,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         "version": __version__,
         "command": args.command,
         "config": {
-            k: getattr(args, k)
-            for k in _CONFIG_KEYS
-            if hasattr(args, k) and getattr(args, k) is not None
+            k: v for k, v in vars(args).items() if k not in ("command", "format", "out") and v is not None
         },
         "aggregate": _aggregate(reports),
         "reports": [{"label": label, **rep.to_dict()} for label, rep in reports],

@@ -4,8 +4,8 @@ The truncated space holds E-valued polynomials of degree <= N, stored
 degree-major: the coefficient of z^n occupies coordinates
 [n*d, (n+1)*d) where d = dim E.  Analytic (lower-triangular) block-Toeplitz
 matrices represent multiplication operators compressed to that grid;
-``pencil_apply`` multiplies by the matrix of a degree-one pencil block by
-block, without forming it.
+``model_pencils`` gives the pencil triple of a coefficient pair, and ``pencil_apply``
+multiplies by the matrix of a degree-one pencil block by block, without forming it.
 
 A useful exact fact drives the tests in this module: for analytic symbols,
 compression to the grid commutes with multiplication, because analytic
@@ -25,7 +25,7 @@ from .matcore import ShapeError, ensure_matrix
 __all__ = [
     "AnalyticSymbol",
     "toeplitz",
-    "pencil",
+    "model_pencils",
     "pencil_apply",
 ]
 
@@ -58,11 +58,6 @@ class AnalyticSymbol:
         return self.coeffs[0].shape[1]
 
 
-def pencil(c0, c1) -> AnalyticSymbol:
-    """Degree-one symbol c0 + c1 z."""
-    return AnalyticSymbol((ensure_matrix(c0, name="c0"), ensure_matrix(c1, name="c1")))
-
-
 def toeplitz(sym: AnalyticSymbol, n: int) -> np.ndarray:
     """Compression of multiplication by ``sym`` to degrees 0..n.
 
@@ -80,8 +75,19 @@ def toeplitz(sym: AnalyticSymbol, n: int) -> np.ndarray:
     return windows[:, ::-max(d_in, 1)].transpose(1, 0, 2).copy().reshape((n + 1) * d_out, (n + 1) * d_in)
 
 
+def model_pencils(f1, f2) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """Coefficients (c0, c1) of F1* + F2 z, F2* + F1 z and z I (in F1's dtype), for ``pencil_apply`` or
+    ``toeplitz(AnalyticSymbol((c0, c1)), n)``; F1, F2 square of one shape, ShapeError otherwise."""
+    f1 = ensure_matrix(f1, square=True, name="F1")
+    f2 = ensure_matrix(f2, square=True, name="F2")
+    if f1.shape != f2.shape:
+        raise ShapeError(f"F1, F2 shapes differ: {f1.shape}, {f2.shape}")
+    eye = np.eye(f1.shape[0], dtype=f1.dtype)
+    return (f1.conj().T, f2), (f2.conj().T, f1), (np.zeros_like(eye), eye)
+
+
 def pencil_apply(c0: np.ndarray, c1: np.ndarray, q: np.ndarray, adjoint: bool = False) -> np.ndarray:
-    """X q, or X* q with ``adjoint``, for X = toeplitz(pencil(c0, c1), n), the
+    """X q, or X* q with ``adjoint``, for X = toeplitz(AnalyticSymbol((c0, c1)), n), the
     rows of q in n + 1 degree-major blocks; block by block, X is never formed:
     (X q)_m = c0 q_m + c1 q_{m-1} and (X* q)_m = c0* q_m + c1* q_{m+1}, in the
     dtype the three operands promote to."""

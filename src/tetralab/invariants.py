@@ -18,9 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .charfn import ModelData, _disc_samples, build_model, model_pencils, theta_eval
+from .charfn import ModelData, build_model, disc_samples, theta_eval
 from .fundamental import FundamentalPair, solve_fundamental
-from .hardy import pencil_apply
+from .hardy import model_pencils, pencil_apply
 from .matcore import (
     DEFAULT_POLICY,
     ShapeError,
@@ -95,7 +95,7 @@ def verify_coincidence(
     """
     if model.N != model_prime.N:
         raise ShapeError("models must be built at the same truncation degree")
-    samples, denom = _disc_samples(samples)
+    samples, denom = disc_samples(samples)
     rep = CheckReport(title="characteristic function coincidence")
     rep.check("witness_unitary", wit.unitarity_residual(), pol.scaled_eq(1.0))
     if wit.u.shape[1] == 0 and wit.u_star.shape[1] == 0:

@@ -14,7 +14,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .hardy import pencil, toeplitz
+from .hardy import AnalyticSymbol, model_pencils, toeplitz
 from .matcore import (
     DEFAULT_POLICY,
     RANK_TOL,
@@ -194,18 +194,12 @@ def from_symbols(f1, f2, n: int, pol: TolerancePolicy = DEFAULT_POLICY) -> Tetra
 
         A = M_{F1* + F2 z},  B = M_{F2* + F1 z},  P = M_z
 
-    on the degree <= n Hardy grid with fiber C^d.  Validation failures
-    propagate: commutation requires [F1, F2] = 0 together with the balance
-    [F1, F1*] = [F2, F2*] (those are exactly the coefficients multiplying
-    z^2 and z in [A, B]), and the norm check requires the pencil multiplier
-    sup_{|z|=1} ||F2* + F1 z|| <= 1; numerical radii <= 1 alone do not
-    suffice.
+    on the degree <= n Hardy grid with fiber C^d, the Toeplitz matrices of
+    the pencil triple of ``model_pencils``, which validates (F1, F2).
+    Validation failures propagate: commutation requires [F1, F2] = 0
+    together with the balance [F1, F1*] = [F2, F2*] (those are exactly the
+    coefficients multiplying z^2 and z in [A, B]), and the norm check
+    requires the pencil multiplier sup_{|z|=1} ||F2* + F1 z|| <= 1;
+    numerical radii <= 1 alone do not suffice.
     """
-    f1 = ensure_matrix(f1, square=True, name="F1")
-    f2 = ensure_matrix(f2, square=True, name="F2")
-    if f1.shape != f2.shape:
-        raise ShapeError(f"F1, F2 shapes differ: {f1.shape}, {f2.shape}")
-    a = toeplitz(pencil(f1.conj().T, f2), n)
-    b = toeplitz(pencil(f2.conj().T, f1), n)
-    p = toeplitz(pencil(np.zeros_like(f1), np.eye(f1.shape[0])), n)
-    return validate(a, b, p, pol)
+    return validate(*(toeplitz(AnalyticSymbol(c), n) for c in model_pencils(f1, f2)), pol)

@@ -23,7 +23,7 @@ import pytest
 from tetralab import charfn, generate
 from tetralab.charfn import ResolventSingularError, theta_eval
 from tetralab.fundamental import FundamentalPair, solve_fundamental
-from tetralab.hardy import AnalyticSymbol, pencil, toeplitz
+from tetralab.hardy import AnalyticSymbol, toeplitz
 from tetralab.matcore import (
     CLAMP_TOL,
     DEFAULT_POLICY,
@@ -209,7 +209,7 @@ def dense_model_operators(pair, n: int) -> list[np.ndarray]:
     g1, g2 = pair.F1, pair.F2
     eye = np.eye(g1.shape[0])
     coeffs = ((g1.conj().T, g2), (g2.conj().T, g1), (0.0 * eye, eye))
-    return [toeplitz(pencil(c0, c1), n) for c0, c1 in coeffs]
+    return [toeplitz(AnalyticSymbol((c0, c1)), n) for c0, c1 in coeffs]
 
 
 def spectral_kernel_gap(w, t) -> float:

@@ -20,10 +20,10 @@ from tetralab.blh import (
     extraction_roundtrip,
     verify_isometry_propagation,
 )
-from tetralab.charfn import model_pencils, power_tail, theta_taylor
+from tetralab.charfn import power_tail, theta_taylor
 from tetralab.fundamental import solve_fundamental
 from tetralab.generate import make_instance
-from tetralab.hardy import AnalyticSymbol, pencil, pencil_apply, toeplitz
+from tetralab.hardy import AnalyticSymbol, model_pencils, pencil_apply, toeplitz
 from tetralab.matcore import ShapeError, TolerancePolicy, op_norm, range_basis
 
 from conftest import fundamental_pairs, p_triple, projector, random_contraction
@@ -46,9 +46,9 @@ def test_check_invariance_for_fundamental_pencils():
     eye = np.eye((n + 1) * d)
     tol = 1e-10 * (1.0 + max(op_norm(f1), op_norm(f2)))
     for x in (
-        toeplitz(pencil(f1.conj().T, f2), n),
-        toeplitz(pencil(f2.conj().T, f1), n),
-        toeplitz(pencil(np.zeros((d, d)), np.eye(d)), n),
+        toeplitz(AnalyticSymbol((f1.conj().T, f2)), n),
+        toeplitz(AnalyticSymbol((f2.conj().T, f1)), n),
+        toeplitz(AnalyticSymbol((np.zeros((d, d)), np.eye(d))), n),
     ):
         # the columns of degrees < n
         assert op_norm(((eye - q) @ x @ q)[:, : n * d]) <= tol

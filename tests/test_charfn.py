@@ -25,7 +25,6 @@ from tetralab.charfn import (
     NotPureError,
     ResolventSingularError,
     build_model,
-    model_pencils,
     power_tail,
     pure_isometry_model,
     theta_eval,
@@ -36,6 +35,7 @@ from tetralab.charfn import (
     _power_norms,
 )
 from tetralab.fundamental import solve_fundamental
+from tetralab.hardy import model_pencils
 from tetralab.bidisc import build as build_grid
 from tetralab.cli import run_instance_battery
 from tetralab.generate import make_instance, random_unitary
@@ -449,7 +449,7 @@ def test_functional_model_reproduces_triple(family, dim):
 def test_model_operators_are_pencil_toeplitz(rng):
     # the model operators are the Toeplitz matrices of G1* + G2 z, G2* + G1 z
     # and z I; model_pencils gives their coefficients to pencil_apply
-    from tetralab.hardy import pencil, pencil_apply, toeplitz
+    from tetralab.hardy import AnalyticSymbol, pencil_apply, toeplitz
 
     g1 = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
     g2 = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
@@ -457,24 +457,28 @@ def test_model_operators_are_pencil_toeplitz(rng):
     q = np.eye(10, dtype=complex)
     for (c0, c1), (e0, e1) in zip(model_pencils(g1, g2), expect, strict=True):
         assert np.array_equal(c0, e0) and np.array_equal(c1, e1)
-        assert np.array_equal(pencil_apply(c0, c1, q), toeplitz(pencil(e0, e1), 4))
+        assert np.array_equal(pencil_apply(c0, c1, q), toeplitz(AnalyticSymbol((e0, e1)), 4))
 
 
 def test_model_batteries_apply_pencils_without_forming_them(monkeypatch):
     # every product with a model pencil goes through pencil_apply, block by
-    # block: none of these batteries builds a pencil symbol, and so none
-    # forms its grid-sized Toeplitz matrix
-    from tetralab import bidisc, generate
+    # block: none of these batteries forms the grid-sized Toeplitz matrix of
+    # a pencil, a degree-one symbol; Theta has degree n + 1 = 4 here
+    from tetralab import bidisc, generate, hardy
     from tetralab.blh import extract_symbols
     from tetralab.invariants import unitary_invariant_suite
     from tetralab.triples import validate
 
-    def refuse(*args, **kwargs):
-        raise AssertionError("hardy.pencil called")
+    real = hardy.toeplitz
+
+    def refuse_pencils(sym, n):
+        if sym.degree == 1:
+            raise AssertionError("toeplitz of a pencil formed")
+        return real(sym, n)
 
     for name, module in list(sys.modules.items()):
-        if name.split(".")[0] == "tetralab" and hasattr(module, "pencil"):
-            monkeypatch.setattr(module, "pencil", refuse)
+        if name.split(".")[0] == "tetralab" and getattr(module, "toeplitz", None) is real:
+            monkeypatch.setattr(module, "toeplitz", refuse_pencils)
     n = 3
     grid = build_grid(n)
     pair_f, pair_g = solve_fundamental(grid), solve_fundamental(grid.adjoint())

@@ -143,8 +143,8 @@ def test_random_suite_bundle_keeps_its_digest(tmp_path, shape, digest):
 @pytest.mark.parametrize(
     "degree, digest",
     [
-        (("--degree", "3"), "f6a08d9d941bfcb46672f98b7820915b3926c560cbaa47fada5f56e8150907a6"),
-        ((), "19ac60ee97aac95077b3ed5b59e9a5798a320dc94aa08419be65c1f18c60c89c"),
+        (("--degree", "3"), "79c55ace321cb9518000b748896651a8737b10ee1c00880bdf3801e82518d25a"),
+        ((), "e54d5ebb095db5ea70d9097ff07f07c0c638379c85e12267e3c690e68f425cc0"),
     ],
     ids=["3", "default"],
 )
@@ -152,16 +152,35 @@ def test_model_check_bundle_keeps_its_digest(tmp_path, degree, digest):
     # (0, 0, diag(0.9, 0.5)): at degree 3 the columns of W are not
     # orthonormal (the tail is 1.51), so the basis of H_P comes from the thin
     # SVD of W, which no other pinned bundle covers; at the default degree
-    # (270) it is W itself.  The bundle records the triple file as given, so
-    # the child runs in tmp_path on a relative name; the default-degree bytes
-    # depend on the BLAS thread count, so it is pinned to one thread
-    zero = io.matrix_to_obj(np.zeros((2, 2)))
-    (tmp_path / "diag.json").write_text(io.dumps({"A": zero, "B": zero, "P": io.matrix_to_obj(np.diag([0.9, 0.5]))}))
+    # (270) it is W itself.  The bundle records the triple file by the
+    # SHA-256 of its bytes; the default-degree bytes depend on the BLAS thread
+    # count, so it is pinned to one thread
+    write_diag_triple(tmp_path / "diag.json")
     argv = ("model-check", "diag.json", *degree, "--format", "json", "--out", "out.json")
     assert run_one_thread(*argv, cwd=tmp_path) == 0
     bundle = load_bundle(tmp_path / "out.json")
     assert (bundle["aggregate"]["checks"], bundle["aggregate"]["checks_skipped"]) == (39, 0)
     assert bundle_digest(tmp_path / "out.json") == digest
+
+
+def write_diag_triple(path) -> None:
+    """The triple (0, 0, diag(0.9, 0.5)) as a JSON file at ``path``."""
+    zero = io.matrix_to_obj(np.zeros((2, 2)))
+    path.write_text(io.dumps({"A": zero, "B": zero, "P": io.matrix_to_obj(np.diag([0.9, 0.5]))}))
+
+
+def test_model_check_bundle_names_its_input_by_content(tmp_path, monkeypatch):
+    # one triple file gives one bundle by a relative and by an absolute path:
+    # config holds the SHA-256 of the bytes read, not the path as spelled
+    write_diag_triple(tmp_path / "diag.json")
+    monkeypatch.chdir(tmp_path)
+    digests = set()
+    for name in ("diag.json", str(tmp_path / "diag.json")):
+        assert main(["model-check", name, "--degree", "3", "--format", "json", "--out", "out.json"]) == 0
+        config = load_bundle("out.json")["config"]
+        assert config == {"degree": 3, "triple_file": hashlib.sha256((tmp_path / "diag.json").read_bytes()).hexdigest()}
+        digests.add(bundle_digest("out.json"))
+    assert len(digests) == 1
 
 
 def test_random_suite_passes(capsys):

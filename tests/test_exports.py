@@ -4,7 +4,8 @@ A name in the ``__all__`` of any package module counts as used when the package 
 definition, or when the acceptance gate calls it.  A public method or
 property of a class listed there counts as used only when one of them reads
 it as an attribute (``x.name``): a bare name that happens to match, such as a
-local function, does not count.
+local function, does not count.  No package module imports another's
+underscore names.
 """
 
 from __future__ import annotations
@@ -80,3 +81,18 @@ def test_every_export_has_a_caller():
         if n.rpartition(".")[2] not in (attrs if "." in n else names | attrs) | TEST_ORACLES
     )
     assert unused == [], f"exported but only called by unit tests: {unused}"
+
+
+def test_no_module_imports_a_private_name():
+    # a name with a leading underscore belongs to its module: no other
+    # package module imports it (dunders such as __version__ are public)
+    private = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").startswith("tetralab")):
+                private += [
+                    f"{path.stem}: {alias.name}"
+                    for alias in node.names
+                    if alias.name.startswith("_") and not alias.name.endswith("__")
+                ]
+    assert private == [], f"private names imported across modules: {private}"

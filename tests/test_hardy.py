@@ -10,10 +10,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from tetralab.charfn import model_pencils
 from tetralab.hardy import (
     AnalyticSymbol,
-    pencil,
+    model_pencils,
     pencil_apply,
     toeplitz,
 )
@@ -50,7 +49,7 @@ def test_grid_layout(rng):
 
 def z_times(d: int, n: int) -> np.ndarray:
     """M_z on degrees 0..n with fiber C^d: the Toeplitz matrix of the pencil 0 + I z."""
-    return toeplitz(pencil(np.zeros((d, d)), np.eye(d)), n)
+    return toeplitz(AnalyticSymbol((np.zeros((d, d)), np.eye(d))), n)
 
 
 def test_shift_moves_degrees_up():
@@ -77,7 +76,7 @@ def test_pencil_apply_matches_toeplitz(rng, d_out, d_in, cols):
     c0 = rng.standard_normal((d_out, d_in)) + 1j * rng.standard_normal((d_out, d_in))
     c1 = rng.standard_normal((d_out, d_in)) + 1j * rng.standard_normal((d_out, d_in))
     n = 4
-    t = toeplitz(pencil(c0, c1), n)
+    t = toeplitz(AnalyticSymbol((c0, c1)), n)
     q = rng.standard_normal((t.shape[1], cols)) + 1j * rng.standard_normal((t.shape[1], cols))
     q_adj = rng.standard_normal((t.shape[0], cols)) + 1j * rng.standard_normal((t.shape[0], cols))
     scale = op_norm(c0) + op_norm(c1)
@@ -86,7 +85,7 @@ def test_pencil_apply_matches_toeplitz(rng, d_out, d_in, cols):
     assert op_norm(adj - t.conj().T @ q_adj) <= 1e-14 * scale * op_norm(q_adj)
     # integer data: both sides are exact
     k0, k1 = (rng.integers(-3, 4, size=(d_out, d_in)).astype(complex) for _ in range(2))
-    tk = toeplitz(pencil(k0, k1), n)
+    tk = toeplitz(AnalyticSymbol((k0, k1)), n)
     qk = rng.integers(-3, 4, size=(tk.shape[1], cols)).astype(complex)
     assert np.array_equal(pencil_apply(k0, k1, qk), tk @ qk)
     qk = rng.integers(-3, 4, size=(tk.shape[0], cols)).astype(complex)
@@ -120,7 +119,7 @@ def test_toeplitz_and_model_pencils_follow_the_dtype_rule(rng):
     # a real c0 and q with a complex c1 promote to complex, as numpy does
     # (integer data, so both sides are exact)
     c0, c1 = rng.integers(-3, 4, size=(2, 2)).astype(float), 1j * rng.integers(-3, 4, size=(2, 2))
-    t = toeplitz(pencil(c0, c1), 2)
+    t = toeplitz(AnalyticSymbol((c0, c1)), 2)
     q = rng.integers(-3, 4, size=(6, 3)).astype(float)
     assert np.array_equal(pencil_apply(c0, c1, q), t @ q)
     assert np.array_equal(pencil_apply(c0, c1, q, adjoint=True), t.conj().T @ q)
@@ -135,7 +134,7 @@ def test_toeplitz_of_constant_is_block_diagonal(rng):
 def test_pencil_structure(rng):
     c0 = rng.standard_normal((2, 2))
     c1 = rng.standard_normal((2, 2))
-    sym = pencil(c0, c1)
+    sym = AnalyticSymbol((c0, c1))
     assert sym.degree == 1
     n = 3
     expect = np.kron(np.eye(n + 1), c0) + z_times(2, n) @ np.kron(np.eye(n + 1), c1)

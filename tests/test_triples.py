@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from tetralab import triples
+from tetralab.hardy import AnalyticSymbol, model_pencils, pencil_apply, toeplitz
 from tetralab.matcore import DEFAULT_POLICY, NotContractiveError, ShapeError, op_norm, op_norms
 from tetralab.triples import (
     NonCommutingError,
@@ -169,9 +170,7 @@ def test_necessary_report_is_explicit_about_its_scope():
     rep = necessary_report(t)
     assert rep.overall
     assert "necessary" in rep.header
-    from tetralab.hardy import pencil
-
-    sym = pencil(t.A.conj().T, t.B)
+    sym = AnalyticSymbol((t.A.conj().T, t.B))
     assert op_norm(symbol_at(sym, 1.0)) > 1.0 + 1e-9
 
 
@@ -228,13 +227,28 @@ def test_from_symbols_produces_valid_commuting_triple(rng):
 
 def test_from_symbols_pencil_operators(rng):
     # A must be the Toeplitz operator of F1* + F2 z, B of F2* + F1 z
-    from tetralab.hardy import pencil, toeplitz
-
     d1 = np.diag([0.4, -0.2])
     d2 = np.diag([0.1, 0.3])
     t = from_symbols(d1, d2, 3)
-    assert np.array_equal(t.A, toeplitz(pencil(d1.conj().T, d2), 3))
-    assert np.array_equal(t.B, toeplitz(pencil(d2.conj().T, d1), 3))
+    assert np.array_equal(t.A, toeplitz(AnalyticSymbol((d1.conj().T, d2)), 3))
+    assert np.array_equal(t.B, toeplitz(AnalyticSymbol((d2.conj().T, d1)), 3))
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+def test_from_symbols_is_the_toeplitz_of_model_pencils(dtype):
+    # A, B and P are the Toeplitz matrices of the three pencils of
+    # model_pencils, and pencil_apply on the identity forms the same bytes;
+    # a real pair gives a real triple and a complex one a complex triple
+    d1, d2 = np.diag([0.4, -0.2]), np.diag([0.1, 0.3])
+    if dtype is np.complex128:
+        d1, d2 = d1 * np.exp(0.3j), d2 * np.exp(-1.1j)
+    n = 3
+    t = from_symbols(d1, d2, n)
+    eye = np.eye(2 * (n + 1), dtype=dtype)
+    for x, (c0, c1) in zip((t.A, t.B, t.P), model_pencils(d1, d2), strict=True):
+        assert x.dtype == dtype
+        assert np.array_equal(x, toeplitz(AnalyticSymbol((c0, c1)), n))
+        assert np.array_equal(x, pencil_apply(c0, c1, eye))
 
 
 def test_from_symbols_rejects_unbounded_pencil():
