@@ -98,32 +98,26 @@ def build(n: int, pol: TolerancePolicy = DEFAULT_POLICY) -> TetrablockTriple:
     return validate(*shifts(n), pol)
 
 
-def _border_shift(n: int, far: bool, di: int, dj: int) -> np.ndarray:
-    """In the coordinates of ``border_points(n, far)``: e_(i,j) -> e_(i+di, j+dj)
-    for each border point whose image is also a border point, 0 on the others."""
-    idx = {pt: k for k, pt in enumerate(border_points(n, far))}
-    s = np.zeros((2 * n + 1, 2 * n + 1))
-    for (i, j), k in idx.items():
-        if (i + di, j + dj) in idx:
-            s[idx[(i + di, j + dj)], k] = 1.0
-    return s
-
-
 def fundamental_ops(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Solutions (G1, G2) of the adjoint-triple equations, on the near border.
+    """Solutions (G1, G2) of the adjoint-triple equations, on the near border:
+    the compressions E* A* E and E* B* E, E = ``border_embedding(n)``.
 
-    In near-border coordinates G1 back-shifts the horizontal edge,
-    e_(k,0) -> e_(k-1,0) for k >= 1, and G2 back-shifts the vertical edge;
-    then A* - B P* = D_P* G1 D_P* and B* - A P* = D_P* G2 D_P* hold with
-    zero residual.
+    G1 back-shifts the horizontal edge, e_(k,0) -> e_(k-1,0) for k >= 1, and
+    G2 the vertical edge; then A* - B P* = D_P* G1 D_P* and
+    B* - A P* = D_P* G2 D_P* hold with zero residual.  Every entry is 0 or 1,
+    so the products are exact.
     """
-    return _border_shift(n, False, -1, 0), _border_shift(n, False, 0, -1)
+    e = border_embedding(n)
+    return e.T @ _shift_matrix(n, 1, 0).T @ e, e.T @ _shift_matrix(n, 0, 1).T @ e
 
 
 def forward_fundamental_ops(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Solutions (F1, F2) of A - B* P = D_P F1 D_P and B - A* P = D_P F2 D_P,
-    on the far border: F1 shifts the j = n edge forward, F2 the i = n edge."""
-    return _border_shift(n, True, 1, 0), _border_shift(n, True, 0, 1)
+    on the far border: the exact compressions E* A E and E* B E,
+    E = ``border_embedding(n, far=True)``, so F1 shifts the j = n edge
+    forward and F2 the i = n edge."""
+    e = border_embedding(n, far=True)
+    return e.T @ _shift_matrix(n, 1, 0) @ e, e.T @ _shift_matrix(n, 0, 1) @ e
 
 
 def model_embedding(n: int) -> np.ndarray:

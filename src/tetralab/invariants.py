@@ -15,6 +15,7 @@ pure triples.  This module checks both directions at truncation.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -29,7 +30,6 @@ from .matcore import (
     ensure_matrix,
     op_norm,
     op_norms,
-    range_basis,
     subspace_gap,
 )
 from .report import CheckReport
@@ -55,7 +55,8 @@ class NotIntertwiningError(TetralabError):
 
 @dataclass(frozen=True)
 class CoincidenceWitness:
-    """Pair of defect-space maps (u on D_P, u_star on D_P*), unitary when valid."""
+    """Pair of defect-space maps (u on D_P, u_star on D_P*), unitary when valid;
+    ``unitarity_residual`` is computed on first use and kept."""
 
     u: np.ndarray
     u_star: np.ndarray
@@ -64,6 +65,7 @@ class CoincidenceWitness:
         object.__setattr__(self, "u", ensure_matrix(self.u, name="u"))
         object.__setattr__(self, "u_star", ensure_matrix(self.u_star, name="u_star"))
 
+    @cached_property
     def unitarity_residual(self) -> float:
         res = 0.0
         for m in (self.u, self.u_star):
@@ -97,7 +99,7 @@ def verify_coincidence(
         raise ShapeError("models must be built at the same truncation degree")
     samples, denom = disc_samples(samples)
     rep = CheckReport(title="characteristic function coincidence")
-    rep.check("witness_unitary", wit.unitarity_residual(), pol.scaled_eq(1.0))
+    rep.check("witness_unitary", wit.unitarity_residual, pol.scaled_eq(1.0))
     if wit.u.shape[1] == 0 and wit.u_star.shape[1] == 0:
         rep.vacuous("coincidence", "both defect spaces are zero-dimensional")
         return rep
@@ -147,7 +149,7 @@ def induced_defect_unitary(
     small_u = triple_prime.dp.basis.conj().T @ u @ triple.dp.basis
     small_ustar = triple_prime.dpstar.basis.conj().T @ u @ triple.dpstar.basis
     wit = CoincidenceWitness(u=small_u, u_star=small_ustar)
-    res = wit.unitarity_residual()
+    res = wit.unitarity_residual
     if res > scale:
         raise NotIntertwiningError(
             f"induced defect maps are not unitary (residual {res:.3e}); "
@@ -196,7 +198,7 @@ def _model_transport(
     rep = CheckReport(title="model transport")
     us, h, h_p = wit.u_star, model.h_basis, model_prime.h_basis
     transported = (us @ h.reshape(model.N + 1, us.shape[1], h.shape[1])).reshape(-1, h.shape[1])
-    gap = subspace_gap(range_basis(transported), h_p)
+    gap = subspace_gap(transported, h_p)
     tails = model.tail + model_prime.tail
     rep.check("model_space_transport", gap, 1e-6 + 4.0 * tails)
     v = h_p.conj().T @ transported

@@ -214,52 +214,40 @@ def defect(t, pol: TolerancePolicy = DEFAULT_POLICY) -> Defect:
     return Defect(basis=q, op=d, s=s, factor=q * s)
 
 
-def _gram_defect(q: np.ndarray) -> float:
-    """The orthonormality rule for the columns of Q: ||Q*Q - I|| in the
-    spectral norm, or 0.0 without an SVD when the Frobenius norm, an upper
-    bound, is at most 1e-12.  The columns are orthonormal when this is at
-    most 1e-12.  Only bases decided here or received from a caller are
-    checked; LAPACK factors (``eigh``, the thin SVD) are not."""
-    gram = q.conj().T @ q - np.eye(q.shape[1])
-    return op_norm(gram) if np.linalg.norm(gram) > 1e-12 else 0.0
-
-
 def range_basis(m) -> np.ndarray:
     """Orthonormal basis (rows x rank) of the column space: the left singular
     vectors whose singular value exceeds RANK_TOL * max(sigma_max, 1).  The
     floor 1 is the natural norm of the contractions and isometries ranked
     here; without it a matrix of pure round-off noise would be reported as
     full rank.  An all-zero (or empty) matrix has the zero subspace without
-    an SVD, and M itself (the caller's object, when it is an array already
-    in the dtype of the rule) is the basis, without an SVD, when its columns
-    are orthonormal by ``_gram_defect``: they span the range, and the rule
-    above would keep every one of them.  The basis has the rule's dtype."""
+    an SVD.  This is the one orthonormality rule: M itself (the caller's
+    object, when it is an array already in the dtype of the rule) is the
+    basis, without an SVD, when ||M*M - I|| <= 1e-12 in the spectral norm,
+    which is taken only when the Frobenius norm, an upper bound, exceeds
+    1e-12.  Such columns span the range, and the rule above would keep every
+    one of them.  LAPACK factors (``eigh``, the thin SVD) are not checked.
+    The basis has the rule's dtype."""
     arr = ensure_matrix(m, name="M")
     if not arr.any():
         return np.zeros((arr.shape[0], 0), arr.dtype)
-    if _gram_defect(arr) <= 1e-12:
+    gram = arr.conj().T @ arr - np.eye(arr.shape[1])
+    if np.linalg.norm(gram) <= 1e-12 or op_norm(gram) <= 1e-12:
         return m if isinstance(m, np.ndarray) and m.dtype == arr.dtype else arr
     u, s, _ = np.linalg.svd(arr, full_matrices=False)
     return u[:, : int(np.count_nonzero(s > RANK_TOL * max(float(s[0]), 1.0)))]
 
 
-def subspace_gap(qa, qb) -> float:
-    """Gap ||P_A - P_B|| between two subspaces of the same ambient space,
-    given by orthonormal bases Q_A, Q_B (ambient x rank arrays).
+def subspace_gap(a, b) -> float:
+    """Gap ||P_A - P_B|| between the column spaces of A and B, two matrices
+    on the same ambient space (``ShapeError`` otherwise).
 
-    Equals the sine of the largest principal angle when dims agree, and
-    reaches 1 when dimensions differ.  It is taken on the thin factors:
-    ||P_A - P_B|| = max(||(I - P_A) Q_B||, ||(I - P_B) Q_A||) (Kato,
-    Perturbation Theory for Linear Operators, ch. I sec. 6.8).  Raises
-    ``ShapeError`` for a basis that is not 2-D or whose columns are not
-    orthonormal by ``_gram_defect``, and for different ambient dimensions.
+    Both are based by ``range_basis`` (which refuses input that is not 2-D)
+    as Q_A and Q_B.  The gap equals the sine of the largest principal angle
+    when the ranks agree, and reaches 1 when they differ.  On the thin
+    factors, ||P_A - P_B|| = max(||(I - P_A) Q_B||, ||(I - P_B) Q_A||) (Kato,
+    Perturbation Theory for Linear Operators, ch. I sec. 6.8).
     """
-    for q in (qa, qb):
-        if q.ndim != 2:
-            raise ShapeError(f"basis must be 2-D, got ndim={q.ndim}")
-        gram_defect = _gram_defect(q)
-        if gram_defect > 1e-12:
-            raise ShapeError(f"basis columns not orthonormal (Gram defect {gram_defect:.3e})")
+    qa, qb = range_basis(a), range_basis(b)
     if qa.shape[0] != qb.shape[0]:
         raise ShapeError("subspaces live in different ambient spaces")
     return max(op_norm(qb - qa @ (qa.conj().T @ qb)), op_norm(qa - qb @ (qb.conj().T @ qa)))

@@ -173,11 +173,19 @@ def test_isometry_propagation_battery():
     assert any(n.startswith("target_") for n in names)
 
 
-def test_isometry_propagation_vacuous_when_source_fails():
-    # a pencil with sup norm above one cannot form its source battery
+def test_isometry_propagation_skipped_when_source_fails():
+    # a pencil with sup norm above one cannot form its source battery: the
+    # implication is untested, which is a skip with its reason, not a pass
     rep = verify_isometry_propagation(
         0.9 * np.eye(2), 0.9 * np.eye(2), 0.1 * np.eye(2), 0.1 * np.eye(2), n=4
     )
     assert len(rep.entries) == 1
-    assert rep.entries[0].name == "propagation"
-    assert rep.entries[0].passed
+    entry = rep.entries[0]
+    assert entry.name == "propagation"
+    assert entry.skipped and not entry.passed
+    assert entry.residual is None and entry.tolerance is None
+    assert re.fullmatch(
+        r"source pencil triple fails its own battery at this truncation "
+        r"\(\|\|A\|\| = 1\.727\d* exceeds 1 \+ eq_tol\)",
+        entry.note,
+    )

@@ -390,22 +390,23 @@ def test_build_model_decomposes_only_thin_operands(monkeypatch, small_suite):
 
 
 def test_orthonormality_is_checked_where_a_basis_is_decided_or_received(monkeypatch):
-    # the eigh eigenvectors of defect and the thin-SVD columns of range_basis
-    # are LAPACK factors and are not re-checked: validate and defect check
-    # nothing, build_model checks W once, in range_basis, whether its basis
-    # comes from the thin SVD (degree 3, tail 1.51) or is W (default degree),
-    # and subspace_gap checks each basis it receives
-    calls = count_calls(monkeypatch, tetralab.matcore._gram_defect)
+    # orthonormality is decided only by range_basis: the eigh eigenvectors of
+    # defect and the thin-SVD columns of range_basis are LAPACK factors and
+    # are not re-checked, so validate and defect decide nothing, build_model
+    # decides W once, whether its basis comes from the thin SVD (degree 3,
+    # tail 1.51) or is W (default degree), and subspace_gap bases each
+    # matrix it receives with range_basis
+    calls = count_calls(monkeypatch, tetralab.matcore.range_basis)
     p = np.diag([0.9, 0.5])
     triple = validate(np.zeros((2, 2)), np.zeros((2, 2)), p)
     defect(p)
-    assert calls["_gram_defect"] == 0
+    assert calls["range_basis"] == 0
     thin = build_model(triple, 3)
-    assert calls["_gram_defect"] == 1 and thin.h_basis is not thin.W
+    assert calls["range_basis"] == 1 and thin.h_basis is not thin.W
     model = build_model(triple)
-    assert calls["_gram_defect"] == 2 and model.h_basis is model.W
+    assert calls["range_basis"] == 2 and model.h_basis is model.W
     subspace_gap(thin.h_basis, thin.h_basis)
-    assert calls["_gram_defect"] == 4
+    assert calls["range_basis"] == 4
 
 
 @pytest.mark.parametrize(

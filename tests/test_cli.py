@@ -38,7 +38,7 @@ from tetralab.fundamental import solve_fundamental
 from tetralab.generate import companion_unitary, make_instance
 from tetralab.hardy import AnalyticSymbol, toeplitz
 from tetralab.invariants import INVARIANT_SAMPLES, induced_defect_unitary, verify_coincidence
-from tetralab.matcore import MAX_GRID_DIM, TetralabError, defect, numerical_radius
+from tetralab.matcore import MAX_GRID_DIM, TetralabError, defect, numerical_radius, range_basis
 from tetralab.report import CheckReport
 from tetralab.triples import is_pure, validate
 
@@ -582,10 +582,20 @@ def test_battery_builds_each_object_once(monkeypatch):
     # propagation.  Purity is checked once by each model.  The instances are
     # those of ``small_suite``, generated afresh: a triple keeps the purity
     # certificate once read, so a shared one would count fewer is_pure calls
-    # after other tests
+    # after other tests.  Orthonormality is decided only by range_basis: for
+    # W of P and of P' in build_model, and for the transported H_P and H_P'
+    # in the subspace_gap of the converse check
     instances = generate.suite(seed=7, count=6, dim=3, degree=3)
     calls = count_calls(
-        monkeypatch, solve_fundamental, build_model, defect, is_pure, numerical_radius, _theta_zero, theta_taylor
+        monkeypatch,
+        solve_fundamental,
+        build_model,
+        defect,
+        is_pure,
+        numerical_radius,
+        _theta_zero,
+        theta_taylor,
+        range_basis,
     )
     decompositions, _, work, _ = watch_decompositions(monkeypatch)
     op_norm_svds, works = [], []
@@ -605,17 +615,20 @@ def test_battery_builds_each_object_once(monkeypatch):
         # compares the two models' coefficients
         assert calls["_theta_zero"] == 2, inst.label
         assert calls["theta_taylor"] == 0, inst.label
+        assert calls["range_basis"] == 4, inst.label
         op_norm_svds.append(decompositions["svd", "op_norms"])
         works.append(sum(work.values()))
     # op_norm decomposes no zero matrix, the norms of A, B, P, of their
     # commutators and of F1, F2 are read from the triples and pairs, one
     # stacked SVD norms each family of same-shape residuals, and one the
-    # powers of P up to the first whose Frobenius norm is below the cutoff
-    assert op_norm_svds == [36, 42, 44, 36, 42, 44]
+    # powers of P up to the first whose Frobenius norm is below the cutoff;
+    # the coincidence witness keeps its unitarity residual for its second reader
+    assert op_norm_svds == [34, 40, 42, 34, 40, 42]
     # no model-space check decomposes a grid-sized matrix of rank <= dim H;
     # the scalars instances, at N = 48 and 28, compare coefficients 0..N+1
-    # in the one stacked SVD of the coincidence residuals
-    assert works == [89316, 25537, 21438, 89289, 48602, 16416]
+    # in the one stacked SVD of the coincidence residuals; the kept unitarity
+    # residual saves 2 r^3 per instance, r the rank of both defect maps
+    assert works == [89262, 25409, 21384, 89235, 48352, 16362]
 
 
 def test_verify_bidisc_builds_each_object_once(monkeypatch, capsys):

@@ -63,7 +63,7 @@ def test_induced_witness_is_unitary_on_defects():
     u = companion_unitary(inst, inst.triple.P.shape[0])
     prime = conjugated_copy(inst, u)
     wit = induced_defect_unitary(u, inst.triple, prime)
-    assert wit.unitarity_residual() < 1e-10
+    assert wit.unitarity_residual < 1e-10
     models = model_pair(inst.triple, prime)
     rep = verify_coincidence(inst.triple, prime, wit, SAMPLES, **models)
     assert rep.overall, [(e.name, e.residual) for e in rep.failures]
@@ -110,7 +110,7 @@ def test_corrupted_witness_fails_coincidence():
         # corrupt the defect-side map but keep it unitary: permute its rows
         perm = np.roll(np.eye(wit.u.shape[0]), 1, axis=0)
         bad = CoincidenceWitness(u=perm @ wit.u, u_star=wit.u_star)
-        assert bad.unitarity_residual() < 1e-10
+        assert bad.unitarity_residual < 1e-10
         rep = verify_coincidence(inst.triple, prime, bad, SAMPLES, **model_pair(inst.triple, prime))
         assert not rep.overall
         [taylor] = [e for e in rep.entries if e.name == "coincidence_taylor"]
@@ -123,7 +123,7 @@ def test_nonunitary_witness_reported():
     prime = conjugated_copy(inst, u)
     wit = induced_defect_unitary(u, inst.triple, prime)
     shrunk = CoincidenceWitness(u=0.5 * wit.u, u_star=wit.u_star)
-    assert shrunk.unitarity_residual() > 0.1
+    assert shrunk.unitarity_residual > 0.1
     rep = verify_coincidence(inst.triple, prime, shrunk, SAMPLES, **model_pair(inst.triple, prime))
     assert not rep.overall
 
@@ -144,7 +144,7 @@ def test_fundamental_equivalence_and_shape_guard():
 
 def test_witness_residual_infinite_for_nonsquare():
     wit = CoincidenceWitness(u=np.zeros((2, 3)), u_star=np.eye(2))
-    assert wit.unitarity_residual() == np.inf
+    assert wit.unitarity_residual == np.inf
 
 
 def test_model_intertwine_equals_the_dense_formula(small_suite, rng):

@@ -402,9 +402,9 @@ def test_subspace_gap_oracles(rng):
 
 def test_basis_prescreen_keeps_the_spectral_decision(monkeypatch):
     # the Frobenius norm of the Gram defect bounds its spectral norm: only
-    # above 1e-12 does the SVD run and decide.  Four columns 0.9e-12 too
+    # above 1e-12 does the spectral norm decide.  Four columns 0.9e-12 too
     # long have Frobenius defect 1.8e-12 and spectral defect 0.9e-12: range_basis
-    # keeps them as the basis, and subspace_gap accepts them
+    # keeps them as the basis after one op_norm, and no SVD
     calls = count_calls(monkeypatch, op_norm)
     b = np.eye(6, 4, dtype=complex) * np.sqrt(1 + 0.9e-12)
     gram_defect = b.conj().T @ b - np.eye(4)
@@ -412,14 +412,15 @@ def test_basis_prescreen_keeps_the_spectral_decision(monkeypatch):
     assert range_basis(b) is b
     assert calls["op_norm"] == 1
     assert subspace_gap(b, b) < 1e-11
-    # a spectral defect of 1.1e-12 is refused, with the message it always had,
-    # and range_basis takes the thin SVD in place of the columns
+    # at a spectral defect of 1.1e-12 range_basis takes the thin SVD in place
+    # of the columns, and subspace_gap measures the column spaces it spans:
+    # the same space as e_0, so the gap is that of the SVD basis, 0
     b = np.eye(6, 1, dtype=complex) * np.sqrt(1 + 1.1e-12)
+    q = range_basis(b)
+    assert q is not b and np.abs(np.abs(q) - np.eye(6, 1)).max() < 1e-15
     for pair in ((b, np.eye(6, 1)), (np.eye(6, 1), b)):
-        with pytest.raises(ShapeError, match=r"^basis columns not orthonormal \(Gram defect 1\.100e-12\)$"):
-            subspace_gap(*pair)
-    assert range_basis(b) is not b
-    # an orthonormal basis passes the screen without an SVD
+        assert subspace_gap(*pair) == 0.0
+    # an orthonormal basis passes the screen without a spectral norm
     calls["op_norm"] = 0
     eye = np.eye(6, 4, dtype=complex)
     assert range_basis(eye) is eye
@@ -430,9 +431,10 @@ def test_basis_prescreen_keeps_the_spectral_decision(monkeypatch):
 def test_basis_must_be_two_dimensional(shape):
     # the ambient dimension and the rank are read off the shape, so its
     # dimension count is the one shape rule; range_basis refuses such an M
-    # as every matrix input is refused
+    # as every matrix input is refused, and subspace_gap bases both of its
+    # operands with it
     for pair in ((np.ones(shape, dtype=complex), np.eye(4, 1)), (np.eye(4, 1), np.ones(shape, dtype=complex))):
-        with pytest.raises(ShapeError, match=r"^basis must be 2-D"):
+        with pytest.raises(ShapeError, match=r"^M must be 2-D"):
             subspace_gap(*pair)
     with pytest.raises(ShapeError, match=r"^M must be 2-D"):
         range_basis(np.ones(shape, dtype=complex))
@@ -440,21 +442,23 @@ def test_basis_must_be_two_dimensional(shape):
 
 def test_basis_acceptance_is_the_spectral_rule(rng):
     # perturbed orthonormal bases around the threshold: range_basis keeps M as
-    # the basis, and subspace_gap accepts it, exactly when the spectral norm
-    # of the Gram defect is within 1e-12
+    # the basis exactly when the spectral norm of the Gram defect is within
+    # 1e-12, and subspace_gap gives the gap of the basis range_basis decides,
+    # whether that is M or its thin SVD
     outcomes = set()
     for size in np.geomspace(1e-13, 1e-11, 40):
         q, _ = np.linalg.qr(rng.standard_normal((8, 4)) + 1j * rng.standard_normal((8, 4)))
         b = q + size * (rng.standard_normal((8, 4)) + 1j * rng.standard_normal((8, 4))) / 4
-        spectral_ok = np.linalg.norm(b.conj().T @ b - np.eye(4), 2) <= 1e-12
-        try:
-            subspace_gap(b, q)
-            accepted = True
-        except ShapeError:
-            accepted = False
-        assert accepted == spectral_ok == (range_basis(b) is b), size
-        outcomes.add(accepted)
+        kept = range_basis(b) is b
+        assert kept == (np.linalg.norm(b.conj().T @ b - np.eye(4), 2) <= 1e-12), size
+        assert subspace_gap(b, q) == subspace_gap(range_basis(b), q), size
+        outcomes.add(kept)
     assert outcomes == {True, False}
+    # far from orthonormal: the columns of q times an invertible factor span
+    # range(q), so the gap is that of q to itself
+    b = q @ (np.eye(4) + np.triu(np.ones((4, 4)), 1))
+    assert range_basis(b) is not b
+    assert subspace_gap(b, q) < 1e-14 and subspace_gap(q, b) < 1e-14
 
 
 def test_projector_idempotent(rng):

@@ -505,11 +505,20 @@ def orthonormal(z: np.ndarray) -> np.ndarray:
 )
 def test_subspace_gap_equals_the_projector_difference(m, frac_a, frac_b, nearness, seed):
     # nearness None draws B independently, with its own rank; otherwise B is
-    # A moved by that much
+    # A moved by that much.  The gap is that of the column spaces, so it is
+    # the same for orthonormal bases and for them times invertible factors,
+    # here with singular values in [1, 3]
     rng = np.random.default_rng(seed)
 
-    def gaussian(r):
-        return rng.standard_normal((m, r)) + 1j * rng.standard_normal((m, r))
+    def gaussian(r, rows=m):
+        return rng.standard_normal((rows, r)) + 1j * rng.standard_normal((rows, r))
+
+    def invertible(q):
+        r = q.shape[1]
+        if not r:
+            return q
+        g = gaussian(r, rows=r)
+        return q @ (2.0 * np.eye(r) + g / op_norm(g))
 
     ra = round(frac_a * m)
     a = orthonormal(gaussian(ra))
@@ -517,7 +526,9 @@ def test_subspace_gap_equals_the_projector_difference(m, frac_a, frac_b, nearnes
         b = orthonormal(gaussian(round(frac_b * m)))
     else:
         b = orthonormal(a + nearness * gaussian(ra))
-    assert abs(subspace_gap(a, b) - op_norm(projector(a) - projector(b))) <= 1e-13
+    gap = op_norm(projector(a) - projector(b))
+    assert abs(subspace_gap(a, b) - gap) <= 1e-13
+    assert abs(subspace_gap(invertible(a), invertible(b)) - gap) <= 1e-13
 
 
 def moved_toeplitz(rng, delta, built):
