@@ -150,23 +150,26 @@ def theta_taylor(triple: TetrablockTriple, n: int, pol: TolerancePolicy = DEFAUL
 
 def theta_eval(triple: TetrablockTriple, points) -> list[np.ndarray]:
     """Theta_P(z) in the defect bases, one per z in ``points``: -Q*^* P Q + z (D_{P*} Q*)^* (I - z P*)^{-1} D_P Q,
-    Q and Q* the bases of D_P and D_{P*}, from one stacked solve against the dim x rank D_P Q.  The SVD refusing
-    I - z P* at CLAMP_TOL runs only where Weyl's bounds 1 -+ |z| s on its singular values leave the test open,
-    s >= ||P|| the kept ||P|| rounded up by 1e-12, past the error of the SVD that computed it.  No tolerance
-    enters: Theta_0 is taken without the leak check of ``theta_taylor``."""
+    Q and Q* the bases of D_P and D_{P*}, solved against D_P Q in stacks of at most MAX_GRID_DIM^2 entries, bit
+    for bit one stack.  The SVD refusing I - z P* at CLAMP_TOL runs only where Weyl's bounds 1 -+ |z| s on its
+    singular values leave the test open, s >= ||P|| the kept ||P|| rounded up by 1e-12, past the error of the SVD
+    that computed it.  No tolerance enters: Theta_0 is taken without the leak check of ``theta_taylor``."""
     p, dq, dsq = triple.P, triple.dp.factor, triple.dpstar.factor
     theta_0 = -(triple.dpstar.basis.conj().T @ (p @ triple.dp.basis))
     eye = np.eye(p.shape[0])
     s = triple.norm("P") * (1 + 1e-12)
     points = [complex(z) for z in points]
-    res = np.empty((len(points), *p.shape), complex)
-    for k, z in enumerate(points):
-        res[k] = eye - z * p.conj().T
-        if not 1.0 - abs(z) * s > CLAMP_TOL * (1.0 + abs(z) * s):
-            sv = np.linalg.svd(res[k], compute_uv=False)
-            if sv[-1] <= CLAMP_TOL * max(1.0, sv[0]):
-                raise ResolventSingularError(f"I - z P* singular at z = {z!r}")
-    return [theta_0 + z * (dsq.conj().T @ x) for z, x in zip(points, np.linalg.solve(res, dq))]
+    out, per = [], max(1, MAX_GRID_DIM**2 // p.size)
+    for batch in (points[k : k + per] for k in range(0, len(points), per)):
+        res = np.empty((len(batch), *p.shape), complex)
+        for k, z in enumerate(batch):
+            res[k] = eye - z * p.conj().T
+            if not 1.0 - abs(z) * s > CLAMP_TOL * (1.0 + abs(z) * s):
+                sv = np.linalg.svd(res[k], compute_uv=False)
+                if sv[-1] <= CLAMP_TOL * max(1.0, sv[0]):
+                    raise ResolventSingularError(f"I - z P* singular at z = {z!r}")
+        out += [theta_0 + z * (dsq.conj().T @ x) for z, x in zip(batch, np.linalg.solve(res, dq))]
+    return out
 
 
 def _power_norms(p: np.ndarray) -> list[float]:

@@ -7,19 +7,24 @@ check fails, and 2 on usage or input errors:
 * ``verify-bidisc``  -- the explicit grid-shift example plus the full model
                         pipeline and symbol extraction on it.
 * ``random-suite``   -- seeded random instances across the three generator
-                        families, each run through the whole battery.
+                        families, each run through the whole battery by one
+                        of w processes, w the CPUs of the affinity mask
+                        (``taskset -c 0`` is serial); peak memory is up to w
+                        times a battery's.
 * ``model-check``    -- load a triple from a JSON file and verify its
                         fundamental battery and functional model.
 * ``blh``            -- load an inner symbol and a coefficient pair, extract
                         (G1, G2) and check isometry propagation.
 
 Reports for a given configuration and seed are byte-identical across runs
-except for the ``wall_time_s`` field.
+and process counts except for the ``wall_time_s`` field; they do depend on
+the BLAS thread count.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import time
 from typing import Any, Callable, Sequence
@@ -201,13 +206,23 @@ def _cmd_verify_bidisc(args, pol: TolerancePolicy) -> tuple[Reports, dict[str, A
     ], {}
 
 
-def _failed_report(title: str, note: str) -> CheckReport:
-    rep = CheckReport(title=title)
+def _failed(inst: generate.Instance, note: str) -> tuple[str, CheckReport]:
+    rep = CheckReport(title=inst.label)
     rep.check("battery", float("inf"), 0.0, note=note)
-    return rep
+    return inst.label, rep
+
+
+def _battery(inst: generate.Instance, pol: TolerancePolicy) -> tuple[str, CheckReport]:
+    try:
+        return inst.label, run_instance_battery(inst, pol)
+    except (TetralabError, np.linalg.LinAlgError) as exc:
+        # a verification step that cannot even be set up, or a numpy routine that does not converge on this
+        # instance, is a failure, not a usage error: record it and keep going
+        return _failed(inst, str(exc))
 
 
 def _cmd_random_suite(args, pol: TolerancePolicy) -> tuple[Reports, dict[str, Any]]:
+    import pickle
     for name in ("count", "dim", "degree"):
         if getattr(args, name) < 1:
             raise TetralabError(f"--{name} must be >= 1")
@@ -223,16 +238,38 @@ def _cmd_random_suite(args, pol: TolerancePolicy) -> tuple[Reports, dict[str, An
         )
     # generate takes no policy, so --tol never changes which instances exist
     instances = generate.suite(args.seed, args.count, args.dim, args.degree)
-    out = []
-    for inst in instances:
-        try:
-            out.append((inst.label, run_instance_battery(inst, pol)))
-        except (TetralabError, np.linalg.LinAlgError) as exc:
-            # a verification step that cannot even be set up, or a numpy
-            # routine that does not converge on this instance, is a failure,
-            # not a usage error: record it and keep going
-            out.append((inst.label, _failed_report(inst.label, str(exc))))
-    return out, {}
+    # w processes (module docstring).  A child pickles its reports, or its exception, into a pipe and never
+    # returns into this stack; one that ends without its pickle (killed, out of memory) fails its instances
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") and hasattr(os, "fork") else 1
+    w = min(cpus, len(instances))
+    shares: list[Any] = [None] * w
+    for j in range(1, w):
+        rfd, wfd = os.pipe()
+        if (pid := os.fork()) == 0:
+            try:
+                try:
+                    shares[j] = [_battery(inst, pol) for inst in instances[j::w]]
+                except Exception as exc:
+                    shares[j] = exc
+                with os.fdopen(wfd, "wb") as fp:
+                    pickle.dump(shares[j], fp)
+                os._exit(0)
+            finally:
+                os._exit(1)
+        os.close(wfd)
+        shares[j] = pid, rfd
+    try:
+        shares[0] = [_battery(inst, pol) for inst in instances[::w]]
+    finally:
+        for j, (pid, rfd) in enumerate(shares[1:], 1):
+            with os.fdopen(rfd, "rb") as fp:
+                data = fp.read()
+            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            note = f"worker process ended with exit status {status}"
+            shares[j] = [_failed(i, note) for i in instances[j::w]] if status else pickle.loads(data)
+    if exc := next((share for share in shares if isinstance(share, BaseException)), None):
+        raise exc
+    return [shares[k % w][k // w] for k in range(len(instances))], {}
 
 
 def _load_json(args, key: str):

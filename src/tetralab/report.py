@@ -77,8 +77,9 @@ class CheckReport:
 
     @property
     def overall(self) -> bool:
-        """Conjunction over non-skipped entries; skipped entries never pass."""
-        return all(e.passed for e in self.entries if not e.skipped)
+        """Conjunction over non-skipped entries, of which there must be one: an untested report never passes."""
+        active = [e for e in self.entries if not e.skipped]
+        return bool(active) and all(e.passed for e in active)
 
     @property
     def failures(self) -> list[CheckEntry]:

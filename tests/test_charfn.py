@@ -128,6 +128,21 @@ def test_resolvent_guard(monkeypatch):
     assert calls["svd", "theta_eval"] == 2
 
 
+@pytest.mark.parametrize("bound", [2, 6, 8], ids=["one-per-stack", "four-per-stack", "seven-per-stack"])
+def test_theta_eval_in_bounded_stacks_equals_one_stack(rng, monkeypatch, bound):
+    # theta_eval solves at most MAX_GRID_DIM^2 entries at a time; a bound
+    # forced down to 2, 6 and 8 splits 10 points of a 3 x 3 P into stacks of
+    # 1, 4 and 7 resolvents (a last stack shorter), and since solve factors
+    # each matrix on its own, every value is bit-equal to the one stack
+    t = p_triple(random_contraction(rng, 3, norm=0.9))
+    points = [0.8 * np.exp(2j * np.pi * k / 10) for k in range(10)]
+    whole = theta_eval(t, points)
+    monkeypatch.setattr(charfn, "MAX_GRID_DIM", bound)
+    split = theta_eval(t, points)
+    assert len(split) == len(whole) == 10
+    assert all(np.array_equal(x, y) for x, y in zip(split, whole))
+
+
 def test_skipped_resolvent_svd_would_have_passed(monkeypatch):
     # theta_eval skips the SVD of I - z P* only where the kept ||P||
     # settles the CLAMP_TOL test; the SVD must then agree, over contractions

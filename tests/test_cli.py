@@ -493,30 +493,98 @@ def test_blh_json_on_extraction_failure(capsys, tmp_path):
 )
 def test_random_suite_records_failed_instance(capsys, monkeypatch, exc):
     # one instance whose battery raises must become a failed report in the
-    # bundle while the other instances still run: exit 1, never 2
-    seen = []
+    # bundle while the other instances still run: exit 1, never 2.  The
+    # failing instance is the second; on two CPUs it is the forked child's,
+    # so the exception is raised in the child and must reach the bundle
+    [_, failing, _] = [inst.label for inst in generate.suite(5, 3, 3, 3)]
 
     def battery(inst, pol):
-        seen.append(inst.label)
-        if len(seen) == 2:
+        if inst.label == failing:
             raise exc
         return run_instance_battery(inst, pol)
 
     monkeypatch.setattr(tetralab.cli, "run_instance_battery", battery)
-    code, out, err = run(
-        capsys, "random-suite", "--seed", "5", "--count", "3", "--format", "json"
-    )
-    assert code == 1
-    assert err == ""
-    bundle = strict_json(out)
-    agg = bundle["aggregate"]
-    assert (agg["reports"], agg["reports_passed"]) == (3, 2)
-    [entry] = failing_entries(bundle)
-    assert entry["name"] == "battery"
-    assert entry["residual"] == "inf"
-    assert entry["note"] == str(exc)
-    assert bundle["reports"][1]["label"] == seen[1]
-    assert len(seen) == 3
+    for cpus in ({0}, {0, 1}):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+        code, out, err = run(
+            capsys, "random-suite", "--seed", "5", "--count", "3", "--format", "json"
+        )
+        assert code == 1, cpus
+        assert err == ""
+        bundle = strict_json(out)
+        agg = bundle["aggregate"]
+        assert (agg["reports"], agg["reports_passed"]) == (3, 2), cpus
+        [entry] = failing_entries(bundle)
+        assert entry["name"] == "battery"
+        assert entry["residual"] == "inf"
+        assert entry["note"] == str(exc)
+        assert bundle["reports"][1]["label"] == failing
+        assert [r["overall"] for r in bundle["reports"]] == [True, False, True], cpus
+
+
+def test_random_suite_bundle_is_the_same_bytes_on_any_number_of_cpus(tmp_path, monkeypatch):
+    # the instances are shared out over one process per CPU of the affinity
+    # mask and merged back in instance order: the seed-42 bundles of the
+    # benchmark's suite and suite-wide shapes, without wall_time_s, are the
+    # same bytes on 1, 2 and 3 CPUs.  The bytes depend on the BLAS thread
+    # count, so all runs are compared within this one process
+    out = tmp_path / "suite.json"
+    for shape in (("--count", "25", "--dim", "3", "--degree", "3"), ("--count", "15", "--dim", "6", "--degree", "6")):
+        texts = set()
+        for cpus in (1, 2, 3):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+            assert main(["random-suite", "--seed", "42", *shape, "--format", "json", "--out", str(out)]) == 0
+            bundle = load_bundle(out)
+            del bundle["wall_time_s"]
+            texts.add(json.dumps(bundle, sort_keys=True, indent=2, allow_nan=False))
+        assert len(texts) == 1, shape
+
+
+def test_random_suite_records_the_instances_of_a_child_that_dies(capsys, monkeypatch):
+    # a child that exits mid-share, as a killed or out-of-memory process
+    # does, returns no result: each of its instances becomes a failed battery
+    # entry naming the exit status, the parent's instances still pass, and
+    # the command exits 1 without a traceback.  The exit is guarded by pid, so
+    # the parent can never take it
+    parent = os.getpid()
+    labels = [inst.label for inst in generate.suite(5, 4, 3, 3)]
+
+    def battery(inst, pol):
+        if os.getpid() != parent and inst.label == labels[3]:
+            os._exit(3)
+        return run_instance_battery(inst, pol)
+
+    monkeypatch.setattr(tetralab.cli, "run_instance_battery", battery)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    code, out, err = run(capsys, "random-suite", "--seed", "5", "--count", "4", "--format", "json")
+    assert (code, err) == (1, "")
+    reports = strict_json(out)["reports"]
+    assert [r["label"] for r in reports] == labels
+    assert [r["overall"] for r in reports] == [True, False, True, False]
+    for report in reports[1::2]:
+        [entry] = report["entries"]
+        assert (entry["name"], entry["residual"], entry["passed"]) == ("battery", "inf", False)
+        assert "exit status 3" in entry["note"]
+
+
+def test_random_suite_forks_one_child_per_extra_cpu_and_none_for_one_instance(capsys, monkeypatch):
+    # w = min(CPUs in the affinity mask, instances) processes: --count 1
+    # forks nothing on two CPUs, nor --count 3 on one; --count 3 on two CPUs
+    # forks one child
+    forks = []
+    real_fork = os.fork
+
+    def counting_fork():
+        forks.append(1)
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+    for count, cpus, expected in (("1", {0, 1}, 0), ("3", {0}, 0), ("3", {0, 1}, 1)):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+        forks.clear()
+        code, _, _ = run(capsys, "random-suite", "--seed", "5", "--count", count, "--format", "json")
+        assert code == 0
+        assert len(forks) == expected, (count, cpus)
 
 
 def test_random_suite_fails_a_non_pure_instance_with_one_battery_entry(capsys, monkeypatch):

@@ -151,6 +151,18 @@ def test_report_nan_check_fails(residual, tolerance):
     assert verdicts == [False, True, False, False, True]
 
 
+def test_report_that_tested_nothing_does_not_pass():
+    # a report with no active entry, empty or every entry skipped, is
+    # untested and never reads as passed; one passing check makes it pass
+    rep = CheckReport(title="demo")
+    assert not rep.overall
+    rep.skip("beta", "hypothesis violated")
+    assert not rep.overall
+    assert json.loads(io.dumps(rep.to_dict()))["overall"] is False
+    rep.check("alpha", 0.0, 1.0)
+    assert rep.overall
+
+
 def test_dumps_is_stable_and_sorted():
     text = io.dumps({"b": 1, "a": [1.5, 2.5]})
     assert text.index('"a"') < text.index('"b"')
