@@ -1,7 +1,9 @@
 """Deterministic random families of commuting contractive triples.
 
 Three constructions, each reproducible from (seed, index) via a
-counter-based Philox stream so suites are stable across runs and platforms:
+counter-based Philox stream so suites are stable across runs and platforms.
+``_rng`` is the only place that derives a stream; ``make_instance`` the only
+place that builds an ``Instance``:
 
 * ``symbols``      -- degree-one pencils over a commuting coefficient pair
                       (normal pair, or a non-normal twisted pair F2 =
@@ -36,9 +38,6 @@ __all__ = [
     "random_unitary",
     "companion_unitary",
     "symbol_pair",
-    "symbols_instance",
-    "compression_instance",
-    "scalars_instance",
     "make_instance",
     "suite",
 ]
@@ -62,27 +61,24 @@ class Instance:
         return f"{self.family}[{self.index}]"
 
 
-def _rng(seed: int, family: str, index: int) -> np.random.Generator:
-    ss = np.random.SeedSequence(entropy=int(seed), spawn_key=(_FAMILY_CODE[family], int(index)))
+def _rng(seed: int, family: str, index: int, *stream: int) -> np.random.Generator:
+    """The one stream rule: Philox keyed by (seed, family, index), plus
+    ``stream`` for a side stream of the same instance."""
+    ss = np.random.SeedSequence(entropy=int(seed), spawn_key=(_FAMILY_CODE[family], int(index), *stream))
     return np.random.Generator(np.random.Philox(ss))
 
 
 def companion_unitary(inst: Instance, dim: int) -> np.ndarray:
-    """Deterministic unitary tied to (seed, family, index) on a side stream.
+    """Deterministic unitary tied to (seed, family, index) on side stream 1.
 
     Independent of the draws that built the instance itself, so adding or
     removing battery steps never changes the generated triples.
     """
-    ss = np.random.SeedSequence(
-        entropy=int(inst.seed), spawn_key=(_FAMILY_CODE[inst.family], int(inst.index), 1)
-    )
-    return random_unitary(np.random.Generator(np.random.Philox(ss)), dim)
+    return random_unitary(_rng(inst.seed, inst.family, inst.index, 1), dim)
 
 
 def random_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:
     """Haar-ish unitary: QR of a complex Gaussian with phase-fixed diagonal."""
-    if dim == 0:
-        return np.zeros((0, 0), dtype=complex)
     z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     q, r = np.linalg.qr(z)
     d = np.diagonal(r).copy()
@@ -122,93 +118,64 @@ def symbol_pair(
     raise ValueError(f"unknown symbol pair kind {kind!r}")
 
 
-def symbols_instance(seed: int, index: int, dim: int, degree: int) -> Instance:
-    """Pencil-compression triple on a degree-``degree`` grid with ``dim`` fibers."""
-    rng = _rng(seed, "symbols", index)
-    kind = "normal" if index % 2 == 0 else "twisted"
-    f1, f2 = symbol_pair(rng, dim, kind)
-    triple = from_symbols(f1, f2, degree)
-    return Instance(
-        family="symbols",
-        index=index,
-        seed=seed,
-        triple=triple,
-        meta={"kind": kind, "fiber_dim": dim, "degree": degree, "f1": f1, "f2": f2},
-    )
+def _symbols(rng: np.random.Generator, index: int, dim: int, degree: int) -> tuple[TetrablockTriple, dict]:
+    """Pencil-compression triple on a degree-``degree`` grid with ``dim``
+    fibers: a normal pair at even ``index``, a twisted pair at odd."""
+    f1, f2 = symbol_pair(rng, max(1, dim), "normal" if index % 2 == 0 else "twisted")
+    return from_symbols(f1, f2, degree), {"f1": f1, "f2": f2, "degree": degree}
 
 
-def _staircase_heights(rng: np.random.Generator, n: int) -> np.ndarray:
-    heights = np.sort(rng.integers(1, n + 2, size=n + 1))[::-1]
-    if heights.sum() < 2:
-        heights[0] = 2
-    return heights
-
-
-def compression_instance(seed: int, index: int, dim: int) -> Instance:
+def _compressions(rng: np.random.Generator, dim: int) -> tuple[TetrablockTriple, dict]:
     """Staircase compression of the grid shifts, in a scrambled basis.
 
     ``dim`` is a target: the grid size is chosen with (n+1)^2 close to it and
-    the staircase keeps a random down-closed subset.
+    the staircase keeps a random down-closed subset of n + 1 columns, each
+    of height at least 1.
     """
     n = max(2, int(round(np.sqrt(max(dim, 9)))) - 1)
-    rng = _rng(seed, "compressions", index)
-    heights = _staircase_heights(rng, n)
+    heights = np.sort(rng.integers(1, n + 2, size=n + 1))[::-1]
     # the staircase is down-closed, so its span is invariant under A*, B*
     # and P*, and the compression of a grid operator X is the block X[S, S]
     keep = [bidisc.flat_index(n, i, j) for i in range(n + 1) for j in range(int(heights[i]))]
     block = np.ix_(keep, keep)
     v = random_unitary(rng, len(keep))
     triple = validate(*(v @ x[block] @ v.conj().T for x in bidisc.shifts(n)))
-    return Instance(
-        family="compressions",
-        index=index,
-        seed=seed,
-        triple=triple,
-        meta={"grid": n, "heights": [int(h) for h in heights], "dim": triple.dim},
-    )
+    return triple, {"grid": n, "heights": [int(h) for h in heights]}
 
 
-def scalars_instance(seed: int, index: int, dim: int) -> Instance:
+def _scalars(rng: np.random.Generator, dim: int) -> tuple[TetrablockTriple, dict]:
     """Diagonal triple from scaled boundary-type points, in a scrambled basis.
 
     Entrywise: a = r rho exp(i(theta-phi)), b = s rho exp(i phi),
     p = r s exp(i theta) with rho <= 1 and r s <= 0.6, so P is invertible
     and every defect is well conditioned.
     """
-    rng = _rng(seed, "scalars", index)
+    dim = max(1, dim)
     theta = rng.uniform(0.0, 2.0 * np.pi, size=dim)
     phi = rng.uniform(0.0, 2.0 * np.pi, size=dim)
     rho = rng.uniform(0.2, 1.0, size=dim)
     r = rng.uniform(0.3, 0.95, size=dim)
     s = rng.uniform(0.3, 0.95, size=dim)
-    cap = np.minimum(1.0, 0.6 / (r * s))
-    s = s * cap
+    s = s * np.minimum(1.0, 0.6 / (r * s))
     a = r * rho * np.exp(1j * (theta - phi))
     b = s * rho * np.exp(1j * phi)
     p = r * s * np.exp(1j * theta)
     v = random_unitary(rng, dim)
-    triple = validate(
-        v @ np.diag(a) @ v.conj().T,
-        v @ np.diag(b) @ v.conj().T,
-        v @ np.diag(p) @ v.conj().T,
-    )
-    return Instance(
-        family="scalars",
-        index=index,
-        seed=seed,
-        triple=triple,
-        meta={"dim": dim, "entries": [(complex(x), complex(y), complex(z)) for x, y, z in zip(a, b, p)]},
-    )
+    return validate(*(v @ np.diag(x) @ v.conj().T for x in (a, b, p))), {}
 
 
 def make_instance(family: str, seed: int, index: int, dim: int, degree: int) -> Instance:
+    """Instance ``index`` of ``family`` under ``seed``, built from its own stream."""
+    if family not in FAMILIES:
+        raise ValueError(f"unknown family {family!r}; expected one of {FAMILIES}")
+    rng = _rng(seed, family, index)
     if family == "symbols":
-        return symbols_instance(seed, index, dim=max(1, dim), degree=degree)
-    if family == "compressions":
-        return compression_instance(seed, index, dim=dim)
-    if family == "scalars":
-        return scalars_instance(seed, index, dim=max(1, dim))
-    raise ValueError(f"unknown family {family!r}; expected one of {FAMILIES}")
+        triple, meta = _symbols(rng, index, dim, degree)
+    elif family == "compressions":
+        triple, meta = _compressions(rng, dim)
+    else:
+        triple, meta = _scalars(rng, dim)
+    return Instance(family=family, index=index, seed=seed, triple=triple, meta=meta)
 
 
 def suite(seed: int, count: int, dim: int, degree: int) -> list[Instance]:

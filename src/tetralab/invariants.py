@@ -92,17 +92,15 @@ def verify_coincidence(
     0..N+1 held by ``model`` and ``model_prime``, the models of P and P' at
     one degree N (ShapeError otherwise).
 
-    Zero-dimensional defect spaces make the statement vacuous; that is
-    reported explicitly rather than silently passed.
+    The models need P pure, so rank D_P >= 1: at rank 0 every singular
+    value of P, hence every |eigenvalue|, is at least (1 - RANK_TOL)^(1/2),
+    and ``is_pure`` refuses P.
     """
     if model.N != model_prime.N:
         raise ShapeError("models must be built at the same truncation degree")
     samples, denom = disc_samples(samples)
     rep = CheckReport(title="characteristic function coincidence")
     rep.check("witness_unitary", wit.unitarity_residual, pol.scaled_eq(1.0))
-    if wit.u.shape[1] == 0 and wit.u_star.shape[1] == 0:
-        rep.vacuous("coincidence", "both defect spaces are zero-dimensional")
-        return rep
     thetas = [
         *zip(theta_eval(triple, samples), theta_eval(triple_prime, samples)),
         *zip(model.theta.coeffs, model_prime.theta.coeffs),
@@ -164,7 +162,8 @@ def verify_fundamental_equivalence(
     pair_prime: FundamentalPair,
     pol: TolerancePolicy = DEFAULT_POLICY,
 ) -> CheckReport:
-    """Check u F_i u* = F_i' for a defect-space unitary u."""
+    """Check u F_i u* = F_i' for a defect-space unitary u; on zero-dimensional
+    defect spaces both residuals are 0.0 and pass."""
     u = ensure_matrix(witness_map, name="witness map")
     rep = CheckReport(title="fundamental pair equivalence")
     if u.shape != (pair_prime.basis.rank, pair.basis.rank):
@@ -172,9 +171,6 @@ def verify_fundamental_equivalence(
             f"witness map shape {u.shape} does not connect defect ranks "
             f"{pair.basis.rank} -> {pair_prime.basis.rank}"
         )
-    if u.shape[0] == 0:
-        rep.vacuous("pair_equivalence", "defect spaces are zero-dimensional")
-        return rep
     scale = pol.scaled_eq(*pair.norms)
     resid = op_norms([u @ f @ u.conj().T - f_p for f, f_p in ((pair.F1, pair_prime.F1), (pair.F2, pair_prime.F2))])
     for name, value in zip(("equivalence_F1", "equivalence_F2"), resid.tolist()):

@@ -199,8 +199,9 @@ def defect(t, pol: TolerancePolicy = DEFAULT_POLICY) -> Defect:
     # I - T*T has natural scale 1 for a contraction; eigenvalues within
     # CLAMP_TOL of zero, or down to 1 - (1 + eq_tol)^2, are snapped to exactly
     # zero BEFORE the square root, which is not Lipschitz at 0 and would
-    # lift 1e-16 noise to 1e-8
-    floor = CLAMP_TOL + (1.0 + pol.eq_tol) ** 2 - 1.0
+    # lift 1e-16 noise to 1e-8; the product, unlike ** 2, saturates to inf
+    # on a huge eq_tol instead of raising OverflowError
+    floor = CLAMP_TOL + (1.0 + pol.eq_tol) * (1.0 + pol.eq_tol) - 1.0
     if w.size and w.min() < -floor:
         raise NotPSDError(f"I - T*T has eigenvalue {w.min():.3e} below clamp threshold")
     w = np.where(w <= CLAMP_TOL, 0.0, w)

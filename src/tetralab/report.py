@@ -65,10 +65,6 @@ class CheckReport:
         """Record that a check could not run (hypothesis violated etc.)."""
         self.entries.append(CheckEntry(name, None, None, skipped=True, note=reason))
 
-    def vacuous(self, name: str, reason: str) -> None:
-        """Record a check that holds vacuously (e.g. zero-dimensional data)."""
-        self.entries.append(CheckEntry(name, 0.0, 0.0, note=f"vacuous: {reason}"))
-
     def extend(self, other: CheckReport, prefix: str = "") -> None:
         """Absorb entries of another report, optionally prefixing names."""
         self.entries.extend(

@@ -213,6 +213,32 @@ def test_non_positive_or_non_finite_tol_is_input_error(capsys, tol, fmt):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", ["model-check", "verify-bidisc", "random-suite"])
+def test_huge_tol_reports_without_a_traceback(capsys, tmp_path, command):
+    # any positive finite --tol is a valid policy; near 1e154 and above,
+    # (1 + eq_tol)^2 overflows a float, and the defect floor built on it
+    # must saturate to inf rather than raise OverflowError
+    path = tmp_path / "triple.json"
+    path.write_text(io.dumps(io.triple_to_obj(make_instance("scalars", seed=61, index=0, dim=3, degree=4).triple)))
+    argv = {
+        "model-check": ("model-check", str(path)),
+        "verify-bidisc": ("verify-bidisc", "--degree", "2"),
+        "random-suite": ("random-suite", "--seed", "3", "--count", "3"),
+    }[command]
+    for tol in ("1e200", "1e308"):
+        code, out, err = run(capsys, *argv, "--tol", tol, "--format", "json")
+        assert (code, err) == (0, ""), tol
+        assert strict_json(out)["aggregate"]["all_passed"], tol
+
+
+def test_out_in_a_missing_directory_is_input_error(capsys, tmp_path):
+    # the report cannot be written: one error line, exit 2, no traceback
+    code, out, err = run(capsys, "verify-bidisc", "--degree", "2", "--out", str(tmp_path / "missing" / "report.txt"))
+    assert (code, out) == (2, "")
+    assert len(err.splitlines()) == 1 and err.startswith("tetralab: error:")
+    assert "Traceback" not in err
+
+
 def test_missing_file_is_input_error(capsys, tmp_path):
     code, _, err = run(capsys, "model-check", str(tmp_path / "nope.json"))
     assert code == 2
@@ -322,6 +348,24 @@ def test_model_check_fails_on_unsolvable_triple(capsys, tmp_path):
     code, out, _ = run(capsys, "model-check", str(path))
     assert code == 1
     assert "FAIL" in out
+
+
+def test_model_check_records_a_battery_that_raises_after_the_purity_check(capsys, tmp_path, monkeypatch):
+    # P is pure, so the model battery runs; a TetralabError raised inside it
+    # (other than a refused grid size) becomes one failed "battery" entry
+    # after the passed "pure" check, and the command exits 1
+    path = tmp_path / "triple.json"
+    path.write_text(io.dumps(io.triple_to_obj(make_instance("scalars", seed=61, index=0, dim=3, degree=4).triple)))
+
+    def refuse(*args, **kwargs):
+        raise TetralabError("model set-up failed")
+
+    monkeypatch.setattr(tetralab.cli, "build_model", refuse)
+    code, out, err = run(capsys, "model-check", str(path), "--format", "json")
+    assert (code, err) == (1, "")
+    [model] = [r for r in strict_json(out)["reports"] if r["label"] == "model"]
+    assert [(e["name"], e["passed"]) for e in model["entries"]] == [("pure", True), ("battery", False)]
+    assert model["entries"][1]["note"] == "model set-up failed"
 
 
 # ---------------------------------------------------------------- bundles
@@ -565,6 +609,37 @@ def test_random_suite_records_the_instances_of_a_child_that_dies(capsys, monkeyp
         [entry] = report["entries"]
         assert (entry["name"], entry["residual"], entry["passed"]) == ("battery", "inf", False)
         assert "exit status 3" in entry["note"]
+
+
+def test_random_suite_reraises_a_child_exception_after_reaping_every_child(monkeypatch):
+    # an exception that is neither a TetralabError nor a LinAlgError is a
+    # fault of the program, not a failed check: the child that meets it
+    # pickles it, the parent waits for every child and raises it
+    parent = os.getpid()
+    labels = [inst.label for inst in generate.suite(5, 3, 3, 3)]
+    pids = []
+    real_fork = os.fork
+
+    def recording_fork():
+        pid = real_fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    def battery(inst, pol):
+        if os.getpid() != parent and inst.label == labels[1]:
+            raise RuntimeError("fault in a child")
+        return run_instance_battery(inst, pol)
+
+    monkeypatch.setattr(tetralab.cli, "run_instance_battery", battery)
+    monkeypatch.setattr(os, "fork", recording_fork)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    with pytest.raises(RuntimeError, match="fault in a child"):
+        main(["random-suite", "--seed", "5", "--count", "3", "--format", "json"])
+    assert len(pids) == 1
+    for pid in pids:
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)
 
 
 def test_random_suite_forks_one_child_per_extra_cpu_and_none_for_one_instance(capsys, monkeypatch):

@@ -5,7 +5,7 @@ definition, or when the acceptance gate calls it.  A public method or
 property of a class listed there counts as used only when one of them reads
 it as an attribute (``x.name``): a bare name that happens to match, such as a
 local function, does not count.  No package module imports another's
-underscore names.
+underscore names, and only ``generate._rng`` derives a random stream.
 """
 
 from __future__ import annotations
@@ -96,3 +96,28 @@ def test_no_module_imports_a_private_name():
                     if alias.name.startswith("_") and not alias.name.endswith("__")
                 ]
     assert private == [], f"private names imported across modules: {private}"
+
+
+def test_only_generate_rng_derives_a_random_stream():
+    # the determinism of the suites (README, "Reports and determinism") rests
+    # on one stream rule: a SeedSequence or a Philox bit generator is named,
+    # by attribute, bare name or import, only inside generate._rng
+    stream_names = {"SeedSequence", "Philox"}
+    found = []
+
+    def visit(node: ast.AST, module: str, where: str) -> None:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            where = f"{where}.{node.name}" if where else node.name
+        named = (
+            {node.attr} if isinstance(node, ast.Attribute)
+            else {node.id} if isinstance(node, ast.Name)
+            else {alias.name for alias in node.names} if isinstance(node, (ast.Import, ast.ImportFrom))
+            else set()
+        )
+        found.extend(f"{module}:{where or '<module>'}:{name}" for name in named & stream_names)
+        for child in ast.iter_child_nodes(node):
+            visit(child, module, where)
+
+    for path in sorted(SRC.glob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8")), path.stem, "")
+    assert sorted(found) == ["generate:_rng:Philox", "generate:_rng:SeedSequence"], found

@@ -142,6 +142,41 @@ def test_fundamental_equivalence_and_shape_guard():
         verify_fundamental_equivalence(np.eye(pair.F1.shape[0] + 1), pair, pair_prime)
 
 
+def test_fundamental_equivalence_on_zero_dimensional_defect_spaces():
+    # P = I is unitary, so D_P = 0 and the pair of (0, 0, I) has rank 0: the
+    # computed path norms two empty residuals, 0.0 each, and passes
+    zero = np.zeros((3, 3))
+    pair = solve_fundamental(validate(zero, zero, np.eye(3)))
+    assert pair.basis.rank == 0
+    rep = verify_fundamental_equivalence(np.zeros((0, 0)), pair, pair)
+    assert [(e.name, e.residual, e.passed) for e in rep.entries] == [
+        ("equivalence_F1", 0.0, True),
+        ("equivalence_F2", 0.0, True),
+    ]
+    assert rep.overall
+
+
+def test_induced_defect_unitary_refusals():
+    inst = make_instance("scalars", seed=43, index=0, dim=6, degree=4)
+    t = inst.triple
+    # a U of the wrong size
+    with pytest.raises(ShapeError, match="dimension mismatch"):
+        induced_defect_unitary(np.eye(t.dim + 1), t, t)
+    # a U that is not unitary
+    with pytest.raises(NotIntertwiningError, match="U is not unitary"):
+        induced_defect_unitary(2.0 * np.eye(t.dim), t, t)
+    # U = I intertwines the two triples within eq_tol (P and P' differ by
+    # about 1e-11), but I - P*P has a second eigenvalue 1.01e-9 against
+    # 0.99e-9 for P', one on each side of RANK_TOL: defect ranks 2 and 1, so
+    # the induced map on the defect spaces is 1 x 2 and not unitary
+    zero = np.zeros((2, 2))
+    t = validate(zero, zero, np.diag([0.5, np.sqrt(1.0 - 1.01e-9)]))
+    t_prime = validate(zero, zero, np.diag([0.5, np.sqrt(1.0 - 0.99e-9)]))
+    assert (t.dp.basis.shape[1], t_prime.dp.basis.shape[1]) == (2, 1)
+    with pytest.raises(NotIntertwiningError, match="induced defect maps are not unitary"):
+        induced_defect_unitary(np.eye(2), t, t_prime)
+
+
 def test_witness_residual_infinite_for_nonsquare():
     wit = CoincidenceWitness(u=np.zeros((2, 3)), u_star=np.eye(2))
     assert wit.unitarity_residual == np.inf

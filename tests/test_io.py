@@ -132,7 +132,7 @@ def test_report_non_finite_numbers_become_strings():
 def test_report_nan_check_fails(residual, tolerance):
     # a NaN residual or tolerance never passes, not even against an infinite
     # tolerance, and the entry records the failure.  An entry stores no
-    # verdict: check, skip, vacuous and extend each record entries whose
+    # verdict: check, skip and extend each record entries whose
     # passed is derived by the one rule
     rep = CheckReport(title="demo")
     assert rep.check("nan", residual, tolerance) is False
@@ -141,14 +141,13 @@ def test_report_nan_check_fails(residual, tolerance):
     assert rep.check("within", 1.0, 1.0) is True
     assert rep.check("beyond", 2.0, 1.0) is False
     rep.skip("skipped", "hypothesis violated")
-    rep.vacuous("empty", "zero-dimensional")
     merged = CheckReport(title="merged")
     merged.extend(rep, prefix="x_")
     assert "passed" not in {f.name for f in dataclasses.fields(CheckEntry)}
     for e in rep.entries + merged.entries:
         assert e.passed is (not e.skipped and e.residual <= e.tolerance), e.name
     verdicts = [e["passed"] for e in json.loads(io.dumps(merged.to_dict()))["entries"]]
-    assert verdicts == [False, True, False, False, True]
+    assert verdicts == [False, True, False, False]
 
 
 def test_report_that_tested_nothing_does_not_pass():
