@@ -7,18 +7,18 @@ check fails, and 2 on usage or input errors:
 * ``verify-bidisc``  -- the explicit grid-shift example plus the full model
                         pipeline and symbol extraction on it.
 * ``random-suite``   -- seeded random instances across the three generator
-                        families, each run through the whole battery by one
-                        of w processes, w the CPUs of the affinity mask
-                        (``taskset -c 0`` is serial); peak memory is up to w
-                        times a battery's.
+                        families, each run through the whole battery.
 * ``model-check``    -- load a triple from a JSON file and verify its
                         fundamental battery and functional model.
 * ``blh``            -- load an inner symbol and a coefficient pair, extract
                         (G1, G2) and check isometry propagation.
 
-Reports for a given configuration and seed are byte-identical across runs
-and process counts except for the ``wall_time_s`` field; they do depend on
-the BLAS thread count.
+``random-suite`` shares its instances, and the other two commands the families
+of a triple above ``FAN_OUT_DIM``, over w processes, w the CPUs of the affinity
+mask (``taskset -c 0`` is serial); each process holds its own grid matrices,
+so peak memory is up to w times a serial call's.  Reports for a given
+configuration and seed are byte-identical across runs and process counts
+except for the ``wall_time_s`` field; they do depend on the BLAS thread count.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ import argparse
 import os
 import sys
 import time
+from functools import partial
 from typing import Any, Callable, Sequence
 
 import numpy as np
@@ -108,24 +109,67 @@ def build_parser() -> argparse.ArgumentParser:
 
 FUNDAMENTAL = ("char", "diff", "cross", "transfer")
 MODEL = ("dec", "fm", "pencil")
+# task k of this order runs in process k mod w: verify-bidisc at degree 14 took 14% less time than in report order
+BALANCED = ("pencil", "char", "example", "fm", "iso", "dec", "diff", "blh", "cross", "transfer", "nec")
+# a fork costs ~4 ms: the families of a triple of at most this dimension run in one process (2 CPUs and
+# one BLAS thread: verify-bidisc broke even at degrees 8 and 9 and gained from 10 on)
+FAN_OUT_DIM = 100
 
 
 def _families(triple: TetrablockTriple, degree: int | None, pol: TolerancePolicy):
     """(F1, F2) of ``triple``, (G1, G2) of its adjoint and the model of P at ``degree`` (None: as its tail
-    needs), each built once, with the report of each family of ``FUNDAMENTAL + MODEL`` keyed by its name."""
+    needs), each built once, with the task that returns each family's report of ``FUNDAMENTAL + MODEL`` by name."""
     pair_f = solve_fundamental(triple, pol)
     pair_g = solve_fundamental(triple.adjoint(), pol)
     model = build_model(triple, degree, pol)
-    families = {
-        "char": verify_tetra_characterization(triple, pair_f, pol),
-        "diff": verify_difference_identity(triple, pair_f, pol),
-        "cross": verify_cross_relations(triple, pair_f, pair_g, pol),
-        "transfer": verify_commutator_transfer(triple, pair_f, pair_g, pol),
-        "dec": verify_model_decomposition(model, pol),
-        "fm": verify_functional_model(triple, model, pair_g, pol),
-        "pencil": verify_pencil_intertwining(triple, pair_f, pair_g, DISC_SAMPLES, pol),
+    tasks = {
+        "char": partial(verify_tetra_characterization, triple, pair_f, pol),
+        "diff": partial(verify_difference_identity, triple, pair_f, pol),
+        "cross": partial(verify_cross_relations, triple, pair_f, pair_g, pol),
+        "transfer": partial(verify_commutator_transfer, triple, pair_f, pair_g, pol),
+        "dec": partial(verify_model_decomposition, model, pol),
+        "fm": partial(verify_functional_model, triple, model, pair_g, pol),
+        "pencil": partial(verify_pencil_intertwining, triple, pair_f, pair_g, DISC_SAMPLES, pol),
     }
-    return pair_f, pair_g, model, families
+    return pair_f, pair_g, model, tasks
+
+
+def _fan_out(tasks: dict[str, Callable[[], CheckReport]], spread: bool = True) -> dict[str, CheckReport]:
+    """Each task's report by name, in order; task k runs in process k mod w (module docstring), w = 1 unless
+    ``spread``.  Process 0 is this one; each other, forked, pipes back its reports or its exception, raised here
+    once every child is reaped.  A child that ends without them (killed, out of memory) fails each of its tasks."""
+    import pickle
+    names = list(tasks)
+    cpus = len(os.sched_getaffinity(0)) if spread and hasattr(os, "sched_getaffinity") and hasattr(os, "fork") else 1
+    w = min(cpus, len(names))
+    shares: list[Any] = [None] * w
+    for j in range(1, w):
+        rfd, wfd = os.pipe()
+        if (pid := os.fork()) == 0:
+            try:
+                try:
+                    shares[j] = [tasks[name]() for name in names[j::w]]
+                except Exception as exc:
+                    shares[j] = exc
+                with os.fdopen(wfd, "wb") as fp:
+                    pickle.dump(shares[j], fp)
+                os._exit(0)
+            finally:
+                os._exit(1)
+        os.close(wfd)
+        shares[j] = pid, rfd
+    try:
+        shares[0] = [tasks[name]() for name in names[::w]]
+    finally:
+        for j, (pid, rfd) in enumerate(shares[1:], 1):
+            with os.fdopen(rfd, "rb") as fp:
+                data = fp.read()
+            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            note = f"worker process ended with exit status {status}"
+            shares[j] = [_failed(name, note) for name in names[j::w]] if status else pickle.loads(data)
+    if exc := next((share for share in shares if isinstance(share, BaseException)), None):
+        raise exc
+    return {name: shares[k % w][k // w] for k, name in enumerate(names)}
 
 
 def _extend(rep: CheckReport, families: dict[str, CheckReport], names: Sequence[str]) -> CheckReport:
@@ -149,10 +193,10 @@ def run_instance_battery(
     t = inst.triple
     rep = CheckReport(title=inst.label)
     rep.extend(necessary_report(t, pol), prefix="nec_")
-    pair_f, pair_g, model, families = _families(t, None, pol)
+    pair_f, pair_g, model, tasks = _families(t, None, pol)
     rep.check("solve_residual_F", pair_f.solve_residual, pol.scaled_eq(t.max_norm()))
     rep.check("solve_residual_G", pair_g.solve_residual, pol.scaled_eq(t.max_norm()))
-    _extend(rep, families, FUNDAMENTAL + MODEL)
+    _extend(rep, {name: task() for name, task in tasks.items()}, FUNDAMENTAL + MODEL)
     u = generate.companion_unitary(inst, t.dim)
     conj = validate(
         u @ t.A @ u.conj().T, u @ t.B @ u.conj().T, u @ t.P @ u.conj().T, pol
@@ -192,37 +236,38 @@ def _cmd_verify_bidisc(args, pol: TolerancePolicy) -> tuple[Reports, dict[str, A
     if side > MAX_GRID_DIM:
         raise GridSizeError(f"--degree {n} needs an extraction grid of {side} > {MAX_GRID_DIM}")
     triple = bidisc.build(n, pol)
-    pair_f, pair_g, model, families = _families(triple, n, pol)
-    families["nec"] = necessary_report(triple, pol)
-    families["iso"] = pure_isometry_model(triple, model, pair_g, pol)
-    _, _, brep = extraction_roundtrip(triple, pair_f, pair_g, model.N, model.tail, pol)
+    pair_f, pair_g, model, tasks = _families(triple, n, pol)
+    tasks["nec"] = partial(necessary_report, triple, pol)
+    tasks["iso"] = partial(pure_isometry_model, triple, model, pair_g, pol)
+    tasks["example"] = partial(bidisc.verify_example, triple, pair_f, pair_g, model, pol)
+    tasks["blh"] = lambda: extraction_roundtrip(triple, pair_f, pair_g, model.N, model.tail, pol)[2]
+    families = _fan_out({name: tasks[name] for name in BALANCED}, triple.dim > FAN_OUT_DIM)
     # isometry_model repeats the dec_* and fm_* entries of "model": bench/run.py pins its 78 checks
     return [
-        ("example", _extend(bidisc.verify_example(triple, pair_f, pair_g, model, pol), families, ("nec",))),
+        ("example", _extend(families["example"], families, ("nec",))),
         ("fundamental", _extend(CheckReport(title="fundamental battery"), families, FUNDAMENTAL)),
         ("model", _extend(CheckReport(title="functional model"), families, MODEL)),
         ("isometry_model", _extend(CheckReport(title="truncated isometry model"), families, ("iso", "dec", "fm"))),
-        ("blh", brep),
+        ("blh", families["blh"]),
     ], {}
 
 
-def _failed(inst: generate.Instance, note: str) -> tuple[str, CheckReport]:
-    rep = CheckReport(title=inst.label)
+def _failed(title: str, note: str) -> CheckReport:
+    rep = CheckReport(title=title)
     rep.check("battery", float("inf"), 0.0, note=note)
-    return inst.label, rep
+    return rep
 
 
-def _battery(inst: generate.Instance, pol: TolerancePolicy) -> tuple[str, CheckReport]:
+def _battery(inst: generate.Instance, pol: TolerancePolicy) -> CheckReport:
     try:
-        return inst.label, run_instance_battery(inst, pol)
+        return run_instance_battery(inst, pol)
     except (TetralabError, np.linalg.LinAlgError) as exc:
         # a verification step that cannot even be set up, or a numpy routine that does not converge on this
         # instance, is a failure, not a usage error: record it and keep going
-        return _failed(inst, str(exc))
+        return _failed(inst.label, str(exc))
 
 
 def _cmd_random_suite(args, pol: TolerancePolicy) -> tuple[Reports, dict[str, Any]]:
-    import pickle
     for name in ("count", "dim", "degree"):
         if getattr(args, name) < 1:
             raise TetralabError(f"--{name} must be >= 1")
@@ -238,38 +283,7 @@ def _cmd_random_suite(args, pol: TolerancePolicy) -> tuple[Reports, dict[str, An
         )
     # generate takes no policy, so --tol never changes which instances exist
     instances = generate.suite(args.seed, args.count, args.dim, args.degree)
-    # w processes (module docstring).  A child pickles its reports, or its exception, into a pipe and never
-    # returns into this stack; one that ends without its pickle (killed, out of memory) fails its instances
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") and hasattr(os, "fork") else 1
-    w = min(cpus, len(instances))
-    shares: list[Any] = [None] * w
-    for j in range(1, w):
-        rfd, wfd = os.pipe()
-        if (pid := os.fork()) == 0:
-            try:
-                try:
-                    shares[j] = [_battery(inst, pol) for inst in instances[j::w]]
-                except Exception as exc:
-                    shares[j] = exc
-                with os.fdopen(wfd, "wb") as fp:
-                    pickle.dump(shares[j], fp)
-                os._exit(0)
-            finally:
-                os._exit(1)
-        os.close(wfd)
-        shares[j] = pid, rfd
-    try:
-        shares[0] = [_battery(inst, pol) for inst in instances[::w]]
-    finally:
-        for j, (pid, rfd) in enumerate(shares[1:], 1):
-            with os.fdopen(rfd, "rb") as fp:
-                data = fp.read()
-            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-            note = f"worker process ended with exit status {status}"
-            shares[j] = [_failed(i, note) for i in instances[j::w]] if status else pickle.loads(data)
-    if exc := next((share for share in shares if isinstance(share, BaseException)), None):
-        raise exc
-    return [shares[k % w][k // w] for k in range(len(instances))], {}
+    return list(_fan_out({inst.label: partial(_battery, inst, pol) for inst in instances}).items()), {}
 
 
 def _load_json(args, key: str):
@@ -299,7 +313,8 @@ def _cmd_model_check(args, pol: TolerancePolicy) -> tuple[Reports, dict[str, Any
     )
     if cert.pure:
         try:
-            _, _, model, families = _families(triple, args.degree, pol)
+            _, _, model, tasks = _families(triple, args.degree, pol)
+            families = _fan_out({name: tasks[name] for name in BALANCED if name in tasks}, triple.dim > FAN_OUT_DIM)
             rep.check("model_degree", 0.0, 0.0, note=f"N = {model.N}, tail = {model.tail:.2e}")
             _extend(rep, families, FUNDAMENTAL + MODEL)
         except GridSizeError:

@@ -1,11 +1,11 @@
 """JSON interchange for matrices, triples and symbols, and canonical JSON text.
 
-A complex matrix is carried as ``{"rows": r, "cols": c, "data": [[re, im],
-...]}`` with ``data`` flat in row-major order.  Values are plain JSON floats,
-which round-trip binary64 exactly, so write-then-read reproduces arrays
-bit for bit.  Non-finite entries are rejected on both paths.  ``dumps``
-writes the canonical text of report bundles: sorted keys and no NaN or
-infinity tokens (reports encode non-finite residuals as strings first).
+A matrix is carried as ``{"rows": r, "cols": c, "data": [[re, im], ...]}``,
+``data`` flat in row-major order and in plain JSON floats, which round-trip
+binary64: it reads back bit for bit, as ``float64`` if no imaginary part is
+nonzero (``matcore``'s dtype rule).  Non-finite entries are rejected both
+ways.  ``dumps`` writes bundles with CPython's C encoder: sorted keys, no
+indent, and no NaN or infinity tokens (reports write those as strings).
 """
 
 from __future__ import annotations
@@ -63,7 +63,7 @@ def matrix_from_obj(obj) -> np.ndarray:
             f"matrix data length {len(data) if isinstance(data, list) else '?'} "
             f"does not match {rows}x{cols}"
         )
-    out = np.zeros(rows * cols, dtype=complex)
+    out = np.zeros((rows * cols, 2))
     for k, entry in enumerate(data):
         if (
             not isinstance(entry, (list, tuple))
@@ -77,8 +77,8 @@ def matrix_from_obj(obj) -> np.ndarray:
             raise FormatError(f"matrix entry {k} is too large for a binary64 float") from exc
         if not (np.isfinite(re) and np.isfinite(im)):
             raise FormatError(f"matrix entry {k} is not finite")
-        out[k] = complex(re, im)
-    return out.reshape(rows, cols)
+        out[k] = re, im
+    return np.ascontiguousarray(out.view(complex)[:, 0] if out[:, 1].any() else out[:, 0]).reshape(rows, cols)
 
 
 def triple_to_obj(triple: TetrablockTriple) -> dict[str, Any]:
@@ -113,8 +113,8 @@ def symbol_from_obj(obj) -> AnalyticSymbol:
 
 
 def dumps(obj: Any) -> str:
-    """Canonical JSON text: sorted keys, two-space indent, trailing newline."""
-    return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    """Canonical JSON text: sorted keys, one line, trailing newline."""
+    return json.dumps(obj, sort_keys=True, allow_nan=False) + "\n"
 
 
 def loads(text: str) -> Any:

@@ -99,9 +99,9 @@ class TolerancePolicy:
 
 DEFAULT_POLICY = TolerancePolicy()
 
-# largest side of a dense grid matrix (a truncated model space, the bidisc
-# grid) that is allocated; a larger request raises GridSizeError up front.
-# One matrix of this side takes 64 MiB complex, 32 MiB real.
+# largest side of a dense grid matrix (a truncated model space, the bidisc grid) allocated; a larger
+# request raises GridSizeError up front.  One such matrix takes 64 MiB complex, 32 MiB real, and a call
+# that fans out (cli) may hold grid matrices in each of its w processes
 MAX_GRID_DIM = 2048
 
 

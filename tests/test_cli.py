@@ -78,6 +78,26 @@ def load_bundle(path) -> dict:
         return json.load(fh)
 
 
+def count_forks(monkeypatch) -> list:
+    """A list that gets one item for each os.fork call from now on."""
+    forks = []
+    real_fork = os.fork
+
+    def counting_fork():
+        forks.append(1)
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+    return forks
+
+
+@pytest.fixture
+def one_cpu(monkeypatch):
+    """The affinity mask read as {0}: a command that fans out runs in this one
+    process, so calls counted here cover the whole call."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+
+
 def _reject_constant(name):
     raise ValueError(f"non-standard JSON constant {name}")
 
@@ -143,8 +163,8 @@ def test_random_suite_bundle_keeps_its_digest(tmp_path, shape, digest):
 @pytest.mark.parametrize(
     "degree, digest",
     [
-        (("--degree", "3"), "79c55ace321cb9518000b748896651a8737b10ee1c00880bdf3801e82518d25a"),
-        ((), "e54d5ebb095db5ea70d9097ff07f07c0c638379c85e12267e3c690e68f425cc0"),
+        (("--degree", "3"), "042864e1b6a86c510e80acc738741923222420fd6be2dd0be544fc00666fe76e"),
+        ((), "b539bb2381eee0d52b9172404fc6255ac838003f6389fbcda4852d52442f5c93"),
     ],
     ids=["3", "default"],
 )
@@ -154,7 +174,8 @@ def test_model_check_bundle_keeps_its_digest(tmp_path, degree, digest):
     # SVD of W, which no other pinned bundle covers; at the default degree
     # (270) it is W itself.  The bundle records the triple file by the
     # SHA-256 of its bytes; the default-degree bytes depend on the BLAS thread
-    # count, so it is pinned to one thread
+    # count, so it is pinned to one thread.  The triple has zero imaginary
+    # parts, so it is read as float64
     write_diag_triple(tmp_path / "diag.json")
     argv = ("model-check", "diag.json", *degree, "--format", "json", "--out", "out.json")
     assert run_one_thread(*argv, cwd=tmp_path) == 0
@@ -646,20 +667,105 @@ def test_random_suite_forks_one_child_per_extra_cpu_and_none_for_one_instance(ca
     # w = min(CPUs in the affinity mask, instances) processes: --count 1
     # forks nothing on two CPUs, nor --count 3 on one; --count 3 on two CPUs
     # forks one child
-    forks = []
-    real_fork = os.fork
-
-    def counting_fork():
-        forks.append(1)
-        return real_fork()
-
-    monkeypatch.setattr(os, "fork", counting_fork)
+    forks = count_forks(monkeypatch)
     for count, cpus, expected in (("1", {0, 1}, 0), ("3", {0}, 0), ("3", {0, 1}, 1)):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
         forks.clear()
         code, _, _ = run(capsys, "random-suite", "--seed", "5", "--count", count, "--format", "json")
         assert code == 0
         assert len(forks) == expected, (count, cpus)
+
+
+@pytest.mark.parametrize(
+    "argv", [("verify-bidisc", "--degree", "14"), ("model-check", "grid.json")], ids=["verify-bidisc", "model-check"]
+)
+def test_fanned_out_families_are_the_same_bytes_on_any_number_of_cpus(tmp_path, monkeypatch, argv):
+    # above FAN_OUT_DIM the family reports of one triple are shared out over
+    # one process per CPU of the affinity mask and merged back by name: the
+    # bundle without wall_time_s is the same bytes on 1, 2 and 3 CPUs, which
+    # fork 0, 1 and 2 children.  model-check reads the degree-10 grid, of
+    # dimension 121.  The bytes depend on the BLAS thread count, so all runs
+    # are compared within this one process
+    grid = build_grid(10)
+    assert grid.dim > tetralab.cli.FAN_OUT_DIM
+    (tmp_path / "grid.json").write_text(io.dumps(io.triple_to_obj(grid)))
+    monkeypatch.chdir(tmp_path)
+    forks = count_forks(monkeypatch)
+    texts = set()
+    for cpus in (1, 2, 3):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        forks.clear()
+        assert main([*argv, "--format", "json", "--out", "out.json"]) == 0
+        assert len(forks) == cpus - 1
+        bundle = load_bundle("out.json")
+        del bundle["wall_time_s"]
+        texts.add(json.dumps(bundle, sort_keys=True))
+    assert len(texts) == 1
+
+
+def test_families_run_in_one_process_up_to_the_dimension_bound(capsys, tmp_path, monkeypatch):
+    # a fork costs about as much as it saves on a small grid: on two CPUs,
+    # verify-bidisc at degree 9 (dimension 100, FAN_OUT_DIM itself) and
+    # model-check on a 2 x 2 triple fork nothing
+    assert build_grid(9).dim == tetralab.cli.FAN_OUT_DIM
+    write_diag_triple(tmp_path / "diag.json")
+    forks = count_forks(monkeypatch)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    for argv in (("verify-bidisc", "--degree", "9"), ("model-check", str(tmp_path / "diag.json"))):
+        assert run(capsys, *argv)[0] == 0, argv
+    assert forks == []
+
+
+def fail_char_in_a_child(monkeypatch, fault) -> None:
+    """On two CPUs, make the characterization family, the first of a forked
+    child's share, call ``fault`` when it runs outside this process."""
+    assert tetralab.cli.BALANCED[1] == "char"
+    parent, real = os.getpid(), tetralab.cli.verify_tetra_characterization
+
+    def char(*args):
+        if os.getpid() != parent:
+            fault()
+        return real(*args)
+
+    monkeypatch.setattr(tetralab.cli, "verify_tetra_characterization", char)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+
+
+def test_verify_bidisc_records_the_families_of_a_child_that_dies(capsys, monkeypatch):
+    # a child that exits mid-share, as a killed or out-of-memory process
+    # does, returns no reports: each family of its share (every second one
+    # of BALANCED) becomes one failed battery entry naming the exit status,
+    # the families of this process still pass, and the command exits 1
+    # without a traceback
+    fail_char_in_a_child(monkeypatch, lambda: os._exit(3))
+    code, out, err = run(capsys, "verify-bidisc", "--degree", "10", "--format", "json")
+    assert (code, err) == (1, "")
+    failed = [(r["label"], e) for r in strict_json(out)["reports"] for e in r["entries"] if not e["passed"]]
+    assert sorted((label, e["name"]) for label, e in failed) == [
+        ("blh", "battery"),
+        ("fundamental", "char_battery"),
+        ("fundamental", "transfer_battery"),
+        ("isometry_model", "dec_battery"),
+        ("isometry_model", "fm_battery"),
+        ("model", "dec_battery"),
+        ("model", "fm_battery"),
+    ]
+    for _, entry in failed:
+        assert (entry["residual"], entry["skipped"]) == ("inf", False)
+        assert entry["note"] == "worker process ended with exit status 3"
+
+
+def test_verify_bidisc_reports_a_tetralab_error_of_a_child_as_an_input_error(capsys, monkeypatch):
+    # a TetralabError raised in a child is pickled, raised in this process
+    # once the child is reaped, and ends the command as it would serially:
+    # exit 2 with its message and no report
+    def refuse():
+        raise TetralabError("characterization set-up failed")
+
+    fail_char_in_a_child(monkeypatch, refuse)
+    code, out, err = run(capsys, "verify-bidisc", "--degree", "10", "--format", "json")
+    assert (code, out) == (2, "")
+    assert err == "tetralab: error: characterization set-up failed\n"
 
 
 def test_random_suite_fails_a_non_pure_instance_with_one_battery_entry(capsys, monkeypatch):
@@ -774,6 +880,7 @@ def test_battery_builds_each_object_once(monkeypatch):
     assert works == [89262, 25409, 21384, 89235, 48352, 16362]
 
 
+@pytest.mark.usefixtures("one_cpu")
 def test_verify_bidisc_builds_each_object_once(monkeypatch, capsys):
     # the command validates the grid triple, solves its F and G pairs and
     # builds its model once, and hands them to the example battery, the
@@ -877,6 +984,7 @@ def test_verify_bidisc_model_residuals_equal_the_dense_formulas(capsys):
     assert_residuals_match(named, dense_pencil_on_model(triple, model, pair_g), "iso_pencil_on_model_")
 
 
+@pytest.mark.usefixtures("one_cpu")
 def test_no_decomposition_of_an_all_zero_matrix(monkeypatch, capsys):
     # the residuals of the exact worked example are exactly zero, and so are
     # many of the instances', e.g. [A, P] and [B, P] of compressions[3] at
@@ -933,6 +1041,7 @@ def test_pencil_intertwining_refuses_samples_outside_disc(monkeypatch, small_sui
     assert calls["defect"] == 0
 
 
+@pytest.mark.usefixtures("one_cpu")
 def test_build_model_checks_purity_once(monkeypatch, capsys, tmp_path):
     # one is_pure call per triple: the first model reads triple.purity and
     # a second model of the same triple reads the kept certificate; none in
@@ -958,6 +1067,7 @@ def test_build_model_checks_purity_once(monkeypatch, capsys, tmp_path):
 
 
 @pytest.mark.parametrize("p, code", [(np.eye(2), 1), (np.array([[0.999]]), 2)], ids=["not-pure", "refused-grid"])
+@pytest.mark.usefixtures("one_cpu")
 def test_model_check_checks_purity_once(monkeypatch, capsys, tmp_path, p, code):
     # as on the pure input of test_build_model_checks_purity_once, the model
     # is built on the certificate of the "pure" check, kept on the triple:
@@ -1049,6 +1159,7 @@ def test_random_suite_refuses_negative_seed(capsys, fmt):
     assert run(capsys, "random-suite", "--seed", "0", "--count", "1")[0] == 0
 
 
+@pytest.mark.usefixtures("one_cpu")
 def test_random_suite_refuses_oversized_grid(monkeypatch, capsys):
     # --dim 2048 --degree 3 asks for symbols triples on an 8192-coordinate
     # grid: refused as an input error before any instance or Toeplitz
