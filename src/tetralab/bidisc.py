@@ -35,7 +35,6 @@ __all__ = [
     "shifts",
     "build",
     "fundamental_ops",
-    "forward_fundamental_ops",
     "model_embedding",
     "model_embedding_series",
     "verify_example",
@@ -61,12 +60,6 @@ def flat_index(n: int, i: int, j: int) -> int:
     return i * (n + 1) + j
 
 
-def _shift_matrix(n: int, di: int, dj: int) -> np.ndarray:
-    """Matrix of e_(i,j) -> e_(i+di, j+dj), truncating outside the grid: the
-    Kronecker product of the truncated shifts by di and by dj on C^(n+1)."""
-    return np.kron(np.eye(n + 1, k=-di), np.eye(n + 1, k=-dj))
-
-
 def border_points(n: int, far: bool = False) -> list[tuple[int, int]]:
     """Near border {i = 0 or j = 0}, or with ``far`` the far border {i = n or
     j = n}: for the corner c = 0 or n, the point (c, c) first, then (k, c)
@@ -81,16 +74,17 @@ def border_embedding(n: int, far: bool = False) -> np.ndarray:
     """Isometric embedding C^(2n+1) -> grid with columns the points of
     ``border_points(n, far)``; B B* is the diagonal projection onto that border."""
     pts = border_points(n, far)
+    # the ones set in place: columns of np.eye(grid_dim(n)) would allocate a grid-sized temporary
     m = np.zeros((grid_dim(n), len(pts)))
-    for col, (i, j) in enumerate(pts):
-        m[flat_index(n, i, j), col] = 1.0
+    m[[flat_index(n, i, j) for i, j in pts], np.arange(len(pts))] = 1.0
     return m
 
 
 def shifts(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The truncated coordinate shifts (A, B, P) on the (n+1)^2 grid, not validated."""
     _require_size(n)
-    return _shift_matrix(n, 1, 0), _shift_matrix(n, 0, 1), _shift_matrix(n, 1, 1)
+    s, i = np.eye(n + 1, k=-1), np.eye(n + 1)
+    return np.kron(s, i), np.kron(i, s), np.kron(s, s)
 
 
 def build(n: int, pol: TolerancePolicy = DEFAULT_POLICY) -> TetrablockTriple:
@@ -98,26 +92,20 @@ def build(n: int, pol: TolerancePolicy = DEFAULT_POLICY) -> TetrablockTriple:
     return validate(*shifts(n), pol)
 
 
-def fundamental_ops(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Solutions (G1, G2) of the adjoint-triple equations, on the near border:
-    the compressions E* A* E and E* B* E, E = ``border_embedding(n)``.
+def fundamental_ops(n: int, far: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """(G1, G2) = (E* A* E, E* B* E) on the near border, or with ``far``
+    (F1, F2) = (E* A E, E* B E) on the far one, E = ``border_embedding(n, far)``.
 
     G1 back-shifts the horizontal edge, e_(k,0) -> e_(k-1,0) for k >= 1, and
     G2 the vertical edge; then A* - B P* = D_P* G1 D_P* and
-    B* - A P* = D_P* G2 D_P* hold with zero residual.  Every entry is 0 or 1,
-    so the products are exact.
+    B* - A P* = D_P* G2 D_P*.  F1 shifts the j = n edge forward and F2 the
+    i = n edge; then A - B* P = D_P F1 D_P and B - A* P = D_P F2 D_P.  Every
+    entry is 0 or 1, so these residuals are exactly zero.
     """
-    e = border_embedding(n)
-    return e.T @ _shift_matrix(n, 1, 0).T @ e, e.T @ _shift_matrix(n, 0, 1).T @ e
-
-
-def forward_fundamental_ops(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Solutions (F1, F2) of A - B* P = D_P F1 D_P and B - A* P = D_P F2 D_P,
-    on the far border: the exact compressions E* A E and E* B E,
-    E = ``border_embedding(n, far=True)``, so F1 shifts the j = n edge
-    forward and F2 the i = n edge."""
-    e = border_embedding(n, far=True)
-    return e.T @ _shift_matrix(n, 1, 0) @ e, e.T @ _shift_matrix(n, 0, 1) @ e
+    a, b = (m if far else m.T for m in shifts(n)[:2])
+    # E has one 1 per column, in row rows[k]: E* X E is the block X[rows, rows]
+    rows = border_embedding(n, far).argmax(axis=0)
+    return a[np.ix_(rows, rows)], b[np.ix_(rows, rows)]
 
 
 def model_embedding(n: int) -> np.ndarray:
@@ -128,7 +116,6 @@ def model_embedding(n: int) -> np.ndarray:
     and the adjoints of the model operator pencil intertwine exactly:
     X_A* U = U A*, X_B* U = U B*, (S* (x) I) U = U P*.
     """
-    _require_size(n)
     idx = {pt: k for k, pt in enumerate(border_points(n))}
     fiber = 2 * n + 1
     u = np.zeros(((n + 1) * fiber, grid_dim(n)))
@@ -142,8 +129,7 @@ def model_embedding(n: int) -> np.ndarray:
 def model_embedding_series(n: int) -> np.ndarray:
     """Same embedding assembled analytically: row block m is B_b* D_P* (P*)^m,
     block m + 1 the product of block m with P*; no power of P* is formed."""
-    _require_size(n)
-    pstar = _shift_matrix(n, 1, 1).conj().T
+    pstar = shifts(n)[2].conj().T
     bb = border_embedding(n)
     blocks = [bb.conj().T @ (bb @ bb.conj().T)]
     for _ in range(n):
@@ -199,7 +185,7 @@ def verify_example(
         EXACT_TOL,
     )
 
-    f1, f2 = forward_fundamental_ops(n)
+    f1, f2 = fundamental_ops(n, far=True)
     rep.check(
         "forward_eq_1",
         op_norm(a - b.conj().T @ p - bf @ f1 @ bf.conj().T),
@@ -242,8 +228,8 @@ def verify_example(
         rep.check(f"compression_{name}", op_norm(pencil_apply(c0, c1, u)[rows] - grid_op), EXACT_TOL)
 
     rep.check("model_tail_zero", model.tail, 0.0)
-    # (I (x) C) U applied block by block, C = Q_*^* B_b
+    # (I (x) conv) U applied block by block, conv = Q_*^* B_b
     blocks = u.reshape(n + 1, 2 * n + 1, -1)
-    w_from_u = ((triple.dpstar.basis.conj().T @ bb) @ blocks).reshape(model.W.shape)
+    w_from_u = (conv @ blocks).reshape(model.W.shape)
     rep.check("model_isometry_match", op_norm(model.W - w_from_u), pol.scaled_eq(1.0))
     return rep

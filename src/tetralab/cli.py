@@ -136,32 +136,40 @@ def _families(triple: TetrablockTriple, degree: int | None, pol: TolerancePolicy
 
 def _fan_out(tasks: dict[str, Callable[[], CheckReport]], spread: bool = True) -> dict[str, CheckReport]:
     """Each task's report by name, in order; task k runs in process k mod w (module docstring), w = 1 unless
-    ``spread``.  Process 0 is this one; each other, forked, pipes back its reports or its exception, raised here
-    once every child is reaped.  A child that ends without them (killed, out of memory) fails each of its tasks."""
+    ``spread``.  Process 0 is this one; each other, forked, pipes back its reports or its exception.  An exception
+    of a child or of this process (a failed fork too) is raised once every child started is reaped.  A child that
+    ends without them (killed, out of memory) fails each of its tasks."""
     import pickle
     names = list(tasks)
     cpus = len(os.sched_getaffinity(0)) if spread and hasattr(os, "sched_getaffinity") and hasattr(os, "fork") else 1
     w = min(cpus, len(names))
     shares: list[Any] = [None] * w
-    for j in range(1, w):
-        rfd, wfd = os.pipe()
-        if (pid := os.fork()) == 0:
-            try:
-                try:
-                    shares[j] = [tasks[name]() for name in names[j::w]]
-                except Exception as exc:
-                    shares[j] = exc
-                with os.fdopen(wfd, "wb") as fp:
-                    pickle.dump(shares[j], fp)
-                os._exit(0)
-            finally:
-                os._exit(1)
-        os.close(wfd)
-        shares[j] = pid, rfd
+    started: list[tuple[int, int]] = []
     try:
+        for j in range(1, w):
+            rfd, wfd = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(rfd)
+                os.close(wfd)
+                raise
+            if pid == 0:
+                try:
+                    try:
+                        shares[j] = [tasks[name]() for name in names[j::w]]
+                    except Exception as exc:
+                        shares[j] = exc
+                    with os.fdopen(wfd, "wb") as fp:
+                        pickle.dump(shares[j], fp)
+                    os._exit(0)
+                finally:
+                    os._exit(1)
+            os.close(wfd)
+            started.append((pid, rfd))
         shares[0] = [tasks[name]() for name in names[::w]]
     finally:
-        for j, (pid, rfd) in enumerate(shares[1:], 1):
+        for j, (pid, rfd) in enumerate(started, 1):
             with os.fdopen(rfd, "rb") as fp:
                 data = fp.read()
             status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])

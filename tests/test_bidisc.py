@@ -54,10 +54,7 @@ def test_defect_projectors_are_borders():
 
 
 def test_fundamental_ops_entries_are_zero_one():
-    n = 3
-    g1, g2 = bidisc.fundamental_ops(n)
-    f1, f2 = bidisc.forward_fundamental_ops(n)
-    for m in (g1, g2, f1, f2):
+    for m in (*bidisc.fundamental_ops(3), *bidisc.fundamental_ops(3, far=True)):
         vals = np.unique(m.real)
         assert set(vals) <= {0.0, 1.0}
         assert np.all(m.imag == 0.0)
@@ -85,7 +82,7 @@ def edge_shift_oracle(n: int) -> tuple[np.ndarray, ...]:
 
 def test_border_shifts_equal_the_edge_by_edge_oracle():
     for n in range(1, 15):
-        ops = (*bidisc.fundamental_ops(n), *bidisc.forward_fundamental_ops(n))
+        ops = (*bidisc.fundamental_ops(n), *bidisc.fundamental_ops(n, far=True))
         for got, want in zip(ops, edge_shift_oracle(n)):
             assert got.dtype == want.dtype and np.array_equal(got, want), n
 

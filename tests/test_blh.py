@@ -189,3 +189,15 @@ def test_isometry_propagation_skipped_when_source_fails():
         r"\(\|\|A\|\| = 1\.727\d* exceeds 1 \+ eq_tol\)",
         entry.note,
     )
+
+
+def test_isometry_propagation_fails_a_target_that_fails_validate():
+    # the source battery passes, but a non-commuting (G1, G2) builds no
+    # pencil triple: one failed target_battery entry carries the reason
+    g1 = np.array([[0.0, 0.3], [0.0, 0.0]])
+    rep = verify_isometry_propagation(0.2 * np.eye(2), 0.1 * np.eye(2), g1, g1.T, n=3)
+    assert any(e.name.startswith("source_") for e in rep.entries)
+    entry = rep.entries[-1]
+    assert (entry.name, entry.residual, entry.passed) == ("target_battery", float("inf"), False)
+    assert re.fullmatch(r"\[A,B\] has norm 3\.141e-01 > 2\.000e-10", entry.note)
+    assert not any(e.name.startswith("target_") and e.name != "target_battery" for e in rep.entries)

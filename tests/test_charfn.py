@@ -24,6 +24,7 @@ from tetralab.charfn import (
     NotIsometryLikeError,
     NotPureError,
     ResolventSingularError,
+    RestrictionLeakError,
     build_model,
     power_tail,
     pure_isometry_model,
@@ -91,6 +92,27 @@ def test_theta_of_zero_is_multiplication_by_z():
     assert op_norm(sym.coeffs[0]) == 0.0
     assert np.allclose(sym.coeffs[1], np.eye(3), atol=1e-14)
     assert all(op_norm(c) == 0.0 for c in sym.coeffs[2:])  # beyond z^1
+
+
+def test_theta_refuses_defect_ranks_that_disagree():
+    # I - P*P and I - PP* share their spectrum, but each defect decides its
+    # rank on its own rounding: with a singular value of P whose defect
+    # eigenvalue sits on the rank cut, some bases keep it in D_P and not in
+    # D_P*, so P(D_P) leaks out of D_P* by about 1 and Theta_0 is refused
+    zero = np.zeros((2, 2))
+    sigma = np.sqrt(1.0 - 1e-9 * (1.0 + np.arange(-3, 4) * 1e-7))
+    leaks = 0
+    for seed in range(200):
+        rng = np.random.default_rng(seed)
+        u, v = (random_unitary(rng, 2) for _ in range(2))
+        triple = validate(zero, zero, u @ np.diag([0.5, sigma[seed % 7]]) @ v)
+        if triple.dp.rank > triple.dpstar.rank:
+            leaks += 1
+            with pytest.raises(RestrictionLeakError, match=r"P\(D_P\) leaks out of D_P\* by 1\.000e\+00"):
+                theta_taylor(triple, 1)
+        else:
+            theta_taylor(triple, 1)
+    assert leaks > 0
 
 
 def test_taylor_series_matches_direct_evaluation(rng):
@@ -312,6 +334,17 @@ def test_model_space_gap_is_not_a_rank_decision():
     gap = model_entries(verify_model_decomposition(model))["model_space_gap"]
     assert gap.passed and gap.tolerance == 1e-6 + model.tail
     assert gap.residual < 1e-13
+
+
+def test_model_space_gap_is_one_when_range_w_loses_rank():
+    # at degree 0 the grid of the degree-3 shifts has 7 coordinates for a
+    # 16-dimensional space: range(W) has rank 7 < 16 and the gap reads 1,
+    # within the tail allowance sqrt(3) of this truncation
+    model = build_model(build_grid(3), 0)
+    assert model.h_basis.shape[1] < model.W.shape[1]
+    gap = model_entries(verify_model_decomposition(model))["model_space_gap"]
+    assert gap.residual == 1.0 and gap.passed
+    assert gap.tolerance == 1e-6 + model.tail == 1e-6 + np.sqrt(3.0)
 
 
 def test_model_space_mismatch_is_detected(monkeypatch, small_suite):

@@ -9,8 +9,11 @@ import hashlib
 import itertools
 import json
 import os
+import re
 import subprocess
 import sys
+import time
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -443,10 +446,9 @@ def test_tol_flag_tightens_until_failure(capsys):
 # ------------------------------------------------------------------- blh
 
 
-def test_blh_subcommand_roundtrip(capsys, tmp_path):
-    # feed the characteristic function of the grid adjoint plus the solved
-    # forward pair; the command must recover the adjoint pair
-    n = 3
+def write_grid_blh_inputs(tmp_path, n: int) -> tuple[Path, Path]:
+    """The files ``blh`` reads for the degree-n grid: the characteristic
+    function of its adjoint and its solved forward pair."""
     triple = build_grid(n)
     pair_f = solve_fundamental(triple)
     theta = theta_taylor(triple.adjoint(), n + 1)
@@ -457,6 +459,13 @@ def test_blh_subcommand_roundtrip(capsys, tmp_path):
         "F1": io.matrix_to_obj(pair_f.F1),
         "F2": io.matrix_to_obj(pair_f.F2),
     }))
+    return theta_path, sym_path
+
+
+def test_blh_subcommand_roundtrip(capsys, tmp_path):
+    # feed the characteristic function of the grid adjoint plus the solved
+    # forward pair; the command must recover the adjoint pair
+    theta_path, sym_path = write_grid_blh_inputs(tmp_path, 3)
     out_path = tmp_path / "blh.json"
     code, _, _ = run(
         capsys, "blh", str(theta_path), str(sym_path),
@@ -466,8 +475,22 @@ def test_blh_subcommand_roundtrip(capsys, tmp_path):
     bundle = load_bundle(out_path)
     assert bundle["aggregate"]["all_passed"] is True
     g1 = io.matrix_from_obj(bundle["extracted"]["G1"])
-    pair_g = solve_fundamental(triple.adjoint())
+    pair_g = solve_fundamental(build_grid(3).adjoint())
     assert np.allclose(g1, pair_g.F1, atol=1e-10)
+
+
+def test_blh_text_prints_the_extracted_pair(capsys, tmp_path):
+    # the text report ends with the G1 and G2 blocks of the extracted pair,
+    # the adjoint pair of the grid printed to six digits
+    theta_path, sym_path = write_grid_blh_inputs(tmp_path, 3)
+    code, out, _ = run(capsys, "blh", str(theta_path), str(sym_path), "--format", "text")
+    assert code == 0
+    pair_g = solve_fundamental(build_grid(3).adjoint())
+    blocks = "".join(
+        f"{key} =\n{np.array2string(mat, precision=6, suppress_small=True)}\n"
+        for key, mat in (("G1", pair_g.F1), ("G2", pair_g.F2))
+    )
+    assert re.search(r"PASS\n" + re.escape(blocks) + r"wall_time_s: \d+\.\d{3}\n\Z", out), out
 
 
 def test_blh_rejects_wrong_symbol_file(capsys, tmp_path):
@@ -661,6 +684,31 @@ def test_random_suite_reraises_a_child_exception_after_reaping_every_child(monke
     for pid in pids:
         with pytest.raises(ChildProcessError):
             os.waitpid(pid, os.WNOHANG)
+
+
+def test_fan_out_reaps_every_child_when_a_later_fork_fails(monkeypatch):
+    # three CPUs, six tasks: the first fork starts a child with two tasks,
+    # the second fork fails; the error propagates only after that child is
+    # reaped, and the pipe of the failed fork is closed
+    real_fork = os.fork
+    forks = []
+
+    def failing_fork():
+        forks.append(1)
+        if len(forks) == 2:
+            raise BlockingIOError(11, "Resource temporarily unavailable")
+        return real_fork()
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+    monkeypatch.setattr(os, "fork", failing_fork)
+    fds = len(os.listdir("/proc/self/fd"))
+    tasks = {f"t{k}": partial(time.sleep, 0.2) for k in range(6)}
+    with pytest.raises(BlockingIOError):
+        tetralab.cli._fan_out(tasks)
+    assert len(forks) == 2
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert len(os.listdir("/proc/self/fd")) == fds
 
 
 def test_random_suite_forks_one_child_per_extra_cpu_and_none_for_one_instance(capsys, monkeypatch):
@@ -1148,6 +1196,21 @@ def test_negative_model_degree_is_input_error(capsys, tmp_path):
     assert "--degree must be >= 0" in err
     with pytest.raises(ValueError, match="model degree must be >= 0"):
         build_model(p_triple(0.5 * np.eye(2)), -1)
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("verify-bidisc", "--degree", "0"), "--degree must be >= 1, got 0"),
+        (("random-suite", "--seed", "1", "--count", "0"), "--count must be >= 1"),
+    ],
+    ids=["verify-bidisc", "random-suite"],
+)
+def test_size_below_one_is_input_error(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert message in err
 
 
 @pytest.mark.parametrize("fmt", ["text", "json"])

@@ -217,6 +217,24 @@ def test_transfer_skips_when_range_not_dense():
     assert any(e.skipped for e in rep.entries)
 
 
+def test_converse_transfer_skips_when_g_pair_does_not_commute():
+    # P invertible, [F1, F2] = 0, and a hand-made G pair with [G1, G2] != 0:
+    # the forward direction runs (and fails transfer_G_commute), the
+    # converse lacks its hypothesis and is one skip with the norm
+    inst = make_instance("scalars", seed=61, index=0, dim=3, degree=4)
+    pair_f = solve_fundamental(inst.triple)
+    g1 = np.zeros((3, 3))
+    g1[0, 1] = 0.3
+    pair_g = dataclasses.replace(solve_fundamental(inst.triple.adjoint()), F1=g1, F2=g1.T.copy())
+    rep = verify_commutator_transfer(inst.triple, pair_f, pair_g)
+    entries = {e.name: e for e in rep.entries}
+    assert entries["hypothesis_F_commute"].passed
+    assert not entries["transfer_G_commute"].passed
+    converse = entries["converse_transfer"]
+    assert converse.skipped and converse.note == "hypothesis [G1,G2]=0 violated (norm 9.000e-02)"
+    assert not {"hypothesis_G_commute", "converse_F_commute", "converse_balance_F"} & set(entries)
+
+
 def test_pair_keeps_its_norms_and_a_replaced_pair_recomputes_them(monkeypatch):
     import tetralab.fundamental
 

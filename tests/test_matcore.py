@@ -11,6 +11,10 @@ import math
 import numpy as np
 import pytest
 
+from tetralab.charfn import theta_taylor
+from tetralab.generate import symbol_pair
+from tetralab.hardy import AnalyticSymbol, toeplitz
+from tetralab.io import FormatError, symbol_from_obj
 from tetralab.matcore import (
     CLAMP_TOL,
     DEFAULT_POLICY,
@@ -32,7 +36,15 @@ from tetralab.matcore import (
     subspace_gap,
 )
 
-from conftest import count_calls, forbid_linalg, projector, random_contraction, range_complement, watch_decompositions
+from conftest import (
+    count_calls,
+    forbid_linalg,
+    p_triple,
+    projector,
+    random_contraction,
+    range_complement,
+    watch_decompositions,
+)
 
 
 # ---------------------------------------------------------------- basics
@@ -50,6 +62,30 @@ def test_ensure_matrix_rejects_wrong_rank_and_nonsquare():
         ensure_matrix([1.0, 2.0])
     with pytest.raises(ShapeError):
         ensure_matrix([[1.0, 2.0]], square=True)
+
+
+@pytest.mark.parametrize(
+    "call, exc, message",
+    [
+        (lambda: theta_taylor(p_triple(np.zeros((2, 2))), -1), ValueError, "Taylor degree must be >= 0"),
+        (lambda: toeplitz(AnalyticSymbol((np.eye(2),)), -1), ValueError, "truncation degree must be >= 0"),
+        (lambda: AnalyticSymbol(()), ValueError, "symbol needs at least one coefficient"),
+        (lambda: symbol_from_obj({"coeffs": []}), FormatError, "symbol object must have at least one coefficient"),
+        (lambda: symbol_from_obj({}), FormatError, 'symbol object must contain a list field "coeffs"'),
+        (lambda: op_norms(np.zeros((2, 2))), ShapeError, "operands must be a 3-D stack of matrices, got ndim=2"),
+        (
+            lambda: commutator(np.eye(2), np.eye(3)),
+            ShapeError,
+            r"commutator needs equal shapes, got \(2, 2\) and \(3, 3\)",
+        ),
+        (lambda: symbol_pair(np.random.default_rng(0), 2, "skew"), ValueError, "unknown symbol pair kind 'skew'"),
+    ],
+    ids=["theta_taylor", "toeplitz", "empty_symbol", "symbol_no_coeffs", "symbol_no_list", "op_norms", "commutator",
+         "symbol_pair"],
+)
+def test_argument_checks_refuse_bad_input(call, exc, message):
+    with pytest.raises(exc, match=f"^{message}$"):
+        call()
 
 
 def test_op_norm_matches_largest_singular_value(rng):
